@@ -1,0 +1,75 @@
+"""Golden bytes: sha256 of the CLI's JSON output on fixed inputs.
+
+Any refactor of the witness, regular, four-vertex or surface code must leave
+these outputs byte-identical.  The digests are independent of the hash seed.
+"""
+
+import hashlib
+
+import pytest
+
+from polygonality import cli
+
+# word-list inputs for the four-vertex recursion: "peel" removes edges over six
+# levels, "orbits" patches with multiplicities from a nontrivial orbit list
+WORD_FILES = {"peel.txt": "rank 2\nBaaaabaaaa\n", "orbits.txt": "rank 2\nBabaaaabaB\n"}
+
+GEN_FILES = {
+    "regular-9.json": ("--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2"),
+    "fourvertex-3.json": ("--kind", "fourvertex", "--seed", "3"),
+}
+
+GOLDEN = [
+    (("witness", "commutator", "--require-long"), 0,
+     "e016c18a52fb3739b09f5c18f45caae2b3e4483b602dc651d885ad23678dcc7b"),
+    (("witness", "remark-2.4a"), 2,
+     "cc469d59e15624305fec33769a450099f83831a2eb91aef1bfa7dfe2814f6e4f"),
+    (("witness", "remark-2.4b", "--require-long"), 0,
+     "49aa4566fb713612b1b6058f6af1ae618f5331b268a4d195315e289cb4e8e3d1"),
+    (("witness", "example-6.1"), 2,
+     "49317a2c8c5c1184d4a6e464571c9e60d8a8a163679572ad017f57195dc17341"),
+    (("witness", "figure-7", "--require-long"), 0,
+     "93f06c8bd1ed3aa1a819b810a045f186d8eea8896fdfc580d8ecf9fe650b7e0d"),
+    (("surface", "commutator"), 0,
+     "1345c7c993cd1798e9c667ab52b2ddf8c3e0a82b44fdbb33209230267e0c9f7a"),
+    (("surface", "remark-2.4b"), 0,
+     "65f3f29bac55df68589ac440383535c8cc88e7b8a3e7d66f5bafb55fa34371f2"),
+    (("witness", "regular-9.json"), 0,
+     "7eca9045374dbb56e54d42f7b134e0745c6dbc5626e4a2aa78d56541b066bc38"),
+    (("witness", "fourvertex-3.json"), 0,
+     "8cf844ecce88a73468fca9c1a1322dd9c701adc223a3e815d0ec3a9a650fb9c3"),
+    # surface needs word-list input: a graph JSON exits 1 and writes nothing
+    (("surface", "fourvertex-3.json"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("witness", "peel.txt", "--require-long"), 0,
+     "c50ee83e254aa617cdb4ff3d3a673c4e276a0c14f6e20731ee31e0c301623746"),
+    (("surface", "peel.txt"), 0,
+     "9df1ea167f80cf9701cbd2fb467fe0c290507561f999a521d72f1df3bda02c00"),
+    (("witness", "orbits.txt", "--require-long"), 0,
+     "bf89cc19e59ed81334395c4d60c8c3ef3857d78b5765bea8aa42048f382a8844"),
+    (("surface", "orbits.txt"), 0,
+     "edb78f4146752607add3d574957b3fc5f66faf6e348c4da05c2845db3f2ba986"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, text in WORD_FILES.items():
+        (d / name).write_text(text, encoding="utf-8")
+    for name, args in GEN_FILES.items():
+        assert cli.main(["gen", *args, "--out", str(d / name)]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
+)
+def test_golden_cli_bytes(inputs, tmp_path, argv, code, digest):
+    command, spec, *flags = argv
+    if (inputs / spec).exists():
+        spec = str(inputs / spec)
+    out = tmp_path / "out.json"
+    assert cli.main([command, spec, *flags, "--out", str(out)]) == code
+    data = out.read_bytes() if out.exists() else b""
+    assert hashlib.sha256(data).hexdigest() == digest
