@@ -1,7 +1,6 @@
 """Certifying decision library for polygonality of word lists in free groups."""
 
 from .errors import (
-    CompletionGapError,
     GraphError,
     PairingError,
     PolygonalityError,
@@ -56,6 +55,7 @@ from .witness import (
     WitnessVerdict,
     enumerate_cycles,
     make_cycle,
+    pair_counts,
     search_witness_lp,
     subdivide,
     verify_witness,

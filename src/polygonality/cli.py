@@ -154,12 +154,11 @@ def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
         }
     if method == "regular":
         rw = regular.regular_witness(graph)
-        coloring = regular.fractional_edge_coloring(graph, rw.k)
         return rw.cycles, {
             "method": "regular",
             "m1": rw.m1,
             "m2": rw.m2,
-            "coloring": coloring.to_json(),
+            "coloring": rw.coloring.to_json(),
         }
     if method == "lp":
         found = witness.search_witness_lp(graph, require_long=require_long)

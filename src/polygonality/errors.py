@@ -28,11 +28,3 @@ class VerificationError(PolygonalityError):
 class PairingError(VerificationError):
     """Side-pairing of the dual polygons could not be completed."""
 
-
-class CompletionGapError(PolygonalityError):
-    """A digraph part has the one shape whose orbit recipe is not covered.
-
-    Raised for a part consisting of a monochromatic path with exactly three
-    interior-graph edges plus two short cycles.  Callers fall back to the
-    linear-programming search instead of guessing an orbit list.
-    """

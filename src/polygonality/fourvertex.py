@@ -21,22 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import (
-    CompletionGapError,
-    GraphError,
-    PreconditionError,
-    VerificationError,
-)
+from .errors import GraphError, PreconditionError, VerificationError
 from .regular import regular_witness
 from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
-from .witness import (
-    CycleList,
-    Infeasible,
-    make_cycle,
-    search_witness_lp,
-    verify_witness,
-    witness_to_json,
-)
+from .witness import CycleList, make_cycle, pair_counts, verify_witness, witness_to_json
 
 Node = tuple[str, int]  # ('e', i) or ('f', i)
 
@@ -544,16 +532,6 @@ def _pi_cycles(part: GoodPart, D: AuxDigraph, arcs) -> list[list[Node]]:
     return cycles
 
 
-def _orbit_op(xs: list[Node]) -> tuple[frozenset[Node], ...]:
-    m = len(xs)
-    out = []
-    for i in range(m):
-        pair = frozenset((xs[i], xs[(i + 1) % m]))
-        if pair not in out and len(pair) == 2:
-            out.append(pair)
-    return tuple(out)
-
-
 def _orbit_offset(xs: list[Node], off: int) -> tuple[frozenset[Node], ...]:
     m = len(xs)
     out = []
@@ -590,27 +568,22 @@ def part_completion(D: AuxDigraph, part: GoodPart):
         xs = list(path.e_nodes())
         ys = [c.e_nodes()[0] for c in cycles]
         m = len(xs)
-        op = _orbit_op(xs)
+        op = _orbit_offset(xs, 1)
         stars = [_orbit_star(xs, y) for y in ys]
-        if len(cycles) == 1:
-            if m == 1:
-                orbits, c = [stars[0]], 1
-            elif m == 2:
-                orbits, c = [stars[0], op], 2
-            else:
-                orbits, c = [stars[0]] * 2 + [op] * (m - 1), 2 * m
-        else:
-            if m == 1:
-                orbits, c = [stars[0], stars[1], (frozenset((ys[0], ys[1])),)], 2
-            elif m == 2:
-                orbits, c = [stars[0], stars[1]], 2
-            elif m == 3:
-                raise CompletionGapError(
-                    "no known orbit recipe: monochromatic path with three edges at w"
-                    " plus two short cycles"
+        if len(cycles) == 2:
+            # decompose_good only pairs two short cycles with a one-edge path
+            if m != 1:
+                raise VerificationError(
+                    "shape (2) with two short cycles needs a one-edge path,"
+                    f" got {m} edges at w"
                 )
-            else:
-                orbits, c = [stars[0]] * 2 + [stars[1]] * 2 + [op] * (m - 2), 2 * m
+            orbits, c = [stars[0], stars[1], (frozenset((ys[0], ys[1])),)], 2
+        elif m == 1:
+            orbits, c = [stars[0]], 1
+        elif m == 2:
+            orbits, c = [stars[0], op], 2
+        else:
+            orbits, c = [stars[0]] * 2 + [op] * (m - 1), 2 * m
     elif tag == 3:
         br = next(c for c in part.components if _path_class(D, c) == "BR")
         rb = next(c for c in part.components if _path_class(D, c) == "RB")
@@ -618,7 +591,7 @@ def part_completion(D: AuxDigraph, part: GoodPart):
         arcs = [(br.nodes[-1], rb.nodes[0]), (rb.nodes[-1], br.nodes[0])]
         xs = list(br.e_nodes()) + list(rb.e_nodes())
         m = len(xs)
-        op, oc = _orbit_op(xs), _orbit_star(xs, y)
+        op, oc = _orbit_offset(xs, 1), _orbit_star(xs, y)
         if m == 2:
             orbits, c = [oc, op], 2
         else:
@@ -631,7 +604,7 @@ def part_completion(D: AuxDigraph, part: GoodPart):
         M, k = len(xs), len(ys)
         if k > M:
             raise VerificationError("more short components than long-cycle edges")
-        op = _orbit_op(xs)
+        op = _orbit_offset(xs, 1)
         if k == 0:
             orbits, c = [op], (2 if M > 2 else 1)
         else:
@@ -801,10 +774,6 @@ def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
         raise PreconditionError("w lost minimality during the recursion")
 
 
-def _count_cycles(cycles: CycleList, pred) -> int:
-    return sum(m for c, m in cycles.items() if pred(c))
-
-
 def _check_good_list(
     g: Multigraph,
     w: VertexId,
@@ -814,22 +783,17 @@ def _check_good_list(
     c1: int,
     c2: int,
 ) -> None:
-    usage = Counter()
-    for cyc, mult in cycles.items():
-        for eid in cyc.edges:
-            usage[eid] += mult
-    if any(usage[eid] != c1 for eid in g.edges):
-        raise VerificationError(f"per-edge usage {dict(usage)} is not uniformly {c1}")
-    delta_w = g.delta(w)
-    for e1, e2 in itertools.combinations(delta_w, 2):
-        here = _count_cycles(cycles, lambda c: e1 in c.edges and e2 in c.edges)
-        i1, i2 = sigma_w_edge[e1], sigma_w_edge[e2]
-        there = _count_cycles(cycles, lambda c: i1 in c.edges and i2 in c.edges)
-        if here != there:
+    counts, usage = pair_counts(g, cycles)
+    if any(n != c1 for n in usage.values()):
+        raise VerificationError(f"per-edge usage {usage} is not uniformly {c1}")
+    for e1, e2 in itertools.combinations(g.delta(w), 2):
+        here = counts.get((w, frozenset((e1, e2))), 0)
+        img = frozenset((sigma_w_edge[e1], sigma_w_edge[e2]))
+        if here != counts.get((w.mu(), img), 0):
             raise VerificationError(f"pair balance at {w} fails on ({e1},{e2})")
     for v in (u, u.mu()):
         for e1, e2 in itertools.combinations(g.delta(v), 2):
-            n = _count_cycles(cycles, lambda c: e1 in c.edges and e2 in c.edges)
+            n = counts.get((v, frozenset((e1, e2))), 0)
             if n != c2:
                 raise VerificationError(
                     f"pair ({e1},{e2}) at {v} lies in {n} cycles, expected {c2}"
@@ -927,9 +891,8 @@ def inductive_witness(
 def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     """End-to-end construction for a connected graph on four vertices.
 
-    Falls back to the LP search only in the one shape the orbit recipes do
-    not cover; the result always passes the full witness verification with a
-    long cycle required.
+    The result always passes the full witness verification with a long cycle
+    required.
     """
     active = graph.active_vertices()
     if len(active) != 4 or any(v.mu() not in active for v in active):
@@ -943,38 +906,10 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
                 f"local connectivity {lam} below degree {graph.degree(v)} at {v}"
             )
     w = min(active, key=lambda v: (graph.degree(v), (v.gen, v.sign < 0)))
-    try:
-        aux = build_auxiliary_digraph(graph, w)
-        completion = uniform_permutation(aux)
-        good = inductive_witness(graph, w, completion)
-    except CompletionGapError:
-        found = search_witness_lp(graph, require_long=True)
-        if isinstance(found, Infeasible):
-            raise VerificationError(
-                "LP fallback found no witness although the preconditions hold"
-            ) from None
-        good = GoodList(found, 0, 0, ({"fallback": "lp"},))
+    aux = build_auxiliary_digraph(graph, w)
+    completion = uniform_permutation(aux)
+    good = inductive_witness(graph, w, completion)
     verdict = verify_witness(graph, good.cycles, require_long=True)
     if not verdict.ok:
         raise VerificationError(f"constructed list fails verification: {verdict.failures[:3]}")
     return good
-
-
-def aux_to_dot(aux: AuxDigraph, added_arcs: tuple[tuple[Node, Node], ...] = ()) -> str:
-    """DOT dump of the auxiliary digraph (dashed arcs are completion arcs)."""
-    fill = {"R": "red", "B": "lightblue", None: "white"}
-    lines = ["digraph aux {", "  node [style=filled];"]
-    for n in aux.nodes:
-        label = f"{n[0]}{n[1] + 1}"
-        lines.append(
-            f'  "{label}" [fillcolor={fill[aux.colors.get(n)]}];'
-        )
-    for n, s in aux.succ.items():
-        if s is not None:
-            lines.append(f'  "{n[0]}{n[1] + 1}" -> "{s[0]}{s[1] + 1}";')
-    for src, dst in added_arcs:
-        lines.append(
-            f'  "{src[0]}{src[1] + 1}" -> "{dst[0]}{dst[1] + 1}" [style=dashed];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -18,13 +18,12 @@ from math import gcd
 from .errors import GraphError, PreconditionError, VerificationError
 from .simplex import find_feasible
 from .whitehead import Multigraph, VertexId
-from .witness import CycleList, cycle_pair_at, make_cycle
+from .witness import CycleList, make_cycle, pair_counts
 
 
 @dataclass(frozen=True)
 class Matching:
     edges: frozenset[int]
-    perfect: bool
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[Matching]:
 
     def extend(uncovered: tuple[VertexId, ...], chosen: tuple[int, ...]):
         if not uncovered:
-            out.append(Matching(frozenset(chosen), True))
+            out.append(Matching(frozenset(chosen)))
             return
         v = uncovered[0]
         rest = set(uncovered[1:])
@@ -155,6 +154,7 @@ class RegularWitness:
     m2: int
     ell: int
     k: int
+    coloring: FractionalColoring
 
 
 def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[int]]:
@@ -205,14 +205,7 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
     share = ell // k
     m1 = share * (ell - share)
     m2 = share * share
-    usage = {eid: 0 for eid in graph.edges}
-    pair_count: dict[tuple[VertexId, frozenset[int]], int] = {}
-    for cyc, mult in cycles.items():
-        for eid in cyc.edges:
-            usage[eid] += mult
-        for v in {v for eid in cyc.edges for v in graph.edges[eid].ends}:
-            pair = cycle_pair_at(cyc, graph, v)
-            pair_count[(v, pair)] = pair_count.get((v, pair), 0) + mult
+    pair_count, usage = pair_counts(graph, cycles)
     for eid, n in usage.items():
         if n != m1:
             raise VerificationError(f"edge {eid} lies in {n} cycles, expected {m1}")
@@ -224,4 +217,4 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
                 raise VerificationError(
                     f"pair ({e},{f}) at {v} lies in {n} cycles, expected {m2}"
                 )
-    return RegularWitness(cycles, m1, m2, ell, k)
+    return RegularWitness(cycles, m1, m2, ell, k, coloring)

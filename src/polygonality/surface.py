@@ -40,24 +40,6 @@ def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
     return rank
 
 
-def cycle_walk(graph, cycle: Cycle) -> tuple[tuple[VertexId, ...], tuple[int, ...]]:
-    """Deterministic cyclic structure: vertices v_t and edges E_t (E_t joins v_t, v_{t+1})."""
-    incidence: dict[VertexId, list[int]] = {}
-    for eid in cycle.edges:
-        for v in graph.edges[eid].ends:
-            incidence.setdefault(v, []).append(eid)
-    start = min(incidence)
-    verts = [start]
-    eids = [min(incidence[start])]
-    while True:
-        v = graph.edges[eids[-1]].other(verts[-1])
-        if v == start:
-            break
-        verts.append(v)
-        eids.append(next(x for x in incidence[v] if x != eids[-1]))
-    return tuple(verts), tuple(eids)
-
-
 @dataclass(frozen=True)
 class Side:
     poly: int
@@ -73,8 +55,6 @@ class Side:
 class DualPolygon:
     index: int
     cycle: Cycle
-    vertices_seq: tuple[VertexId, ...]
-    edges_seq: tuple[int, ...]
     sides: tuple[Side, ...]
 
     def __len__(self) -> int:
@@ -166,12 +146,11 @@ class SurfaceComplex:
 
 
 def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
-    verts, eids = cycle_walk(graph, cycle)
-    n = len(verts)
+    eids = cycle.edge_seq
+    n = len(eids)
     sides = []
-    for t in range(n):
-        v = verts[t]
-        e_prev, e_next = eids[(t - 1) % n], eids[t]
+    for t, (v, pair) in enumerate(cycle.turns):
+        e_prev, e_next = eids[t - 1], eids[t]
         d_prev = graph.edges[e_prev].dart_at(v)
         d_next = graph.edges[e_next].dart_at(v)
         corner_prev, corner_next = (t - 1) % n, t
@@ -179,10 +158,8 @@ def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
             tail, head = corner_next, corner_prev
         else:
             tail, head = corner_prev, corner_next
-        sides.append(
-            Side(index, t, v, frozenset((e_prev, e_next)), v.sign > 0, tail, head)
-        )
-    return DualPolygon(index, cycle, verts, eids, tuple(sides))
+        sides.append(Side(index, t, v, pair, v.sign > 0, tail, head))
+    return DualPolygon(index, cycle, tuple(sides))
 
 
 def build_surface(graph: WhiteheadGraph, witness: CycleList) -> SurfaceComplex:
@@ -198,7 +175,7 @@ def build_surface(graph: WhiteheadGraph, witness: CycleList) -> SurfaceComplex:
         raise PreconditionError(f"witness fails verification: {verdict.failures[:3]}")
     rank = build_linear_orders(graph)
     polygons = []
-    for cycle in sorted(witness, key=lambda c: (len(c.edges), c.key)):
+    for cycle in sorted(witness):
         for _ in range(witness[cycle]):
             polygons.append(_build_polygon(graph, rank, len(polygons), cycle))
     incoming: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}

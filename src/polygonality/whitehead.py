@@ -235,9 +235,6 @@ class WhiteheadGraph(Multigraph):
         """Edge-level connecting map at ``v``: image of edge ``eid`` in delta(mu(v))."""
         return self.sigma[self.edges[eid].dart_at(v)].eid
 
-    def subgraph_without(self, eids: Iterable[int]) -> Multigraph:
-        return self.remove_edges(eids)
-
 
 def connecting_map(graph: WhiteheadGraph, v: VertexId, d: Dart) -> Dart:
     """Apply the connecting map at ``v`` to a dart incident with ``v``."""

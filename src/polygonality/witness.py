@@ -11,7 +11,7 @@ cycles and, on failure, returns a rational refutation certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import GraphError, PreconditionError, VerificationError
@@ -19,15 +19,31 @@ from .simplex import ZERO, maximize_homogeneous
 from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash
 
 
+Turn = tuple[VertexId, frozenset[int]]
+
+
 @dataclass(frozen=True)
 class Cycle:
-    """A simple cycle as an edge-id set with a canonical traversal key."""
+    """A simple cycle: its edge-id set, canonical key and stored walk.
+
+    The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is
+    ``(v_t, {edge_seq[t - 1], edge_seq[t]})``, the vertex with the two cycle
+    edges there, and edge ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}``
+    (indices mod ``n``).  Only ``edges`` and ``key`` take part in equality and
+    hashing; the walk is derived from them by :func:`make_cycle`, which builds
+    every cycle.  Cycles sort by length, then key.
+    """
 
     edges: frozenset[int]
     key: tuple[int, ...]
+    edge_seq: tuple[int, ...] = field(compare=False)
+    turns: tuple[Turn, ...] = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    def __lt__(self, other: "Cycle") -> bool:
+        return (len(self.edges), self.key) < (len(other.edges), other.key)
 
     @property
     def is_long(self) -> bool:
@@ -38,11 +54,12 @@ CycleList = dict[Cycle, int]
 
 
 def make_cycle(graph: Multigraph, eids) -> Cycle:
-    """Validate an edge subset as a simple cycle and canonicalize it.
+    """Validate an edge subset as a simple cycle, walk it and canonicalize it.
 
     The subset must induce a connected subgraph in which every touched vertex
-    has degree exactly two.  The canonical key is the lexicographically least
-    rotation of the cyclic edge-id sequence, in either direction.
+    has degree exactly two.  The walk starts at the least vertex along its
+    least edge.  The canonical key is the lexicographically least rotation of
+    the cyclic edge-id sequence, in either direction.
     """
     eids = frozenset(eids)
     if len(eids) < 2:
@@ -56,17 +73,18 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     for v, es in incidence.items():
         if len(es) != 2:
             raise GraphError(f"edge set {sorted(eids)} has degree {len(es)} at {v}")
-    # walk the cycle to get the cyclic edge order (also proves connectivity)
+    # the walk also proves connectivity
     start = min(incidence)
-    seq = []
+    verts, seq = [], []
     v, eid = start, min(incidence[start])
     while True:
+        verts.append(v)
         seq.append(eid)
         v = graph.edges[eid].other(v)
-        nxt = [x for x in incidence[v] if x != eid]
-        eid = nxt[0]
         if v == start:
             break
+        a, b = incidence[v]
+        eid = b if a == eid else a
     if len(seq) != len(eids):
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
     key = min(
@@ -74,15 +92,8 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
         for s in (seq, list(reversed(seq)))
         for i in range(len(seq))
     )
-    return Cycle(eids, key)
-
-
-def cycle_pair_at(cycle: Cycle, graph: Multigraph, v: VertexId) -> frozenset[int] | None:
-    """The two cycle edges at ``v``, or None when the cycle avoids ``v``."""
-    es = [eid for eid in cycle.edges if v in graph.edges[eid].ends]
-    if not es:
-        return None
-    return frozenset(es)
+    turns = tuple((verts[t], frozenset((seq[t - 1], seq[t]))) for t in range(len(seq)))
+    return Cycle(eids, key, tuple(seq), turns)
 
 
 def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
@@ -104,7 +115,7 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
 
     for s in sorted(graph.active_vertices()):
         extend(s, s, frozenset(), {s})
-    return sorted(found.values(), key=lambda c: (len(c.edges), c.key))
+    return sorted(found.values())
 
 
 @dataclass(frozen=True)
@@ -118,20 +129,22 @@ class WitnessVerdict:
         return self.ok
 
 
-def _pair_counts(graph: Multigraph, cycles: CycleList):
-    counts: dict[tuple[VertexId, frozenset[int]], int] = {}
-    usage: dict[int, int] = {eid: 0 for eid in graph.edges}
+def pair_counts(
+    graph: Multigraph, cycles: CycleList
+) -> tuple[dict[Turn, int], dict[int, int]]:
+    """Turn counts and per-edge usage of a cycle list, with multiplicity.
+
+    ``counts[(v, {e, f})]`` is the number of cycles turning at ``v`` from
+    ``e`` to ``f``, which is the number containing both edges of a pair at
+    ``v``; ``usage[e]`` is the number containing ``e``, for every edge.
+    """
+    counts: dict[Turn, int] = {}
+    usage = dict.fromkeys(graph.edges, 0)
     for cyc, mult in cycles.items():
         for eid in cyc.edges:
             usage[eid] += mult
-        seen: set[VertexId] = set()
-        for eid in cyc.edges:
-            for v in graph.edges[eid].ends:
-                if v in seen:
-                    continue
-                seen.add(v)
-                pair = cycle_pair_at(cyc, graph, v)
-                counts[(v, pair)] = counts.get((v, pair), 0) + mult
+        for turn in cyc.turns:
+            counts[turn] = counts.get(turn, 0) + mult
     return counts, usage
 
 
@@ -148,11 +161,14 @@ def verify_witness(
     """
     if not cycles:
         raise PreconditionError("a witness must be a nonempty cycle list")
+    # count turns of cycles rebuilt here, never the walks the caller stored
+    fresh: CycleList = {}
     for cyc, mult in cycles.items():
         if mult <= 0:
             raise PreconditionError(f"multiplicity of {sorted(cyc.edges)} must be positive")
-        make_cycle(graph, cyc.edges)  # raises if the cycle is not in this graph
-    counts, usage = _pair_counts(graph, cycles)
+        rebuilt = make_cycle(graph, cyc.edges)  # raises if the cycle is not in this graph
+        fresh[rebuilt] = fresh.get(rebuilt, 0) + mult
+    counts, usage = pair_counts(graph, fresh)
     failures = []
     for v in graph.active_vertices():
         delta = graph.delta(v)
@@ -167,7 +183,7 @@ def verify_witness(
                 img_e = graph.sigma_edge(v, e)
                 if usage[e] != usage[img_e]:
                     failures.append((v, (e, e), usage[e], usage[img_e]))
-    has_long = any(c.is_long for c, m in cycles.items() if m > 0)
+    has_long = any(c.is_long for c in fresh)
     ok = not failures and (has_long or not require_long)
     return WitnessVerdict(ok, tuple(failures), has_long, usage)
 
@@ -197,9 +213,10 @@ class Infeasible:
 
 def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
     """Deduplicated balance rows: +1 on cycles covering (v,{e,f}), -1 on the image."""
-    pair_of_cycle = [
-        {v: cycle_pair_at(c, graph, v) for v in graph.active_vertices()} for c in cycles
-    ]
+    covering: dict[Turn, list[int]] = {}
+    for j, c in enumerate(cycles):
+        for turn in c.turns:
+            covering.setdefault(turn, []).append(j)
     rows = []
     keys = []
     for v in sorted(graph.active_vertices()):
@@ -211,12 +228,11 @@ def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
                 partner_key = (v.mu(), img)
                 if (partner_key[0], partner_key[1]) < (this_key[0], this_key[1]):
                     continue  # the partner emits this row (negated)
-                here, there = frozenset((e, f)), frozenset(img)
-                row = [
-                    (1 if pair_of_cycle[j][v] == here else 0)
-                    - (1 if pair_of_cycle[j][v.mu()] == there else 0)
-                    for j in range(len(cycles))
-                ]
+                row = [0] * len(cycles)
+                for j in covering.get((v, frozenset((e, f))), ()):
+                    row[j] += 1
+                for j in covering.get((v.mu(), frozenset(img)), ()):
+                    row[j] -= 1
                 if any(row):
                     rows.append(row)
                     keys.append((v, (e, f)))
@@ -272,27 +288,35 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
 
 
 def witness_to_json(graph: WhiteheadGraph, cycles: CycleList) -> dict:
-    verdict = verify_witness(graph, cycles)
-    ordered = sorted(cycles.items(), key=lambda kv: (len(kv[0].edges), kv[0].key))
+    """Serialize a cycle list; it is not verified here."""
+    _, usage = pair_counts(graph, cycles)
     return {
         "graph_hash": graph_hash(graph),
         "cycles": [
-            {"edges": sorted(c.edges), "multiplicity": m} for c, m in ordered
+            {"edges": sorted(c.edges), "multiplicity": m} for c, m in sorted(cycles.items())
         ],
-        "long_cycle_present": verdict.has_long_cycle,
-        "per_edge_usage": {str(eid): n for eid, n in sorted(verdict.per_edge_usage.items())},
+        "long_cycle_present": any(c.is_long for c in cycles),
+        "per_edge_usage": {str(eid): n for eid, n in sorted(usage.items())},
     }
 
 
 def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
+    """Parse witness JSON strictly: no repeated edge ids, positive int multiplicities."""
     try:
-        entries = [(frozenset(c["edges"]), int(c["multiplicity"])) for c in data["cycles"]]
+        entries = [
+            (frozenset(c["edges"]), len(c["edges"]), c["multiplicity"]) for c in data["cycles"]
+        ]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness JSON: {exc}") from exc
+    for eids, listed, mult in entries:
+        if len(eids) != listed:
+            raise GraphError(f"cycle on edges {sorted(eids)} repeats an edge id")
+        if type(mult) is not int or mult <= 0:
+            raise GraphError(f"multiplicity {mult!r} is not a positive integer")
     if "graph_hash" in data and data["graph_hash"] != graph_hash(graph):
         raise VerificationError("witness was produced for a different graph")
     out: CycleList = {}
-    for eids, mult in entries:
+    for eids, _, mult in entries:
         cyc = make_cycle(graph, eids)
         out[cyc] = out.get(cyc, 0) + mult
     return out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
-from polygonality.errors import CompletionGapError, PreconditionError
+from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
     AuxDigraph,
     Component,
@@ -238,13 +238,16 @@ def test_completion_constants_for_small_shapes():
     assert c3 == 2 and len(orbits3) == 3  # all pairs of the three fixed points
 
 
-def test_completion_gap_is_flagged():
-    D = build_abstract(
-        [("path", 6, "R", "R"), ("cycle", 2), ("cycle", 2)]
-    )
-    part = GoodPart(2, tuple(D.components))
-    with pytest.raises(CompletionGapError):
-        part_completion(D, part)
+def test_part_completion_rejects_the_gap_shape():
+    # two short cycles around a path with more than one edge at w: the
+    # decomposition never emits this shape (next test), so it has no recipe
+    for path_nodes in (4, 6, 8):
+        D = build_abstract(
+            [("path", path_nodes, "R", "R"), ("cycle", 2), ("cycle", 2)]
+        )
+        part = GoodPart(2, tuple(D.components))
+        with pytest.raises(VerificationError, match="one-edge path"):
+            part_completion(D, part)
 
 
 def test_decompose_never_emits_the_gap_shape():

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 import polygonality as pg
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance
-from polygonality.surface import build_linear_orders, cycle_walk
+from polygonality.surface import build_linear_orders
 from polygonality.witness import make_cycle
 
-from conftest import vid
+from conftest import vid, words_graph
 
 
 def commutator_complex(commutator):
@@ -144,13 +144,20 @@ def test_every_side_paired_once(polygonal_graph):
     assert len(seen) == sum(len(p) for p in cx.polygons)
 
 
-def test_cycle_walk_structure(polygonal_graph):
-    for cyc in pg.enumerate_cycles(polygonal_graph):
-        verts, eids = cycle_walk(polygonal_graph, cyc)
-        assert len(verts) == len(eids) == len(cyc)
-        for t, eid in enumerate(eids):
-            ends = set(polygonal_graph.edges[eid].ends)
-            assert ends == {verts[t], verts[(t + 1) % len(verts)]}
+def test_cycle_walk_structure():
+    for text in ("rank 2\naBa^2b\n", "rank 2\na(aB)^3B^2\n", "rank 3\nabcabCAB\n"):
+        graph = words_graph(text)
+        for cyc in pg.enumerate_cycles(graph):
+            verts = [v for v, _ in cyc.turns]
+            eids = cyc.edge_seq
+            assert len(verts) == len(set(verts)) == len(eids) == len(cyc)
+            assert set(eids) == cyc.edges
+            assert verts[0] == min(verts)
+            assert eids[0] == min(set(graph.delta(verts[0])) & cyc.edges)
+            for t, eid in enumerate(eids):
+                ends = set(graph.edges[eid].ends)
+                assert ends == {verts[t], verts[(t + 1) % len(verts)]}
+                assert cyc.turns[t][1] == {eids[t - 1], eid}
 
 
 @given(st.integers(0, 300))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError, VerificationError
-from polygonality.generators import random_fourvertex_instance
+from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.witness import (
     Infeasible,
     make_cycle,
@@ -18,6 +19,7 @@ from conftest import (
     make_plain,
     oracle_all_cycles,
     oracle_bounded_witness_search,
+    oracle_pair_count,
     vid,
     words_graph,
 )
@@ -77,6 +79,20 @@ def test_verify_bigon_fails_on_refutation_graph(refutation_graph):
     ]
     bigon = make_cycle(refutation_graph, parallel)
     verdict = pg.verify_witness(refutation_graph, {bigon: 1})
+    assert not verdict.ok and verdict.failures
+
+
+def test_verify_ignores_forged_turns(refutation_graph):
+    # without turns the bigon would count as balanced; the verifier re-walks it
+    parallel = [
+        eid
+        for eid in refutation_graph.delta(vid(2, 1))
+        if refutation_graph.edges[eid].other(vid(2, 1)) == vid(2, -1)
+    ]
+    forged = dataclasses.replace(make_cycle(refutation_graph, parallel), turns=())
+    counts, _ = pg.pair_counts(refutation_graph, {forged: 1})
+    assert counts == {}
+    verdict = pg.verify_witness(refutation_graph, {forged: 1})
     assert not verdict.ok and verdict.failures
 
 
@@ -164,6 +180,19 @@ def test_witness_json_round_trip(polygonal_graph):
     assert back == found
 
 
+def test_witness_json_rejects_repeated_edge_id(commutator):
+    data = {"cycles": [{"edges": [0, 1, 2, 3, 3], "multiplicity": 1}]}
+    with pytest.raises(GraphError, match="repeats an edge id"):
+        witness_from_json(commutator, data)
+
+
+@pytest.mark.parametrize("mult", [1.9, 1.0, True, "1", 0, -1, None])
+def test_witness_json_rejects_non_positive_int_multiplicity(commutator, mult):
+    data = {"cycles": [{"edges": [0, 1, 2, 3], "multiplicity": mult}]}
+    with pytest.raises(GraphError, match="not a positive integer"):
+        witness_from_json(commutator, data)
+
+
 def test_witness_json_wrong_graph(polygonal_graph, commutator):
     found = pg.search_witness_lp(commutator, require_long=True)
     data = witness_to_json(commutator, found)
@@ -234,3 +263,29 @@ def test_pair_count_table_matches_direct_recount(polygonal_graph):
                 m for c, m in found.items() if img <= c.edges
             )
             assert verdict.ok and direct == image_count
+
+
+def _regular_case(seed):
+    graph = random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2)
+    return graph, pg.regular_witness(graph).cycles
+
+
+def _fourvertex_case(seed):
+    graph = random_fourvertex_instance(seed, max_degree=5)
+    return graph, pg.four_vertex_witness(graph).cycles
+
+
+@given(st.integers(0, 300), st.sampled_from([_regular_case, _fourvertex_case]))
+@settings(max_examples=30, deadline=None)
+def test_pair_counts_match_brute_force_recount(seed, case):
+    graph, cycles = case(seed)
+    counts, usage = pg.pair_counts(graph, cycles)
+    for v in graph.active_vertices():
+        for e, f in itertools.combinations(graph.delta(v), 2):
+            assert counts.get((v, frozenset((e, f))), 0) == oracle_pair_count(
+                graph, cycles, v, e, f
+            )
+    assert all(len(pair) == 2 and pair <= set(graph.delta(v)) for v, pair in counts)
+    assert usage == {
+        eid: sum(m for c, m in cycles.items() if eid in c.edges) for eid in graph.edges
+    }
