@@ -68,7 +68,6 @@ from .words import (
     length2_cyclic_subwords,
     parse_word,
     parse_word_list,
-    regularity_profile,
 )
 
 __version__ = "0.1.0"

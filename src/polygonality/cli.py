@@ -12,27 +12,10 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
-from .errors import PolygonalityError
+from .errors import PolygonalityError, PreconditionError
 from .whitehead import EdgeRecord, VertexId, WhiteheadGraph
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None = None
-    witness_path: str | None = None
-    method: str = "auto"
-    require_long: bool = False
-    out: str | None = None
-    seed: int = 0
-    fmt: str = "json"
-    kind: str = "fourvertex"
-    k: int = 3
-    pairs: int = 2
-    max_degree: int = 6
 
 
 def _figure7_graph() -> WhiteheadGraph:
@@ -120,57 +103,54 @@ def _dump(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _pick_method(graph: WhiteheadGraph) -> str:
-    active = graph.active_vertices()
-    lam_ok = all(
-        graph.local_edge_connectivity(v, v.mu()) == graph.degree(v) for v in active
-    )
-    if (
-        len(active) == 4
-        and all(v.mu() in active for v in active)
-        and graph.is_connected(ignore_isolated=True)
-        and lam_ok
-    ):
-        return "fourvertex"
-    degrees = {graph.degree(v) for v in active}
-    if len(degrees) == 1 and degrees != {0}:
-        k = degrees.pop()
-        if k > 1 and regular.is_k_graph(graph).ok:
-            return "regular"
-    return "lp"
+def _fourvertex(graph: WhiteheadGraph, require_long: bool):
+    good = fourvertex.four_vertex_witness(graph)
+    return good.cycles, {
+        "method": "fourvertex",
+        "c1": good.c1,
+        "c2": good.c2,
+        "constants_per_level": list(good.constants_per_level),
+    }
+
+
+def _regular(graph: WhiteheadGraph, require_long: bool):
+    rw = regular.regular_witness(graph)
+    return rw.cycles, {
+        "method": "regular",
+        "m1": rw.m1,
+        "m2": rw.m2,
+        "coloring": rw.coloring.to_json(),
+    }
+
+
+def _lp(graph: WhiteheadGraph, require_long: bool):
+    return witness.search_witness_lp(graph, require_long=require_long), {"method": "lp"}
+
+
+_METHODS = {"fourvertex": _fourvertex, "regular": _regular, "lp": _lp}
 
 
 def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
-    """Returns (cycles or Infeasible, extras dict for the JSON payload)."""
-    if method == "auto":
-        method = _pick_method(graph)
-    if method == "fourvertex":
-        good = fourvertex.four_vertex_witness(graph)
-        return good.cycles, {
-            "method": "fourvertex",
-            "c1": good.c1,
-            "c2": good.c2,
-            "constants_per_level": list(good.constants_per_level),
-        }
-    if method == "regular":
-        rw = regular.regular_witness(graph)
-        return rw.cycles, {
-            "method": "regular",
-            "m1": rw.m1,
-            "m2": rw.m2,
-            "coloring": rw.coloring.to_json(),
-        }
-    if method == "lp":
-        found = witness.search_witness_lp(graph, require_long=require_long)
-        return found, {"method": "lp"}
-    raise PolygonalityError(f"unknown method {method!r}")
+    """Returns (cycles or Infeasible, extras dict for the JSON payload).
+
+    ``auto`` tries the four-vertex construction, then the regular one, then
+    the LP search, and moves on only when a construction's precondition fails.
+    """
+    if method != "auto":
+        return _METHODS[method](graph, require_long)
+    for construct in (_fourvertex, _regular):
+        try:
+            return construct(graph, require_long)
+        except PreconditionError:
+            pass
+    return _lp(graph, require_long)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    graph, _ = _resolve_graph(cfg.input)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    graph, _ = _resolve_graph(args.input)
     report = whitehead.analyze(graph)
-    if cfg.fmt == "json":
-        write_output(_dump(report.to_json()), cfg.out)
+    if args.format == "json":
+        write_output(_dump(report.to_json()), args.out)
     else:
         lines = []
         for v, lam, deg in report.per_vertex:
@@ -179,31 +159,31 @@ def cmd_analyze(cfg: RunConfig) -> int:
         lines.append(f"connected    = {report.connected}")
         lines.append(f"diskbusting  = {report.diskbusting}")
         lines.append(f"regular_k    = {report.regular_k}")
-        write_output("\n".join(lines) + "\n", cfg.out)
+        write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    graph, _ = _resolve_graph(cfg.input)
-    found, extras = _construct_witness(graph, cfg.method, cfg.require_long)
+def cmd_witness(args: argparse.Namespace) -> int:
+    graph, _ = _resolve_graph(args.input)
+    found, extras = _construct_witness(graph, args.method, args.require_long)
     if isinstance(found, witness.Infeasible):
-        write_output(_dump(found.to_json(graph)), cfg.out)
+        write_output(_dump(found.to_json(graph)), args.out)
         return 2
-    verdict = witness.verify_witness(graph, found, require_long=cfg.require_long)
+    verdict = witness.verify_witness(graph, found, require_long=args.require_long)
     payload = witness.witness_to_json(graph, found)
     payload.update(extras)
-    write_output(_dump(payload), cfg.out)
+    write_output(_dump(payload), args.out)
     if not verdict.ok:
         return 2
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    graph, _ = _resolve_graph(cfg.input)
-    with open(cfg.witness_path, encoding="utf-8") as fh:
+def cmd_verify(args: argparse.Namespace) -> int:
+    graph, _ = _resolve_graph(args.input)
+    with open(args.witness_path, encoding="utf-8") as fh:
         data = json.load(fh)
     cycles = witness.witness_from_json(graph, data)
-    verdict = witness.verify_witness(graph, cycles, require_long=cfg.require_long)
+    verdict = witness.verify_witness(graph, cycles, require_long=args.require_long)
     result = {
         "ok": verdict.ok,
         "long_cycle_present": verdict.has_long_cycle,
@@ -213,54 +193,52 @@ def cmd_verify(cfg: RunConfig) -> int:
         ],
         "per_edge_usage": {str(e): n for e, n in sorted(verdict.per_edge_usage.items())},
     }
-    write_output(_dump(result), cfg.out)
+    write_output(_dump(result), args.out)
     return 0 if verdict.ok else 2
 
 
-def cmd_surface(cfg: RunConfig) -> int:
-    kind, data = load_input(cfg.input)
+def cmd_surface(args: argparse.Namespace) -> int:
+    kind, data = load_input(args.input)
     if kind != "words":
         raise PolygonalityError("surface certificates need word-list input")
     graph = whitehead.build_whitehead_graph(data)
-    if cfg.witness_path is not None:
-        with open(cfg.witness_path, encoding="utf-8") as fh:
+    if args.witness_path is not None:
+        with open(args.witness_path, encoding="utf-8") as fh:
             found = witness.witness_from_json(graph, json.load(fh))
     else:
-        found, _ = _construct_witness(graph, cfg.method, require_long=True)
+        found, _ = _construct_witness(graph, args.method, require_long=True)
         if isinstance(found, witness.Infeasible):
-            write_output(_dump(found.to_json(graph)), cfg.out)
+            write_output(_dump(found.to_json(graph)), args.out)
             return 2
     complex_ = surface.build_surface(graph, found)
     report = surface.surface_report(complex_, data)
-    write_output(_dump(report.to_json()), cfg.out)
+    write_output(_dump(report.to_json()), args.out)
     return 0
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    graph, _ = _resolve_graph(cfg.input)
+def cmd_export_dot(args: argparse.Namespace) -> int:
+    graph, _ = _resolve_graph(args.input)
     dot = whitehead.export_dot(graph)
     sigma_table = whitehead.graph_to_json(graph)["sigma"]
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(dot)
         sys.stdout.write(_dump(sigma_table))
     else:
-        write_output(dot, cfg.out)
-        write_output(_dump(sigma_table), cfg.out + ".sigma.json")
+        write_output(dot, args.out)
+        write_output(_dump(sigma_table), args.out + ".sigma.json")
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.kind == "regular":
-        graph = generators.random_regular_instance(cfg.seed, cfg.k, cfg.pairs)
-    elif cfg.kind == "fourvertex":
-        graph = generators.random_fourvertex_instance(cfg.seed, cfg.max_degree)
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.kind == "regular":
+        graph = generators.random_regular_instance(args.seed, args.k, args.pairs)
     else:
-        raise PolygonalityError(f"unknown generator kind {cfg.kind!r}")
-    write_output(_dump(whitehead.graph_to_json(graph)), cfg.out)
+        graph = generators.random_fourvertex_instance(args.seed, args.max_degree)
+    write_output(_dump(whitehead.graph_to_json(graph)), args.out)
     return 0
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
 
     def check(name: str, fn):
@@ -314,28 +292,6 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "witness": cmd_witness,
-    "verify": cmd_verify,
-    "surface": cmd_surface,
-    "export-dot": cmd_export_dot,
-    "gen": cmd_gen,
-    "selftest": cmd_selftest,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except PolygonalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polygonality",
@@ -343,50 +299,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="built-in name, word-list file, or graph JSON")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format", dest="fmt", choices=("json", "dot", "text"), default="json"
-        )
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("analyze", help="minimality / diskbusting report")
+    def add_common(p):
+        p.add_argument("input", help="built-in name, word-list file, or graph JSON")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    methods = ("auto", *_METHODS)
+    p = command("analyze", cmd_analyze, "minimality / diskbusting report")
     add_common(p)
-    p = sub.add_parser("witness", help="construct or search a cycle-list witness")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p = command("witness", cmd_witness, "construct or search a cycle-list witness")
     add_common(p)
-    p.add_argument("--method", choices=("auto", "lp", "regular", "fourvertex"), default="auto")
+    p.add_argument("--method", choices=methods, default="auto")
     p.add_argument("--require-long", action="store_true")
-    p = sub.add_parser("verify", help="check a witness file against its graph")
-    p.add_argument("input")
+    p = command("verify", cmd_verify, "check a witness file against its graph")
+    add_common(p)
     p.add_argument("witness_path", metavar="witness")
     p.add_argument("--require-long", action="store_true")
-    p.add_argument("--out", default=None)
-    p = sub.add_parser("surface", help="build the surface certificate")
+    p = command("surface", cmd_surface, "build the surface certificate")
     add_common(p)
     p.add_argument("--witness", dest="witness_path", default=None)
-    p.add_argument("--method", choices=("auto", "lp", "regular", "fourvertex"), default="auto")
-    p = sub.add_parser("export-dot", help="DOT export plus connecting-map table")
+    p.add_argument("--method", choices=methods, default="auto")
+    p = command("export-dot", cmd_export_dot, "DOT export plus connecting-map table")
     add_common(p)
-    p = sub.add_parser("gen", help="random valid instance from a seed")
+    p = command("gen", cmd_gen, "random valid instance from a seed")
     p.add_argument("--kind", choices=("regular", "fourvertex"), default="fourvertex")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--pairs", type=int, default=2)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=6)
     p.add_argument("--out", default=None)
-    sub.add_parser("selftest", help="run the built-in examples end to end")
+    command("selftest", cmd_selftest, "run the built-in examples end to end")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__ if hasattr(args, f)}
-    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        return args.handler(args)
+    except (PolygonalityError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -762,8 +762,13 @@ class GoodList:
 
 
 def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
+    """Hypothesis of one recursion level: connected, lambda(v, v') = deg(v) =
+    deg(v') for v in {w, u}, and deg(u) >= deg(w).
+
+    lambda is symmetric, so one max-flow per vertex pair covers both vertices.
+    """
     if not g.is_connected(ignore_isolated=True):
-        raise PreconditionError("graph became disconnected during the recursion")
+        raise PreconditionError("graph is not connected")
     for v in (w, u):
         lam = g.local_edge_connectivity(v, v.mu())
         if lam != g.degree(v) or g.degree(v) != g.degree(v.mu()):
@@ -812,7 +817,6 @@ def _inductive(
     c: int,
     levels: list[dict],
 ) -> tuple[CycleList, int, int]:
-    _check_level_preconditions(g, w, u)
     if g.degree(u) == g.degree(w):
         rw = regular_witness(g)
         levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
@@ -823,8 +827,10 @@ def _inductive(
             f"no edge joins {u} and {u.mu()} although deg({u}) exceeds deg({w})"
         )
     e = uu_edges[0]
+    sub = g.remove_edges([e])
+    _check_level_preconditions(sub, w, u)
     sub_cycles, c1_sub, c2_sub = _inductive(
-        g.remove_edges([e]), w, u, sigma_w_edge, orbit_list, sigma_after_pi, c, levels
+        sub, w, u, sigma_w_edge, orbit_list, sigma_after_pi, c, levels
     )
     patch = Counter()
     for orbit in orbit_list:
@@ -866,7 +872,11 @@ def _inductive(
 def inductive_witness(
     graph: WhiteheadGraph, w: VertexId, completion: Completion
 ) -> GoodList:
-    """Run the edge-peeling recursion under a fixed uniform completion."""
+    """Run the edge-peeling recursion under a fixed uniform completion.
+
+    The graph itself must meet the level preconditions, as checked by
+    :func:`four_vertex_witness`; each peeled graph is checked here.
+    """
     D = completion.aux
     if D.graph is not graph:
         raise PreconditionError("completion was built for a different graph")
@@ -897,16 +907,10 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     active = graph.active_vertices()
     if len(active) != 4 or any(v.mu() not in active for v in active):
         raise PreconditionError("construction needs exactly four paired non-isolated vertices")
-    if not graph.is_connected(ignore_isolated=True):
-        raise PreconditionError("graph is not connected")
-    for v in active:
-        lam = graph.local_edge_connectivity(v, v.mu())
-        if lam != graph.degree(v):
-            raise PreconditionError(
-                f"local connectivity {lam} below degree {graph.degree(v)} at {v}"
-            )
     w = min(active, key=lambda v: (graph.degree(v), (v.gen, v.sign < 0)))
-    aux = build_auxiliary_digraph(graph, w)
+    u, _ = _other_pair(graph, w)
+    _check_level_preconditions(graph, w, u)
+    aux = build_auxiliary_digraph(graph, w, u=u)
     completion = uniform_permutation(aux)
     good = inductive_witness(graph, w, completion)
     verdict = verify_witness(graph, good.cycles, require_long=True)

@@ -106,16 +106,14 @@ def fractional_edge_coloring(graph: Multigraph, k: int) -> FractionalColoring:
 
     Solves for rational weights with unit total mass and per-edge coverage
     1/k over the enumerated perfect matchings, then clears denominators.
+    Raises GraphError when no such weights exist, which happens exactly when
+    some odd vertex set is left by fewer than k edges.
     """
     if k <= 1:
         raise PreconditionError(f"fractional coloring needs k > 1, got {k}")
-    verdict = is_k_graph(graph)
-    if verdict.k != k:
-        raise PreconditionError(f"graph is {verdict.k}-regular, not {k}-regular")
-    if not verdict.ok:
-        raise GraphError(
-            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
-        )
+    degree = _regularity(graph)
+    if degree != k:
+        raise PreconditionError(f"graph is {degree}-regular, not {k}-regular")
     matchings = enumerate_perfect_matchings(graph)
     eids = graph.edge_ids()
     # rows: total mass 1, then per edge (scaled by k): sum_{M ni e} k*y_M = 1
@@ -126,7 +124,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int) -> FractionalColoring:
         rhs.append(1)
     res = find_feasible(rows, rhs)
     if res.status != "optimal":
-        raise GraphError("no fractional edge coloring exists; the odd-cut check lied")
+        raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
     denom_lcm = 1
     for val in res.x:
         d = int(val.denominator)
@@ -188,6 +186,11 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
     k = _regularity(graph)
     if k <= 1:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
+    verdict = is_k_graph(graph)
+    if not verdict.ok:
+        raise PreconditionError(
+            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
+        )
     coloring = fractional_edge_coloring(graph, k)
     slots: list[Matching] = []
     for m, n in coloring.entries:

@@ -152,13 +152,8 @@ def verify_witness(
     graph: WhiteheadGraph,
     cycles: CycleList,
     require_long: bool = False,
-    strict_pairs: bool = False,
 ) -> WitnessVerdict:
-    """Check the balanced-pair condition of a cycle list against the graph.
-
-    With ``strict_pairs`` the degenerate single-edge balance (each edge used
-    as often as its connecting-map image) is enforced as well.
-    """
+    """Check the balanced-pair condition of a cycle list against the graph."""
     if not cycles:
         raise PreconditionError("a witness must be a nonempty cycle list")
     # count turns of cycles rebuilt here, never the walks the caller stored
@@ -179,10 +174,6 @@ def verify_witness(
                 there = counts.get((v.mu(), img), 0)
                 if here != there:
                     failures.append((v, (e, f), here, there))
-            if strict_pairs:
-                img_e = graph.sigma_edge(v, e)
-                if usage[e] != usage[img_e]:
-                    failures.append((v, (e, e), usage[e], usage[img_e]))
     has_long = any(c.is_long for c in fresh)
     ok = not failures and (has_long or not require_long)
     return WitnessVerdict(ok, tuple(failures), has_long, usage)

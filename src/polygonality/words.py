@@ -1,4 +1,4 @@
-"""Words in a free group: parsing, cyclic reduction, and letter statistics.
+"""Words in a free group: parsing, cyclic reduction, and length-2 cyclic subwords.
 
 A word over the rank-``n`` free group is a sequence of letters, each a
 generator ``a_1 .. a_n`` or an inverse.  The compact text encoding uses
@@ -91,9 +91,6 @@ class WordList:
                 )
             tagged.append(Word(w.letters, index=j))
         object.__setattr__(self, "words", tuple(tagged))
-
-    def total_length(self) -> int:
-        return sum(len(w) for w in self.words)
 
 
 _TOKEN = re.compile(r"\s*(?:([a-zA-Z])(\d*)|(\()|(\)))")
@@ -200,26 +197,6 @@ def length2_cyclic_subwords(word: Word) -> list[tuple[Letter, Letter, int]]:
         raise PreconditionError(f"word {word} is not cyclically reduced")
     ls = word.letters
     return [(ls[i], ls[(i + 1) % len(ls)], i) for i in range(len(ls))]
-
-
-@dataclass(frozen=True)
-class RegularityProfile:
-    counts: dict[int, int]
-    k: int | None  # set iff every generator occurs the same positive number of times
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def regularity_profile(word_list: WordList) -> RegularityProfile:
-    """Occurrence count of each generator (both signs combined) across the list."""
-    counts = {g: 0 for g in range(1, word_list.rank + 1)}
-    for w in word_list.words:
-        for x in w.letters:
-            counts[x.gen] += 1
-    values = set(counts.values())
-    k = values.pop() if len(values) == 1 and 0 not in counts.values() else None
-    return RegularityProfile(counts, k)
 
 
 def parse_word_list(text: str) -> WordList:

@@ -1,6 +1,12 @@
 import json
+from collections import Counter
 
-from polygonality import cli
+import pytest
+
+from polygonality import cli, regular
+from polygonality.errors import PreconditionError
+from polygonality.whitehead import Multigraph, build_whitehead_graph
+from polygonality.words import parse_word_list
 
 
 def run_cli(*argv):
@@ -164,3 +170,70 @@ def test_selftest(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
     assert out.count("ok   ") == 5 and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "commutator", "--format", "text"),
+        ("surface", "commutator", "--format", "json"),
+        ("export-dot", "commutator", "--format", "text"),
+        ("analyze", "commutator", "--format", "dot"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_format_is_an_analyze_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    count_calls(monkeypatch, Multigraph, "local_edge_connectivity", counts)
+    count_calls(monkeypatch, Multigraph, "is_connected", counts)
+    count_calls(monkeypatch, regular, "is_k_graph", counts)
+    return counts
+
+
+def test_auto_computes_the_four_vertex_hypothesis_once(tmp_path, calls):
+    # one max-flow per vertex pair, on the input graph and on its one peeled graph
+    assert run_cli("witness", "remark-2.4b", "--out", str(tmp_path / "w.json")) == 0
+    assert read_json(tmp_path / "w.json")["method"] == "fourvertex"
+    assert calls["local_edge_connectivity"] == 4 and calls["is_connected"] == 2
+
+
+def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
+    graph = tmp_path / "g.json"
+    run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "3", "--out", str(graph))
+    calls.clear()  # the generator checks its own output
+    assert run_cli("witness", str(graph), "--out", str(tmp_path / "w.json")) == 0
+    assert read_json(tmp_path / "w.json")["method"] == "regular"
+    assert calls["local_edge_connectivity"] == 0 and calls["is_k_graph"] == 1
+
+
+def test_auto_moves_on_when_a_precondition_fails(tmp_path):
+    # aBcAbC: a 2-regular rank-3 graph of two disjoint triangles, so the odd
+    # set {a, b, c} is left by no edge; the two triangles still balance
+    text = "rank 3\naBcAbC\n"
+    words = tmp_path / "triangles.txt"
+    words.write_text(text, encoding="utf-8")
+    graph = build_whitehead_graph(parse_word_list(text))
+    with pytest.raises(PreconditionError, match="odd set"):
+        regular.regular_witness(graph)
+    out = tmp_path / "w.json"
+    assert run_cli("witness", str(words), "--method", "regular", "--out", str(out)) == 1
+    assert run_cli("witness", str(words), "--out", str(out)) == 0
+    assert read_json(out)["method"] == "lp"

@@ -104,20 +104,30 @@ def test_verify_scaling_invariance(polygonal_graph):
         assert pg.verify_witness(polygonal_graph, scaled, require_long=True).ok
 
 
+def assert_single_edge_balance(graph, verdict):
+    for v in graph.active_vertices():
+        for e in graph.delta(v):
+            assert verdict.per_edge_usage[e] == verdict.per_edge_usage[graph.sigma_edge(v, e)]
+
+
 def test_strict_pair_mode(commutator):
     cyc = make_cycle(commutator, {0, 1, 2, 3})
-    assert pg.verify_witness(commutator, {cyc: 1}, strict_pairs=True).ok
+    verdict = pg.verify_witness(commutator, {cyc: 1})
+    assert verdict.ok
+    assert_single_edge_balance(commutator, verdict)
 
 
 @given(st.integers(0, 60))
 @settings(max_examples=25, deadline=None)
 def test_strict_mode_follows_from_pair_balance(seed):
-    # summing the pair balance over partners yields the per-edge balance,
-    # so any verified witness also passes the strict check
+    # summing the pair balance at v over the partners f of e gives
+    # usage(e) = usage(sigma e), so every verified witness balances single edges
     graph = random_fourvertex_instance(seed)
     found = pg.search_witness_lp(graph, require_long=True)
     if not isinstance(found, Infeasible):
-        assert pg.verify_witness(graph, found, strict_pairs=True).ok
+        verdict = pg.verify_witness(graph, found)
+        assert verdict.ok
+        assert_single_edge_balance(graph, verdict)
 
 
 def test_rank_three_pipeline():

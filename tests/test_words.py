@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
@@ -92,24 +94,6 @@ def test_length2_requires_cyclically_reduced():
         pg.length2_cyclic_subwords(pg.parse_word("abA", 2))
 
 
-def test_regularity_profile_commutator():
-    wl = pg.parse_word_list("rank 2\nabAB\n")
-    prof = pg.regularity_profile(wl)
-    assert prof.counts == {1: 2, 2: 2} and prof.k == 2
-
-
-def test_regularity_profile_irregular():
-    wl = pg.parse_word_list("rank 2\nabab^2ab^3\n")
-    prof = pg.regularity_profile(wl)
-    assert prof.counts == {1: 3, 2: 6} and prof.k is None
-
-
-def test_regularity_profile_absent_generator():
-    wl = pg.parse_word_list("rank 2\na^2\n")
-    prof = pg.regularity_profile(wl)
-    assert prof.counts == {1: 2, 2: 0} and prof.k is None
-
-
 def test_word_list_format_comments_and_errors():
     wl = pg.parse_word_list("# header\nrank 2\nabAB  # the commutator\n\naB\n")
     assert len(wl.words) == 2 and wl.words[1].index == 1
@@ -139,8 +123,13 @@ def test_subword_count_equals_length(w):
     assert len(pg.length2_cyclic_subwords(red)) == len(red)
 
 
-@given(st.lists(word_st, min_size=1, max_size=4))
-def test_profile_total_is_letter_count(ws):
+@given(st.integers(0, 1), st.lists(word_st, min_size=1, max_size=4))
+@example(0, [pg.parse_word("abAB", 2)])
+@example(0, [pg.parse_word("abab^2ab^3", 2)])
+@example(1, [pg.parse_word("a^2", 2)])
+@settings(deadline=None)
+def test_regular_k_is_common_occurrence_count(extra_rank, ws):
+    # deg(a_g) = deg(a_g^-1) = the number of occurrences of g, signs combined
     reduced = []
     for w in ws:
         try:
@@ -149,8 +138,11 @@ def test_profile_total_is_letter_count(ws):
             pass
     if not reduced:
         return
-    wl = pg.WordList(3, tuple(reduced))
-    assert pg.regularity_profile(wl).total() == wl.total_length()
+    wl = pg.WordList(max(w.max_generator() for w in reduced) + extra_rank, tuple(reduced))
+    counts = Counter(x.gen for w in wl.words for x in w.letters)
+    occurrences = {counts[g] for g in range(1, wl.rank + 1)}
+    expected = occurrences.pop() if len(occurrences) == 1 else None
+    assert pg.analyze(pg.build_whitehead_graph(wl)).regular_k == expected
 
 
 def test_match_power():
