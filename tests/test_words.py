@@ -94,6 +94,29 @@ def test_length2_requires_cyclically_reduced():
         pg.length2_cyclic_subwords(pg.parse_word("abA", 2))
 
 
+def _occurrences(wl):
+    # deg(a_g) = deg(a_g^-1) = the number of occurrences of g, signs combined
+    graph = pg.build_whitehead_graph(wl)
+    counts = {g: graph.degree(pg.VertexId(g, 1)) for g in range(1, wl.rank + 1)}
+    assert counts == {g: graph.degree(pg.VertexId(g, -1)) for g in counts}
+    return counts, pg.analyze(graph).regular_k
+
+
+def test_regularity_profile_commutator():
+    wl = pg.parse_word_list("rank 2\nabAB\n")
+    assert _occurrences(wl) == ({1: 2, 2: 2}, 2)
+
+
+def test_regularity_profile_irregular():
+    wl = pg.parse_word_list("rank 2\nabab^2ab^3\n")
+    assert _occurrences(wl) == ({1: 3, 2: 6}, None)
+
+
+def test_regularity_profile_absent_generator():
+    wl = pg.parse_word_list("rank 2\na^2\n")
+    assert _occurrences(wl) == ({1: 2, 2: 0}, None)
+
+
 def test_word_list_format_comments_and_errors():
     wl = pg.parse_word_list("# header\nrank 2\nabAB  # the commutator\n\naB\n")
     assert len(wl.words) == 2 and wl.words[1].index == 1
@@ -121,6 +144,21 @@ def test_subword_count_equals_length(w):
     except TrivialWordError:
         return
     assert len(pg.length2_cyclic_subwords(red)) == len(red)
+
+
+@given(st.lists(word_st, min_size=1, max_size=4))
+@settings(deadline=None)
+def test_profile_total_is_letter_count(ws):
+    reduced = []
+    for w in ws:
+        try:
+            reduced.append(pg.cyclic_reduce(w))
+        except TrivialWordError:
+            pass
+    if not reduced:
+        return
+    wl = pg.WordList(3, tuple(reduced))
+    assert sum(_occurrences(wl)[0].values()) == sum(len(w) for w in wl.words)
 
 
 @given(st.integers(0, 1), st.lists(word_st, min_size=1, max_size=4))
