@@ -237,3 +237,41 @@ def test_auto_moves_on_when_a_precondition_fails(tmp_path):
     assert run_cli("witness", str(words), "--method", "regular", "--out", str(out)) == 1
     assert run_cli("witness", str(words), "--out", str(out)) == 0
     assert read_json(out)["method"] == "lp"
+
+
+def test_simplex_work_is_pinned(tmp_path, monkeypatch):
+    # pivots and tableau entries (rows x columns) they touch, the unit of the
+    # benchmark's work budget, per `witness` command; captured on the Fraction
+    # kernel, so any kernel must pivot on tableaux of the same shape
+    from polygonality import simplex
+
+    work = Counter()
+    pivot = simplex._Tableau.pivot
+
+    def counted(tab, r, col):
+        work["pivots"] += 1
+        work["cells"] += len(tab.rows) * tab.n
+        return pivot(tab, r, col)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counted)
+    regular_graph = tmp_path / "regular-9.json"
+    run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2", "--out", str(regular_graph))
+    triangles = tmp_path / "triangles.txt"  # rank 3, solved by the LP with a positive optimum
+    triangles.write_text("rank 3\naBcAbC\nabcACB\n", encoding="utf-8")
+    seen = {}
+    for name, spec in [
+        ("example-6.1", "example-6.1"),
+        ("remark-2.4a", "remark-2.4a"),
+        ("regular-9", str(regular_graph)),
+        ("triangles", str(triangles)),
+    ]:
+        work.clear()
+        run_cli("witness", spec, "--out", str(tmp_path / "w.json"))
+        seen[name] = (work["pivots"], work["cells"])
+    assert seen == {
+        "example-6.1": (1, 416),
+        "remark-2.4a": (0, 0),
+        "regular-9": (5, 420),
+        "triangles": (11, 3575),
+    }
+    assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 836
