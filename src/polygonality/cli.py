@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
-from .errors import PolygonalityError, PreconditionError
+from .errors import PolygonalityError, PreconditionError, VerificationError
 from .whitehead import EdgeRecord, VertexId, WhiteheadGraph
 
 
@@ -130,12 +130,7 @@ def _lp(graph: WhiteheadGraph, require_long: bool):
 _METHODS = {"fourvertex": _fourvertex, "regular": _regular, "lp": _lp}
 
 
-def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
-    """Returns (cycles or Infeasible, extras dict for the JSON payload).
-
-    ``auto`` tries the four-vertex construction, then the regular one, then
-    the LP search, and moves on only when a construction's precondition fails.
-    """
+def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
     if method != "auto":
         return _METHODS[method](graph, require_long)
     for construct in (_fourvertex, _regular):
@@ -144,6 +139,19 @@ def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
         except PreconditionError:
             pass
     return _lp(graph, require_long)
+
+
+def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
+    """Returns (cycles or Infeasible, extras dict for the JSON payload, verdict).
+
+    ``auto`` tries the four-vertex construction, then the regular one, then
+    the LP search, and moves on only when a construction's precondition fails.
+    Every constructed list is verified here, once; a refutation has no verdict.
+    """
+    found, extras = _construct(graph, method, require_long)
+    if isinstance(found, witness.Infeasible):
+        return found, extras, None
+    return found, extras, witness.verify_witness(graph, found, require_long=require_long)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -165,11 +173,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     graph, _ = _resolve_graph(args.input)
-    found, extras = _construct_witness(graph, args.method, args.require_long)
-    if isinstance(found, witness.Infeasible):
+    found, extras, verdict = _construct_witness(graph, args.method, args.require_long)
+    if verdict is None:
         write_output(_dump(found.to_json(graph)), args.out)
         return 2
-    verdict = witness.verify_witness(graph, found, require_long=args.require_long)
     payload = witness.witness_to_json(graph, found)
     payload.update(extras)
     write_output(_dump(payload), args.out)
@@ -206,10 +213,12 @@ def cmd_surface(args: argparse.Namespace) -> int:
         with open(args.witness_path, encoding="utf-8") as fh:
             found = witness.witness_from_json(graph, json.load(fh))
     else:
-        found, _ = _construct_witness(graph, args.method, require_long=True)
-        if isinstance(found, witness.Infeasible):
+        found, _, verdict = _construct_witness(graph, args.method, require_long=True)
+        if verdict is None:
             write_output(_dump(found.to_json(graph)), args.out)
             return 2
+        if not verdict.ok:
+            raise VerificationError(f"constructed list fails verification: {verdict.failures[:3]}")
     complex_ = surface.build_surface(graph, found)
     report = surface.surface_report(complex_, data)
     write_output(_dump(report.to_json()), args.out)
@@ -253,7 +262,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     def commutator_certificate():
         _, wl = load_input("commutator")
         graph = whitehead.build_whitehead_graph(wl)
-        found, _ = _construct_witness(graph, "auto", True)
+        found, _, verdict = _construct_witness(graph, "auto", True)
+        assert verdict.ok
         complex_ = surface.build_surface(graph, found)
         report = surface.surface_report(complex_, wl)
         assert report.chi_s_minus_m == -1 and report.chi_double == -2

@@ -1,9 +1,18 @@
-"""Exact rational simplex for small dense linear programs.
+"""Exact simplex for small dense linear programs with integer data.
 
-Standard-form problems ``max c.x  s.t.  A x = b, x >= 0`` are solved with
-Bland's anti-cycling rule, entirely in rational arithmetic (gmpy2.mpq when
-available, fractions.Fraction otherwise).  Problem sizes here are tiny
-(dozens of rows, a few hundred columns), so a dense tableau is adequate.
+Standard-form problems ``max c.x  s.t.  A x = b, x >= 0`` with integer
+``A``, ``b`` and ``c`` are solved with Bland's anti-cycling rule by
+integer-preserving pivoting (Edmonds 1967, Bareiss 1968).  The tableau rows,
+their right-hand sides and the objective row are Python ints over one common
+positive denominator ``d``, the absolute determinant of the current basis.
+A pivot on ``p = T[r][col]`` (row ``r`` negated first when ``p < 0``) keeps
+row ``r``, replaces every other row ``i`` by ``(p*T[i] - T[i][col]*T[r]) // d``,
+a division that is always exact, and makes ``p`` the new denominator.  Every
+sign and every ratio is that of the rational tableau, so the pivots are the
+ones rational arithmetic would make, and no gcd is ever taken.  Rationals
+(``QQ``: gmpy2.mpq when available, fractions.Fraction otherwise) are built
+only for the returned values.  Problem sizes here are tiny (dozens of rows,
+a few hundred columns), so a dense tableau is adequate.
 
 Two entry points cover the package's needs:
 
@@ -17,6 +26,7 @@ Two entry points cover the package's needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 try:
     from gmpy2 import mpq as QQ
@@ -39,129 +49,141 @@ class LPResult:
     duals: list = field(default_factory=list)  # one entry per original row
 
 
-class _Tableau:
-    """Dense tableau: rows over n columns, rhs, basis, and objective row."""
+def _eliminate(rows: list[list[int]], r: int, col: int, d: int) -> int:
+    """Integer-preserving pivot on ``rows[r][col]`` over denominator ``d``.
 
-    def __init__(self, rows, rhs, basis, cost):
+    Updates ``rows`` in place and returns the new denominator.
+    """
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        rows[r] = prow = [-v for v in prow]
+    support = [j for j, v in enumerate(prow) if v]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if p == d:  # (d*a - f*b) // d, and f*b is then a multiple of d
+            if f:
+                for j in support:
+                    row[j] -= f * prow[j] // d
+        elif f:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        else:
+            rows[i] = [p * a // d for a in row]
+    return p
+
+
+class _Tableau:
+    """Integer tableau over the common denominator ``d``.
+
+    ``rows[i]`` holds the ``n`` column entries of row ``i`` followed by its
+    right-hand side; ``obj`` holds the reduced costs followed by minus the
+    objective value, all over ``d``.
+    """
+
+    def __init__(self, rows, basis, cost, d=1):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
         self.n = len(cost)
-        self.cost = cost
-        self.obj_row = list(cost)
-        self.obj_val = ZERO
+        self.d = d
+        # d * (c - c_B B^-1 A), exact without division
+        obj = [d * v for v in cost] + [0]
         for i, bi in enumerate(basis):
-            self._eliminate_cost(i, bi)
+            f = cost[bi]
+            if f:
+                obj = [a - f * b for a, b in zip(obj, rows[i])]
+        self.obj = obj
 
-    def _eliminate_cost(self, i, col):
-        f = self.obj_row[col]
-        if f != 0:
-            row = self.rows[i]
-            obj = self.obj_row
-            for j in range(self.n):
-                if row[j]:
-                    obj[j] -= f * row[j]
-            self.obj_val += f * self.rhs[i]
+    @property
+    def positive(self) -> bool:
+        return self.obj[-1] < 0
 
     def pivot(self, r, col):
-        row = self.rows[r]
-        piv = row[col]
-        if piv != 1:
-            inv = ONE / piv
-            self.rows[r] = row = [v * inv for v in row]
-            self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][col]
-            if f != 0:
-                tgt = self.rows[i]
-                for j in range(self.n):
-                    if row[j]:
-                        tgt[j] -= f * row[j]
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.obj_row[col]
-        if f != 0:
-            obj = self.obj_row
-            for j in range(self.n):
-                if row[j]:
-                    obj[j] -= f * row[j]
-            self.obj_val += f * self.rhs[r]
+        self.rows.append(self.obj)  # the objective row takes part in every pivot
+        self.d = _eliminate(self.rows, r, col, self.d)
+        self.obj = self.rows.pop()
         self.basis[r] = col
 
     def run(self, stop_when_positive=False):
         """Bland-rule pivoting until optimality (all reduced costs <= 0)."""
+        n = self.n
         while True:
-            if stop_when_positive and self.obj_val > 0:
+            if stop_when_positive and self.positive:
                 return
-            col = next((j for j in range(self.n) if self.obj_row[j] > 0), None)
+            col = next((j for j in range(n) if self.obj[j] > 0), None)
             if col is None:
                 return
-            best_r, best_ratio = None, None
+            best_r = None
             for i, row in enumerate(self.rows):
                 a = row[col]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[best_r])
-                    ):
-                        best_r, best_ratio = i, ratio
+                if a <= 0:
+                    continue
+                if best_r is not None:
+                    # ratio rhs / a against the best one, by cross-multiplication
+                    lhs, rhs = row[n] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[best_r]):
+                        continue
+                best_r, best_rhs, best_a = i, row[n], a
             if best_r is None:
                 raise SimplexError("unbounded linear program")
             self.pivot(best_r, col)
 
-    def solution(self):
-        x = [ZERO] * self.n
+    def objective(self):
+        return QQ(-self.obj[-1], self.d)
+
+    def solution(self, n):
+        """Values of the first ``n`` columns at the current basis."""
+        x = [ZERO] * n
         for i, bi in enumerate(self.basis):
-            x[bi] = self.rhs[i]
+            if bi < n:
+                x[bi] = QQ(self.rows[i][-1], self.d)
         return x
 
 
 def _solve_duals(columns, cost, basis, nrows):
     """Solve y.B = c_B exactly for the dual vector over the original rows."""
-    m = nrows
-    # transpose system: B^T y = c_B
-    mat = [[columns[basis[j]][i] for i in range(m)] for j in range(len(basis))]
-    rhs = [cost[bi] for bi in basis]
-    y = [ZERO] * m
-    # Gaussian elimination with partial (first nonzero) pivoting
+    # transpose system B^T y = c_B, right-hand side as the last entry
+    mat = [[columns[bi][i] for i in range(nrows)] + [cost[bi]] for bi in basis]
+    d = 1
+    y = [ZERO] * nrows
+    # Gauss-Jordan elimination with first-nonzero pivoting
     rows = list(range(len(mat)))
     piv_cols = []
-    for col in range(m):
+    for col in range(nrows):
         pr = next((r for r in rows if mat[r][col] != 0), None)
         if pr is None:
             continue
         rows.remove(pr)
         piv_cols.append((pr, col))
-        inv = ONE / mat[pr][col]
-        mat[pr] = [v * inv for v in mat[pr]]
-        rhs[pr] *= inv
-        for r in range(len(mat)):
-            if r != pr and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pr])]
-                rhs[r] -= f * rhs[pr]
+        d = _eliminate(mat, pr, col, d)
     for pr, col in piv_cols:
-        y[col] = rhs[pr]
+        y[col] = QQ(mat[pr][-1], d)
     return y
+
+
+def _integers(values) -> list[int]:
+    return [index(v) for v in values]
 
 
 def maximize_homogeneous(A, c, stop_when_positive=False):
     """``max c.x`` subject to ``A x = 0``, ``sum(x) <= 1``, ``x >= 0``.
 
-    Returns an :class:`LPResult` whose ``duals`` has one multiplier per row of
-    ``A`` plus a final multiplier for the normalization row.  When
-    ``stop_when_positive`` is set, pivoting stops at the first basis with a
-    positive objective (the duals are then not meaningful).
+    ``A`` and ``c`` are integers.  Returns an :class:`LPResult` whose
+    ``duals`` has one multiplier per row of ``A`` plus a final multiplier
+    for the normalization row.  When ``stop_when_positive`` is set, pivoting
+    stops at the first basis with a positive objective (the duals are then
+    not meaningful).
     """
     m, n = len(A), len(c)
-    rows = [[QQ(v) for v in row] + [ZERO] for row in A]  # extra slack column
-    norm = [ONE] * n + [ONE]
-    cost = [QQ(v) for v in c] + [ZERO]
+    # extra slack column, then the right-hand side; the last row is sum(x) + s = 1
+    rows = [_integers(row) + [0, 0] for row in A]
+    rows.append([1] * (n + 2))
+    cost = _integers(c) + [0]
     # Gauss-Jordan crash basis on the homogeneous rows: the basic solution is
     # x = 0, s = 1, which is feasible outright.
+    d = 1
     basis_cols: list[int] = []
     kept: list[int] = []
     for i in range(m):
@@ -169,63 +191,45 @@ def maximize_homogeneous(A, c, stop_when_positive=False):
         col = next((j for j in range(n) if row[j] != 0 and j not in basis_cols), None)
         if col is None:
             continue  # redundant row
-        inv = ONE / row[col]
-        if inv != 1:
-            rows[i] = row = [v * inv for v in row]
-        for r in range(m):
-            if r != i and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], row)]
-        if norm[col] != 0:
-            f = norm[col]
-            norm = [a - f * b for a, b in zip(norm, row)]
+        d = _eliminate(rows, i, col, d)
         basis_cols.append(col)
         kept.append(i)
-    tab_rows = [rows[i] for i in kept] + [norm]
-    tab_rhs = [ZERO] * len(kept) + [ONE]
+    tab_rows = [rows[i] for i in kept] + [rows[m]]
     tab_basis = basis_cols + [n]  # slack basic in the normalization row
-    tab = _Tableau(tab_rows, tab_rhs, tab_basis, cost)
+    tab = _Tableau(tab_rows, tab_basis, cost, d)
     tab.run(stop_when_positive=stop_when_positive)
-    x = tab.solution()[:n]
     duals = [ZERO] * (m + 1)
-    if not (stop_when_positive and tab.obj_val > 0):
+    if not (stop_when_positive and tab.positive):
         columns = {}
         for bi in tab.basis:
-            col = [(A[kept[i]][bi] if bi < n else ZERO) for i in range(len(kept))]
-            col.append(ONE)
+            col = [(A[kept[i]][bi] if bi < n else 0) for i in range(len(kept))]
+            col.append(1)
             columns[bi] = col
         y = _solve_duals(columns, cost, tab.basis, len(kept) + 1)
         for i, orig in enumerate(kept):
             duals[orig] = y[i]
         duals[m] = y[len(kept)]
-    return LPResult("optimal", x, tab.obj_val, duals)
+    return LPResult("optimal", tab.solution(n), tab.objective(), duals)
 
 
 def find_feasible(A, b):
-    """Phase-one simplex for ``A x = b, x >= 0``; returns LPResult.
+    """Phase-one simplex for integer ``A x = b, x >= 0``; returns LPResult.
 
     ``status`` is "optimal" with a feasible ``x`` or "infeasible".
     """
     m, n = len(A), (len(A[0]) if A else 0)
     rows = []
-    rhs = []
     for i in range(m):
-        if b[i] < 0:
-            rows.append([-QQ(v) for v in A[i]])
-            rhs.append(-QQ(b[i]))
-        else:
-            rows.append([QQ(v) for v in A[i]])
-            rhs.append(QQ(b[i]))
-    # artificial columns n .. n+m-1, phase-one cost -1 each (maximization)
-    for i in range(m):
-        art = [ZERO] * m
-        art[i] = ONE
-        rows[i] = rows[i] + art
-    cost = [ZERO] * n + [-ONE] * m
+        row = _integers(A[i]) + [index(b[i])]
+        if row[-1] < 0:
+            row = [-v for v in row]
+        # artificial columns n .. n+m-1, then the right-hand side
+        rows.append(row[:n] + [int(k == i) for k in range(m)] + row[n:])
+    cost = [0] * n + [-1] * m  # phase-one cost -1 per artificial (maximization)
     basis = [n + i for i in range(m)]
-    tab = _Tableau(rows, rhs, basis, cost)
+    tab = _Tableau(rows, basis, cost)
     tab.run()
-    if tab.obj_val < 0:
+    if tab.obj[-1] > 0:  # negative optimum: some artificial stays positive
         return LPResult("infeasible")
     # pivot leftover artificials out of the basis (rows are consistent here)
     for i in range(len(tab.basis)):
@@ -233,8 +237,4 @@ def find_feasible(A, b):
             col = next((j for j in range(n) if tab.rows[i][j] != 0), None)
             if col is not None:
                 tab.pivot(i, col)
-    keep = [i for i in range(len(tab.basis)) if tab.basis[i] < n]
-    x = [ZERO] * n
-    for i in keep:
-        x[tab.basis[i]] = tab.rhs[i]
-    return LPResult("optimal", x, ZERO, [])
+    return LPResult("optimal", tab.solution(n), ZERO, [])

@@ -386,11 +386,20 @@ def graph_to_json(graph: WhiteheadGraph) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is an ``int`` (bools excluded); never coerced."""
+    if type(value) is not int:
+        raise GraphError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def graph_from_json(data: dict) -> WhiteheadGraph:
     try:
-        rank = int(data["rank"])
+        rank = json_int(data["rank"], "rank")
         edges = [
-            EdgeRecord(int(e["id"]), (vertex_from_name(e["u"]), vertex_from_name(e["v"])))
+            EdgeRecord(
+                json_int(e["id"], "edge id"), (vertex_from_name(e["u"]), vertex_from_name(e["v"]))
+            )
             for e in data["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

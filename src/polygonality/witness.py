@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .simplex import ZERO, maximize_homogeneous
-from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash
+from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash, json_int
 
 
 Turn = tuple[VertexId, frozenset[int]]
@@ -236,9 +236,10 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     Maximizes the total weight on long cycles (or on all cycles when
     ``require_long`` is off) subject to the balance equations and a unit
     normalization.  A positive optimum scales to integer multiplicities; a
-    zero optimum yields a verified rational refutation certificate.
+    zero optimum yields a rational refutation certificate, checked here.
 
-    Returns a :class:`CycleList` or an :class:`Infeasible`.
+    Returns a :class:`CycleList`, which the caller passes to
+    :func:`verify_witness`, or an :class:`Infeasible`.
     """
     cycles = enumerate_cycles(graph)
     rows, keys = _constraint_rows(graph, cycles)
@@ -256,15 +257,16 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
             m = int(val * denom_lcm)
             if m:
                 witness[c] = m
-        verdict = verify_witness(graph, witness, require_long=require_long)
-        if not verdict.ok:
-            raise VerificationError("LP produced a list failing verification")
         return witness
-    # optimum is zero: validate the dual certificate before reporting
+    # optimum is zero: validate the dual certificate before reporting; with
+    # y.A >= c on every cycle and a zero normalization multiplier, any x >= 0
+    # with A x = 0 has c.x <= y.A x = 0, while a positive one only bounds c.x
     duals = res.duals
     norm_dual = duals[len(rows)]
-    if norm_dual < 0:
-        raise VerificationError("refutation certificate has negative slack multiplier")
+    if norm_dual != 0:
+        raise VerificationError(
+            f"refutation certificate has normalization multiplier {norm_dual}, not 0"
+        )
     for j, c in enumerate(cycles):
         lhs = sum((duals[i] * rows[i][j] for i in range(len(rows))), ZERO) + norm_dual
         if lhs < objective[j]:
@@ -292,23 +294,23 @@ def witness_to_json(graph: WhiteheadGraph, cycles: CycleList) -> dict:
 
 
 def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
-    """Parse witness JSON strictly: no repeated edge ids, positive int multiplicities."""
+    """Parse witness JSON strictly: int edge ids, none repeated, positive int multiplicities."""
     try:
-        entries = [
-            (frozenset(c["edges"]), len(c["edges"]), c["multiplicity"]) for c in data["cycles"]
-        ]
+        entries = [(list(c["edges"]), c["multiplicity"]) for c in data["cycles"]]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness JSON: {exc}") from exc
-    for eids, listed, mult in entries:
-        if len(eids) != listed:
-            raise GraphError(f"cycle on edges {sorted(eids)} repeats an edge id")
+    for listed, mult in entries:
+        for eid in listed:
+            json_int(eid, "edge id")
+        if len(set(listed)) != len(listed):
+            raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
         if type(mult) is not int or mult <= 0:
             raise GraphError(f"multiplicity {mult!r} is not a positive integer")
     if "graph_hash" in data and data["graph_hash"] != graph_hash(graph):
         raise VerificationError("witness was produced for a different graph")
     out: CycleList = {}
-    for eids, _, mult in entries:
-        cyc = make_cycle(graph, eids)
+    for listed, mult in entries:
+        cyc = make_cycle(graph, listed)
         out[cyc] = out.get(cyc, 0) + mult
     return out
 

@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's own algorithms: cycles are
 found by filtering edge subsets, pair counts by direct recounting, witness
-existence by bounded enumeration of multiplicity vectors.
+existence by bounded enumeration of multiplicity vectors, and linear programs
+by a Bland-rule simplex on a Fraction tableau.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -128,3 +130,150 @@ def _compositions(total: int, parts: int, bound: int):
     for head in range(min(total, bound) + 1):
         for rest in _compositions(total - head, parts - 1, bound):
             yield (head,) + rest
+
+
+# -- reference simplex: Bland's rule on a Fraction tableau ---------------------
+#
+# The same pivot rules as ``polygonality.simplex``, in plain rational
+# arithmetic: every pivot divides the pivot row by the pivot and subtracts
+# multiples of it from the other rows.
+
+
+class FractionTableau:
+    """Dense tableau: rows over n columns, rhs, basis, and objective row."""
+
+    def __init__(self, rows, rhs, basis, cost):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.n = len(cost)
+        self.obj_row = list(cost)
+        self.obj_val = Fraction(0)
+        for i, bi in enumerate(basis):
+            self._subtract_from_objective(i, bi)
+
+    def _subtract_from_objective(self, r, col):
+        f = self.obj_row[col]
+        if f != 0:
+            row = self.rows[r]
+            self.obj_row = [a - f * b for a, b in zip(self.obj_row, row)]
+            self.obj_val += f * self.rhs[r]
+
+    def pivot(self, r, col):
+        piv = self.rows[r][col]
+        self.rows[r] = row = [v / piv for v in self.rows[r]]
+        self.rhs[r] /= piv
+        for i in range(len(self.rows)):
+            f = self.rows[i][col]
+            if i != r and f != 0:
+                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], row)]
+                self.rhs[i] -= f * self.rhs[r]
+        self._subtract_from_objective(r, col)
+        self.basis[r] = col
+
+    def run(self, stop_when_positive=False):
+        while True:
+            if stop_when_positive and self.obj_val > 0:
+                return
+            col = next((j for j in range(self.n) if self.obj_row[j] > 0), None)
+            if col is None:
+                return
+            best_r, best_ratio = None, None
+            for i, row in enumerate(self.rows):
+                if row[col] > 0:
+                    ratio = self.rhs[i] / row[col]
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[best_r])
+                    ):
+                        best_r, best_ratio = i, ratio
+            if best_r is None:
+                raise ArithmeticError("unbounded linear program")
+            self.pivot(best_r, col)
+
+
+def _fraction_gauss_jordan(rows, r, col):
+    """Normalize ``rows[r]`` at ``col`` and clear ``col`` from the other rows."""
+    rows[r] = row = [v / rows[r][col] for v in rows[r]]
+    for i in range(len(rows)):
+        f = rows[i][col]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(rows[i], row)]
+
+
+def oracle_maximize_homogeneous(A, c, stop_when_positive=False):
+    """Reference ``max c.x`` over ``A x = 0, sum(x) <= 1, x >= 0``:
+    (x, objective, duals or None)."""
+    m, n = len(A), len(c)
+    rows = [[Fraction(v) for v in row] + [Fraction(0)] for row in A]
+    rows.append([Fraction(1)] * (n + 1))  # normalization row with its slack
+    cost = [Fraction(v) for v in c] + [Fraction(0)]
+    basis_cols, kept = [], []
+    for i in range(m):
+        col = next((j for j in range(n) if rows[i][j] != 0), None)
+        if col is None:
+            continue  # redundant row
+        _fraction_gauss_jordan(rows, i, col)
+        basis_cols.append(col)
+        kept.append(i)
+    tab = FractionTableau(
+        [rows[i] for i in kept] + [rows[m]],
+        [Fraction(0)] * len(kept) + [Fraction(1)],
+        basis_cols + [n],
+        cost,
+    )
+    tab.run(stop_when_positive=stop_when_positive)
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(tab.basis):
+        if bi < n:
+            x[bi] = tab.rhs[i]
+    if stop_when_positive and tab.obj_val > 0:
+        return x, tab.obj_val, None
+    # duals: solve y.B = c_B over the kept rows and the normalization row
+    k = len(kept)
+    mat = [
+        [Fraction(A[kept[i]][bi] if bi < n else 0) for i in range(k)] + [Fraction(1), cost[bi]]
+        for bi in tab.basis
+    ]
+    pending = list(range(len(mat)))
+    y = [Fraction(0)] * (k + 1)
+    solved = []
+    for col in range(k + 1):
+        pr = next((r for r in pending if mat[r][col] != 0), None)
+        if pr is not None:
+            pending.remove(pr)
+            _fraction_gauss_jordan(mat, pr, col)
+            solved.append((pr, col))
+    for pr, col in solved:
+        y[col] = mat[pr][-1]
+    duals = [Fraction(0)] * (m + 1)
+    for i, orig in enumerate(kept):
+        duals[orig] = y[i]
+    duals[m] = y[k]
+    return x, tab.obj_val, duals
+
+
+def oracle_find_feasible(A, b):
+    """Reference phase one for ``A x = b, x >= 0``: a feasible x or None."""
+    m, n = len(A), (len(A[0]) if A else 0)
+    rows, rhs = [], []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        art = [Fraction(int(k == i)) for k in range(m)]
+        rows.append([Fraction(sign * v) for v in A[i]] + art)
+        rhs.append(Fraction(sign * b[i]))
+    tab = FractionTableau(rows, rhs, [n + i for i in range(m)], [0] * n + [-1] * m)
+    tab.run()
+    if tab.obj_val < 0:
+        return None
+    for i in range(m):
+        if tab.basis[i] >= n:
+            col = next((j for j in range(n) if tab.rows[i][j] != 0), None)
+            if col is not None:
+                tab.pivot(i, col)
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(tab.basis):
+        if bi < n:
+            x[bi] = tab.rhs[i]
+    return x

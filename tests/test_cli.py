@@ -224,6 +224,30 @@ def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
     assert calls["local_edge_connectivity"] == 0 and calls["is_k_graph"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, method, verified",
+    [
+        (("remark-2.4b", "--require-long"), "fourvertex", 1),
+        (("example-6.1",), None, 0),  # refuted: nothing to verify
+        (("remark-2.4b", "--method", "lp", "--require-long"), "lp", 1),
+        (("commutator", "--method", "regular"), "regular", 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_witness_runs_the_verifier_once(tmp_path, monkeypatch, argv, method, verified):
+    from polygonality import fourvertex, witness
+
+    counts = Counter()
+    for owner in (witness, fourvertex, regular):  # every module that may call it
+        if hasattr(owner, "verify_witness"):
+            count_calls(monkeypatch, owner, "verify_witness", counts)
+    out = tmp_path / "w.json"
+    code = run_cli("witness", *argv, "--out", str(out))
+    assert code == (0 if method else 2)
+    assert read_json(out).get("method") == method
+    assert counts["verify_witness"] == verified
+
+
 def test_auto_moves_on_when_a_precondition_fails(tmp_path):
     # aBcAbC: a 2-regular rank-3 graph of two disjoint triangles, so the odd
     # set {a, b, c} is left by no edge; the two triangles still balance

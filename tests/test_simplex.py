@@ -1,6 +1,11 @@
+import contextlib
 import importlib
 import sys
 
+from conftest import FractionTableau, oracle_find_feasible, oracle_maximize_homogeneous
+from hypothesis import example, given, settings, strategies as st
+
+from polygonality import simplex
 from polygonality.simplex import QQ, ZERO, find_feasible, maximize_homogeneous
 
 
@@ -106,3 +111,92 @@ def test_fraction_fallback_backend():
         else:
             sys.modules["gmpy2"] = saved
         importlib.reload(simp)
+
+
+# -- the integer kernel against the Fraction reference -------------------------
+
+
+@contextlib.contextmanager
+def recorded_pivots(*classes):
+    """Record ``(row, column, rows * columns)`` of every pivot, per class."""
+    logs = {cls: [] for cls in classes}
+    originals = {cls: cls.pivot for cls in classes}
+
+    def recording(cls):
+        def pivot(tab, r, col):
+            logs[cls].append((r, col, len(tab.rows) * tab.n))
+            return originals[cls](tab, r, col)
+
+        return pivot
+
+    for cls in classes:
+        cls.pivot = recording(cls)
+    try:
+        yield logs
+    finally:
+        for cls in classes:
+            cls.pivot = originals[cls]
+
+
+entries = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3])
+
+
+@st.composite
+def integer_systems(draw, max_rows=5, max_cols=7):
+    """Small integer matrices, some with redundant rows and zero columns."""
+    n = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=max_rows))
+    if rows and draw(st.booleans()):  # a redundant row: a combination of two others
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        s, t = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([-1, 0, 1]))
+        rows.insert(draw(st.integers(0, len(rows))), [s * u + t * v for u, v in zip(rows[a], rows[b])])
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):  # zero columns
+        for row in rows:
+            row[j] = 0
+    return rows, n
+
+
+@st.composite
+def homogeneous_lps(draw):
+    A, n = draw(integer_systems())
+    return A, draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n))
+
+
+@st.composite
+def feasibility_systems(draw):
+    A, n = draw(integer_systems(max_rows=4, max_cols=6))
+    if draw(st.booleans()):  # feasible by construction
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return A, [sum(a * v for a, v in zip(row, x0)) for row in A]
+    return A, draw(st.lists(st.integers(-3, 3), min_size=len(A), max_size=len(A)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_lps(), st.booleans())
+@example(([[1, -1], [2, -2], [-1, 1]], [1, 1]), False)  # redundant rows
+@example(([[1, 0, -1], [0, 0, 0]], [1, 1, 0]), True)  # zero row and zero column
+def test_maximize_homogeneous_matches_fraction_reference(lp, stop):
+    A, c = lp
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = maximize_homogeneous(A, c, stop_when_positive=stop)
+        x, objective, duals = oracle_maximize_homogeneous(A, c, stop_when_positive=stop)
+    assert res.status == "optimal"
+    assert (res.x, res.objective) == (x, objective)
+    if duals is not None:
+        assert res.duals == duals
+    assert logs[simplex._Tableau] == logs[FractionTableau]
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasibility_systems())
+@example(([[1, 1], [1, 1]], [1, 2]))  # infeasible phase one
+@example(([[1, -1], [-1, 1], [2, -2]], [-1, 1, -2]))  # redundant rows, negative rhs
+def test_find_feasible_matches_fraction_reference(system):
+    A, b = system
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = find_feasible(A, b)
+        x = oracle_find_feasible(A, b)
+    assert res.status == ("infeasible" if x is None else "optimal")
+    if x is not None:
+        assert res.x == x
+    assert logs[simplex._Tableau] == logs[FractionTableau]

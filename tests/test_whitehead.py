@@ -180,6 +180,22 @@ def test_json_round_trip(refutation_graph):
     assert graph_to_json(back) == data
 
 
+@pytest.mark.parametrize("value", [0.7, "3", True, 1.0], ids=repr)
+def test_json_rejects_non_int_edge_id(refutation_graph, value):
+    data = graph_to_json(refutation_graph)
+    data["edges"][0]["id"] = value
+    with pytest.raises(GraphError, match="edge id .* is not an integer"):
+        graph_from_json(data)
+
+
+@pytest.mark.parametrize("value", [2.0, "2", True, 2.5], ids=repr)
+def test_json_rejects_non_int_rank(refutation_graph, value):
+    data = graph_to_json(refutation_graph)
+    data["rank"] = value
+    with pytest.raises(GraphError, match="rank .* is not an integer"):
+        graph_from_json(data)
+
+
 def test_json_bad_sigma_rejected(commutator):
     data = graph_to_json(commutator)
     keys = sorted(data["sigma"]["a1"])

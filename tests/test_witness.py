@@ -154,6 +154,25 @@ def test_search_lp_refutes_example(refutation_graph):
     assert data["infeasible"] and data["farkas"]
 
 
+def test_refutation_needs_zero_normalization_dual(refutation_graph, monkeypatch):
+    # the real duals plus 1/2 on the normalization row still cover every
+    # cycle, but then they only bound the optimum by 1/2 and refute nothing
+    from polygonality import witness
+    from polygonality.simplex import QQ
+
+    solve = witness.maximize_homogeneous
+
+    def positive_normalization_dual(A, c, **kwargs):
+        res = solve(A, c, **kwargs)
+        assert res.objective == 0 and res.duals[-1] == 0
+        res.duals[-1] = QQ(1, 2)
+        return res
+
+    monkeypatch.setattr(witness, "maximize_homogeneous", positive_normalization_dual)
+    with pytest.raises(VerificationError, match="normalization multiplier 1/2, not 0"):
+        pg.search_witness_lp(refutation_graph, require_long=True)
+
+
 def test_search_lp_agrees_with_bounded_search_small_graphs():
     # every loopless instance here has at most 6 edges; bound B = 3
     BOUND = 3
@@ -200,6 +219,13 @@ def test_witness_json_rejects_repeated_edge_id(commutator):
 def test_witness_json_rejects_non_positive_int_multiplicity(commutator, mult):
     data = {"cycles": [{"edges": [0, 1, 2, 3], "multiplicity": mult}]}
     with pytest.raises(GraphError, match="not a positive integer"):
+        witness_from_json(commutator, data)
+
+
+@pytest.mark.parametrize("eid", [1.0, True, "1", None], ids=repr)
+def test_witness_json_rejects_non_int_edge_id(commutator, eid):
+    data = {"cycles": [{"edges": [0, eid, 2, 3], "multiplicity": 1}]}
+    with pytest.raises(GraphError, match="edge id .* is not an integer"):
         witness_from_json(commutator, data)
 
 
