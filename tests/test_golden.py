@@ -11,11 +11,18 @@ import pytest
 from polygonality import cli
 
 # word-list inputs for the four-vertex recursion: "peel" removes edges over six
-# levels, "orbits" patches with multiplicities from a nontrivial orbit list
-WORD_FILES = {"peel.txt": "rank 2\nBaaaabaaaa\n", "orbits.txt": "rank 2\nBabaaaabaB\n"}
+# levels, "orbits" patches with multiplicities from a nontrivial orbit list;
+# "triangles" is 2-regular with an odd set that no edge leaves
+WORD_FILES = {
+    "peel.txt": "rank 2\nBaaaabaaaa\n",
+    "orbits.txt": "rank 2\nBabaaaabaB\n",
+    "triangles.txt": "rank 3\naBcAbC\n",
+}
 
 GEN_FILES = {
     "regular-9.json": ("--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2"),
+    # ten vertices with k=4: the median class of the regular-graph benchmark
+    "regular-9-k4.json": ("--kind", "regular", "--seed", "9", "--k", "4", "--pairs", "5"),
     "fourvertex-3.json": ("--kind", "fourvertex", "--seed", "3"),
 }
 
@@ -36,6 +43,11 @@ GOLDEN = [
      "65f3f29bac55df68589ac440383535c8cc88e7b8a3e7d66f5bafb55fa34371f2"),
     (("witness", "regular-9.json"), 0,
      "7eca9045374dbb56e54d42f7b134e0745c6dbc5626e4a2aa78d56541b066bc38"),
+    (("witness", "regular-9-k4.json"), 0,
+     "b8a891ac2d934feb1994408389770abe99b765539882c66f9bb3386c55967be6"),
+    # the odd-cut bound fails, so the regular construction exits 1 and writes nothing
+    (("witness", "triangles.txt", "--method", "regular"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("witness", "fourvertex-3.json"), 0,
      "8cf844ecce88a73468fca9c1a1322dd9c701adc223a3e815d0ec3a9a650fb9c3"),
     # surface needs word-list input: a graph JSON exits 1 and writes nothing
