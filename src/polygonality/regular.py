@@ -7,6 +7,11 @@ matchings decompose into cycles; collecting them over all matching pairs
 yields a list in which every edge lies in the same number of cycles and every
 adjacent edge pair lies in the same number of cycles.  The coloring is found
 as an exact rational feasibility problem over the enumerated matchings.
+
+By Edmonds' description of the perfect matching polytope that problem is
+feasible exactly when the odd-cut bound holds, so a coloring is itself the
+proof of the hypothesis.  The exhaustive odd-set check ``is_k_graph`` runs
+only after the problem turns out infeasible, to name a violating set.
 """
 
 from __future__ import annotations
@@ -179,6 +184,12 @@ def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[
 def regular_witness(graph: Multigraph) -> RegularWitness:
     """Cycle list from all pairwise symmetric differences of the coloring.
 
+    The coloring is solved first.  When it exists, every odd vertex set is
+    left by at least k edges: every perfect matching crosses every odd cut,
+    and each edge carries weight 1/k.  Only an infeasible coloring runs
+    ``is_k_graph``, whose first violating odd set the ``PreconditionError``
+    names.
+
     With ell matchings covering each edge ell/k times, every edge lands in
     exactly (ell/k)(ell - ell/k) cycles and every adjacent pair of distinct
     edges in exactly (ell/k)^2; both counts are recomputed and asserted.
@@ -186,12 +197,15 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
     k = _regularity(graph)
     if k <= 1:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
-    verdict = is_k_graph(graph)
-    if not verdict.ok:
+    try:
+        coloring = fractional_edge_coloring(graph, k)
+    except GraphError:
+        verdict = is_k_graph(graph)
+        if verdict.ok:
+            raise
         raise PreconditionError(
             f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
-        )
-    coloring = fractional_edge_coloring(graph, k)
+        ) from None
     slots: list[Matching] = []
     for m, n in coloring.entries:
         slots.extend([m] * n)

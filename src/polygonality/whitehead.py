@@ -50,7 +50,8 @@ class VertexId:
 
 
 def vertex_from_name(name: str) -> VertexId:
-    m = re.fullmatch(r"a(\d+)(-?)", name)
+    """The vertex of a canonical name (``a1``, ``a1-``; no leading zeros)."""
+    m = re.fullmatch(r"a([1-9]\d*)(-?)", name) if isinstance(name, str) else None
     if m is None:
         raise GraphError(f"bad vertex name {name!r} (expected e.g. 'a1' or 'a1-')")
     return VertexId(int(m.group(1)), -1 if m.group(2) else 1)
@@ -358,7 +359,7 @@ def _dart_name(graph: Multigraph, d: Dart) -> str:
 
 
 def _dart_from_name(graph: Multigraph, s: str) -> Dart:
-    m = re.fullmatch(r"(\d+)@(a\d+-?)", s)
+    m = re.fullmatch(r"(0|[1-9]\d*)@(a[1-9]\d*-?)", s) if isinstance(s, str) else None
     if m is None:
         raise GraphError(f"bad dart name {s!r}")
     eid, v = int(m.group(1)), vertex_from_name(m.group(2))
@@ -393,22 +394,40 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _exact_keys(obj, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict) or set(obj) != keys:
+        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise GraphError(f"malformed graph JSON: {what} needs the keys {sorted(keys)}, got {found}")
+
+
 def graph_from_json(data: dict) -> WhiteheadGraph:
-    try:
-        rank = json_int(data["rank"], "rank")
-        edges = [
-            EdgeRecord(
-                json_int(e["id"], "edge id"), (vertex_from_name(e["u"]), vertex_from_name(e["v"]))
-            )
-            for e in data["edges"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"malformed graph JSON: {exc}") from exc
+    """The graph of ``graph_to_json``'s schema, read strictly.
+
+    Unknown or missing keys, non-canonical vertex and dart names, a dart
+    listed under a vertex it is not at, and a dart listed twice are errors.
+    """
+    _exact_keys(data, {"rank", "edges", "sigma"}, "a graph")
+    rank = json_int(data["rank"], "rank")
+    if not isinstance(data["edges"], list) or not isinstance(data["sigma"], dict):
+        raise GraphError("malformed graph JSON: edges must be a list and sigma an object")
+    edges = []
+    for e in data["edges"]:
+        _exact_keys(e, {"id", "u", "v"}, "an edge")
+        ends = (vertex_from_name(e["u"]), vertex_from_name(e["v"]))
+        edges.append(EdgeRecord(json_int(e["id"], "edge id"), ends))
     plain = Multigraph(rank, edges)
     sigma: dict[Dart, Dart] = {}
-    for _, table in sorted(data.get("sigma", {}).items()):
+    for name, table in sorted(data["sigma"].items()):
+        at = vertex_from_name(name)
+        if not isinstance(table, dict):
+            raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         for src, dst in table.items():
-            sigma[_dart_from_name(plain, src)] = _dart_from_name(plain, dst)
+            d = _dart_from_name(plain, src)
+            if d in sigma:
+                raise GraphError(f"dart {src!r} is listed twice")
+            if plain.dart_vertex(d) != at:
+                raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
+            sigma[d] = _dart_from_name(plain, dst)
     return WhiteheadGraph(rank, edges, sigma)
 
 

@@ -221,7 +221,13 @@ def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
     calls.clear()  # the generator checks its own output
     assert run_cli("witness", str(graph), "--out", str(tmp_path / "w.json")) == 0
     assert read_json(tmp_path / "w.json")["method"] == "regular"
-    assert calls["local_edge_connectivity"] == 0 and calls["is_k_graph"] == 1
+    # a feasible coloring certifies the odd-cut bound: no exhaustive check
+    assert calls["local_edge_connectivity"] == 0 and calls["is_k_graph"] == 0
+    # an infeasible coloring runs the check once, to name the violating set
+    words = tmp_path / "triangles.txt"
+    words.write_text("rank 3\naBcAbC\n", encoding="utf-8")
+    assert run_cli("witness", str(words), "--method", "regular", "--out", str(tmp_path / "t.json")) == 1
+    assert calls["is_k_graph"] == 1
 
 
 @pytest.mark.parametrize(
@@ -246,6 +252,31 @@ def test_witness_runs_the_verifier_once(tmp_path, monkeypatch, argv, method, ver
     assert code == (0 if method else 2)
     assert read_json(out).get("method") == method
     assert counts["verify_witness"] == verified
+
+
+def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
+    # the constructed list is checked by build_surface's verifier, not also by the CLI
+    from polygonality import fourvertex, surface, witness
+
+    counts = Counter()
+    for owner in (witness, fourvertex, regular, surface):
+        if hasattr(owner, "verify_witness"):
+            count_calls(monkeypatch, owner, "verify_witness", counts)
+    assert run_cli("surface", "remark-2.4b", "--out", str(tmp_path / "s.json")) == 0
+    assert counts["verify_witness"] == 1
+
+
+def test_the_parser_is_built_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("witness", "commutator", "--method", "nosuch")
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+    out = tmp_path / "w.json"
+    assert run_cli("witness", "commutator", "--out", str(out)) == 0
+    assert read_json(out)["method"] == "fourvertex"
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_auto_moves_on_when_a_precondition_fails(tmp_path):

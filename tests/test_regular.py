@@ -1,17 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
-from polygonality.generators import random_regular_instance
+from polygonality.generators import random_regular_instance, random_sigma
 from polygonality.regular import (
     enumerate_perfect_matchings,
     fractional_edge_coloring,
     is_k_graph,
     regular_witness,
 )
+from polygonality.whitehead import WhiteheadGraph
 
 from conftest import make_plain, vid
 
@@ -147,6 +149,47 @@ def test_verify_passes_with_long_requirement(polygonal_graph):
     sub = polygonal_graph.remove_edges([2])  # drop the a-a^-1 edge: 2-regular
     rw = regular_witness(sub)
     assert any(c.is_long for c in rw.cycles)
+
+
+def random_regular_multigraph(seed: int, k: int, pairs: int) -> WhiteheadGraph:
+    """A k-regular loopless graph on 2 * pairs vertices, with no connectivity
+    filter, so some of them leave an odd set by fewer than k edges."""
+    rng = random.Random(seed)
+    verts = [vid(g, s) for g in range(1, pairs + 1) for s in (1, -1)]
+    while True:
+        stubs = [v for v in verts for _ in range(k)]
+        rng.shuffle(stubs)
+        mates = list(zip(stubs[0::2], stubs[1::2]))
+        if all(a != b for a, b in mates):
+            plain = make_plain(pairs, mates)
+            return WhiteheadGraph(pairs, list(plain.edges.values()), random_sigma(plain, rng))
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_regular_witness_succeeds_exactly_on_k_graphs(seed, k, pairs):
+    # a feasible coloring is the only odd-cut check on success (Edmonds'
+    # perfect matching polytope); on failure the exhaustive check names the set
+    graph = random_regular_multigraph(seed, k, pairs)
+    verdict = is_k_graph(graph)
+    if verdict.ok:
+        rw = regular_witness(graph)
+        assert rw.k == k and pg.verify_witness(graph, rw.cycles).ok
+    else:
+        names = [v.name for v in verdict.violating_set]
+        with pytest.raises(PreconditionError) as exc:
+            regular_witness(graph)
+        assert str(exc.value) == f"odd set {names} is left by fewer than {k} edges"
+
+
+def test_random_regular_multigraphs_fail_the_odd_cut_bound_sometimes():
+    verdicts = [
+        is_k_graph(random_regular_multigraph(seed, k, pairs)).ok
+        for seed in range(20)
+        for k in (2, 3)
+        for pairs in (2, 3)
+    ]
+    assert any(verdicts) and not all(verdicts)
 
 
 @given(st.integers(0, 60))

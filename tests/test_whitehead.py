@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -204,6 +205,65 @@ def test_json_bad_sigma_rejected(commutator):
         data["sigma"]["a1"][keys[0]], data["sigma"]["a1"][keys[1]] = vals[1], vals[0]
         with pytest.raises(GraphError):
             graph_from_json(data)
+
+
+def _first_dart(data, vertex="a1"):
+    return sorted(data["sigma"][vertex].items())[0]
+
+
+def _noncanonical_vertex(data):
+    data["edges"][0]["u"] = "a0" + data["edges"][0]["u"][1:]
+
+
+def _leading_zero_dart(data):
+    src, dst = _first_dart(data)
+    del data["sigma"]["a1"][src]
+    data["sigma"]["a1"]["0" + src] = dst
+
+
+def _dart_under_other_vertex(data):
+    src, dst = _first_dart(data)
+    del data["sigma"]["a1"][src]
+    data["sigma"]["a1-"][src] = dst
+
+
+def _dart_listed_twice(data):
+    src, dst = _first_dart(data)
+    data["sigma"]["a1-"][src] = dst
+
+
+def _unknown_top_level_key(data):
+    data["comment"] = "extra"
+
+
+def _unknown_edge_key(data):
+    data["edges"][0]["weight"] = 1
+
+
+def _sigma_table_not_an_object(data):
+    data["sigma"]["a1"] = sorted(data["sigma"]["a1"].items())
+
+
+STRICT_JSON_CASES = [
+    (_noncanonical_vertex, "bad vertex name 'a01'"),
+    (_leading_zero_dart, "bad dart name '00@a1'"),
+    (_dart_under_other_vertex, "listed under a1-, not under its own vertex"),
+    (_dart_listed_twice, "listed twice"),
+    (_unknown_top_level_key, "a graph needs the keys"),
+    (_unknown_edge_key, "an edge needs the keys"),
+    (_sigma_table_not_an_object, "sigma table of a1 is not an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", STRICT_JSON_CASES, ids=[c.__name__[1:] for c, _ in STRICT_JSON_CASES]
+)
+def test_json_is_strict(commutator, corrupt, message):
+    data = graph_to_json(commutator)
+    assert data["edges"][0]["u"] == "a1" and _first_dart(data)[0] == "0@a1"
+    corrupt(data)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        graph_from_json(data)
 
 
 def test_dot_export_labels(refutation_graph):
