@@ -403,8 +403,10 @@ def _exact_keys(obj, keys: set[str], what: str) -> None:
 def graph_from_json(data: dict) -> WhiteheadGraph:
     """The graph of ``graph_to_json``'s schema, read strictly.
 
-    Unknown or missing keys, non-canonical vertex and dart names, a dart
-    listed under a vertex it is not at, and a dart listed twice are errors.
+    Unknown or missing keys, non-canonical vertex and dart names and a dart
+    listed under a vertex it is not at are errors.  Names are canonical and
+    the keys of one table distinct, so a dart listed twice is always also
+    listed under a vertex it is not at.
     """
     _exact_keys(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
@@ -423,8 +425,6 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         for src, dst in table.items():
             d = _dart_from_name(plain, src)
-            if d in sigma:
-                raise GraphError(f"dart {src!r} is listed twice")
             if plain.dart_vertex(d) != at:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
             sigma[d] = _dart_from_name(plain, dst)

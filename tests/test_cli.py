@@ -266,19 +266,6 @@ def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
     assert counts["verify_witness"] == 1
 
 
-def test_the_parser_is_built_once(tmp_path, capsys):
-    cli.build_parser.cache_clear()
-    with pytest.raises(SystemExit) as exc:
-        run_cli("witness", "commutator", "--method", "nosuch")
-    assert exc.value.code == 2
-    assert "--method" in capsys.readouterr().err
-    out = tmp_path / "w.json"
-    assert run_cli("witness", "commutator", "--out", str(out)) == 0
-    assert read_json(out)["method"] == "fourvertex"
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 def test_auto_moves_on_when_a_precondition_fails(tmp_path):
     # aBcAbC: a 2-regular rank-3 graph of two disjoint triangles, so the odd
     # set {a, b, c} is left by no edge; the two triangles still balance
