@@ -45,8 +45,6 @@ from .whitehead import (
     WhiteheadGraph,
     analyze,
     build_whitehead_graph,
-    connecting_map,
-    trace_word,
 )
 from .witness import (
     Cycle,
@@ -57,7 +55,6 @@ from .witness import (
     make_cycle,
     pair_counts,
     search_witness_lp,
-    subdivide,
     verify_witness,
 )
 from .words import (

@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
-from .errors import PolygonalityError, PreconditionError
+from .errors import GraphError, PolygonalityError, PreconditionError
 from .whitehead import EdgeRecord, VertexId, WhiteheadGraph
 
 
@@ -54,6 +54,25 @@ _BUILTIN_WORDS = {
 _BUILTIN_GRAPHS = {"figure-7": _figure7_graph}
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise GraphError(f"malformed JSON: key {repeated!r} is repeated")
+    return data
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _parse_json(text: str):
+    """Decode JSON; unlike ``json.loads``, which keeps the last copy, a repeated key is an error."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def load_input(spec: str):
     """Resolve a built-in name or a file path to ('words', WordList) or ('graph', graph)."""
     if spec in _BUILTIN_WORDS:
@@ -69,10 +88,9 @@ def load_input(spec: str):
     if not os.path.exists(spec):
         known = sorted(list(_BUILTIN_WORDS) + list(_BUILTIN_GRAPHS))
         raise PolygonalityError(f"no such input {spec!r}; built-ins: {', '.join(known)}")
-    with open(spec, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(spec)
     if spec.endswith(".json") or text.lstrip().startswith("{"):
-        return "graph", whitehead.graph_from_json(json.loads(text))
+        return "graph", whitehead.graph_from_json(_parse_json(text))
     return "words", words.parse_word_list(text)
 
 
@@ -187,9 +205,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph, _ = _resolve_graph(args.input)
-    with open(args.witness_path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    cycles = witness.witness_from_json(graph, data)
+    cycles = witness.witness_from_json(graph, _parse_json(_read_text(args.witness_path)))
     verdict = witness.verify_witness(graph, cycles, require_long=args.require_long)
     result = {
         "ok": verdict.ok,
@@ -210,8 +226,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise PolygonalityError("surface certificates need word-list input")
     graph = whitehead.build_whitehead_graph(data)
     if args.witness_path is not None:
-        with open(args.witness_path, encoding="utf-8") as fh:
-            found = witness.witness_from_json(graph, json.load(fh))
+        found = witness.witness_from_json(graph, _parse_json(_read_text(args.witness_path)))
     else:
         # build_surface verifies the balance and surface_report the long cycle
         found, _ = _construct(graph, args.method, require_long=True)
@@ -350,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PolygonalityError, OSError, json.JSONDecodeError) as exc:
+    except (PolygonalityError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

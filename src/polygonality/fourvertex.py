@@ -24,7 +24,7 @@ from math import lcm
 from .errors import GraphError, PreconditionError, VerificationError
 from .regular import regular_witness
 from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
-from .witness import CycleList, make_cycle, pair_counts, witness_to_json
+from .witness import CycleList, make_cycle, pair_counts
 
 Node = tuple[str, int]  # ('e', i) or ('f', i)
 
@@ -152,13 +152,10 @@ def _other_pair(graph: Multigraph, w: VertexId) -> tuple[VertexId, VertexId]:
 def build_auxiliary_digraph(
     graph: WhiteheadGraph,
     w: VertexId,
-    sigma_w: dict[Dart, Dart] | None = None,
     u: VertexId | None = None,
 ) -> AuxDigraph:
     """Auxiliary digraph of ``graph`` at ``w``; see the module docstring.
 
-    ``sigma_w`` overrides the graph's connecting map at ``w`` (it must be a
-    bijection from the darts at ``w`` to the darts at the paired vertex).
     Validates the odd-path/even-cycle shape, the source/sink color balance,
     and that neither color exceeds half of the nodes.
     """
@@ -167,12 +164,7 @@ def build_auxiliary_digraph(
     if u in (w, w.mu()):
         raise PreconditionError("u must avoid w and its pair")
     e_darts = tuple(sorted(graph.darts_at(w)))
-    if sigma_w is None:
-        f_darts = tuple(graph.sigma[d] for d in e_darts)
-    else:
-        f_darts = tuple(sigma_w[d] for d in e_darts)
-    if sorted(f_darts) != sorted(graph.darts_at(w.mu())):
-        raise GraphError("sigma_w is not a bijection onto the darts at the paired vertex")
+    f_darts = tuple(graph.sigma[d] for d in e_darts)
     m = len(e_darts)
     if m < 2:
         raise PreconditionError(f"minimum degree {m} < 2; no usable construction")
@@ -493,12 +485,10 @@ class Completion:
     """A completed digraph with its induced permutation and orbit list."""
 
     aux: AuxDigraph
-    added_arcs: tuple[tuple[Node, Node], ...]
     pi_nodes: dict[Node, Node]
     pi_edges: dict[int, int]
     orbit_list: tuple[tuple[frozenset[int], ...], ...]  # pairs of edge ids at w
     c: int
-    part_constants: tuple[int, ...]
 
 
 def _close_paths(part: GoodPart) -> list[tuple[Node, Node]]:
@@ -727,15 +717,7 @@ def uniform_permutation(D: AuxDigraph) -> Completion:
         tuple(frozenset(D.e_edge(n[1]) for n in pair) for pair in orbit)
         for orbit in orbit_nodes
     )
-    return Completion(
-        D,
-        tuple(all_arcs),
-        pi_nodes,
-        pi_edges,
-        orbit_edges,
-        c,
-        tuple(cp for _, cp in per_part),
-    )
+    return Completion(D, pi_nodes, pi_edges, orbit_edges, c)
 
 
 # -- the inductive witness ----------------------------------------------------
@@ -752,13 +734,6 @@ class GoodList:
 
     def has_long_cycle(self) -> bool:
         return any(c.is_long for c in self.cycles)
-
-    def to_json(self, graph: WhiteheadGraph) -> dict:
-        data = witness_to_json(graph, self.cycles)
-        data["c1"] = self.c1
-        data["c2"] = self.c2
-        data["constants_per_level"] = list(self.constants_per_level)
-        return data
 
 
 def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .simplex import find_feasible
@@ -130,10 +130,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int) -> FractionalColoring:
     res = find_feasible(rows, rhs)
     if res.status != "optimal":
         raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
-    denom_lcm = 1
-    for val in res.x:
-        d = int(val.denominator)
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
+    denom_lcm = lcm(*(int(val.denominator) for val in res.x))
     entries = []
     for m, val in zip(matchings, res.x):
         mult = int(val * denom_lcm)

@@ -316,16 +316,12 @@ def witness_hash(graph: WhiteheadGraph, witness: CycleList) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def surface_report(
-    complex_: SurfaceComplex,
-    word_list: WordList,
-    partition: dict[int, int] | str = "auto",
-) -> SurfaceReport:
+def surface_report(complex_: SurfaceComplex, word_list: WordList) -> SurfaceReport:
     """Certificate data for a built surface.
 
     Checks the boundary readings, requires the strict Euler inequality, and
-    totals the positive degrees under the given polygon-to-word partition
-    ("auto" assigns each glued vertex to the word its link reads).
+    totals the positive degrees, each glued vertex counted for the word its
+    link reads.
     """
     boundary = boundary_words(complex_, word_list)
     for r in boundary:
@@ -340,16 +336,7 @@ def surface_report(
         )
     degrees: dict[int, int] = {}
     for r in boundary:
-        if partition == "auto":
-            j, c = r.base_word_index, r.exponent
-        else:
-            j = partition[r.vertex_class]
-            c = match_power(r.word.letters, word_list.words[j])
-            if c is None:
-                raise VerificationError(
-                    f"vertex {r.vertex_class} cannot be assigned to word {j}"
-                )
-        degrees[j] = degrees.get(j, 0) + abs(c)
+        degrees[r.base_word_index] = degrees.get(r.base_word_index, 0) + abs(r.exponent)
     return SurfaceReport(
         m=complex_.num_vertices,
         chi_s_minus_m=chi,

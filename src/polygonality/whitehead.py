@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import GraphError, PreconditionError
-from .words import Letter, Word, WordList, length2_cyclic_subwords
+from .words import Letter, WordList, length2_cyclic_subwords
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,6 @@ class Multigraph:
     def vertices(self) -> list[VertexId]:
         return [VertexId(g, s) for g in range(1, self.rank + 1) for s in (1, -1)]
 
-    def edge(self, eid: int) -> EdgeRecord:
-        return self.edges[eid]
-
     def edge_ids(self) -> list[int]:
         return sorted(self.edges)
 
@@ -229,19 +226,9 @@ class WhiteheadGraph(Multigraph):
             if self.sigma[img] != d:
                 raise GraphError(f"inverse-pair law broken at dart {d}")
 
-    def sigma_dart(self, d: Dart) -> Dart:
-        return self.sigma[d]
-
     def sigma_edge(self, v: VertexId, eid: int) -> int:
         """Edge-level connecting map at ``v``: image of edge ``eid`` in delta(mu(v))."""
         return self.sigma[self.edges[eid].dart_at(v)].eid
-
-
-def connecting_map(graph: WhiteheadGraph, v: VertexId, d: Dart) -> Dart:
-    """Apply the connecting map at ``v`` to a dart incident with ``v``."""
-    if graph.dart_vertex(d) != v:
-        raise PreconditionError(f"dart {d} is not incident with {v}")
-    return graph.sigma[d]
 
 
 def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
@@ -314,43 +301,6 @@ def analyze(graph: Multigraph) -> AnalysisReport:
     return AnalysisReport(per_vertex, minimal, connected, minimal and connected, regular_k)
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    word: Word
-    closed: bool
-    edge_path: tuple[int, ...]
-
-
-def trace_word(graph: WhiteheadGraph, start_eid: int, vertices: list[VertexId]) -> TraceResult:
-    """Chain the connecting maps along a vertex sequence starting from an edge.
-
-    Applies the map at ``x_1^-1``, then ``x_2^-1``, ..., returning the edge
-    path and whether the chain closed up on the starting edge.  Closure means
-    the word read from the vertex sequence is a nontrivial power of a cyclic
-    conjugate of an input word.
-    """
-    if not vertices:
-        raise PreconditionError("empty vertex sequence")
-    for i in range(len(vertices) - 1):
-        if vertices[i + 1] == vertices[i].mu():
-            raise PreconditionError(
-                f"vertex sequence steps from {vertices[i]} to its inverse"
-            )
-    eid = start_eid
-    path = [eid]
-    for x in vertices:
-        at = x.mu()  # the map applied is the one at x^-1
-        edge = graph.edges[eid]
-        if at not in edge.ends:
-            raise PreconditionError(
-                f"connecting map at {at} undefined on edge {eid} (not incident)"
-            )
-        eid = graph.sigma[edge.dart_at(at)].eid
-        path.append(eid)
-    letters = tuple(Letter(x.gen, x.sign) for x in vertices)
-    return TraceResult(Word(letters), closed=(eid == start_eid), edge_path=tuple(path))
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -394,10 +344,12 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _exact_keys(obj, keys: set[str], what: str) -> None:
-    if not isinstance(obj, dict) or set(obj) != keys:
-        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-        raise GraphError(f"malformed graph JSON: {what} needs the keys {sorted(keys)}, got {found}")
+def json_object(value, keys: set[str], what: str) -> dict:
+    """``value`` when it is an object with exactly the keys ``keys``."""
+    if not isinstance(value, dict) or set(value) != keys:
+        found = sorted(value) if isinstance(value, dict) else type(value).__name__
+        raise GraphError(f"malformed JSON: {what} needs the keys {sorted(keys)}, got {found}")
+    return value
 
 
 def graph_from_json(data: dict) -> WhiteheadGraph:
@@ -408,13 +360,13 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     the keys of one table distinct, so a dart listed twice is always also
     listed under a vertex it is not at.
     """
-    _exact_keys(data, {"rank", "edges", "sigma"}, "a graph")
+    json_object(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
     if not isinstance(data["edges"], list) or not isinstance(data["sigma"], dict):
         raise GraphError("malformed graph JSON: edges must be a list and sigma an object")
     edges = []
     for e in data["edges"]:
-        _exact_keys(e, {"id", "u", "v"}, "an edge")
+        json_object(e, {"id", "u", "v"}, "an edge")
         ends = (vertex_from_name(e["u"]), vertex_from_name(e["v"]))
         edges.append(EdgeRecord(json_int(e["id"], "edge id"), ends))
     plain = Multigraph(rank, edges)

@@ -1,4 +1,4 @@
-"""Cycle-list witnesses: enumeration, verification, LP search, subdivision.
+"""Cycle-list witnesses: enumeration, verification, LP search.
 
 A witness for a graph with connecting maps is a nonempty multiset of simple
 cycles such that for every vertex ``v`` and every unordered pair of distinct
@@ -12,11 +12,11 @@ cycles and, on failure, returns a rational refutation certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .simplex import ZERO, maximize_homogeneous
-from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash, json_int
+from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash, json_int, json_object
 
 
 Turn = tuple[VertexId, frozenset[int]]
@@ -187,8 +187,8 @@ class Infeasible:
     certificate: tuple  # ((vertex, (e, f), multiplier as str), ...)
     normalization_dual: str
 
-    def to_json(self, graph: WhiteheadGraph | None = None) -> dict:
-        data = {
+    def to_json(self, graph: WhiteheadGraph) -> dict:
+        return {
             "infeasible": True,
             "require_long": self.require_long,
             "farkas": [
@@ -196,10 +196,8 @@ class Infeasible:
                 for v, (e, f), val in self.certificate
             ],
             "normalization_dual": self.normalization_dual,
+            "graph_hash": graph_hash(graph),
         }
-        if graph is not None:
-            data["graph_hash"] = graph_hash(graph)
-        return data
 
 
 def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
@@ -248,10 +246,7 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     objective = [1 if (c.is_long or not require_long) else 0 for c in cycles]
     res = maximize_homogeneous(rows, objective, stop_when_positive=True)
     if res.objective > 0:
-        denom_lcm = 1
-        for val in res.x:
-            d = int(val.denominator)
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
+        denom_lcm = lcm(*(int(val.denominator) for val in res.x))
         witness: CycleList = {}
         for c, val in zip(cycles, res.x):
             m = int(val * denom_lcm)
@@ -294,9 +289,11 @@ def witness_to_json(graph: WhiteheadGraph, cycles: CycleList) -> dict:
 
 
 def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
-    """Parse witness JSON strictly: int edge ids, none repeated, positive int multiplicities."""
+    """Parse witness JSON strictly: cycle entries of exactly ``edges`` (int ids,
+    none repeated) and ``multiplicity`` (a positive int), and the graph's hash."""
     try:
-        entries = [(list(c["edges"]), c["multiplicity"]) for c in data["cycles"]]
+        cycles = [json_object(c, {"edges", "multiplicity"}, "a cycle") for c in data["cycles"]]
+        entries = [(list(c["edges"]), c["multiplicity"]) for c in cycles]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness JSON: {exc}") from exc
     for listed, mult in entries:
@@ -306,65 +303,12 @@ def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
             raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
         if type(mult) is not int or mult <= 0:
             raise GraphError(f"multiplicity {mult!r} is not a positive integer")
-    if "graph_hash" in data and data["graph_hash"] != graph_hash(graph):
+    if "graph_hash" not in data:
+        raise GraphError("malformed witness JSON: no graph_hash")
+    if data["graph_hash"] != graph_hash(graph):
         raise VerificationError("witness was produced for a different graph")
     out: CycleList = {}
     for listed, mult in entries:
         cyc = make_cycle(graph, listed)
         out[cyc] = out.get(cyc, 0) + mult
     return out
-
-
-# -- subdivision --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubdividedGraph:
-    """Path-subdivided graph with the extended fixed-point-free involution.
-
-    Nodes are either original :class:`VertexId` values or triples
-    ``('s', i, j)`` for the j-th interior vertex on the path replacing the
-    i-th edge (both 1-based, edges ranked by id).
-    """
-
-    nodes: tuple
-    edges: tuple[tuple, ...]
-    mu: dict
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def subdivide(graph: Multigraph, m: int, extend_involution: bool = True) -> SubdividedGraph:
-    """Replace every edge by a path of length ``m``.
-
-    The involution extension pairs interior vertices across paths by the rule
-    ``(i, j) <-> (j, i-1)``; it is only defined when ``m`` equals the number
-    of edges (the degenerate ``m = 1`` leaves the graph unchanged).
-    """
-    if m < 1:
-        raise PreconditionError(f"subdivision length must be >= 1, got {m}")
-    eids = graph.edge_ids()
-    if extend_involution and m != 1 and m != len(eids):
-        raise PreconditionError(
-            f"involution extension needs m = |E| = {len(eids)}, got m = {m}"
-        )
-    nodes: list = list(graph.vertices())
-    edges: list[tuple] = []
-    for rank, eid in enumerate(eids, start=1):
-        u, v = graph.edges[eid].ends
-        chain = [u] + [("s", rank, j) for j in range(1, m)] + [v]
-        nodes.extend(chain[1:-1])
-        edges.extend((chain[t], chain[t + 1]) for t in range(m))
-    mu: dict = {v: v.mu() for v in graph.vertices()}
-    if extend_involution:
-        n_edges = len(eids)
-        for i in range(1, n_edges + 1):
-            for j in range(1, m):
-                mu[("s", i, j)] = ("s", j, i - 1) if j < i else ("s", j + 1, i)
-    for node, img in mu.items():
-        if img == node:
-            raise VerificationError(f"extended involution fixes {node}")
-        if img not in mu or mu[img] != node:
-            raise VerificationError(f"extended involution is not involutive at {node}")
-    return SubdividedGraph(tuple(nodes), tuple(edges), mu)

@@ -5,7 +5,7 @@ import pytest
 
 from polygonality import cli, regular
 from polygonality.errors import PreconditionError
-from polygonality.whitehead import Multigraph, build_whitehead_graph
+from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_to_json
 from polygonality.words import parse_word_list
 
 
@@ -156,6 +156,43 @@ def test_unknown_input_is_an_error(capsys):
 def test_remark_builtin_requires_suffix(capsys):
     assert run_cli("analyze", "remark-2.4") == 1
     assert "remark-2.4a" in capsys.readouterr().err
+
+
+def test_graph_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
+    # json.loads keeps the last copy of a key, so a junk first sigma table would pass
+    data = graph_to_json(build_whitehead_graph(parse_word_list("rank 2\nabAB\n")))
+    sigma = json.dumps(data["sigma"])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(data), encoding="utf-8")
+    bad.write_text(
+        json.dumps({**data, "sigma": 0}).replace("0}", '{"a1": {"junk": 1}, ' + sigma[1:] + "}"),
+        encoding="utf-8",
+    )
+    assert run_cli("analyze", str(good), "--out", str(tmp_path / "r.json")) == 0
+    assert run_cli("analyze", str(bad), "--out", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err.startswith("error: malformed JSON: key 'a1' is repeated")
+
+
+def test_witness_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", "commutator", "--out", str(wit)) == 0
+    assert run_cli("verify", "commutator", str(wit), "--out", str(tmp_path / "v.json")) == 0
+    twice = tmp_path / "twice.json"
+    # the first copy, an empty list, would have been dropped silently
+    twice.write_text('{"cycles": [],' + wit.read_text(encoding="utf-8")[1:], encoding="utf-8")
+    for argv in (
+        ("verify", "commutator", str(twice)),
+        ("surface", "commutator", "--witness", str(twice)),
+    ):
+        assert run_cli(*argv, "--out", str(tmp_path / "v.json")) == 1
+        assert capsys.readouterr().err.startswith("error: malformed JSON: key 'cycles' is repeated")
+
+
+def test_undecodable_input_is_an_error(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    assert run_cli("analyze", str(binary)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_graph_json_input_round_trip(tmp_path):

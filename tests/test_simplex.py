@@ -1,5 +1,6 @@
 import contextlib
-import importlib
+import os
+import subprocess
 import sys
 
 from conftest import FractionTableau, oracle_find_feasible, oracle_maximize_homogeneous
@@ -91,26 +92,23 @@ def test_duals_certify_zero_optimum_exactly():
 
 
 def test_fraction_fallback_backend():
-    # block gmpy2 and reload: the solver must behave identically on Fraction
-    import polygonality.simplex as simp
-
-    saved = sys.modules.get("gmpy2")
-    sys.modules["gmpy2"] = None
-    try:
-        mod = importlib.reload(simp)
-        from fractions import Fraction
-
-        assert mod.QQ is Fraction
-        res = mod.maximize_homogeneous([[1, -1]], [1, 0])
-        assert res.objective == Fraction(1, 2)
-        feas = mod.find_feasible([[1, 1], [1, -1]], [2, 0])
-        assert feas.x == [1, 1]
-    finally:
-        if saved is None:
-            del sys.modules["gmpy2"]
-        else:
-            sys.modules["gmpy2"] = saved
-        importlib.reload(simp)
+    # block gmpy2 in a fresh interpreter: the solver must behave identically on
+    # Fraction; reloading the module here instead would leave the modules that
+    # imported its functions holding the old ones for the rest of the session
+    check = """
+import sys
+sys.modules["gmpy2"] = None
+from fractions import Fraction
+import polygonality.simplex as mod
+assert mod.QQ is Fraction
+assert mod.maximize_homogeneous([[1, -1]], [1, 0]).objective == Fraction(1, 2)
+assert mod.find_feasible([[1, 1], [1, -1]], [2, 0]).x == [1, 1]
+"""
+    src = os.path.dirname(os.path.dirname(simplex.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- the integer kernel against the Fraction reference -------------------------

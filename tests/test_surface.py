@@ -205,11 +205,3 @@ def test_positive_degrees_constant_for_uniform_witness(polygonal_graph):
     report = pg.surface_report(pg.build_surface(polygonal_graph, good.cycles), wl)
     assert len(set(report.positive_degrees.values())) == 1
 
-
-def test_explicit_partition_validation(commutator):
-    wl = pg.parse_word_list("rank 2\nabAB\n")
-    cx = commutator_complex(commutator)
-    report = pg.surface_report(cx, wl, partition={0: 0})
-    assert report.positive_degrees == {0: 1}
-    with pytest.raises(VerificationError):
-        pg.surface_report(cx, pg.parse_word_list("rank 2\nabAB\na^2b^2\n"), partition={0: 1})

@@ -10,7 +10,6 @@ from polygonality.generators import random_fourvertex_instance, random_regular_i
 from polygonality.witness import (
     Infeasible,
     make_cycle,
-    subdivide,
     witness_from_json,
     witness_to_json,
 )
@@ -236,40 +235,19 @@ def test_witness_json_wrong_graph(polygonal_graph, commutator):
         witness_from_json(polygonal_graph, data)
 
 
-# -- subdivision ---------------------------------------------------------------
+def test_witness_json_rejects_a_cycle_entry_with_another_key(commutator):
+    data = witness_to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
+    data["cycles"][0]["note"] = "ignored before"
+    expected = r"a cycle needs the keys \['edges', 'multiplicity'\], got .*'note'"
+    with pytest.raises(GraphError, match=expected):
+        witness_from_json(commutator, data)
 
 
-def test_subdivide_identity(commutator):
-    sub = subdivide(commutator, 1)
-    assert sub.edge_count() == 4
-    assert all(node in sub.mu for node in sub.nodes)
-
-
-def test_subdivide_bigon():
-    bigon = make_plain(1, [(vid(1, 1), vid(1, -1))] * 2)
-    sub = subdivide(bigon, 2)
-    assert sub.edge_count() == 4
-    assert sub.mu[("s", 2, 1)] == ("s", 1, 1)
-    assert sub.mu[("s", 1, 1)] == ("s", 2, 1)
-
-
-def test_subdivide_edge_count(commutator):
-    sub = subdivide(commutator, 4)
-    assert sub.edge_count() == 16
-
-
-def test_subdivide_involution_fixed_point_free(refutation_graph):
-    sub = subdivide(refutation_graph, 9)
-    assert sub.edge_count() == 81
-    for node, img in sub.mu.items():
-        assert img != node and sub.mu[img] == node
-
-
-def test_subdivide_rejects_mismatched_extension(commutator):
-    with pytest.raises(PreconditionError):
-        subdivide(commutator, 3)
-    plain = subdivide(commutator, 3, extend_involution=False)
-    assert plain.edge_count() == 12
+def test_witness_json_requires_the_graph_hash(commutator):
+    data = witness_to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
+    del data["graph_hash"]
+    with pytest.raises(GraphError, match="no graph_hash"):
+        witness_from_json(commutator, data)
 
 
 # -- cross-module invariants ----------------------------------------------------
