@@ -70,7 +70,10 @@ def _read_text(path: str) -> str:
 
 def _parse_json(text: str):
     """Decode JSON; unlike ``json.loads``, which keeps the last copy, a repeated key is an error."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise GraphError("malformed JSON: nested too deeply") from None
 
 
 def load_input(spec: str):

@@ -54,7 +54,6 @@ class Side:
 @dataclass(frozen=True)
 class DualPolygon:
     index: int
-    cycle: Cycle
     sides: tuple[Side, ...]
 
     def __len__(self) -> int:
@@ -115,9 +114,6 @@ class SurfaceComplex:
         if 2 * self.num_edges != total_sides:
             raise PairingError("side pairing does not cover every side exactly once")
 
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges + self.num_faces
-
     def chi_minus_m(self) -> int:
         """chi(S) - m for the dual surface: equals -edges + faces of the complex."""
         return -self.num_edges + self.num_faces
@@ -159,7 +155,7 @@ def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
         else:
             tail, head = corner_prev, corner_next
         sides.append(Side(index, t, v, pair, v.sign > 0, tail, head))
-    return DualPolygon(index, cycle, tuple(sides))
+    return DualPolygon(index, tuple(sides))
 
 
 def build_surface(graph: WhiteheadGraph, witness: CycleList) -> SurfaceComplex:

@@ -160,7 +160,10 @@ def parse_word(text: str, rank: int) -> Word:
     """
     if rank < 1:
         raise WordParseError(f"rank must be >= 1, got {rank}")
-    letters, _ = _parse_expr(text, 0, rank, 0)
+    try:
+        letters, _ = _parse_expr(text, 0, rank, 0)
+    except RecursionError:
+        raise WordParseError("parentheses nested too deeply") from None
     if not letters:
         raise WordParseError(f"empty word expression {text!r}")
     return Word(tuple(letters))

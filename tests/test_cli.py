@@ -188,6 +188,32 @@ def test_witness_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: malformed JSON: key 'cycles' is repeated")
 
 
+DEEP_ARRAY = "[" * 5000 + "]" * 5000
+DEEP_JSON = "error: malformed JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, err",
+    [
+        (("analyze",), "g.json", '{"rank": ' + DEEP_ARRAY + "}", DEEP_JSON),
+        (("verify", "commutator"), "w.json", '{"cycles": ' + DEEP_ARRAY + "}", DEEP_JSON),
+        (
+            ("analyze",),
+            "words.txt",
+            "rank 2\n" + "(" * 3000 + "a" + ")" * 3000 + "\n",
+            "error: parentheses nested too deeply\n",
+        ),
+    ],
+    ids=["graph json", "witness json", "word file"],
+)
+def test_deeply_nested_input_is_an_error(tmp_path, capsys, argv, name, text, err):
+    # the decoders recurse once per level, past Python's recursion limit
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(*argv, str(path)) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_undecodable_input_is_an_error(tmp_path, capsys):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe")
@@ -271,6 +297,7 @@ def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
     "argv, method, verified",
     [
         (("remark-2.4b", "--require-long"), "fourvertex", 1),
+        (("figure-7", "--require-long"), "fourvertex", 1),
         (("example-6.1",), None, 0),  # refuted: nothing to verify
         (("remark-2.4b", "--method", "lp", "--require-long"), "lp", 1),
         (("commutator", "--method", "regular"), "regular", 1),
@@ -278,17 +305,22 @@ def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_witness_runs_the_verifier_once(tmp_path, monkeypatch, argv, method, verified):
-    from polygonality import fourvertex, witness
+    import polygonality
+    from polygonality import fourvertex, surface, witness
 
     counts = Counter()
-    for owner in (witness, fourvertex, regular):  # every module that may call it
-        if hasattr(owner, "verify_witness"):
-            count_calls(monkeypatch, owner, "verify_witness", counts)
+    modules = (polygonality, cli, witness, fourvertex, regular, surface)
+    for name in ("verify_witness", "pair_counts"):
+        for owner in modules:  # every module that binds the name
+            if hasattr(owner, name):
+                count_calls(monkeypatch, owner, name, counts)
     out = tmp_path / "w.json"
     code = run_cli("witness", *argv, "--out", str(out))
     assert code == (0 if method else 2)
     assert read_json(out).get("method") == method
     assert counts["verify_witness"] == verified
+    # turns are counted once by the verifier and once for the JSON's usage table
+    assert counts["pair_counts"] == 2 * verified
 
 
 def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
+from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
     AuxDigraph,
@@ -18,7 +20,7 @@ from polygonality.generators import random_fourvertex_instance
 from polygonality.whitehead import Dart, WhiteheadGraph
 from polygonality.witness import Infeasible
 
-from conftest import make_plain, vid, words_graph
+from conftest import make_plain, oracle_pair_count, vid, words_graph
 
 
 # -- abstract digraph construction for the exhaustive corpus -------------------
@@ -207,6 +209,26 @@ def test_part_completions_uniform_on_exhaustive_corpus():
             # every source/sink used exactly once by the added arcs
             sinks = [cc.nodes[-1] for cc in part.components if cc.kind == "path"]
             assert sorted(a for a, _ in arcs) == sorted(sinks)
+            # arcs join a sink to a source of the same color
+            assert all(D.colors[src] == D.colors[dst] for src, dst in arcs)
+            # the arcs close every walk: D + arcs induces a permutation of e-nodes
+            succ = {n: D.succ[n] for n in part.nodes()}
+            succ.update(arcs)
+            pi = {n: succ[succ[n]] for n in succ if n[0] == "e"}
+            assert sorted(pi.values()) == sorted(pi)
+            # each listed orbit is closed under pi, and covers e-nodes c times
+            coverage = Counter()
+            for orbit in orbits:
+                for pair in orbit:
+                    assert frozenset(pi[n] for n in pair) in orbit
+                    coverage.update(pair)
+            assert coverage == dict.fromkeys(pi, c)
+            # the one-orbit offset recipe never pairs a color with itself
+            single_color = not {"R", "B"} <= {D.colors[n] for n in part.nodes()}
+            if part.type_tag == 6 or (part.type_tag == 5 and single_color):
+                assert all(
+                    {D.colors[n] for n in pair} not in ({"R"}, {"B"}) for pair in orbits[0]
+                )
 
 
 def test_decompose_rejects_bad_inputs():
@@ -285,8 +307,6 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
 
 
 def test_aux_digraph_figure_seven():
-    from polygonality.cli import _figure7_graph
-
     graph = _figure7_graph()
     aux = build_auxiliary_digraph(graph, vid(1, 1))
     assert aux.m == 7
@@ -328,22 +348,32 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     assert comp.c == 4  # two copies of the star orbit, two of the offset orbit
 
 
-def test_uniform_permutation_is_good_and_uniform(polygonal_graph):
-    aux = build_auxiliary_digraph(polygonal_graph, vid(2, 1))
+def _min_degree_vertex(graph):
+    """The vertex ``four_vertex_witness`` builds its auxiliary digraph at."""
+    return min(graph.active_vertices(), key=lambda v: (graph.degree(v), (v.gen, v.sign < 0)))
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_uniform_permutation_is_good_and_uniform(seed):
+    graph = random_fourvertex_instance(seed)
+    w = _min_degree_vertex(graph)
+    aux = build_auxiliary_digraph(graph, w)
     comp = uniform_permutation(aux)
-    graph = polygonal_graph
-    w = vid(2, 1)
-    for eid in graph.delta(w):
-        img = comp.pi_edges[eid]
-        s_img = graph.sigma_edge(w, img)
-        if eid != s_img:
-            assert not set(graph.edges[eid].ends) & set(graph.edges[s_img].ends)
-    coverage = {}
+    assert sorted(comp.pi_nodes) == sorted(comp.pi_nodes.values())
+    for (_, i), (_, j) in comp.pi_nodes.items():
+        x, img = aux.e_edge(i), aux.f_edge(j)  # img is sigma_w(pi(x))
+        if w.mu() in graph.edges[x].ends:
+            assert img == x  # an edge between the w pair is fixed
+        elif img != x:
+            assert not set(graph.edges[x].ends) & set(graph.edges[img].ends)
+    coverage = Counter()
     for orbit in comp.orbit_list:
         for pair in orbit:
-            for eid in pair:
-                coverage[eid] = coverage.get(eid, 0) + 1
-    assert set(coverage.values()) == {comp.c}
+            coverage.update(pair)
+            x, y = (graph.edges[eid] for eid in pair)
+            assert not set(x.ends) & set(y.ends) - {w, w.mu()}
+    assert coverage == dict.fromkeys(graph.delta(w), comp.c)
 
 
 # -- the inductive construction ------------------------------------------------
@@ -370,8 +400,6 @@ def test_four_vertex_witness_rejects_refutation_graph(refutation_graph):
 
 
 def test_four_vertex_witness_figure_seven():
-    from polygonality.cli import _figure7_graph
-
     graph = _figure7_graph()
     good = pg.four_vertex_witness(graph)
     verdict = pg.verify_witness(graph, good.cycles, require_long=True)
@@ -381,6 +409,23 @@ def test_four_vertex_witness_figure_seven():
     # bookkeeping of the recursion: c1 = c * c2_inner * (a + b - 1) at the top
     top = good.constants_per_level[0]
     assert top["c1"] == good.c1
+
+
+@given(st.integers(0, 400).map(random_fourvertex_instance))
+@example(_figure7_graph())
+@settings(max_examples=40, deadline=None)
+def test_good_list_constants(graph):
+    # every edge lies in c1 cycles, and every pair of distinct edges at the
+    # opposite vertex pair in c2 cycles
+    good = pg.four_vertex_witness(graph)
+    for eid in graph.edges:
+        assert sum(m for c, m in good.cycles.items() if eid in c.edges) == good.c1
+    w = _min_degree_vertex(graph)
+    for v in graph.active_vertices():
+        if v in (w, w.mu()):
+            continue
+        for e, f in itertools.combinations(graph.delta(v), 2):
+            assert oracle_pair_count(graph, good.cycles, v, e, f) == good.c2
 
 
 @given(st.integers(0, 400))

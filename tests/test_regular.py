@@ -64,27 +64,25 @@ def test_matchings_triangle_and_k4():
 
 
 def test_coloring_four_cycle(commutator):
-    col = fractional_edge_coloring(commutator, 2)
+    col = fractional_edge_coloring(commutator)
     assert col.ell == 2 and len(col.entries) == 2
     assert all(n == 1 for _, n in col.entries)
 
 
 def test_coloring_bigon():
-    col = fractional_edge_coloring(bigon(), 2)
+    col = fractional_edge_coloring(bigon())
     assert col.ell == 2
     assert sorted(sorted(m.edges) for m, _ in col.entries) == [[0], [1]]
 
 
 def test_coloring_k4():
-    col = fractional_edge_coloring(k4(), 3)
+    col = fractional_edge_coloring(k4())
     assert col.ell == 3 and len(col.entries) == 3
 
 
 def test_coloring_requires_k_graph():
     with pytest.raises(GraphError):
-        fractional_edge_coloring(triangle(), 2)
-    with pytest.raises(PreconditionError):
-        fractional_edge_coloring(k4(), 2)
+        fractional_edge_coloring(triangle())
 
 
 def test_regular_witness_four_cycle(commutator):
@@ -129,8 +127,9 @@ def test_count_constants_random(seed):
     # the generator enforces the connectivity bar, so the odd-cut bound follows
     assert is_k_graph(graph).ok
     rw = regular_witness(graph)
-    share = rw.ell // rw.k
-    assert rw.m1 == share * (rw.ell - share)
+    ell, k = rw.coloring.ell, rw.coloring.k
+    share = ell // k
+    assert rw.m1 == share * (ell - share)
     assert rw.m2 == share * share
     assert pg.verify_witness(graph, rw.cycles).ok
     # adjacent non-parallel edges force a long cycle through them (m2 > 0)
@@ -174,7 +173,7 @@ def test_regular_witness_succeeds_exactly_on_k_graphs(seed, k, pairs):
     verdict = is_k_graph(graph)
     if verdict.ok:
         rw = regular_witness(graph)
-        assert rw.k == k and pg.verify_witness(graph, rw.cycles).ok
+        assert rw.coloring.k == k and pg.verify_witness(graph, rw.cycles).ok
     else:
         names = [v.name for v in verdict.violating_set]
         with pytest.raises(PreconditionError) as exc:

@@ -32,7 +32,7 @@ def test_commutator_surface_counts(commutator):
     assert cx.num_edges == 2
     assert cx.num_vertices == 1
     assert cx.chi_minus_m() == -1
-    assert cx.euler_characteristic() == 0  # the torus
+    assert cx.num_vertices - cx.num_edges + cx.num_faces == 0  # the torus
 
 
 def test_commutator_report(commutator):
@@ -127,7 +127,7 @@ def test_euler_bookkeeping_and_side_counts(polygonal_graph):
     cx = pg.build_surface(polygonal_graph, good.cycles)
     total_sides = sum(len(p) for p in cx.polygons)
     assert total_sides == 2 * cx.num_edges
-    assert cx.euler_characteristic() - cx.num_vertices == cx.chi_minus_m()
+    assert cx.num_faces - cx.num_edges == cx.chi_minus_m()
     # strict face bound: some polygon has more than two sides
     assert 2 * cx.num_faces < 2 * cx.num_edges
 
@@ -167,7 +167,7 @@ def test_random_certificates_end_to_end(seed):
     good = pg.four_vertex_witness(graph)
     cx = pg.build_surface(graph, good.cycles)
     assert cx.chi_minus_m() < 0
-    assert cx.euler_characteristic() == cx.num_vertices + cx.chi_minus_m()
+    assert cx.num_vertices - cx.num_edges + cx.num_faces == cx.num_vertices + cx.chi_minus_m()
     # scaling the witness scales faces and edges but keeps the sign
     doubled = {c: 2 * m for c, m in good.cycles.items()}
     cx2 = pg.build_surface(graph, doubled)
@@ -181,14 +181,14 @@ def test_klein_bottle_gluing_reported_non_orientable():
     good = pg.four_vertex_witness(graph)
     cx = pg.build_surface(graph, good.cycles)
     report = pg.surface_report(cx, wl)
-    assert cx.euler_characteristic() == 0
+    assert cx.num_vertices - cx.num_edges + cx.num_faces == 0
     assert not report.orientable
     assert report.chi_s_minus_m == -1 and report.positive_degrees == {0: 1}
 
 
 def test_torus_gluing_reported_orientable(commutator):
     cx = commutator_complex(commutator)
-    assert cx.euler_characteristic() == 0 and cx.is_orientable()
+    assert cx.num_vertices - cx.num_edges + cx.num_faces == 0 and cx.is_orientable()
 
 
 def test_link_lengths_sum_to_side_count(polygonal_graph):
