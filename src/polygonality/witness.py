@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import GraphError, PreconditionError, VerificationError
-from .simplex import ZERO, maximize_homogeneous
+from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash, json_int, json_object
 
 
@@ -29,9 +29,12 @@ class Cycle:
     The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is
     ``(v_t, {edge_seq[t - 1], edge_seq[t]})``, the vertex with the two cycle
     edges there, and edge ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}``
-    (indices mod ``n``).  Only ``edges`` and ``key`` take part in equality and
-    hashing; the walk is derived from them by :func:`make_cycle`, which builds
-    every cycle.  Cycles sort by length, then key.
+    (indices mod ``n``).  The walk starts at the cycle's least vertex along
+    the smaller of its two edges there.  Only ``edges`` and ``key`` take part
+    in equality and hashing; every cycle is built from its walk by one private
+    constructor, which :func:`make_cycle` (from a validated edge set) and
+    :func:`enumerate_cycles` (from its search path) both end in.  Cycles sort
+    by length, then key.
     """
 
     edges: frozenset[int]
@@ -53,13 +56,36 @@ class Cycle:
 CycleList = dict[Cycle, int]
 
 
+def _cycle_from_walk(verts: list[VertexId], seq: list[int]) -> Cycle:
+    """The cycle walked through ``verts`` along ``seq``, with its canonical key.
+
+    The walk must be a simple cycle that starts at its least vertex along the
+    smaller of its two edges there.  Its edge ids are distinct, so the least
+    rotation in either direction starts at the least id; the key is the
+    smaller of the forward and the reversed rotation from there.
+    """
+    i = seq.index(min(seq))
+    forward = tuple(seq[i:] + seq[:i])
+    backward = forward[:1] + forward[:0:-1]
+    turns = tuple((verts[t], frozenset((seq[t - 1], seq[t]))) for t in range(len(seq)))
+    return Cycle(frozenset(seq), min(forward, backward), tuple(seq), turns)
+
+
 def make_cycle(graph: Multigraph, eids) -> Cycle:
     """Validate an edge subset as a simple cycle, walk it and canonicalize it.
 
     The subset must induce a connected subgraph in which every touched vertex
     has degree exactly two.  The walk starts at the least vertex along its
     least edge.  The canonical key is the lexicographically least rotation of
-    the cyclic edge-id sequence, in either direction.
+    the cyclic edge-id sequence, in either direction.  On the commutator's
+    four-cycle the walk leaves ``a1`` along edge 0 and comes back along edge
+    1, while the key starts at the least id and goes the smaller way round:
+
+    >>> from polygonality import build_whitehead_graph, parse_word_list
+    >>> graph = build_whitehead_graph(parse_word_list("rank 2\\nabAB"))
+    >>> cyc = make_cycle(graph, {3, 1, 0, 2})
+    >>> cyc.edge_seq, cyc.key
+    ((0, 3, 2, 1), (0, 1, 2, 3))
     """
     eids = frozenset(eids)
     if len(eids) < 2:
@@ -87,35 +113,46 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
         eid = b if a == eid else a
     if len(seq) != len(eids):
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
-    key = min(
-        tuple(s[i:] + s[:i])
-        for s in (seq, list(reversed(seq)))
-        for i in range(len(seq))
-    )
-    turns = tuple((verts[t], frozenset((seq[t - 1], seq[t]))) for t in range(len(seq)))
-    return Cycle(eids, key, tuple(seq), turns)
+    return _cycle_from_walk(verts, seq)
 
 
 def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
-    """All simple cycles (edge subsets), bigons included, in canonical order."""
-    found: dict[frozenset[int], Cycle] = {}
+    """All simple cycles (edge subsets), bigons included, in canonical order.
 
-    def extend(start, v, used, visited):
-        for eid in graph.delta(v):
-            if eid in used:
-                continue
-            w = graph.edges[eid].other(v)
-            if w == start:
-                if used:
-                    all_eids = frozenset(used) | {eid}
-                    if all_eids not in found:
-                        found[all_eids] = make_cycle(graph, all_eids)
-            elif w not in visited and start < w:
-                extend(start, w, used | {eid}, visited | {w})
+    A depth-first search from each active vertex ``s`` extends a path through
+    vertices above ``s`` only, so ``s`` is the least vertex of every cycle it
+    closes.  It closes a cycle only when the path's first edge is smaller than
+    the closing edge, which is the direction :func:`make_cycle` walks, so each
+    cycle is found once and built directly from the path.
+    """
+    verts = sorted(graph.active_vertices())
+    index = {v: i for i, v in enumerate(verts)}
+    adjacent = [[(eid, index[graph.edges[eid].other(v)]) for eid in graph.delta(v)] for v in verts]
+    on_path = [False] * len(verts)
+    path_v: list[VertexId] = []
+    path_e: list[int] = []
+    found: list[Cycle] = []
 
-    for s in sorted(graph.active_vertices()):
-        extend(s, s, frozenset(), {s})
-    return sorted(found.values())
+    def extend(start: int, i: int) -> None:
+        for eid, j in adjacent[i]:
+            if j == start:
+                # strict: on a one-edge path, eid may be that edge itself
+                if path_e and path_e[0] < eid:
+                    found.append(_cycle_from_walk(path_v, path_e + [eid]))
+            elif j > start and not on_path[j]:
+                on_path[j] = True
+                path_v.append(verts[j])
+                path_e.append(eid)
+                extend(start, j)
+                path_e.pop()
+                path_v.pop()
+                on_path[j] = False
+
+    for s in range(len(verts)):
+        path_v.append(verts[s])
+        extend(s, s)
+        path_v.pop()
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -262,9 +299,16 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
         raise VerificationError(
             f"refutation certificate has normalization multiplier {norm_dual}, not 0"
         )
-    for j, c in enumerate(cycles):
-        lhs = sum((duals[i] * rows[i][j] for i in range(len(rows))), ZERO) + norm_dual
-        if lhs < objective[j]:
+    # y.A_j >= c_j in integers: scale y by the lcm of its denominators and sum
+    # only the rows with a nonzero multiplier (certificates are sparse)
+    scale = lcm(*(int(y.denominator) for y in duals))
+    lhs = [0] * len(cycles)
+    for y, row in zip(duals, rows):
+        if y:
+            k = int(y.numerator) * (scale // int(y.denominator))
+            lhs = [acc + k * a for acc, a in zip(lhs, row)]
+    for c, total, cj in zip(cycles, lhs, objective):
+        if total < cj * scale:
             raise VerificationError(f"refutation certificate fails on cycle {sorted(c.edges)}")
     certificate = tuple(
         (v, pair, str(duals[i])) for i, (v, pair) in enumerate(keys) if duals[i] != 0

@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own algorithms: cycles are
-found by filtering edge subsets, pair counts by direct recounting, witness
-existence by bounded enumeration of multiplicity vectors, and linear programs
-by a Bland-rule simplex on a Fraction tableau.
+found by filtering edge subsets, canonical cycle keys by listing every
+rotation, pair counts by direct recounting, witness existence by bounded
+enumeration of multiplicity vectors, and linear programs by a Bland-rule
+simplex on a Fraction tableau.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def oracle_all_cycles(graph: Multigraph) -> set[frozenset[int]]:
             if oracle_is_cycle(graph, fs):
                 out.add(fs)
     return out
+
+
+def oracle_cycle_key(seq) -> tuple[int, ...]:
+    """Least of all rotations of a cyclic edge sequence, in both directions."""
+    seq = list(seq)
+    return min(tuple(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(seq)))
 
 
 def oracle_pair_count(graph, cycles: dict, v, e, f) -> int:

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
+from polygonality import witness
 from polygonality.errors import GraphError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.witness import (
@@ -18,6 +21,7 @@ from conftest import (
     make_plain,
     oracle_all_cycles,
     oracle_bounded_witness_search,
+    oracle_cycle_key,
     oracle_pair_count,
     vid,
     words_graph,
@@ -40,12 +44,57 @@ def test_enumerate_against_subset_oracle(refutation_graph):
     assert ours == oracle_all_cycles(refutation_graph)
 
 
-@given(st.integers(0, 30))
-@settings(max_examples=20, deadline=None)
-def test_enumerate_against_oracle_random(seed):
-    graph = random_fourvertex_instance(seed, max_degree=5)
-    ours = {c.edges for c in pg.enumerate_cycles(graph)}
-    assert ours == oracle_all_cycles(graph)
+def rank3_word_graph(seed: int, length: int = 12) -> pg.WhiteheadGraph:
+    """A random cyclically reduced rank-3 word's graph, the shape the LP route decides."""
+    rng = random.Random(seed)
+    while True:
+        word = [rng.choice("abcABC") for _ in range(length)]
+        if all(x != y.swapcase() for x, y in zip(word, word[1:] + word[:1])):
+            return words_graph("rank 3\n" + "".join(word) + "\n")
+
+
+RANDOM_GRAPHS = {
+    "fourvertex": lambda seed: random_fourvertex_instance(seed, max_degree=5),
+    "rank3-word": rank3_word_graph,
+    "regular": lambda seed: random_regular_instance(seed, 3 + seed % 2, 3),
+}
+
+
+@given(st.integers(0, 30), st.sampled_from(sorted(RANDOM_GRAPHS)))
+@settings(max_examples=30, deadline=None)
+def test_enumerate_against_oracle_random(seed, kind):
+    graph = RANDOM_GRAPHS[kind](seed)
+    cycles = pg.enumerate_cycles(graph)
+    assert {c.edges for c in cycles} == oracle_all_cycles(graph)
+    assert all(a < b for a, b in zip(cycles, cycles[1:]))  # strictly sorted
+    for c in cycles:
+        # edge_seq and turns take no part in equality, so compare them too
+        built = make_cycle(graph, c.edges)
+        assert (c, c.key, c.edge_seq, c.turns) == (built, built.key, built.edge_seq, built.turns)
+
+
+@given(st.lists(st.integers(0, 60), min_size=2, max_size=14, unique=True))
+def test_cycle_key_is_the_least_rotation(seq):
+    cyc = witness._cycle_from_walk(list(range(len(seq))), seq)
+    assert cyc.key == oracle_cycle_key(seq)
+
+
+@pytest.mark.parametrize("graph", [words_graph("rank 2\naBa^2b\n"), rank3_word_graph(0)])
+def test_enumeration_builds_each_cycle_once(graph, monkeypatch):
+    calls = []
+    build = witness._cycle_from_walk
+
+    def counted(verts, seq):
+        calls.append(tuple(seq))
+        return build(verts, seq)
+
+    def forbidden(*args):
+        raise AssertionError("enumeration must not rebuild a cycle from its edge set")
+
+    monkeypatch.setattr(witness, "_cycle_from_walk", counted)
+    monkeypatch.setattr(witness, "make_cycle", forbidden)
+    cycles = pg.enumerate_cycles(graph)
+    assert len(calls) == len(cycles) > 1
 
 
 def test_make_cycle_rejects_non_cycles(commutator):
@@ -153,23 +202,77 @@ def test_search_lp_refutes_example(refutation_graph):
     assert data["infeasible"] and data["farkas"]
 
 
+def _patched_duals(monkeypatch, change):
+    """Let ``change(A, c, duals)`` edit the optimal duals the LP search receives."""
+    solve = witness.maximize_homogeneous
+
+    def patched(A, c, **kwargs):
+        res = solve(A, c, **kwargs)
+        assert res.objective == 0 and res.duals[-1] == 0
+        change(A, c, res.duals)
+        return res
+
+    monkeypatch.setattr(witness, "maximize_homogeneous", patched)
+
+
 def test_refutation_needs_zero_normalization_dual(refutation_graph, monkeypatch):
     # the real duals plus 1/2 on the normalization row still cover every
     # cycle, but then they only bound the optimum by 1/2 and refute nothing
-    from polygonality import witness
     from polygonality.simplex import QQ
 
-    solve = witness.maximize_homogeneous
+    def positive_normalization_dual(A, c, duals):
+        duals[-1] = QQ(1, 2)
 
-    def positive_normalization_dual(A, c, **kwargs):
-        res = solve(A, c, **kwargs)
-        assert res.objective == 0 and res.duals[-1] == 0
-        res.duals[-1] = QQ(1, 2)
-        return res
-
-    monkeypatch.setattr(witness, "maximize_homogeneous", positive_normalization_dual)
+    _patched_duals(monkeypatch, positive_normalization_dual)
     with pytest.raises(VerificationError, match="normalization multiplier 1/2, not 0"):
         pg.search_witness_lp(refutation_graph, require_long=True)
+
+
+def test_refutation_fails_on_an_uncovered_cycle(refutation_graph, monkeypatch):
+    # lower the first nonzero dual whose row is +1 on a long cycle by half
+    # more than that cycle's slack, so y.A_j = c_j - 1/2 there (a fractional
+    # dual: the check must compare c_j scaled, too); the Fraction sums below
+    # name the first failing cycle independently of the library's check
+    from polygonality.simplex import QQ
+
+    cycles = pg.enumerate_cycles(refutation_graph)
+    failing = []
+
+    def lower_one_dual(A, c, duals):
+        def lhs(j):
+            return sum((Fraction(y) * row[j] for y, row in zip(duals, A)), Fraction(0))
+
+        i = next(
+            i for i, y in enumerate(duals[:-1])
+            if y and any(a > 0 and cycles[j].is_long for j, a in enumerate(A[i]))
+        )
+        duals[i] -= QQ(1, 2) + min(
+            lhs(j) - c[j] for j, a in enumerate(A[i]) if a > 0 and cycles[j].is_long
+        )
+        failing.extend(j for j in range(len(c)) if lhs(j) < c[j])
+
+    _patched_duals(monkeypatch, lower_one_dual)
+    with pytest.raises(VerificationError, match="refutation certificate fails on cycle") as exc:
+        pg.search_witness_lp(refutation_graph, require_long=True)
+    assert str(exc.value).endswith(f"fails on cycle {sorted(cycles[failing[0]].edges)}")
+    assert any(cycles[j].is_long for j in failing)
+
+
+def test_refutation_accepts_scaled_fractional_duals(refutation_graph, monkeypatch):
+    # 3/2 times a certificate is one: y.A_j >= c_j >= 0 gives 3/2 y.A_j >= c_j
+    from polygonality.simplex import QQ
+
+    plain = pg.search_witness_lp(refutation_graph, require_long=True)
+
+    def scale_duals(A, c, duals):
+        duals[:] = [y * QQ(3, 2) for y in duals]
+
+    _patched_duals(monkeypatch, scale_duals)
+    scaled = pg.search_witness_lp(refutation_graph, require_long=True)
+    expected = [(v, pair, QQ(val) * QQ(3, 2)) for v, pair, val in plain.certificate]
+    assert any(q.denominator > 1 for _, _, q in expected)  # the lcm scaling is exercised
+    assert isinstance(scaled, Infeasible) and scaled.normalization_dual == "0"
+    assert scaled.certificate == tuple((v, pair, str(q)) for v, pair, q in expected)
 
 
 def test_search_lp_agrees_with_bounded_search_small_graphs():
