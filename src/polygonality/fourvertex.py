@@ -564,7 +564,7 @@ def _inductive(
     g: Multigraph,
     w: VertexId,
     u: VertexId,
-    orbit_list,
+    orbit_pairs: Counter,
     sigma_after_pi: dict[int, int],
     c: int,
     levels: list[dict],
@@ -581,28 +581,27 @@ def _inductive(
     e = uu_edges[0]
     sub = g.remove_edges([e])
     _check_level_preconditions(sub, w, u)
-    sub_cycles, c1_sub, c2_sub = _inductive(sub, w, u, orbit_list, sigma_after_pi, c, levels)
+    sub_cycles, c1_sub, c2_sub = _inductive(sub, w, u, orbit_pairs, sigma_after_pi, c, levels)
     patch = Counter()
-    for orbit in orbit_list:
-        for pair in orbit:
-            x, y = sorted(pair)
-            sx, sy = sigma_after_pi[x], sigma_after_pi[y]
-            x_at_pair = g.edges[x].other(w) == w.mu()
-            y_at_pair = g.edges[y].other(w) == w.mu()
-            if x_at_pair and y_at_pair:
-                if (sx, sy) != (x, y):
-                    raise VerificationError("edges between the w pair must be fixed")
-                cycs = [make_cycle(g, {x, y})]
-            elif not x_at_pair and not y_at_pair:
-                cycs = [make_cycle(g, {e, x, y}), make_cycle(g, {e, sx, sy})]
-            else:
-                if x_at_pair:
-                    x, y, sx, sy = y, x, sy, sx
-                if sy != y:
-                    raise VerificationError("edge between the w pair must be fixed")
-                cycs = [make_cycle(g, {e, x, y, sx})]
-            for cyc in cycs:
-                patch[cyc] += 1
+    for pair, count in orbit_pairs.items():
+        x, y = sorted(pair)
+        sx, sy = sigma_after_pi[x], sigma_after_pi[y]
+        x_at_pair = g.edges[x].other(w) == w.mu()
+        y_at_pair = g.edges[y].other(w) == w.mu()
+        if x_at_pair and y_at_pair:
+            if (sx, sy) != (x, y):
+                raise VerificationError("edges between the w pair must be fixed")
+            cycs = [make_cycle(g, {x, y})]
+        elif not x_at_pair and not y_at_pair:
+            cycs = [make_cycle(g, {e, x, y}), make_cycle(g, {e, sx, sy})]
+        else:
+            if x_at_pair:
+                x, y, sx, sy = y, x, sy, sx
+            if sy != y:
+                raise VerificationError("edge between the w pair must be fixed")
+            cycs = [make_cycle(g, {e, x, y, sx})]
+        for cyc in cycs:
+            patch[cyc] += count
     final = Counter()
     for cyc, n in patch.items():
         final[cyc] += n * c2_sub
@@ -632,12 +631,15 @@ def inductive_witness(
     sigma_after_pi = {
         D.e_edge(i): D.f_edge(completion.pi_nodes[("e", i)][1]) for i in range(D.m)
     }
+    # the orbit list repeats whole orbits, so count each pair once, in first-seen
+    # order; every level then builds the patch cycles of a pair only once
+    orbit_pairs = Counter(pair for orbit in completion.orbit_list for pair in orbit)
     levels: list[dict] = []
     cycles, c1, c2 = _inductive(
         graph,
         w,
         D.u,
-        completion.orbit_list,
+        orbit_pairs,
         sigma_after_pi,
         completion.c,
         levels,

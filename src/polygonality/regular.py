@@ -6,7 +6,10 @@ every edge the same number of times.  Pairwise symmetric differences of those
 matchings decompose into cycles; collecting them over all matching pairs
 yields a list in which every edge lies in the same number of cycles and every
 adjacent edge pair lies in the same number of cycles.  The coloring is found
-as an exact rational feasibility problem over the enumerated matchings.
+as an exact rational feasibility problem over the enumerated matchings.  The
+cycles of each pair of distinct matchings are walked once and counted with
+the product of the two multiplicities; copies of one matching contribute
+nothing.
 
 By Edmonds' description of the perfect matching polytope that problem is
 feasible exactly when the odd-cut bound holds, so a coloring is itself the
@@ -23,7 +26,7 @@ from math import lcm
 from .errors import GraphError, PreconditionError
 from .simplex import find_feasible
 from .whitehead import Multigraph, VertexId
-from .witness import CycleList, make_cycle
+from .witness import Cycle, CycleList, _cycle_from_walk
 
 
 @dataclass(frozen=True)
@@ -144,25 +147,38 @@ class RegularWitness:
     coloring: FractionalColoring
 
 
-def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[int]]:
-    remaining = set(eids)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = set(graph.edges[seed].ends)
-        remaining.discard(seed)
-        grown = True
-        while grown:
-            grown = False
-            for eid in list(remaining):
-                if frontier.intersection(graph.edges[eid].ends):
-                    comp.add(eid)
-                    frontier.update(graph.edges[eid].ends)
-                    remaining.discard(eid)
-                    grown = True
-        comps.append(frozenset(comp))
-    return comps
+def _difference_cycles(
+    graph: Multigraph, ends: dict[int, tuple[int, int]], ma: list[int], mb: list[int]
+) -> list[Cycle]:
+    """The cycles of ``M_a Δ M_b``, in order of their least edge id.
+
+    ``ma[i]`` and ``mb[i]`` are the edges of the two perfect matchings at the
+    vertex of index ``i``, and ``ends[eid]`` are the indices of an edge's ends.
+    A vertex where the matchings differ has degree two in the difference, so
+    each component is walked from its least vertex along the smaller of its
+    two edges there, alternating between the matchings.
+    """
+    verts = graph.vertices()
+    found: list[Cycle] = []
+    done = [False] * len(verts)
+    for start in range(len(verts)):
+        if done[start] or ma[start] == mb[start]:
+            continue
+        this, other = (ma, mb) if ma[start] < mb[start] else (mb, ma)
+        walk_v, walk_e = [], []
+        i = start
+        while True:
+            eid = this[i]
+            done[i] = True
+            walk_v.append(verts[i])
+            walk_e.append(eid)
+            s, t = ends[eid]
+            i = t if s == i else s
+            if i == start:
+                break
+            this, other = other, this
+        found.append(_cycle_from_walk(walk_v, walk_e))
+    return sorted(found, key=lambda c: c.key[0])
 
 
 def regular_witness(graph: Multigraph) -> RegularWitness:
@@ -190,18 +206,20 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
         raise PreconditionError(
             f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
         ) from None
-    slots: list[Matching] = []
+    # copies of one matching have an empty difference, so each pair of distinct
+    # matchings contributes its cycles n_a * n_b times
+    ends = {eid: (e.ends[0].index, e.ends[1].index) for eid, e in graph.edges.items()}
+    tables = []  # per matching: its edge at each vertex index, and its multiplicity
     for m, n in coloring.entries:
-        slots.extend([m] * n)
+        table = [-1] * (2 * graph.rank)
+        for eid in m.edges:
+            for i in ends[eid]:
+                table[i] = eid
+        tables.append((table, n))
     cycles: CycleList = {}
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            diff = slots[i].edges.symmetric_difference(slots[j].edges)
-            if not diff:
-                continue
-            for comp in _edge_components(graph, diff):
-                cyc = make_cycle(graph, comp)
-                cycles[cyc] = cycles.get(cyc, 0) + 1
+    for (ma, n_a), (mb, n_b) in itertools.combinations(tables, 2):
+        for cyc in _difference_cycles(graph, ends, ma, mb):
+            cycles[cyc] = cycles.get(cyc, 0) + n_a * n_b
     ell = coloring.ell
     share = ell // k
     return RegularWitness(cycles, share * (ell - share), share * share, coloring)

@@ -3,13 +3,16 @@
 Standard-form problems ``max c.x  s.t.  A x = b, x >= 0`` with integer
 ``A``, ``b`` and ``c`` are solved with Bland's anti-cycling rule by
 integer-preserving pivoting (Edmonds 1967, Bareiss 1968).  The tableau rows,
-their right-hand sides and the objective row are Python ints over one common
-positive denominator ``d``, the absolute determinant of the current basis.
-A pivot on ``p = T[r][col]`` (row ``r`` negated first when ``p < 0``) keeps
-row ``r``, replaces every other row ``i`` by ``(p*T[i] - T[i][col]*T[r]) // d``,
-a division that is always exact, and makes ``p`` the new denominator.  Every
-sign and every ratio is that of the rational tableau, so the pivots are the
-ones rational arithmetic would make, and no gcd is ever taken.  Rationals
+their right-hand sides and the objective row are Python ints, each row over
+its own positive denominator ``dens[i]``; ``d`` is the absolute determinant
+of the current basis.  A pivot on ``p = T[r][col]`` first brings row ``r``
+up to ``d`` (``v * d // dens[r]``, exact) and negates it when ``p < 0``.  It
+then replaces only the rows ``i`` with ``f = T[i][col] != 0`` by
+``(p*T[i] - f*T[r]) // dens[i]``, a division that is always exact, and gives
+them and row ``r`` the denominator ``p``, which becomes the new ``d``; a row
+with a zero in the pivot column is not touched.  A row's positive scale
+cancels out of every sign and every ratio, so the pivots are the ones
+rational arithmetic would make, and no gcd is ever taken.  Rationals
 (``QQ``: gmpy2.mpq when available, fractions.Fraction otherwise) are built
 only for the returned values.  Problem sizes here are tiny (dozens of rows,
 a few hundred columns), so a dense tableau is adequate.
@@ -49,61 +52,75 @@ class LPResult:
     duals: list = field(default_factory=list)  # one entry per original row
 
 
-def _eliminate(rows: list[list[int]], r: int, col: int, d: int) -> int:
-    """Integer-preserving pivot on ``rows[r][col]`` over denominator ``d``.
+def _eliminate(rows: list[list[int]], dens: list[int], r: int, col: int, d: int) -> int:
+    """Integer-preserving pivot on ``rows[r][col]``; ``d`` is the basis determinant.
 
-    Updates ``rows`` in place and returns the new denominator.
+    Row ``i`` is over its own denominator ``dens[i]``.  Row ``r`` is brought up
+    to ``d``, each row with a nonzero entry in ``col`` is updated over its own
+    denominator, and the other rows are left as they are.  Updates ``rows``
+    and ``dens`` in place and returns the new determinant.
     """
     prow = rows[r]
+    if dens[r] != d:
+        prow = [v * d // dens[r] for v in prow]
     p = prow[col]
     if p < 0:
         p = -p
-        rows[r] = prow = [-v for v in prow]
+        prow = [-v for v in prow]
+    rows[r], dens[r] = prow, p
     support = [j for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
-        if i == r:
-            continue
         f = row[col]
-        if p == d:  # (d*a - f*b) // d, and f*b is then a multiple of d
-            if f:
-                for j in support:
-                    row[j] -= f * prow[j] // d
-        elif f:
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        if not f or i == r:
+            continue
+        den = dens[i]
+        if p == den:  # (p*a - f*b) // p, and f*b is then a multiple of p
+            for j in support:
+                row[j] -= f * prow[j] // den
         else:
-            rows[i] = [p * a // d for a in row]
+            rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            dens[i] = p
     return p
 
 
 class _Tableau:
-    """Integer tableau over the common denominator ``d``.
+    """Integer tableau, row ``i`` over its own positive denominator ``dens[i]``.
 
     ``rows[i]`` holds the ``n`` column entries of row ``i`` followed by its
     right-hand side; ``obj`` holds the reduced costs followed by minus the
-    objective value, all over ``d``.
+    objective value, over ``obj_den``.  ``d`` is the absolute determinant of
+    the current basis.
     """
 
-    def __init__(self, rows, basis, cost, d=1):
+    def __init__(self, rows, dens, basis, cost, d):
         self.rows = rows
+        self.dens = dens
         self.basis = basis
         self.n = len(cost)
         self.d = d
-        # d * (c - c_B B^-1 A), exact without division
+        # d * (c - c_B B^-1 A), exact once every basic row with a cost is over d
         obj = [d * v for v in cost] + [0]
         for i, bi in enumerate(basis):
             f = cost[bi]
             if f:
+                if dens[i] != d:
+                    rows[i] = [v * d // dens[i] for v in rows[i]]
+                    dens[i] = d
                 obj = [a - f * b for a, b in zip(obj, rows[i])]
         self.obj = obj
+        self.obj_den = d
 
     @property
     def positive(self) -> bool:
         return self.obj[-1] < 0
 
     def pivot(self, r, col):
-        self.rows.append(self.obj)  # the objective row takes part in every pivot
-        self.d = _eliminate(self.rows, r, col, self.d)
+        # the objective row takes part in every pivot
+        self.rows.append(self.obj)
+        self.dens.append(self.obj_den)
+        self.d = _eliminate(self.rows, self.dens, r, col, self.d)
         self.obj = self.rows.pop()
+        self.obj_den = self.dens.pop()
         self.basis[r] = col
 
     def run(self, stop_when_positive=False):
@@ -131,14 +148,14 @@ class _Tableau:
             self.pivot(best_r, col)
 
     def objective(self):
-        return QQ(-self.obj[-1], self.d)
+        return QQ(-self.obj[-1], self.obj_den)
 
     def solution(self, n):
         """Values of the first ``n`` columns at the current basis."""
         x = [ZERO] * n
         for i, bi in enumerate(self.basis):
             if bi < n:
-                x[bi] = QQ(self.rows[i][-1], self.d)
+                x[bi] = QQ(self.rows[i][-1], self.dens[i])
         return x
 
 
@@ -146,6 +163,7 @@ def _solve_duals(columns, cost, basis, nrows):
     """Solve y.B = c_B exactly for the dual vector over the original rows."""
     # transpose system B^T y = c_B, right-hand side as the last entry
     mat = [[columns[bi][i] for i in range(nrows)] + [cost[bi]] for bi in basis]
+    dens = [1] * len(mat)
     d = 1
     y = [ZERO] * nrows
     # Gauss-Jordan elimination with first-nonzero pivoting
@@ -157,9 +175,9 @@ def _solve_duals(columns, cost, basis, nrows):
             continue
         rows.remove(pr)
         piv_cols.append((pr, col))
-        d = _eliminate(mat, pr, col, d)
+        d = _eliminate(mat, dens, pr, col, d)
     for pr, col in piv_cols:
-        y[col] = QQ(mat[pr][-1], d)
+        y[col] = QQ(mat[pr][-1], dens[pr])
     return y
 
 
@@ -183,6 +201,7 @@ def maximize_homogeneous(A, c, stop_when_positive=False):
     cost = _integers(c) + [0]
     # Gauss-Jordan crash basis on the homogeneous rows: the basic solution is
     # x = 0, s = 1, which is feasible outright.
+    dens = [1] * (m + 1)
     d = 1
     basis_cols: list[int] = []
     kept: list[int] = []
@@ -191,12 +210,13 @@ def maximize_homogeneous(A, c, stop_when_positive=False):
         col = next((j for j in range(n) if row[j] != 0 and j not in basis_cols), None)
         if col is None:
             continue  # redundant row
-        d = _eliminate(rows, i, col, d)
+        d = _eliminate(rows, dens, i, col, d)
         basis_cols.append(col)
         kept.append(i)
     tab_rows = [rows[i] for i in kept] + [rows[m]]
+    tab_dens = [dens[i] for i in kept] + [dens[m]]
     tab_basis = basis_cols + [n]  # slack basic in the normalization row
-    tab = _Tableau(tab_rows, tab_basis, cost, d)
+    tab = _Tableau(tab_rows, tab_dens, tab_basis, cost, d)
     tab.run(stop_when_positive=stop_when_positive)
     duals = [ZERO] * (m + 1)
     if not (stop_when_positive and tab.positive):
@@ -227,7 +247,7 @@ def find_feasible(A, b):
         rows.append(row[:n] + [int(k == i) for k in range(m)] + row[n:])
     cost = [0] * n + [-1] * m  # phase-one cost -1 per artificial (maximization)
     basis = [n + i for i in range(m)]
-    tab = _Tableau(rows, basis, cost)
+    tab = _Tableau(rows, [1] * m, basis, cost, 1)
     tab.run()
     if tab.obj[-1] > 0:  # negative optimum: some artificial stays positive
         return LPResult("infeasible")

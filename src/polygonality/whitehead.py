@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -37,6 +38,11 @@ class VertexId:
 
     def mu(self) -> "VertexId":
         return VertexId(self.gen, -self.sign)
+
+    @property
+    def index(self) -> int:
+        """Position in :meth:`Multigraph.vertices`, which lists vertices in order."""
+        return 2 * (self.gen - 1) + (self.sign < 0)
 
     @property
     def name(self) -> str:
@@ -167,36 +173,39 @@ class Multigraph:
         """Maximum number of pairwise edge-disjoint x-y paths (= min cut size)."""
         if x == y:
             raise PreconditionError("local edge connectivity needs distinct endpoints")
-        # unit-capacity arcs in both directions per edge; augment one path at a time
-        cap: dict[tuple[int, int], int] = {}
-        for eid in self.edges:
-            cap[(eid, 0)] = 1  # ends[0] -> ends[1]
-            cap[(eid, 1)] = 1
+        # unit-capacity arcs over vertex indices: arc 2k runs along the k-th
+        # edge from ends[0] to ends[1] and arc 2k + 1 back, so arc a reverses a ^ 1
+        head: list[int] = []
+        out: list[list[int]] = [[] for _ in range(2 * self.rank)]
+        for k, e in enumerate(self.edges.values()):
+            s, t = e.ends[0].index, e.ends[1].index
+            head += (t, s)
+            out[s].append(2 * k)
+            out[t].append(2 * k + 1)
+        cap = [1] * len(head)
+        source, sink = x.index, y.index
         flow = 0
-        while True:
-            parent: dict[VertexId, tuple[int, int]] = {}
-            seen = {x}
-            queue = [x]
-            while queue and y not in seen:
-                v = queue.pop(0)
-                for eid in self._delta[v]:
-                    e = self.edges[eid]
-                    d = 0 if e.ends[0] == v else 1
-                    if cap[(eid, d)] == 0:
-                        continue
-                    w = e.ends[1 - d]
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = (eid, d)
+        while True:  # augment along one shortest path at a time
+            parent = [-1] * len(out)
+            seen = [False] * len(out)
+            seen[source] = True
+            queue = deque([source])
+            while queue and not seen[sink]:
+                v = queue.popleft()
+                for a in out[v]:
+                    w = head[a]
+                    if cap[a] and not seen[w]:
+                        seen[w] = True
+                        parent[w] = a
                         queue.append(w)
-            if y not in seen:
+            if not seen[sink]:
                 return flow
-            v = y
-            while v != x:
-                eid, d = parent[v]
-                cap[(eid, d)] -= 1
-                cap[(eid, 1 - d)] += 1
-                v = self.edges[eid].ends[d]
+            v = sink
+            while v != source:
+                a = parent[v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                v = head[a ^ 1]
             flow += 1
 
 

@@ -204,11 +204,12 @@ def verify_witness(
     failures = []
     for v in graph.active_vertices():
         delta = graph.delta(v)
+        mu = v.mu()
+        sigma = {e: graph.sigma_edge(v, e) for e in delta}
         for i, e in enumerate(delta):
             for f in delta[i + 1 :]:
                 here = counts.get((v, frozenset((e, f))), 0)
-                img = frozenset((graph.sigma_edge(v, e), graph.sigma_edge(v, f)))
-                there = counts.get((v.mu(), img), 0)
+                there = counts.get((mu, frozenset((sigma[e], sigma[f]))), 0)
                 if here != there:
                     failures.append((v, (e, f), here, there))
     has_long = any(c.is_long for c in fresh)

@@ -3,19 +3,23 @@
 The oracles here deliberately avoid the library's own algorithms: cycles are
 found by filtering edge subsets, canonical cycle keys by listing every
 rotation, pair counts by direct recounting, witness existence by bounded
-enumeration of multiplicity vectors, and linear programs by a Bland-rule
-simplex on a Fraction tableau.
+enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
+regular cycle lists by the slot-pair loop over the coloring, and linear
+programs by a Bland-rule simplex on a Fraction tableau.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import polygonality as pg
+from polygonality import fourvertex
 from polygonality.whitehead import EdgeRecord, Multigraph, VertexId
+from polygonality.witness import make_cycle
 
 
 def words_graph(text: str) -> pg.WhiteheadGraph:
@@ -49,6 +53,14 @@ def make_plain(rank: int, pairs) -> Multigraph:
 
 def vid(gen: int, sign: int) -> VertexId:
     return VertexId(gen, sign)
+
+
+def fourvertex_base_case(graph) -> Multigraph:
+    """The regular graph in which the four-vertex recursion on ``graph`` ends."""
+    with mock.patch.object(fourvertex, "regular_witness", wraps=fourvertex.regular_witness) as spy:
+        pg.four_vertex_witness(graph)
+    (base,), _ = spy.call_args
+    return base
 
 
 # -- oracles ------------------------------------------------------------------
@@ -94,6 +106,55 @@ def oracle_cycle_key(seq) -> tuple[int, ...]:
     return min(tuple(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(seq)))
 
 
+def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
+    """Fewest edges leaving a vertex set that contains ``x`` and not ``y``,
+    over all ``2^(2 rank - 2)`` such sets."""
+    rest = [v for v in graph.vertices() if v not in (x, y)]
+    best = len(graph.edges)
+    for r in range(len(rest) + 1):
+        for sub in itertools.combinations(rest, r):
+            inside = {x, *sub}
+            cut = sum(1 for e in graph.edges.values() if (e.ends[0] in inside) != (e.ends[1] in inside))
+            best = min(best, cut)
+    return best
+
+
+def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[int]]:
+    """Connected pieces of an edge set, grown edge by edge, by least edge id."""
+    remaining = set(eids)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = set(graph.edges[seed].ends)
+        remaining.discard(seed)
+        grown = True
+        while grown:
+            grown = False
+            for eid in list(remaining):
+                if frontier.intersection(graph.edges[eid].ends):
+                    comp.add(eid)
+                    frontier.update(graph.edges[eid].ends)
+                    remaining.discard(eid)
+                    grown = True
+        comps.append(frozenset(comp))
+    return comps
+
+
+def oracle_regular_cycles(graph: Multigraph, coloring) -> dict:
+    """Cycle list of a fractional coloring: one slot per unit of multiplicity,
+    the pieces of every slot pair's symmetric difference rebuilt from their
+    edge sets, in slot-pair order."""
+    slots = [m for m, n in coloring.entries for _ in range(n)]
+    cycles: dict = {}
+    for i, j in itertools.combinations(range(len(slots)), 2):
+        diff = slots[i].edges.symmetric_difference(slots[j].edges)
+        for comp in _edge_components(graph, diff):
+            cyc = make_cycle(graph, comp)
+            cycles[cyc] = cycles.get(cyc, 0) + 1
+    return cycles
+
+
 def oracle_pair_count(graph, cycles: dict, v, e, f) -> int:
     """Cycles (with multiplicity) containing both edges e and f."""
     return sum(m for c, m in cycles.items() if e in c.edges and f in c.edges)
@@ -137,6 +198,20 @@ def _compositions(total: int, parts: int, bound: int):
     for head in range(min(total, bound) + 1):
         for rest in _compositions(total - head, parts - 1, bound):
             yield (head,) + rest
+
+
+def oracle_common_denominator_pivot(rows: list[list[int]], r: int, col: int, d: int) -> int:
+    """Integer-preserving pivot with every row over the one denominator ``d``
+    (Bareiss): every row but ``r`` is rescaled, whether or not it meets the
+    pivot column.  Updates ``rows`` in place and returns the new denominator."""
+    if rows[r][col] < 0:
+        rows[r] = [-v for v in rows[r]]
+    prow, p = rows[r], rows[r][col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+    return p
 
 
 # -- reference simplex: Bland's rule on a Fraction tableau ---------------------

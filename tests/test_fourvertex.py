@@ -1,10 +1,12 @@
 import itertools
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
+from polygonality import fourvertex
 from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
@@ -438,3 +440,36 @@ def test_end_to_end_random(seed):
     assert len(set(verdict.per_edge_usage.values())) == 1
     lp = pg.search_witness_lp(graph, require_long=True)
     assert not isinstance(lp, Infeasible)
+
+
+@pytest.mark.parametrize(
+    "graph, repeats",
+    [(_figure7_graph(), True), (words_graph("rank 2\naBa^2b\n"), False)],
+    ids=["figure-7", "remark-2.4b"],
+)
+def test_patch_cycles_are_built_once_per_distinct_orbit_pair(graph, repeats, monkeypatch):
+    # uniform_permutation repeats whole orbits; each level builds the patch
+    # cycles of a distinct pair once (two when neither edge joins w to its
+    # pair), and one bigon per further edge between the opposite pair
+    built = Counter()
+    make = fourvertex.make_cycle
+
+    def counted(g, eids):
+        built[len(g.edges)] += 1
+        return make(g, eids)
+
+    monkeypatch.setattr(fourvertex, "make_cycle", counted)
+    with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
+        good = pg.four_vertex_witness(graph)
+    (_, w, completion), _ = spy.call_args
+    u = completion.aux.u
+    pairs = [pair for orbit in completion.orbit_list for pair in orbit]
+    distinct = set(pairs)
+    assert (len(distinct) < len(pairs)) == repeats
+    calls = sum(1 if any(graph.edges[x].other(w) == w.mu() for x in pair) else 2 for pair in distinct)
+    g = graph
+    for level in good.constants_per_level[:-1]:
+        bigons = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()) - 1
+        assert built.pop(len(g.edges)) == calls + bigons
+        g = g.remove_edges([level["removed"]])
+    assert not built  # the regular base case builds its cycles from walks

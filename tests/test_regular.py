@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
-from polygonality.generators import random_regular_instance, random_sigma
+from polygonality.generators import random_fourvertex_instance, random_regular_instance, random_sigma
 from polygonality.regular import (
     enumerate_perfect_matchings,
     fractional_edge_coloring,
@@ -14,8 +14,9 @@ from polygonality.regular import (
     regular_witness,
 )
 from polygonality.whitehead import WhiteheadGraph
+from polygonality.witness import make_cycle
 
-from conftest import make_plain, vid
+from conftest import fourvertex_base_case, make_plain, oracle_regular_cycles, vid
 
 
 def k4():
@@ -200,3 +201,32 @@ def test_existence_implies_lp_feasibility(seed):
     graph = random_regular_instance(seed, k, 1 + seed % 3)
     regular_witness(graph)  # construction succeeds on every generated instance
     assert not isinstance(pg.search_witness_lp(graph, require_long=False), Infeasible)
+
+
+def _assert_regular_cycles_match_the_slot_pair_loop(graph):
+    rw = regular_witness(graph)
+    # equal dicts, and equal insertion order too
+    assert list(rw.cycles.items()) == list(oracle_regular_cycles(graph, rw.coloring).items())
+    for cyc in rw.cycles:
+        rebuilt = make_cycle(graph, cyc.edges)
+        assert (cyc.key, cyc.edge_seq, cyc.turns) == (rebuilt.key, rebuilt.edge_seq, rebuilt.turns)
+    return rw
+
+
+@given(st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+def test_regular_cycles_match_the_slot_pair_loop(seed):
+    k = (2, 3, 4, 5)[seed % 4]
+    pairs = 1 + (seed // 4) % 4
+    _assert_regular_cycles_match_the_slot_pair_loop(random_regular_instance(seed, k, pairs))
+
+
+def test_regular_cycles_match_the_slot_pair_loop_with_a_repeated_matching():
+    rw = _assert_regular_cycles_match_the_slot_pair_loop(random_regular_instance(1774479979, 4, 6))
+    assert max(n for _, n in rw.coloring.entries) == 2
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=20, deadline=None)
+def test_regular_cycles_match_the_slot_pair_loop_on_fourvertex_base_cases(seed):
+    _assert_regular_cycles_match_the_slot_pair_loop(fourvertex_base_case(random_fourvertex_instance(seed)))

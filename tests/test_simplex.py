@@ -2,11 +2,20 @@ import contextlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
-from conftest import FractionTableau, oracle_find_feasible, oracle_maximize_homogeneous
+import pytest
+from conftest import (
+    FractionTableau,
+    fourvertex_base_case,
+    oracle_common_denominator_pivot,
+    oracle_find_feasible,
+    oracle_maximize_homogeneous,
+)
 from hypothesis import example, given, settings, strategies as st
 
-from polygonality import simplex
+from polygonality import regular, simplex
+from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.simplex import QQ, ZERO, find_feasible, maximize_homogeneous
 
 
@@ -198,3 +207,123 @@ def test_find_feasible_matches_fraction_reference(system):
     if x is not None:
         assert res.x == x
     assert logs[simplex._Tableau] == logs[FractionTableau]
+
+
+@st.composite
+def sparse_systems(draw, max_rows=12, max_cols=24):
+    """Sparse integer matrices up to 12 x 24 with density 0.1-0.4, where a row
+    often has a zero in the pivot column and goes stale over many pivots."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    density = draw(st.floats(0.1, 0.4))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [
+        [rng.choice((1, -1, 2, -2, 3)) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    return rows, n, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems(), st.booleans())
+def test_maximize_homogeneous_matches_fraction_reference_on_sparse_systems(system, stop):
+    A, n, rng = system
+    c = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = maximize_homogeneous(A, c, stop_when_positive=stop)
+        x, objective, duals = oracle_maximize_homogeneous(A, c, stop_when_positive=stop)
+    assert (res.x, res.objective) == (x, objective)
+    if duals is not None:
+        assert res.duals == duals
+    assert logs[simplex._Tableau] == logs[FractionTableau]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems(), st.booleans())
+def test_find_feasible_matches_fraction_reference_on_sparse_systems(system, feasible):
+    A, n, rng = system
+    if feasible:
+        x0 = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    else:
+        b = [rng.randint(-3, 3) for _ in A]
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = find_feasible(A, b)
+        x = oracle_find_feasible(A, b)
+    assert res.status == ("infeasible" if x is None else "optimal")
+    if x is not None:
+        assert res.x == x
+    assert logs[simplex._Tableau] == logs[FractionTableau]
+
+
+def _coloring_system(graph):
+    """The ``A x = b`` that the fractional edge coloring of ``graph`` solves."""
+    with mock.patch.object(regular, "find_feasible", wraps=find_feasible) as spy:
+        regular.fractional_edge_coloring(graph)
+    (A, b), _ = spy.call_args
+    return A, b
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        random_regular_instance(3, 4, 3),
+        random_regular_instance(1774479979, 4, 6),
+        fourvertex_base_case(random_fourvertex_instance(5)),
+    ],
+    ids=["k4p3", "k4p6", "fourvertex-base"],
+)
+def test_coloring_lp_matches_fraction_reference(graph):
+    A, b = _coloring_system(graph)
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = find_feasible(A, b)
+        x = oracle_find_feasible(A, b)
+    assert res.status == "optimal" and res.x == x
+    assert len(logs[simplex._Tableau]) > 1
+    assert logs[simplex._Tableau] == logs[FractionTableau]
+
+
+def test_pivot_leaves_rows_without_the_pivot_column_untouched():
+    # slack basis in columns 3-5; pivot on row 0 at column 0, where row 1 has a zero
+    rows = [
+        [2, 1, 0, 1, 0, 0, 4],
+        [0, 3, 1, 0, 1, 0, 6],
+        [1, 1, 1, 0, 0, 1, 5],
+    ]
+    tab = simplex._Tableau(rows, [1, 1, 1], [3, 4, 5], [1, 1, 0, 0, 0, 0], 1)
+    untouched = tab.rows[1]
+    tab.pivot(0, 0)
+    assert tab.rows[1] is untouched and untouched == [0, 3, 1, 0, 1, 0, 6]
+    assert tab.dens == [2, 1, 2] and tab.d == 2
+    assert tab.rows[2] == [0, 1, 2, -1, 0, 2, 6]  # (2*row2 - 1*row0) // 1
+    # the stale row is brought up to d before it becomes the pivot row
+    tab.pivot(1, 1)
+    assert tab.rows[1] == [0, 6, 2, 0, 2, 0, 12] and tab.dens[1] == tab.d == 6
+    assert [QQ(v, tab.dens[0]) for v in tab.rows[0]] == [1, 0, QQ(-1, 6), QQ(1, 2), QQ(-1, 6), 0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems())
+def test_rows_over_d_match_the_common_denominator_kernel(system):
+    # lifted to d, every row equals the row of the kernel that rescales all of
+    # them at every pivot, and the lift is exact
+    A, n, rng = system
+    c = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
+    b = [rng.randint(-3, 3) for _ in A]
+    pivot = simplex._Tableau.pivot
+    reference = {}
+
+    def lifted(tab):
+        rows = tab.rows + [tab.obj]
+        dens = tab.dens + [tab.obj_den]
+        assert all(v * tab.d % den == 0 for row, den in zip(rows, dens) for v in row)
+        return [[v * tab.d // den for v in row] for row, den in zip(rows, dens)]
+
+    def checked(tab, r, col):
+        ref = reference.setdefault(tab, [lifted(tab), tab.d])
+        pivot(tab, r, col)
+        ref[1] = oracle_common_denominator_pivot(ref[0], r, col, ref[1])
+        assert (lifted(tab), tab.d) == tuple(ref)
+
+    with mock.patch.object(simplex._Tableau, "pivot", checked):
+        maximize_homogeneous(A, c)
+        find_feasible(A, b)

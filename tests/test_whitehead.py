@@ -1,8 +1,9 @@
+import itertools
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
@@ -15,7 +16,7 @@ from polygonality.whitehead import (
     vertex_from_name,
 )
 
-from conftest import vid, words_graph
+from conftest import make_plain, oracle_min_cut, vid, words_graph
 
 
 def edge_multiset(graph):
@@ -90,6 +91,37 @@ def test_local_connectivity_values(commutator, refutation_graph, nonminimal_grap
     assert commutator.local_edge_connectivity(vid(1, 1), vid(1, -1)) == 2
     assert refutation_graph.local_edge_connectivity(vid(1, 1), vid(1, -1)) == 3
     assert nonminimal_graph.local_edge_connectivity(vid(2, 1), vid(2, -1)) == 3
+
+
+@st.composite
+def loopless_multigraphs(draw):
+    """Up to rank 3, with parallel edges, isolated vertices and gaps in the ids."""
+    rank = draw(st.integers(1, 3))
+    verts = [vid(g, s) for g in range(1, rank + 1) for s in (1, -1)]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(verts, 2))), max_size=12))
+    return make_plain(rank, pairs).remove_edges(draw(st.sets(st.integers(0, 11))))
+
+
+# between a2- and a1 the search cancels its first path on one edge and later
+# needs that edge again: an augmenting step that does not restore the reverse
+# arc finds two paths here, not three
+EDGE_REUSED_AFTER_CANCELLING = make_plain(
+    4,
+    [
+        (vid(4, 1), vid(3, -1)), (vid(3, 1), vid(1, 1)), (vid(3, -1), vid(1, 1)),
+        (vid(2, -1), vid(4, 1)), (vid(2, 1), vid(3, -1)), (vid(2, -1), vid(2, 1)),
+        (vid(1, -1), vid(3, -1)), (vid(4, 1), vid(4, -1)), (vid(4, 1), vid(3, 1)),
+        (vid(4, -1), vid(1, 1)), (vid(2, -1), vid(1, -1)),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loopless_multigraphs())
+@example(EDGE_REUSED_AFTER_CANCELLING)
+def test_local_connectivity_is_the_min_cut(graph):
+    for x, y in itertools.permutations(graph.vertices(), 2):
+        assert graph.local_edge_connectivity(x, y) == oracle_min_cut(graph, x, y)
 
 
 def test_local_connectivity_requires_distinct(commutator):
