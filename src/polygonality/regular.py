@@ -147,21 +147,19 @@ class RegularWitness:
     coloring: FractionalColoring
 
 
-def _difference_cycles(
-    graph: Multigraph, ends: dict[int, tuple[int, int]], ma: list[int], mb: list[int]
-) -> list[Cycle]:
+def _difference_cycles(graph: Multigraph, ma: list[int], mb: list[int]) -> list[Cycle]:
     """The cycles of ``M_a Δ M_b``, in order of their least edge id.
 
     ``ma[i]`` and ``mb[i]`` are the edges of the two perfect matchings at the
-    vertex of index ``i``, and ``ends[eid]`` are the indices of an edge's ends.
-    A vertex where the matchings differ has degree two in the difference, so
-    each component is walked from its least vertex along the smaller of its
-    two edges there, alternating between the matchings.
+    vertex of index ``i``.  A vertex where the matchings differ has degree two
+    in the difference, so each component is walked from its least vertex
+    along the smaller of its two edges there, alternating between the
+    matchings.
     """
-    verts = graph.vertices()
+    ends = graph.end_index
     found: list[Cycle] = []
-    done = [False] * len(verts)
-    for start in range(len(verts)):
+    done = [False] * len(ma)
+    for start in range(len(ma)):
         if done[start] or ma[start] == mb[start]:
             continue
         this, other = (ma, mb) if ma[start] < mb[start] else (mb, ma)
@@ -170,7 +168,7 @@ def _difference_cycles(
         while True:
             eid = this[i]
             done[i] = True
-            walk_v.append(verts[i])
+            walk_v.append(i)
             walk_e.append(eid)
             s, t = ends[eid]
             i = t if s == i else s
@@ -208,17 +206,16 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
         ) from None
     # copies of one matching have an empty difference, so each pair of distinct
     # matchings contributes its cycles n_a * n_b times
-    ends = {eid: (e.ends[0].index, e.ends[1].index) for eid, e in graph.edges.items()}
     tables = []  # per matching: its edge at each vertex index, and its multiplicity
     for m, n in coloring.entries:
-        table = [-1] * (2 * graph.rank)
+        table = [-1] * len(graph.vertices())
         for eid in m.edges:
-            for i in ends[eid]:
+            for i in graph.end_index[eid]:
                 table[i] = eid
         tables.append((table, n))
     cycles: CycleList = {}
     for (ma, n_a), (mb, n_b) in itertools.combinations(tables, 2):
-        for cyc in _difference_cycles(graph, ends, ma, mb):
+        for cyc in _difference_cycles(graph, ma, mb):
             cycles[cyc] = cycles.get(cyc, 0) + n_a * n_b
     ell = coloring.ell
     share = ell // k

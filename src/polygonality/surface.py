@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import PairingError, PreconditionError, VerificationError
@@ -142,37 +143,46 @@ class SurfaceComplex:
 
 
 def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
+    # every side shares the graph's one VertexId object of its vertex
+    verts, ends = graph.vertices(), graph.end_index
     eids = cycle.edge_seq
     n = len(eids)
     sides = []
-    for t, (v, pair) in enumerate(cycle.turns):
+    for t, (i, pair) in enumerate(cycle.turns):
         e_prev, e_next = eids[t - 1], eids[t]
-        d_prev = graph.edges[e_prev].dart_at(v)
-        d_next = graph.edges[e_next].dart_at(v)
+        d_prev = Dart(e_prev, 0 if ends[e_prev][0] == i else 1)
+        d_next = Dart(e_next, 0 if ends[e_next][0] == i else 1)
         corner_prev, corner_next = (t - 1) % n, t
         if rank[d_prev] < rank[d_next]:
             tail, head = corner_next, corner_prev
         else:
             tail, head = corner_prev, corner_next
-        sides.append(Side(index, t, v, pair, v.sign > 0, tail, head))
+        # even indices are the positive generators
+        sides.append(Side(index, t, verts[i], pair, i % 2 == 0, tail, head))
     return DualPolygon(index, tuple(sides))
 
 
-def build_surface(graph: WhiteheadGraph, witness: CycleList) -> SurfaceComplex:
+def build_surface(
+    graph: WhiteheadGraph, witness: Mapping[Cycle | frozenset[int], int]
+) -> SurfaceComplex:
     """Construct the closed surface of a verified witness.
 
-    Expands multiplicities into physical polygon copies, orients sides by the
-    canonical compatible dart orders, and pairs incoming with outgoing sides
-    whose label pairs correspond under the connecting maps.  A pairing
-    mismatch is a hard error: the verified balance condition rules it out.
+    ``witness`` is anything :func:`verify_witness` reads: cycles or edge-id
+    sets.  The polygons are the verifier's own walks of its cycles, so each
+    cycle is walked once.  Expands multiplicities into physical polygon
+    copies, orients sides by the canonical compatible dart orders, and pairs
+    incoming with outgoing sides whose label pairs correspond under the
+    connecting maps.  A pairing mismatch is a hard error: the verified
+    balance condition rules it out.
     """
     verdict = verify_witness(graph, witness)
     if not verdict.ok:
         raise PreconditionError(f"witness fails verification: {verdict.failures[:3]}")
+    cycles = verdict.cycles
     rank = build_linear_orders(graph)
     polygons = []
-    for cycle in sorted(witness):
-        for _ in range(witness[cycle]):
+    for cycle in sorted(cycles):
+        for _ in range(cycles[cycle]):
             polygons.append(_build_polygon(graph, rank, len(polygons), cycle))
     incoming: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
     outgoing: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
@@ -201,7 +211,7 @@ def build_surface(graph: WhiteheadGraph, witness: CycleList) -> SurfaceComplex:
         for a, b in zip(ins, outs):
             pairing[a] = b
             pairing[b] = a
-    return SurfaceComplex(graph, witness, tuple(polygons), pairing)
+    return SurfaceComplex(graph, cycles, tuple(polygons), pairing)
 
 
 @dataclass(frozen=True)

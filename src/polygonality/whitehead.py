@@ -123,32 +123,39 @@ class Multigraph:
                 if not 1 <= v.gen <= rank:
                     raise GraphError(f"edge {e.eid} endpoint {v} beyond rank {rank}")
             self.edges[e.eid] = e
-        self._delta: dict[VertexId, list[int]] = {v: [] for v in self.vertices()}
+        self._vertices = tuple(VertexId(g, s) for g in range(1, rank + 1) for s in (1, -1))
+        # the indices of each edge's two ends: cycle walks and turn lookups run
+        # over these ints, never over VertexId objects
+        self.end_index: dict[int, tuple[int, int]] = {
+            eid: (e.ends[0].index, e.ends[1].index) for eid, e in self.edges.items()
+        }
+        self._delta: list[list[int]] = [[] for _ in self._vertices]
         for eid in sorted(self.edges):
-            for v in set(self.edges[eid].ends):
-                self._delta[v].append(eid)
+            for i in self.end_index[eid]:
+                self._delta[i].append(eid)
 
-    def vertices(self) -> list[VertexId]:
-        return [VertexId(g, s) for g in range(1, self.rank + 1) for s in (1, -1)]
+    def vertices(self) -> tuple[VertexId, ...]:
+        """The vertices ordered by index, the same objects on every call."""
+        return self._vertices
 
     def edge_ids(self) -> list[int]:
         return sorted(self.edges)
 
     def delta(self, v: VertexId) -> list[int]:
         """Edge ids incident with ``v``, in increasing id order."""
-        return list(self._delta[v])
+        return list(self._delta[v.index])
 
     def degree(self, v: VertexId) -> int:
-        return len(self._delta[v])
+        return len(self._delta[v.index])
 
     def darts_at(self, v: VertexId) -> list[Dart]:
-        return [self.edges[eid].dart_at(v) for eid in self._delta[v]]
+        return [self.edges[eid].dart_at(v) for eid in self._delta[v.index]]
 
     def dart_vertex(self, d: Dart) -> VertexId:
         return self.edges[d.eid].ends[d.end]
 
     def active_vertices(self) -> list[VertexId]:
-        return [v for v in self.vertices() if self._delta[v]]
+        return [v for v in self._vertices if self._delta[v.index]]
 
     def is_connected(self, ignore_isolated: bool = False) -> bool:
         verts = self.active_vertices() if ignore_isolated else self.vertices()
@@ -158,7 +165,7 @@ class Multigraph:
         stack = [verts[0]]
         while stack:
             v = stack.pop()
-            for eid in self._delta[v]:
+            for eid in self._delta[v.index]:
                 w = self.edges[eid].other(v)
                 if w not in seen:
                     seen.add(w)
@@ -176,9 +183,8 @@ class Multigraph:
         # unit-capacity arcs over vertex indices: arc 2k runs along the k-th
         # edge from ends[0] to ends[1] and arc 2k + 1 back, so arc a reverses a ^ 1
         head: list[int] = []
-        out: list[list[int]] = [[] for _ in range(2 * self.rank)]
-        for k, e in enumerate(self.edges.values()):
-            s, t = e.ends[0].index, e.ends[1].index
+        out: list[list[int]] = [[] for _ in self._vertices]
+        for k, (s, t) in enumerate(self.end_index.values()):
             head += (t, s)
             out[s].append(2 * k)
             out[t].append(2 * k + 1)
@@ -237,7 +243,10 @@ class WhiteheadGraph(Multigraph):
 
     def sigma_edge(self, v: VertexId, eid: int) -> int:
         """Edge-level connecting map at ``v``: image of edge ``eid`` in delta(mu(v))."""
-        return self.sigma[self.edges[eid].dart_at(v)].eid
+        i, ends = v.index, self.end_index[eid]
+        if i not in ends:
+            raise GraphError(f"edge {eid} is not incident with {v}")
+        return self.sigma[Dart(eid, 0 if ends[0] == i else 1)].eid
 
 
 def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:

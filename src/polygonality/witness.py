@@ -11,15 +11,16 @@ cycles and, on failure, returns a rational refutation certificate.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .simplex import maximize_homogeneous
-from .whitehead import Multigraph, VertexId, WhiteheadGraph, graph_hash, json_int, json_object
+from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_object
 
 
-Turn = tuple[VertexId, frozenset[int]]
+Turn = tuple[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,13 @@ class Cycle:
     """A simple cycle: its edge-id set, canonical key and stored walk.
 
     The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is
-    ``(v_t, {edge_seq[t - 1], edge_seq[t]})``, the vertex with the two cycle
-    edges there, and edge ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}``
-    (indices mod ``n``).  The walk starts at the cycle's least vertex along
-    the smaller of its two edges there.  Only ``edges`` and ``key`` take part
-    in equality and hashing; every cycle is built from its walk by one private
-    constructor, which :func:`make_cycle` (from a validated edge set) and
+    ``(v_t.index, {edge_seq[t - 1], edge_seq[t]})``, the index of the vertex
+    (see :attr:`VertexId.index`) with the two cycle edges there, and edge
+    ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}`` (indices mod ``n``).  The
+    walk starts at the cycle's least vertex along the smaller of its two
+    edges there.  Only ``edges`` and ``key`` take part in equality and
+    hashing; every cycle is built from its walk by one private constructor,
+    which :func:`make_cycle` (from a validated edge set) and
     :func:`enumerate_cycles` (from its search path) both end in.  Cycles sort
     by length, then key.
     """
@@ -56,8 +58,8 @@ class Cycle:
 CycleList = dict[Cycle, int]
 
 
-def _cycle_from_walk(verts: list[VertexId], seq: list[int]) -> Cycle:
-    """The cycle walked through ``verts`` along ``seq``, with its canonical key.
+def _cycle_from_walk(verts: list[int], seq: list[int]) -> Cycle:
+    """The cycle walked along ``seq`` through the vertex indices ``verts``, canonically keyed.
 
     The walk must be a simple cycle that starts at its least vertex along the
     smaller of its two edges there.  Its edge ids are distinct, so the least
@@ -86,30 +88,39 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     >>> cyc = make_cycle(graph, {3, 1, 0, 2})
     >>> cyc.edge_seq, cyc.key
     ((0, 3, 2, 1), (0, 1, 2, 3))
+
+    Each turn names its vertex by index; ``a1`` has index 0:
+
+    >>> cyc.turns[0]
+    (0, frozenset({0, 1}))
     """
     eids = frozenset(eids)
     if len(eids) < 2:
         raise GraphError(f"cycle needs at least two edges, got {sorted(eids)}")
-    incidence: dict[VertexId, list[int]] = {}
+    ends = graph.end_index
+    incidence: dict[int, list[int]] = {}
     for eid in eids:
-        if eid not in graph.edges:
+        if eid not in ends:
             raise GraphError(f"cycle references unknown edge {eid}")
-        for v in graph.edges[eid].ends:
-            incidence.setdefault(v, []).append(eid)
-    for v, es in incidence.items():
+        for i in ends[eid]:
+            incidence.setdefault(i, []).append(eid)
+    for i, es in incidence.items():
         if len(es) != 2:
-            raise GraphError(f"edge set {sorted(eids)} has degree {len(es)} at {v}")
+            raise GraphError(
+                f"edge set {sorted(eids)} has degree {len(es)} at {graph.vertices()[i]}"
+            )
     # the walk also proves connectivity
     start = min(incidence)
     verts, seq = [], []
-    v, eid = start, min(incidence[start])
+    i, eid = start, min(incidence[start])
     while True:
-        verts.append(v)
+        verts.append(i)
         seq.append(eid)
-        v = graph.edges[eid].other(v)
-        if v == start:
+        s, t = ends[eid]
+        i = t if s == i else s
+        if i == start:
             break
-        a, b = incidence[v]
+        a, b = incidence[i]
         eid = b if a == eid else a
     if len(seq) != len(eids):
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
@@ -125,11 +136,13 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
     the closing edge, which is the direction :func:`make_cycle` walks, so each
     cycle is found once and built directly from the path.
     """
-    verts = sorted(graph.active_vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    adjacent = [[(eid, index[graph.edges[eid].other(v)]) for eid in graph.delta(v)] for v in verts]
-    on_path = [False] * len(verts)
-    path_v: list[VertexId] = []
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in graph.vertices()]
+    for eid in graph.edge_ids():
+        s, t = graph.end_index[eid]
+        adjacent[s].append((eid, t))
+        adjacent[t].append((eid, s))
+    on_path = [False] * len(adjacent)
+    path_v: list[int] = []
     path_e: list[int] = []
     found: list[Cycle] = []
 
@@ -141,15 +154,15 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
                     found.append(_cycle_from_walk(path_v, path_e + [eid]))
             elif j > start and not on_path[j]:
                 on_path[j] = True
-                path_v.append(verts[j])
+                path_v.append(j)
                 path_e.append(eid)
                 extend(start, j)
                 path_e.pop()
                 path_v.pop()
                 on_path[j] = False
 
-    for s in range(len(verts)):
-        path_v.append(verts[s])
+    for s in range(len(adjacent)):
+        path_v.append(s)
         extend(s, s)
         path_v.pop()
     return sorted(found)
@@ -161,6 +174,7 @@ class WitnessVerdict:
     failures: tuple  # (vertex, (e, f), count, image count)
     has_long_cycle: bool
     per_edge_usage: dict[int, int]
+    cycles: CycleList  # the verifier's own walk of every checked cycle
 
     def __bool__(self) -> bool:
         return self.ok
@@ -171,9 +185,9 @@ def pair_counts(
 ) -> tuple[dict[Turn, int], dict[int, int]]:
     """Turn counts and per-edge usage of a cycle list, with multiplicity.
 
-    ``counts[(v, {e, f})]`` is the number of cycles turning at ``v`` from
-    ``e`` to ``f``, which is the number containing both edges of a pair at
-    ``v``; ``usage[e]`` is the number containing ``e``, for every edge.
+    ``counts[(v.index, {e, f})]`` is the number of cycles turning at ``v``
+    from ``e`` to ``f``, which is the number containing both edges of a pair
+    at ``v``; ``usage[e]`` is the number containing ``e``, for every edge.
     """
     counts: dict[Turn, int] = {}
     usage = dict.fromkeys(graph.edges, 0)
@@ -187,34 +201,40 @@ def pair_counts(
 
 def verify_witness(
     graph: WhiteheadGraph,
-    cycles: CycleList,
+    cycles: Mapping[Cycle | frozenset[int], int],
     require_long: bool = False,
 ) -> WitnessVerdict:
-    """Check the balanced-pair condition of a cycle list against the graph."""
+    """Check the balanced-pair condition of a cycle list against the graph.
+
+    The keys are cycles or, as :func:`witness_from_json` reads them, edge-id
+    sets.  Every key is walked here by :func:`make_cycle` from its edge ids
+    alone, never from a walk the caller stored, and the verdict carries that
+    walked list, keys with one edge set merged.
+    """
     if not cycles:
         raise PreconditionError("a witness must be a nonempty cycle list")
-    # count turns of cycles rebuilt here, never the walks the caller stored
-    fresh: CycleList = {}
-    for cyc, mult in cycles.items():
+    walked: CycleList = {}
+    for key, mult in cycles.items():
+        eids = key.edges if isinstance(key, Cycle) else key
         if mult <= 0:
-            raise PreconditionError(f"multiplicity of {sorted(cyc.edges)} must be positive")
-        rebuilt = make_cycle(graph, cyc.edges)  # raises if the cycle is not in this graph
-        fresh[rebuilt] = fresh.get(rebuilt, 0) + mult
-    counts, usage = pair_counts(graph, fresh)
+            raise PreconditionError(f"multiplicity of {sorted(eids)} must be positive")
+        cyc = make_cycle(graph, eids)  # raises if the cycle is not in this graph
+        walked[cyc] = walked.get(cyc, 0) + mult
+    counts, usage = pair_counts(graph, walked)
     failures = []
     for v in graph.active_vertices():
+        i = v.index  # the paired vertex mu(v) has index i ^ 1
         delta = graph.delta(v)
-        mu = v.mu()
         sigma = {e: graph.sigma_edge(v, e) for e in delta}
-        for i, e in enumerate(delta):
-            for f in delta[i + 1 :]:
-                here = counts.get((v, frozenset((e, f))), 0)
-                there = counts.get((mu, frozenset((sigma[e], sigma[f]))), 0)
+        for a, e in enumerate(delta):
+            for f in delta[a + 1 :]:
+                here = counts.get((i, frozenset((e, f))), 0)
+                there = counts.get((i ^ 1, frozenset((sigma[e], sigma[f]))), 0)
                 if here != there:
                     failures.append((v, (e, f), here, there))
-    has_long = any(c.is_long for c in fresh)
+    has_long = any(c.is_long for c in walked)
     ok = not failures and (has_long or not require_long)
-    return WitnessVerdict(ok, tuple(failures), has_long, usage)
+    return WitnessVerdict(ok, tuple(failures), has_long, usage, walked)
 
 
 @dataclass(frozen=True)
@@ -246,19 +266,19 @@ def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
             covering.setdefault(turn, []).append(j)
     rows = []
     keys = []
-    for v in sorted(graph.active_vertices()):
+    for v in graph.active_vertices():  # in index order, which is vertex order
+        i = v.index  # the paired vertex mu(v) has index i ^ 1
         delta = graph.delta(v)
-        for i, e in enumerate(delta):
-            for f in delta[i + 1 :]:
-                img = tuple(sorted((graph.sigma_edge(v, e), graph.sigma_edge(v, f))))
-                this_key = (v, (e, f))
-                partner_key = (v.mu(), img)
-                if (partner_key[0], partner_key[1]) < (this_key[0], this_key[1]):
+        sigma = {e: graph.sigma_edge(v, e) for e in delta}
+        for a, e in enumerate(delta):
+            for f in delta[a + 1 :]:
+                img = tuple(sorted((sigma[e], sigma[f])))
+                if (i ^ 1, img) < (i, (e, f)):
                     continue  # the partner emits this row (negated)
                 row = [0] * len(cycles)
-                for j in covering.get((v, frozenset((e, f))), ()):
+                for j in covering.get((i, frozenset((e, f))), ()):
                     row[j] += 1
-                for j in covering.get((v.mu(), frozenset(img)), ()):
+                for j in covering.get((i ^ 1, frozenset(img)), ()):
                     row[j] -= 1
                 if any(row):
                     rows.append(row)
@@ -333,9 +353,14 @@ def witness_to_json(graph: WhiteheadGraph, cycles: CycleList) -> dict:
     }
 
 
-def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
+def witness_from_json(graph: WhiteheadGraph, data: dict) -> dict[frozenset[int], int]:
     """Parse witness JSON strictly: cycle entries of exactly ``edges`` (int ids,
-    none repeated) and ``multiplicity`` (a positive int), and the graph's hash."""
+    none repeated) and ``multiplicity`` (a positive int), and the graph's hash.
+
+    Returns the multiplicity of each listed edge set, entries with one edge
+    set merged.  Nothing is walked here: :func:`verify_witness` walks each
+    edge set, once, and rejects one that is not a cycle of the graph.
+    """
     try:
         cycles = [json_object(c, {"edges", "multiplicity"}, "a cycle") for c in data["cycles"]]
         entries = [(list(c["edges"]), c["multiplicity"]) for c in cycles]
@@ -352,8 +377,8 @@ def witness_from_json(graph: WhiteheadGraph, data: dict) -> CycleList:
         raise GraphError("malformed witness JSON: no graph_hash")
     if data["graph_hash"] != graph_hash(graph):
         raise VerificationError("witness was produced for a different graph")
-    out: CycleList = {}
+    out: dict[frozenset[int], int] = {}
     for listed, mult in entries:
-        cyc = make_cycle(graph, listed)
-        out[cyc] = out.get(cyc, 0) + mult
+        eids = frozenset(listed)
+        out[eids] = out.get(eids, 0) + mult
     return out

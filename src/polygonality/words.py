@@ -5,7 +5,8 @@ generator ``a_1 .. a_n`` or an inverse.  The compact text encoding uses
 lowercase letters for generators (``a`` = generator 1, ``b`` = 2, ...) and
 uppercase for inverses; the explicit token form ``a3`` / ``a3^-1`` addresses
 generators beyond rank 26.  Parenthesized subexpressions with integer powers
-are expanded literally, e.g. ``a(aB)^2B`` denotes ``aaBaBB``.
+are expanded literally, e.g. ``a(aB)^2B`` denotes ``aaBaBB``, up to
+:data:`MAX_WORD_LENGTH` letters per word.
 """
 
 from __future__ import annotations
@@ -95,8 +96,19 @@ class WordList:
 
 _TOKEN = re.compile(r"\s*(?:([a-zA-Z])(\d*)|(\()|(\)))")
 
+#: The longest expanded word a parse builds; checked before a power is expanded.
+MAX_WORD_LENGTH = 1_000_000
 
-def _parse_expr(text: str, pos: int, rank: int, depth: int) -> tuple[list[Letter], int]:
+
+def _parse_expr(
+    text: str, pos: int, rank: int, depth: int, room: int
+) -> tuple[list[Letter], int]:
+    """Letters of the expression at ``pos``, at most ``room`` of them.
+
+    ``room`` is the cap less the letters the enclosing groups already hold, so
+    the lists alive at once never exceed the cap; a group is held while it is
+    built, so it counts against the cap even under the power 0.
+    """
     out: list[Letter] = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -111,10 +123,15 @@ def _parse_expr(text: str, pos: int, rank: int, depth: int) -> tuple[list[Letter
                 raise WordParseError("unbalanced ')'")
             return out, pos
         if lparen:
-            atom, pos = _parse_expr(text, pos, rank, depth + 1)
+            atom, pos = _parse_expr(text, pos, rank, depth + 1, room - len(out))
         else:
             atom = [_letter_from_token(letter, digits, rank)]
         exp, pos = _maybe_power(text, pos)
+        if len(out) + len(atom) * abs(exp) > room:
+            length = MAX_WORD_LENGTH - room + len(out) + len(atom) * abs(exp)
+            raise WordParseError(
+                f"word expands to at least {length} letters, over the cap of {MAX_WORD_LENGTH}"
+            )
         out.extend(_apply_power(atom, exp))
     if depth != 0:
         raise WordParseError("unbalanced '('")
@@ -161,9 +178,11 @@ def parse_word(text: str, rank: int) -> Word:
     if rank < 1:
         raise WordParseError(f"rank must be >= 1, got {rank}")
     try:
-        letters, _ = _parse_expr(text, 0, rank, 0)
+        letters, _ = _parse_expr(text, 0, rank, 0, MAX_WORD_LENGTH)
     except RecursionError:
         raise WordParseError("parentheses nested too deeply") from None
+    except ValueError:  # int() refuses a digit string past sys.get_int_max_str_digits()
+        raise WordParseError("a number in the word has too many digits") from None
     if not letters:
         raise WordParseError(f"empty word expression {text!r}")
     return Word(tuple(letters))

@@ -335,6 +335,83 @@ def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
     assert counts["verify_witness"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "remark-2.4b"),
+        ("verify", "figure-7"),
+        ("surface", "remark-2.4b", "--witness"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_each_read_cycle_is_walked_once(tmp_path, monkeypatch, argv):
+    # figure-7 is a graph, which surface refuses; the verifier is the only walk
+    from polygonality import witness
+
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", argv[1], "--out", str(wit)) == 0
+    distinct = {frozenset(c["edges"]) for c in read_json(wit)["cycles"]}
+    walks = Counter()
+    count_calls(monkeypatch, witness, "_cycle_from_walk", walks)
+    assert run_cli(*argv, str(wit), "--out", str(tmp_path / "out.json")) == 0
+    assert walks["_cycle_from_walk"] == len(distinct) > 1
+
+
+@pytest.mark.parametrize("command", [("verify",), ("surface", "--witness")], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "name, edges, err",
+    [
+        ("commutator", [0, 1], "edge set [0, 1] has degree 1 at a2-"),
+        ("remark-2.4b", [0, 2, 3], "edge set [0, 2, 3] has degree 3 at a1"),
+        ("commutator", [0, 1, 2, 99], "cycle references unknown edge 99"),
+    ],
+    ids=["path", "degree 3", "unknown edge"],
+)
+def test_read_entry_that_is_not_a_cycle_is_an_error(tmp_path, capsys, command, name, edges, err):
+    # witness_from_json walks nothing, so the verifier's walk must refuse these
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", name, "--out", str(wit)) == 0
+    data = read_json(wit)
+    data["cycles"] = [{"edges": edges, "multiplicity": 1}]
+    wit.write_text(json.dumps(data), encoding="utf-8")
+    argv = (command[0], name, *command[1:], str(wit))
+    assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_verify_rejects_two_disjoint_cycles_as_one_entry(tmp_path, capsys):
+    # figure-7's two parallel pairs a1 = a1- (edges 1, 2) and a2 = a2- (12, 13)
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", "figure-7", "--out", str(wit)) == 0
+    data = read_json(wit)
+    data["cycles"] = [{"edges": [1, 2, 12, 13], "multiplicity": 1}]
+    wit.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("verify", "figure-7", str(wit)) == 1
+    assert capsys.readouterr().err == "error: edge set [1, 2, 12, 13] is not a single cycle\n"
+
+
+@pytest.mark.parametrize(
+    "word, length",
+    [("a^99999999 b", 99999999), ("(ab)^-99999999", 199999998)],
+)
+def test_oversized_power_is_an_error_before_it_is_expanded(tmp_path, capsys, monkeypatch, word, length):
+    from polygonality import words
+
+    expand = words._apply_power
+
+    def bounded(letters, exp):  # a missing cap fails here, not by exhausting memory
+        assert len(letters) * abs(exp) <= words.MAX_WORD_LENGTH
+        return expand(letters, exp)
+
+    monkeypatch.setattr(words, "_apply_power", bounded)
+    path = tmp_path / "words.txt"
+    path.write_text(f"rank 2\n{word}\n", encoding="utf-8")
+    assert run_cli("analyze", str(path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: word expands to at least {length} letters, over the cap of 1000000\n"
+    )
+
+
 def test_auto_moves_on_when_a_precondition_fails(tmp_path):
     # aBcAbC: a 2-regular rank-3 graph of two disjoint triangles, so the odd
     # set {a, b, c} is left by no edge; the two triangles still balance

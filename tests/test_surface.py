@@ -148,14 +148,14 @@ def test_cycle_walk_structure():
     for text in ("rank 2\naBa^2b\n", "rank 2\na(aB)^3B^2\n", "rank 3\nabcabCAB\n"):
         graph = words_graph(text)
         for cyc in pg.enumerate_cycles(graph):
-            verts = [v for v, _ in cyc.turns]
+            verts = [i for i, _ in cyc.turns]  # vertex indices
             eids = cyc.edge_seq
             assert len(verts) == len(set(verts)) == len(eids) == len(cyc)
             assert set(eids) == cyc.edges
             assert verts[0] == min(verts)
-            assert eids[0] == min(set(graph.delta(verts[0])) & cyc.edges)
+            assert eids[0] == min(set(graph.delta(graph.vertices()[verts[0]])) & cyc.edges)
             for t, eid in enumerate(eids):
-                ends = set(graph.edges[eid].ends)
+                ends = {v.index for v in graph.edges[eid].ends}
                 assert ends == {verts[t], verts[(t + 1) % len(verts)]}
                 assert cyc.turns[t][1] == {eids[t - 1], eid}
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -293,3 +294,39 @@ def test_regular_instance_generator_properties():
     assert all(
         g.local_edge_connectivity(v, v.mu()) == 3 for v in g.vertices() if v.sign > 0
     )
+
+
+def _index_table_graphs(seed: int, kind: str):
+    """A random graph of ``kind``, with and without its connecting map."""
+    if kind == "regular":
+        graph = random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2)
+    else:
+        graph = random_fourvertex_instance(seed, max_degree=5)
+    gone = set(random.Random(seed).sample(sorted(graph.edges), len(graph.edges) // 3))
+    return graph, graph_from_json(graph_to_json(graph)), graph.remove_edges(gone)
+
+
+@given(st.integers(0, 200), st.sampled_from(["regular", "fourvertex"]))
+@settings(max_examples=40, deadline=None)
+def test_index_tables_match_the_vertex_ids(seed, kind):
+    for graph in _index_table_graphs(seed, kind):
+        verts = graph.vertices()
+        assert verts is graph.vertices()  # one tuple per graph
+        assert list(verts) == sorted(verts)
+        assert all(verts[i].index == i for i in range(len(verts)))
+        assert len(verts) == 2 * graph.rank
+        assert graph.end_index.keys() == graph.edges.keys()
+        for eid, e in graph.edges.items():
+            assert graph.end_index[eid] == (e.ends[0].index, e.ends[1].index)
+            assert tuple(verts[i] for i in graph.end_index[eid]) == e.ends
+        for v in verts:
+            assert graph.delta(v) == sorted(eid for eid, e in graph.edges.items() if v in e.ends)
+            if isinstance(graph, pg.WhiteheadGraph):
+                for eid in graph.delta(v):  # against the dart-level map
+                    assert graph.sigma_edge(v, eid) == graph.sigma[graph.edges[eid].dart_at(v)].eid
+
+
+def test_sigma_edge_rejects_an_edge_not_at_the_vertex(commutator):
+    away = next(eid for eid in commutator.edges if vid(1, 1) not in commutator.edges[eid].ends)
+    with pytest.raises(GraphError, match=f"edge {away} is not incident with a1$"):
+        commutator.sigma_edge(vid(1, 1), away)

@@ -308,7 +308,24 @@ def test_witness_json_round_trip(polygonal_graph):
     found = pg.search_witness_lp(polygonal_graph, require_long=True)
     data = witness_to_json(polygonal_graph, found)
     back = witness_from_json(polygonal_graph, data)
-    assert back == found
+    assert back == {c.edges: m for c, m in found.items()}
+    verdict = pg.verify_witness(polygonal_graph, back, require_long=True)
+    assert verdict.ok and verdict.cycles == found
+    for c in found:  # edge_seq and turns take no part in equality
+        walked = next(w for w in verdict.cycles if w == c)
+        assert (walked.key, walked.edge_seq, walked.turns) == (c.key, c.edge_seq, c.turns)
+
+
+def test_witness_json_merges_entries_by_edge_set(commutator):
+    cyc = make_cycle(commutator, [0, 1, 2, 3])
+    data = witness_to_json(commutator, {cyc: 1})
+    data["cycles"] = [
+        {"edges": [0, 1, 2, 3], "multiplicity": 2},
+        {"edges": [3, 1, 0, 2], "multiplicity": 5},
+    ]
+    back = witness_from_json(commutator, data)
+    assert back == {frozenset({0, 1, 2, 3}): 7}
+    assert pg.verify_witness(commutator, back).cycles == {cyc: 7}
 
 
 def test_witness_json_rejects_repeated_edge_id(commutator):
@@ -399,10 +416,11 @@ def test_pair_counts_match_brute_force_recount(seed, case):
     counts, usage = pg.pair_counts(graph, cycles)
     for v in graph.active_vertices():
         for e, f in itertools.combinations(graph.delta(v), 2):
-            assert counts.get((v, frozenset((e, f))), 0) == oracle_pair_count(
+            assert counts.get((v.index, frozenset((e, f))), 0) == oracle_pair_count(
                 graph, cycles, v, e, f
             )
-    assert all(len(pair) == 2 and pair <= set(graph.delta(v)) for v, pair in counts)
+    verts = graph.vertices()
+    assert all(len(pair) == 2 and pair <= set(graph.delta(verts[i])) for i, pair in counts)
     assert usage == {
         eid: sum(m for c, m in cycles.items() if eid in c.edges) for eid in graph.edges
     }

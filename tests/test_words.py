@@ -1,9 +1,11 @@
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
+from polygonality import words
 from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
 from polygonality.words import Letter, Word, match_power
 
@@ -191,3 +193,42 @@ def test_match_power():
     inv = pg.parse_word("(abAB)^-1", 2).letters
     assert match_power(inv, base) == -1
     assert match_power(pg.parse_word("aab", 2).letters, base) is None
+
+
+@pytest.mark.parametrize(
+    "text, length",
+    [
+        ("a^11", 11),
+        ("a^5b^6", 11),
+        ("(a^3)^-4", 12),
+        ("a^4(ba^3)^2", 12),
+        ("(ab)^-6", 12),
+        ("a^4(b(a^6))", 11),  # inside a group, the letters before it count too
+    ],
+)
+def test_power_past_the_cap_is_refused_before_it_is_built(monkeypatch, text, length):
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 10)
+    built = []
+    expand = words._apply_power
+
+    def recorded(letters, exp):
+        built.append(len(letters) * abs(exp))
+        return expand(letters, exp)
+
+    monkeypatch.setattr(words, "_apply_power", recorded)
+    expected = f"word expands to at least {length} letters, over the cap of 10"
+    with pytest.raises(WordParseError, match=re.escape(expected)):
+        pg.parse_word(text, 2)
+    assert sum(built) <= 10  # the power that crosses the cap is never expanded
+
+
+@pytest.mark.parametrize("text", ["a^10", "a^4b^6", "(ab)^-5", "(a^3)^3a"])
+def test_power_up_to_the_cap_is_expanded(monkeypatch, text):
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 10)
+    assert len(pg.parse_word(text, 2)) <= 10
+
+
+@pytest.mark.parametrize("text", ["a^" + "9" * 5000, "a" + "9" * 5000])
+def test_number_past_the_int_digit_limit_is_a_parse_error(text):
+    with pytest.raises(WordParseError, match="too many digits"):
+        pg.parse_word(text, 2)
