@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
-from .errors import GraphError, PolygonalityError, PreconditionError
+from .errors import GraphError, PolygonalityError, PreconditionError, VerificationError
 from .whitehead import EdgeRecord, VertexId, WhiteheadGraph
 
 
@@ -198,7 +198,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if verdict is None:
         write_output(_dump(found.to_json(graph)), args.out)
         return 2
-    payload = witness.witness_to_json(graph, found)
+    payload = witness.witness_to_json(graph, found, verdict.per_edge_usage)
     payload.update(extras)
     write_output(_dump(payload), args.out)
     if not verdict.ok:
@@ -276,40 +276,50 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}: {exc}")
 
+    def require(holds: bool, message: str) -> None:
+        # an explicit check, so that `python -O` cannot strip it
+        if not holds:
+            raise VerificationError(message)
+
     def commutator_certificate():
         _, wl = load_input("commutator")
         graph = whitehead.build_whitehead_graph(wl)
         found, _, verdict = _construct_witness(graph, "auto", True)
-        assert verdict.ok
+        require(verdict is not None and verdict.ok, "the commutator's witness does not verify")
         complex_ = surface.build_surface(graph, found)
         report = surface.surface_report(complex_, wl)
-        assert report.chi_s_minus_m == -1 and report.chi_double == -2
+        require(
+            report.chi_s_minus_m == -1 and report.chi_double == -2,
+            f"chi(S) - m = {report.chi_s_minus_m} and chi(S'') = {report.chi_double}, "
+            "expected -1 and -2",
+        )
 
     def nonminimal_detected():
         graph, _ = _resolve_graph("remark-2.4a")
-        report = whitehead.analyze(graph)
-        assert not report.minimal
+        require(not whitehead.analyze(graph).minimal, "remark-2.4a is reported minimal")
 
     def polygonal_word():
         graph, wl = _resolve_graph("remark-2.4b")
         report = whitehead.analyze(graph)
-        assert report.minimal and report.diskbusting
+        require(report.minimal and report.diskbusting, "remark-2.4b is not minimal and diskbusting")
         good = fourvertex.four_vertex_witness(graph)
-        assert witness.verify_witness(graph, good.cycles, require_long=True).ok
+        verdict = witness.verify_witness(graph, good.cycles, require_long=True)
+        require(verdict.ok, "the four-vertex witness of remark-2.4b does not verify")
         complex_ = surface.build_surface(graph, good.cycles)
-        assert surface.surface_report(complex_, wl).chi_s_minus_m < 0
+        chi = surface.surface_report(complex_, wl).chi_s_minus_m
+        require(chi < 0, f"chi(S) - m = {chi} is not negative")
 
     def refutation_instance():
         graph, _ = _resolve_graph("example-6.1")
-        report = whitehead.analyze(graph)
-        assert not report.minimal
+        require(not whitehead.analyze(graph).minimal, "example-6.1 is reported minimal")
         found = witness.search_witness_lp(graph, require_long=True)
-        assert isinstance(found, witness.Infeasible)
+        require(isinstance(found, witness.Infeasible), "the LP search did not refute example-6.1")
 
     def pictured_graph():
         graph = _figure7_graph()
         good = fourvertex.four_vertex_witness(graph)
-        assert witness.verify_witness(graph, good.cycles, require_long=True).ok
+        verdict = witness.verify_witness(graph, good.cycles, require_long=True)
+        require(verdict.ok, "the four-vertex witness of figure 7 does not verify")
 
     check("commutator certificate", commutator_certificate)
     check("remark-2.4a non-minimal", nonminimal_detected)

@@ -51,13 +51,15 @@ def _regularity(graph: Multigraph) -> int:
     return degrees.pop()
 
 
-def is_k_graph(graph: Multigraph) -> KGraphVerdict:
+def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     """Exhaustive odd-cut check over the non-isolated vertices.
 
-    Returns the first violating odd set in canonical order (by size, then by
-    vertex order) when the graph fails.
+    ``k`` is the degree, when the caller already has it.  Returns the first
+    violating odd set in canonical order (by size, then by vertex order) when
+    the graph fails.
     """
-    k = _regularity(graph)
+    if k is None:
+        k = _regularity(graph)
     verts = sorted(graph.active_vertices())
     for size in range(1, len(verts) + 1, 2):
         for subset in itertools.combinations(verts, size):
@@ -73,23 +75,42 @@ def is_k_graph(graph: Multigraph) -> KGraphVerdict:
 
 
 def enumerate_perfect_matchings(graph: Multigraph) -> list[Matching]:
-    """All perfect matchings on the non-isolated vertices, parallel edges distinct."""
-    verts = sorted(graph.active_vertices())
-    out: list[Matching] = []
+    """All perfect matchings on the non-isolated vertices, parallel edges distinct.
 
-    def extend(uncovered: tuple[VertexId, ...], chosen: tuple[int, ...]):
-        if not uncovered:
+    Each matching covers the least uncovered vertex first, by each of its
+    edges in id order.
+    """
+    ends = graph.end_index
+    verts = graph.active_vertices()
+    active = [v.index for v in verts]
+    delta = [graph.delta(v) for v in verts]
+    covered = [True] * len(graph.vertices())
+    for i in active:
+        covered[i] = False
+    out: list[Matching] = []
+    chosen: list[int] = []
+
+    def extend(pos: int):
+        while pos < len(active) and covered[active[pos]]:
+            pos += 1
+        if pos == len(active):
             out.append(Matching(frozenset(chosen)))
             return
-        v = uncovered[0]
-        rest = set(uncovered[1:])
-        for eid in graph.delta(v):
-            w = graph.edges[eid].other(v)
-            if w in rest:
-                extend(tuple(x for x in uncovered[1:] if x != w), chosen + (eid,))
+        i = active[pos]
+        covered[i] = True
+        for eid in delta[pos]:
+            s, t = ends[eid]
+            j = t if s == i else s
+            if not covered[j]:
+                covered[j] = True
+                chosen.append(eid)
+                extend(pos + 1)
+                chosen.pop()
+                covered[j] = False
+        covered[i] = False
 
-    if len(verts) % 2 == 0:
-        extend(tuple(verts), ())
+    if len(active) % 2 == 0:
+        extend(0)
     return out
 
 
@@ -109,23 +130,25 @@ class FractionalColoring:
         }
 
 
-def fractional_edge_coloring(graph: Multigraph) -> FractionalColoring:
+def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> FractionalColoring:
     """Perfect matchings with integer multiplicities covering each edge ell/k times.
 
     For a k-regular graph, solves for rational weights with unit total mass
     and per-edge coverage 1/k over the enumerated perfect matchings, then
-    clears denominators.  Raises GraphError when no such weights exist, which
-    happens exactly when some odd vertex set is left by fewer than k edges.
+    clears denominators.  ``k`` is the degree, when the caller already has
+    it.  Raises GraphError when no such weights exist, which happens exactly
+    when some odd vertex set is left by fewer than k edges.
     """
-    k = _regularity(graph)
+    if k is None:
+        k = _regularity(graph)
     matchings = enumerate_perfect_matchings(graph)
-    eids = graph.edge_ids()
     # rows: total mass 1, then per edge (scaled by k): sum_{M ni e} k*y_M = 1
-    rows = [[1] * len(matchings)]
-    rhs = [1]
-    for eid in eids:
-        rows.append([k if eid in m.edges else 0 for m in matchings])
-        rhs.append(1)
+    row_of = {eid: r for r, eid in enumerate(graph.edge_ids(), 1)}
+    rows = [[1] * len(matchings)] + [[0] * len(matchings) for _ in row_of]
+    for col, m in enumerate(matchings):
+        for eid in m.edges:
+            rows[row_of[eid]][col] = k
+    rhs = [1] * len(rows)
     res = find_feasible(rows, rhs)
     if res.status != "optimal":
         raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
@@ -196,9 +219,9 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
     if k <= 1:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
     try:
-        coloring = fractional_edge_coloring(graph)
+        coloring = fractional_edge_coloring(graph, k)
     except GraphError:
-        verdict = is_k_graph(graph)
+        verdict = is_k_graph(graph, k)
         if verdict.ok:
             raise
         raise PreconditionError(

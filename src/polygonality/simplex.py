@@ -23,7 +23,14 @@ Two entry points cover the package's needs:
   ``x >= 0``.  The zero vector is feasible, so a crash basis from Gauss-Jordan
   elimination replaces phase one.  Optimal duals double as a refutation
   certificate when the optimum is zero.
-* :func:`find_feasible` -- phase-one search for ``A x = b, x >= 0``.
+* :func:`find_feasible` -- phase-one search for ``A x = b, x >= 0``.  The
+  artificial column of row ``i`` is never stored: it keeps only its basis
+  label ``n + i``, which breaks ratio-test ties as before.  Bland's rule would
+  enter an artificial only when no stored column improves, and while the
+  objective is negative that already proves the system infeasible.  The
+  solve stops at the first basis whose objective is zero; every later pivot,
+  and every pivot that would move a leftover artificial out of the basis,
+  has ratio zero and so cannot change ``x``.
 """
 
 from __future__ import annotations
@@ -88,25 +95,17 @@ class _Tableau:
 
     ``rows[i]`` holds the ``n`` column entries of row ``i`` followed by its
     right-hand side; ``obj`` holds the reduced costs followed by minus the
-    objective value, over ``obj_den``.  ``d`` is the absolute determinant of
-    the current basis.
+    objective value, over ``obj_den`` (``d`` at the start).  ``d`` is the
+    absolute determinant of the current basis.  A basis label ``>= n`` names
+    a column that is not stored.
     """
 
-    def __init__(self, rows, dens, basis, cost, d):
+    def __init__(self, rows, dens, basis, obj, d):
         self.rows = rows
         self.dens = dens
         self.basis = basis
-        self.n = len(cost)
+        self.n = len(obj) - 1
         self.d = d
-        # d * (c - c_B B^-1 A), exact once every basic row with a cost is over d
-        obj = [d * v for v in cost] + [0]
-        for i, bi in enumerate(basis):
-            f = cost[bi]
-            if f:
-                if dens[i] != d:
-                    rows[i] = [v * d // dens[i] for v in rows[i]]
-                    dens[i] = d
-                obj = [a - f * b for a, b in zip(obj, rows[i])]
         self.obj = obj
         self.obj_den = d
 
@@ -123,11 +122,12 @@ class _Tableau:
         self.obj_den = self.dens.pop()
         self.basis[r] = col
 
-    def run(self, stop_when_positive=False):
-        """Bland-rule pivoting until optimality (all reduced costs <= 0)."""
+    def run(self, stop_when_positive=False, stop_when_zero=False):
+        """Bland-rule pivoting until every stored reduced cost is <= 0, or
+        until the objective is positive or zero, as the flags ask."""
         n = self.n
         while True:
-            if stop_when_positive and self.positive:
+            if (stop_when_positive and self.positive) or (stop_when_zero and not self.obj[-1]):
                 return
             col = next((j for j in range(n) if self.obj[j] > 0), None)
             if col is None:
@@ -216,7 +216,16 @@ def maximize_homogeneous(A, c, stop_when_positive=False):
     tab_rows = [rows[i] for i in kept] + [rows[m]]
     tab_dens = [dens[i] for i in kept] + [dens[m]]
     tab_basis = basis_cols + [n]  # slack basic in the normalization row
-    tab = _Tableau(tab_rows, tab_dens, tab_basis, cost, d)
+    # d * (c - c_B B^-1 A), exact once every basic row with a cost is over d
+    obj = [d * v for v in cost] + [0]
+    for i, bi in enumerate(tab_basis):
+        f = cost[bi]
+        if f:
+            if tab_dens[i] != d:
+                tab_rows[i] = [v * d // tab_dens[i] for v in tab_rows[i]]
+                tab_dens[i] = d
+            obj = [a - f * b for a, b in zip(obj, tab_rows[i])]
+    tab = _Tableau(tab_rows, tab_dens, tab_basis, obj, d)
     tab.run(stop_when_positive=stop_when_positive)
     duals = [ZERO] * (m + 1)
     if not (stop_when_positive and tab.positive):
@@ -241,20 +250,12 @@ def find_feasible(A, b):
     rows = []
     for i in range(m):
         row = _integers(A[i]) + [index(b[i])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        # artificial columns n .. n+m-1, then the right-hand side
-        rows.append(row[:n] + [int(k == i) for k in range(m)] + row[n:])
-    cost = [0] * n + [-1] * m  # phase-one cost -1 per artificial (maximization)
-    basis = [n + i for i in range(m)]
-    tab = _Tableau(rows, [1] * m, basis, cost, 1)
-    tab.run()
-    if tab.obj[-1] > 0:  # negative optimum: some artificial stays positive
+        rows.append([-v for v in row] if row[-1] < 0 else row)
+    # the artificial of row i is basic under the label n + i; at that basis the
+    # reduced costs of max -sum(artificials) are the column sums
+    obj = [sum(col) for col in zip(*rows)] if rows else [0]
+    tab = _Tableau(rows, [1] * m, [n + i for i in range(m)], obj, 1)
+    tab.run(stop_when_zero=True)
+    if tab.obj[-1]:  # no stored column improves a negative objective
         return LPResult("infeasible")
-    # pivot leftover artificials out of the basis (rows are consistent here)
-    for i in range(len(tab.basis)):
-        if tab.basis[i] >= n:
-            col = next((j for j in range(n) if tab.rows[i][j] != 0), None)
-            if col is not None:
-                tab.pivot(i, col)
     return LPResult("optimal", tab.solution(n), ZERO, [])

@@ -64,9 +64,12 @@ class DualPolygon:
 class SurfaceComplex:
     """The glued closed surface with its counts and side pairing."""
 
-    def __init__(self, graph: WhiteheadGraph, witness: CycleList, polygons, pairing):
+    def __init__(
+        self, graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int], polygons, pairing
+    ):
         self.graph = graph
         self.witness = witness
+        self.usage = usage  # per-edge usage of the witness, from its verdict
         self.polygons: tuple[DualPolygon, ...] = polygons
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
         self._glue()
@@ -211,7 +214,7 @@ def build_surface(
         for a, b in zip(ins, outs):
             pairing[a] = b
             pairing[b] = a
-    return SurfaceComplex(graph, cycles, tuple(polygons), pairing)
+    return SurfaceComplex(graph, cycles, verdict.per_edge_usage, tuple(polygons), pairing)
 
 
 @dataclass(frozen=True)
@@ -317,8 +320,8 @@ class SurfaceReport:
         }
 
 
-def witness_hash(graph: WhiteheadGraph, witness: CycleList) -> str:
-    blob = json.dumps(witness_to_json(graph, witness), sort_keys=True).encode()
+def witness_hash(graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int]) -> str:
+    blob = json.dumps(witness_to_json(graph, witness, usage), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -350,5 +353,5 @@ def surface_report(complex_: SurfaceComplex, word_list: WordList) -> SurfaceRepo
         orientable=complex_.is_orientable(),
         boundary=tuple(boundary),
         positive_degrees=degrees,
-        witness_hash=witness_hash(complex_.graph, complex_.witness),
+        witness_hash=witness_hash(complex_.graph, complex_.witness, complex_.usage),
     )

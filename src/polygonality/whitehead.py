@@ -161,16 +161,18 @@ class Multigraph:
         verts = self.active_vertices() if ignore_isolated else self.vertices()
         if not verts:
             return True
-        seen = {verts[0]}
-        stack = [verts[0]]
+        seen = [False] * len(self._vertices)
+        stack = [verts[0].index]
+        seen[stack[0]] = True
         while stack:
-            v = stack.pop()
-            for eid in self._delta[v.index]:
-                w = self.edges[eid].other(v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return all(v in seen for v in verts)
+            i = stack.pop()
+            for eid in self._delta[i]:
+                s, t = self.end_index[eid]
+                j = t if s == i else s
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return all(seen[v.index] for v in verts)
 
     def remove_edges(self, eids: Iterable[int]) -> "Multigraph":
         gone = set(eids)

@@ -340,9 +340,9 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
 # -- witness (de)serialization ----------------------------------------------
 
 
-def witness_to_json(graph: WhiteheadGraph, cycles: CycleList) -> dict:
-    """Serialize a cycle list; it is not verified here."""
-    _, usage = pair_counts(graph, cycles)
+def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]) -> dict:
+    """Serialize a cycle list with its per-edge usage, as :func:`pair_counts`
+    or a :class:`WitnessVerdict` gives it; nothing is counted or verified here."""
     return {
         "graph_hash": graph_hash(graph),
         "cycles": [

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: cycles are
 found by filtering edge subsets, canonical cycle keys by listing every
 rotation, pair counts by direct recounting, witness existence by bounded
 enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
-regular cycle lists by the slot-pair loop over the coloring, and linear
+regular cycle lists by the slot-pair loop over the coloring, perfect
+matchings by a walk over vertex objects and sets, and linear
 programs by a Bland-rule simplex on a Fraction tableau.
 """
 
@@ -153,6 +154,29 @@ def oracle_regular_cycles(graph: Multigraph, coloring) -> dict:
             cyc = make_cycle(graph, comp)
             cycles[cyc] = cycles.get(cyc, 0) + 1
     return cycles
+
+
+def oracle_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
+    """Edge sets of all perfect matchings on the non-isolated vertices, walked
+    over ``VertexId``s: the least uncovered vertex first, by each of its edges
+    in id order."""
+    verts = sorted(graph.active_vertices())
+    out: list[frozenset[int]] = []
+
+    def extend(uncovered: tuple[VertexId, ...], chosen: tuple[int, ...]):
+        if not uncovered:
+            out.append(frozenset(chosen))
+            return
+        v = uncovered[0]
+        rest = set(uncovered[1:])
+        for eid in graph.delta(v):
+            w = graph.edges[eid].other(v)
+            if w in rest:
+                extend(tuple(x for x in uncovered[1:] if x != w), chosen + (eid,))
+
+    if len(verts) % 2 == 0:
+        extend(tuple(verts), ())
+    return out
 
 
 def oracle_pair_count(graph, cycles: dict, v, e, f) -> int:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -81,7 +84,7 @@ def test_verify_flags_unbalanced_witness(tmp_path):
     import polygonality as pg
     from polygonality.cli import load_input
     from polygonality.whitehead import build_whitehead_graph
-    from polygonality.witness import make_cycle, witness_to_json
+    from polygonality.witness import make_cycle, pair_counts, witness_to_json
 
     _, wl = load_input("example-6.1")
     graph = build_whitehead_graph(wl)
@@ -92,7 +95,8 @@ def test_verify_flags_unbalanced_witness(tmp_path):
     ]
     bad = {make_cycle(graph, parallel): 1}
     wit = tmp_path / "bad.json"
-    wit.write_text(json.dumps(witness_to_json(graph, bad)), encoding="utf-8")
+    payload = witness_to_json(graph, bad, pair_counts(graph, bad)[1])
+    wit.write_text(json.dumps(payload), encoding="utf-8")
     code = run_cli("verify", "example-6.1", str(wit), "--out", str(tmp_path / "v.json"))
     assert code == 2
     assert read_json(tmp_path / "v.json")["failures"]
@@ -235,6 +239,32 @@ def test_selftest(capsys):
     assert out.count("ok   ") == 5 and "FAIL" not in out
 
 
+def test_selftest_fails_under_python_O_when_the_verifier_rejects():
+    # the checks are explicit, so `python -O` keeps them; each failure names its reason
+    script = """
+import dataclasses, sys
+from polygonality import cli, witness
+verify = witness.verify_witness
+witness.verify_witness = lambda *a, **k: dataclasses.replace(verify(*a, **k), ok=False)
+sys.exit(cli.main(["selftest"]))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 1, done.stderr
+    failed = {}
+    for line in done.stdout.splitlines():
+        if line.startswith("FAIL "):
+            name, _, reason = line[5:].partition(": ")
+            failed[name] = reason
+    assert set(failed) == {"commutator certificate", "remark-2.4b polygonal", "figure-7 witness"}
+    assert all(reason.strip() for reason in failed.values()), failed
+    assert done.stdout.count("ok   ") == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -278,6 +308,13 @@ def test_auto_computes_the_four_vertex_hypothesis_once(tmp_path, calls):
     assert calls["local_edge_connectivity"] == 4 and calls["is_connected"] == 2
 
 
+def test_regular_witness_reads_the_degree_once(tmp_path, monkeypatch):
+    counts = Counter()
+    count_calls(monkeypatch, regular, "_regularity", counts)
+    assert run_cli("witness", "commutator", "--method", "regular", "--out", str(tmp_path / "w.json")) == 0
+    assert counts["_regularity"] == 1
+
+
 def test_auto_computes_the_odd_cut_check_once(tmp_path, calls):
     graph = tmp_path / "g.json"
     run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "3", "--out", str(graph))
@@ -319,8 +356,8 @@ def test_witness_runs_the_verifier_once(tmp_path, monkeypatch, argv, method, ver
     assert code == (0 if method else 2)
     assert read_json(out).get("method") == method
     assert counts["verify_witness"] == verified
-    # turns are counted once by the verifier and once for the JSON's usage table
-    assert counts["pair_counts"] == 2 * verified
+    # turns are counted once, by the verifier; the JSON's usage table is its count
+    assert counts["pair_counts"] == verified
 
 
 def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
@@ -329,10 +366,12 @@ def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
 
     counts = Counter()
     for owner in (witness, fourvertex, regular, surface):
-        if hasattr(owner, "verify_witness"):
-            count_calls(monkeypatch, owner, "verify_witness", counts)
+        for name in ("verify_witness", "pair_counts"):
+            if hasattr(owner, name):
+                count_calls(monkeypatch, owner, name, counts)
     assert run_cli("surface", "remark-2.4b", "--out", str(tmp_path / "s.json")) == 0
-    assert counts["verify_witness"] == 1
+    # the witness hash serializes the verifier's usage table: one pair count
+    assert counts["verify_witness"] == 1 and counts["pair_counts"] == 1
 
 
 @pytest.mark.parametrize(
@@ -430,7 +469,10 @@ def test_auto_moves_on_when_a_precondition_fails(tmp_path):
 def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     # pivots and tableau entries (rows x columns) they touch, the unit of the
     # benchmark's work budget, per `witness` command; captured on the Fraction
-    # kernel, so any kernel must pivot on tableaux of the same shape
+    # kernel, so any kernel must pivot on tableaux of the same shape.  Phase
+    # one (regular-9, triangles) stores only the structural columns and stops
+    # at its first zero-objective basis, so its pins are the reference's
+    # pivots up to that basis, on the narrower tableau
     from polygonality import simplex
 
     work = Counter()
@@ -444,7 +486,7 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "pivot", counted)
     regular_graph = tmp_path / "regular-9.json"
     run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2", "--out", str(regular_graph))
-    triangles = tmp_path / "triangles.txt"  # rank 3, solved by the LP with a positive optimum
+    triangles = tmp_path / "triangles.txt"  # rank 3 and 4-regular: a 13 x 12 coloring LP
     triangles.write_text("rank 3\naBcAbC\nabcACB\n", encoding="utf-8")
     seen = {}
     for name, spec in [
@@ -459,7 +501,7 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     assert seen == {
         "example-6.1": (1, 416),
         "remark-2.4a": (0, 0),
-        "regular-9": (5, 420),
-        "triangles": (11, 3575),
+        "regular-9": (5, 175),
+        "triangles": (8, 1248),
     }
-    assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 836
+    assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 591

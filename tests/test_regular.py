@@ -16,7 +16,13 @@ from polygonality.regular import (
 from polygonality.whitehead import WhiteheadGraph
 from polygonality.witness import make_cycle
 
-from conftest import fourvertex_base_case, make_plain, oracle_regular_cycles, vid
+from conftest import (
+    fourvertex_base_case,
+    make_plain,
+    oracle_perfect_matchings,
+    oracle_regular_cycles,
+    vid,
+)
 
 
 def k4():
@@ -103,6 +109,27 @@ def test_regular_witness_bigon():
     rw = regular_witness(bigon())
     assert sum(rw.cycles.values()) == 1
     assert not any(c.is_long for c in rw.cycles)  # a lone bigon is permitted here
+
+
+def _assert_matchings_match_the_oracle(graph):
+    assert [m.edges for m in enumerate_perfect_matchings(graph)] == oracle_perfect_matchings(graph)
+
+
+def test_matchings_match_the_oracle_on_small_graphs(commutator):
+    for graph in (commutator, k4(), triangle(), bigon()):
+        _assert_matchings_match_the_oracle(graph)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_matchings_match_the_oracle_on_random_regular_instances(seed, k, pairs):
+    _assert_matchings_match_the_oracle(random_regular_instance(seed, k, pairs))
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=20, deadline=None)
+def test_matchings_match_the_oracle_on_fourvertex_base_cases(seed):
+    _assert_matchings_match_the_oracle(fourvertex_base_case(random_fourvertex_instance(seed)))
 
 
 def test_symmetric_difference_degree_property():

@@ -145,6 +145,43 @@ def recorded_pivots(*classes):
             cls.pivot = originals[cls]
 
 
+def reference_phase_one(A, b):
+    """The reference phase one's ``x`` (None when infeasible) and the pivots
+    ``(row, column, rows * columns)`` that phase one over the structural
+    columns alone must make.
+
+    The reference log is cut at its first zero-objective basis when the
+    system is feasible, and at its first artificial entering column when it
+    is not; the cells count the ``n`` structural columns only.
+    """
+    m, n = len(A), (len(A[0]) if A else 0)
+    log = []
+    pivot = FractionTableau.pivot
+
+    def recording(tab, r, col):
+        log.append((r, col, tab.obj_val))
+        return pivot(tab, r, col)
+
+    with mock.patch.object(FractionTableau, "pivot", recording):
+        x = oracle_find_feasible(A, b)
+    if x is not None:
+        cut = next((k for k, (_, _, value) in enumerate(log) if value == 0), len(log))
+    else:
+        cut = next((k for k, (_, col, _) in enumerate(log) if col >= n), len(log))
+    return x, [(r, col, m * n) for r, col, _ in log[:cut]]
+
+
+def assert_phase_one_matches_reference(A, b):
+    with recorded_pivots(simplex._Tableau) as logs:
+        res = find_feasible(A, b)
+    x, pivots = reference_phase_one(A, b)
+    assert res.status == ("infeasible" if x is None else "optimal")
+    if x is not None:
+        assert res.x == x
+    assert logs[simplex._Tableau] == pivots
+    return pivots
+
+
 entries = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3])
 
 
@@ -199,14 +236,7 @@ def test_maximize_homogeneous_matches_fraction_reference(lp, stop):
 @example(([[1, 1], [1, 1]], [1, 2]))  # infeasible phase one
 @example(([[1, -1], [-1, 1], [2, -2]], [-1, 1, -2]))  # redundant rows, negative rhs
 def test_find_feasible_matches_fraction_reference(system):
-    A, b = system
-    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
-        res = find_feasible(A, b)
-        x = oracle_find_feasible(A, b)
-    assert res.status == ("infeasible" if x is None else "optimal")
-    if x is not None:
-        assert res.x == x
-    assert logs[simplex._Tableau] == logs[FractionTableau]
+    assert_phase_one_matches_reference(*system)
 
 
 @st.composite
@@ -246,13 +276,7 @@ def test_find_feasible_matches_fraction_reference_on_sparse_systems(system, feas
         b = [sum(a * v for a, v in zip(row, x0)) for row in A]
     else:
         b = [rng.randint(-3, 3) for _ in A]
-    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
-        res = find_feasible(A, b)
-        x = oracle_find_feasible(A, b)
-    assert res.status == ("infeasible" if x is None else "optimal")
-    if x is not None:
-        assert res.x == x
-    assert logs[simplex._Tableau] == logs[FractionTableau]
+    assert_phase_one_matches_reference(A, b)
 
 
 def _coloring_system(graph):
@@ -274,12 +298,8 @@ def _coloring_system(graph):
 )
 def test_coloring_lp_matches_fraction_reference(graph):
     A, b = _coloring_system(graph)
-    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
-        res = find_feasible(A, b)
-        x = oracle_find_feasible(A, b)
-    assert res.status == "optimal" and res.x == x
-    assert len(logs[simplex._Tableau]) > 1
-    assert logs[simplex._Tableau] == logs[FractionTableau]
+    assert find_feasible(A, b).status == "optimal"
+    assert len(assert_phase_one_matches_reference(A, b)) > 1
 
 
 def test_pivot_leaves_rows_without_the_pivot_column_untouched():
@@ -289,7 +309,8 @@ def test_pivot_leaves_rows_without_the_pivot_column_untouched():
         [0, 3, 1, 0, 1, 0, 6],
         [1, 1, 1, 0, 0, 1, 5],
     ]
-    tab = simplex._Tableau(rows, [1, 1, 1], [3, 4, 5], [1, 1, 0, 0, 0, 0], 1)
+    # objective row: reduced costs (1, 1, 0, 0, 0, 0) at the slack basis, value 0
+    tab = simplex._Tableau(rows, [1, 1, 1], [3, 4, 5], [1, 1, 0, 0, 0, 0, 0], 1)
     untouched = tab.rows[1]
     tab.pivot(0, 0)
     assert tab.rows[1] is untouched and untouched == [0, 3, 1, 0, 1, 0, 6]

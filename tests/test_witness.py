@@ -28,6 +28,11 @@ from conftest import (
 )
 
 
+def to_json(graph, cycles):
+    """``witness_to_json`` with the per-edge usage counted here."""
+    return witness_to_json(graph, cycles, witness.pair_counts(graph, cycles)[1])
+
+
 def test_enumerate_four_cycle(commutator):
     cycles = pg.enumerate_cycles(commutator)
     assert len(cycles) == 1 and cycles[0].edges == frozenset({0, 1, 2, 3})
@@ -306,7 +311,7 @@ def test_search_lp_agrees_with_bounded_search_small_graphs():
 
 def test_witness_json_round_trip(polygonal_graph):
     found = pg.search_witness_lp(polygonal_graph, require_long=True)
-    data = witness_to_json(polygonal_graph, found)
+    data = to_json(polygonal_graph, found)
     back = witness_from_json(polygonal_graph, data)
     assert back == {c.edges: m for c, m in found.items()}
     verdict = pg.verify_witness(polygonal_graph, back, require_long=True)
@@ -318,7 +323,7 @@ def test_witness_json_round_trip(polygonal_graph):
 
 def test_witness_json_merges_entries_by_edge_set(commutator):
     cyc = make_cycle(commutator, [0, 1, 2, 3])
-    data = witness_to_json(commutator, {cyc: 1})
+    data = to_json(commutator, {cyc: 1})
     data["cycles"] = [
         {"edges": [0, 1, 2, 3], "multiplicity": 2},
         {"edges": [3, 1, 0, 2], "multiplicity": 5},
@@ -350,13 +355,13 @@ def test_witness_json_rejects_non_int_edge_id(commutator, eid):
 
 def test_witness_json_wrong_graph(polygonal_graph, commutator):
     found = pg.search_witness_lp(commutator, require_long=True)
-    data = witness_to_json(commutator, found)
+    data = to_json(commutator, found)
     with pytest.raises(VerificationError):
         witness_from_json(polygonal_graph, data)
 
 
 def test_witness_json_rejects_a_cycle_entry_with_another_key(commutator):
-    data = witness_to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
+    data = to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
     data["cycles"][0]["note"] = "ignored before"
     expected = r"a cycle needs the keys \['edges', 'multiplicity'\], got .*'note'"
     with pytest.raises(GraphError, match=expected):
@@ -364,7 +369,7 @@ def test_witness_json_rejects_a_cycle_entry_with_another_key(commutator):
 
 
 def test_witness_json_requires_the_graph_hash(commutator):
-    data = witness_to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
+    data = to_json(commutator, {make_cycle(commutator, [0, 1, 2, 3]): 1})
     del data["graph_hash"]
     with pytest.raises(GraphError, match="no graph_hash"):
         witness_from_json(commutator, data)
