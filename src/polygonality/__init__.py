@@ -22,7 +22,6 @@ from .fourvertex import (
 )
 from .regular import (
     FractionalColoring,
-    Matching,
     RegularWitness,
     enumerate_perfect_matchings,
     fractional_edge_coloring,

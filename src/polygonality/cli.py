@@ -163,7 +163,7 @@ def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
 
 
 def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
-    """Returns (cycles or Infeasible, extras dict for the JSON payload, verdict).
+    """Returns (edge sets or Infeasible, extras dict for the JSON payload, verdict).
 
     ``auto`` tries the four-vertex construction, then the regular one, then
     the LP search, and moves on only when a construction's precondition fails.
@@ -198,7 +198,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if verdict is None:
         write_output(_dump(found.to_json(graph)), args.out)
         return 2
-    payload = witness.witness_to_json(graph, found, verdict.per_edge_usage)
+    # the verifier's walked cycles; sorting the constructed edge sets themselves
+    # would order them by inclusion, not as the JSON lists its cycles
+    payload = witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)
     payload.update(extras)
     write_output(_dump(payload), args.out)
     if not verdict.ok:

@@ -9,9 +9,10 @@ the darts at ``w`` and at its pair; partition it into the eight good shapes;
 complete each part into a permutation digraph whose induced permutation of
 the edges at ``w`` is "good" (images under the connecting map stay disjoint)
 and "uniform" (a list of orbits of the induced pair permutation covers every
-edge at ``w`` the same number of times); then recurse on the edge count,
-peeling edges between the opposite vertex pair and patching with bigons,
-triangles, and quadrilaterals built from the orbit pairs.
+edge at ``w`` the same number of times); then peel edges between the
+opposite vertex pair down to a regular graph, and build back up level by
+level, patching with bigons, triangles, and quadrilaterals built from the
+orbit pairs.  Cycles are edge-id sets throughout; the verifier walks them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from math import lcm
 from .errors import GraphError, PreconditionError, VerificationError
 from .regular import regular_witness
 from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
-from .witness import CycleList, make_cycle
 
 Node = tuple[str, int]  # ('e', i) or ('f', i)
 
@@ -533,17 +533,14 @@ def uniform_permutation(D: AuxDigraph) -> Completion:
 class GoodList:
     """Witness with the constants from the inductive construction."""
 
-    cycles: CycleList
+    cycles: dict[frozenset[int], int]  # multiplicity of each cycle's edge set
     c1: int  # every edge lies in exactly c1 cycles
     c2: int  # every distinct pair at the opposite vertex pair lies in exactly c2
     constants_per_level: tuple[dict, ...]
 
-    def has_long_cycle(self) -> bool:
-        return any(c.is_long for c in self.cycles)
-
 
 def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
-    """Hypothesis of one recursion level: connected, lambda(v, v') = deg(v) =
+    """Hypothesis of one peeling level: connected, lambda(v, v') = deg(v) =
     deg(v') for v in {w, u}, and deg(u) >= deg(w).
 
     lambda is symmetric, so one max-flow per vertex pair covers both vertices.
@@ -557,7 +554,7 @@ def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
                 f"connectivity condition fails at {v}: lambda={lam}, deg={g.degree(v)}"
             )
     if g.degree(u) < g.degree(w):
-        raise PreconditionError("w lost minimality during the recursion")
+        raise PreconditionError("w lost minimality during the peeling")
 
 
 def _inductive(
@@ -568,59 +565,61 @@ def _inductive(
     sigma_after_pi: dict[int, int],
     c: int,
     levels: list[dict],
-) -> tuple[CycleList, int, int]:
-    if g.degree(u) == g.degree(w):
-        rw = regular_witness(g)
-        levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
-        return dict(rw.cycles), rw.m1, rw.m2
-    uu_edges = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
-    if not uu_edges:
-        raise PreconditionError(
-            f"no edge joins {u} and {u.mu()} although deg({u}) exceeds deg({w})"
-        )
-    e = uu_edges[0]
-    sub = g.remove_edges([e])
-    _check_level_preconditions(sub, w, u)
-    sub_cycles, c1_sub, c2_sub = _inductive(sub, w, u, orbit_pairs, sigma_after_pi, c, levels)
-    patch = Counter()
-    for pair, count in orbit_pairs.items():
-        x, y = sorted(pair)
-        sx, sy = sigma_after_pi[x], sigma_after_pi[y]
-        x_at_pair = g.edges[x].other(w) == w.mu()
-        y_at_pair = g.edges[y].other(w) == w.mu()
-        if x_at_pair and y_at_pair:
-            if (sx, sy) != (x, y):
-                raise VerificationError("edges between the w pair must be fixed")
-            cycs = [make_cycle(g, {x, y})]
-        elif not x_at_pair and not y_at_pair:
-            cycs = [make_cycle(g, {e, x, y}), make_cycle(g, {e, sx, sy})]
-        else:
-            if x_at_pair:
-                x, y, sx, sy = y, x, sy, sx
-            if sy != y:
-                raise VerificationError("edge between the w pair must be fixed")
-            cycs = [make_cycle(g, {e, x, y, sx})]
-        for cyc in cycs:
-            patch[cyc] += count
-    final = Counter()
-    for cyc, n in patch.items():
-        final[cyc] += n * c2_sub
-    for cyc, n in sub_cycles.items():
-        final[cyc] += n * c
-    for f in uu_edges[1:]:
-        final[make_cycle(g, {e, f})] += c * c2_sub
-    a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
-    b = len(uu_edges)
-    c1 = c * c2_sub * (a + b - 1)
-    c2 = c * c2_sub
-    levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
-    return dict(final), c1, c2
+) -> tuple[dict[frozenset[int], int], int, int]:
+    # peel one u-u' edge per level until deg(u) = deg(w), checking each peeled graph
+    peeled: list[tuple[Multigraph, list[int]]] = []  # (graph, its u-u' edges), top first
+    while g.degree(u) != g.degree(w):
+        uu_edges = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+        if not uu_edges:
+            raise PreconditionError(
+                f"no edge joins {u} and {u.mu()} although deg({u}) exceeds deg({w})"
+            )
+        peeled.append((g, uu_edges))
+        g = g.remove_edges([uu_edges[0]])
+        _check_level_preconditions(g, w, u)
+    rw = regular_witness(g)
+    levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
+    cycles, c1, c2 = rw.cycles, rw.m1, rw.m2
+    # then build back up, from the level above the regular graph to the top
+    for g, uu_edges in reversed(peeled):
+        e = uu_edges[0]
+        final = Counter()
+        for pair, count in orbit_pairs.items():
+            x, y = sorted(pair)
+            sx, sy = sigma_after_pi[x], sigma_after_pi[y]
+            x_at_pair = g.edges[x].other(w) == w.mu()
+            y_at_pair = g.edges[y].other(w) == w.mu()
+            if x_at_pair and y_at_pair:
+                if (sx, sy) != (x, y):
+                    raise VerificationError("edges between the w pair must be fixed")
+                cycs = [frozenset((x, y))]
+            elif not x_at_pair and not y_at_pair:
+                cycs = [frozenset((e, x, y)), frozenset((e, sx, sy))]
+            else:
+                if x_at_pair:
+                    x, y, sx, sy = y, x, sy, sx
+                if sy != y:
+                    raise VerificationError("edge between the w pair must be fixed")
+                cycs = [frozenset((e, x, y, sx))]
+            for cyc in cycs:
+                final[cyc] += count * c2
+        for cyc, n in cycles.items():
+            final[cyc] += n * c
+        for f in uu_edges[1:]:
+            final[frozenset((e, f))] += c * c2
+        a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
+        b = len(uu_edges)
+        c1 = c * c2 * (a + b - 1)
+        c2 = c * c2
+        levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
+        cycles = dict(final)
+    return cycles, c1, c2
 
 
 def inductive_witness(
     graph: WhiteheadGraph, w: VertexId, completion: Completion
 ) -> GoodList:
-    """Run the edge-peeling recursion under a fixed uniform completion.
+    """Run the edge peeling under a fixed uniform completion.
 
     The graph itself must meet the level preconditions, as checked by
     :func:`four_vertex_witness`; each peeled graph is checked here.
@@ -662,7 +661,7 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     aux = build_auxiliary_digraph(graph, w, u=u)
     completion = uniform_permutation(aux)
     good = inductive_witness(graph, w, completion)
-    # regular_witness, where the recursion ends, does not promise a long cycle
-    if not good.has_long_cycle():
+    # regular_witness, where the peeling ends, does not promise a long cycle
+    if not any(len(c) >= 3 for c in good.cycles):
         raise VerificationError("constructed list has no cycle of length at least three")
     return good

@@ -7,9 +7,9 @@ matchings decompose into cycles; collecting them over all matching pairs
 yields a list in which every edge lies in the same number of cycles and every
 adjacent edge pair lies in the same number of cycles.  The coloring is found
 as an exact rational feasibility problem over the enumerated matchings.  The
-cycles of each pair of distinct matchings are walked once and counted with
-the product of the two multiplicities; copies of one matching contribute
-nothing.
+cycles of each pair of distinct matchings are collected once, as edge sets,
+and counted with the product of the two multiplicities; copies of one
+matching contribute nothing.
 
 By Edmonds' description of the perfect matching polytope that problem is
 feasible exactly when the odd-cut bound holds, so a coloring is itself the
@@ -26,12 +26,6 @@ from math import lcm
 from .errors import GraphError, PreconditionError
 from .simplex import find_feasible
 from .whitehead import Multigraph, VertexId
-from .witness import Cycle, CycleList, _cycle_from_walk
-
-
-@dataclass(frozen=True)
-class Matching:
-    edges: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -39,9 +33,6 @@ class KGraphVerdict:
     ok: bool
     k: int
     violating_set: tuple[VertexId, ...] | None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _regularity(graph: Multigraph) -> int:
@@ -74,11 +65,11 @@ def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     return KGraphVerdict(True, k, None)
 
 
-def enumerate_perfect_matchings(graph: Multigraph) -> list[Matching]:
+def enumerate_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
     """All perfect matchings on the non-isolated vertices, parallel edges distinct.
 
-    Each matching covers the least uncovered vertex first, by each of its
-    edges in id order.
+    A matching is its set of edge ids.  Each matching covers the least
+    uncovered vertex first, by each of its edges in id order.
     """
     ends = graph.end_index
     verts = graph.active_vertices()
@@ -87,14 +78,14 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[Matching]:
     covered = [True] * len(graph.vertices())
     for i in active:
         covered[i] = False
-    out: list[Matching] = []
+    out: list[frozenset[int]] = []
     chosen: list[int] = []
 
     def extend(pos: int):
         while pos < len(active) and covered[active[pos]]:
             pos += 1
         if pos == len(active):
-            out.append(Matching(frozenset(chosen)))
+            out.append(frozenset(chosen))
             return
         i = active[pos]
         covered[i] = True
@@ -118,14 +109,14 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[Matching]:
 class FractionalColoring:
     k: int
     ell: int
-    entries: tuple[tuple[Matching, int], ...]  # (matching, multiplicity)
+    entries: tuple[tuple[frozenset[int], int], ...]  # (matching, multiplicity)
 
     def to_json(self) -> dict:
         return {
             "k": self.k,
             "ell": self.ell,
             "matchings": [
-                {"edges": sorted(m.edges), "multiplicity": n} for m, n in self.entries
+                {"edges": sorted(m), "multiplicity": n} for m, n in self.entries
             ],
         }
 
@@ -146,7 +137,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> Fractio
     row_of = {eid: r for r, eid in enumerate(graph.edge_ids(), 1)}
     rows = [[1] * len(matchings)] + [[0] * len(matchings) for _ in row_of]
     for col, m in enumerate(matchings):
-        for eid in m.edges:
+        for eid in m:
             rows[row_of[eid]][col] = k
     rhs = [1] * len(rows)
     res = find_feasible(rows, rhs)
@@ -164,42 +155,38 @@ def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> Fractio
 
 @dataclass(frozen=True)
 class RegularWitness:
-    cycles: CycleList
+    cycles: dict[frozenset[int], int]  # multiplicity of each cycle's edge set
     m1: int
     m2: int
     coloring: FractionalColoring
 
 
-def _difference_cycles(graph: Multigraph, ma: list[int], mb: list[int]) -> list[Cycle]:
-    """The cycles of ``M_a Δ M_b``, in order of their least edge id.
+def _difference_cycles(ends: dict[int, tuple[int, int]], ma: list[int], mb: list[int]):
+    """The edge sets of the cycles of ``M_a Δ M_b``.
 
     ``ma[i]`` and ``mb[i]`` are the edges of the two perfect matchings at the
-    vertex of index ``i``.  A vertex where the matchings differ has degree two
-    in the difference, so each component is walked from its least vertex
-    along the smaller of its two edges there, alternating between the
-    matchings.
+    vertex of index ``i``, and ``ends`` maps an edge id to its two end
+    indices.  A vertex where the matchings differ has degree two in the
+    difference, so each component is followed from any of its vertices,
+    alternating between the matchings, until it closes.
     """
-    ends = graph.end_index
-    found: list[Cycle] = []
     done = [False] * len(ma)
     for start in range(len(ma)):
         if done[start] or ma[start] == mb[start]:
             continue
-        this, other = (ma, mb) if ma[start] < mb[start] else (mb, ma)
-        walk_v, walk_e = [], []
+        this, other = ma, mb
+        cycle = []
         i = start
         while True:
-            eid = this[i]
             done[i] = True
-            walk_v.append(i)
-            walk_e.append(eid)
+            eid = this[i]
+            cycle.append(eid)
             s, t = ends[eid]
             i = t if s == i else s
             if i == start:
                 break
             this, other = other, this
-        found.append(_cycle_from_walk(walk_v, walk_e))
-    return sorted(found, key=lambda c: c.key[0])
+        yield frozenset(cycle)
 
 
 def regular_witness(graph: Multigraph) -> RegularWitness:
@@ -230,15 +217,16 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
     # copies of one matching have an empty difference, so each pair of distinct
     # matchings contributes its cycles n_a * n_b times
     tables = []  # per matching: its edge at each vertex index, and its multiplicity
+    ends = graph.end_index
     for m, n in coloring.entries:
         table = [-1] * len(graph.vertices())
-        for eid in m.edges:
-            for i in graph.end_index[eid]:
+        for eid in m:
+            for i in ends[eid]:
                 table[i] = eid
         tables.append((table, n))
-    cycles: CycleList = {}
+    cycles: dict[frozenset[int], int] = {}
     for (ma, n_a), (mb, n_b) in itertools.combinations(tables, 2):
-        for cyc in _difference_cycles(graph, ma, mb):
+        for cyc in _difference_cycles(ends, ma, mb):
             cycles[cyc] = cycles.get(cyc, 0) + n_a * n_b
     ell = coloring.ell
     share = ell // k

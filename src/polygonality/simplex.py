@@ -13,9 +13,9 @@ them and row ``r`` the denominator ``p``, which becomes the new ``d``; a row
 with a zero in the pivot column is not touched.  A row's positive scale
 cancels out of every sign and every ratio, so the pivots are the ones
 rational arithmetic would make, and no gcd is ever taken.  Rationals
-(``QQ``: gmpy2.mpq when available, fractions.Fraction otherwise) are built
-only for the returned values.  Problem sizes here are tiny (dozens of rows,
-a few hundred columns), so a dense tableau is adequate.
+(``QQ``, which is fractions.Fraction) are built only for the returned
+values.  Problem sizes here are tiny (dozens of rows, a few hundred
+columns), so a dense tableau is adequate.
 
 Two entry points cover the package's needs:
 
@@ -36,15 +36,10 @@ Two entry points cover the package's needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction as QQ
 from operator import index
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as QQ
-
 ZERO = QQ(0)
-ONE = QQ(1)
 
 
 class SimplexError(Exception):

@@ -165,14 +165,12 @@ def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
     return DualPolygon(index, tuple(sides))
 
 
-def build_surface(
-    graph: WhiteheadGraph, witness: Mapping[Cycle | frozenset[int], int]
-) -> SurfaceComplex:
+def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) -> SurfaceComplex:
     """Construct the closed surface of a verified witness.
 
-    ``witness`` is anything :func:`verify_witness` reads: cycles or edge-id
-    sets.  The polygons are the verifier's own walks of its cycles, so each
-    cycle is walked once.  Expands multiplicities into physical polygon
+    ``witness`` maps edge-id sets to multiplicities, as :func:`verify_witness`
+    reads it.  The polygons are the verifier's own walks of its cycles, so
+    each cycle is walked once.  Expands multiplicities into physical polygon
     copies, orients sides by the canonical compatible dart orders, and pairs
     incoming with outgoing sides whose label pairs correspond under the
     connecting maps.  A pairing mismatch is a hard error: the verified

@@ -102,16 +102,24 @@ class EdgeRecord:
         return f"w{j}:p{i}"
 
 
+# the largest rank a graph accepts: the vertex list and each max-flow grow with
+# the rank, used or not, so an absurd declared rank is refused before either
+MAX_RANK = 1000
+
+
 class Multigraph:
     """Loopless multigraph on the vertex set ``a1, a1-, ..., an, an-``.
 
     Immutable after construction.  Edge ids are arbitrary distinct integers;
-    removal keeps the surviving ids stable.
+    removal keeps the surviving ids stable.  The rank is at most
+    :data:`MAX_RANK`.
     """
 
     def __init__(self, rank: int, edges: Iterable[EdgeRecord]):
         if rank < 1:
             raise GraphError(f"rank must be >= 1, got {rank}")
+        if rank > MAX_RANK:
+            raise GraphError(f"rank {rank} is over the cap of {MAX_RANK}")
         self.rank = rank
         self.edges: dict[int, EdgeRecord] = {}
         for e in edges:

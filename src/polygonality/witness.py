@@ -7,6 +7,11 @@ contain both of their images under the connecting map at ``v``.  The verifier
 checks this directly; the searcher decides existence (optionally demanding a
 cycle of length at least three) by an exact rational LP over all simple
 cycles and, on failure, returns a rational refutation certificate.
+
+Every construction (regular, four-vertex, LP) hands over its witness as
+:func:`witness_from_json` reads one: the multiplicity of each cycle's edge-id
+set.  :func:`verify_witness` is the one place where those sets are walked
+into :class:`Cycle` objects.
 """
 
 from __future__ import annotations
@@ -176,9 +181,6 @@ class WitnessVerdict:
     per_edge_usage: dict[int, int]
     cycles: CycleList  # the verifier's own walk of every checked cycle
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def pair_counts(
     graph: Multigraph, cycles: CycleList
@@ -199,39 +201,47 @@ def pair_counts(
     return counts, usage
 
 
-def verify_witness(
-    graph: WhiteheadGraph,
-    cycles: Mapping[Cycle | frozenset[int], int],
-    require_long: bool = False,
-) -> WitnessVerdict:
-    """Check the balanced-pair condition of a cycle list against the graph.
+def _balance_pairs(graph: WhiteheadGraph):
+    """Every pair ``{e, f}`` of distinct edges at an active vertex ``v``, with its image.
 
-    The keys are cycles or, as :func:`witness_from_json` reads them, edge-id
-    sets.  Every key is walked here by :func:`make_cycle` from its edge ids
-    alone, never from a walk the caller stored, and the verdict carries that
-    walked list, keys with one edge set merged.
+    Yields ``(v, (e, f), turn, image)`` in vertex order, then edge-id order,
+    with ``e < f``: ``turn`` is ``(v.index, {e, f})`` and ``image`` is the turn
+    of the two connecting-map images at the paired vertex ``mu(v)``.
     """
-    if not cycles:
-        raise PreconditionError("a witness must be a nonempty cycle list")
-    walked: CycleList = {}
-    for key, mult in cycles.items():
-        eids = key.edges if isinstance(key, Cycle) else key
-        if mult <= 0:
-            raise PreconditionError(f"multiplicity of {sorted(eids)} must be positive")
-        cyc = make_cycle(graph, eids)  # raises if the cycle is not in this graph
-        walked[cyc] = walked.get(cyc, 0) + mult
-    counts, usage = pair_counts(graph, walked)
-    failures = []
-    for v in graph.active_vertices():
+    for v in graph.active_vertices():  # in index order, which is vertex order
         i = v.index  # the paired vertex mu(v) has index i ^ 1
         delta = graph.delta(v)
         sigma = {e: graph.sigma_edge(v, e) for e in delta}
         for a, e in enumerate(delta):
             for f in delta[a + 1 :]:
-                here = counts.get((i, frozenset((e, f))), 0)
-                there = counts.get((i ^ 1, frozenset((sigma[e], sigma[f]))), 0)
-                if here != there:
-                    failures.append((v, (e, f), here, there))
+                yield v, (e, f), (i, frozenset((e, f))), (i ^ 1, frozenset((sigma[e], sigma[f])))
+
+
+def verify_witness(
+    graph: WhiteheadGraph,
+    cycles: Mapping[frozenset[int], int],
+    require_long: bool = False,
+) -> WitnessVerdict:
+    """Check the balanced-pair condition of a cycle list against the graph.
+
+    The keys are edge-id sets, as every construction returns them and as
+    :func:`witness_from_json` reads them.  This is the only place they are
+    walked: each set, once, by :func:`make_cycle`, which rejects one that is
+    not a cycle of this graph.  The verdict carries the walked list.
+    """
+    if not cycles:
+        raise PreconditionError("a witness must be a nonempty cycle list")
+    walked: CycleList = {}
+    for eids, mult in cycles.items():
+        if mult <= 0:
+            raise PreconditionError(f"multiplicity of {sorted(eids)} must be positive")
+        walked[make_cycle(graph, eids)] = mult  # distinct edge sets walk to distinct cycles
+    counts, usage = pair_counts(graph, walked)
+    failures = []
+    for v, pair, turn, image in _balance_pairs(graph):
+        here, there = counts.get(turn, 0), counts.get(image, 0)
+        if here != there:
+            failures.append((v, pair, here, there))
     has_long = any(c.is_long for c in walked)
     ok = not failures and (has_long or not require_long)
     return WitnessVerdict(ok, tuple(failures), has_long, usage, walked)
@@ -266,23 +276,17 @@ def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
             covering.setdefault(turn, []).append(j)
     rows = []
     keys = []
-    for v in graph.active_vertices():  # in index order, which is vertex order
-        i = v.index  # the paired vertex mu(v) has index i ^ 1
-        delta = graph.delta(v)
-        sigma = {e: graph.sigma_edge(v, e) for e in delta}
-        for a, e in enumerate(delta):
-            for f in delta[a + 1 :]:
-                img = tuple(sorted((sigma[e], sigma[f])))
-                if (i ^ 1, img) < (i, (e, f)):
-                    continue  # the partner emits this row (negated)
-                row = [0] * len(cycles)
-                for j in covering.get((i, frozenset((e, f))), ()):
-                    row[j] += 1
-                for j in covering.get((i ^ 1, frozenset(img)), ()):
-                    row[j] -= 1
-                if any(row):
-                    rows.append(row)
-                    keys.append((v, (e, f)))
+    for v, pair, turn, image in _balance_pairs(graph):
+        if (image[0], tuple(sorted(image[1]))) < (turn[0], pair):
+            continue  # the partner emits this row (negated)
+        row = [0] * len(cycles)
+        for j in covering.get(turn, ()):
+            row[j] += 1
+        for j in covering.get(image, ()):
+            row[j] -= 1
+        if any(row):
+            rows.append(row)
+            keys.append((v, pair))
     return rows, keys
 
 
@@ -294,8 +298,8 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     normalization.  A positive optimum scales to integer multiplicities; a
     zero optimum yields a rational refutation certificate, checked here.
 
-    Returns a :class:`CycleList`, which the caller passes to
-    :func:`verify_witness`, or an :class:`Infeasible`.
+    Returns the multiplicity of each cycle's edge set, which the caller
+    passes to :func:`verify_witness`, or an :class:`Infeasible`.
     """
     cycles = enumerate_cycles(graph)
     rows, keys = _constraint_rows(graph, cycles)
@@ -305,11 +309,11 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     res = maximize_homogeneous(rows, objective, stop_when_positive=True)
     if res.objective > 0:
         denom_lcm = lcm(*(int(val.denominator) for val in res.x))
-        witness: CycleList = {}
+        witness: dict[frozenset[int], int] = {}
         for c, val in zip(cycles, res.x):
             m = int(val * denom_lcm)
             if m:
-                witness[c] = m
+                witness[c.edges] = m
         return witness
     # optimum is zero: validate the dual certificate before reporting; with
     # y.A >= c on every cycle and a zero normalization multiplier, any x >= 0

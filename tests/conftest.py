@@ -149,7 +149,7 @@ def oracle_regular_cycles(graph: Multigraph, coloring) -> dict:
     slots = [m for m, n in coloring.entries for _ in range(n)]
     cycles: dict = {}
     for i, j in itertools.combinations(range(len(slots)), 2):
-        diff = slots[i].edges.symmetric_difference(slots[j].edges)
+        diff = slots[i].symmetric_difference(slots[j])
         for comp in _edge_components(graph, diff):
             cyc = make_cycle(graph, comp)
             cycles[cyc] = cycles.get(cyc, 0) + 1

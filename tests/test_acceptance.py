@@ -91,17 +91,17 @@ def test_criterion_3_regular_counts():
         share = ell // k
         # the coloring covers every edge ell/k times, counted with multiplicity
         for eid in graph.edges:
-            cover = sum(n for m, n in rw.coloring.entries if eid in m.edges)
+            cover = sum(n for m, n in rw.coloring.entries if eid in m)
             assert cover == share, (seed, eid)
         assert rw.m1 == share * (ell - share), seed
         assert rw.m2 == share * share, seed
         # independent recount of both constants
         for eid in graph.edges:
-            used = sum(m for c, m in rw.cycles.items() if eid in c.edges)
+            used = sum(m for c, m in rw.cycles.items() if eid in c)
             assert used == rw.m1, (seed, eid)
         for v in graph.active_vertices():
             for e, f in itertools.combinations(graph.delta(v), 2):
-                n = sum(m for c, m in rw.cycles.items() if {e, f} <= c.edges)
+                n = sum(m for c, m in rw.cycles.items() if {e, f} <= c)
                 assert n == rw.m2, (seed, v, e, f)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polygonality import cli, regular
 from polygonality.errors import PreconditionError
+from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_to_json
+from polygonality.witness import witness_from_json
 from polygonality.words import parse_word_list
 
 
@@ -449,6 +453,58 @@ def test_oversized_power_is_an_error_before_it_is_expanded(tmp_path, capsys, mon
     assert capsys.readouterr().err == (
         f"error: word expands to at least {length} letters, over the cap of 1000000\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["words", "graph"])
+def test_declared_rank_over_the_cap_is_an_error(tmp_path, capsys, kind):
+    # the rank is checked before a graph builds its 2 * rank vertices; the
+    # 10**12 case would exhaust memory without the cap
+    from polygonality.whitehead import MAX_RANK
+
+    def declared(rank):
+        path = tmp_path / f"rank-{rank}.{'txt' if kind == 'words' else 'json'}"
+        if kind == "words":
+            path.write_text(f"rank {rank}\nabAB\n", encoding="utf-8")
+        else:
+            data = graph_to_json(build_whitehead_graph(parse_word_list("rank 2\nabAB\n")))
+            data["rank"] = rank
+            path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    assert run_cli("analyze", declared(MAX_RANK), "--out", str(tmp_path / "a.json")) == 0
+    for rank in (MAX_RANK + 1, 10**12):
+        assert run_cli("analyze", declared(rank)) == 1
+        assert capsys.readouterr().err == f"error: rank {rank} is over the cap of {MAX_RANK}\n"
+
+
+def _assert_witness_writes_what_was_built(graph, spec, method):
+    # the JSON of the witness command reads back to the construction's edge sets
+    found, _ = cli._construct(graph, method, False)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "w.json")
+        if spec is None:
+            spec = os.path.join(tmp, "graph.json")
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(graph_to_json(graph), fh)
+        assert run_cli("witness", spec, "--method", method, "--out", out) == 0
+        written = read_json(out)
+    assert witness_from_json(graph, written) == found
+
+
+@pytest.mark.parametrize("name", ["commutator", "remark-2.4b", "figure-7"])  # the others are refuted
+def test_witness_round_trip_on_built_ins(name):
+    graph, _ = cli._resolve_graph(name)
+    _assert_witness_writes_what_was_built(graph, name, "auto")
+
+
+@given(st.integers(0, 300), st.sampled_from(["fourvertex", "regular"]))
+@settings(max_examples=20, deadline=None)
+def test_witness_round_trip_on_random_graphs(seed, method):
+    if method == "fourvertex":
+        graph = random_fourvertex_instance(seed, max_degree=5)
+    else:
+        graph = random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2)
+    _assert_witness_writes_what_was_built(graph, None, method)
 
 
 def test_auto_moves_on_when_a_precondition_fails(tmp_path):

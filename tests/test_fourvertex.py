@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
-from polygonality import fourvertex
+from polygonality import fourvertex, witness
 from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
@@ -383,7 +385,7 @@ def test_uniform_permutation_is_good_and_uniform(seed):
 
 def test_inductive_witness_hand_checked(polygonal_graph):
     good = pg.four_vertex_witness(polygonal_graph)
-    shapes = sorted(tuple(sorted(c.edges)) for c in good.cycles)
+    shapes = sorted(tuple(sorted(c)) for c in good.cycles)
     assert shapes == [(0, 1, 3, 4), (0, 2, 4), (1, 2, 3)]
     assert good.c1 == 2 and good.c2 == 1
     levels = good.constants_per_level
@@ -421,13 +423,28 @@ def test_good_list_constants(graph):
     # opposite vertex pair in c2 cycles
     good = pg.four_vertex_witness(graph)
     for eid in graph.edges:
-        assert sum(m for c, m in good.cycles.items() if eid in c.edges) == good.c1
+        assert sum(m for c, m in good.cycles.items() if eid in c) == good.c1
+    walked = pg.verify_witness(graph, good.cycles).cycles  # the oracle counts cycles
     w = _min_degree_vertex(graph)
     for v in graph.active_vertices():
         if v in (w, w.mu()):
             continue
         for e, f in itertools.combinations(graph.delta(v), 2):
-            assert oracle_pair_count(graph, good.cycles, v, e, f) == good.c2
+            assert oracle_pair_count(graph, walked, v, e, f) == good.c2
+
+
+def test_peeling_does_not_deepen_the_stack():
+    # ab^60AB^60 peels 118 edges between b and b^-1 before the graph is
+    # regular; peeling once per stack frame would need over 60 frames more
+    graph = words_graph("rank 2\nab^60AB^60\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        good = pg.four_vertex_witness(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(good.constants_per_level) == 119
+    assert pg.verify_witness(graph, good.cycles, require_long=True).ok
 
 
 @given(st.integers(0, 400))
@@ -447,29 +464,22 @@ def test_end_to_end_random(seed):
     [(_figure7_graph(), True), (words_graph("rank 2\naBa^2b\n"), False)],
     ids=["figure-7", "remark-2.4b"],
 )
-def test_patch_cycles_are_built_once_per_distinct_orbit_pair(graph, repeats, monkeypatch):
-    # uniform_permutation repeats whole orbits; each level builds the patch
-    # cycles of a distinct pair once (two when neither edge joins w to its
-    # pair), and one bigon per further edge between the opposite pair
-    built = Counter()
-    make = fourvertex.make_cycle
+def test_four_vertex_witness_walks_no_cycle(graph, repeats, monkeypatch):
+    # the construction hands over edge sets, and only the verifier walks them;
+    # uniform_permutation repeats whole orbits on figure 7 only
+    walks = Counter()
+    for name in ("make_cycle", "_cycle_from_walk"):
 
-    def counted(g, eids):
-        built[len(g.edges)] += 1
-        return make(g, eids)
+        def counted(*args, _name=name, _walk=getattr(witness, name)):
+            walks[_name] += 1
+            return _walk(*args)
 
-    monkeypatch.setattr(fourvertex, "make_cycle", counted)
+        monkeypatch.setattr(witness, name, counted)
     with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
         good = pg.four_vertex_witness(graph)
-    (_, w, completion), _ = spy.call_args
-    u = completion.aux.u
+    assert not walks
+    (_, _, completion), _ = spy.call_args
     pairs = [pair for orbit in completion.orbit_list for pair in orbit]
-    distinct = set(pairs)
-    assert (len(distinct) < len(pairs)) == repeats
-    calls = sum(1 if any(graph.edges[x].other(w) == w.mu() for x in pair) else 2 for pair in distinct)
-    g = graph
-    for level in good.constants_per_level[:-1]:
-        bigons = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()) - 1
-        assert built.pop(len(g.edges)) == calls + bigons
-        g = g.remove_edges([level["removed"]])
-    assert not built  # the regular base case builds its cycles from walks
+    assert (len(set(pairs)) < len(pairs)) == repeats
+    assert pg.verify_witness(graph, good.cycles).ok
+    assert walks["make_cycle"] == walks["_cycle_from_walk"] == len(good.cycles)

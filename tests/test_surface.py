@@ -11,7 +11,7 @@ from conftest import vid, words_graph
 
 
 def commutator_complex(commutator):
-    wit = {make_cycle(commutator, {0, 1, 2, 3}): 1}
+    wit = {make_cycle(commutator, {0, 1, 2, 3}).edges: 1}
     return pg.build_surface(commutator, wit)
 
 
@@ -56,7 +56,7 @@ def test_build_requires_verified_witness(refutation_graph):
     ]
     bigon = make_cycle(refutation_graph, parallel)
     with pytest.raises(PreconditionError):
-        pg.build_surface(refutation_graph, {bigon: 1})
+        pg.build_surface(refutation_graph, {bigon.edges: 1})
 
 
 def test_build_rejects_empty(commutator):
@@ -96,7 +96,7 @@ def test_bigon_only_witness_has_no_certificate():
     graph = WhiteheadGraph(1, list(plain.edges.values()), sigma)
     wl = pg.parse_word_list("rank 1\na^2\n")
     bigon = make_cycle(graph, {0, 1})
-    cx = pg.build_surface(graph, {bigon: 1})
+    cx = pg.build_surface(graph, {bigon.edges: 1})
     assert cx.chi_minus_m() == 0
     with pytest.raises(VerificationError):
         pg.surface_report(cx, wl)
@@ -105,7 +105,7 @@ def test_bigon_only_witness_has_no_certificate():
 def test_broken_pairing_detected(commutator):
     cx = commutator_complex(commutator)
     wl = pg.parse_word_list("rank 2\nabAB\n")
-    doubled = {make_cycle(commutator, {0, 1, 2, 3}): 2}
+    doubled = {make_cycle(commutator, {0, 1, 2, 3}).edges: 2}
     cx2 = pg.build_surface(commutator, doubled)
     # swap two pairing partners within a class: the link traversal must notice
     keys = sorted(cx2.pairing)
