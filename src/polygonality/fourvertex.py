@@ -579,11 +579,17 @@ def _inductive(
         _check_level_preconditions(g, w, u)
     rw = regular_witness(g)
     levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
-    cycles, c1, c2 = rw.cycles, rw.m1, rw.m2
-    # then build back up, from the level above the regular graph to the top
+    c1, c2 = rw.m1, rw.m2
+    # then build back up, from the level above the regular graph to the top.
+    # Each level scales the list below it by c, so a level's own cycles enter
+    # the final list times c ** (number of levels above it), once.  The list
+    # reads like the level-by-level one: each level's patch cycles, top level
+    # first, then the regular cycles, then each level's bigons, top level last.
+    patches: list[list[tuple[frozenset[int], int]]] = []  # bottom level first
+    bigons: list[list[tuple[frozenset[int], int]]] = []
     for g, uu_edges in reversed(peeled):
         e = uu_edges[0]
-        final = Counter()
+        patch = []
         for pair, count in orbit_pairs.items():
             x, y = sorted(pair)
             sx, sy = sigma_after_pi[x], sigma_after_pi[y]
@@ -601,19 +607,22 @@ def _inductive(
                 if sy != y:
                     raise VerificationError("edge between the w pair must be fixed")
                 cycs = [frozenset((e, x, y, sx))]
-            for cyc in cycs:
-                final[cyc] += count * c2
-        for cyc, n in cycles.items():
-            final[cyc] += n * c
-        for f in uu_edges[1:]:
-            final[frozenset((e, f))] += c * c2
+            patch += ((cyc, count * c2) for cyc in cycs)
+        patches.append(patch)
+        bigons.append([(frozenset((e, f)), c * c2) for f in uu_edges[1:]])
         a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
         b = len(uu_edges)
         c1 = c * c2 * (a + b - 1)
         c2 = c * c2
         levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
-        cycles = dict(final)
-    return cycles, c1, c2
+    top = len(peeled)
+    scales = [c ** (top - 1 - level) for level in range(top)]
+    chunks = [*zip(scales[::-1], patches[::-1]), (c**top, rw.cycles.items()), *zip(scales, bigons)]
+    final = Counter()
+    for scale, entries in chunks:
+        for cyc, n in entries:
+            final[cyc] += n * scale
+    return dict(final), c1, c2
 
 
 def inductive_witness(

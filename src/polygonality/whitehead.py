@@ -57,7 +57,7 @@ class VertexId:
 
 def vertex_from_name(name: str) -> VertexId:
     """The vertex of a canonical name (``a1``, ``a1-``; no leading zeros)."""
-    m = re.fullmatch(r"a([1-9]\d*)(-?)", name) if isinstance(name, str) else None
+    m = re.fullmatch(r"a([1-9][0-9]*)(-?)", name) if isinstance(name, str) else None
     if m is None:
         raise GraphError(f"bad vertex name {name!r} (expected e.g. 'a1' or 'a1-')")
     return VertexId(int(m.group(1)), -1 if m.group(2) else 1)
@@ -239,14 +239,27 @@ class WhiteheadGraph(Multigraph):
         self.words = words
         self._validate_sigma()
 
+    @classmethod
+    def from_multigraph(cls, plain: Multigraph, sigma: dict[Dart, Dart]) -> "WhiteheadGraph":
+        """``plain`` with the connecting map ``sigma``, validated as by the
+        constructor; the tables of ``plain`` are shared, not built again."""
+        graph = cls.__new__(cls)
+        vars(graph).update(vars(plain))
+        graph.sigma = dict(sigma)
+        graph.words = None
+        graph._validate_sigma()
+        return graph
+
     def _validate_sigma(self):
         all_darts = {Dart(eid, end) for eid in self.edges for end in (0, 1)}
         if set(self.sigma) != all_darts:
             missing = all_darts - set(self.sigma)
             extra = set(self.sigma) - all_darts
             raise GraphError(f"connecting map not total: missing={missing} extra={extra}")
+        ends = self.end_index
         for d, img in self.sigma.items():
-            if self.dart_vertex(img) != self.dart_vertex(d).mu():
+            # the paired vertex mu(v) of the vertex with index i has index i ^ 1
+            if ends[img.eid][img.end] != ends[d.eid][d.end] ^ 1:
                 raise GraphError(f"sigma({d}) = {img} does not land at the paired vertex")
             if self.sigma[img] != d:
                 raise GraphError(f"inverse-pair law broken at dart {d}")
@@ -336,14 +349,19 @@ def _dart_name(graph: Multigraph, d: Dart) -> str:
     return f"{d.eid}@{graph.dart_vertex(d).name}"
 
 
-def _dart_from_name(graph: Multigraph, s: str) -> Dart:
-    m = re.fullmatch(r"(0|[1-9]\d*)@(a[1-9]\d*-?)", s) if isinstance(s, str) else None
+def _dart_from_name(graph: Multigraph, darts: dict[str, Dart], s: str) -> Dart:
+    """The dart named ``s`` in ``darts``, the table of the graph's canonical dart names."""
+    d = darts.get(s) if isinstance(s, str) else None
+    if d is not None:
+        return d
+    # not a dart of the graph: read the name the long way to say why
+    m = re.fullmatch(r"(0|[1-9][0-9]*)@(a[1-9][0-9]*-?)", s) if isinstance(s, str) else None
     if m is None:
         raise GraphError(f"bad dart name {s!r}")
     eid, v = int(m.group(1)), vertex_from_name(m.group(2))
     if eid not in graph.edges:
         raise GraphError(f"dart {s!r} references unknown edge {eid}")
-    return graph.edges[eid].dart_at(v)
+    return graph.edges[eid].dart_at(v)  # raises: the edge is not at v
 
 
 def graph_to_json(graph: WhiteheadGraph) -> dict:
@@ -386,29 +404,40 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     Unknown or missing keys, non-canonical vertex and dart names and a dart
     listed under a vertex it is not at are errors.  Names are canonical and
     the keys of one table distinct, so a dart listed twice is always also
-    listed under a vertex it is not at.
+    listed under a vertex it is not at.  Dart names are looked up in a table
+    of the graph's own canonical names, and each distinct vertex name is
+    parsed once.
     """
     json_object(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
     if not isinstance(data["edges"], list) or not isinstance(data["sigma"], dict):
         raise GraphError("malformed graph JSON: edges must be a list and sigma an object")
+    vertices: dict[str, VertexId] = {}
+
+    def vertex(name) -> VertexId:
+        v = vertices.get(name) if isinstance(name, str) else None
+        if v is None:
+            v = vertices[name] = vertex_from_name(name)
+        return v
+
     edges = []
     for e in data["edges"]:
         json_object(e, {"id", "u", "v"}, "an edge")
-        ends = (vertex_from_name(e["u"]), vertex_from_name(e["v"]))
+        ends = (vertex(e["u"]), vertex(e["v"]))
         edges.append(EdgeRecord(json_int(e["id"], "edge id"), ends))
     plain = Multigraph(rank, edges)
+    darts = {_dart_name(plain, d): d for eid in plain.edges for d in (Dart(eid, 0), Dart(eid, 1))}
     sigma: dict[Dart, Dart] = {}
     for name, table in sorted(data["sigma"].items()):
-        at = vertex_from_name(name)
+        at = vertex(name).index
         if not isinstance(table, dict):
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         for src, dst in table.items():
-            d = _dart_from_name(plain, src)
-            if plain.dart_vertex(d) != at:
+            d = _dart_from_name(plain, darts, src)
+            if plain.end_index[d.eid][d.end] != at:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
-            sigma[d] = _dart_from_name(plain, dst)
-    return WhiteheadGraph(rank, edges, sigma)
+            sigma[d] = _dart_from_name(plain, darts, dst)
+    return WhiteheadGraph.from_multigraph(plain, sigma)
 
 
 def graph_hash(graph: WhiteheadGraph) -> str:

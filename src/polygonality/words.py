@@ -94,7 +94,7 @@ class WordList:
         object.__setattr__(self, "words", tuple(tagged))
 
 
-_TOKEN = re.compile(r"\s*(?:([a-zA-Z])(\d*)|(\()|(\)))")
+_TOKEN = re.compile(r"\s*(?:([a-zA-Z])([0-9]*)|(\()|(\)))")
 
 #: The longest expanded word a parse builds; checked before a power is expanded.
 MAX_WORD_LENGTH = 1_000_000
@@ -139,7 +139,7 @@ def _parse_expr(
 
 
 def _maybe_power(text: str, pos: int) -> tuple[int, int]:
-    m = re.match(r"\s*\^(-?\d+)", text[pos:])
+    m = re.match(r"\s*\^(-?[0-9]+)", text[pos:])
     if m is None:
         return 1, pos
     return int(m.group(1)), pos + m.end()
@@ -234,7 +234,7 @@ def parse_word_list(text: str) -> WordList:
         if not line:
             continue
         if rank is None:
-            m = re.fullmatch(r"rank\s+(\d+)", line)
+            m = re.fullmatch(r"rank\s+([0-9]+)", line)
             if m is None:
                 raise WordParseError(f"line {lineno}: expected 'rank <n>', got {line!r}")
             rank = int(m.group(1))

@@ -5,13 +5,15 @@ found by filtering edge subsets, canonical cycle keys by listing every
 rotation, pair counts by direct recounting, witness existence by bounded
 enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
 regular cycle lists by the slot-pair loop over the coloring, perfect
-matchings by a walk over vertex objects and sets, and linear
-programs by a Bland-rule simplex on a Fraction tableau.
+matchings by a walk over vertex objects and sets, linear programs by a
+Bland-rule simplex on a Fraction tableau, and the four-vertex build-up by
+rescaling the whole lower list at every level.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -383,3 +385,46 @@ def oracle_find_feasible(A, b):
         if bi < n:
             x[bi] = tab.rhs[i]
     return x
+
+
+def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
+    """``fourvertex._inductive`` with the level-by-level build-up: every level
+    rescales the whole list below it by ``c`` and inserts it again, between
+    the level's patch cycles and its bigons."""
+    peeled = []
+    while g.degree(u) != g.degree(w):
+        uu_edges = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+        peeled.append((g, uu_edges))
+        g = g.remove_edges([uu_edges[0]])
+        fourvertex._check_level_preconditions(g, w, u)
+    rw = fourvertex.regular_witness(g)
+    levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
+    cycles, c1, c2 = rw.cycles, rw.m1, rw.m2
+    for g, uu_edges in reversed(peeled):
+        e = uu_edges[0]
+        final = Counter()
+        for pair, count in orbit_pairs.items():
+            x, y = sorted(pair)
+            sx, sy = sigma_after_pi[x], sigma_after_pi[y]
+            x_at_pair = g.edges[x].other(w) == w.mu()
+            y_at_pair = g.edges[y].other(w) == w.mu()
+            if x_at_pair and y_at_pair:
+                cycs = [frozenset((x, y))]
+            elif not x_at_pair and not y_at_pair:
+                cycs = [frozenset((e, x, y)), frozenset((e, sx, sy))]
+            else:
+                if x_at_pair:
+                    x, y, sx, sy = y, x, sy, sx
+                cycs = [frozenset((e, x, y, sx))]
+            for cyc in cycs:
+                final[cyc] += count * c2
+        for cyc, n in cycles.items():
+            final[cyc] += n * c
+        for f in uu_edges[1:]:
+            final[frozenset((e, f))] += c * c2
+        a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
+        c1 = c * c2 * (a + len(uu_edges) - 1)
+        c2 = c * c2
+        levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
+        cycles = dict(final)
+    return cycles, c1, c2

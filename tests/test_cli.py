@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -18,6 +19,24 @@ from polygonality.words import parse_word_list
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def library_env():
+    """The environment of a new interpreter that imports this checkout's library."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def fresh_cli(*argv):
+    """Exit status, standard output and standard error of a command run in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "polygonality.cli", *argv],
+        env=library_env(),
+        capture_output=True,
+        text=True,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def read_json(path):
@@ -252,11 +271,8 @@ verify = witness.verify_witness
 witness.verify_witness = lambda *a, **k: dataclasses.replace(verify(*a, **k), ok=False)
 sys.exit(cli.main(["selftest"]))
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-O", "-c", script], env=library_env(), capture_output=True, text=True
     )
     assert done.returncode == 1, done.stderr
     failed = {}
@@ -561,3 +577,116 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
         "triangles": (8, 1248),
     }
     assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 591
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = "from polygonality import cli; print(cli.build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=library_env(), capture_output=True, text=True
+    )
+    assert done.stdout == "0\n", done.stderr
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert run_cli("analyze", "commutator") == 0
+    first = len(built)  # the top-level parser and one per subcommand
+    assert run_cli("witness", "commutator") == 0
+    assert run_cli("analyze", "remark-2.4b", "--format", "text") == 0
+    assert first > 1 and len(built) == first
+
+
+def test_a_handler_replaced_after_the_first_call_runs(monkeypatch, capsys):
+    # wrappers such as the benchmark's tracer replace handlers after the parser exists
+    assert run_cli("analyze", "commutator") == 0
+    calls = Counter()
+    count_calls(monkeypatch, cli, "cmd_analyze", calls)
+    assert run_cli("analyze", "commutator") == 0
+    assert calls == {"cmd_analyze": 1}
+
+
+@pytest.fixture
+def leak_inputs(tmp_path):
+    """A graph whose witness has no long cycle, that witness, and a word list
+    whose surface differs between ``--method lp`` and ``auto``."""
+    graph, wit, words = (str(tmp_path / name) for name in ("g.json", "w.json", "words.txt"))
+    assert run_cli("gen", "--kind", "regular", "--k", "2", "--pairs", "1", "--out", graph) == 0
+    assert run_cli("witness", graph, "--out", wit) == 0
+    with open(words, "w", encoding="utf-8") as fh:
+        fh.write("rank 2\nab^2AB^2\n")
+    return {"graph": graph, "witness": wit, "words": words}
+
+
+@pytest.mark.parametrize(
+    "first, second, option",
+    [
+        (("witness", "{graph}", "--require-long"), ("verify", "{graph}", "{witness}"), "--require-long"),
+        (("surface", "{words}", "--method", "lp"), ("surface", "{words}"), "--method lp"),
+        (("analyze", "commutator", "--format", "text"), ("analyze", "commutator"), "--format text"),
+    ],
+    ids=["require-long", "method", "format"],
+)
+def test_options_do_not_leak_into_the_next_call(leak_inputs, capsys, first, second, option):
+    first, second = ([arg.format(**leak_inputs) for arg in argv] for argv in (first, second))
+    capsys.readouterr()
+    run_cli(*first)
+    capsys.readouterr()
+    code = run_cli(*second)
+    assert (code, capsys.readouterr().out) == fresh_cli(*second)[:2]
+    # the option would change the second command's output
+    assert fresh_cli(*second, *option.split())[:2] != fresh_cli(*second)[:2]
+
+
+@pytest.mark.parametrize(
+    "argv", [("frobnicate",), ("verify", "commutator")], ids=["unknown subcommand", "missing argument"]
+)
+def test_a_usage_error_exits_2_and_the_next_call_succeeds(argv, capsys):
+    assert run_cli("analyze", "commutator") == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == fresh_cli(*argv)[2]
+    assert run_cli("analyze", "commutator", "--format", "text") == 0
+    assert "minimal      = True" in capsys.readouterr().out
+
+
+# -- numbers are ASCII digits ---------------------------------------------------
+
+
+def _graph_json_with_name(old, new):
+    """The graph JSON of a 12-letter word with the name ``old`` replaced by ``new``."""
+    graph = build_whitehead_graph(parse_word_list("rank 2\nab^5AB^5\n"))
+    text = json.dumps(graph_to_json(graph), ensure_ascii=False)
+    assert f'"{old}"' in text
+    return text.replace(f'"{old}"', f'"{new}"')
+
+
+@pytest.mark.parametrize(
+    "name, text, err",
+    [
+        ("g.json", _graph_json_with_name("a1", "a1\u0661"), "bad vertex name 'a1\u0661'"),
+        ("g.json", _graph_json_with_name("10@a2", "1\u0660@a2"), "bad dart name '1\u0660@a2'"),
+        ("words.txt", "rank \u0663\nabc^\u0662\n", "line 1: expected 'rank <n>', got 'rank \u0663'"),
+        ("words.txt", "rank 3\nabc^\u0662\n", "unexpected symbol at column 3: '^\u0662'"),
+        ("words.txt", "rank 3\na\u0661bc\n", "unexpected symbol at column 1: '\u0661bc'"),
+    ],
+    ids=["vertex name", "dart name", "rank", "power", "generator suffix"],
+)
+def test_non_ascii_digits_are_an_error(tmp_path, capsys, name, text, err):
+    # in a str pattern, \d matches every Unicode decimal digit
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("analyze", str(path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {err}")

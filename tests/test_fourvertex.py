@@ -24,7 +24,7 @@ from polygonality.generators import random_fourvertex_instance
 from polygonality.whitehead import Dart, WhiteheadGraph
 from polygonality.witness import Infeasible
 
-from conftest import make_plain, oracle_pair_count, vid, words_graph
+from conftest import make_plain, oracle_inductive, oracle_pair_count, vid, words_graph
 
 
 # -- abstract digraph construction for the exhaustive corpus -------------------
@@ -445,6 +445,37 @@ def test_peeling_does_not_deepen_the_stack():
         sys.setrecursionlimit(limit)
     assert len(good.constants_per_level) == 119
     assert pg.verify_witness(graph, good.cycles, require_long=True).ok
+
+
+def _assert_inductive_matches_the_level_by_level_loop(graph):
+    with mock.patch.object(fourvertex, "_inductive", wraps=fourvertex._inductive) as spy:
+        good = pg.four_vertex_witness(graph)
+    (*args, _), _ = spy.call_args
+    levels = []
+    cycles, c1, c2 = oracle_inductive(*args, levels)
+    assert list(good.cycles.items()) == list(cycles.items())  # insertion order too
+    assert (good.c1, good.c2, good.constants_per_level) == (c1, c2, tuple(reversed(levels)))
+    return good
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        words_graph("rank 2\nabAB\n"),
+        words_graph("rank 2\naBa^2b\n"),
+        _figure7_graph(),
+        words_graph("rank 2\nab^12AB^12\n"),
+    ],
+    ids=["commutator", "remark-2.4b", "figure-7", "ab^12AB^12"],
+)
+def test_inductive_matches_the_level_by_level_loop_on_built_ins(graph):
+    _assert_inductive_matches_the_level_by_level_loop(graph)
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_inductive_matches_the_level_by_level_loop_on_random_graphs(seed):
+    _assert_inductive_matches_the_level_by_level_loop(random_fourvertex_instance(seed))
 
 
 @given(st.integers(0, 400))

@@ -8,11 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
-from polygonality.generators import random_fourvertex_instance, random_regular_instance
+from polygonality.generators import random_fourvertex_instance, random_regular_instance, random_sigma
 from polygonality.whitehead import (
     Dart,
+    EdgeRecord,
+    Multigraph,
+    WhiteheadGraph,
     export_dot,
     graph_from_json,
+    graph_hash,
     graph_to_json,
     vertex_from_name,
 )
@@ -268,6 +272,60 @@ def test_json_is_strict(commutator, corrupt, message):
     assert data["edges"][0]["u"] == "a1" and _first_dart(data)[0] == "0@a1"
     corrupt(data)
     with pytest.raises(GraphError, match=re.escape(message)):
+        graph_from_json(data)
+
+
+@st.composite
+def whitehead_graphs(draw):
+    """Up to rank 4, with parallel edges, isolated vertices and multi-digit,
+    gapped edge ids.  Every drawn edge comes with its mirror image under mu,
+    so each vertex has the degree of its pair and a connecting map exists."""
+    rank = draw(st.integers(1, 4))
+    verts = [vid(g, s) for g in range(1, rank + 1) for s in (1, -1)]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(verts, 2))), max_size=8))
+    ends = [e for x, y in pairs for e in ((x, y), (x.mu(), y.mu()))]
+    eids = draw(st.lists(st.integers(0, 120), min_size=len(ends), max_size=len(ends), unique=True))
+    edges = [EdgeRecord(eid, pair) for eid, pair in zip(eids, ends)]
+    return WhiteheadGraph(rank, edges, random_sigma(Multigraph(rank, edges), draw(st.randoms())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(whitehead_graphs())
+def test_json_round_trip_on_random_graphs(graph):
+    back = graph_from_json(graph_to_json(graph))
+    assert back.rank == graph.rank and back.edges == graph.edges
+    assert back.sigma == graph.sigma
+    assert graph_hash(back) == graph_hash(graph)
+
+
+# one dart name of the commutator's graph JSON made non-canonical: edge 0 joins a1 and a2-
+BAD_DART_NAMES = {
+    "leading zero": ("00@a1", "bad dart name '00@a1'"),
+    "unknown edge": ("9@a1", "dart '9@a1' references unknown edge 9"),
+    "wrong vertex": ("0@a2", "edge 0 is not incident with a2"),
+    "non-ASCII edge": ("1\u0660@a1", "bad dart name '1\u0660@a1'"),
+    "non-ASCII vertex": ("0@a1\u0661", "bad dart name '0@a1\u0661'"),
+    "int": (0, "bad dart name 0"),
+}
+BAD_DART_CASES = [
+    pytest.param(where, name, message, id=f"{where}-{case}")
+    for case, (name, message) in BAD_DART_NAMES.items()
+    for where in ("key", "value")
+] + [pytest.param("value", ["0@a1"], "bad dart name ['0@a1']", id="value-list")]
+
+
+@pytest.mark.parametrize("where, name, message", BAD_DART_CASES)
+def test_json_rejects_a_non_canonical_dart_name(commutator, where, name, message):
+    data = graph_to_json(commutator)
+    table = data["sigma"]["a1"]
+    src, dst = _first_dart(data)
+    assert src == "0@a1"
+    if where == "key":
+        del table[src]
+        table[name] = dst
+    else:
+        table[src] = name
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         graph_from_json(data)
 
 
