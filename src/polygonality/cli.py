@@ -42,7 +42,7 @@ def _figure7_graph() -> WhiteheadGraph:
     for d, img in zip(u_darts, up_darts):
         sigma[d] = img
         sigma[img] = d
-    return WhiteheadGraph.from_multigraph(plain, sigma)
+    return WhiteheadGraph(2, edges, sigma)
 
 
 _BUILTIN_WORDS = {

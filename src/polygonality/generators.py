@@ -54,7 +54,7 @@ def random_regular_instance(
         plain = Multigraph(pairs, edges)
         if not _lambda_condition(plain):
             continue
-        return WhiteheadGraph.from_multigraph(plain, random_sigma(plain, rng))
+        return WhiteheadGraph(pairs, edges, random_sigma(plain, rng))
     raise PreconditionError(
         f"no valid {k}-regular instance on {2 * pairs} vertices after {max_attempts} tries"
     )
@@ -96,7 +96,7 @@ def random_fourvertex_instance(
         plain = Multigraph(2, edges)
         if not _lambda_condition(plain):
             continue
-        return WhiteheadGraph.from_multigraph(plain, random_sigma(plain, rng))
+        return WhiteheadGraph(2, edges, random_sigma(plain, rng))
     raise PreconditionError(
         f"no valid 4-vertex instance with degrees <= {max_degree} after {max_attempts} tries"
     )

@@ -235,20 +235,13 @@ class WhiteheadGraph(Multigraph):
 
     def __init__(self, rank, edges, sigma: dict[Dart, Dart], words: WordList | None = None):
         super().__init__(rank, edges)
+        self._attach_sigma(sigma, words)
+
+    def _attach_sigma(self, sigma: dict[Dart, Dart], words: WordList | None):
+        """The part of the constructor that follows the multigraph's."""
         self.sigma = dict(sigma)
         self.words = words
         self._validate_sigma()
-
-    @classmethod
-    def from_multigraph(cls, plain: Multigraph, sigma: dict[Dart, Dart]) -> "WhiteheadGraph":
-        """``plain`` with the connecting map ``sigma``, validated as by the
-        constructor; the tables of ``plain`` are shared, not built again."""
-        graph = cls.__new__(cls)
-        vars(graph).update(vars(plain))
-        graph.sigma = dict(sigma)
-        graph.words = None
-        graph._validate_sigma()
-        return graph
 
     def _validate_sigma(self):
         all_darts = {Dart(eid, end) for eid in self.edges for end in (0, 1)}
@@ -425,19 +418,30 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
         json_object(e, {"id", "u", "v"}, "an edge")
         ends = (vertex(e["u"]), vertex(e["v"]))
         edges.append(EdgeRecord(json_int(e["id"], "edge id"), ends))
-    plain = Multigraph(rank, edges)
-    darts = {_dart_name(plain, d): d for eid in plain.edges for d in (Dart(eid, 0), Dart(eid, 1))}
+    # the multigraph part is built first, to read sigma against, and once:
+    # the connecting map is attached to it as WhiteheadGraph.__init__ does
+    graph = WhiteheadGraph.__new__(WhiteheadGraph)
+    Multigraph.__init__(graph, rank, edges)
+    # a canonical name has no sign, so a negative id's darts are left out
+    # and their names fall through to ``bad dart name``
+    darts = {
+        _dart_name(graph, d): d
+        for eid in graph.edges
+        if eid >= 0
+        for d in (Dart(eid, 0), Dart(eid, 1))
+    }
     sigma: dict[Dart, Dart] = {}
     for name, table in sorted(data["sigma"].items()):
         at = vertex(name).index
         if not isinstance(table, dict):
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         for src, dst in table.items():
-            d = _dart_from_name(plain, darts, src)
-            if plain.end_index[d.eid][d.end] != at:
+            d = _dart_from_name(graph, darts, src)
+            if graph.end_index[d.eid][d.end] != at:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
-            sigma[d] = _dart_from_name(plain, darts, dst)
-    return WhiteheadGraph.from_multigraph(plain, sigma)
+            sigma[d] = _dart_from_name(graph, darts, dst)
+    graph._attach_sigma(sigma, None)
+    return graph
 
 
 def graph_hash(graph: WhiteheadGraph) -> str:

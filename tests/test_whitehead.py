@@ -240,6 +240,19 @@ def _dart_listed_twice(data):
     data["sigma"]["a1-"][src] = dst
 
 
+def _negative_edge_id(data):
+    """Edge 0 renumbered -1, in the edge list and in every dart name."""
+    data["edges"][0]["id"] = -1
+
+    def rename(name):
+        return "-1" + name[1:] if name.startswith("0@") else name
+
+    data["sigma"] = {
+        v: {rename(src): rename(dst) for src, dst in table.items()}
+        for v, table in data["sigma"].items()
+    }
+
+
 def _unknown_top_level_key(data):
     data["comment"] = "extra"
 
@@ -258,6 +271,8 @@ STRICT_JSON_CASES = [
     (_dart_under_other_vertex, "listed under a1-, not under its own vertex"),
     # a second listing is always under another vertex's table
     (_dart_listed_twice, "listed under a1-, not under its own vertex"),
+    # a canonical dart name has no sign, so the edge's darts cannot be named
+    (_negative_edge_id, "bad dart name '-1@a1'"),
     (_unknown_top_level_key, "a graph needs the keys"),
     (_unknown_edge_key, "an edge needs the keys"),
     (_sigma_table_not_an_object, "sigma table of a1 is not an object"),
