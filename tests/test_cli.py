@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from polygonality import cli, regular
 from polygonality.errors import PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
-from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_to_json
+from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_hash, graph_to_json
 from polygonality.witness import witness_from_json
 from polygonality.words import parse_word_list
 
@@ -142,6 +142,20 @@ def test_surface_on_word_file(tmp_path):
     assert read_json(out)["chi_S_minus_m"] < 0
 
 
+def test_surface_names_the_unbalanced_pairs(tmp_path, capsys):
+    # the failures reach standard error with each vertex's repr
+    graph = build_whitehead_graph(parse_word_list("rank 2\naBa^2b\n"))
+    wit = tmp_path / "w.json"
+    cycles = [{"edges": [0, 2, 4], "multiplicity": 1}]
+    payload = {"graph_hash": graph_hash(graph), "cycles": cycles}
+    wit.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli("surface", "remark-2.4b", "--witness", str(wit)) == 1
+    assert capsys.readouterr().err == (
+        "error: witness fails verification: ((VertexId(gen=1, sign=1), (0, 2), 1, 0), "
+        "(VertexId(gen=1, sign=1), (0, 3), 0, 1), (VertexId(gen=1, sign=-1), (1, 4), 0, 1))\n"
+    )
+
+
 def test_export_dot(tmp_path):
     out = tmp_path / "g.dot"
     assert run_cli("export-dot", "example-6.1", "--out", str(out)) == 0
@@ -265,10 +279,15 @@ def test_selftest(capsys):
 def test_selftest_fails_under_python_O_when_the_verifier_rejects():
     # the checks are explicit, so `python -O` keeps them; each failure names its reason
     script = """
-import dataclasses, sys
+import sys
 from polygonality import cli, witness
 verify = witness.verify_witness
-witness.verify_witness = lambda *a, **k: dataclasses.replace(verify(*a, **k), ok=False)
+
+def rejecting(*a, **k):
+    v = verify(*a, **k)
+    return witness.WitnessVerdict(False, v.failures, v.has_long_cycle, v.per_edge_usage, v.cycles)
+
+witness.verify_witness = rejecting
 sys.exit(cli.main(["selftest"]))
 """
     done = subprocess.run(

@@ -1,0 +1,184 @@
+"""The value types and records keep their constructor, equality, hash, order,
+repr, validation and immutability: callers, sets, dict keys and messages
+depend on each of them."""
+
+import copy
+import pickle
+
+import pytest
+
+import polygonality as pg
+from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
+from polygonality.regular import KGraphVerdict
+from polygonality.simplex import ZERO, LPResult
+from polygonality.surface import DualPolygon, Side
+from polygonality.whitehead import EdgeRecord, VertexId
+from polygonality.witness import Cycle, make_cycle
+from polygonality.words import Letter, Word, WordList
+
+A, B_INV = Letter(1, 1), Letter(2, -1)
+SIDE = Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
+
+
+def commutator_cycle() -> Cycle:
+    graph = pg.build_whitehead_graph(pg.parse_word_list("rank 2\nabAB"))
+    return make_cycle(graph, {0, 1, 2, 3})
+
+
+def values():
+    """One instance of every value type, each with its compared fields."""
+    return [
+        (VertexId(1, -1), (1, -1)),
+        (Letter(2, -1), (2, -1)),
+        (Word((A, B_INV), index=3), ((A, B_INV),)),
+        (WordList(2, (Word((A, B_INV)),)), (2, (Word((A, B_INV)),))),
+        (EdgeRecord(0, (VertexId(1, 1), VertexId(2, -1)), (0, 1)),
+         (0, (VertexId(1, 1), VertexId(2, -1)), (0, 1))),
+        (commutator_cycle(), (frozenset({0, 1, 2, 3}), (0, 1, 2, 3))),
+        (DualPolygon(0, (SIDE,)), (0, (SIDE,))),
+    ]
+
+
+@pytest.mark.parametrize("value, compared", values())
+def test_hash_is_that_of_the_compared_fields(value, compared):
+    # set and dict order, and so output order, follow these hashes
+    assert hash(value) == hash(compared)
+    assert value != compared and compared != value
+
+
+@pytest.mark.parametrize("value, compared", values())
+def test_assignment_and_deletion_raise(value, compared):
+    with pytest.raises(AttributeError):
+        setattr(value, "index", 0)
+    with pytest.raises(AttributeError):
+        setattr(value, "other", 0)
+    with pytest.raises(AttributeError):
+        delattr(value, "index")
+
+
+@pytest.mark.parametrize("value, compared", values())
+def test_copy_and_pickle_round_trip(value, compared):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+
+def test_vertex_id():
+    v = VertexId(1, 1)
+    assert v == VertexId(1, 1) and v != VertexId(1, -1) and v != (1, 1)
+    assert VertexId(1, 5).sign == 1 and VertexId(1, -7).sign == -1 and VertexId(1, 0).sign == -1
+    assert VertexId(gen=2, sign=-1) == VertexId(2, -1)
+    assert repr(VertexId(1, 1)) == "VertexId(gen=1, sign=1)"
+    assert repr(VertexId(3, -2)) == "VertexId(gen=3, sign=-1)"
+    assert sorted([VertexId(2, 1), VertexId(1, -1), VertexId(1, 1)]) == [
+        VertexId(1, 1), VertexId(1, -1), VertexId(2, 1)
+    ]
+    assert VertexId(1, -1) > VertexId(1, 1)  # reflected __lt__
+    with pytest.raises(TypeError):
+        VertexId(1, 1) <= VertexId(1, 1)  # only __lt__ is defined
+    match v:
+        case VertexId(gen, sign):
+            assert (gen, sign) == (1, 1)
+
+
+def test_letter():
+    assert Letter(1, 1) == Letter(1, 1) and Letter(1, 1) != Letter(1, -1)
+    assert Letter(1, 1) != (1, 1)
+    assert repr(Letter(2, -1)) == "Letter(gen=2, sign=-1)"
+    # (gen, sign) order: the inverse comes first, unlike VertexId
+    assert sorted([Letter(2, -1), Letter(1, 1), Letter(1, -1)]) == [
+        Letter(1, -1), Letter(1, 1), Letter(2, -1)
+    ]
+    assert Letter(1, 1) <= Letter(1, 1) and Letter(1, 1) >= Letter(1, -1)
+    assert Letter(2, 1) > Letter(1, 1) and not Letter(1, 1) < Letter(1, 1)
+    with pytest.raises(TypeError):
+        Letter(1, 1) < (1, 1)
+    with pytest.raises(WordParseError, match="generator index must be >= 1, got 0"):
+        Letter(0, 1)
+    with pytest.raises(WordParseError, match=r"letter sign must be \+1 or -1, got 2"):
+        Letter(1, 2)
+
+
+def test_word():
+    w = Word((A, B_INV))
+    assert w.index is None and len(w) == 2 and w
+    assert not Word(())
+    assert Word((A, B_INV), index=4) == w and hash(Word((A, B_INV), 4)) == hash(w)
+    assert Word(letters=(A,), index=1) != w
+    assert repr(Word((A,), index=3)) == "Word(letters=(Letter(gen=1, sign=1),), index=3)"
+    assert repr(Word((A,))) == "Word(letters=(Letter(gen=1, sign=1),), index=None)"
+
+
+def test_word_list():
+    wl = WordList(2, (Word((A, B_INV), index=7), Word((A,))))
+    assert [w.index for w in wl.words] == [0, 1]
+    assert wl == WordList(rank=2, words=(Word((A, B_INV)), Word((A,))))
+    assert repr(WordList(1, (Word((A,)),))) == (
+        "WordList(rank=1, words=(Word(letters=(Letter(gen=1, sign=1),), index=0),))"
+    )
+    with pytest.raises(WordParseError, match="rank must be >= 1, got 0"):
+        WordList(0, ())
+    with pytest.raises(TrivialWordError, match="word 0 is empty"):
+        WordList(2, (Word(()),))
+    with pytest.raises(PreconditionError, match=r"word 0 \(aA\) is not cyclically reduced"):
+        WordList(2, (Word((A, A.inverse())),))
+    with pytest.raises(WordParseError, match="word 0 uses generator 2 beyond rank 1"):
+        WordList(1, (Word((B_INV,)),))
+
+
+def test_edge_record():
+    ends = (VertexId(1, 1), VertexId(2, -1))
+    e = EdgeRecord(0, ends)
+    assert e.provenance is None and e == EdgeRecord(eid=0, ends=ends, provenance=None)
+    assert e != EdgeRecord(0, ends, (0, 0)) and e != EdgeRecord(1, ends)
+    assert repr(e) == (
+        "EdgeRecord(eid=0, ends=(VertexId(gen=1, sign=1), VertexId(gen=2, sign=-1)), "
+        "provenance=None)"
+    )
+
+
+def test_cycle():
+    c = commutator_cycle()
+    assert repr(c) == (
+        "Cycle(edges=frozenset({0, 1, 2, 3}), key=(0, 1, 2, 3), edge_seq=(0, 3, 2, 1), "
+        "turns=((0, frozenset({0, 1})), (3, frozenset({0, 3})), (1, frozenset({2, 3})), "
+        "(2, frozenset({1, 2}))))"
+    )
+    # the walk takes no part in equality or hashing
+    bare = Cycle(c.edges, c.key, (), ())
+    assert bare == c and hash(bare) == hash(c) and len(bare) == 4 and bare.is_long
+    assert Cycle(edges=frozenset({5, 6}), key=(5, 6), edge_seq=(5, 6), turns=()) != c
+    # by length, then key; only __lt__ is defined
+    bigon = Cycle(frozenset({5, 6}), (5, 6), (), ())
+    other = Cycle(frozenset({0, 1, 2, 4}), (0, 1, 2, 4), (), ())
+    assert sorted([other, c, bigon]) == [bigon, c, other]
+    with pytest.raises(TypeError):
+        c <= c
+
+
+def test_dual_polygon():
+    p = DualPolygon(0, (SIDE, SIDE))
+    assert len(p) == 2 and p == DualPolygon(index=0, sides=(SIDE, SIDE))
+    assert p != DualPolygon(1, (SIDE, SIDE))
+    assert repr(DualPolygon(0, (SIDE,))) == (
+        "DualPolygon(index=0, sides=(Side(poly=0, index=1, vertex=VertexId(gen=1, sign=1), "
+        "pair=frozenset({1, 2}), incoming=True, tail_corner=0, head_corner=1),))"
+    )
+
+
+def test_records():
+    assert repr(KGraphVerdict(True, 3, None)) == "KGraphVerdict(ok=True, k=3, violating_set=None)"
+    assert KGraphVerdict(ok=False, k=2, violating_set=(VertexId(1, 1),)).violating_set == (
+        VertexId(1, 1),
+    )
+    with pytest.raises(AttributeError):
+        KGraphVerdict(True, 3, None).ok = False
+    assert SIDE == Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
+    assert hash(SIDE) == hash(Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1))
+
+
+def test_lp_result_defaults_are_fresh_lists():
+    a, b = LPResult("infeasible"), LPResult(status="infeasible")
+    assert a.x == [] and a.duals == [] and a.objective == ZERO
+    assert a.x is not b.x and a.duals is not b.duals and a.x is not a.duals
+    assert repr(a) == "LPResult(status='infeasible', x=[], objective=Fraction(0, 1), duals=[])"
+    assert LPResult("optimal", [1], 2, [3]) == LPResult("optimal", x=[1], objective=2, duals=[3])

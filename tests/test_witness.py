@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ from polygonality import witness
 from polygonality.errors import GraphError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.witness import (
+    Cycle,
     Infeasible,
     make_cycle,
     witness_from_json,
@@ -143,7 +143,8 @@ def test_verify_ignores_forged_turns(refutation_graph):
         for eid in refutation_graph.delta(vid(2, 1))
         if refutation_graph.edges[eid].other(vid(2, 1)) == vid(2, -1)
     ]
-    forged = dataclasses.replace(make_cycle(refutation_graph, parallel), turns=())
+    walked = make_cycle(refutation_graph, parallel)
+    forged = Cycle(walked.edges, walked.key, walked.edge_seq, ())
     counts, _ = pg.pair_counts(refutation_graph, {forged: 1})
     assert counts == {}
 
