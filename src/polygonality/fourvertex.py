@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .regular import regular_witness
@@ -29,8 +29,7 @@ from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
 Node = tuple[str, int]  # ('e', i) or ('f', i)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One weakly connected piece of the auxiliary digraph.
 
     ``nodes`` follow the arcs: a path runs source to sink, a cycle is rotated
@@ -226,8 +225,7 @@ def _components_from_succ(succ: dict[Node, Node | None]) -> tuple[Component, ...
 # -- decomposition into the eight good shapes --------------------------------
 
 
-@dataclass(frozen=True)
-class GoodPart:
+class GoodPart(NamedTuple):
     type_tag: int
     components: tuple[Component, ...]
 
@@ -380,8 +378,7 @@ def _pack_long_shapes(D: AuxDigraph, comps, shorts) -> list[GoodPart]:
 # -- uniform completions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     """A completed digraph with its induced permutation and orbit list."""
 
     aux: AuxDigraph
@@ -529,8 +526,7 @@ def uniform_permutation(D: AuxDigraph) -> Completion:
 # -- the inductive witness ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodList:
+class GoodList(NamedTuple):
     """Witness with the constants from the inductive construction."""
 
     cycles: dict[frozenset[int], int]  # multiplicity of each cycle's edge set

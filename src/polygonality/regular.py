@@ -20,16 +20,15 @@ only after the problem turns out infeasible, to name a violating set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError
 from .simplex import find_feasible
 from .whitehead import Multigraph, VertexId
 
 
-@dataclass(frozen=True)
-class KGraphVerdict:
+class KGraphVerdict(NamedTuple):
     ok: bool
     k: int
     violating_set: tuple[VertexId, ...] | None
@@ -105,8 +104,7 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class FractionalColoring:
+class FractionalColoring(NamedTuple):
     k: int
     ell: int
     entries: tuple[tuple[frozenset[int], int], ...]  # (matching, multiplicity)
@@ -153,8 +151,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> Fractio
     return FractionalColoring(k, ell, tuple(entries))
 
 
-@dataclass(frozen=True)
-class RegularWitness:
+class RegularWitness(NamedTuple):
     cycles: dict[frozenset[int], int]  # multiplicity of each cycle's edge set
     m1: int
     m2: int

@@ -35,9 +35,9 @@ Two entry points cover the package's needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as QQ
 from operator import index
+from typing import NamedTuple
 
 ZERO = QQ(0)
 
@@ -46,12 +46,23 @@ class SimplexError(Exception):
     pass
 
 
-@dataclass
-class LPResult:
+class _LPFields(NamedTuple):
     status: str  # "optimal" or "infeasible"
-    x: list = field(default_factory=list)
-    objective: object = ZERO
-    duals: list = field(default_factory=list)  # one entry per original row
+    x: list
+    objective: object
+    duals: list  # one entry per original row
+
+
+class LPResult(_LPFields):
+    """A solve's status, ``x``, objective and duals; ``x`` and ``duals``
+    default to a new empty list each."""
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, x: list | None = None, objective=ZERO, duals: list | None = None):
+        return super().__new__(
+            cls, status, [] if x is None else x, objective, [] if duals is None else duals
+        )
 
 
 def _eliminate(rows: list[list[int]], dens: list[int], r: int, col: int, d: int) -> int:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
+from .frozen import Frozen
 from .whitehead import Dart, VertexId, WhiteheadGraph
 from .witness import Cycle, CycleList, verify_witness, witness_to_json
 from .words import Letter, Word, WordList, match_power
@@ -41,8 +42,7 @@ def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
     return rank
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     poly: int
     index: int
     vertex: VertexId
@@ -52,10 +52,22 @@ class Side:
     head_corner: int
 
 
-@dataclass(frozen=True)
-class DualPolygon:
-    index: int
-    sides: tuple[Side, ...]
+class DualPolygon(Frozen):
+    """The polygon of one cycle copy: its index and its sides."""
+
+    __slots__ = ("index", "sides")
+
+    def __init__(self, index: int, sides: tuple[Side, ...]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sides", sides)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index and self.sides == other.sides
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index, self.sides))
 
     def __len__(self) -> int:
         return len(self.sides)
@@ -215,8 +227,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     return SurfaceComplex(graph, cycles, verdict.per_edge_usage, tuple(polygons), pairing)
 
 
-@dataclass(frozen=True)
-class BoundaryReading:
+class BoundaryReading(NamedTuple):
     vertex_class: int
     word: Word
     base_word_index: int | None
@@ -288,8 +299,7 @@ def boundary_words(complex_: SurfaceComplex, word_list: WordList) -> list[Bounda
     return out
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     m: int
     chi_s_minus_m: int
     chi_double: int

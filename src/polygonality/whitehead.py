@@ -19,22 +19,32 @@ import hashlib
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import GraphError, PreconditionError
+from .frozen import Frozen
 from .words import Letter, WordList, length2_cyclic_subwords
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """A vertex ``a_g`` (sign +1) or ``a_g^-1`` (sign -1), ordered a1 < a1- < a2 < ..."""
+class VertexId(Frozen):
+    """A vertex ``a_g`` (sign +1) or ``a_g^-1`` (sign -1), ordered a1 < a1- < a2 < ...
 
-    gen: int
-    sign: int
+    A positive ``sign`` is stored as +1 and any other as -1.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", 1 if self.sign > 0 else -1)
+    __slots__ = ("gen", "sign")
+
+    def __init__(self, gen: int, sign: int):
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "sign", 1 if sign > 0 else -1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gen == other.gen and self.sign == other.sign
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gen, self.sign))
 
     def mu(self) -> "VertexId":
         return VertexId(self.gen, -self.sign)
@@ -74,11 +84,28 @@ class Dart(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    eid: int
-    ends: tuple[VertexId, VertexId]
-    provenance: tuple[int, int] | None = None  # (word index, position)
+class EdgeRecord(Frozen):
+    """An edge: its id, its two ends and, in a word list's graph, its
+    ``(word index, position)``."""
+
+    __slots__ = ("eid", "ends", "provenance")
+
+    def __init__(
+        self, eid: int, ends: tuple[VertexId, VertexId], provenance: tuple[int, int] | None = None
+    ):
+        object.__setattr__(self, "eid", eid)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.eid, self.ends, self.provenance) == (
+                other.eid, other.ends, other.provenance
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.eid, self.ends, self.provenance))
 
     def other(self, v: VertexId) -> VertexId:
         if self.ends[0] == v:
@@ -292,8 +319,7 @@ def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
     return WhiteheadGraph(word_list.rank, edges, sigma, words=word_list)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     per_vertex: tuple[tuple[VertexId, int, int], ...]  # (vertex, local connectivity, degree)
     minimal: bool
     connected: bool
@@ -358,21 +384,29 @@ def _dart_from_name(graph: Multigraph, darts: dict[str, Dart], s: str) -> Dart:
 
 
 def graph_to_json(graph: WhiteheadGraph) -> dict:
-    sigma: dict[str, dict[str, str]] = {}
-    for v in graph.vertices():
-        m = {
-            _dart_name(graph, d): _dart_name(graph, graph.sigma[d])
-            for d in graph.darts_at(v)
-        }
-        if m:
-            sigma[v.name] = m
+    """The graph as JSON: its rank, its edges by id, and at each vertex with
+    edges the connecting map on dart names ``"<edge id>@<vertex name>"``.
+
+    Read from the index tables: vertex ``i``'s darts are its edges in id
+    order, and dart ``(eid, end)`` is at vertex ``end_index[eid][end]``.
+    """
+    names = [v.name for v in graph.vertices()]
+    ends, sigma = graph.end_index, graph.sigma
+    tables: dict[str, dict[str, str]] = {}
+    for i, eids in enumerate(graph._delta):
+        if not eids:
+            continue
+        table = tables[names[i]] = {}
+        for eid in eids:
+            img = sigma[Dart(eid, 0 if ends[eid][0] == i else 1)]
+            table[f"{eid}@{names[i]}"] = f"{img.eid}@{names[ends[img.eid][img.end]]}"
     return {
         "rank": graph.rank,
         "edges": [
-            {"id": e.eid, "u": e.ends[0].name, "v": e.ends[1].name}
-            for _, e in sorted(graph.edges.items())
+            {"id": eid, "u": names[ends[eid][0]], "v": names[ends[eid][1]]}
+            for eid in sorted(ends)
         ],
-        "sigma": sigma,
+        "sigma": tables,
     }
 
 

@@ -17,10 +17,11 @@ into :class:`Cycle` objects.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
+from .frozen import Frozen
 from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_object
 
@@ -28,8 +29,7 @@ from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_ob
 Turn = tuple[int, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Frozen):
     """A simple cycle: its edge-id set, canonical key and stored walk.
 
     The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is
@@ -44,10 +44,27 @@ class Cycle:
     by length, then key.
     """
 
-    edges: frozenset[int]
-    key: tuple[int, ...]
-    edge_seq: tuple[int, ...] = field(compare=False)
-    turns: tuple[Turn, ...] = field(compare=False)
+    __slots__ = ("edges", "key", "edge_seq", "turns")
+
+    def __init__(
+        self,
+        edges: frozenset[int],
+        key: tuple[int, ...],
+        edge_seq: tuple[int, ...],
+        turns: tuple[Turn, ...],
+    ):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "edge_seq", edge_seq)
+        object.__setattr__(self, "turns", turns)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges == other.edges and self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edges, self.key))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -173,8 +190,7 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(NamedTuple):
     ok: bool
     failures: tuple  # (vertex, (e, f), count, image count)
     has_long_cycle: bool
@@ -247,8 +263,7 @@ def verify_witness(
     return WitnessVerdict(ok, tuple(failures), has_long, usage, walked)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Refutation: rational multipliers certifying that no witness exists."""
 
     require_long: bool

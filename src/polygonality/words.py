@@ -12,23 +12,54 @@ are expanded literally, e.g. ``a(aB)^2B`` denotes ``aaBaBB``, up to
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import PreconditionError, TrivialWordError, WordParseError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A single letter: generator index (1-based) with a sign (+1 or -1)."""
+class Letter(Frozen):
+    """A single letter: generator index (1-based) with a sign (+1 or -1).
 
-    gen: int
-    sign: int
+    Letters are ordered by ``(gen, sign)``.
+    """
 
-    def __post_init__(self):
-        if self.gen < 1:
-            raise WordParseError(f"generator index must be >= 1, got {self.gen}")
-        if self.sign not in (1, -1):
-            raise WordParseError(f"letter sign must be +1 or -1, got {self.sign}")
+    __slots__ = ("gen", "sign")
+
+    def __init__(self, gen: int, sign: int):
+        if gen < 1:
+            raise WordParseError(f"generator index must be >= 1, got {gen}")
+        if sign not in (1, -1):
+            raise WordParseError(f"letter sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gen == other.gen and self.sign == other.sign
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gen, self.sign))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen, self.sign) < (other.gen, other.sign)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen, self.sign) <= (other.gen, other.sign)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen, self.sign) > (other.gen, other.sign)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen, self.sign) >= (other.gen, other.sign)
+        return NotImplemented
 
     def inverse(self) -> "Letter":
         return Letter(self.gen, -self.sign)
@@ -40,16 +71,28 @@ class Letter:
         return f"a{self.gen}" if self.sign > 0 else f"a{self.gen}^-1"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """An ordered letter sequence, optionally tagged with its list index.
+
+    Only the letters take part in equality and hashing.
 
     >>> str(parse_word("abAB", 2))
     'abAB'
     """
 
-    letters: tuple[Letter, ...]
-    index: int | None = field(default=None, compare=False)
+    __slots__ = ("letters", "index")
+
+    def __init__(self, letters: tuple[Letter, ...], index: int | None = None):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -70,31 +113,43 @@ class Word:
         return tuple(x.inverse() for x in reversed(self.letters))
 
 
-@dataclass(frozen=True)
-class WordList:
-    """A list (duplicates allowed) of cyclically reduced words in rank ``rank``."""
+class WordList(Frozen):
+    """A list (duplicates allowed) of cyclically reduced words in rank ``rank``.
 
-    rank: int
-    words: tuple[Word, ...]
+    Each word is stored tagged with its position in the list.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise WordParseError(f"rank must be >= 1, got {self.rank}")
+    __slots__ = ("rank", "words")
+
+    def __init__(self, rank: int, words: tuple[Word, ...]):
+        if rank < 1:
+            raise WordParseError(f"rank must be >= 1, got {rank}")
         tagged = []
-        for j, w in enumerate(self.words):
+        for j, w in enumerate(words):
             if not w.letters:
                 raise TrivialWordError(f"word {j} is empty")
             if not w.is_cyclically_reduced():
                 raise PreconditionError(f"word {j} ({w}) is not cyclically reduced")
-            if w.max_generator() > self.rank:
+            if w.max_generator() > rank:
                 raise WordParseError(
-                    f"word {j} uses generator {w.max_generator()} beyond rank {self.rank}"
+                    f"word {j} uses generator {w.max_generator()} beyond rank {rank}"
                 )
             tagged.append(Word(w.letters, index=j))
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "words", tuple(tagged))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.words == other.words
+        return NotImplemented
 
+    def __hash__(self):
+        return hash((self.rank, self.words))
+
+
+# both are matched in place at a position, never against a copy of the rest
 _TOKEN = re.compile(r"\s*(?:([a-zA-Z])([0-9]*)|(\()|(\)))")
+_POWER = re.compile(r"\s*\^(-?[0-9]+)")
 
 #: The longest expanded word a parse builds; checked before a power is expanded.
 MAX_WORD_LENGTH = 1_000_000
@@ -139,10 +194,10 @@ def _parse_expr(
 
 
 def _maybe_power(text: str, pos: int) -> tuple[int, int]:
-    m = re.match(r"\s*\^(-?[0-9]+)", text[pos:])
+    m = _POWER.match(text, pos)
     if m is None:
         return 1, pos
-    return int(m.group(1)), pos + m.end()
+    return int(m.group(1)), m.end()
 
 
 def _apply_power(letters: list[Letter], exp: int) -> list[Letter]:
@@ -202,11 +257,13 @@ def cyclic_reduce(word: Word) -> Word:
             out.pop()
         else:
             out.append(x)
-    while len(out) >= 2 and out[0] == out[-1].inverse():
-        out = out[1:-1]
-    if not out:
+    # strip matching first/last pairs by two indices and slice once
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == out[j].inverse():
+        i, j = i + 1, j - 1
+    if i > j:
         raise TrivialWordError(f"word {word} is trivial up to conjugacy")
-    return Word(tuple(out), index=word.index)
+    return Word(tuple(out[i : j + 1]), index=word.index)
 
 
 def length2_cyclic_subwords(word: Word) -> list[tuple[Letter, Letter, int]]:

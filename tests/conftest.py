@@ -122,6 +122,28 @@ def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
     return best
 
 
+def oracle_graph_to_json(graph: pg.WhiteheadGraph) -> dict:
+    """Graph JSON walked over vertex objects: each vertex's darts, each dart's
+    vertex and its connecting-map image, named through ``EdgeRecord.ends``."""
+
+    def name(d) -> str:
+        return f"{d.eid}@{graph.dart_vertex(d).name}"
+
+    sigma: dict[str, dict[str, str]] = {}
+    for v in graph.vertices():
+        m = {name(d): name(graph.sigma[d]) for d in graph.darts_at(v)}
+        if m:
+            sigma[v.name] = m
+    return {
+        "rank": graph.rank,
+        "edges": [
+            {"id": e.eid, "u": e.ends[0].name, "v": e.ends[1].name}
+            for _, e in sorted(graph.edges.items())
+        ],
+        "sigma": sigma,
+    }
+
+
 def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[int]]:
     """Connected pieces of an edge set, grown edge by edge, by least edge id."""
     remaining = set(eids)

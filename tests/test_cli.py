@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -709,3 +710,30 @@ def test_non_ascii_digits_are_an_error(tmp_path, capsys, name, text, err):
     path.write_text(text, encoding="utf-8")
     assert run_cli("analyze", str(path)) == 1
     assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
+def test_import_builds_no_dataclass():
+    # dataclasses brings inspect, ast, dis and tokenize, and generates its
+    # methods by exec: most of a command's start-up before it was dropped
+    script = "import sys, polygonality.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=library_env(), capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    package = os.path.dirname(cli.__file__)
+    ours = {
+        "polygonality." + name[:-3]
+        for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    imported = {
+        "__future__", "argparse", "collections", "collections.abc", "fractions", "functools",
+        "hashlib", "itertools", "json", "math", "operator", "os", "random", "re", "sys",
+        "tempfile", "typing",
+    }
+    assert ours | imported | {"polygonality"} <= loaded  # every module, and none deferred
+    for name in ours:
+        for value in vars(importlib.import_module(name)).values():
+            if isinstance(value, type) and value.__module__ == name:
+                assert not hasattr(value, "__dataclass_fields__"), value

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -21,7 +23,7 @@ from polygonality.whitehead import (
     vertex_from_name,
 )
 
-from conftest import make_plain, oracle_min_cut, vid, words_graph
+from conftest import make_plain, oracle_graph_to_json, oracle_min_cut, vid, words_graph
 
 
 def edge_multiset(graph):
@@ -311,6 +313,32 @@ def test_json_round_trip_on_random_graphs(graph):
     assert back.rank == graph.rank and back.edges == graph.edges
     assert back.sigma == graph.sigma
     assert graph_hash(back) == graph_hash(graph)
+
+
+def negative_ids(graph):
+    """The same graph and connecting map with every edge id ``e`` made ``-1 - e``."""
+    edges = [EdgeRecord(-1 - e.eid, e.ends) for e in graph.edges.values()]
+    sigma = {Dart(-1 - d.eid, d.end): Dart(-1 - i.eid, i.end) for d, i in graph.sigma.items()}
+    return WhiteheadGraph(graph.rank, edges, sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(whitehead_graphs(), st.booleans())
+def test_graph_json_matches_the_vertex_walk(graph, negate):
+    graph = negative_ids(graph) if negate else graph
+    data, expected = graph_to_json(graph), oracle_graph_to_json(graph)
+    # equal with the same key order, so every dump of it is the same bytes
+    assert json.dumps(data) == json.dumps(expected)
+    blob = json.dumps(expected, sort_keys=True).encode()
+    assert graph_hash(graph) == hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "text", ["rank 2\nabAB", "rank 2\naBa^2b\nab", "rank 3\nabcABCacbACB", "rank 4\nabcd\nDCdd"]
+)
+def test_graph_json_of_word_lists_matches_the_vertex_walk(text):
+    graph = words_graph(text)
+    assert json.dumps(graph_to_json(graph)) == json.dumps(oracle_graph_to_json(graph))
 
 
 # one dart name of the commutator's graph JSON made non-canonical: edge 0 joins a1 and a2-

@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -232,3 +233,64 @@ def test_power_up_to_the_cap_is_expanded(monkeypatch, text):
 def test_number_past_the_int_digit_limit_is_a_parse_error(text):
     with pytest.raises(WordParseError, match="too many digits"):
         pg.parse_word(text, 2)
+
+
+def test_cyclic_reduce_strips_a_long_conjugate():
+    # each stripped pair once cost a copy of the whole rest: minutes for this word
+    word = pg.parse_word("a^300000bA^300000", 2)
+    start = time.perf_counter()
+    assert str(pg.cyclic_reduce(word)) == "b"
+    assert time.perf_counter() - start < 30
+
+
+@st.composite
+def expressions(draw, depth=0):
+    """A word expression with groups, powers and spacing, and its letters."""
+    text, letters = "", []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth < 2 and draw(st.booleans()):
+            inner, atom = draw(expressions(depth + 1))
+            inner = f"({inner})"
+        else:
+            atom = [draw(letter_st)]
+            x = atom[0]
+            inner = draw(st.sampled_from([str(x), f"{'a' if x.sign > 0 else 'A'}{x.gen}"]))
+        if draw(st.booleans()):
+            exp = draw(st.integers(-3, 3))
+            inner += draw(st.sampled_from(["", " "])) + f"^{exp}"
+            atom = atom * exp if exp >= 0 else [x.inverse() for x in reversed(atom)] * -exp
+        text += draw(st.sampled_from(["", " "])) + inner
+        letters += atom
+    return text, letters
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_power_expressions_expand_to_their_letters(case):
+    text, letters = case
+    if letters:
+        assert pg.parse_word(text, 3).letters == tuple(letters)
+    else:
+        with pytest.raises(WordParseError, match="empty word expression"):
+            pg.parse_word(text, 3)
+
+
+class CopyCountingText(str):
+    """A text that counts the characters its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        part = str.__getitem__(self, key)
+        if isinstance(key, slice):
+            self.copied += len(part)
+        return part
+
+
+def test_a_long_literal_word_is_read_in_place():
+    # matching a token or a power against a copy of the rest of the text
+    # would copy about n^2 / 2 characters here
+    text = CopyCountingText("ab" * 20000 + "^2 a(Ba)^-1")
+    word = pg.parse_word(text, 2)
+    assert len(word) == 40000 + 1 + 1 + 2 and str(word).endswith("abbaAb")
+    assert text.copied <= len(text)
