@@ -7,11 +7,13 @@ order methods.  This base turns every later assignment or deletion into an
 ``AttributeError`` and gives the ``repr``, pattern-matching, copy and pickle
 support over the fields.  Records that are only read are ``NamedTuple``s.
 No class of the package is a dataclass: importing :mod:`dataclasses` and
-generating its methods cost more than the rest of the package's start-up.
+generating its methods took about a sixth of each command's start-up.
 """
 
 
 class Frozen:
+    """Immutable base of the ``__slots__`` value types."""
+
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):

@@ -257,7 +257,7 @@ def cyclic_reduce(word: Word) -> Word:
             out.pop()
         else:
             out.append(x)
-    # strip matching first/last pairs by two indices and slice once
+    # the stripped ends are counted by two indices and sliced off once: linear
     i, j = 0, len(out) - 1
     while i < j and out[i] == out[j].inverse():
         i, j = i + 1, j - 1
