@@ -66,7 +66,6 @@ class AuxDigraph:
         components: tuple[Component, ...],
         colors: dict[Node, str | None],
         graph: Multigraph | None = None,
-        w: VertexId | None = None,
         u: VertexId | None = None,
         e_darts: tuple[Dart, ...] = (),
         f_darts: tuple[Dart, ...] = (),
@@ -74,7 +73,6 @@ class AuxDigraph:
         self.components = components
         self.colors = colors
         self.graph = graph
-        self.w = w
         self.u = u
         self.e_darts = e_darts
         self.f_darts = f_darts
@@ -180,7 +178,7 @@ def build_auxiliary_digraph(
         other_f = graph.edges[f_darts[i].eid].other(w.mu())
         colors[("f", i)] = "B" if other_f == u else ("R" if other_f == u.mu() else None)
     components = _components_from_succ(succ)
-    aux = AuxDigraph(components, colors, graph, w, u, e_darts, f_darts)
+    aux = AuxDigraph(components, colors, graph, u, e_darts, f_darts)
     if not aux.is_good():
         raise GraphError(
             "auxiliary digraph is not good; the edge-connectivity precondition fails"
@@ -537,9 +535,21 @@ class GoodList(NamedTuple):
 
 def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
     """Hypothesis of one peeling level: connected, lambda(v, v') = deg(v) =
-    deg(v') for v in {w, u}, and deg(u) >= deg(w).
+    deg(v') for v in {w, u}, and deg(u) >= deg(w), which the choice of ``w``
+    as a vertex of least degree gives.
 
     lambda is symmetric, so one max-flow per vertex pair covers both vertices.
+
+    Lemma: when the input meets the hypothesis, so does every peeled graph.  The
+    cut {u, w} | {u', w'} separates u from u', so it holds at least deg u
+    edges; as it holds deg u + deg w - 2 #(u-w) of them, #(u-w) <= deg w / 2,
+    and likewise #(u-w') <= deg w / 2 by the cut {u, w'}.  Hence
+    #(u-u') >= deg u - deg w: there is a u-u' edge to peel at every level.
+    Removing one while deg u > deg w lowers lambda(u, u'), deg u and deg u' by
+    exactly one; leaves the w-w' cuts {w} and {w, u, u'} alone; and leaves the
+    cuts {w, u} and {w, u'}, which start at deg w + deg u - 2 #(u-w) >= deg u
+    > deg w, at deg w or more.  No edge between {w, w'} and {u, u'} goes, so
+    the graph stays connected.  The input alone is therefore checked.
     """
     if not g.is_connected(ignore_isolated=True):
         raise PreconditionError("graph is not connected")
@@ -549,8 +559,6 @@ def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
             raise PreconditionError(
                 f"connectivity condition fails at {v}: lambda={lam}, deg={g.degree(v)}"
             )
-    if g.degree(u) < g.degree(w):
-        raise PreconditionError("w lost minimality during the peeling")
 
 
 def _inductive(
@@ -562,63 +570,54 @@ def _inductive(
     c: int,
     levels: list[dict],
 ) -> tuple[dict[frozenset[int], int], int, int]:
-    # peel one u-u' edge per level until deg(u) = deg(w), checking each peeled graph
-    peeled: list[tuple[Multigraph, list[int]]] = []  # (graph, its u-u' edges), top first
-    while g.degree(u) != g.degree(w):
-        uu_edges = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
-        if not uu_edges:
-            raise PreconditionError(
-                f"no edge joins {u} and {u.mu()} although deg({u}) exceeds deg({w})"
-            )
-        peeled.append((g, uu_edges))
-        g = g.remove_edges([uu_edges[0]])
-        _check_level_preconditions(g, w, u)
-    rw = regular_witness(g)
-    levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
-    c1, c2 = rw.m1, rw.m2
-    # then build back up, from the level above the regular graph to the top.
+    # level j (0 at the top) peels uu[j], until deg(u) = deg(w).  Only u-u'
+    # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
+    # the bigons of each level are read off the input graph, and only the
+    # bottom, regular graph is built.
+    uu = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+    a = g.degree(u) - len(uu)
+    top = g.degree(u) - g.degree(w)
+    rw = regular_witness(g.remove_edges(uu[:top]))
+    # each orbit pair's patch cycles at every level: the edges other than the
+    # peeled one, and whether the cycle runs through the peeled edge
+    patch: list[tuple[tuple[int, ...], bool, int]] = []
+    for pair, count in orbit_pairs.items():
+        x, y = sorted(pair)
+        sx, sy = sigma_after_pi[x], sigma_after_pi[y]
+        x_at_pair = g.edges[x].other(w) == w.mu()
+        y_at_pair = g.edges[y].other(w) == w.mu()
+        if x_at_pair and y_at_pair:
+            if (sx, sy) != (x, y):
+                raise VerificationError("edges between the w pair must be fixed")
+            patch.append(((x, y), False, count))
+        elif not x_at_pair and not y_at_pair:
+            patch += [((x, y), True, count), ((sx, sy), True, count)]
+        else:
+            if x_at_pair:
+                x, y, sx, sy = y, x, sy, sx
+            if sy != y:
+                raise VerificationError("edge between the w pair must be fixed")
+            patch.append(((x, y, sx), True, count))
+    levels.append({"edges": len(g.edges) - top, "removed": None, "c1": rw.m1, "c2": rw.m2})
+    for j in reversed(range(top)):  # build back up, c2 gaining a factor c per level
+        c2 = rw.m2 * c ** (top - j)
+        c1 = c2 * (a + len(uu) - j - 1)
+        levels.append({"edges": len(g.edges) - j, "removed": uu[j], "c1": c1, "c2": c2})
     # Each level scales the list below it by c, so a level's own cycles enter
     # the final list times c ** (number of levels above it), once.  The list
     # reads like the level-by-level one: each level's patch cycles, top level
     # first, then the regular cycles, then each level's bigons, top level last.
-    patches: list[list[tuple[frozenset[int], int]]] = []  # bottom level first
-    bigons: list[list[tuple[frozenset[int], int]]] = []
-    for g, uu_edges in reversed(peeled):
-        e = uu_edges[0]
-        patch = []
-        for pair, count in orbit_pairs.items():
-            x, y = sorted(pair)
-            sx, sy = sigma_after_pi[x], sigma_after_pi[y]
-            x_at_pair = g.edges[x].other(w) == w.mu()
-            y_at_pair = g.edges[y].other(w) == w.mu()
-            if x_at_pair and y_at_pair:
-                if (sx, sy) != (x, y):
-                    raise VerificationError("edges between the w pair must be fixed")
-                cycs = [frozenset((x, y))]
-            elif not x_at_pair and not y_at_pair:
-                cycs = [frozenset((e, x, y)), frozenset((e, sx, sy))]
-            else:
-                if x_at_pair:
-                    x, y, sx, sy = y, x, sy, sx
-                if sy != y:
-                    raise VerificationError("edge between the w pair must be fixed")
-                cycs = [frozenset((e, x, y, sx))]
-            patch += ((cyc, count * c2) for cyc in cycs)
-        patches.append(patch)
-        bigons.append([(frozenset((e, f)), c * c2) for f in uu_edges[1:]])
-        a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
-        b = len(uu_edges)
-        c1 = c * c2 * (a + b - 1)
-        c2 = c * c2
-        levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
-    top = len(peeled)
-    scales = [c ** (top - 1 - level) for level in range(top)]
-    chunks = [*zip(scales[::-1], patches[::-1]), (c**top, rw.cycles.items()), *zip(scales, bigons)]
     final = Counter()
-    for scale, entries in chunks:
-        for cyc, n in entries:
-            final[cyc] += n * scale
-    return dict(final), c1, c2
+    for e in uu[:top]:
+        for rest, through_e, count in patch:
+            cyc = frozenset((e, *rest)) if through_e else frozenset(rest)
+            final[cyc] += count * rw.m2 * c ** (top - 1)
+    for cyc, n in rw.cycles.items():
+        final[cyc] += n * c**top
+    for j in reversed(range(top)):
+        for f in uu[j + 1 :]:
+            final[frozenset((uu[j], f))] += rw.m2 * c**top
+    return dict(final), levels[-1]["c1"], levels[-1]["c2"]
 
 
 def inductive_witness(
@@ -627,7 +626,8 @@ def inductive_witness(
     """Run the edge peeling under a fixed uniform completion.
 
     The graph itself must meet the level preconditions, as checked by
-    :func:`four_vertex_witness`; each peeled graph is checked here.
+    :func:`four_vertex_witness`; the peeled graphs then meet them too (see
+    :func:`_check_level_preconditions`).
     """
     D = completion.aux
     if D.graph is not graph:

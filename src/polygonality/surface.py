@@ -19,7 +19,6 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
-from .frozen import Frozen
 from .whitehead import Dart, VertexId, WhiteheadGraph
 from .witness import Cycle, CycleList, verify_witness, witness_to_json
 from .words import Letter, Word, WordList, match_power
@@ -43,34 +42,13 @@ def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
 
 
 class Side(NamedTuple):
-    poly: int
-    index: int
+    """One side of a polygon, found under the key ``(polygon, position)``."""
+
     vertex: VertexId
     pair: frozenset[int]
     incoming: bool
     tail_corner: int
     head_corner: int
-
-
-class DualPolygon(Frozen):
-    """The polygon of one cycle copy: its index and its sides."""
-
-    __slots__ = ("index", "sides")
-
-    def __init__(self, index: int, sides: tuple[Side, ...]):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sides", sides)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.index == other.index and self.sides == other.sides
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index, self.sides))
-
-    def __len__(self) -> int:
-        return len(self.sides)
 
 
 class SurfaceComplex:
@@ -82,12 +60,13 @@ class SurfaceComplex:
         self.graph = graph
         self.witness = witness
         self.usage = usage  # per-edge usage of the witness, from its verdict
-        self.polygons: tuple[DualPolygon, ...] = polygons
+        # each polygon is its tuple of sides; a cycle's copies share one tuple
+        self.polygons: tuple[tuple[Side, ...], ...] = polygons
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
         self._glue()
 
     def side(self, key: tuple[int, int]) -> Side:
-        return self.polygons[key[0]].sides[key[1]]
+        return self.polygons[key[0]][key[1]]
 
     def _glue(self):
         parent: dict[tuple[int, int], tuple[int, int]] = {}
@@ -103,9 +82,9 @@ class SurfaceComplex:
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
 
-        for poly in self.polygons:
+        for p, poly in enumerate(self.polygons):
             for t in range(len(poly)):
-                parent[(poly.index, t)] = (poly.index, t)
+                parent[(p, t)] = (p, t)
         seen = set()
         for key, partner in self.pairing.items():
             if key in seen:
@@ -113,8 +92,8 @@ class SurfaceComplex:
             seen.add(key)
             seen.add(partner)
             s1, s2 = self.side(key), self.side(partner)
-            union((s1.poly, s1.head_corner), (s2.poly, s2.head_corner))
-            union((s1.poly, s1.tail_corner), (s2.poly, s2.tail_corner))
+            union((key[0], s1.head_corner), (partner[0], s2.head_corner))
+            union((key[0], s1.tail_corner), (partner[0], s2.tail_corner))
         classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for corner in parent:
             classes.setdefault(find(corner), []).append(corner)
@@ -137,17 +116,17 @@ class SurfaceComplex:
     def is_orientable(self) -> bool:
         """2-color polygons so glued sides are traversed in opposite directions."""
         flip: dict[int, bool] = {}
-        for poly in self.polygons:
-            if poly.index in flip:
+        for start in range(len(self.polygons)):
+            if start in flip:
                 continue
-            flip[poly.index] = False
-            stack = [poly.index]
+            flip[start] = False
+            stack = [start]
             while stack:
                 p = stack.pop()
                 for t in range(len(self.polygons[p])):
                     q, s = self.pairing[(p, t)]
-                    fwd_here = self.polygons[p].sides[t].head_corner == t
-                    fwd_there = self.polygons[q].sides[s].head_corner == s
+                    fwd_here = self.polygons[p][t].head_corner == t
+                    fwd_there = self.polygons[q][s].head_corner == s
                     need = flip[p] ^ (fwd_here == fwd_there)
                     if q not in flip:
                         flip[q] = need
@@ -157,12 +136,20 @@ class SurfaceComplex:
         return True
 
 
-def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
+def _build_polygon(
+    graph, rank, cycle: Cycle
+) -> tuple[tuple[Side, ...], list[tuple[int, frozenset[int]]]]:
+    """The sides of a cycle's polygon, and the label key of each side.
+
+    The key is ``(generator, pair)`` for an outgoing side and ``(generator,
+    connecting-map image of the pair)`` for an incoming one, so glued sides
+    share a key.
+    """
     # every side shares the graph's one VertexId object of its vertex
     verts, ends = graph.vertices(), graph.end_index
     eids = cycle.edge_seq
     n = len(eids)
-    sides = []
+    sides, labels = [], []
     for t, (i, pair) in enumerate(cycle.turns):
         e_prev, e_next = eids[t - 1], eids[t]
         d_prev = Dart(e_prev, 0 if ends[e_prev][0] == i else 1)
@@ -173,8 +160,12 @@ def _build_polygon(graph, rank, index: int, cycle: Cycle) -> DualPolygon:
         else:
             tail, head = corner_prev, corner_next
         # even indices are the positive generators
-        sides.append(Side(index, t, verts[i], pair, i % 2 == 0, tail, head))
-    return DualPolygon(index, tuple(sides))
+        v, incoming = verts[i], i % 2 == 0
+        sides.append(Side(v, pair, incoming, tail, head))
+        labels.append(
+            (v.gen, frozenset(graph.sigma_edge(v, eid) for eid in pair) if incoming else pair)
+        )
+    return tuple(sides), labels
 
 
 def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) -> SurfaceComplex:
@@ -182,8 +173,8 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
 
     ``witness`` maps edge-id sets to multiplicities, as :func:`verify_witness`
     reads it.  The polygons are the verifier's own walks of its cycles, so
-    each cycle is walked once.  Expands multiplicities into physical polygon
-    copies, orients sides by the canonical compatible dart orders, and pairs
+    each cycle is walked once.  Builds each cycle's sides once, shared by
+    its copies, orients sides by the canonical compatible dart orders, pairs
     incoming with outgoing sides whose label pairs correspond under the
     connecting maps.  A pairing mismatch is a hard error: the verified
     balance condition rules it out.
@@ -193,25 +184,17 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         raise PreconditionError(f"witness fails verification: {verdict.failures[:3]}")
     cycles = verdict.cycles
     rank = build_linear_orders(graph)
-    polygons = []
-    for cycle in sorted(cycles):
-        for _ in range(cycles[cycle]):
-            polygons.append(_build_polygon(graph, rank, len(polygons), cycle))
+    polygons: list[tuple[Side, ...]] = []
     incoming: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
     outgoing: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
-    for poly in polygons:
-        for side in poly.sides:
-            if side.incoming:
-                image = frozenset(
-                    graph.sigma_edge(side.vertex, eid) for eid in side.pair
+    for cycle in sorted(cycles):
+        sides, labels = _build_polygon(graph, rank, cycle)
+        for _ in range(cycles[cycle]):
+            for t, (side, label) in enumerate(zip(sides, labels)):
+                (incoming if side.incoming else outgoing).setdefault(label, []).append(
+                    (len(polygons), t)
                 )
-                incoming.setdefault((side.vertex.gen, image), []).append(
-                    (poly.index, side.index)
-                )
-            else:
-                outgoing.setdefault((side.vertex.gen, side.pair), []).append(
-                    (poly.index, side.index)
-                )
+            polygons.append(sides)
     if set(incoming) != set(outgoing):
         raise PairingError("incoming and outgoing side label classes differ")
     pairing: dict[tuple[int, int], tuple[int, int]] = {}
@@ -249,7 +232,7 @@ def _link_traversal(complex_: SurfaceComplex, class_index: int):
     first = (poly, t, side_idx)
     while True:
         visited.append((poly, t))
-        side = complex_.polygons[poly].sides[side_idx]
+        side = complex_.polygons[poly][side_idx]
         partner = complex_.pairing[(poly, side_idx)]
         pside = complex_.side(partner)
         gen = side.vertex.gen

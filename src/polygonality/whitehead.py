@@ -260,14 +260,13 @@ class WhiteheadGraph(Multigraph):
     connecting maps.
     """
 
-    def __init__(self, rank, edges, sigma: dict[Dart, Dart], words: WordList | None = None):
+    def __init__(self, rank, edges, sigma: dict[Dart, Dart]):
         super().__init__(rank, edges)
-        self._attach_sigma(sigma, words)
+        self._attach_sigma(sigma)
 
-    def _attach_sigma(self, sigma: dict[Dart, Dart], words: WordList | None):
+    def _attach_sigma(self, sigma: dict[Dart, Dart]):
         """The part of the constructor that follows the multigraph's."""
         self.sigma = dict(sigma)
-        self.words = words
         self._validate_sigma()
 
     def _validate_sigma(self):
@@ -306,7 +305,7 @@ def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
             eid = len(edges)
             eid_of[(w.index, i)] = eid
             edges.append(
-                EdgeRecord(eid, (vertex_of_letter(x), vertex_of_letter(y.inverse())), (w.index, i))
+                EdgeRecord(eid, (vertex_of_letter(x), VertexId(y.gen, -y.sign)), (w.index, i))
             )
     sigma: dict[Dart, Dart] = {}
     for w in word_list.words:
@@ -316,7 +315,7 @@ def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
             left = Dart(eid_of[(w.index, (i + 1) % l)], 0)
             sigma[right] = left
             sigma[left] = right
-    return WhiteheadGraph(word_list.rank, edges, sigma, words=word_list)
+    return WhiteheadGraph(word_list.rank, edges, sigma)
 
 
 class AnalysisReport(NamedTuple):
@@ -474,7 +473,7 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
             if graph.end_index[d.eid][d.end] != at:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
             sigma[d] = _dart_from_name(graph, darts, dst)
-    graph._attach_sigma(sigma, None)
+    graph._attach_sigma(sigma)
     return graph
 
 

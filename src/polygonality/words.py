@@ -6,7 +6,7 @@ lowercase letters for generators (``a`` = generator 1, ``b`` = 2, ...) and
 uppercase for inverses; the explicit token form ``a3`` / ``a3^-1`` addresses
 generators beyond rank 26.  Parenthesized subexpressions with integer powers
 are expanded literally, e.g. ``a(aB)^2B`` denotes ``aaBaBB``, up to
-:data:`MAX_WORD_LENGTH` letters per word.
+:data:`MAX_WORD_LENGTH` letters per word list.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ class Word(Frozen):
         ls = self.letters
         if not ls:
             return False
-        return all(ls[(i + 1) % len(ls)] != ls[i].inverse() for i in range(len(ls)))
+        # no letter is followed, cyclically, by its inverse
+        return all(x.gen != y.gen or x.sign == y.sign for x, y in zip(ls, ls[1:] + ls[:1]))
 
     def inverse_letters(self) -> tuple[Letter, ...]:
         return tuple(x.inverse() for x in reversed(self.letters))
@@ -151,7 +152,7 @@ class WordList(Frozen):
 _TOKEN = re.compile(r"\s*(?:([a-zA-Z])([0-9]*)|(\()|(\)))")
 _POWER = re.compile(r"\s*\^(-?[0-9]+)")
 
-#: The longest expanded word a parse builds; checked before a power is expanded.
+#: The most letters a word list expands to in all; checked before a power is expanded.
 MAX_WORD_LENGTH = 1_000_000
 
 
@@ -230,10 +231,16 @@ def parse_word(text: str, rank: int) -> Word:
     >>> str(parse_word("a(aB)^3B^2", 2))
     'aaBaBaBBB'
     """
+    return _parse_word(text, rank, MAX_WORD_LENGTH)
+
+
+def _parse_word(text: str, rank: int, room: int) -> Word:
+    """:func:`parse_word` with at most ``room`` letters: the cap less the
+    letters the words before it in a list hold."""
     if rank < 1:
         raise WordParseError(f"rank must be >= 1, got {rank}")
     try:
-        letters, _ = _parse_expr(text, 0, rank, 0, MAX_WORD_LENGTH)
+        letters, _ = _parse_expr(text, 0, rank, 0, room)
     except RecursionError:
         raise WordParseError("parentheses nested too deeply") from None
     except ValueError:  # int() refuses a digit string past sys.get_int_max_str_digits()
@@ -251,15 +258,16 @@ def cyclic_reduce(word: Word) -> Word:
     >>> str(cyclic_reduce(parse_word("bab^-1", 2)))
     'a'
     """
+    # letters are compared by their fields, so no inverse letter is built
     out: list[Letter] = []
     for x in word.letters:
-        if out and out[-1] == x.inverse():
+        if out and out[-1].gen == x.gen and out[-1].sign == -x.sign:
             out.pop()
         else:
             out.append(x)
     # the stripped ends are counted by two indices and sliced off once: linear
     i, j = 0, len(out) - 1
-    while i < j and out[i] == out[j].inverse():
+    while i < j and out[i].gen == out[j].gen and out[i].sign == -out[j].sign:
         i, j = i + 1, j - 1
     if i > j:
         raise TrivialWordError(f"word {word} is trivial up to conjugacy")
@@ -282,10 +290,13 @@ def parse_word_list(text: str) -> WordList:
     """Parse the word-list file format.
 
     First non-comment line must be ``rank <n>``; each following line holds one
-    word expression.  ``#`` starts a comment; blank lines are skipped.
+    word expression.  ``#`` starts a comment; blank lines are skipped.  The
+    words share one budget of :data:`MAX_WORD_LENGTH` letters: each line is
+    expanded in the room the reduced words before it leave.
     """
     rank: int | None = None
     words: list[Word] = []
+    held = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -296,7 +307,8 @@ def parse_word_list(text: str) -> WordList:
                 raise WordParseError(f"line {lineno}: expected 'rank <n>', got {line!r}")
             rank = int(m.group(1))
             continue
-        words.append(cyclic_reduce(parse_word(line, rank)))
+        words.append(cyclic_reduce(_parse_word(line, rank, MAX_WORD_LENGTH - held)))
+        held += len(words[-1])
     if rank is None:
         raise WordParseError("missing 'rank <n>' header line")
     if not words:

@@ -337,15 +337,29 @@ def calls(monkeypatch):
     counts = Counter()
     count_calls(monkeypatch, Multigraph, "local_edge_connectivity", counts)
     count_calls(monkeypatch, Multigraph, "is_connected", counts)
+    count_calls(monkeypatch, Multigraph, "remove_edges", counts)
     count_calls(monkeypatch, regular, "is_k_graph", counts)
     return counts
 
 
 def test_auto_computes_the_four_vertex_hypothesis_once(tmp_path, calls):
-    # one max-flow per vertex pair, on the input graph and on its one peeled graph
+    # one max-flow per vertex pair, on the input graph only: the peeled graphs
+    # keep the hypothesis by the peeling lemma, and only the bottom one is built
     assert run_cli("witness", "remark-2.4b", "--out", str(tmp_path / "w.json")) == 0
     assert read_json(tmp_path / "w.json")["method"] == "fourvertex"
-    assert calls["local_edge_connectivity"] == 4 and calls["is_connected"] == 2
+    assert calls["local_edge_connectivity"] == 2 and calls["is_connected"] == 1
+    assert calls["remove_edges"] == 1
+
+
+def test_a_deep_peeling_checks_the_hypothesis_once(tmp_path, calls):
+    # 22 levels: checking every peeled graph ran 46 max-flows, 23 connectivity
+    # checks and 22 graph copies
+    words = tmp_path / "deep.txt"
+    words.write_text("rank 2\nab^12AB^12\n", encoding="utf-8")
+    assert run_cli("witness", str(words), "--method", "fourvertex", "--out", str(tmp_path / "w.json")) == 0
+    assert read_json(tmp_path / "w.json")["method"] == "fourvertex"
+    assert calls["local_edge_connectivity"] == 2 and calls["is_connected"] == 1
+    assert calls["remove_edges"] == 1
 
 
 def test_regular_witness_reads_the_degree_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality import fourvertex, witness
@@ -476,6 +476,67 @@ def test_inductive_matches_the_level_by_level_loop_on_built_ins(graph):
 @settings(max_examples=40, deadline=None)
 def test_inductive_matches_the_level_by_level_loop_on_random_graphs(seed):
     _assert_inductive_matches_the_level_by_level_loop(random_fourvertex_instance(seed))
+
+
+@st.composite
+def rank2_words(draw):
+    """A cyclically reduced rank-2 word of length 4-40 that uses both generators."""
+    text = draw(st.sampled_from("abAB"))
+    for _ in range(draw(st.integers(3, 39))):
+        text += draw(st.sampled_from([x for x in "abAB" if x != text[-1].swapcase()]))
+    assume(text[0] != text[-1].swapcase() and set(text.lower()) == {"a", "b"})
+    return text
+
+
+def diskbusting_graph(text):
+    graph = words_graph(f"rank 2\n{text}\n")
+    report = pg.analyze(graph)
+    assume(report.minimal and report.connected)
+    return graph
+
+
+@given(rank2_words())
+@example("abAB")
+@example("ab^3AB^3")
+@example("ab^7AB^7")
+@example("ab^20AB^20")
+@example("ab^40AB^40")
+@settings(max_examples=60, deadline=None)
+def test_theorem_one_end_to_end(text):
+    # a minimal, connected rank-2 word has a verified list with a long cycle
+    graph = diskbusting_graph(text)
+    good = pg.four_vertex_witness(graph)
+    assert pg.verify_witness(graph, good.cycles, require_long=True).ok
+
+
+def _peel_checking_every_level(graph):
+    """The peeling one edge at a time, each peeled graph checked in full."""
+    w = _min_degree_vertex(graph)
+    u, _ = fourvertex._other_pair(graph, w)
+    fourvertex._check_level_preconditions(graph, w, u)
+    uu = [eid for eid in graph.delta(u) if graph.edges[eid].other(u) == u.mu()]
+    assert len(uu) >= graph.degree(u) - graph.degree(w)  # an edge for every level
+    g = graph
+    while g.degree(u) != g.degree(w):
+        uu_here = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+        assert uu_here == uu[len(graph.edges) - len(g.edges) :]
+        g = g.remove_edges(uu_here[:1])
+        fourvertex._check_level_preconditions(g, w, u)
+        assert [g.edges[eid] for eid in g.delta(w)] == [graph.edges[eid] for eid in graph.delta(w)]
+
+
+@given(
+    st.one_of(
+        st.integers(0, 400).map(random_fourvertex_instance),
+        rank2_words().map(diskbusting_graph),
+        st.integers(1, 30).map(lambda k: words_graph(f"rank 2\nab^{k}AB^{k}\n")),
+    )
+)
+@example(_figure7_graph())
+@settings(max_examples=80, deadline=None)
+def test_peeling_keeps_the_hypothesis(graph):
+    # the lemma that lets the construction check the input graph only
+    _peel_checking_every_level(graph)
 
 
 @given(st.integers(0, 400))

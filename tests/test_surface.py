@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
+from polygonality import surface
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance
 from polygonality.surface import build_linear_orders
@@ -142,6 +143,20 @@ def test_every_side_paired_once(polygonal_graph):
         seen.add(key)
         seen.add(partner)
     assert len(seen) == sum(len(p) for p in cx.polygons)
+
+
+def test_copies_of_a_cycle_share_one_side_tuple(monkeypatch):
+    # the golden orbits.txt word: 22 distinct cycles glued as 256 polygons,
+    # whose sides were once built copy by copy
+    graph = words_graph("rank 2\nBabaaaabaB\n")
+    good = pg.four_vertex_witness(graph)
+    builds = []
+    build = surface._build_polygon
+    monkeypatch.setattr(surface, "_build_polygon", lambda *args: builds.append(args) or build(*args))
+    cx = pg.build_surface(graph, good.cycles)
+    assert len(builds) == len(good.cycles) == 22
+    assert len(cx.polygons) == sum(good.cycles.values()) == 256
+    assert len({id(p) for p in cx.polygons}) == 22
 
 
 def test_cycle_walk_structure():

@@ -11,13 +11,13 @@ import polygonality as pg
 from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
 from polygonality.regular import KGraphVerdict
 from polygonality.simplex import ZERO, LPResult
-from polygonality.surface import DualPolygon, Side
+from polygonality.surface import Side
 from polygonality.whitehead import EdgeRecord, VertexId
 from polygonality.witness import Cycle, make_cycle
 from polygonality.words import Letter, Word, WordList
 
 A, B_INV = Letter(1, 1), Letter(2, -1)
-SIDE = Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
+SIDE = Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
 
 
 def commutator_cycle() -> Cycle:
@@ -35,7 +35,6 @@ def values():
         (EdgeRecord(0, (VertexId(1, 1), VertexId(2, -1)), (0, 1)),
          (0, (VertexId(1, 1), VertexId(2, -1)), (0, 1))),
         (commutator_cycle(), (frozenset({0, 1, 2, 3}), (0, 1, 2, 3))),
-        (DualPolygon(0, (SIDE,)), (0, (SIDE,))),
     ]
 
 
@@ -155,16 +154,6 @@ def test_cycle():
         c <= c
 
 
-def test_dual_polygon():
-    p = DualPolygon(0, (SIDE, SIDE))
-    assert len(p) == 2 and p == DualPolygon(index=0, sides=(SIDE, SIDE))
-    assert p != DualPolygon(1, (SIDE, SIDE))
-    assert repr(DualPolygon(0, (SIDE,))) == (
-        "DualPolygon(index=0, sides=(Side(poly=0, index=1, vertex=VertexId(gen=1, sign=1), "
-        "pair=frozenset({1, 2}), incoming=True, tail_corner=0, head_corner=1),))"
-    )
-
-
 def test_records():
     assert repr(KGraphVerdict(True, 3, None)) == "KGraphVerdict(ok=True, k=3, violating_set=None)"
     assert KGraphVerdict(ok=False, k=2, violating_set=(VertexId(1, 1),)).violating_set == (
@@ -172,8 +161,12 @@ def test_records():
     )
     with pytest.raises(AttributeError):
         KGraphVerdict(True, 3, None).ok = False
-    assert SIDE == Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
-    assert hash(SIDE) == hash(Side(0, 1, VertexId(1, 1), frozenset({1, 2}), True, 0, 1))
+    assert SIDE == Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
+    assert hash(SIDE) == hash(Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1))
+    assert repr(SIDE) == (
+        "Side(vertex=VertexId(gen=1, sign=1), pair=frozenset({1, 2}), incoming=True, "
+        "tail_corner=0, head_corner=1)"
+    )
 
 
 def test_lp_result_defaults_are_fresh_lists():

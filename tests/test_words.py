@@ -229,6 +229,42 @@ def test_power_up_to_the_cap_is_expanded(monkeypatch, text):
     assert len(pg.parse_word(text, 2)) <= 10
 
 
+@pytest.mark.parametrize(
+    "text, length",
+    [("rank 1\na^9\na^9\n", 18), ("rank 1\na^9\na^9\na^9\na^9\n", 18), ("rank 2\nab^4\nb^6\n", 11)],
+)
+def test_the_cap_bounds_the_whole_word_list(monkeypatch, text, length):
+    # each line once had the whole cap: four lines of a^9 loaded 36 letters
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 10)
+    expected = f"word expands to at least {length} letters, over the cap of 10"
+    with pytest.raises(WordParseError, match=re.escape(expected)):
+        pg.parse_word_list(text)
+
+
+def test_a_word_list_up_to_the_cap_is_read(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 10)
+    assert [len(w) for w in pg.parse_word_list("rank 1\na^5\na^5\n").words] == [5, 5]
+    # the budget counts the reduced words a list holds, not their expansions
+    assert [len(w) for w in pg.parse_word_list("rank 2\nba^2B\na^8\n").words] == [2, 8]
+
+
+def test_reduction_builds_no_letter(monkeypatch):
+    # letters are compared by their fields: inverting each one built thousands
+    conjugate, reduced = pg.parse_word("a^3000bA^3000", 2), pg.parse_word("a^3000b^3000", 2)
+    built = Counter()
+    init = Letter.__init__
+
+    def counted(self, *args):
+        built["Letter"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Letter, "__init__", counted)
+    assert str(pg.cyclic_reduce(conjugate)) == "b"
+    graph = pg.build_whitehead_graph(pg.WordList(2, (reduced,)))
+    assert len(graph.edges) == 6000
+    assert built["Letter"] == 0
+
+
 @pytest.mark.parametrize("text", ["a^" + "9" * 5000, "a" + "9" * 5000])
 def test_number_past_the_int_digit_limit_is_a_parse_error(text):
     with pytest.raises(WordParseError, match="too many digits"):
