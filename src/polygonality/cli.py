@@ -75,6 +75,10 @@ def _parse_json(text: str):
         return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise GraphError("malformed JSON: nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a digit string past sys.get_int_max_str_digits()
+        raise GraphError("malformed JSON: a number has too many digits") from None
 
 
 def load_input(spec: str):

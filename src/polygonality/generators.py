@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError
-from .whitehead import Dart, EdgeRecord, Multigraph, VertexId, WhiteheadGraph
+from .whitehead import Dart, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
 
 
 def random_sigma(graph: Multigraph, rng: random.Random) -> dict[Dart, Dart]:
@@ -26,14 +26,6 @@ def random_sigma(graph: Multigraph, rng: random.Random) -> dict[Dart, Dart]:
             sigma[d] = img
             sigma[img] = d
     return sigma
-
-
-def _lambda_condition(graph: Multigraph) -> bool:
-    return all(
-        graph.local_edge_connectivity(v, v.mu()) == graph.degree(v)
-        for v in graph.active_vertices()
-        if v.sign > 0
-    )
 
 
 def random_regular_instance(
@@ -52,7 +44,7 @@ def random_regular_instance(
             continue
         edges = [EdgeRecord(i, (a, b)) for i, (a, b) in enumerate(mates)]
         plain = Multigraph(pairs, edges)
-        if not _lambda_condition(plain):
+        if not analyze(plain).minimal:
             continue
         return WhiteheadGraph(pairs, edges, random_sigma(plain, rng))
     raise PreconditionError(
@@ -94,7 +86,7 @@ def random_fourvertex_instance(
         )
         edges = [EdgeRecord(i, pair) for i, pair in enumerate(mates)]
         plain = Multigraph(2, edges)
-        if not _lambda_condition(plain):
+        if not analyze(plain).minimal:
             continue
         return WhiteheadGraph(2, edges, random_sigma(plain, rng))
     raise PreconditionError(

@@ -6,9 +6,10 @@ vertex ``v`` carries the label ``(generator(v), {cycle edges at v})``, a
 transverse orientation (into the polygon exactly when ``v`` is a positive
 generator), and an internal orientation induced by connecting-map-compatible
 linear orders on darts.  Sides are glued in matching label classes; the
-balanced-pair condition guarantees the classes pair up perfectly.  Vertex
-links of the glued surface then read powers of the input words, and the face
-and edge counts decide the certificate inequality.
+balanced-pair condition guarantees the classes pair up perfectly.  The glued
+vertices are the orbits of one link walk around the corners, which also reads
+each vertex's boundary word; those words must be powers of the input words,
+and the face and edge counts decide the certificate inequality.
 """
 
 from __future__ import annotations
@@ -63,51 +64,66 @@ class SurfaceComplex:
         # each polygon is its tuple of sides; a cycle's copies share one tuple
         self.polygons: tuple[tuple[Side, ...], ...] = polygons
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
-        self._glue()
+        sides = {(p, t) for p, poly in enumerate(polygons) for t in range(len(poly))}
+        if pairing.keys() != sides:
+            raise PairingError("side pairing does not cover every side exactly once")
+        if any(partner == key or pairing.get(partner) != key for key, partner in pairing.items()):
+            raise PairingError("side pairing is not an involution without fixed sides")
+        self.num_faces = len(polygons)
+        self.num_edges = len(sides) // 2
+        self._walk_links()
+        self.num_vertices = len(self.vertex_classes)
 
     def side(self, key: tuple[int, int]) -> Side:
         return self.polygons[key[0]][key[1]]
 
-    def _glue(self):
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
+    def _walk_links(self):
+        """Find the glued vertices and read their links, in one walk each.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for p, poly in enumerate(self.polygons):
+        Crossing a side leaves a corner and enters the partner's corner that
+        meets the same end (head to head, tail to tail), then goes on through
+        that corner's other flank.  A glued vertex is one orbit of this walk,
+        started from its least corner; it reads the crossed sides' letters.
+        """
+        polygons, pairing = self.polygons, self.pairing
+        total = len(pairing)
+        seen: set[tuple[int, int]] = set()
+        shared: dict[tuple[int, int], Letter] = {}  # one Letter per (generator, sign)
+        self.vertex_classes: list[list[tuple[int, int]]] = []
+        self.links: list[tuple[Letter, ...]] = []
+        for p, poly in enumerate(polygons):
             for t in range(len(poly)):
-                parent[(p, t)] = (p, t)
-        seen = set()
-        for key, partner in self.pairing.items():
-            if key in seen:
-                continue
-            seen.add(key)
-            seen.add(partner)
-            s1, s2 = self.side(key), self.side(partner)
-            union((key[0], s1.head_corner), (partner[0], s2.head_corner))
-            union((key[0], s1.tail_corner), (partner[0], s2.tail_corner))
-        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for corner in parent:
-            classes.setdefault(find(corner), []).append(corner)
-        self.vertex_classes = [sorted(cs) for _, cs in sorted(classes.items())]
-        self.corner_class = {
-            corner: idx for idx, cs in enumerate(self.vertex_classes) for corner in cs
-        }
-        self.num_faces = len(self.polygons)
-        edge_pairs = {frozenset((k, v)) for k, v in self.pairing.items()}
-        self.num_edges = len(edge_pairs)
-        self.num_vertices = len(self.vertex_classes)
-        total_sides = sum(len(p) for p in self.polygons)
-        if 2 * self.num_edges != total_sides:
-            raise PairingError("side pairing does not cover every side exactly once")
+                if (p, t) in seen:
+                    continue
+                first = (p, t, (t + 1) % len(poly))
+                q, u, s = first
+                corners, letters = [], []
+                while True:
+                    corners.append((q, u))
+                    side = polygons[q][s]
+                    q, s = pairing[(q, s)]
+                    pside = polygons[q][s]
+                    key = (side.vertex.gen, 1 if pside.incoming else -1)
+                    letters.append(shared.get(key) or shared.setdefault(key, Letter(*key)))
+                    if side.head_corner == u:
+                        u = pside.head_corner
+                    elif side.tail_corner == u:
+                        u = pside.tail_corner
+                    else:
+                        raise VerificationError("crossed a side not flanking the current corner")
+                    flanks = (u, (u + 1) % len(polygons[q]))
+                    if s not in flanks:
+                        raise VerificationError("pairing sent the link outside the corner's flanks")
+                    s = flanks[1] if s == flanks[0] else flanks[0]
+                    if (q, u, s) == first:
+                        break
+                    if len(corners) >= total:
+                        raise VerificationError(
+                            "link traversal does not close up (non-manifold gluing)"
+                        )
+                seen.update(corners)
+                self.vertex_classes.append(sorted(corners))
+                self.links.append(tuple(letters))
 
     def chi_minus_m(self) -> int:
         """chi(S) - m for the dual surface: equals -edges + faces of the complex."""
@@ -221,44 +237,6 @@ class BoundaryReading(NamedTuple):
         return self.base_word_index is not None
 
 
-def _link_traversal(complex_: SurfaceComplex, class_index: int):
-    """Corners and side crossings around one glued vertex, as letters."""
-    corners = complex_.vertex_classes[class_index]
-    start = corners[0]
-    poly, t = start
-    letters = []
-    visited = []
-    side_idx = (t + 1) % len(complex_.polygons[poly])
-    first = (poly, t, side_idx)
-    while True:
-        visited.append((poly, t))
-        side = complex_.polygons[poly][side_idx]
-        partner = complex_.pairing[(poly, side_idx)]
-        pside = complex_.side(partner)
-        gen = side.vertex.gen
-        letters.append((gen, 1 if pside.incoming else -1))
-        if side.head_corner == t:
-            nxt_corner = pside.head_corner
-        elif side.tail_corner == t:
-            nxt_corner = pside.tail_corner
-        else:
-            raise VerificationError("crossed a side not flanking the current corner")
-        poly, t = partner[0], nxt_corner
-        if complex_.corner_class.get((poly, t)) != class_index:
-            raise VerificationError("link traversal left its vertex class (non-manifold gluing)")
-        flanks = (t, (t + 1) % len(complex_.polygons[poly]))
-        if partner[1] not in flanks:
-            raise VerificationError("pairing sent the link outside the corner's flanks")
-        side_idx = flanks[1] if partner[1] == flanks[0] else flanks[0]
-        if (poly, t, side_idx) == first:
-            break
-        if len(visited) > len(corners):
-            raise VerificationError("link traversal does not close up (non-manifold gluing)")
-    if sorted(set(visited)) != corners:
-        raise VerificationError("link traversal missed corners of its vertex class")
-    return letters
-
-
 def boundary_words(complex_: SurfaceComplex, word_list: WordList) -> list[BoundaryReading]:
     """Read the link of every glued vertex and match it against the input words.
 
@@ -267,10 +245,7 @@ def boundary_words(complex_: SurfaceComplex, word_list: WordList) -> list[Bounda
     the link reads the inverse word.
     """
     out = []
-    for idx in range(len(complex_.vertex_classes)):
-        letters = tuple(
-            Letter(gen, sign) for gen, sign in _link_traversal(complex_, idx)
-        )
+    for idx, letters in enumerate(complex_.links):
         word = Word(letters)
         base, exponent = None, None
         for w in word_list.words:

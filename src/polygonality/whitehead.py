@@ -70,7 +70,14 @@ def vertex_from_name(name: str) -> VertexId:
     m = re.fullmatch(r"a([1-9][0-9]*)(-?)", name) if isinstance(name, str) else None
     if m is None:
         raise GraphError(f"bad vertex name {name!r} (expected e.g. 'a1' or 'a1-')")
-    return VertexId(int(m.group(1)), -1 if m.group(2) else 1)
+    return VertexId(_name_number(m.group(1), name), -1 if m.group(2) else 1)
+
+
+def _name_number(digits: str, name: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses a digit string past sys.get_int_max_str_digits()
+        raise GraphError(f"bad name {name[:24]!r}...: its number has too many digits") from None
 
 
 def vertex_of_letter(x: Letter) -> VertexId:
@@ -376,7 +383,7 @@ def _dart_from_name(graph: Multigraph, darts: dict[str, Dart], s: str) -> Dart:
     m = re.fullmatch(r"(0|[1-9][0-9]*)@(a[1-9][0-9]*-?)", s) if isinstance(s, str) else None
     if m is None:
         raise GraphError(f"bad dart name {s!r}")
-    eid, v = int(m.group(1)), vertex_from_name(m.group(2))
+    eid, v = _name_number(m.group(1), s), vertex_from_name(m.group(2))
     if eid not in graph.edges:
         raise GraphError(f"dart {s!r} references unknown edge {eid}")
     return graph.edges[eid].dart_at(v)  # raises: the edge is not at v

@@ -305,7 +305,10 @@ def parse_word_list(text: str) -> WordList:
             m = re.fullmatch(r"rank\s+([0-9]+)", line)
             if m is None:
                 raise WordParseError(f"line {lineno}: expected 'rank <n>', got {line!r}")
-            rank = int(m.group(1))
+            try:
+                rank = int(m.group(1))
+            except ValueError:  # past sys.get_int_max_str_digits(), as in _parse_word
+                raise WordParseError(f"line {lineno}: the rank has too many digits") from None
             continue
         words.append(cyclic_reduce(_parse_word(line, rank, MAX_WORD_LENGTH - held)))
         held += len(words[-1])
@@ -314,11 +317,6 @@ def parse_word_list(text: str) -> WordList:
     if not words:
         raise WordParseError("word list is empty")
     return WordList(rank, tuple(words))
-
-
-def cyclic_rotations(letters: tuple[Letter, ...]):
-    for r in range(len(letters)):
-        yield letters[r:] + letters[:r]
 
 
 def match_power(letters: tuple[Letter, ...], base: Word) -> int | None:
@@ -330,10 +328,9 @@ def match_power(letters: tuple[Letter, ...], base: Word) -> int | None:
     if n == 0 or l == 0 or l % n != 0:
         return None
     c = l // n
-    fwd = base.letters * c
-    if any(rot == fwd for rot in cyclic_rotations(letters)):
-        return c
-    bwd = base.inverse_letters() * c
-    if any(rot == bwd for rot in cyclic_rotations(letters)):
-        return -c
+    # base**c is fixed by a rotation through n letters, so n rotations meet every conjugate
+    for exponent, word in ((c, base.letters), (-c, base.inverse_letters())):
+        power = word * c
+        if any(letters[r:] + letters[:r] == power for r in range(n)):
+            return exponent
     return None

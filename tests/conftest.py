@@ -6,8 +6,9 @@ rotation, pair counts by direct recounting, witness existence by bounded
 enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
 regular cycle lists by the slot-pair loop over the coloring, perfect
 matchings by a walk over vertex objects and sets, linear programs by a
-Bland-rule simplex on a Fraction tableau, and the four-vertex build-up by
-rescaling the whole lower list at every level.
+Bland-rule simplex on a Fraction tableau, the four-vertex build-up by
+rescaling the whole lower list at every level, and the glued vertices of a
+surface by a union-find over polygon corners.
 """
 
 from __future__ import annotations
@@ -450,3 +451,59 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
         levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})
         cycles = dict(final)
     return cycles, c1, c2
+
+
+def oracle_vertex_classes(cx) -> list[list[tuple[int, int]]]:
+    """The glued vertices of a surface complex as union-find classes of its
+    ``(polygon, corner)`` pairs: each glued side pair joins head with head and
+    tail with tail.  Classes are sorted, and listed by their least corner."""
+    parent = {(p, t): (p, t) for p, poly in enumerate(cx.polygons) for t in range(len(poly))}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for key, partner in cx.pairing.items():
+        s1, s2 = cx.side(key), cx.side(partner)
+        for c1, c2 in ((s1.head_corner, s2.head_corner), (s1.tail_corner, s2.tail_corner)):
+            rx, ry = find((key[0], c1)), find((partner[0], c2))
+            parent[max(rx, ry)] = min(rx, ry)
+    classes: dict = {}
+    for corner in parent:
+        classes.setdefault(find(corner), []).append(corner)
+    return [sorted(cs) for _, cs in sorted(classes.items())]
+
+
+def oracle_link_letters(cx, corners) -> tuple:
+    """The letters read around one glued vertex, given its corners: from the
+    least corner through its next side, across each side to the partner's
+    matching corner, until the walk is back where it began."""
+    p, t = corners[0]
+    side_idx = (t + 1) % len(cx.polygons[p])
+    first, letters = (p, t, side_idx), []
+    while True:
+        side = cx.polygons[p][side_idx]
+        partner = cx.pairing[(p, side_idx)]
+        pside = cx.side(partner)
+        letters.append(pg.Letter(side.vertex.gen, 1 if pside.incoming else -1))
+        t = pside.head_corner if side.head_corner == t else pside.tail_corner
+        p = partner[0]
+        assert (p, t) in corners and partner[1] in (t, (t + 1) % len(cx.polygons[p]))
+        side_idx = (t + 1) % len(cx.polygons[p]) if partner[1] == t else t
+        if (p, t, side_idx) == first:
+            return tuple(letters)
+        assert len(letters) <= len(corners)
+
+
+def oracle_match_power(letters, base) -> int | None:
+    """``words.match_power`` by trying every rotation of the letters against
+    every power of the word and of its inverse."""
+    inverse = tuple(pg.Letter(x.gen, -x.sign) for x in reversed(base.letters))
+    for c in range(1, len(letters) + 1):
+        for exponent, word in ((c, base.letters), (-c, inverse)):
+            power = word * c
+            if any(letters[r:] + letters[:r] == power for r in range(len(letters))):
+                return exponent
+    return None

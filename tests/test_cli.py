@@ -256,6 +256,44 @@ def test_deeply_nested_input_is_an_error(tmp_path, capsys, argv, name, text, err
     assert capsys.readouterr().err == err
 
 
+BIG = "9" * 5000  # past the digits int() reads by default
+COMMUTATOR_JSON = json.dumps(graph_to_json(build_whitehead_graph(parse_word_list("rank 2\nabAB\n"))))
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, err",
+    [
+        (("analyze",), "words.txt", f"rank {BIG}\nab\n", "line 1: the rank has too many digits"),
+        (("analyze",), "g.json", f'{{"rank": {BIG}}}', "malformed JSON: a number has too many digits"),
+        (
+            ("verify", "commutator"),
+            "w.json",
+            f'{{"cycles": [{BIG}]}}',
+            "malformed JSON: a number has too many digits",
+        ),
+        (
+            ("analyze",),
+            "g.json",
+            COMMUTATOR_JSON.replace('"u": "a1"', f'"u": "a{BIG}"', 1),
+            "bad name 'a99999999999999999999999'...: its number has too many digits",
+        ),
+        (
+            ("analyze",),
+            "g.json",
+            COMMUTATOR_JSON.replace('"0@a1"', f'"{BIG}@a1"', 1),
+            "bad name '999999999999999999999999'...: its number has too many digits",
+        ),
+    ],
+    ids=["rank header", "graph json", "witness json", "vertex name", "dart name"],
+)
+def test_a_number_past_the_int_digit_limit_is_an_error(tmp_path, capsys, argv, name, text, err):
+    # int() refuses such a digit string with a ValueError, once a traceback
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(*argv, str(path)) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_undecodable_input_is_an_error(tmp_path, capsys):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe")

@@ -3,12 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
 from polygonality import surface
-from polygonality.errors import PreconditionError, VerificationError
+from polygonality.errors import PairingError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance
 from polygonality.surface import build_linear_orders
 from polygonality.witness import make_cycle
 
-from conftest import vid, words_graph
+from conftest import oracle_link_letters, oracle_vertex_classes, vid, words_graph
 
 
 def commutator_complex(commutator):
@@ -103,24 +103,73 @@ def test_bigon_only_witness_has_no_certificate():
         pg.surface_report(cx, wl)
 
 
+def swapped_pairing(cx):
+    """``cx.pairing`` with two pairs within a class crossed over: still an
+    involution, but no longer the gluing the labels call for."""
+    pairing = dict(cx.pairing)
+    keys = sorted(pairing)
+    (a, b) = keys[0], pairing[keys[0]]
+    other = next(k for k in keys if k not in (a, b) and pairing[k] not in (a, b))
+    c, d = other, pairing[other]
+    pairing[a], pairing[d] = d, a
+    pairing[c], pairing[b] = b, c
+    return pairing
+
+
+def reglue(cx, pairing):
+    return surface.SurfaceComplex(cx.graph, cx.witness, cx.usage, cx.polygons, pairing)
+
+
 def test_broken_pairing_detected(commutator):
-    cx = commutator_complex(commutator)
     wl = pg.parse_word_list("rank 2\nabAB\n")
     doubled = {make_cycle(commutator, {0, 1, 2, 3}).edges: 2}
     cx2 = pg.build_surface(commutator, doubled)
-    # swap two pairing partners within a class: the link traversal must notice
-    keys = sorted(cx2.pairing)
-    (a, b) = keys[0], cx2.pairing[keys[0]]
-    other = next(
-        k for k in keys if k not in (a, b) and cx2.pairing[k] not in (a, b)
-    )
-    c, d = other, cx2.pairing[other]
-    cx2.pairing[a], cx2.pairing[d] = d, a
-    cx2.pairing[c], cx2.pairing[b] = b, c
-    # either the traversal itself breaks, or a link stops reading a word power
+    # the links are read while gluing, so the swapped pairing goes in at construction;
+    # either the walk itself breaks, or a link stops reading a word power
     with pytest.raises(VerificationError):
-        pg.boundary_words(cx2, wl)
-        pg.surface_report(cx2, wl)
+        pg.surface_report(reglue(cx2, swapped_pairing(cx2)), wl)
+
+
+def test_non_involutive_pairing_rejected(commutator):
+    cx = pg.build_surface(commutator, {make_cycle(commutator, {0, 1, 2, 3}).edges: 2})
+    pairing = dict(cx.pairing)
+    key = next(iter(pairing))
+    pairing[key] = next(k for k in pairing if k not in (key, pairing[key]))
+    with pytest.raises(PairingError, match="involution"):
+        reglue(cx, pairing)
+    fixed = dict(cx.pairing)
+    fixed[key] = key
+    with pytest.raises(PairingError, match="involution"):
+        reglue(cx, fixed)
+
+
+def test_pairing_missing_a_side_rejected(commutator):
+    cx = commutator_complex(commutator)
+    key = min(cx.pairing)
+    partial = {k: v for k, v in cx.pairing.items() if k != key}
+    with pytest.raises(PairingError, match="every side"):
+        reglue(cx, partial)
+    with pytest.raises(PairingError, match="every side"):
+        reglue(cx, {**cx.pairing, (len(cx.polygons), 0): key})
+
+
+def link_cases():
+    """Complexes whose glued vertices the walk must find: random four-vertex
+    instances, the golden orbits.txt word, and each of them doubled."""
+    graphs = [random_fourvertex_instance(seed, max_degree=5) for seed in range(0, 60, 6)]
+    graphs.append(words_graph("rank 2\nBabaaaabaB\n"))
+    for graph in graphs:
+        good = pg.four_vertex_witness(graph)
+        yield pg.build_surface(graph, good.cycles)
+        yield pg.build_surface(graph, {c: 2 * m for c, m in good.cycles.items()})
+
+
+def test_link_walk_finds_the_union_find_classes():
+    for cx in link_cases():
+        classes = oracle_vertex_classes(cx)
+        assert cx.vertex_classes == classes
+        assert cx.num_vertices == len(classes)
+        assert cx.links == [oracle_link_letters(cx, corners) for corners in classes]
 
 
 def test_euler_bookkeeping_and_side_counts(polygonal_graph):

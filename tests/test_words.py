@@ -10,6 +10,8 @@ from polygonality import words
 from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
 from polygonality.words import Letter, Word, match_power
 
+from conftest import oracle_match_power
+
 
 def letters(text, rank=2):
     return pg.parse_word(text, rank).letters
@@ -194,6 +196,25 @@ def test_match_power():
     inv = pg.parse_word("(abAB)^-1", 2).letters
     assert match_power(inv, base) == -1
     assert match_power(pg.parse_word("aab", 2).letters, base) is None
+
+
+@given(
+    word_st,
+    st.integers(1, 4),
+    st.integers(0, 60),
+    st.booleans(),
+    st.lists(letter_st, min_size=1, max_size=16).map(tuple),
+)
+@settings(max_examples=300, deadline=None)
+@example(Word(letters("ab")), 3, 4, False, letters("abab"))
+def test_match_power_tries_enough_rotations(base, c, r, invert, other):
+    power = (base.inverse_letters() if invert else base.letters) * c
+    rotated = power[r % len(power) :] + power[: r % len(power)]
+    # a power, a rotation of it, the same with one letter flipped, and arbitrary letters
+    flipped = (rotated[0].inverse(), *rotated[1:])
+    for candidate in (power, rotated, flipped, other):
+        assert match_power(candidate, base) == oracle_match_power(candidate, base)
+    assert abs(match_power(rotated, base)) == c
 
 
 @pytest.mark.parametrize(
