@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -156,7 +157,7 @@ def _lp(graph: WhiteheadGraph, require_long: bool):
 _METHODS = {"fourvertex": _fourvertex, "regular": _regular, "lp": _lp}
 
 
-def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
+def _run_method(graph: WhiteheadGraph, method: str, require_long: bool):
     if method != "auto":
         return _METHODS[method](graph, require_long)
     for construct in (_fourvertex, _regular):
@@ -165,6 +166,30 @@ def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
         except PreconditionError:
             pass
     return _lp(graph, require_long)
+
+
+# the extras that count cycles through an edge or a pair: they scale with the list
+_PER_LIST_COUNTS = ("c1", "c2", "m1", "m2")
+
+
+def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
+    """The method's witness as edge sets, or its refutation, with its JSON extras.
+
+    A constructed list is divided by the gcd of its multiplicities: the
+    quotient is still balanced, keeps its long cycles and certifies the same
+    surface from fewer polygons.  The edge and pair counts among the extras
+    are divided with it, so they describe the list returned.
+    """
+    found, extras = _run_method(graph, method, require_long)
+    if isinstance(found, witness.Infeasible):
+        return found, extras
+    g = math.gcd(*found.values())
+    if g > 1:
+        found = {eids: m // g for eids, m in found.items()}
+        for key in _PER_LIST_COUNTS:
+            if key in extras:
+                extras[key] //= g
+    return found, extras
 
 
 def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
@@ -309,10 +334,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         graph, wl = _resolve_graph("remark-2.4b")
         report = whitehead.analyze(graph)
         require(report.minimal and report.diskbusting, "remark-2.4b is not minimal and diskbusting")
-        good = fourvertex.four_vertex_witness(graph)
-        verdict = witness.verify_witness(graph, good.cycles, require_long=True)
+        found, _, verdict = _construct_witness(graph, "fourvertex", True)
         require(verdict.ok, "the four-vertex witness of remark-2.4b does not verify")
-        complex_ = surface.build_surface(graph, good.cycles)
+        complex_ = surface.build_surface(graph, found)
         chi = surface.surface_report(complex_, wl).chi_s_minus_m
         require(chi < 0, f"chi(S) - m = {chi} is not negative")
 
@@ -324,8 +348,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     def pictured_graph():
         graph = _figure7_graph()
-        good = fourvertex.four_vertex_witness(graph)
-        verdict = witness.verify_witness(graph, good.cycles, require_long=True)
+        _, _, verdict = _construct_witness(graph, "fourvertex", True)
         require(verdict.ok, "the four-vertex witness of figure 7 does not verify")
 
     check("commutator certificate", commutator_certificate)

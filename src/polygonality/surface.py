@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import Dart, VertexId, WhiteheadGraph
-from .witness import Cycle, CycleList, verify_witness, witness_to_json
-from .words import Letter, Word, WordList, match_power
+from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_to_json
+from .words import Letter, Word, WordList, match_power, shared_letter
 
 
 def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
@@ -88,7 +88,7 @@ class SurfaceComplex:
         polygons, pairing = self.polygons, self.pairing
         total = len(pairing)
         seen: set[tuple[int, int]] = set()
-        shared: dict[tuple[int, int], Letter] = {}  # one Letter per (generator, sign)
+        shared: dict[tuple[int, int], Letter] = {}  # shared_letter's, without a call a crossing
         self.vertex_classes: list[list[tuple[int, int]]] = []
         self.links: list[tuple[Letter, ...]] = []
         for p, poly in enumerate(polygons):
@@ -104,7 +104,7 @@ class SurfaceComplex:
                     q, s = pairing[(q, s)]
                     pside = polygons[q][s]
                     key = (side.vertex.gen, 1 if pside.incoming else -1)
-                    letters.append(shared.get(key) or shared.setdefault(key, Letter(*key)))
+                    letters.append(shared.get(key) or shared.setdefault(key, shared_letter(*key)))
                     if side.head_corner == u:
                         u = pside.head_corner
                     elif side.tail_corner == u:
@@ -154,19 +154,19 @@ class SurfaceComplex:
 
 def _build_polygon(
     graph, rank, cycle: Cycle
-) -> tuple[tuple[Side, ...], list[tuple[int, frozenset[int]]]]:
+) -> tuple[tuple[Side, ...], list[tuple[int, int, int]]]:
     """The sides of a cycle's polygon, and the label key of each side.
 
-    The key is ``(generator, pair)`` for an outgoing side and ``(generator,
-    connecting-map image of the pair)`` for an incoming one, so glued sides
-    share a key.
+    The key is ``(generator, e, f)`` with ``e < f``: the side's pair for an
+    outgoing side and the connecting-map image of the pair for an incoming
+    one, so glued sides share a key.
     """
     # every side shares the graph's one VertexId object of its vertex
     verts, ends = graph.vertices(), graph.end_index
     eids = cycle.edge_seq
     n = len(eids)
     sides, labels = [], []
-    for t, (i, pair) in enumerate(cycle.turns):
+    for t, (i, e, f) in enumerate(cycle.turns):
         e_prev, e_next = eids[t - 1], eids[t]
         d_prev = Dart(e_prev, 0 if ends[e_prev][0] == i else 1)
         d_next = Dart(e_next, 0 if ends[e_next][0] == i else 1)
@@ -177,10 +177,10 @@ def _build_polygon(
             tail, head = corner_prev, corner_next
         # even indices are the positive generators
         v, incoming = verts[i], i % 2 == 0
-        sides.append(Side(v, pair, incoming, tail, head))
-        labels.append(
-            (v.gen, frozenset(graph.sigma_edge(v, eid) for eid in pair) if incoming else pair)
-        )
+        sides.append(Side(v, frozenset((e, f)), incoming, tail, head))
+        if incoming:
+            e, f = graph.sigma_edge(v, e), graph.sigma_edge(v, f)
+        labels.append((v.gen, e, f) if e < f else (v.gen, f, e))
     return tuple(sides), labels
 
 
@@ -201,9 +201,9 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     cycles = verdict.cycles
     rank = build_linear_orders(graph)
     polygons: list[tuple[Side, ...]] = []
-    incoming: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
-    outgoing: dict[tuple[int, frozenset[int]], list[tuple[int, int]]] = {}
-    for cycle in sorted(cycles):
+    incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    outgoing: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for cycle in sorted(cycles, key=cycle_order):
         sides, labels = _build_polygon(graph, rank, cycle)
         for _ in range(cycles[cycle]):
             for t, (side, label) in enumerate(zip(sides, labels)):
@@ -214,7 +214,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     if set(incoming) != set(outgoing):
         raise PairingError("incoming and outgoing side label classes differ")
     pairing: dict[tuple[int, int], tuple[int, int]] = {}
-    for key in sorted(incoming, key=lambda k: (k[0], sorted(k[1]))):
+    for key in sorted(incoming):
         ins, outs = sorted(incoming[key]), sorted(outgoing[key])
         if len(ins) != len(outs):
             raise PairingError(

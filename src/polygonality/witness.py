@@ -26,22 +26,25 @@ from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_object
 
 
-Turn = tuple[int, frozenset[int]]
+#: ``(vertex index, smaller edge id, larger edge id)``: a cycle passing a vertex
+#: along two of its edges, or a pair of distinct edges there to balance
+Turn = tuple[int, int, int]
 
 
 class Cycle(Frozen):
     """A simple cycle: its edge-id set, canonical key and stored walk.
 
-    The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is
-    ``(v_t.index, {edge_seq[t - 1], edge_seq[t]})``, the index of the vertex
-    (see :attr:`VertexId.index`) with the two cycle edges there, and edge
+    The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is the
+    :data:`Turn` ``(v_t.index, e, f)``, the index of the vertex (see
+    :attr:`VertexId.index`) with the two cycle edges there,
+    ``{e, f} = {edge_seq[t - 1], edge_seq[t]}`` and ``e < f``, and edge
     ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}`` (indices mod ``n``).  The
     walk starts at the cycle's least vertex along the smaller of its two
     edges there.  Only ``edges`` and ``key`` take part in equality and
     hashing; every cycle is built from its walk by one private constructor,
     which :func:`make_cycle` (from a validated edge set) and
     :func:`enumerate_cycles` (from its search path) both end in.  Cycles sort
-    by length, then key.
+    by length, then key, as :func:`cycle_order` keys them.
     """
 
     __slots__ = ("edges", "key", "edge_seq", "turns")
@@ -70,7 +73,7 @@ class Cycle(Frozen):
         return len(self.edges)
 
     def __lt__(self, other: "Cycle") -> bool:
-        return (len(self.edges), self.key) < (len(other.edges), other.key)
+        return cycle_order(self) < cycle_order(other)
 
     @property
     def is_long(self) -> bool:
@@ -78,6 +81,15 @@ class Cycle(Frozen):
 
 
 CycleList = dict[Cycle, int]
+
+
+def cycle_order(cycle: Cycle) -> tuple[int, tuple[int, ...]]:
+    """The sort key of a cycle: its length, then its canonical key.
+
+    Sorting by this key compares plain tuples, where sorting cycles
+    themselves calls :meth:`Cycle.__lt__` once per comparison.
+    """
+    return len(cycle.edges), cycle.key
 
 
 def _cycle_from_walk(verts: list[int], seq: list[int]) -> Cycle:
@@ -91,7 +103,10 @@ def _cycle_from_walk(verts: list[int], seq: list[int]) -> Cycle:
     i = seq.index(min(seq))
     forward = tuple(seq[i:] + seq[:i])
     backward = forward[:1] + forward[:0:-1]
-    turns = tuple((verts[t], frozenset((seq[t - 1], seq[t]))) for t in range(len(seq)))
+    # at verts[t] the walk turns from seq[t - 1] to seq[t]
+    turns = tuple(
+        [(v, e, f) if e < f else (v, f, e) for v, e, f in zip(verts, [seq[-1], *seq], seq)]
+    )
     return Cycle(frozenset(seq), min(forward, backward), tuple(seq), turns)
 
 
@@ -111,10 +126,11 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     >>> cyc.edge_seq, cyc.key
     ((0, 3, 2, 1), (0, 1, 2, 3))
 
-    Each turn names its vertex by index; ``a1`` has index 0:
+    Each turn names its vertex by index, then its two edges in id order;
+    ``a1`` has index 0:
 
     >>> cyc.turns[0]
-    (0, frozenset({0, 1}))
+    (0, 0, 1)
     """
     eids = frozenset(eids)
     if len(eids) < 2:
@@ -187,7 +203,7 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
         path_v.append(s)
         extend(s, s)
         path_v.pop()
-    return sorted(found)
+    return sorted(found, key=cycle_order)
 
 
 class WitnessVerdict(NamedTuple):
@@ -203,9 +219,10 @@ def pair_counts(
 ) -> tuple[dict[Turn, int], dict[int, int]]:
     """Turn counts and per-edge usage of a cycle list, with multiplicity.
 
-    ``counts[(v.index, {e, f})]`` is the number of cycles turning at ``v``
-    from ``e`` to ``f``, which is the number containing both edges of a pair
-    at ``v``; ``usage[e]`` is the number containing ``e``, for every edge.
+    ``counts[(v.index, e, f)]``, with ``e < f``, is the number of cycles
+    turning at ``v`` between ``e`` and ``f``, which is the number containing
+    both edges of a pair at ``v``; ``usage[e]`` is the number containing
+    ``e``, for every edge.
     """
     counts: dict[Turn, int] = {}
     usage = dict.fromkeys(graph.edges, 0)
@@ -221,7 +238,7 @@ def _balance_pairs(graph: WhiteheadGraph):
     """Every pair ``{e, f}`` of distinct edges at an active vertex ``v``, with its image.
 
     Yields ``(v, (e, f), turn, image)`` in vertex order, then edge-id order,
-    with ``e < f``: ``turn`` is ``(v.index, {e, f})`` and ``image`` is the turn
+    with ``e < f``: ``turn`` is ``(v.index, e, f)`` and ``image`` is the turn
     of the two connecting-map images at the paired vertex ``mu(v)``.
     """
     for v in graph.active_vertices():  # in index order, which is vertex order
@@ -230,7 +247,8 @@ def _balance_pairs(graph: WhiteheadGraph):
         sigma = {e: graph.sigma_edge(v, e) for e in delta}
         for a, e in enumerate(delta):
             for f in delta[a + 1 :]:
-                yield v, (e, f), (i, frozenset((e, f))), (i ^ 1, frozenset((sigma[e], sigma[f])))
+                g, h = sigma[e], sigma[f]
+                yield v, (e, f), (i, e, f), (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
 
 
 def verify_witness(
@@ -292,7 +310,7 @@ def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
     rows = []
     keys = []
     for v, pair, turn, image in _balance_pairs(graph):
-        if (image[0], tuple(sorted(image[1]))) < (turn[0], pair):
+        if image < turn:
             continue  # the partner emits this row (negated)
         row = [0] * len(cycles)
         for j in covering.get(turn, ()):
@@ -365,7 +383,8 @@ def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, i
     return {
         "graph_hash": graph_hash(graph),
         "cycles": [
-            {"edges": sorted(c.edges), "multiplicity": m} for c, m in sorted(cycles.items())
+            {"edges": sorted(c.edges), "multiplicity": cycles[c]}
+            for c in sorted(cycles, key=cycle_order)
         ],
         "long_cycle_present": any(c.is_long for c in cycles),
         "per_edge_usage": {str(eid): n for eid, n in sorted(usage.items())},

@@ -62,13 +62,33 @@ class Letter(Frozen):
         return NotImplemented
 
     def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
+        return shared_letter(self.gen, -self.sign)
 
     def __str__(self) -> str:
         if self.gen <= 26:
             ch = chr(ord("a") + self.gen - 1)
             return ch if self.sign > 0 else ch.upper()
         return f"a{self.gen}" if self.sign > 0 else f"a{self.gen}^-1"
+
+
+# one letter per (generator, sign), and its text, for every parsed word and surface link
+_SHARED: dict[tuple[int, int], Letter] = {}
+_TEXT: dict[tuple[int, int], str] = {}
+
+
+def shared_letter(gen: int, sign: int) -> Letter:
+    """The one :class:`Letter` of ``gen`` and ``sign`` that words share.
+
+    The parser, :meth:`Letter.inverse` and a surface's link walk all take
+    their letters from here, so letter tuples that read the same word hold
+    the same objects and compare equal by identity, with no
+    :meth:`Letter.__eq__` call.
+    """
+    x = _SHARED.get((gen, sign))
+    if x is None:
+        x = _SHARED[gen, sign] = Letter(gen, sign)
+        _TEXT[gen, sign] = str(x)
+    return x
 
 
 class Word(Frozen):
@@ -98,7 +118,9 @@ class Word(Frozen):
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(str(x) for x in self.letters)
+        # each letter's text is looked up by its fields, with no method call
+        text = _TEXT
+        return "".join([text.get((x.gen, x.sign)) or str(x) for x in self.letters])
 
     def max_generator(self) -> int:
         return max((x.gen for x in self.letters), default=0)
@@ -220,7 +242,7 @@ def _letter_from_token(letter: str, digits: str, rank: int) -> Letter:
         gen = ord(letter.lower()) - ord("a") + 1
     if gen < 1 or gen > rank:
         raise WordParseError(f"generator {letter}{digits} out of rank {rank}")
-    return Letter(gen, sign)
+    return shared_letter(gen, sign)
 
 
 def parse_word(text: str, rank: int) -> Word:

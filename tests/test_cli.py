@@ -91,6 +91,26 @@ def test_witness_regular_method(tmp_path):
     assert data["coloring"]["k"] == 2 and data["coloring"]["ell"] == 2
 
 
+def test_a_regular_list_is_divided_with_its_counts(tmp_path, monkeypatch):
+    # no regular list met so far has a gcd above 1, so a tripled one stands in
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps(graph_to_json(random_regular_instance(9, 4, 5))), encoding="utf-8")
+    plain, tripled = tmp_path / "plain.json", tmp_path / "tripled.json"
+    assert run_cli("witness", str(spec), "--method", "regular", "--out", str(plain)) == 0
+    built = regular.regular_witness
+
+    def triple(graph):
+        rw = built(graph)
+        cycles = {eids: 3 * m for eids, m in rw.cycles.items()}
+        return rw._replace(cycles=cycles, m1=3 * rw.m1, m2=3 * rw.m2)
+
+    monkeypatch.setattr(regular, "regular_witness", triple)
+    assert run_cli("witness", str(spec), "--method", "regular", "--out", str(tripled)) == 0
+    assert tripled.read_bytes() == plain.read_bytes()
+    data = read_json(plain)
+    assert set(data["per_edge_usage"].values()) == {data["m1"]}
+
+
 def test_verify_accepts_emitted_witness(tmp_path):
     wit = tmp_path / "w.json"
     assert run_cli("witness", "remark-2.4b", "--require-long", "--out", str(wit)) == 0

@@ -1,6 +1,10 @@
 import inspect
 import itertools
+import json
+import math
+import os
 import sys
+import tempfile
 from collections import Counter
 from unittest import mock
 
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import polygonality as pg
-from polygonality import fourvertex, witness
+from polygonality import cli, fourvertex, witness
 from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
@@ -21,7 +25,7 @@ from polygonality.fourvertex import (
     uniform_permutation,
 )
 from polygonality.generators import random_fourvertex_instance
-from polygonality.whitehead import Dart, WhiteheadGraph
+from polygonality.whitehead import Dart, WhiteheadGraph, graph_to_json
 from polygonality.witness import Infeasible
 
 from conftest import make_plain, oracle_inductive, oracle_pair_count, vid, words_graph
@@ -537,6 +541,45 @@ def _peel_checking_every_level(graph):
 def test_peeling_keeps_the_hypothesis(graph):
     # the lemma that lets the construction check the input graph only
     _peel_checking_every_level(graph)
+
+
+def _graph_file(graph):
+    return json.dumps(graph_to_json(graph))
+
+
+def _word_file(text):
+    diskbusting_graph(text)  # the same assumption as the theorem (1) test
+    return f"rank 2\n{text}\n"
+
+
+@given(
+    st.one_of(
+        st.integers(0, 400).map(random_fourvertex_instance).map(_graph_file),
+        rank2_words().map(_word_file),
+    )
+)
+@example(_graph_file(_figure7_graph()))
+@example("rank 2\nBabaaaabaB\n")  # the golden orbits.txt, gcd 8
+@settings(max_examples=60, deadline=None)
+def test_the_emitted_witness_is_the_construction_divided_by_its_gcd(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out, checked = (os.path.join(tmp, name) for name in ("input.txt", "w.json", "v.json"))
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["witness", spec, "--method", "fourvertex", "--require-long", "--out", out]
+        assert cli.main(argv) == 0
+        with open(out, encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert cli.main(["verify", spec, out, "--require-long", "--out", checked]) == 0
+        graph, _ = cli._resolve_graph(spec)
+    emitted = {frozenset(c["edges"]): c["multiplicity"] for c in data["cycles"]}
+    assert math.gcd(*emitted.values()) == 1
+    good = pg.four_vertex_witness(graph)
+    g = math.gcd(*good.cycles.values())
+    assert {eids: g * m for eids, m in emitted.items()} == good.cycles
+    assert (g * data["c1"], g * data["c2"]) == (good.c1, good.c2)
+    for eid in graph.edges:
+        assert sum(m for eids, m in emitted.items() if eid in eids) == data["c1"]
 
 
 @given(st.integers(0, 400))

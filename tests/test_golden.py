@@ -5,9 +5,11 @@ these outputs byte-identical.  The digests are independent of the hash seed.
 """
 
 import hashlib
+import json
 
 import pytest
 
+import polygonality as pg
 from polygonality import cli
 
 # word-list inputs for the four-vertex recursion: "peel" removes edges over six
@@ -57,10 +59,11 @@ GOLDEN = [
      "c50ee83e254aa617cdb4ff3d3a673c4e276a0c14f6e20731ee31e0c301623746"),
     (("surface", "peel.txt"), 0,
      "9df1ea167f80cf9701cbd2fb467fe0c290507561f999a521d72f1df3bda02c00"),
+    # the construction's list divided by its gcd, 8 (see the test below)
     (("witness", "orbits.txt", "--require-long"), 0,
-     "bf89cc19e59ed81334395c4d60c8c3ef3857d78b5765bea8aa42048f382a8844"),
+     "36a2d6c2bc708fe2d8d4ccf6c53ed28046dd5286b7dfc46544eed3612a33ea25"),
     (("surface", "orbits.txt"), 0,
-     "edb78f4146752607add3d574957b3fc5f66faf6e348c4da05c2845db3f2ba986"),
+     "a3856b8399cf6b6f6aafb9f0ad49dd4eee526ba687d2ad2f9e8b144a78c92b01"),
 ]
 
 
@@ -85,3 +88,18 @@ def test_golden_cli_bytes(inputs, tmp_path, argv, code, digest):
     assert cli.main([command, spec, *flags, "--out", str(out)]) == code
     data = out.read_bytes() if out.exists() else b""
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_orbits_witness_is_the_construction_divided_by_eight(inputs, tmp_path):
+    # the only golden list with a gcd above 1: 256 polygons become 32
+    spec = str(inputs / "orbits.txt")
+    out = tmp_path / "out.json"
+    assert cli.main(["witness", spec, "--require-long", "--out", str(out)]) == 0
+    data = json.loads(out.read_bytes())
+    emitted = {frozenset(c["edges"]): c["multiplicity"] for c in data["cycles"]}
+    graph = pg.build_whitehead_graph(pg.parse_word_list(WORD_FILES["orbits.txt"]))
+    good = pg.four_vertex_witness(graph)
+    assert {eids: 8 * m for eids, m in emitted.items()} == good.cycles
+    assert (sum(good.cycles.values()), sum(emitted.values())) == (256, 32)
+    assert (good.c1, good.c2) == (80, 16) and (data["c1"], data["c2"]) == (10, 2)
+    assert data["constants_per_level"] == list(good.constants_per_level)

@@ -212,7 +212,7 @@ def test_cycle_walk_structure():
     for text in ("rank 2\naBa^2b\n", "rank 2\na(aB)^3B^2\n", "rank 3\nabcabCAB\n"):
         graph = words_graph(text)
         for cyc in pg.enumerate_cycles(graph):
-            verts = [i for i, _ in cyc.turns]  # vertex indices
+            verts = [i for i, _, _ in cyc.turns]  # vertex indices
             eids = cyc.edge_seq
             assert len(verts) == len(set(verts)) == len(eids) == len(cyc)
             assert set(eids) == cyc.edges
@@ -221,7 +221,7 @@ def test_cycle_walk_structure():
             for t, eid in enumerate(eids):
                 ends = {v.index for v in graph.edges[eid].ends}
                 assert ends == {verts[t], verts[(t + 1) % len(verts)]}
-                assert cyc.turns[t][1] == {eids[t - 1], eid}
+                assert cyc.turns[t][1:] == tuple(sorted((eids[t - 1], eid)))
 
 
 @given(st.integers(0, 300))

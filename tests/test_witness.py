@@ -422,11 +422,11 @@ def test_pair_counts_match_brute_force_recount(seed, case):
     counts, usage = pg.pair_counts(graph, cycles)
     for v in graph.active_vertices():
         for e, f in itertools.combinations(graph.delta(v), 2):
-            assert counts.get((v.index, frozenset((e, f))), 0) == oracle_pair_count(
+            assert counts.get((v.index, e, f), 0) == oracle_pair_count(
                 graph, cycles, v, e, f
             )
     verts = graph.vertices()
-    assert all(len(pair) == 2 and pair <= set(graph.delta(verts[i])) for i, pair in counts)
+    assert all(e < f and {e, f} <= set(graph.delta(verts[i])) for i, e, f in counts)
     assert usage == {
         eid: sum(m for c, m in cycles.items() if eid in c.edges) for eid in graph.edges
     }
