@@ -12,7 +12,11 @@ and "uniform" (a list of orbits of the induced pair permutation covers every
 edge at ``w`` the same number of times); then peel edges between the
 opposite vertex pair down to a regular graph, and build back up level by
 level, patching with bigons, triangles, and quadrilaterals built from the
-orbit pairs.  Cycles are edge-id sets throughout; the verifier walks them.
+orbit pairs.  The regular graph at the bottom is edge-colored in closed form:
+each perfect matching of K4 on the four vertices has equally many edges on
+its two sides, and pairing them gives k perfect matchings, so this route
+solves no linear program.  Cycles are edge-id sets throughout; the verifier
+walks them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
-from .regular import regular_witness
+from .regular import FractionalColoring, RegularWitness, coloring_witness
 from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
 
 Node = tuple[str, int]  # ('e', i) or ('f', i)
@@ -561,6 +565,39 @@ def _check_level_preconditions(g: Multigraph, w: VertexId, u: VertexId) -> None:
             )
 
 
+def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
+    """Cycle list of the regular graph where the peeling ends, from a closed-form coloring.
+
+    The graph is k-regular (k = deg w) and loopless on w, w', u, u'.  Its
+    degree equations force #(w-w') = #(u-u'), #(w-u) = #(w'-u') and
+    #(w-u') = #(w'-u): each perfect matching of K4 has as many edges on one
+    side as on the other.  Pairing the i-th edges of the two sides, in id
+    order, gives k perfect matchings that use every edge once, a proper
+    k-edge-coloring (ell = k), whose pairwise differences are bigons and
+    four-cycles.  Raises ``PreconditionError`` when k <= 1 or when two sides
+    differ in size, which happens exactly when the graph is not regular.
+    """
+    k = g.degree(w)
+    if k <= 1:
+        raise PreconditionError(f"regular construction needs degree > 1, got {k}")
+    side_edges: dict[frozenset[int], list[int]] = {}
+    for eid in g.edge_ids():
+        side_edges.setdefault(frozenset(g.end_index[eid]), []).append(eid)
+    wp, up = w.mu(), u.mu()
+    matchings = []
+    # the three perfect matchings of K4, each as its two sides
+    for side, opposite in (((w, wp), (u, up)), ((w, u), (wp, up)), ((w, up), (wp, u))):
+        xs = side_edges.get(frozenset(v.index for v in side), [])
+        ys = side_edges.get(frozenset(v.index for v in opposite), [])
+        if len(xs) != len(ys):
+            raise PreconditionError(
+                f"{len(xs)} edges {side[0]}-{side[1]} against {len(ys)} edges"
+                f" {opposite[0]}-{opposite[1]}: the graph is not regular"
+            )
+        matchings += [(frozenset(pair), 1) for pair in zip(xs, ys)]
+    return coloring_witness(g, FractionalColoring(k, len(matchings), tuple(matchings)))
+
+
 def _inductive(
     g: Multigraph,
     w: VertexId,
@@ -577,7 +614,7 @@ def _inductive(
     uu = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
     a = g.degree(u) - len(uu)
     top = g.degree(u) - g.degree(w)
-    rw = regular_witness(g.remove_edges(uu[:top]))
+    rw = base_witness(g.remove_edges(uu[:top]), w, u)
     # each orbit pair's patch cycles at every level: the edges other than the
     # peeled one, and whether the cycle runs through the peeled edge
     patch: list[tuple[tuple[int, ...], bool, int]] = []
@@ -666,7 +703,8 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     aux = build_auxiliary_digraph(graph, w, u=u)
     completion = uniform_permutation(aux)
     good = inductive_witness(graph, w, completion)
-    # regular_witness, where the peeling ends, does not promise a long cycle
+    # the base graph is connected, so two of its K4 classes are non-empty and
+    # two of its matchings differ in a four-cycle; this guards that argument
     if not any(len(c) >= 3 for c in good.cycles):
         raise VerificationError("constructed list has no cycle of length at least three")
     return good

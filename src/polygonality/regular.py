@@ -5,16 +5,18 @@ carries a fractional k-edge-coloring: a list of perfect matchings covering
 every edge the same number of times.  Pairwise symmetric differences of those
 matchings decompose into cycles; collecting them over all matching pairs
 yields a list in which every edge lies in the same number of cycles and every
-adjacent edge pair lies in the same number of cycles.  The coloring is found
-as an exact rational feasibility problem over the enumerated matchings.  The
-cycles of each pair of distinct matchings are collected once, as edge sets,
-and counted with the product of the two multiplicities; copies of one
-matching contribute nothing.
+adjacent edge pair lies in the same number of cycles.  ``coloring_witness``
+does that collection for any coloring: the cycles of each pair of distinct
+matchings are collected once, as edge sets, and counted with the product of
+the two multiplicities; copies of one matching contribute nothing.  The
+four-vertex construction feeds it a coloring read off its base graph.
 
-By Edmonds' description of the perfect matching polytope that problem is
-feasible exactly when the odd-cut bound holds, so a coloring is itself the
-proof of the hypothesis.  The exhaustive odd-set check ``is_k_graph`` runs
-only after the problem turns out infeasible, to name a violating set.
+Here the coloring is found as an exact rational feasibility problem over the
+enumerated matchings.  By Edmonds' description of the perfect matching
+polytope that problem is feasible exactly when the odd-cut bound holds, so a
+coloring is itself the proof of the hypothesis.  The exhaustive odd-set check
+``is_k_graph`` runs only after the problem turns out infeasible, to name a
+violating set.
 """
 
 from __future__ import annotations
@@ -186,31 +188,13 @@ def _difference_cycles(ends: dict[int, tuple[int, int]], ma: list[int], mb: list
         yield frozenset(cycle)
 
 
-def regular_witness(graph: Multigraph) -> RegularWitness:
+def coloring_witness(graph: Multigraph, coloring: FractionalColoring) -> RegularWitness:
     """Cycle list from all pairwise symmetric differences of the coloring.
-
-    The coloring is solved first.  When it exists, every odd vertex set is
-    left by at least k edges: every perfect matching crosses every odd cut,
-    and each edge carries weight 1/k.  Only an infeasible coloring runs
-    ``is_k_graph``, whose first violating odd set the ``PreconditionError``
-    names.
 
     With ell matchings covering each edge ell/k times, every edge lands in
     exactly (ell/k)(ell - ell/k) cycles and every adjacent pair of distinct
     edges in exactly (ell/k)^2.
     """
-    k = _regularity(graph)
-    if k <= 1:
-        raise PreconditionError(f"regular construction needs degree > 1, got {k}")
-    try:
-        coloring = fractional_edge_coloring(graph, k)
-    except GraphError:
-        verdict = is_k_graph(graph, k)
-        if verdict.ok:
-            raise
-        raise PreconditionError(
-            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
-        ) from None
     # copies of one matching have an empty difference, so each pair of distinct
     # matchings contributes its cycles n_a * n_b times
     tables = []  # per matching: its edge at each vertex index, and its multiplicity
@@ -226,5 +210,29 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
         for cyc in _difference_cycles(ends, ma, mb):
             cycles[cyc] = cycles.get(cyc, 0) + n_a * n_b
     ell = coloring.ell
-    share = ell // k
+    share = ell // coloring.k
     return RegularWitness(cycles, share * (ell - share), share * share, coloring)
+
+
+def regular_witness(graph: Multigraph) -> RegularWitness:
+    """Cycle list of the coloring solved as a linear program.
+
+    The coloring is solved first.  When it exists, every odd vertex set is
+    left by at least k edges: every perfect matching crosses every odd cut,
+    and each edge carries weight 1/k.  Only an infeasible coloring runs
+    ``is_k_graph``, whose first violating odd set the ``PreconditionError``
+    names.
+    """
+    k = _regularity(graph)
+    if k <= 1:
+        raise PreconditionError(f"regular construction needs degree > 1, got {k}")
+    try:
+        coloring = fractional_edge_coloring(graph, k)
+    except GraphError:
+        verdict = is_k_graph(graph, k)
+        if verdict.ok:
+            raise
+        raise PreconditionError(
+            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
+        ) from None
+    return coloring_witness(graph, coloring)

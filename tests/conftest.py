@@ -61,9 +61,9 @@ def vid(gen: int, sign: int) -> VertexId:
 
 def fourvertex_base_case(graph) -> Multigraph:
     """The regular graph in which the four-vertex recursion on ``graph`` ends."""
-    with mock.patch.object(fourvertex, "regular_witness", wraps=fourvertex.regular_witness) as spy:
+    with mock.patch.object(fourvertex, "base_witness", wraps=fourvertex.base_witness) as spy:
         pg.four_vertex_witness(graph)
-    (base,), _ = spy.call_args
+    (base, _, _), _ = spy.call_args
     return base
 
 
@@ -420,7 +420,7 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
         peeled.append((g, uu_edges))
         g = g.remove_edges([uu_edges[0]])
         fourvertex._check_level_preconditions(g, w, u)
-    rw = fourvertex.regular_witness(g)
+    rw = fourvertex.base_witness(g, w, u)
     levels.append({"edges": len(g.edges), "removed": None, "c1": rw.m1, "c2": rw.m2})
     cycles, c1, c2 = rw.cycles, rw.m1, rw.m2
     for g, uu_edges in reversed(peeled):

@@ -1,8 +1,10 @@
+import contextlib
 import inspect
 import itertools
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import polygonality as pg
-from polygonality import cli, fourvertex, witness
+from polygonality import cli, fourvertex, regular, simplex, witness
 from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
@@ -26,9 +28,16 @@ from polygonality.fourvertex import (
 )
 from polygonality.generators import random_fourvertex_instance
 from polygonality.whitehead import Dart, WhiteheadGraph, graph_to_json
-from polygonality.witness import Infeasible
+from polygonality.witness import Infeasible, make_cycle
 
-from conftest import make_plain, oracle_inductive, oracle_pair_count, vid, words_graph
+from conftest import (
+    fourvertex_base_case,
+    make_plain,
+    oracle_inductive,
+    oracle_pair_count,
+    vid,
+    words_graph,
+)
 
 
 # -- abstract digraph construction for the exhaustive corpus -------------------
@@ -507,10 +516,118 @@ def diskbusting_graph(text):
 @example("ab^40AB^40")
 @settings(max_examples=60, deadline=None)
 def test_theorem_one_end_to_end(text):
-    # a minimal, connected rank-2 word has a verified list with a long cycle
+    # a minimal, connected rank-2 word has a verified list with a long cycle,
+    # built by the combinatorial induction alone: no linear program, no
+    # perfect matching enumeration
     graph = diskbusting_graph(text)
-    good = pg.four_vertex_witness(graph)
+    with _lp_spies() as spies:
+        good = pg.four_vertex_witness(graph)
+    assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(spies, 0)
     assert pg.verify_witness(graph, good.cycles, require_long=True).ok
+
+
+@contextlib.contextmanager
+def _lp_spies():
+    """Spies on every way into the simplex kernel and the matching enumeration."""
+    targets = {
+        "pivot": (simplex._Tableau, "pivot"),
+        "find_feasible": (simplex, "find_feasible"),
+        "regular.find_feasible": (regular, "find_feasible"),
+        "maximize_homogeneous": (simplex, "maximize_homogeneous"),
+        "witness.maximize_homogeneous": (witness, "maximize_homogeneous"),
+        "enumerate_perfect_matchings": (regular, "enumerate_perfect_matchings"),
+    }
+    with contextlib.ExitStack() as stack:
+        yield {
+            name: stack.enter_context(
+                mock.patch.object(owner, attr, autospec=True, side_effect=getattr(owner, attr))
+            )
+            for name, (owner, attr) in targets.items()
+        }
+
+
+def _seeded_diskbusting_word(seed, length):
+    """The first minimal, connected rank-2 word of ``length`` letters drawn from ``seed``."""
+    rng = random.Random(seed)
+    while True:
+        text = rng.choice("abAB")
+        while len(text) < length:
+            text += rng.choice([x for x in "abAB" if x != text[-1].swapcase()])
+        if text[0] == text[-1].swapcase() or set(text.lower()) != {"a", "b"}:
+            continue
+        report = pg.analyze(words_graph(f"rank 2\n{text}\n"))
+        if report.minimal and report.connected:
+            return text
+
+
+def test_a_long_word_is_witnessed_and_verified(tmp_path):
+    # 192 letters: the base graph is 95-regular, and a coloring LP would have
+    # to list its perfect matchings and pivot over them
+    spec, out = tmp_path / "long.txt", tmp_path / "w.json"
+    spec.write_text(f"rank 2\n{_seeded_diskbusting_word(1, 192)}\n", encoding="utf-8")
+    with _lp_spies() as spies:
+        assert cli.main(["witness", str(spec), "--require-long", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["method"] == "fourvertex"
+    assert not any(spy.call_count for spy in spies.values())
+    checked = tmp_path / "v.json"
+    assert cli.main(["verify", str(spec), str(out), "--require-long", "--out", str(checked)]) == 0
+
+
+@given(
+    st.one_of(
+        st.integers(0, 400).map(random_fourvertex_instance),
+        rank2_words().map(diskbusting_graph),
+    )
+)
+@example(_figure7_graph())
+@settings(max_examples=60, deadline=None)
+def test_the_closed_form_coloring_agrees_with_the_lp(graph):
+    base = fourvertex_base_case(graph)
+    w = _min_degree_vertex(graph)
+    u, _ = fourvertex._other_pair(graph, w)
+    k = base.degree(w)
+    closed = fourvertex.base_witness(base, w, u)
+    # k perfect matchings, each once, covering every edge exactly once
+    entries = closed.coloring.entries
+    assert (closed.coloring.k, closed.coloring.ell, len(entries)) == (k, k, k)
+    assert all(n == 1 for _, n in entries)
+    for m, _ in entries:
+        assert sorted(i for eid in m for i in base.end_index[eid]) == [0, 1, 2, 3]
+    assert Counter(eid for m, _ in entries for eid in m) == dict.fromkeys(base.edges, 1)
+    # the linear program on the same graph is the oracle
+    lp = regular.regular_witness(base)
+    assert (closed.coloring.ell, closed.m1, closed.m2) == (lp.coloring.ell, lp.m1, lp.m2)
+    assert (closed.m1, closed.m2) == (k - 1, 1)
+    assert sorted((len(c), n) for c, n in closed.cycles.items()) == sorted(
+        (len(c), n) for c, n in lp.cycles.items()
+    )
+    # both are cycle lists of the base with m1 cycles through every edge and
+    # m2 through every adjacent pair of distinct edges
+    for rw in (closed, lp):
+        walked = {make_cycle(base, eids): n for eids, n in rw.cycles.items()}
+        for eid in base.edges:
+            assert sum(n for c, n in walked.items() if eid in c.edges) == rw.m1
+        for v in base.active_vertices():
+            for e, f in itertools.combinations(base.delta(v), 2):
+                assert oracle_pair_count(base, walked, v, e, f) == rw.m2
+    # and either one, built back up, verifies on the input graph
+    good = pg.four_vertex_witness(graph)
+    with mock.patch.object(fourvertex, "base_witness", lambda g, w, u: regular.regular_witness(g)):
+        via_lp = pg.four_vertex_witness(graph)
+    for built in (good, via_lp):
+        assert pg.verify_witness(graph, built.cycles, require_long=True).ok
+    assert (good.c1, good.c2) == (via_lp.c1, via_lp.c2)
+
+
+def test_the_base_coloring_rejects_unequal_sides():
+    # a-a^-1 twice and b-b^-1 once: the two sides of one K4 matching differ
+    a, ai, b, bi = vid(1, 1), vid(1, -1), vid(2, 1), vid(2, -1)
+    graph = make_plain(2, [(a, ai), (a, ai), (b, bi), (a, b), (ai, bi), (a, bi), (ai, b)])
+    assert (graph.degree(a), graph.degree(b)) == (4, 3)
+    with pytest.raises(PreconditionError, match="not regular"):
+        fourvertex.base_witness(graph, a, b)
+    with pytest.raises(PreconditionError, match="degree > 1"):
+        fourvertex.base_witness(make_plain(2, [(a, b), (ai, bi)]), a, b)
 
 
 def _peel_checking_every_level(graph):

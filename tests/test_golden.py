@@ -22,6 +22,8 @@ WORD_FILES = {
 }
 
 GEN_FILES = {
+    # four vertices with k=3: `auto` sends it to the four-vertex route, so the
+    # regular route is pinned on it with `--method regular`
     "regular-9.json": ("--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2"),
     # ten vertices with k=4: the median class of the regular-graph benchmark
     "regular-9-k4.json": ("--kind", "regular", "--seed", "9", "--k", "4", "--pairs", "5"),
@@ -38,20 +40,22 @@ GOLDEN = [
     (("witness", "example-6.1"), 2,
      "49317a2c8c5c1184d4a6e464571c9e60d8a8a163679572ad017f57195dc17341"),
     (("witness", "figure-7", "--require-long"), 0,
-     "93f06c8bd1ed3aa1a819b810a045f186d8eea8896fdfc580d8ecf9fe650b7e0d"),
+     "e41be52b3c769433fc9d970cae6bc82b9f7c63298f265f5dbc92fab2f2e17533"),
     (("surface", "commutator"), 0,
      "1345c7c993cd1798e9c667ab52b2ddf8c3e0a82b44fdbb33209230267e0c9f7a"),
     (("surface", "remark-2.4b"), 0,
      "65f3f29bac55df68589ac440383535c8cc88e7b8a3e7d66f5bafb55fa34371f2"),
     (("witness", "regular-9.json"), 0,
-     "7eca9045374dbb56e54d42f7b134e0745c6dbc5626e4a2aa78d56541b066bc38"),
+     "2314180c38254ee9001b23d43d6541b214d6dd729945918769dabb2be6b4b917"),
+    (("witness", "regular-9.json", "--method", "regular"), 0,
+     "e4b5d6ccf3739996382f7113b857adb718ce8e858a9ae7537af2831ad662842f"),
     (("witness", "regular-9-k4.json"), 0,
      "b8a891ac2d934feb1994408389770abe99b765539882c66f9bb3386c55967be6"),
     # the odd-cut bound fails, so the regular construction exits 1 and writes nothing
     (("witness", "triangles.txt", "--method", "regular"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("witness", "fourvertex-3.json"), 0,
-     "8cf844ecce88a73468fca9c1a1322dd9c701adc223a3e815d0ec3a9a650fb9c3"),
+     "e15e92d63a4533a0dfd7870318461037bfd69cedc48ef8241b52dbd4ceced1ea"),
     # surface needs word-list input: a graph JSON exits 1 and writes nothing
     (("surface", "fourvertex-3.json"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -61,9 +65,9 @@ GOLDEN = [
      "9df1ea167f80cf9701cbd2fb467fe0c290507561f999a521d72f1df3bda02c00"),
     # the construction's list divided by its gcd, 8 (see the test below)
     (("witness", "orbits.txt", "--require-long"), 0,
-     "36a2d6c2bc708fe2d8d4ccf6c53ed28046dd5286b7dfc46544eed3612a33ea25"),
+     "676e95d3a76571f86375939443bed4444efbf52e136fda22cc24f8e96061e0cc"),
     (("surface", "orbits.txt"), 0,
-     "a3856b8399cf6b6f6aafb9f0ad49dd4eee526ba687d2ad2f9e8b144a78c92b01"),
+     "9acfcff5b14aa1f3437c38e2471ff74617a95b9c01561e5dcfeb0c1b50800d9f"),
 ]
 
 
