@@ -4,19 +4,23 @@ Directly constructs a balanced cycle list (with a cycle of length at least
 three and constant per-edge usage) for a connected 4-vertex graph whose local
 edge connectivity between paired vertices meets the degree everywhere.
 
-Pipeline: pick a minimum-degree vertex ``w``; form the auxiliary digraph on
-the darts at ``w`` and at its pair; partition it into the eight good shapes;
-complete each part into a permutation digraph whose induced permutation of
-the edges at ``w`` is "good" (images under the connecting map stay disjoint)
-and "uniform" (a list of orbits of the induced pair permutation covers every
-edge at ``w`` the same number of times); then peel edges between the
-opposite vertex pair down to a regular graph, and build back up level by
-level, patching with bigons, triangles, and quadrilaterals built from the
-orbit pairs.  The regular graph at the bottom is edge-colored in closed form:
-each perfect matching of K4 on the four vertices has equally many edges on
-its two sides, and pairing them gives k perfect matchings, so this route
-solves no linear program.  Cycles are edge-id sets throughout; the verifier
-walks them.
+Pipeline: pick a minimum-degree vertex ``w``; form the auxiliary digraph,
+whose nodes are named by the edges at ``w``: ``('e', x)`` is the dart of x at
+``w`` and ``('f', x)`` its connecting-map image at the pair of ``w``.
+Partition the digraph into the eight good shapes and complete each part into
+a permutation digraph whose induced permutation pi of the edges at ``w`` is
+"good" (images under the connecting map stay disjoint) and "uniform" (a list
+of orbits of the induced pair permutation covers every edge at ``w`` the
+same number of times).  The completion hands over sigma_w after pi, edge to
+edge, and the orbit pairs weighted by how often the list holds them.  One
+function then peels edges between the opposite vertex pair down to a regular
+graph and writes the cycle list of every level in closed form: the bigons,
+triangles and quadrilaterals patched in from the orbit pairs, and the cycles
+of the regular graph at the bottom.  That graph is edge-colored in closed
+form: each perfect matching of K4 on the four vertices has equally many
+edges on its two sides, and pairing them gives k perfect matchings, so this
+route solves no linear program.  Cycles are edge-id sets throughout; the
+verifier walks them.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
 from .regular import FractionalColoring, RegularWitness, coloring_witness
-from .whitehead import Dart, Multigraph, VertexId, WhiteheadGraph
+from .whitehead import Multigraph, VertexId, WhiteheadGraph
 
-Node = tuple[str, int]  # ('e', i) or ('f', i)
+Node = tuple[str, int]  # ('e', x) or ('f', x), for an edge x at w
 
 
 class Component(NamedTuple):
@@ -56,58 +60,40 @@ class Component(NamedTuple):
 
 
 class AuxDigraph:
-    """Digraph on the darts at ``w`` (e-nodes) and at its pair (f-nodes).
+    """Digraph on the darts at ``w`` (e-nodes) and their images at its pair (f-nodes).
 
-    There is an arc from each f-node to the e-node of the same index, and an
-    arc from an e-node to an f-node when the two darts lie on one edge of the
-    graph.  Sources and sinks are colored by which vertex of the opposite
-    pair their edge touches.  Instances may also be built abstractly (no
-    backing graph) for exhaustive decomposition tests.
+    The node ``('e', x)`` is the dart of edge x at ``w``, and ``('f', x)`` its
+    connecting-map image, a dart of edge ``sigma_w[x]``.  There is an arc from
+    each f-node to the e-node of the same edge, and an arc from ``('e', x)`` to
+    ``('f', y)`` when x is ``sigma_w[y]``: the two darts lie on one edge.
+    Sources and sinks are colored by which vertex of the opposite pair their
+    edge touches.  ``succ`` maps each node to its successor, or None at a
+    sink.  Instances may also be built abstractly (no backing graph) for
+    exhaustive decomposition tests.
     """
 
     def __init__(
         self,
-        components: tuple[Component, ...],
+        succ: dict[Node, Node | None],
         colors: dict[Node, str | None],
         graph: Multigraph | None = None,
         u: VertexId | None = None,
-        e_darts: tuple[Dart, ...] = (),
-        f_darts: tuple[Dart, ...] = (),
+        sigma_w: dict[int, int] | None = None,
     ):
-        self.components = components
+        self.succ = succ
         self.colors = colors
         self.graph = graph
         self.u = u
-        self.e_darts = e_darts
-        self.f_darts = f_darts
-        self.succ: dict[Node, Node | None] = {}
-        for comp in components:
-            ns = comp.nodes
-            for i, n in enumerate(ns):
-                if i + 1 < len(ns):
-                    self.succ[n] = ns[i + 1]
-                elif comp.kind == "cycle":
-                    self.succ[n] = ns[0]
-                else:
-                    self.succ[n] = None
+        self.sigma_w = sigma_w or {}
+        self.components = _components_from_succ(succ)
         self._validate_structure()
 
     @property
     def nodes(self) -> list[Node]:
         return sorted(self.succ)
 
-    @property
-    def m(self) -> int:
-        return sum(1 for n in self.succ if n[0] == "e")
-
     def color_count(self, color: str) -> int:
         return sum(1 for n in self.succ if self.colors.get(n) == color)
-
-    def e_edge(self, i: int) -> int:
-        return self.e_darts[i].eid
-
-    def f_edge(self, i: int) -> int:
-        return self.f_darts[i].eid
 
     def _validate_structure(self):
         for comp in self.components:
@@ -164,25 +150,20 @@ def build_auxiliary_digraph(
         u, _ = _other_pair(graph, w)
     if u in (w, w.mu()):
         raise PreconditionError("u must avoid w and its pair")
-    e_darts = tuple(sorted(graph.darts_at(w)))
-    f_darts = tuple(graph.sigma[d] for d in e_darts)
-    m = len(e_darts)
-    if m < 2:
-        raise PreconditionError(f"minimum degree {m} < 2; no usable construction")
+    sigma_w = {x: graph.sigma_edge(w, x) for x in graph.delta(w)}
+    if len(sigma_w) < 2:
+        raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
+    preimage = {s: x for x, s in sigma_w.items()}
     succ: dict[Node, Node | None] = {}
-    f_index_of_edge = {d.eid: j for j, d in enumerate(f_darts)}
-    for i in range(m):
-        succ[("f", i)] = ("e", i)
-        eid = e_darts[i].eid
-        succ[("e", i)] = ("f", f_index_of_edge[eid]) if eid in f_index_of_edge else None
     colors: dict[Node, str | None] = {}
-    for i in range(m):
-        other = graph.edges[e_darts[i].eid].other(w)
-        colors[("e", i)] = "R" if other == u else ("B" if other == u.mu() else None)
-        other_f = graph.edges[f_darts[i].eid].other(w.mu())
-        colors[("f", i)] = "B" if other_f == u else ("R" if other_f == u.mu() else None)
-    components = _components_from_succ(succ)
-    aux = AuxDigraph(components, colors, graph, u, e_darts, f_darts)
+    for x, s in sigma_w.items():
+        succ[("f", x)] = ("e", x)
+        succ[("e", x)] = ("f", preimage[x]) if x in preimage else None
+        other = graph.edges[x].other(w)
+        colors[("e", x)] = "R" if other == u else ("B" if other == u.mu() else None)
+        other_f = graph.edges[s].other(w.mu())
+        colors[("f", x)] = "B" if other_f == u else ("R" if other_f == u.mu() else None)
+    aux = AuxDigraph(succ, colors, graph, u, sigma_w)
     if not aux.is_good():
         raise GraphError(
             "auxiliary digraph is not good; the edge-connectivity precondition fails"
@@ -381,11 +362,16 @@ def _pack_long_shapes(D: AuxDigraph, comps, shorts) -> list[GoodPart]:
 
 
 class Completion(NamedTuple):
-    """A completed digraph with its induced permutation and orbit list."""
+    """A completed digraph, handed over edge to edge.
+
+    ``sigma_after_pi[x]`` is sigma_w(pi(x)) for each edge x at ``w``; each
+    pair of edges at ``w`` in ``orbit_pairs`` is weighted by the number of
+    times the rescaled orbit list holds it, in first-listed order.
+    """
 
     aux: AuxDigraph
-    pi_nodes: dict[Node, Node]
-    orbit_list: tuple[tuple[frozenset[int], ...], ...]  # pairs of edge ids at w
+    sigma_after_pi: dict[int, int]
+    orbit_pairs: Counter[frozenset[int]]
     c: int
 
 
@@ -499,30 +485,26 @@ def uniform_permutation(D: AuxDigraph) -> Completion:
     """Complete the digraph so the induced permutation at ``w`` is good and uniform.
 
     Per-part completions are rescaled to a common coverage constant by least
-    common multiple.
+    common multiple: a part's orbits count ``c // c_part`` times.  The
+    successor of ``('e', x)`` in the completed digraph is ``('f', pi(x))``,
+    a dart of edge sigma_w(pi(x)).
     """
     if D.graph is None:
         raise PreconditionError("uniform completion needs a graph-backed digraph")
-    parts = decompose_good(D)
-    all_arcs: list[tuple[Node, Node]] = []
-    per_part = []
-    for part in parts:
-        arcs, orbits, c_part = part_completion(D, part)
-        all_arcs.extend(arcs)
-        per_part.append((orbits, c_part))
-    c = lcm(*(cp for _, cp in per_part)) if per_part else 1
-    orbit_nodes: list[tuple[frozenset[Node], ...]] = []
-    for orbits, c_part in per_part:
-        orbit_nodes.extend(orbits * (c // c_part))
     succ = dict(D.succ)
-    for src, dst in all_arcs:
-        succ[src] = dst
-    pi_nodes = {n: succ[succ[n]] for n in succ if n[0] == "e"}
-    orbit_edges = tuple(
-        tuple(frozenset(D.e_edge(n[1]) for n in pair) for pair in orbit)
-        for orbit in orbit_nodes
-    )
-    return Completion(D, pi_nodes, orbit_edges, c)
+    per_part = []
+    for part in decompose_good(D):
+        arcs, orbits, c_part = part_completion(D, part)
+        succ.update(arcs)
+        per_part.append((orbits, c_part))
+    c = lcm(*(c_part for _, c_part in per_part))
+    orbit_pairs: Counter[frozenset[int]] = Counter()
+    for orbits, c_part in per_part:
+        for orbit in orbits:
+            for pair in orbit:
+                orbit_pairs[frozenset(x for _, x in pair)] += c // c_part
+    sigma_after_pi = {x: D.sigma_w[succ[("e", x)][1]] for x in D.sigma_w}
+    return Completion(D, sigma_after_pi, orbit_pairs, c)
 
 
 # -- the inductive witness ----------------------------------------------------
@@ -598,31 +580,36 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
     return coloring_witness(g, FractionalColoring(k, len(matchings), tuple(matchings)))
 
 
-def _inductive(
-    g: Multigraph,
-    w: VertexId,
-    u: VertexId,
-    orbit_pairs: Counter,
-    sigma_after_pi: dict[int, int],
-    c: int,
-    levels: list[dict],
-) -> tuple[dict[frozenset[int], int], int, int]:
+def inductive_witness(
+    graph: WhiteheadGraph, w: VertexId, completion: Completion
+) -> GoodList:
+    """Run the edge peeling under a fixed uniform completion, in one pass.
+
+    Every level's cycles and constants are written in closed form, and
+    ``constants_per_level`` lists the levels top-down.  The graph itself must meet the level preconditions, as checked by
+    :func:`four_vertex_witness`; the peeled graphs then meet them too (see
+    :func:`_check_level_preconditions`).
+    """
+    D, c = completion.aux, completion.c
+    if D.graph is not graph:
+        raise PreconditionError("completion was built for a different graph")
+    u = D.u
     # level j (0 at the top) peels uu[j], until deg(u) = deg(w).  Only u-u'
     # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
     # the bigons of each level are read off the input graph, and only the
     # bottom, regular graph is built.
-    uu = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
-    a = g.degree(u) - len(uu)
-    top = g.degree(u) - g.degree(w)
-    rw = base_witness(g.remove_edges(uu[:top]), w, u)
+    uu = [eid for eid in graph.delta(u) if graph.edges[eid].other(u) == u.mu()]
+    a = graph.degree(u) - len(uu)
+    top = graph.degree(u) - graph.degree(w)
+    rw = base_witness(graph.remove_edges(uu[:top]), w, u)
     # each orbit pair's patch cycles at every level: the edges other than the
     # peeled one, and whether the cycle runs through the peeled edge
     patch: list[tuple[tuple[int, ...], bool, int]] = []
-    for pair, count in orbit_pairs.items():
+    for pair, count in completion.orbit_pairs.items():
         x, y = sorted(pair)
-        sx, sy = sigma_after_pi[x], sigma_after_pi[y]
-        x_at_pair = g.edges[x].other(w) == w.mu()
-        y_at_pair = g.edges[y].other(w) == w.mu()
+        sx, sy = completion.sigma_after_pi[x], completion.sigma_after_pi[y]
+        x_at_pair = graph.edges[x].other(w) == w.mu()
+        y_at_pair = graph.edges[y].other(w) == w.mu()
         if x_at_pair and y_at_pair:
             if (sx, sy) != (x, y):
                 raise VerificationError("edges between the w pair must be fixed")
@@ -635,11 +622,17 @@ def _inductive(
             if sy != y:
                 raise VerificationError("edge between the w pair must be fixed")
             patch.append(((x, y, sx), True, count))
-    levels.append({"edges": len(g.edges) - top, "removed": None, "c1": rw.m1, "c2": rw.m2})
-    for j in reversed(range(top)):  # build back up, c2 gaining a factor c per level
-        c2 = rw.m2 * c ** (top - j)
-        c1 = c2 * (a + len(uu) - j - 1)
-        levels.append({"edges": len(g.edges) - j, "removed": uu[j], "c1": c1, "c2": c2})
+    # building back up, c2 gains a factor c per level
+    levels = [
+        {
+            "edges": len(graph.edges) - j,
+            "removed": uu[j],
+            "c1": rw.m2 * c ** (top - j) * (a + len(uu) - j - 1),
+            "c2": rw.m2 * c ** (top - j),
+        }
+        for j in range(top)
+    ]
+    levels.append({"edges": len(graph.edges) - top, "removed": None, "c1": rw.m1, "c2": rw.m2})
     # Each level scales the list below it by c, so a level's own cycles enter
     # the final list times c ** (number of levels above it), once.  The list
     # reads like the level-by-level one: each level's patch cycles, top level
@@ -654,38 +647,7 @@ def _inductive(
     for j in reversed(range(top)):
         for f in uu[j + 1 :]:
             final[frozenset((uu[j], f))] += rw.m2 * c**top
-    return dict(final), levels[-1]["c1"], levels[-1]["c2"]
-
-
-def inductive_witness(
-    graph: WhiteheadGraph, w: VertexId, completion: Completion
-) -> GoodList:
-    """Run the edge peeling under a fixed uniform completion.
-
-    The graph itself must meet the level preconditions, as checked by
-    :func:`four_vertex_witness`; the peeled graphs then meet them too (see
-    :func:`_check_level_preconditions`).
-    """
-    D = completion.aux
-    if D.graph is not graph:
-        raise PreconditionError("completion was built for a different graph")
-    sigma_after_pi = {
-        D.e_edge(i): D.f_edge(completion.pi_nodes[("e", i)][1]) for i in range(D.m)
-    }
-    # the orbit list repeats whole orbits, so count each pair once, in first-seen
-    # order; every level then builds the patch cycles of a pair only once
-    orbit_pairs = Counter(pair for orbit in completion.orbit_list for pair in orbit)
-    levels: list[dict] = []
-    cycles, c1, c2 = _inductive(
-        graph,
-        w,
-        D.u,
-        orbit_pairs,
-        sigma_after_pi,
-        completion.c,
-        levels,
-    )
-    return GoodList(cycles, c1, c2, tuple(reversed(levels)))
+    return GoodList(dict(final), levels[0]["c1"], levels[0]["c2"], tuple(levels))
 
 
 def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:

@@ -11,7 +11,15 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError
-from .whitehead import Dart, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
+from .whitehead import MAX_RANK, Dart, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
+from .words import MAX_WORD_LENGTH
+
+
+def _check_edges(edges: int) -> None:
+    """Refuse, before anything is built, more edges than the graph of a word
+    list may have: it has one edge per letter."""
+    if edges > MAX_WORD_LENGTH:
+        raise PreconditionError(f"{edges} edges is over the cap of {MAX_WORD_LENGTH}")
 
 
 def random_sigma(graph: Multigraph, rng: random.Random) -> dict[Dart, Dart]:
@@ -34,6 +42,9 @@ def random_regular_instance(
     """Random k-regular graph on ``2 * pairs`` vertices meeting the connectivity bar."""
     if k < 2 or pairs < 1:
         raise PreconditionError("need k >= 2 and at least one vertex pair")
+    if pairs > MAX_RANK:
+        raise PreconditionError(f"rank {pairs} is over the cap of {MAX_RANK}")
+    _check_edges(k * pairs)
     rng = random.Random(("regular", seed, k, pairs).__repr__())
     verts = [VertexId(g, s) for g in range(1, pairs + 1) for s in (1, -1)]
     for _ in range(max_attempts):
@@ -59,8 +70,11 @@ def random_fourvertex_instance(
 
     Degree pairing forces the multiplicity between the positive pair to equal
     the one between the negative pair, and the two mixed multiplicities to
-    match; the remaining freedom is sampled directly.
+    match; the remaining freedom is sampled directly.  The degrees of the
+    four vertices sum to at most ``4 * max_degree``, so there are at most
+    ``2 * max_degree`` edges.
     """
+    _check_edges(2 * max_degree)
     rng = random.Random(("fourvertex", seed, max_degree).__repr__())
     a, a_inv = VertexId(1, 1), VertexId(1, -1)
     b, b_inv = VertexId(2, 1), VertexId(2, -1)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import Dart, VertexId, WhiteheadGraph
 from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_to_json
-from .words import Letter, Word, WordList, match_power, shared_letter
+from .words import MAX_WORD_LENGTH, Letter, Word, WordList, match_power, shared_letter
 
 
 def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
@@ -193,12 +193,20 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     its copies, orients sides by the canonical compatible dart orders, pairs
     incoming with outgoing sides whose label pairs correspond under the
     connecting maps.  A pairing mismatch is a hard error: the verified
-    balance condition rules it out.
+    balance condition rules it out.  Every side is read once as a letter of a
+    boundary word, so a list with more sides in all than
+    :data:`~polygonality.words.MAX_WORD_LENGTH` is refused before any polygon
+    is built.
     """
     verdict = verify_witness(graph, witness)
     if not verdict.ok:
         raise PreconditionError(f"witness fails verification: {verdict.failures[:3]}")
     cycles = verdict.cycles
+    sides = sum(len(cycle.turns) * n for cycle, n in cycles.items())
+    if sides > MAX_WORD_LENGTH:
+        raise PreconditionError(
+            f"witness glues {sides} polygon sides, over the cap of {MAX_WORD_LENGTH}"
+        )
     rank = build_linear_orders(graph)
     polygons: list[tuple[Side, ...]] = []
     incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -583,6 +584,83 @@ def test_declared_rank_over_the_cap_is_an_error(tmp_path, capsys, kind):
     for rank in (MAX_RANK + 1, 10**12):
         assert run_cli("analyze", declared(rank)) == 1
         assert capsys.readouterr().err == f"error: rank {rank} is over the cap of {MAX_RANK}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--kind", "regular", "--k", "3", "--pairs", "400000"), "rank 400000 is over the cap of 1000"),
+        (("--kind", "regular", "--k", "1000001", "--pairs", "1"), "1000001 edges is over the cap of 1000000"),
+        (("--kind", "fourvertex", "--max-degree", "500001"), "1000002 edges is over the cap of 1000000"),
+    ],
+    ids=["rank", "regular edges", "fourvertex edges"],
+)
+def test_gen_refuses_an_instance_over_a_cap_before_it_builds_one(monkeypatch, capsys, argv, message):
+    from polygonality import generators
+
+    def built(*args, **kwargs):  # a late check fails here, before any large work
+        raise AssertionError("gen started to build an instance over a cap")
+
+    for name in ("VertexId", "EdgeRecord"):
+        monkeypatch.setattr(generators, name, built)
+    monkeypatch.setattr(random.Random, "shuffle", built)
+    assert run_cli("gen", *argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_caps_are_inclusive(monkeypatch, tmp_path, capsys):
+    from polygonality import generators
+
+    monkeypatch.setattr(generators, "MAX_RANK", 2)
+    monkeypatch.setattr(generators, "MAX_WORD_LENGTH", 8)
+    out = str(tmp_path / "g.json")
+    assert run_cli("gen", "--kind", "regular", "--k", "4", "--pairs", "2", "--out", out) == 0
+    assert run_cli("gen", "--kind", "fourvertex", "--max-degree", "4", "--out", out) == 0
+    for argv, message in (
+        (("--kind", "regular", "--k", "2", "--pairs", "3"), "rank 3 is over the cap of 2"),
+        (("--kind", "regular", "--k", "5", "--pairs", "2"), "10 edges is over the cap of 8"),
+        (("--kind", "fourvertex", "--max-degree", "5"), "10 edges is over the cap of 8"),
+    ):
+        assert run_cli("gen", *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _surface_of_commutator_times(tmp_path, times):
+    """Exit status of ``surface commutator`` over its witness with every
+    multiplicity multiplied by ``times``."""
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", "commutator", "--out", str(wit)) == 0
+    data = read_json(wit)
+    for cycle in data["cycles"]:
+        cycle["multiplicity"] *= times
+    for eid in data["per_edge_usage"]:
+        data["per_edge_usage"][eid] *= times
+    wit.write_text(json.dumps(data), encoding="utf-8")
+    return run_cli("surface", "commutator", "--witness", str(wit), "--out", str(tmp_path / "s.json"))
+
+
+def test_surface_refuses_a_witness_over_the_side_cap_before_it_builds_a_polygon(
+    tmp_path, capsys, monkeypatch
+):
+    from polygonality import surface
+
+    calls = Counter()
+    count_calls(monkeypatch, surface, "_build_polygon", calls)
+    # the commutator's list is one 4-cycle: 4 * 250,001 sides
+    assert _surface_of_commutator_times(tmp_path, 250_001) == 1
+    assert capsys.readouterr().err == (
+        "error: witness glues 1000004 polygon sides, over the cap of 1000000\n"
+    )
+    assert not calls
+
+
+def test_surface_side_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    from polygonality import surface
+
+    monkeypatch.setattr(surface, "MAX_WORD_LENGTH", 8)
+    assert _surface_of_commutator_times(tmp_path, 2) == 0
+    assert _surface_of_commutator_times(tmp_path, 3) == 1
+    assert capsys.readouterr().err == "error: witness glues 12 polygon sides, over the cap of 8\n"
 
 
 def _assert_witness_writes_what_was_built(graph, spec, method):

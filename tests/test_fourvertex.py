@@ -19,7 +19,6 @@ from polygonality.cli import _figure7_graph
 from polygonality.errors import PreconditionError, VerificationError
 from polygonality.fourvertex import (
     AuxDigraph,
-    Component,
     GoodPart,
     build_auxiliary_digraph,
     decompose_good,
@@ -45,7 +44,7 @@ from conftest import (
 
 def build_abstract(shapes):
     """shapes: list of ('path', n_nodes, start_color, end_color) or ('cycle', n_nodes)."""
-    comps = []
+    succ = {}
     colors = {}
     e_next = f_next = 0
     for shape in shapes:
@@ -61,7 +60,7 @@ def build_abstract(shapes):
                 colors[node] = None
             colors[nodes[0]] = start
             colors[nodes[-1]] = end
-            comps.append(Component("path", tuple(nodes)))
+            succ.update(zip(nodes, nodes[1:] + [None]))
         else:
             _, n = shape
             nodes = []
@@ -72,8 +71,8 @@ def build_abstract(shapes):
                 f_next += 1
             for node in nodes:
                 colors[node] = None
-            comps.append(Component("cycle", tuple(nodes)))
-    return AuxDigraph(tuple(comps), colors)
+            succ.update(zip(nodes, nodes[1:] + nodes[:1]))
+    return AuxDigraph(succ, colors)
 
 
 PATH_SHAPES = [
@@ -305,7 +304,7 @@ def test_decompose_never_emits_the_gap_shape():
 
 def test_aux_digraph_commutator(commutator):
     aux = build_auxiliary_digraph(commutator, vid(1, 1))
-    assert aux.m == 2
+    assert sorted(aux.sigma_w) == commutator.delta(vid(1, 1)) and len(aux.sigma_w) == 2
     kinds = sorted((c.kind, len(c.nodes)) for c in aux.components)
     assert kinds == [("path", 2), ("path", 2)]
     assert aux.color_count("R") == 2 and aux.color_count("B") == 2
@@ -326,7 +325,7 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
 def test_aux_digraph_figure_seven():
     graph = _figure7_graph()
     aux = build_auxiliary_digraph(graph, vid(1, 1))
-    assert aux.m == 7
+    assert len(aux.sigma_w) == 7
     shapes = sorted(
         (c.kind, len(c.nodes), _cls(aux, c) if c.kind == "path" else "")
         for c in aux.components
@@ -377,20 +376,44 @@ def test_uniform_permutation_is_good_and_uniform(seed):
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
     comp = uniform_permutation(aux)
-    assert sorted(comp.pi_nodes) == sorted(comp.pi_nodes.values())
-    for (_, i), (_, j) in comp.pi_nodes.items():
-        x, img = aux.e_edge(i), aux.f_edge(j)  # img is sigma_w(pi(x))
+    assert sorted(comp.sigma_after_pi) == graph.delta(w)
+    assert sorted(comp.sigma_after_pi.values()) == graph.delta(w.mu())
+    for x, img in comp.sigma_after_pi.items():  # img is sigma_w(pi(x))
         if w.mu() in graph.edges[x].ends:
             assert img == x  # an edge between the w pair is fixed
         elif img != x:
             assert not set(graph.edges[x].ends) & set(graph.edges[img].ends)
     coverage = Counter()
-    for orbit in comp.orbit_list:
-        for pair in orbit:
-            coverage.update(pair)
-            x, y = (graph.edges[eid] for eid in pair)
-            assert not set(x.ends) & set(y.ends) - {w, w.mu()}
+    for pair, count in comp.orbit_pairs.items():
+        for eid in pair:
+            coverage[eid] += count
+        x, y = (graph.edges[eid] for eid in pair)
+        assert not set(x.ends) & set(y.ends) - {w, w.mu()}
     assert coverage == dict.fromkeys(graph.delta(w), comp.c)
+
+
+@given(st.integers(0, 400).map(random_fourvertex_instance))
+@example(_figure7_graph())
+@settings(max_examples=40, deadline=None)
+def test_completion_hands_over_what_the_node_level_completion_induces(graph):
+    # the parent's way: complete the successor map with every part's arcs,
+    # take pi = succ o succ on the e-nodes, and list each part's orbits
+    # c // c_part times
+    w = _min_degree_vertex(graph)
+    aux = build_auxiliary_digraph(graph, w)
+    comp = uniform_permutation(aux)
+    succ = dict(aux.succ)
+    per_part = [part_completion(aux, part) for part in decompose_good(aux)]
+    for arcs, _, _ in per_part:
+        succ.update(arcs)
+    pi = {x: succ[succ[("e", x)]][1] for x in graph.delta(w)}
+    assert sorted(pi.values()) == sorted(pi)
+    assert comp.sigma_after_pi == {x: graph.sigma_edge(w, pi[x]) for x in graph.delta(w)}
+    c = math.lcm(*(c_part for _, _, c_part in per_part))
+    orbit_list = [o for _, orbits, c_part in per_part for o in orbits * (c // c_part)]
+    expected = Counter(frozenset(x for _, x in pair) for orbit in orbit_list for pair in orbit)
+    assert comp.c == c
+    assert list(comp.orbit_pairs.items()) == list(expected.items())
 
 
 # -- the inductive construction ------------------------------------------------
@@ -461,11 +484,14 @@ def test_peeling_does_not_deepen_the_stack():
 
 
 def _assert_inductive_matches_the_level_by_level_loop(graph):
-    with mock.patch.object(fourvertex, "_inductive", wraps=fourvertex._inductive) as spy:
+    with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
         good = pg.four_vertex_witness(graph)
-    (*args, _), _ = spy.call_args
+    (g, w, completion), _ = spy.call_args
     levels = []
-    cycles, c1, c2 = oracle_inductive(*args, levels)
+    cycles, c1, c2 = oracle_inductive(
+        g, w, completion.aux.u, completion.orbit_pairs, completion.sigma_after_pi, completion.c,
+        levels,
+    )
     assert list(good.cycles.items()) == list(cycles.items())  # insertion order too
     assert (good.c1, good.c2, good.constants_per_level) == (c1, c2, tuple(reversed(levels)))
     return good
@@ -718,7 +744,7 @@ def test_end_to_end_random(seed):
 )
 def test_four_vertex_witness_walks_no_cycle(graph, repeats, monkeypatch):
     # the construction hands over edge sets, and only the verifier walks them;
-    # uniform_permutation repeats whole orbits on figure 7 only
+    # uniform_permutation weights an orbit pair above one on figure 7 only
     walks = Counter()
     for name in ("make_cycle", "_cycle_from_walk"):
 
@@ -731,7 +757,6 @@ def test_four_vertex_witness_walks_no_cycle(graph, repeats, monkeypatch):
         good = pg.four_vertex_witness(graph)
     assert not walks
     (_, _, completion), _ = spy.call_args
-    pairs = [pair for orbit in completion.orbit_list for pair in orbit]
-    assert (len(set(pairs)) < len(pairs)) == repeats
+    assert (max(completion.orbit_pairs.values()) > 1) == repeats
     assert pg.verify_witness(graph, good.cycles).ok
     assert walks["make_cycle"] == walks["_cycle_from_walk"] == len(good.cycles)
