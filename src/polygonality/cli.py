@@ -2,7 +2,8 @@
 
 Inputs are word-list files (``rank <n>`` header, one word per line), graph
 JSON files, or built-in instance names.  Exit status: 0 on success or a found
-witness, 2 when a witness is refuted or a verification fails, 1 on errors.
+witness, 2 when a witness is refuted or a verification fails, 1 on errors,
+among them a witness file made for another graph, on which no check runs.
 """
 
 from __future__ import annotations

@@ -11,12 +11,17 @@ matchings are collected once, as edge sets, and counted with the product of
 the two multiplicities; copies of one matching contribute nothing.  The
 four-vertex construction feeds it a coloring read off its base graph.
 
-Here the coloring is found as an exact rational feasibility problem over the
-enumerated matchings.  By Edmonds' description of the perfect matching
-polytope that problem is feasible exactly when the odd-cut bound holds, so a
-coloring is itself the proof of the hypothesis.  The exhaustive odd-set check
-``is_k_graph`` runs only after the problem turns out infeasible, to name a
-violating set.
+Here the coloring is found by the package's one linear program, over the
+enumerated matchings: a nonzero, nonnegative weighting of them in the kernel
+of the balance rows ``cover_e - cover_e0``, one for each edge ``e`` other
+than the first edge ``e0``, where ``cover_e`` marks the matchings that
+contain ``e``.  Every edge is then covered by the same weight C, and since a
+perfect matching holds |V|/2 of the k|V|/2 edges, integer weights of total
+ell cover each edge ell/k times.  By Edmonds' description of the perfect
+matching polytope such a weighting exists exactly when the odd-cut bound
+holds, so a coloring is itself the proof of the hypothesis.  The exhaustive
+odd-set check ``is_k_graph`` runs only after the linear program finds no
+weighting, to name a violating set.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError
-from .simplex import find_feasible
+from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, VertexId
 
 
@@ -124,24 +129,24 @@ class FractionalColoring(NamedTuple):
 def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> FractionalColoring:
     """Perfect matchings with integer multiplicities covering each edge ell/k times.
 
-    For a k-regular graph, solves for rational weights with unit total mass
-    and per-edge coverage 1/k over the enumerated perfect matchings, then
-    clears denominators.  ``k`` is the degree, when the caller already has
-    it.  Raises GraphError when no such weights exist, which happens exactly
-    when some odd vertex set is left by fewer than k edges.
+    For a k-regular graph, finds nonzero rational weights on the enumerated
+    perfect matchings that cover every edge equally, then clears
+    denominators.  ``k`` is the degree, when the caller already has it.
+    Raises GraphError when no such weights exist, which happens exactly when
+    some odd vertex set is left by fewer than k edges.
     """
     if k is None:
         k = _regularity(graph)
     matchings = enumerate_perfect_matchings(graph)
-    # rows: total mass 1, then per edge (scaled by k): sum_{M ni e} k*y_M = 1
-    row_of = {eid: r for r, eid in enumerate(graph.edge_ids(), 1)}
-    rows = [[1] * len(matchings)] + [[0] * len(matchings) for _ in row_of]
+    # cover[e][M] = 1 when M contains e; one balance row per edge after the first
+    cover = {eid: [0] * len(matchings) for eid in graph.edge_ids()}
     for col, m in enumerate(matchings):
         for eid in m:
-            rows[row_of[eid]][col] = k
-    rhs = [1] * len(rows)
-    res = find_feasible(rows, rhs)
-    if res.status != "optimal":
+            cover[eid][col] = 1
+    first, *rest = cover.values()
+    rows = [[a - b for a, b in zip(row, first)] for row in rest]
+    res = maximize_homogeneous(rows, [1] * len(matchings))
+    if not res.objective:
         raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
     denom_lcm = lcm(*(int(val.denominator) for val in res.x))
     entries = []
@@ -219,9 +224,9 @@ def regular_witness(graph: Multigraph) -> RegularWitness:
 
     The coloring is solved first.  When it exists, every odd vertex set is
     left by at least k edges: every perfect matching crosses every odd cut,
-    and each edge carries weight 1/k.  Only an infeasible coloring runs
-    ``is_k_graph``, whose first violating odd set the ``PreconditionError``
-    names.
+    and each edge carries weight 1/k.  Only a coloring LP with optimum zero
+    runs ``is_k_graph``, whose first violating odd set the
+    ``PreconditionError`` names.
     """
     k = _regularity(graph)
     if k <= 1:

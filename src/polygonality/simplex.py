@@ -1,10 +1,9 @@
 """Exact simplex for small dense linear programs with integer data.
 
-Standard-form problems ``max c.x  s.t.  A x = b, x >= 0`` with integer
-``A``, ``b`` and ``c`` are solved with Bland's anti-cycling rule by
-integer-preserving pivoting (Edmonds 1967, Bareiss 1968).  The tableau rows,
-their right-hand sides and the objective row are Python ints, each row over
-its own positive denominator ``dens[i]``; ``d`` is the absolute determinant
+Linear programs with integer data are solved with Bland's anti-cycling rule
+by integer-preserving pivoting (Edmonds 1967, Bareiss 1968).  The tableau
+rows, their right-hand sides and the objective row are Python ints, each row
+over its own positive denominator ``dens[i]``; ``d`` is the absolute determinant
 of the current basis.  A pivot on ``p = T[r][col]`` first brings row ``r``
 up to ``d`` (``v * d // dens[r]``, exact) and negates it when ``p < 0``.  It
 then replaces only the rows ``i`` with ``f = T[i][col] != 0`` by
@@ -17,20 +16,15 @@ rational arithmetic would make, and no gcd is ever taken.  Rationals
 values.  Problem sizes here are tiny (dozens of rows, a few hundred
 columns), so a dense tableau is adequate.
 
-Two entry points cover the package's needs:
-
-* :func:`maximize_homogeneous` -- ``max c.x`` over ``A x = 0``, ``sum(x) <= 1``,
-  ``x >= 0``.  The zero vector is feasible, so a crash basis from Gauss-Jordan
-  elimination replaces phase one.  Optimal duals double as a refutation
-  certificate when the optimum is zero.
-* :func:`find_feasible` -- phase-one search for ``A x = b, x >= 0``.  The
-  artificial column of row ``i`` is never stored: it keeps only its basis
-  label ``n + i``, which breaks ratio-test ties as before.  Bland's rule would
-  enter an artificial only when no stored column improves, and while the
-  objective is negative that already proves the system infeasible.  The
-  solve stops at the first basis whose objective is zero; every later pivot,
-  and every pivot that would move a leftover artificial out of the basis,
-  has ratio zero and so cannot change ``x``.
+One entry point, :func:`maximize_homogeneous`, asks the package's one
+question: is there a nonzero, nonnegative ``x`` in the kernel of an integer
+matrix ``A`` with ``c.x > 0``?  It solves ``max c.x`` over ``A x = 0``,
+``sum(x) <= 1``, ``x >= 0``.  The zero vector is feasible, so a crash basis
+from Gauss-Jordan elimination replaces phase one.  Pivoting stops at the
+first basis whose objective is positive: its ``x`` answers the question, and
+any positive point serves the callers, who scale it to integers.  A run that
+ends with no improving column has optimum zero, and its optimal duals are a
+refutation certificate.
 """
 
 from __future__ import annotations
@@ -46,23 +40,10 @@ class SimplexError(Exception):
     pass
 
 
-class _LPFields(NamedTuple):
-    status: str  # "optimal" or "infeasible"
+class LPResult(NamedTuple):
     x: list
-    objective: object
-    duals: list  # one entry per original row
-
-
-class LPResult(_LPFields):
-    """A solve's status, ``x``, objective and duals; ``x`` and ``duals``
-    default to a new empty list each."""
-
-    __slots__ = ()
-
-    def __new__(cls, status: str, x: list | None = None, objective=ZERO, duals: list | None = None):
-        return super().__new__(
-            cls, status, [] if x is None else x, objective, [] if duals is None else duals
-        )
+    objective: object  # positive at the first positive basis, else the optimum 0
+    duals: list  # empty when the objective is positive
 
 
 def _eliminate(rows: list[list[int]], dens: list[int], r: int, col: int, d: int) -> int:
@@ -102,8 +83,7 @@ class _Tableau:
     ``rows[i]`` holds the ``n`` column entries of row ``i`` followed by its
     right-hand side; ``obj`` holds the reduced costs followed by minus the
     objective value, over ``obj_den`` (``d`` at the start).  ``d`` is the
-    absolute determinant of the current basis.  A basis label ``>= n`` names
-    a column that is not stored.
+    absolute determinant of the current basis.
     """
 
     def __init__(self, rows, dens, basis, obj, d):
@@ -115,10 +95,6 @@ class _Tableau:
         self.obj = obj
         self.obj_den = d
 
-    @property
-    def positive(self) -> bool:
-        return self.obj[-1] < 0
-
     def pivot(self, r, col):
         # the objective row takes part in every pivot
         self.rows.append(self.obj)
@@ -128,13 +104,11 @@ class _Tableau:
         self.obj_den = self.dens.pop()
         self.basis[r] = col
 
-    def run(self, stop_when_positive=False, stop_when_zero=False):
-        """Bland-rule pivoting until every stored reduced cost is <= 0, or
-        until the objective is positive or zero, as the flags ask."""
+    def run(self):
+        """Bland-rule pivoting until the objective is positive or every
+        stored reduced cost is <= 0."""
         n = self.n
-        while True:
-            if (stop_when_positive and self.positive) or (stop_when_zero and not self.obj[-1]):
-                return
+        while self.obj[-1] >= 0:  # the last entry is minus the objective
             col = next((j for j in range(n) if self.obj[j] > 0), None)
             if col is None:
                 return
@@ -191,14 +165,15 @@ def _integers(values) -> list[int]:
     return [index(v) for v in values]
 
 
-def maximize_homogeneous(A, c, stop_when_positive=False):
-    """``max c.x`` subject to ``A x = 0``, ``sum(x) <= 1``, ``x >= 0``.
+def maximize_homogeneous(A, c):
+    """``max c.x`` subject to ``A x = 0``, ``sum(x) <= 1``, ``x >= 0``, up to
+    the first positive objective.
 
-    ``A`` and ``c`` are integers.  Returns an :class:`LPResult` whose
-    ``duals`` has one multiplier per row of ``A`` plus a final multiplier
-    for the normalization row.  When ``stop_when_positive`` is set, pivoting
-    stops at the first basis with a positive objective (the duals are then
-    not meaningful).
+    ``A`` and ``c`` are integers.  Returns an :class:`LPResult`.  Pivoting
+    stops at the first basis with a positive objective, whose ``x`` is
+    returned with no duals.  Otherwise the optimum is zero, and ``duals``
+    has one multiplier per row of ``A`` plus a final multiplier for the
+    normalization row.
     """
     m, n = len(A), len(c)
     # extra slack column, then the right-hand side; the last row is sum(x) + s = 1
@@ -232,36 +207,19 @@ def maximize_homogeneous(A, c, stop_when_positive=False):
                 tab_dens[i] = d
             obj = [a - f * b for a, b in zip(obj, tab_rows[i])]
     tab = _Tableau(tab_rows, tab_dens, tab_basis, obj, d)
-    tab.run(stop_when_positive=stop_when_positive)
+    tab.run()
+    objective = tab.objective()
+    if objective > 0:
+        return LPResult(tab.solution(n), objective, [])
+    columns = {}
+    for bi in tab.basis:
+        col = [(A[kept[i]][bi] if bi < n else 0) for i in range(len(kept))]
+        col.append(1)
+        columns[bi] = col
+    y = _solve_duals(columns, cost, tab.basis, len(kept) + 1)
     duals = [ZERO] * (m + 1)
-    if not (stop_when_positive and tab.positive):
-        columns = {}
-        for bi in tab.basis:
-            col = [(A[kept[i]][bi] if bi < n else 0) for i in range(len(kept))]
-            col.append(1)
-            columns[bi] = col
-        y = _solve_duals(columns, cost, tab.basis, len(kept) + 1)
-        for i, orig in enumerate(kept):
-            duals[orig] = y[i]
-        duals[m] = y[len(kept)]
-    return LPResult("optimal", tab.solution(n), tab.objective(), duals)
+    for i, orig in enumerate(kept):
+        duals[orig] = y[i]
+    duals[m] = y[len(kept)]
+    return LPResult(tab.solution(n), objective, duals)
 
-
-def find_feasible(A, b):
-    """Phase-one simplex for integer ``A x = b, x >= 0``; returns LPResult.
-
-    ``status`` is "optimal" with a feasible ``x`` or "infeasible".
-    """
-    m, n = len(A), (len(A[0]) if A else 0)
-    rows = []
-    for i in range(m):
-        row = _integers(A[i]) + [index(b[i])]
-        rows.append([-v for v in row] if row[-1] < 0 else row)
-    # the artificial of row i is basic under the label n + i; at that basis the
-    # reduced costs of max -sum(artificials) are the column sums
-    obj = [sum(col) for col in zip(*rows)] if rows else [0]
-    tab = _Tableau(rows, [1] * m, [n + i for i in range(m)], obj, 1)
-    tab.run(stop_when_zero=True)
-    if tab.obj[-1]:  # no stored column improves a negative objective
-        return LPResult("infeasible")
-    return LPResult("optimal", tab.solution(n), ZERO, [])

@@ -339,7 +339,7 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     if not cycles:
         return Infeasible(require_long, (), "0")
     objective = [1 if (c.is_long or not require_long) else 0 for c in cycles]
-    res = maximize_homogeneous(rows, objective, stop_when_positive=True)
+    res = maximize_homogeneous(rows, objective)
     if res.objective > 0:
         denom_lcm = lcm(*(int(val.denominator) for val in res.x))
         witness: dict[frozenset[int], int] = {}

@@ -302,10 +302,9 @@ class FractionTableau:
         self._subtract_from_objective(r, col)
         self.basis[r] = col
 
-    def run(self, stop_when_positive=False):
-        while True:
-            if stop_when_positive and self.obj_val > 0:
-                return
+    def run(self):
+        """Bland's rule until the objective is positive or no column improves."""
+        while self.obj_val <= 0:
             col = next((j for j in range(self.n) if self.obj_row[j] > 0), None)
             if col is None:
                 return
@@ -333,9 +332,9 @@ def _fraction_gauss_jordan(rows, r, col):
             rows[i] = [a - f * b for a, b in zip(rows[i], row)]
 
 
-def oracle_maximize_homogeneous(A, c, stop_when_positive=False):
-    """Reference ``max c.x`` over ``A x = 0, sum(x) <= 1, x >= 0``:
-    (x, objective, duals or None)."""
+def oracle_maximize_homogeneous(A, c):
+    """Reference ``max c.x`` over ``A x = 0, sum(x) <= 1, x >= 0``, stopped at
+    the first positive objective: (x, objective, duals, empty when positive)."""
     m, n = len(A), len(c)
     rows = [[Fraction(v) for v in row] + [Fraction(0)] for row in A]
     rows.append([Fraction(1)] * (n + 1))  # normalization row with its slack
@@ -354,13 +353,13 @@ def oracle_maximize_homogeneous(A, c, stop_when_positive=False):
         basis_cols + [n],
         cost,
     )
-    tab.run(stop_when_positive=stop_when_positive)
+    tab.run()
     x = [Fraction(0)] * n
     for i, bi in enumerate(tab.basis):
         if bi < n:
             x[bi] = tab.rhs[i]
-    if stop_when_positive and tab.obj_val > 0:
-        return x, tab.obj_val, None
+    if tab.obj_val > 0:
+        return x, tab.obj_val, []
     # duals: solve y.B = c_B over the kept rows and the normalization row
     k = len(kept)
     mat = [
@@ -383,31 +382,6 @@ def oracle_maximize_homogeneous(A, c, stop_when_positive=False):
         duals[orig] = y[i]
     duals[m] = y[k]
     return x, tab.obj_val, duals
-
-
-def oracle_find_feasible(A, b):
-    """Reference phase one for ``A x = b, x >= 0``: a feasible x or None."""
-    m, n = len(A), (len(A[0]) if A else 0)
-    rows, rhs = [], []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        art = [Fraction(int(k == i)) for k in range(m)]
-        rows.append([Fraction(sign * v) for v in A[i]] + art)
-        rhs.append(Fraction(sign * b[i]))
-    tab = FractionTableau(rows, rhs, [n + i for i in range(m)], [0] * n + [-1] * m)
-    tab.run()
-    if tab.obj_val < 0:
-        return None
-    for i in range(m):
-        if tab.basis[i] >= n:
-            col = next((j for j in range(n) if tab.rows[i][j] != 0), None)
-            if col is not None:
-                tab.pivot(i, col)
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(tab.basis):
-        if bi < n:
-            x[bi] = tab.rhs[i]
-    return x
 
 
 def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):

@@ -125,6 +125,20 @@ def test_verify_rejects_mismatched_graph(tmp_path):
     assert run_cli("verify", "remark-2.4b", str(wit)) == 1  # hash mismatch is an error
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "remark-2.4b", "{}"], ["surface", "remark-2.4b", "--witness", "{}"]],
+    ids=["verify", "surface"],
+)
+def test_a_witness_for_another_graph_is_an_error_not_a_failed_check(tmp_path, capsys, argv):
+    # no balance check runs on the file, so the exit is 1 (error), not 2
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", "commutator", "--out", str(wit)) == 0
+    capsys.readouterr()
+    assert run_cli(*[str(wit) if a == "{}" else a for a in argv]) == 1
+    assert capsys.readouterr() == ("", "error: witness was produced for a different graph\n")
+
+
 def test_verify_flags_unbalanced_witness(tmp_path):
     import polygonality as pg
     from polygonality.cli import load_input
@@ -711,10 +725,9 @@ def test_auto_moves_on_when_a_precondition_fails(tmp_path):
 def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     # pivots and tableau entries (rows x columns) they touch, the unit of the
     # benchmark's work budget, per `witness` command; captured on the Fraction
-    # kernel, so any kernel must pivot on tableaux of the same shape.  Phase
-    # one (triangles) stores only the structural columns and stops at its
-    # first zero-objective basis, so its pins are the reference's pivots up
-    # to that basis, on the narrower tableau.  regular-9 has four vertices, so
+    # kernel, so any kernel must pivot on tableaux of the same shape.  The
+    # coloring (triangles) and the cycle LP (example-6.1) both stop at their
+    # first positive basis, or at a zero optimum.  regular-9 has four vertices, so
     # it takes the four-vertex route, which colors its base graph in closed
     # form and solves no linear program
     from polygonality import simplex
@@ -730,7 +743,7 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "pivot", counted)
     regular_graph = tmp_path / "regular-9.json"
     run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2", "--out", str(regular_graph))
-    triangles = tmp_path / "triangles.txt"  # rank 3 and 4-regular: a 13 x 12 coloring LP
+    triangles = tmp_path / "triangles.txt"  # rank 3 and 4-regular: an 11 x 12 coloring LP
     triangles.write_text("rank 3\naBcAbC\nabcACB\n", encoding="utf-8")
     seen = {}
     for name, spec in [
@@ -746,7 +759,7 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
         "example-6.1": (1, 416),
         "remark-2.4a": (0, 0),
         "regular-9": (0, 0),
-        "triangles": (8, 1248),
+        "triangles": (2, 182),
     }
     assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 416
 

@@ -557,9 +557,8 @@ def _lp_spies():
     """Spies on every way into the simplex kernel and the matching enumeration."""
     targets = {
         "pivot": (simplex._Tableau, "pivot"),
-        "find_feasible": (simplex, "find_feasible"),
-        "regular.find_feasible": (regular, "find_feasible"),
         "maximize_homogeneous": (simplex, "maximize_homogeneous"),
+        "regular.maximize_homogeneous": (regular, "maximize_homogeneous"),
         "witness.maximize_homogeneous": (witness, "maximize_homogeneous"),
         "enumerate_perfect_matchings": (regular, "enumerate_perfect_matchings"),
     }

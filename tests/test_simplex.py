@@ -9,14 +9,13 @@ from conftest import (
     FractionTableau,
     fourvertex_base_case,
     oracle_common_denominator_pivot,
-    oracle_find_feasible,
     oracle_maximize_homogeneous,
 )
 from hypothesis import example, given, settings, strategies as st
 
 from polygonality import regular, simplex
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
-from polygonality.simplex import QQ, ZERO, find_feasible, maximize_homogeneous
+from polygonality.simplex import QQ, ZERO, maximize_homogeneous
 
 
 def test_homogeneous_trivial_zero_optimum():
@@ -37,8 +36,10 @@ def test_homogeneous_positive_optimum():
 
 
 def test_homogeneous_early_exit_is_feasible():
-    res = maximize_homogeneous([[1, -1, 0]], [1, 1, 0], stop_when_positive=True)
-    assert res.objective > 0
+    # the first positive basis, x = (1/2, 1/2, 0) with objective 1, ends the
+    # solve, though moving all weight to x3 would reach 1 as well
+    res = maximize_homogeneous([[1, -1, 0]], [1, 1, 0])
+    assert res.objective > 0 and res.duals == []
     x = res.x
     assert x[0] - x[1] == 0 and sum(x) <= 1 and all(v >= 0 for v in x)
 
@@ -50,30 +51,34 @@ def test_homogeneous_redundant_rows():
     assert sum(res.x) == 1 and res.x[0] == res.x[1]
 
 
-def test_find_feasible_simple():
-    # x1 + x2 = 2, x1 - x2 = 0 -> x = (1, 1)
-    res = find_feasible([[1, 1], [1, -1]], [2, 0])
-    assert res.status == "optimal"
-    assert res.x == [1, 1]
-
-
-def test_find_feasible_negative_rhs_normalized():
-    res = find_feasible([[-1, -1]], [-3])
-    assert res.status == "optimal"
-    assert sum(res.x) == 3
-
-
-def test_find_feasible_infeasible():
-    # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-    res = find_feasible([[1, 1], [1, 1]], [1, 2])
-    assert res.status == "infeasible"
-
-
-def test_find_feasible_needs_nonnegativity():
-    # x1 - x2 = -1 with x >= 0 is feasible (x2 = 1); x1 alone would not be
-    res = find_feasible([[1, -1]], [-1])
-    assert res.status == "optimal"
-    assert res.x[1] - res.x[0] == 1
+@pytest.mark.parametrize(
+    "A, b, feasible",
+    [
+        ([[1, 1], [1, -1]], [2, 0], [1, 1]),
+        ([[-1, -1]], [-3], None),  # negative right-hand side
+        ([[1, -1]], [-1], None),  # feasible only through x2
+        ([[1, 1], [1, 1]], [1, 2], False),
+    ],
+    ids=["simple", "negative-rhs", "needs-nonnegativity", "infeasible"],
+)
+def test_feasibility_as_a_homogeneous_lp(A, b, feasible):
+    # A x = b has a solution x >= 0 exactly when [A | -b] has a nonnegative
+    # kernel vector (x, t) with t > 0, and then x / t solves it
+    rows = [row + [-rhs] for row, rhs in zip(A, b)]
+    c = [0] * len(A[0]) + [1]
+    res = maximize_homogeneous(rows, c)
+    if feasible is False:
+        assert res.objective == 0
+        y = res.duals
+        for j, cj in enumerate(c):
+            assert sum((y[i] * rows[i][j] for i in range(len(rows))), ZERO) + y[-1] >= cj
+        return
+    assert res.objective > 0
+    x = [v / res.x[-1] for v in res.x[:-1]]
+    assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+    assert all(v >= 0 for v in x)
+    if feasible is not None:
+        assert x == feasible
 
 
 def test_degenerate_pivots_terminate():
@@ -111,7 +116,6 @@ from fractions import Fraction
 import polygonality.simplex as mod
 assert mod.QQ is Fraction
 assert mod.maximize_homogeneous([[1, -1]], [1, 0]).objective == Fraction(1, 2)
-assert mod.find_feasible([[1, 1], [1, -1]], [2, 0]).x == [1, 1]
 """
     src = os.path.dirname(os.path.dirname(simplex.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -145,43 +149,6 @@ def recorded_pivots(*classes):
             cls.pivot = originals[cls]
 
 
-def reference_phase_one(A, b):
-    """The reference phase one's ``x`` (None when infeasible) and the pivots
-    ``(row, column, rows * columns)`` that phase one over the structural
-    columns alone must make.
-
-    The reference log is cut at its first zero-objective basis when the
-    system is feasible, and at its first artificial entering column when it
-    is not; the cells count the ``n`` structural columns only.
-    """
-    m, n = len(A), (len(A[0]) if A else 0)
-    log = []
-    pivot = FractionTableau.pivot
-
-    def recording(tab, r, col):
-        log.append((r, col, tab.obj_val))
-        return pivot(tab, r, col)
-
-    with mock.patch.object(FractionTableau, "pivot", recording):
-        x = oracle_find_feasible(A, b)
-    if x is not None:
-        cut = next((k for k, (_, _, value) in enumerate(log) if value == 0), len(log))
-    else:
-        cut = next((k for k, (_, col, _) in enumerate(log) if col >= n), len(log))
-    return x, [(r, col, m * n) for r, col, _ in log[:cut]]
-
-
-def assert_phase_one_matches_reference(A, b):
-    with recorded_pivots(simplex._Tableau) as logs:
-        res = find_feasible(A, b)
-    x, pivots = reference_phase_one(A, b)
-    assert res.status == ("infeasible" if x is None else "optimal")
-    if x is not None:
-        assert res.x == x
-    assert logs[simplex._Tableau] == pivots
-    return pivots
-
-
 entries = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3])
 
 
@@ -206,37 +173,18 @@ def homogeneous_lps(draw):
     return A, draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n))
 
 
-@st.composite
-def feasibility_systems(draw):
-    A, n = draw(integer_systems(max_rows=4, max_cols=6))
-    if draw(st.booleans()):  # feasible by construction
-        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        return A, [sum(a * v for a, v in zip(row, x0)) for row in A]
-    return A, draw(st.lists(st.integers(-3, 3), min_size=len(A), max_size=len(A)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(homogeneous_lps(), st.booleans())
-@example(([[1, -1], [2, -2], [-1, 1]], [1, 1]), False)  # redundant rows
-@example(([[1, 0, -1], [0, 0, 0]], [1, 1, 0]), True)  # zero row and zero column
-def test_maximize_homogeneous_matches_fraction_reference(lp, stop):
+@given(homogeneous_lps())
+@example(([[1, -1], [2, -2], [-1, 1]], [1, 1]))  # redundant rows
+@example(([[1, 0, -1], [0, 0, 0]], [1, 1, 0]))  # zero row and zero column
+@example(([[1, 1]], [1, 1]))  # zero optimum
+def test_maximize_homogeneous_matches_fraction_reference(lp):
     A, c = lp
     with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
-        res = maximize_homogeneous(A, c, stop_when_positive=stop)
-        x, objective, duals = oracle_maximize_homogeneous(A, c, stop_when_positive=stop)
-    assert res.status == "optimal"
-    assert (res.x, res.objective) == (x, objective)
-    if duals is not None:
-        assert res.duals == duals
+        res = maximize_homogeneous(A, c)
+        expected = oracle_maximize_homogeneous(A, c)
+    assert tuple(res) == expected
     assert logs[simplex._Tableau] == logs[FractionTableau]
-
-
-@settings(max_examples=300, deadline=None)
-@given(feasibility_systems())
-@example(([[1, 1], [1, 1]], [1, 2]))  # infeasible phase one
-@example(([[1, -1], [-1, 1], [2, -2]], [-1, 1, -2]))  # redundant rows, negative rhs
-def test_find_feasible_matches_fraction_reference(system):
-    assert_phase_one_matches_reference(*system)
 
 
 @st.composite
@@ -254,37 +202,24 @@ def sparse_systems(draw, max_rows=12, max_cols=24):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sparse_systems(), st.booleans())
-def test_maximize_homogeneous_matches_fraction_reference_on_sparse_systems(system, stop):
+@given(sparse_systems())
+def test_maximize_homogeneous_matches_fraction_reference_on_sparse_systems(system):
     A, n, rng = system
     c = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
     with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
-        res = maximize_homogeneous(A, c, stop_when_positive=stop)
-        x, objective, duals = oracle_maximize_homogeneous(A, c, stop_when_positive=stop)
-    assert (res.x, res.objective) == (x, objective)
-    if duals is not None:
-        assert res.duals == duals
+        res = maximize_homogeneous(A, c)
+        expected = oracle_maximize_homogeneous(A, c)
+    assert tuple(res) == expected
     assert logs[simplex._Tableau] == logs[FractionTableau]
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_systems(), st.booleans())
-def test_find_feasible_matches_fraction_reference_on_sparse_systems(system, feasible):
-    A, n, rng = system
-    if feasible:
-        x0 = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
-        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
-    else:
-        b = [rng.randint(-3, 3) for _ in A]
-    assert_phase_one_matches_reference(A, b)
-
-
-def _coloring_system(graph):
-    """The ``A x = b`` that the fractional edge coloring of ``graph`` solves."""
-    with mock.patch.object(regular, "find_feasible", wraps=find_feasible) as spy:
+def _coloring_lp(graph):
+    """The ``A`` and ``c`` of the one solve of the fractional edge coloring of ``graph``."""
+    with mock.patch.object(regular, "maximize_homogeneous", wraps=maximize_homogeneous) as spy:
         regular.fractional_edge_coloring(graph)
-    (A, b), _ = spy.call_args
-    return A, b
+    (A, c), kwargs = spy.call_args
+    assert spy.call_count == 1 and not kwargs
+    return A, c
 
 
 @pytest.mark.parametrize(
@@ -297,9 +232,14 @@ def _coloring_system(graph):
     ids=["k4p3", "k4p6", "fourvertex-base"],
 )
 def test_coloring_lp_matches_fraction_reference(graph):
-    A, b = _coloring_system(graph)
-    assert find_feasible(A, b).status == "optimal"
-    assert len(assert_phase_one_matches_reference(A, b)) > 1
+    # one balance row per edge after the first, over all-ones costs
+    A, c = _coloring_lp(graph)
+    assert len(A) == len(graph.edges) - 1 and c == [1] * len(c)
+    with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
+        res = maximize_homogeneous(A, c)
+        expected = oracle_maximize_homogeneous(A, c)
+    assert tuple(res) == expected and res.objective > 0
+    assert logs[simplex._Tableau] == logs[FractionTableau] and logs[FractionTableau]
 
 
 def test_pivot_leaves_rows_without_the_pivot_column_untouched():
@@ -329,7 +269,6 @@ def test_rows_over_d_match_the_common_denominator_kernel(system):
     # them at every pivot, and the lift is exact
     A, n, rng = system
     c = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
-    b = [rng.randint(-3, 3) for _ in A]
     pivot = simplex._Tableau.pivot
     reference = {}
 
@@ -347,4 +286,3 @@ def test_rows_over_d_match_the_common_denominator_kernel(system):
 
     with mock.patch.object(simplex._Tableau, "pivot", checked):
         maximize_homogeneous(A, c)
-        find_feasible(A, b)

@@ -168,9 +168,12 @@ def test_records():
     )
 
 
-def test_lp_result_defaults_are_fresh_lists():
-    a, b = LPResult("infeasible"), LPResult(status="infeasible")
-    assert a.x == [] and a.duals == [] and a.objective == ZERO
-    assert a.x is not b.x and a.duals is not b.duals and a.x is not a.duals
-    assert repr(a) == "LPResult(status='infeasible', x=[], objective=Fraction(0, 1), duals=[])"
-    assert LPResult("optimal", [1], 2, [3]) == LPResult("optimal", x=[1], objective=2, duals=[3])
+def test_lp_result_is_a_plain_record():
+    res = LPResult([ZERO], ZERO, [ZERO, ZERO])
+    assert repr(res) == (
+        "LPResult(x=[Fraction(0, 1)], objective=Fraction(0, 1), "
+        "duals=[Fraction(0, 1), Fraction(0, 1)])"
+    )
+    assert LPResult([1], 2, []) == LPResult(x=[1], objective=2, duals=[])
+    with pytest.raises(TypeError):
+        LPResult([1], 2)  # no field has a default
