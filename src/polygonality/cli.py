@@ -31,19 +31,15 @@ def _figure7_graph() -> WhiteheadGraph:
         (u, up), (u, up), (u, up),
     ]
     edges = [EdgeRecord(i, pair) for i, pair in enumerate(ends)]
-    plain = whitehead.Multigraph(2, edges)
-    sigma = {}
-    # the map at w, mirroring the published labeling e_i -> f_i
+    # the map at w mirrors the published labeling e_i -> f_i; the map at u
+    # sends its edges in id order to those at u^-1 in id order
     w_images = {0: 7, 1: 8, 2: 1, 3: 2, 4: 9, 5: 10, 6: 11}
-    for eid, img in w_images.items():
-        d = plain.edges[eid].dart_at(w)
-        sigma[d] = plain.edges[img].dart_at(wp)
-        sigma[sigma[d]] = d
-    u_darts = sorted(plain.darts_at(u))
-    up_darts = sorted(plain.darts_at(up))
-    for d, img in zip(u_darts, up_darts):
-        sigma[d] = img
-        sigma[img] = d
+    at_u, at_up = ([i for i, pair in enumerate(ends) if x in pair] for x in (u, up))
+    u_images = dict(zip(at_u, at_up))
+    sigma = {}
+    for v, images in ((w, w_images), (u, u_images)):
+        sigma[v.index] = images
+        sigma[v.index ^ 1] = {img: e for e, img in images.items()}
     return WhiteheadGraph(2, edges, sigma)
 
 

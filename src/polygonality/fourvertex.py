@@ -150,7 +150,7 @@ def build_auxiliary_digraph(
         u, _ = _other_pair(graph, w)
     if u in (w, w.mu()):
         raise PreconditionError("u must avoid w and its pair")
-    sigma_w = {x: graph.sigma_edge(w, x) for x in graph.delta(w)}
+    sigma_w = graph.sigma[w.index]
     if len(sigma_w) < 2:
         raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
     preimage = {s: x for x, s in sigma_w.items()}

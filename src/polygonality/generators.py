@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError
-from .whitehead import MAX_RANK, Dart, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
+from .whitehead import MAX_RANK, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
 from .words import MAX_WORD_LENGTH
 
 
@@ -22,17 +22,17 @@ def _check_edges(edges: int) -> None:
         raise PreconditionError(f"{edges} edges is over the cap of {MAX_WORD_LENGTH}")
 
 
-def random_sigma(graph: Multigraph, rng: random.Random) -> dict[Dart, Dart]:
-    sigma: dict[Dart, Dart] = {}
+def random_sigma(graph: Multigraph, rng: random.Random) -> dict[int, dict[int, int]]:
+    """Connecting-map tables by vertex index: each positive vertex's edges,
+    in id order, go to a shuffle of its pair's edges, and back."""
+    sigma: dict[int, dict[int, int]] = {}
     for v in graph.vertices():
         if v.sign < 0:
             continue
-        sources = sorted(graph.darts_at(v))
-        targets = sorted(graph.darts_at(v.mu()))
+        sources, targets = graph.delta(v), graph.delta(v.mu())
         rng.shuffle(targets)
-        for d, img in zip(sources, targets):
-            sigma[d] = img
-            sigma[img] = d
+        sigma[v.index] = dict(zip(sources, targets))
+        sigma[v.index ^ 1] = dict(zip(targets, sources))
     return sigma
 
 

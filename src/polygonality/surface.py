@@ -5,7 +5,8 @@ correspond to cycle vertices, polygon corners to cycle edges.  A side at
 vertex ``v`` carries the label ``(generator(v), {cycle edges at v})``, a
 transverse orientation (into the polygon exactly when ``v`` is a positive
 generator), and an internal orientation induced by connecting-map-compatible
-linear orders on darts.  Sides are glued in matching label classes; the
+linear orders on the edges at each vertex, read from the graph's per-vertex
+connecting-map tables.  Sides are glued in matching label classes; the
 balanced-pair condition guarantees the classes pair up perfectly.  The glued
 vertices are the orbits of one link walk around the corners, which also reads
 each vertex's boundary word; those words must be powers of the input words,
@@ -20,25 +21,23 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
-from .whitehead import Dart, VertexId, WhiteheadGraph
+from .whitehead import VertexId, WhiteheadGraph
 from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_to_json
 from .words import MAX_WORD_LENGTH, Letter, Word, WordList, match_power, shared_letter
 
 
-def build_linear_orders(graph: WhiteheadGraph) -> dict[Dart, int]:
-    """Rank the darts at every vertex, compatibly with the connecting maps.
+def build_linear_orders(graph: WhiteheadGraph) -> list[dict[int, int]]:
+    """Rank the edges at every vertex, compatibly with the connecting maps.
 
-    The rank of a dart equals the rank of its connecting-map image, which is
-    exactly the compatibility the side orientations need.  The free choice is
-    made canonically (edge id, then end) at the positive vertex of each pair.
+    ``rank[i][e]`` is the rank of edge ``e`` at the vertex of index ``i``; it
+    equals the rank of the edge's connecting-map image, which is exactly the
+    compatibility the side orientations need.  The free choice is made
+    canonically, in edge-id order, at the positive vertex of each pair.
     """
-    rank: dict[Dart, int] = {}
-    for v in graph.vertices():
-        if v.sign < 0:
-            continue
-        for i, d in enumerate(sorted(graph.darts_at(v))):
-            rank[d] = i
-            rank[graph.sigma[d]] = i
+    rank: list[dict[int, int]] = []
+    for table in graph.sigma[0::2]:  # even indices are the positive generators
+        rank.append({e: r for r, e in enumerate(table)})
+        rank.append({img: r for r, img in enumerate(table.values())})
     return rank
 
 
@@ -162,16 +161,13 @@ def _build_polygon(
     one, so glued sides share a key.
     """
     # every side shares the graph's one VertexId object of its vertex
-    verts, ends = graph.vertices(), graph.end_index
+    verts, sigma = graph.vertices(), graph.sigma
     eids = cycle.edge_seq
     n = len(eids)
     sides, labels = [], []
     for t, (i, e, f) in enumerate(cycle.turns):
-        e_prev, e_next = eids[t - 1], eids[t]
-        d_prev = Dart(e_prev, 0 if ends[e_prev][0] == i else 1)
-        d_next = Dart(e_next, 0 if ends[e_next][0] == i else 1)
         corner_prev, corner_next = (t - 1) % n, t
-        if rank[d_prev] < rank[d_next]:
+        if rank[i][eids[t - 1]] < rank[i][eids[t]]:
             tail, head = corner_next, corner_prev
         else:
             tail, head = corner_prev, corner_next
@@ -179,7 +175,7 @@ def _build_polygon(
         v, incoming = verts[i], i % 2 == 0
         sides.append(Side(v, frozenset((e, f)), incoming, tail, head))
         if incoming:
-            e, f = graph.sigma_edge(v, e), graph.sigma_edge(v, f)
+            e, f = sigma[i][e], sigma[i][f]
         labels.append((v.gen, e, f) if e < f else (v.gen, f, e))
     return tuple(sides), labels
 
@@ -190,7 +186,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     ``witness`` maps edge-id sets to multiplicities, as :func:`verify_witness`
     reads it.  The polygons are the verifier's own walks of its cycles, so
     each cycle is walked once.  Builds each cycle's sides once, shared by
-    its copies, orients sides by the canonical compatible dart orders, pairs
+    its copies, orients sides by the canonical compatible edge orders, pairs
     incoming with outgoing sides whose label pairs correspond under the
     connecting maps.  A pairing mismatch is a hard error: the verified
     balance condition rules it out.  Every side is read once as a letter of a

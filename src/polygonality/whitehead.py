@@ -1,16 +1,17 @@
-"""Whitehead graphs with dart-level connecting maps.
+"""Whitehead graphs with per-vertex connecting maps.
 
 The graph of a word list has one vertex per generator and per inverse
 generator, and one edge per length-2 cyclic subword ``xy``, joining ``x`` to
-``y^-1``.  Each edge carries two darts (edge-ends); the connecting map is
-stored as a global involution on darts that sends the darts at a vertex ``v``
-to the darts at ``mu(v)``, where ``mu`` swaps a generator with its inverse.
-Position succession in the source words defines the involution: the dart of
-the edge for positions ``(i, i+1)`` at ``x_{i+1}^-1`` is matched with the
-dart of the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
+``y^-1``.  The graph is loopless, so a vertex and an edge at it name one
+edge-end.  The connecting map at a vertex ``v`` sends the edges at ``v`` to
+the edges at ``mu(v)``, where ``mu`` swaps a generator with its inverse; it
+is stored as one edge table per vertex, and the tables of ``v`` and
+``mu(v)`` are inverse to each other.  Position succession in the source
+words defines the maps: at ``x_{i+1}^-1`` the edge for positions
+``(i, i+1)`` is sent to the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
 
 Graphs may also be built standalone (no words) from explicit edge and
-connecting-map data; the constructor validates the involution law.
+connecting-map data; the constructor validates the tables.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 import re
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphError, PreconditionError
 from .frozen import Frozen
@@ -84,13 +85,6 @@ def vertex_of_letter(x: Letter) -> VertexId:
     return VertexId(x.gen, x.sign)
 
 
-class Dart(NamedTuple):
-    """One end of an edge: ``end`` indexes into the edge's endpoint pair."""
-
-    eid: int
-    end: int
-
-
 class EdgeRecord(Frozen):
     """An edge: its id, its two ends and, in a word list's graph, its
     ``(word index, position)``."""
@@ -119,13 +113,6 @@ class EdgeRecord(Frozen):
             return self.ends[1]
         if self.ends[1] == v:
             return self.ends[0]
-        raise GraphError(f"edge {self.eid} is not incident with {v}")
-
-    def dart_at(self, v: VertexId) -> Dart:
-        if self.ends[0] == v:
-            return Dart(self.eid, 0)
-        if self.ends[1] == v:
-            return Dart(self.eid, 1)
         raise GraphError(f"edge {self.eid} is not incident with {v}")
 
     @property
@@ -189,12 +176,6 @@ class Multigraph:
 
     def degree(self, v: VertexId) -> int:
         return len(self._delta[v.index])
-
-    def darts_at(self, v: VertexId) -> list[Dart]:
-        return [self.edges[eid].dart_at(v) for eid in self._delta[v.index]]
-
-    def dart_vertex(self, d: Dart) -> VertexId:
-        return self.edges[d.eid].ends[d.end]
 
     def active_vertices(self) -> list[VertexId]:
         return [v for v in self._vertices if self._delta[v.index]]
@@ -260,50 +241,50 @@ class Multigraph:
 
 
 class WhiteheadGraph(Multigraph):
-    """Multigraph plus the connecting maps, stored as a dart involution.
+    """Multigraph plus the connecting maps, one edge table per vertex.
 
-    ``sigma[d]`` is a dart at ``mu(vertex(d))``; applying ``sigma`` twice is
-    the identity, which is exactly the inverse-pair law for the per-vertex
-    connecting maps.
+    ``sigma[i][e]`` is the image, at the paired vertex of index ``i ^ 1``, of
+    the edge ``e`` at the vertex of index ``i``.  Each table lists its
+    vertex's edges in id order, and the tables of a vertex and its pair are
+    inverse to each other, which is the inverse-pair law.
     """
 
-    def __init__(self, rank, edges, sigma: dict[Dart, Dart]):
+    def __init__(self, rank, edges, sigma: Mapping[int, Mapping[int, int]]):
+        """``sigma`` maps a vertex index to its table; a vertex with no edges may be left out."""
         super().__init__(rank, edges)
-        self._attach_sigma(sigma)
-
-    def _attach_sigma(self, sigma: dict[Dart, Dart]):
-        """The part of the constructor that follows the multigraph's."""
-        self.sigma = dict(sigma)
-        self._validate_sigma()
-
-    def _validate_sigma(self):
-        all_darts = {Dart(eid, end) for eid in self.edges for end in (0, 1)}
-        if set(self.sigma) != all_darts:
-            missing = all_darts - set(self.sigma)
-            extra = set(self.sigma) - all_darts
-            raise GraphError(f"connecting map not total: missing={missing} extra={extra}")
-        ends = self.end_index
-        for d, img in self.sigma.items():
-            # the paired vertex mu(v) of the vertex with index i has index i ^ 1
-            if ends[img.eid][img.end] != ends[d.eid][d.end] ^ 1:
-                raise GraphError(f"sigma({d}) = {img} does not land at the paired vertex")
-            if self.sigma[img] != d:
-                raise GraphError(f"inverse-pair law broken at dart {d}")
-
-    def sigma_edge(self, v: VertexId, eid: int) -> int:
-        """Edge-level connecting map at ``v``: image of edge ``eid`` in delta(mu(v))."""
-        i, ends = v.index, self.end_index[eid]
-        if i not in ends:
-            raise GraphError(f"edge {eid} is not incident with {v}")
-        return self.sigma[Dart(eid, 0 if ends[0] == i else 1)].eid
+        # faults name a dart as graph JSON does, "<edge id>@<vertex name>"
+        verts = self._vertices
+        beyond = sorted(i for i in sigma if not 0 <= i < len(verts))
+        if beyond:
+            raise GraphError(f"connecting map has tables at indices {beyond}, beyond rank {rank}")
+        self.sigma: list[dict[int, int]] = []
+        for i, eids in enumerate(self._delta):
+            table = sigma.get(i, {})
+            if table.keys() != set(eids):
+                missing = [f"{e}@{verts[i]}" for e in sorted(set(eids) - table.keys())]
+                extra = [f"{e}@{verts[i]}" for e in sorted(table.keys() - set(eids))]
+                raise GraphError(
+                    f"connecting map at {verts[i]} not total: missing={missing} extra={extra}"
+                )
+            self.sigma.append({e: table[e] for e in eids})
+        for i, table in enumerate(self.sigma):
+            paired = self.sigma[i ^ 1]  # the paired vertex mu(v) of index i has index i ^ 1
+            for e, img in table.items():
+                if img not in paired:
+                    raise GraphError(
+                        f"sigma('{e}@{verts[i]}') = edge {img}, which is not at the paired "
+                        f"vertex {verts[i ^ 1]}"
+                    )
+                if paired[img] != e:
+                    raise GraphError(f"inverse-pair law broken at dart '{e}@{verts[i]}'")
 
 
 def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
     """Construct the graph of a word list, edges tagged with (word, position).
 
-    The edge of subword ``x_i x_{i+1}`` joins ``x_i`` (end 0) and
-    ``x_{i+1}^-1`` (end 1); its end-1 dart is matched with the end-0 dart of
-    the successor edge at position ``i+1``.
+    The edge of subword ``x_i x_{i+1}`` joins ``x_i`` and ``x_{i+1}^-1``; at
+    ``x_{i+1}^-1`` it is sent to the successor edge at position ``i+1``,
+    which starts at ``x_{i+1}``.
     """
     edges: list[EdgeRecord] = []
     eid_of: dict[tuple[int, int], int] = {}
@@ -314,14 +295,14 @@ def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
             edges.append(
                 EdgeRecord(eid, (vertex_of_letter(x), VertexId(y.gen, -y.sign)), (w.index, i))
             )
-    sigma: dict[Dart, Dart] = {}
+    sigma: dict[int, dict[int, int]] = {}
     for w in word_list.words:
         l = len(w)
         for i in range(l):
-            right = Dart(eid_of[(w.index, i)], 1)
-            left = Dart(eid_of[(w.index, (i + 1) % l)], 0)
-            sigma[right] = left
-            sigma[left] = right
+            right, left = eid_of[(w.index, i)], eid_of[(w.index, (i + 1) % l)]
+            at = edges[right].ends[1].index  # x_{i+1}^-1; the left edge starts at its pair
+            sigma.setdefault(at, {})[right] = left
+            sigma.setdefault(at ^ 1, {})[left] = right
     return WhiteheadGraph(word_list.rank, edges, sigma)
 
 
@@ -370,12 +351,11 @@ def analyze(graph: Multigraph) -> AnalysisReport:
 # -- serialization ----------------------------------------------------------
 
 
-def _dart_name(graph: Multigraph, d: Dart) -> str:
-    return f"{d.eid}@{graph.dart_vertex(d).name}"
-
-
-def _dart_from_name(graph: Multigraph, darts: dict[str, Dart], s: str) -> Dart:
-    """The dart named ``s`` in ``darts``, the table of the graph's canonical dart names."""
+def _dart_from_name(
+    darts: dict[str, tuple[int, int]], edges: list[EdgeRecord], s
+) -> tuple[int, int]:
+    """The ``(vertex index, edge id)`` of the dart named ``s`` in ``darts``,
+    the table of the canonical dart names of ``edges``."""
     d = darts.get(s) if isinstance(s, str) else None
     if d is not None:
         return d
@@ -384,28 +364,25 @@ def _dart_from_name(graph: Multigraph, darts: dict[str, Dart], s: str) -> Dart:
     if m is None:
         raise GraphError(f"bad dart name {s!r}")
     eid, v = _name_number(m.group(1), s), vertex_from_name(m.group(2))
-    if eid not in graph.edges:
+    if all(e.eid != eid for e in edges):
         raise GraphError(f"dart {s!r} references unknown edge {eid}")
-    return graph.edges[eid].dart_at(v)  # raises: the edge is not at v
+    raise GraphError(f"edge {eid} is not incident with {v}")
 
 
 def graph_to_json(graph: WhiteheadGraph) -> dict:
     """The graph as JSON: its rank, its edges by id, and at each vertex with
     edges the connecting map on dart names ``"<edge id>@<vertex name>"``.
 
-    Read from the index tables: vertex ``i``'s darts are its edges in id
-    order, and dart ``(eid, end)`` is at vertex ``end_index[eid][end]``.
+    Read from the index tables: vertex ``i``'s table lists its edges in id
+    order, and their images are at vertex ``i ^ 1``.
     """
     names = [v.name for v in graph.vertices()]
-    ends, sigma = graph.end_index, graph.sigma
+    ends = graph.end_index
     tables: dict[str, dict[str, str]] = {}
-    for i, eids in enumerate(graph._delta):
-        if not eids:
-            continue
-        table = tables[names[i]] = {}
-        for eid in eids:
-            img = sigma[Dart(eid, 0 if ends[eid][0] == i else 1)]
-            table[f"{eid}@{names[i]}"] = f"{img.eid}@{names[ends[img.eid][img.end]]}"
+    for i, table in enumerate(graph.sigma):
+        if table:
+            at, paired = names[i], names[i ^ 1]
+            tables[at] = {f"{e}@{at}": f"{img}@{paired}" for e, img in table.items()}
     return {
         "rank": graph.rank,
         "edges": [
@@ -434,12 +411,12 @@ def json_object(value, keys: set[str], what: str) -> dict:
 def graph_from_json(data: dict) -> WhiteheadGraph:
     """The graph of ``graph_to_json``'s schema, read strictly.
 
-    Unknown or missing keys, non-canonical vertex and dart names and a dart
-    listed under a vertex it is not at are errors.  Names are canonical and
-    the keys of one table distinct, so a dart listed twice is always also
-    listed under a vertex it is not at.  Dart names are looked up in a table
-    of the graph's own canonical names, and each distinct vertex name is
-    parsed once.
+    Unknown or missing keys, non-canonical vertex and dart names, an empty
+    table, a dart listed under a vertex it is not at and an image not at the
+    paired vertex are errors.  Names are canonical and the keys of one table
+    distinct, so a dart listed twice is always also listed under a vertex it
+    is not at.  Each name is looked up in a table of the edge list's own
+    canonical names, and each distinct vertex name is parsed once.
     """
     json_object(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
@@ -454,34 +431,34 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
         return v
 
     edges = []
+    darts: dict[str, tuple[int, int]] = {}
     for e in data["edges"]:
         json_object(e, {"id", "u", "v"}, "an edge")
-        ends = (vertex(e["u"]), vertex(e["v"]))
-        edges.append(EdgeRecord(json_int(e["id"], "edge id"), ends))
-    # the multigraph part is built first, to read sigma against, and once:
-    # the connecting map is attached to it as WhiteheadGraph.__init__ does
-    graph = WhiteheadGraph.__new__(WhiteheadGraph)
-    Multigraph.__init__(graph, rank, edges)
-    # a canonical name has no sign, so a negative id's darts are left out
-    # and their names fall through to ``bad dart name``
-    darts = {
-        _dart_name(graph, d): d
-        for eid in graph.edges
-        if eid >= 0
-        for d in (Dart(eid, 0), Dart(eid, 1))
-    }
-    sigma: dict[Dart, Dart] = {}
+        edge = EdgeRecord(json_int(e["id"], "edge id"), (vertex(e["u"]), vertex(e["v"])))
+        edges.append(edge)
+        # a canonical name has no sign, so a negative id's darts are left out
+        # and their names fall through to ``bad dart name``
+        if edge.eid >= 0:
+            for v in edge.ends:
+                darts[f"{edge.eid}@{v.name}"] = (v.index, edge.eid)
+    sigma: dict[int, dict[int, int]] = {}
     for name, table in sorted(data["sigma"].items()):
-        at = vertex(name).index
+        v = vertex(name)
         if not isinstance(table, dict):
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
+        if not table:
+            raise GraphError(f"malformed graph JSON: sigma table of {name} is empty")
+        images = sigma[v.index] = {}
         for src, dst in table.items():
-            d = _dart_from_name(graph, darts, src)
-            if graph.end_index[d.eid][d.end] != at:
+            i, e = _dart_from_name(darts, edges, src)
+            if i != v.index:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
-            sigma[d] = _dart_from_name(graph, darts, dst)
-    graph._attach_sigma(sigma)
-    return graph
+            j, images[e] = _dart_from_name(darts, edges, dst)
+            if j != v.index ^ 1:
+                raise GraphError(
+                    f"sigma({src!r}) = {dst!r} does not land at the paired vertex {v.mu()}"
+                )
+    return WhiteheadGraph(rank, edges, sigma)
 
 
 def graph_hash(graph: WhiteheadGraph) -> str:

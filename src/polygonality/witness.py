@@ -243,8 +243,7 @@ def _balance_pairs(graph: WhiteheadGraph):
     """
     for v in graph.active_vertices():  # in index order, which is vertex order
         i = v.index  # the paired vertex mu(v) has index i ^ 1
-        delta = graph.delta(v)
-        sigma = {e: graph.sigma_edge(v, e) for e in delta}
+        delta, sigma = graph.delta(v), graph.sigma[i]
         for a, e in enumerate(delta):
             for f in delta[a + 1 :]:
                 g, h = sigma[e], sigma[f]

@@ -124,15 +124,16 @@ def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
 
 
 def oracle_graph_to_json(graph: pg.WhiteheadGraph) -> dict:
-    """Graph JSON walked over vertex objects: each vertex's darts, each dart's
-    vertex and its connecting-map image, named through ``EdgeRecord.ends``."""
-
-    def name(d) -> str:
-        return f"{d.eid}@{graph.dart_vertex(d).name}"
-
+    """Graph JSON walked over vertex objects: each vertex's edges found
+    through ``EdgeRecord.ends``, each named at that vertex and its
+    connecting-map image named at the paired vertex ``mu(v)``."""
     sigma: dict[str, dict[str, str]] = {}
     for v in graph.vertices():
-        m = {name(d): name(graph.sigma[d]) for d in graph.darts_at(v)}
+        m = {
+            f"{eid}@{v.name}": f"{graph.sigma[v.index][eid]}@{v.mu().name}"
+            for eid, e in sorted(graph.edges.items())
+            if v in e.ends
+        }
         if m:
             sigma[v.name] = m
     return {
@@ -213,8 +214,8 @@ def oracle_balanced(graph: pg.WhiteheadGraph, cycles: dict) -> bool:
     for v in graph.active_vertices():
         delta = graph.delta(v)
         for e, f in itertools.combinations(delta, 2):
-            img_e = graph.sigma_edge(v, e)
-            img_f = graph.sigma_edge(v, f)
+            img_e = graph.sigma[v.index][e]
+            img_f = graph.sigma[v.index][f]
             if oracle_pair_count(graph, cycles, v, e, f) != oracle_pair_count(
                 graph, cycles, v.mu(), img_e, img_f
             ):

@@ -11,7 +11,6 @@ import time
 import polygonality as pg
 from polygonality.fourvertex import decompose_good, part_completion
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
-from polygonality.whitehead import Dart
 from polygonality.witness import Infeasible
 
 from conftest import words_graph
@@ -162,15 +161,14 @@ def test_criterion_7_commutator_certificate():
 
 def test_criterion_8_invariant_suites():
     failures = 0
-    # (i) the involution law on darts, over both corpora
+    # (i) the inverse-pair law of the connecting-map tables, over both corpora
     corpora = [g for _, g in _fourvertex_corpus(30)] + [
         g for _, g in _regular_corpus(30)
     ]
     for graph in corpora:
-        for eid in graph.edges:
-            for end in (0, 1):
-                d = Dart(eid, end)
-                if graph.sigma[graph.sigma[d]] != d:
+        for i, table in enumerate(graph.sigma):
+            for e, img in table.items():
+                if graph.sigma[i ^ 1][img] != e:
                     failures += 1
     # (ii) homogeneity: scaled witnesses still verify
     for seed in range(12):

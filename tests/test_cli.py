@@ -250,6 +250,32 @@ def test_graph_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed JSON: key 'a1' is repeated")
 
 
+# the commutator's sigma tables, with one of a1's changed: edges 0 and 1 are at a1
+SIGMA_ERRORS = {
+    "image at another vertex": (
+        {"0@a1": "0@a2-", "1@a1": "2@a1-"},
+        "sigma('0@a1') = '0@a2-' does not land at the paired vertex a1-",
+    ),
+    "empty table": ({}, "malformed graph JSON: sigma table of a1 is empty"),
+    "absent table": (None, "connecting map at a1 not total: missing=['0@a1', '1@a1'] extra=[]"),
+}
+
+
+@pytest.mark.parametrize("table, line", SIGMA_ERRORS.values(), ids=SIGMA_ERRORS)
+def test_connecting_map_errors_name_darts_as_the_file_does(tmp_path, capsys, table, line):
+    data = graph_to_json(build_whitehead_graph(parse_word_list("rank 2\nabAB\n")))
+    assert data["sigma"]["a1"] == {"0@a1": "3@a1-", "1@a1": "2@a1-"}
+    if table is None:
+        del data["sigma"]["a1"]
+    else:
+        data["sigma"]["a1"] = table
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("analyze", str(bad)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {line}\n"
+
+
 def test_witness_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
     wit = tmp_path / "w.json"
     assert run_cli("witness", "commutator", "--out", str(wit)) == 0

@@ -26,7 +26,7 @@ from polygonality.fourvertex import (
     uniform_permutation,
 )
 from polygonality.generators import random_fourvertex_instance
-from polygonality.whitehead import Dart, WhiteheadGraph, graph_to_json
+from polygonality.whitehead import WhiteheadGraph, graph_to_json
 from polygonality.witness import Infeasible, make_cycle
 
 from conftest import (
@@ -313,10 +313,7 @@ def test_aux_digraph_commutator(commutator):
 def test_aux_digraph_all_pair_edges_gives_two_cycles():
     pairs = [(vid(1, 1), vid(1, -1))] * 2 + [(vid(2, 1), vid(2, -1))] * 2
     plain = make_plain(2, pairs)
-    sigma = {}
-    for eid in plain.edges:
-        d0, d1 = Dart(eid, 0), Dart(eid, 1)
-        sigma[d0], sigma[d1] = d1, d0
+    sigma = {i: {eid: eid for eid in plain.delta(v)} for i, v in enumerate(plain.vertices())}
     graph = WhiteheadGraph(2, list(plain.edges.values()), sigma)
     aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
     assert all(c.kind == "cycle" and len(c.nodes) == 2 for c in aux.components)
@@ -350,13 +347,8 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     # three parallel edges between the w pair: fix one, swap two -> shapes (8)
     pairs = [(vid(1, 1), vid(1, -1))] * 3 + [(vid(2, 1), vid(2, -1))] * 2
     plain = make_plain(2, pairs)
-    sigma = {}
-    for eid in (0, 3, 4):
-        d0, d1 = Dart(eid, 0), Dart(eid, 1)
-        sigma[d0], sigma[d1] = d1, d0
-    sigma[Dart(1, 0)], sigma[Dart(2, 1)] = Dart(2, 1), Dart(1, 0)
-    sigma[Dart(2, 0)], sigma[Dart(1, 1)] = Dart(1, 1), Dart(2, 0)
-    graph = WhiteheadGraph(2, list(plain.edges.values()), sigma)
+    swap, flip = {0: 0, 1: 2, 2: 1}, {3: 3, 4: 4}
+    graph = WhiteheadGraph(2, list(plain.edges.values()), {0: swap, 1: swap, 2: flip, 3: flip})
     aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
     parts = decompose_good(aux)
     assert [p.type_tag for p in parts] == [8]
@@ -408,7 +400,7 @@ def test_completion_hands_over_what_the_node_level_completion_induces(graph):
         succ.update(arcs)
     pi = {x: succ[succ[("e", x)]][1] for x in graph.delta(w)}
     assert sorted(pi.values()) == sorted(pi)
-    assert comp.sigma_after_pi == {x: graph.sigma_edge(w, pi[x]) for x in graph.delta(w)}
+    assert comp.sigma_after_pi == {x: graph.sigma[w.index][pi[x]] for x in graph.delta(w)}
     c = math.lcm(*(c_part for _, _, c_part in per_part))
     orbit_list = [o for _, orbits, c_part in per_part for o in orbits * (c // c_part)]
     expected = Counter(frozenset(x for _, x in pair) for orbit in orbit_list for pair in orbit)

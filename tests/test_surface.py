@@ -18,12 +18,11 @@ def commutator_complex(commutator):
 
 def test_linear_orders_are_compatible(polygonal_graph):
     rank = build_linear_orders(polygonal_graph)
-    for eid in polygonal_graph.edges:
-        for end in (0, 1):
-            d = pg.Dart(eid, end)
-            assert rank[d] == rank[polygonal_graph.sigma[d]]
+    for i, table in enumerate(polygonal_graph.sigma):
+        for e, img in table.items():
+            assert rank[i][e] == rank[i ^ 1][img]
     for v in polygonal_graph.active_vertices():
-        ranks = sorted(rank[d] for d in polygonal_graph.darts_at(v))
+        ranks = sorted(rank[v.index][e] for e in polygonal_graph.delta(v))
         assert ranks == list(range(polygonal_graph.degree(v)))
 
 
@@ -86,15 +85,12 @@ def test_boundary_words_read_powers(commutator):
 
 def test_bigon_only_witness_has_no_certificate():
     # two parallel edges with the flip map: the lone bigon verifies but chi = 0
-    from polygonality.whitehead import Dart, WhiteheadGraph
+    from polygonality.whitehead import WhiteheadGraph
     from conftest import make_plain
 
     plain = make_plain(1, [(vid(1, 1), vid(1, -1))] * 2)
-    sigma = {}
-    for eid in plain.edges:
-        d0, d1 = Dart(eid, 0), Dart(eid, 1)
-        sigma[d0], sigma[d1] = d1, d0
-    graph = WhiteheadGraph(1, list(plain.edges.values()), sigma)
+    flip = {eid: eid for eid in plain.edges}
+    graph = WhiteheadGraph(1, list(plain.edges.values()), {0: flip, 1: flip})
     wl = pg.parse_word_list("rank 1\na^2\n")
     bigon = make_cycle(graph, {0, 1})
     cx = pg.build_surface(graph, {bigon.edges: 1})

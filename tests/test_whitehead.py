@@ -12,7 +12,6 @@ import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance, random_sigma
 from polygonality.whitehead import (
-    Dart,
     EdgeRecord,
     Multigraph,
     WhiteheadGraph,
@@ -60,9 +59,8 @@ def test_loops_rejected():
 def test_connecting_map_position_rule(commutator):
     # the edge at position 0 (a,b^-1) maps at b^-1 to the position-1 edge at b
     e0, e1 = commutator.edges[0], commutator.edges[1]
-    d = e0.dart_at(vid(2, -1))
-    img = commutator.sigma[d]
-    assert img.eid == e1.eid and commutator.dart_vertex(img) == vid(2, 1)
+    img = commutator.sigma[vid(2, -1).index][e0.eid]
+    assert img == e1.eid and vid(2, 1) in e1.ends
 
 
 def test_connecting_map_figure_pattern():
@@ -72,17 +70,24 @@ def test_connecting_map_figure_pattern():
     # letters: B a b a a -> edges: (B,A) (a,B) (b,A) (a,A) (a,b)
     by_prov = {e.provenance: e for e in graph.edges.values()}
     e = by_prov[(0, 3)]  # subword a a joining a and a^-1
-    img = graph.sigma[e.dart_at(vid(1, -1))]
-    assert img.eid == by_prov[(0, 4)].eid and graph.dart_vertex(img) == vid(1, 1)
+    img = graph.sigma[vid(1, -1).index][e.eid]
+    assert img == by_prov[(0, 4)].eid and vid(1, 1) in graph.edges[img].ends
+
+
+def assert_inverse_pair_law(graph):
+    """Each table holds its vertex's edges, sends them to edges at the
+    paired vertex, and is inverse to the paired vertex's table."""
+    for v in graph.vertices():
+        table = graph.sigma[v.index]
+        assert sorted(table) == sorted(eid for eid, e in graph.edges.items() if v in e.ends)
+        for eid, img in table.items():
+            assert v.mu() in graph.edges[img].ends
+            assert graph.sigma[v.mu().index][img] == eid
 
 
 def test_sigma_involution_law_on_examples(commutator, refutation_graph):
     for graph in (commutator, refutation_graph):
-        for eid in graph.edges:
-            for end in (0, 1):
-                d = Dart(eid, end)
-                assert graph.sigma[graph.sigma[d]] == d
-                assert graph.dart_vertex(graph.sigma[d]) == graph.dart_vertex(d).mu()
+        assert_inverse_pair_law(graph)
 
 
 def test_degrees_match_under_pairing(refutation_graph):
@@ -171,18 +176,14 @@ def test_connecting_maps_chain_around_every_cyclic_walk(text):
             start = eid = by_prov[(w.index, (rot - 1) % n)].eid
             for t in range(n):
                 x = w.letters[(rot + t) % n]
-                eid = graph.sigma[graph.edges[eid].dart_at(vid(x.gen, -x.sign))].eid
+                eid = graph.sigma[vid(x.gen, -x.sign).index][eid]
                 assert graph.edges[eid].provenance == (w.index, (rot + t) % n)
             assert eid == start
 
 
 @given(st.integers(0, 40))
 def test_sigma_involution_on_random_instances(seed):
-    graph = random_fourvertex_instance(seed)
-    for eid in graph.edges:
-        for end in (0, 1):
-            d = Dart(eid, end)
-            assert graph.sigma[graph.sigma[d]] == d
+    assert_inverse_pair_law(random_fourvertex_instance(seed))
 
 
 def test_json_round_trip(refutation_graph):
@@ -267,6 +268,21 @@ def _sigma_table_not_an_object(data):
     data["sigma"]["a1"] = sorted(data["sigma"]["a1"].items())
 
 
+def _image_named_at_its_other_end(data):
+    """The image of 0@a1 is edge 3, which joins a1- and a2-: named at a2-."""
+    assert data["sigma"]["a1"]["0@a1"] == "3@a1-"
+    data["sigma"]["a1"]["0@a1"] = "3@a2-"
+
+
+def _empty_table_beyond_the_rank(data):
+    data["sigma"]["a9"] = {}
+
+
+def _empty_table_of_an_isolated_vertex(data):
+    data["rank"] = 3
+    data["sigma"]["a3"] = {}
+
+
 STRICT_JSON_CASES = [
     (_noncanonical_vertex, "bad vertex name 'a01'"),
     (_leading_zero_dart, "bad dart name '00@a1'"),
@@ -278,6 +294,13 @@ STRICT_JSON_CASES = [
     (_unknown_top_level_key, "a graph needs the keys"),
     (_unknown_edge_key, "an edge needs the keys"),
     (_sigma_table_not_an_object, "sigma table of a1 is not an object"),
+    (
+        _image_named_at_its_other_end,
+        "sigma('0@a1') = '3@a2-' does not land at the paired vertex a1-",
+    ),
+    # graph_to_json writes no empty table, so reading one would hash a file it never wrote
+    (_empty_table_beyond_the_rank, "malformed graph JSON: sigma table of a9 is empty"),
+    (_empty_table_of_an_isolated_vertex, "malformed graph JSON: sigma table of a3 is empty"),
 ]
 
 
@@ -290,6 +313,51 @@ def test_json_is_strict(commutator, corrupt, message):
     corrupt(data)
     with pytest.raises(GraphError, match=re.escape(message)):
         graph_from_json(data)
+
+
+def _missing_edge(sigma):
+    del sigma[0][1]
+
+
+def _extra_edge(sigma):
+    sigma[0][2] = 2
+
+
+def _image_not_at_the_paired_vertex(sigma):
+    sigma[0][0] = 0
+
+
+def _broken_inverse_pair(sigma):
+    sigma[0][0], sigma[0][1] = sigma[0][1], sigma[0][0]
+
+
+def _table_beyond_the_rank(sigma):
+    sigma[4] = {}
+
+
+# the commutator's tables by vertex index: edges 0 and 1 are at a1, 2 and 3 at a1-
+SIGMA_FAULTS = [
+    (_missing_edge, "connecting map at a1 not total: missing=['1@a1'] extra=[]"),
+    (_extra_edge, "connecting map at a1 not total: missing=[] extra=['2@a1']"),
+    (
+        _image_not_at_the_paired_vertex,
+        "sigma('0@a1') = edge 0, which is not at the paired vertex a1-",
+    ),
+    (_broken_inverse_pair, "inverse-pair law broken at dart '0@a1'"),
+    (_table_beyond_the_rank, "connecting map has tables at indices [4], beyond rank 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", SIGMA_FAULTS, ids=[c.__name__[1:] for c, _ in SIGMA_FAULTS]
+)
+def test_constructor_rejects_a_faulty_connecting_map(commutator, corrupt, message):
+    sigma = {i: dict(table) for i, table in enumerate(commutator.sigma)}
+    assert sorted(sigma[0]) == [0, 1] and sorted(sigma[1]) == [2, 3]
+    WhiteheadGraph(2, commutator.edges.values(), sigma)
+    corrupt(sigma)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        WhiteheadGraph(2, commutator.edges.values(), sigma)
 
 
 @st.composite
@@ -318,7 +386,7 @@ def test_json_round_trip_on_random_graphs(graph):
 def negative_ids(graph):
     """The same graph and connecting map with every edge id ``e`` made ``-1 - e``."""
     edges = [EdgeRecord(-1 - e.eid, e.ends) for e in graph.edges.values()]
-    sigma = {Dart(-1 - d.eid, d.end): Dart(-1 - i.eid, i.end) for d, i in graph.sigma.items()}
+    sigma = {i: {-1 - e: -1 - img for e, img in t.items()} for i, t in enumerate(graph.sigma)}
     return WhiteheadGraph(graph.rank, edges, sigma)
 
 
@@ -422,12 +490,5 @@ def test_index_tables_match_the_vertex_ids(seed, kind):
             assert tuple(verts[i] for i in graph.end_index[eid]) == e.ends
         for v in verts:
             assert graph.delta(v) == sorted(eid for eid, e in graph.edges.items() if v in e.ends)
-            if isinstance(graph, pg.WhiteheadGraph):
-                for eid in graph.delta(v):  # against the dart-level map
-                    assert graph.sigma_edge(v, eid) == graph.sigma[graph.edges[eid].dart_at(v)].eid
-
-
-def test_sigma_edge_rejects_an_edge_not_at_the_vertex(commutator):
-    away = next(eid for eid in commutator.edges if vid(1, 1) not in commutator.edges[eid].ends)
-    with pytest.raises(GraphError, match=f"edge {away} is not incident with a1$"):
-        commutator.sigma_edge(vid(1, 1), away)
+            if isinstance(graph, pg.WhiteheadGraph):  # each table in edge-id order
+                assert list(graph.sigma[v.index]) == graph.delta(v)

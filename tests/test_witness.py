@@ -160,7 +160,7 @@ def test_verify_scaling_invariance(polygonal_graph):
 def assert_single_edge_balance(graph, verdict):
     for v in graph.active_vertices():
         for e in graph.delta(v):
-            assert verdict.per_edge_usage[e] == verdict.per_edge_usage[graph.sigma_edge(v, e)]
+            assert verdict.per_edge_usage[e] == verdict.per_edge_usage[graph.sigma[v.index][e]]
 
 
 def test_strict_pair_mode(commutator):
@@ -286,11 +286,8 @@ def test_search_lp_agrees_with_bounded_search_small_graphs():
     cases = []
     # bigon with identity-style map
     bigon = make_plain(1, [(vid(1, 1), vid(1, -1))] * 2)
-    sigma = {}
-    for eid in bigon.edges:
-        d0, d1 = pg.Dart(eid, 0), pg.Dart(eid, 1)
-        sigma[d0], sigma[d1] = d1, d0
-    cases.append(pg.WhiteheadGraph(1, list(bigon.edges.values()), sigma))
+    flip = {eid: eid for eid in bigon.edges}
+    cases.append(pg.WhiteheadGraph(1, list(bigon.edges.values()), {0: flip, 1: flip}))
     cases.append(words_graph("rank 2\nabAB\n"))
     cases.append(words_graph("rank 2\naBa^2b\n"))
     cases.append(words_graph("rank 2\na^2b^2\n"))
@@ -392,9 +389,7 @@ def test_pair_count_table_matches_direct_recount(polygonal_graph):
             direct = sum(
                 m for c, m in found.items() if e in c and f in c
             )
-            img = frozenset(
-                (polygonal_graph.sigma_edge(v, e), polygonal_graph.sigma_edge(v, f))
-            )
+            img = frozenset((polygonal_graph.sigma[v.index][e], polygonal_graph.sigma[v.index][f]))
             image_count = sum(
                 m for c, m in found.items() if img <= c
             )
