@@ -37,7 +37,6 @@ from .surface import (
 )
 from .whitehead import (
     AnalysisReport,
-    EdgeRecord,
     Multigraph,
     VertexId,
     WhiteheadGraph,

@@ -18,19 +18,17 @@ import tempfile
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
 from .errors import GraphError, PolygonalityError, PreconditionError, VerificationError
-from .whitehead import EdgeRecord, VertexId, WhiteheadGraph
+from .whitehead import WhiteheadGraph
 
 
 def _figure7_graph() -> WhiteheadGraph:
     """The seven-edges-at-w example graph with its pictured connecting map."""
-    w, wp = VertexId(1, 1), VertexId(1, -1)
-    u, up = VertexId(2, 1), VertexId(2, -1)
+    w, wp, u, up = 0, 1, 2, 3  # vertex indices of a1, a1-, a2, a2-
     ends = [
         (w, u), (w, wp), (w, wp), (w, up), (w, up), (w, u), (w, u),
         (wp, u), (wp, up), (wp, u), (wp, up), (wp, up),
         (u, up), (u, up), (u, up),
     ]
-    edges = [EdgeRecord(i, pair) for i, pair in enumerate(ends)]
     # the map at w mirrors the published labeling e_i -> f_i; the map at u
     # sends its edges in id order to those at u^-1 in id order
     w_images = {0: 7, 1: 8, 2: 1, 3: 2, 4: 9, 5: 10, 6: 11}
@@ -38,9 +36,9 @@ def _figure7_graph() -> WhiteheadGraph:
     u_images = dict(zip(at_u, at_up))
     sigma = {}
     for v, images in ((w, w_images), (u, u_images)):
-        sigma[v.index] = images
-        sigma[v.index ^ 1] = {img: e for e, img in images.items()}
-    return WhiteheadGraph(2, edges, sigma)
+        sigma[v] = images
+        sigma[v ^ 1] = {img: e for e, img in images.items()}
+    return WhiteheadGraph(2, enumerate(ends), sigma)
 
 
 _BUILTIN_WORDS = {
@@ -272,8 +270,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    graph, _ = _resolve_graph(args.input)
-    dot = whitehead.export_dot(graph)
+    graph, word_list = _resolve_graph(args.input)
+    dot = whitehead.export_dot(graph, word_list)
     sigma_table = whitehead.graph_to_json(graph)["sigma"]
     if args.out is None:
         sys.stdout.write(dot)

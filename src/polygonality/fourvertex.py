@@ -129,6 +129,12 @@ class AuxDigraph:
         return 2 * self.color_count("R") <= total and 2 * self.color_count("B") <= total
 
 
+def _other_end(graph: Multigraph, eid: int, i: int) -> int:
+    """The end index of edge ``eid`` other than ``i``, one of its two ends."""
+    s, t = graph.edges[eid]
+    return t if s == i else s
+
+
 def _other_pair(graph: Multigraph, w: VertexId) -> tuple[VertexId, VertexId]:
     rest = sorted(v for v in graph.active_vertices() if v not in (w, w.mu()))
     if len(rest) != 2 or rest[0].mu() != rest[1]:
@@ -154,15 +160,16 @@ def build_auxiliary_digraph(
     if len(sigma_w) < 2:
         raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
     preimage = {s: x for x, s in sigma_w.items()}
+    wi, ui = w.index, u.index  # mu flips the last bit of an index
     succ: dict[Node, Node | None] = {}
     colors: dict[Node, str | None] = {}
     for x, s in sigma_w.items():
         succ[("f", x)] = ("e", x)
         succ[("e", x)] = ("f", preimage[x]) if x in preimage else None
-        other = graph.edges[x].other(w)
-        colors[("e", x)] = "R" if other == u else ("B" if other == u.mu() else None)
-        other_f = graph.edges[s].other(w.mu())
-        colors[("f", x)] = "B" if other_f == u else ("R" if other_f == u.mu() else None)
+        other = _other_end(graph, x, wi)
+        colors[("e", x)] = "R" if other == ui else ("B" if other == ui ^ 1 else None)
+        other_f = _other_end(graph, s, wi ^ 1)
+        colors[("f", x)] = "B" if other_f == ui else ("R" if other_f == ui ^ 1 else None)
     aux = AuxDigraph(succ, colors, graph, u, sigma_w)
     if not aux.is_good():
         raise GraphError(
@@ -564,7 +571,7 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
     side_edges: dict[frozenset[int], list[int]] = {}
     for eid in g.edge_ids():
-        side_edges.setdefault(frozenset(g.end_index[eid]), []).append(eid)
+        side_edges.setdefault(frozenset(g.edges[eid]), []).append(eid)
     wp, up = w.mu(), u.mu()
     matchings = []
     # the three perfect matchings of K4, each as its two sides
@@ -598,7 +605,7 @@ def inductive_witness(
     # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
     # the bigons of each level are read off the input graph, and only the
     # bottom, regular graph is built.
-    uu = [eid for eid in graph.delta(u) if graph.edges[eid].other(u) == u.mu()]
+    uu = [eid for eid in graph.delta(u) if _other_end(graph, eid, u.index) == u.index ^ 1]
     a = graph.degree(u) - len(uu)
     top = graph.degree(u) - graph.degree(w)
     rw = base_witness(graph.remove_edges(uu[:top]), w, u)
@@ -608,8 +615,8 @@ def inductive_witness(
     for pair, count in completion.orbit_pairs.items():
         x, y = sorted(pair)
         sx, sy = completion.sigma_after_pi[x], completion.sigma_after_pi[y]
-        x_at_pair = graph.edges[x].other(w) == w.mu()
-        y_at_pair = graph.edges[y].other(w) == w.mu()
+        x_at_pair = _other_end(graph, x, w.index) == w.index ^ 1
+        y_at_pair = _other_end(graph, y, w.index) == w.index ^ 1
         if x_at_pair and y_at_pair:
             if (sx, sy) != (x, y):
                 raise VerificationError("edges between the w pair must be fixed")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError
-from .whitehead import MAX_RANK, EdgeRecord, Multigraph, VertexId, WhiteheadGraph, analyze
+from .whitehead import MAX_RANK, Multigraph, WhiteheadGraph, analyze
 from .words import MAX_WORD_LENGTH
 
 
@@ -46,14 +46,13 @@ def random_regular_instance(
         raise PreconditionError(f"rank {pairs} is over the cap of {MAX_RANK}")
     _check_edges(k * pairs)
     rng = random.Random(("regular", seed, k, pairs).__repr__())
-    verts = [VertexId(g, s) for g in range(1, pairs + 1) for s in (1, -1)]
     for _ in range(max_attempts):
-        stubs = [v for v in verts for _ in range(k)]
+        stubs = [i for i in range(2 * pairs) for _ in range(k)]  # vertex indices
         rng.shuffle(stubs)
         mates = list(zip(stubs[0::2], stubs[1::2]))
         if any(a == b for a, b in mates):
             continue
-        edges = [EdgeRecord(i, (a, b)) for i, (a, b) in enumerate(mates)]
+        edges = list(enumerate(mates))
         plain = Multigraph(pairs, edges)
         if not analyze(plain).minimal:
             continue
@@ -76,8 +75,7 @@ def random_fourvertex_instance(
     """
     _check_edges(2 * max_degree)
     rng = random.Random(("fourvertex", seed, max_degree).__repr__())
-    a, a_inv = VertexId(1, 1), VertexId(1, -1)
-    b, b_inv = VertexId(2, 1), VertexId(2, -1)
+    a, a_inv, b, b_inv = 0, 1, 2, 3  # vertex indices of a1, a1-, a2, a2-
     cap = max(1, max_degree // 2)
     for _ in range(max_attempts):
         same = rng.randint(0, cap)  # a-b and a'-b' multiplicity
@@ -98,7 +96,7 @@ def random_fourvertex_instance(
             + [(a_inv, b_inv)] * same
             + [(b, b_inv)] * loops_b
         )
-        edges = [EdgeRecord(i, pair) for i, pair in enumerate(mates)]
+        edges = list(enumerate(mates))
         plain = Multigraph(2, edges)
         if not analyze(plain).minimal:
             continue

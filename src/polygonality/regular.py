@@ -60,12 +60,8 @@ def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     verts = sorted(graph.active_vertices())
     for size in range(1, len(verts) + 1, 2):
         for subset in itertools.combinations(verts, size):
-            inside = set(subset)
-            cut = sum(
-                1
-                for eid in graph.edges
-                if len(inside.intersection(graph.edges[eid].ends)) == 1
-            )
+            inside = {v.index for v in subset}
+            cut = sum(1 for s, t in graph.edges.values() if (s in inside) != (t in inside))
             if cut < k:
                 return KGraphVerdict(False, k, subset)
     return KGraphVerdict(True, k, None)
@@ -77,7 +73,7 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
     A matching is its set of edge ids.  Each matching covers the least
     uncovered vertex first, by each of its edges in id order.
     """
-    ends = graph.end_index
+    ends = graph.edges
     verts = graph.active_vertices()
     active = [v.index for v in verts]
     delta = [graph.delta(v) for v in verts]
@@ -203,7 +199,7 @@ def coloring_witness(graph: Multigraph, coloring: FractionalColoring) -> Regular
     # copies of one matching have an empty difference, so each pair of distinct
     # matchings contributes its cycles n_a * n_b times
     tables = []  # per matching: its edge at each vertex index, and its multiplicity
-    ends = graph.end_index
+    ends = graph.edges
     for m, n in coloring.entries:
         table = [-1] * len(graph.vertices())
         for eid in m:

@@ -196,7 +196,10 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     """
     verdict = verify_witness(graph, witness)
     if not verdict.ok:
-        raise PreconditionError(f"witness fails verification: {verdict.failures[:3]}")
+        failed = "; ".join(
+            f"{v.name} {list(pair)}: {a} against {b}" for v, pair, a, b in verdict.failures[:3]
+        )
+        raise PreconditionError(f"witness fails verification: {failed}")
     cycles = verdict.cycles
     sides = sum(len(cycle.turns) * n for cycle, n in cycles.items())
     if sides > MAX_WORD_LENGTH:

@@ -2,11 +2,12 @@
 
 The graph of a word list has one vertex per generator and per inverse
 generator, and one edge per length-2 cyclic subword ``xy``, joining ``x`` to
-``y^-1``.  The graph is loopless, so a vertex and an edge at it name one
-edge-end.  The connecting map at a vertex ``v`` sends the edges at ``v`` to
-the edges at ``mu(v)``, where ``mu`` swaps a generator with its inverse; it
-is stored as one edge table per vertex, and the tables of ``v`` and
-``mu(v)`` are inverse to each other.  Position succession in the source
+``y^-1``.  Vertices have indices ``0 .. 2 * rank - 1``, and an edge is stored
+as the pair of its end indices, nothing more.  The graph is loopless, so a
+vertex and an edge at it name one edge-end.  The connecting map at a vertex
+``v`` sends the edges at ``v`` to the edges at ``mu(v)``, where ``mu`` swaps
+a generator with its inverse; it is stored as one edge table per vertex, and
+the tables of ``v`` and ``mu(v)`` are inverse to each other.  Position succession in the source
 words defines the maps: at ``x_{i+1}^-1`` the edge for positions
 ``(i, i+1)`` is sent to the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
 
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphError, PreconditionError
 from .frozen import Frozen
-from .words import Letter, WordList, length2_cyclic_subwords
+from .words import WordList, length2_cyclic_subwords
 
 
 class VertexId(Frozen):
@@ -81,48 +82,6 @@ def _name_number(digits: str, name: str) -> int:
         raise GraphError(f"bad name {name[:24]!r}...: its number has too many digits") from None
 
 
-def vertex_of_letter(x: Letter) -> VertexId:
-    return VertexId(x.gen, x.sign)
-
-
-class EdgeRecord(Frozen):
-    """An edge: its id, its two ends and, in a word list's graph, its
-    ``(word index, position)``."""
-
-    __slots__ = ("eid", "ends", "provenance")
-
-    def __init__(
-        self, eid: int, ends: tuple[VertexId, VertexId], provenance: tuple[int, int] | None = None
-    ):
-        object.__setattr__(self, "eid", eid)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.eid, self.ends, self.provenance) == (
-                other.eid, other.ends, other.provenance
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.eid, self.ends, self.provenance))
-
-    def other(self, v: VertexId) -> VertexId:
-        if self.ends[0] == v:
-            return self.ends[1]
-        if self.ends[1] == v:
-            return self.ends[0]
-        raise GraphError(f"edge {self.eid} is not incident with {v}")
-
-    @property
-    def label(self) -> str:
-        if self.provenance is None:
-            return f"e{self.eid}"
-        j, i = self.provenance
-        return f"w{j}:p{i}"
-
-
 # the largest rank a graph accepts: the vertex list and each max-flow grow with
 # the rank, used or not, so an absurd declared rank is refused before either
 MAX_RANK = 1000
@@ -131,36 +90,37 @@ MAX_RANK = 1000
 class Multigraph:
     """Loopless multigraph on the vertex set ``a1, a1-, ..., an, an-``.
 
-    Immutable after construction.  Edge ids are arbitrary distinct integers;
-    removal keeps the surviving ids stable.  The rank is at most
-    :data:`MAX_RANK`.
+    ``edges[eid]`` is the pair of end indices of edge ``eid``, positions in
+    :meth:`vertices`; the constructor takes ``(edge id, (end index, end
+    index))`` pairs, such as ``enumerate(ends)``.  Immutable after
+    construction.  Edge ids are arbitrary distinct integers; removal keeps
+    the surviving ids stable.  The rank is at most :data:`MAX_RANK`.
     """
 
-    def __init__(self, rank: int, edges: Iterable[EdgeRecord]):
+    def __init__(self, rank: int, edges: Iterable[tuple[int, tuple[int, int]]]):
         if rank < 1:
             raise GraphError(f"rank must be >= 1, got {rank}")
         if rank > MAX_RANK:
             raise GraphError(f"rank {rank} is over the cap of {MAX_RANK}")
         self.rank = rank
-        self.edges: dict[int, EdgeRecord] = {}
-        for e in edges:
-            if e.eid in self.edges:
-                raise GraphError(f"duplicate edge id {e.eid}")
-            if e.ends[0] == e.ends[1]:
-                raise GraphError(f"edge {e.eid} is a loop at {e.ends[0]}")
-            for v in e.ends:
-                if not 1 <= v.gen <= rank:
-                    raise GraphError(f"edge {e.eid} endpoint {v} beyond rank {rank}")
-            self.edges[e.eid] = e
         self._vertices = tuple(VertexId(g, s) for g in range(1, rank + 1) for s in (1, -1))
-        # the indices of each edge's two ends: cycle walks and turn lookups run
-        # over these ints, never over VertexId objects
-        self.end_index: dict[int, tuple[int, int]] = {
-            eid: (e.ends[0].index, e.ends[1].index) for eid, e in self.edges.items()
-        }
+        n = len(self._vertices)
+        self.edges: dict[int, tuple[int, int]] = {}
+        for eid, (s, t) in edges:
+            if eid in self.edges:
+                raise GraphError(f"duplicate edge id {eid}")
+            for i in (s, t):
+                if not 0 <= i < n:
+                    raise GraphError(
+                        f"edge {eid} end index {i} is outside range({n}),"
+                        f" the vertex indices of rank {rank}"
+                    )
+            if s == t:
+                raise GraphError(f"edge {eid} is a loop at {self._vertices[s]}")
+            self.edges[eid] = (s, t)
         self._delta: list[list[int]] = [[] for _ in self._vertices]
         for eid in sorted(self.edges):
-            for i in self.end_index[eid]:
+            for i in self.edges[eid]:
                 self._delta[i].append(eid)
 
     def vertices(self) -> tuple[VertexId, ...]:
@@ -190,7 +150,7 @@ class Multigraph:
         while stack:
             i = stack.pop()
             for eid in self._delta[i]:
-                s, t = self.end_index[eid]
+                s, t = self.edges[eid]
                 j = t if s == i else s
                 if not seen[j]:
                     seen[j] = True
@@ -199,7 +159,8 @@ class Multigraph:
 
     def remove_edges(self, eids: Iterable[int]) -> "Multigraph":
         gone = set(eids)
-        return Multigraph(self.rank, [e for eid, e in sorted(self.edges.items()) if eid not in gone])
+        kept = [(eid, e) for eid, e in sorted(self.edges.items()) if eid not in gone]
+        return Multigraph(self.rank, kept)
 
     def local_edge_connectivity(self, x: VertexId, y: VertexId) -> int:
         """Maximum number of pairwise edge-disjoint x-y paths (= min cut size)."""
@@ -209,7 +170,7 @@ class Multigraph:
         # edge from ends[0] to ends[1] and arc 2k + 1 back, so arc a reverses a ^ 1
         head: list[int] = []
         out: list[list[int]] = [[] for _ in self._vertices]
-        for k, (s, t) in enumerate(self.end_index.values()):
+        for k, (s, t) in enumerate(self.edges.values()):
             head += (t, s)
             out[s].append(2 * k)
             out[t].append(2 * k + 1)
@@ -280,30 +241,25 @@ class WhiteheadGraph(Multigraph):
 
 
 def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
-    """Construct the graph of a word list, edges tagged with (word, position).
+    """Construct the graph of a word list, one edge per subword, numbered in list order.
 
     The edge of subword ``x_i x_{i+1}`` joins ``x_i`` and ``x_{i+1}^-1``; at
     ``x_{i+1}^-1`` it is sent to the successor edge at position ``i+1``,
-    which starts at ``x_{i+1}``.
+    which starts at ``x_{i+1}``.  Word ``j``'s edge at position ``i`` has id
+    ``i`` plus the length of the words before it.
     """
-    edges: list[EdgeRecord] = []
-    eid_of: dict[tuple[int, int], int] = {}
-    for w in word_list.words:
-        for x, y, i in length2_cyclic_subwords(w):
-            eid = len(edges)
-            eid_of[(w.index, i)] = eid
-            edges.append(
-                EdgeRecord(eid, (vertex_of_letter(x), VertexId(y.gen, -y.sign)), (w.index, i))
-            )
+    ends: list[tuple[int, int]] = []
     sigma: dict[int, dict[int, int]] = {}
     for w in word_list.words:
-        l = len(w)
+        first, l = len(ends), len(w)
+        for x, y, _ in length2_cyclic_subwords(w):
+            ends.append((VertexId(x.gen, x.sign).index, VertexId(y.gen, -y.sign).index))
         for i in range(l):
-            right, left = eid_of[(w.index, i)], eid_of[(w.index, (i + 1) % l)]
-            at = edges[right].ends[1].index  # x_{i+1}^-1; the left edge starts at its pair
+            right, left = first + i, first + (i + 1) % l
+            at = ends[right][1]  # x_{i+1}^-1; the left edge starts at its pair
             sigma.setdefault(at, {})[right] = left
             sigma.setdefault(at ^ 1, {})[left] = right
-    return WhiteheadGraph(word_list.rank, edges, sigma)
+    return WhiteheadGraph(word_list.rank, enumerate(ends), sigma)
 
 
 class AnalysisReport(NamedTuple):
@@ -352,7 +308,7 @@ def analyze(graph: Multigraph) -> AnalysisReport:
 
 
 def _dart_from_name(
-    darts: dict[str, tuple[int, int]], edges: list[EdgeRecord], s
+    darts: dict[str, tuple[int, int]], edges: list[tuple[int, tuple[int, int]]], s
 ) -> tuple[int, int]:
     """The ``(vertex index, edge id)`` of the dart named ``s`` in ``darts``,
     the table of the canonical dart names of ``edges``."""
@@ -364,7 +320,7 @@ def _dart_from_name(
     if m is None:
         raise GraphError(f"bad dart name {s!r}")
     eid, v = _name_number(m.group(1), s), vertex_from_name(m.group(2))
-    if all(e.eid != eid for e in edges):
+    if all(e != eid for e, _ in edges):
         raise GraphError(f"dart {s!r} references unknown edge {eid}")
     raise GraphError(f"edge {eid} is not incident with {v}")
 
@@ -377,7 +333,7 @@ def graph_to_json(graph: WhiteheadGraph) -> dict:
     order, and their images are at vertex ``i ^ 1``.
     """
     names = [v.name for v in graph.vertices()]
-    ends = graph.end_index
+    ends = graph.edges
     tables: dict[str, dict[str, str]] = {}
     for i, table in enumerate(graph.sigma):
         if table:
@@ -416,7 +372,8 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     paired vertex are errors.  Names are canonical and the keys of one table
     distinct, so a dart listed twice is always also listed under a vertex it
     is not at.  Each name is looked up in a table of the edge list's own
-    canonical names, and each distinct vertex name is parsed once.
+    canonical names, and each distinct vertex name is parsed once; an edge
+    keeps the indices of its two ends.
     """
     json_object(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
@@ -430,17 +387,17 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
             v = vertices[name] = vertex_from_name(name)
         return v
 
-    edges = []
+    edges: list[tuple[int, tuple[int, int]]] = []
     darts: dict[str, tuple[int, int]] = {}
     for e in data["edges"]:
         json_object(e, {"id", "u", "v"}, "an edge")
-        edge = EdgeRecord(json_int(e["id"], "edge id"), (vertex(e["u"]), vertex(e["v"])))
-        edges.append(edge)
+        eid, ends = json_int(e["id"], "edge id"), (vertex(e["u"]), vertex(e["v"]))
+        edges.append((eid, (ends[0].index, ends[1].index)))
         # a canonical name has no sign, so a negative id's darts are left out
         # and their names fall through to ``bad dart name``
-        if edge.eid >= 0:
-            for v in edge.ends:
-                darts[f"{edge.eid}@{v.name}"] = (v.index, edge.eid)
+        if eid >= 0:
+            for v in ends:
+                darts[f"{eid}@{v.name}"] = (v.index, eid)
     sigma: dict[int, dict[int, int]] = {}
     for name, table in sorted(data["sigma"].items()):
         v = vertex(name)
@@ -466,12 +423,19 @@ def graph_hash(graph: WhiteheadGraph) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def export_dot(graph: Multigraph) -> str:
+def export_dot(graph: Multigraph, word_list: WordList | None) -> str:
+    """The graph in DOT.  An edge is labelled ``w<j>:p<i>`` when the graph is
+    ``word_list``'s, whose edges are numbered by subword in list order, and
+    ``e<id>`` when ``word_list`` is ``None``."""
+    if word_list is None:
+        labels = {eid: f"e{eid}" for eid in graph.edges}
+    else:
+        labels = dict(enumerate(f"w{w.index}:p{i}" for w in word_list.words for i in range(len(w))))
+    names = [v.name for v in graph.vertices()]
     lines = ["graph whitehead {"]
-    for v in graph.vertices():
-        lines.append(f'  "{v.name}";')
+    lines += [f'  "{name}";' for name in names]
     for eid in sorted(graph.edges):
-        e = graph.edges[eid]
-        lines.append(f'  "{e.ends[0].name}" -- "{e.ends[1].name}" [label="{e.label}"];')
+        s, t = graph.edges[eid]
+        lines.append(f'  "{names[s]}" -- "{names[t]}" [label="{labels[eid]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

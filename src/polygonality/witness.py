@@ -135,7 +135,7 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     eids = frozenset(eids)
     if len(eids) < 2:
         raise GraphError(f"cycle needs at least two edges, got {sorted(eids)}")
-    ends = graph.end_index
+    ends = graph.edges
     incidence: dict[int, list[int]] = {}
     for eid in eids:
         if eid not in ends:
@@ -176,7 +176,7 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
     """
     adjacent: list[list[tuple[int, int]]] = [[] for _ in graph.vertices()]
     for eid in graph.edge_ids():
-        s, t = graph.end_index[eid]
+        s, t = graph.edges[eid]
         adjacent[s].append((eid, t))
         adjacent[t].append((eid, s))
     on_path = [False] * len(adjacent)

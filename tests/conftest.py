@@ -22,7 +22,7 @@ import pytest
 
 import polygonality as pg
 from polygonality import fourvertex
-from polygonality.whitehead import EdgeRecord, Multigraph, VertexId
+from polygonality.whitehead import Multigraph, VertexId
 from polygonality.witness import make_cycle
 
 
@@ -52,11 +52,25 @@ def polygonal_graph():
 
 
 def make_plain(rank: int, pairs) -> Multigraph:
-    return Multigraph(rank, [EdgeRecord(i, p) for i, p in enumerate(pairs)])
+    """The graph whose edge ``i`` joins the two ``VertexId``s of ``pairs[i]``."""
+    return Multigraph(rank, [(i, (x.index, y.index)) for i, (x, y) in enumerate(pairs)])
 
 
 def vid(gen: int, sign: int) -> VertexId:
     return VertexId(gen, sign)
+
+
+def edge_ends(graph: Multigraph, eid: int) -> tuple[VertexId, VertexId]:
+    """The two ends of an edge as vertex objects, named from their indices:
+    index ``2(g - 1)`` is ``a_g`` and the next one ``a_g^-1``."""
+    return tuple(VertexId(i // 2 + 1, -1 if i % 2 else 1) for i in graph.edges[eid])
+
+
+def other_end(graph: Multigraph, eid: int, v: VertexId) -> VertexId:
+    """The end of edge ``eid`` other than ``v``."""
+    x, y = edge_ends(graph, eid)
+    assert v in (x, y), f"edge {eid} is not at {v}"
+    return y if x == v else x
 
 
 def fourvertex_base_case(graph) -> Multigraph:
@@ -76,7 +90,7 @@ def oracle_is_cycle(graph: Multigraph, eids: frozenset[int]) -> bool:
         return False
     deg: dict = {}
     for e in eids:
-        for v in graph.edges[e].ends:
+        for v in edge_ends(graph, e):
             deg[v] = deg.get(v, 0) + 1
     if any(d != 2 for d in deg.values()):
         return False
@@ -88,7 +102,7 @@ def oracle_is_cycle(graph: Multigraph, eids: frozenset[int]) -> bool:
             continue
         seen.add(e)
         for f in eids:
-            if f not in seen and set(graph.edges[e].ends) & set(graph.edges[f].ends):
+            if f not in seen and set(edge_ends(graph, e)) & set(edge_ends(graph, f)):
                 stack.append(f)
     return len(seen) == len(eids)
 
@@ -118,29 +132,29 @@ def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
     for r in range(len(rest) + 1):
         for sub in itertools.combinations(rest, r):
             inside = {x, *sub}
-            cut = sum(1 for e in graph.edges.values() if (e.ends[0] in inside) != (e.ends[1] in inside))
+            cut = sum(1 for e in graph.edges if len(inside.intersection(edge_ends(graph, e))) == 1)
             best = min(best, cut)
     return best
 
 
 def oracle_graph_to_json(graph: pg.WhiteheadGraph) -> dict:
     """Graph JSON walked over vertex objects: each vertex's edges found
-    through ``EdgeRecord.ends``, each named at that vertex and its
+    through :func:`edge_ends`, each named at that vertex and its
     connecting-map image named at the paired vertex ``mu(v)``."""
     sigma: dict[str, dict[str, str]] = {}
     for v in graph.vertices():
         m = {
             f"{eid}@{v.name}": f"{graph.sigma[v.index][eid]}@{v.mu().name}"
-            for eid, e in sorted(graph.edges.items())
-            if v in e.ends
+            for eid in sorted(graph.edges)
+            if v in edge_ends(graph, eid)
         }
         if m:
             sigma[v.name] = m
     return {
         "rank": graph.rank,
         "edges": [
-            {"id": e.eid, "u": e.ends[0].name, "v": e.ends[1].name}
-            for _, e in sorted(graph.edges.items())
+            {"id": eid, "u": u.name, "v": v.name}
+            for eid, (u, v) in sorted((eid, edge_ends(graph, eid)) for eid in graph.edges)
         ],
         "sigma": sigma,
     }
@@ -153,15 +167,15 @@ def _edge_components(graph: Multigraph, eids: frozenset[int]) -> list[frozenset[
     while remaining:
         seed = min(remaining)
         comp = {seed}
-        frontier = set(graph.edges[seed].ends)
+        frontier = set(edge_ends(graph, seed))
         remaining.discard(seed)
         grown = True
         while grown:
             grown = False
             for eid in list(remaining):
-                if frontier.intersection(graph.edges[eid].ends):
+                if frontier.intersection(edge_ends(graph, eid)):
                     comp.add(eid)
-                    frontier.update(graph.edges[eid].ends)
+                    frontier.update(edge_ends(graph, eid))
                     remaining.discard(eid)
                     grown = True
         comps.append(frozenset(comp))
@@ -196,7 +210,7 @@ def oracle_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
         v = uncovered[0]
         rest = set(uncovered[1:])
         for eid in graph.delta(v):
-            w = graph.edges[eid].other(v)
+            w = other_end(graph, eid, v)
             if w in rest:
                 extend(tuple(x for x in uncovered[1:] if x != w), chosen + (eid,))
 
@@ -391,7 +405,7 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
     the level's patch cycles and its bigons."""
     peeled = []
     while g.degree(u) != g.degree(w):
-        uu_edges = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+        uu_edges = [eid for eid in g.delta(u) if other_end(g, eid, u) == u.mu()]
         peeled.append((g, uu_edges))
         g = g.remove_edges([uu_edges[0]])
         fourvertex._check_level_preconditions(g, w, u)
@@ -404,8 +418,8 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
         for pair, count in orbit_pairs.items():
             x, y = sorted(pair)
             sx, sy = sigma_after_pi[x], sigma_after_pi[y]
-            x_at_pair = g.edges[x].other(w) == w.mu()
-            y_at_pair = g.edges[y].other(w) == w.mu()
+            x_at_pair = other_end(g, x, w) == w.mu()
+            y_at_pair = other_end(g, y, w) == w.mu()
             if x_at_pair and y_at_pair:
                 cycs = [frozenset((x, y))]
             elif not x_at_pair and not y_at_pair:
@@ -420,7 +434,7 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
             final[cyc] += n * c
         for f in uu_edges[1:]:
             final[frozenset((e, f))] += c * c2
-        a = sum(1 for eid in g.delta(u) if g.edges[eid].other(u) in (w, w.mu()))
+        a = sum(1 for eid in g.delta(u) if other_end(g, eid, u) in (w, w.mu()))
         c1 = c * c2 * (a + len(uu_edges) - 1)
         c2 = c * c2
         levels.append({"edges": len(g.edges), "removed": e, "c1": c1, "c2": c2})

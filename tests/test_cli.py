@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -150,7 +151,7 @@ def test_verify_flags_unbalanced_witness(tmp_path):
     parallel = [
         eid
         for eid in graph.delta(pg.VertexId(2, 1))
-        if graph.edges[eid].other(pg.VertexId(2, 1)) == pg.VertexId(2, -1)
+        if pg.VertexId(2, -1).index in graph.edges[eid]
     ]
     bad = {make_cycle(graph, parallel): 1}
     wit = tmp_path / "bad.json"
@@ -179,7 +180,7 @@ def test_surface_on_word_file(tmp_path):
 
 
 def test_surface_names_the_unbalanced_pairs(tmp_path, capsys):
-    # the failures reach standard error with each vertex's repr
+    # the first three failures reach standard error, each vertex by its name
     graph = build_whitehead_graph(parse_word_list("rank 2\naBa^2b\n"))
     wit = tmp_path / "w.json"
     cycles = [{"edges": [0, 2, 4], "multiplicity": 1}]
@@ -187,8 +188,8 @@ def test_surface_names_the_unbalanced_pairs(tmp_path, capsys):
     wit.write_text(json.dumps(payload), encoding="utf-8")
     assert run_cli("surface", "remark-2.4b", "--witness", str(wit)) == 1
     assert capsys.readouterr().err == (
-        "error: witness fails verification: ((VertexId(gen=1, sign=1), (0, 2), 1, 0), "
-        "(VertexId(gen=1, sign=1), (0, 3), 0, 1), (VertexId(gen=1, sign=-1), (1, 4), 0, 1))\n"
+        "error: witness fails verification: a1 [0, 2]: 1 against 0; a1 [0, 3]: 0 against 1; "
+        "a1- [1, 4]: 0 against 1\n"
     )
 
 
@@ -199,6 +200,27 @@ def test_export_dot(tmp_path):
     assert dot.startswith("graph whitehead") and 'label="w0:p0"' in dot
     sigma = read_json(str(out) + ".sigma.json")
     assert "a1" in sigma and len(sigma["a1"]) == 4
+
+
+# sha256 of the DOT file: edges of a word list's graph are labelled w<word>:p<position>,
+# numbered in list order, and those of a graph-JSON input e<id>
+DOT_SHA256 = {
+    "example-6.1": "f8368014f3b04129015424b69985185cb2b7351213bc420f5bff559cdc602550",
+    "figure-7": "c0cf3472481ad4d27958b22dafa3b2ba5de43df2232c0b80d2247efcd187d126",
+    "two words": "9f16a52d3fad6fddb5055f729934a71d7a459beaade5c11f888cbb6cdffb3e5e",
+}
+
+
+@pytest.mark.parametrize("name", DOT_SHA256)
+def test_export_dot_bytes(tmp_path, name):
+    two = tmp_path / "two.txt"
+    two.write_text("rank 2\nabAB\naBa^2b\n", encoding="utf-8")
+    out = tmp_path / "g.dot"
+    assert run_cli("export-dot", str(two) if name == "two words" else name, "--out", str(out)) == 0
+    dot = out.read_bytes()
+    # the second word's labels start after the first word's 4 edges
+    assert (b'"a1" -- "a2" [label="w1:p0"];' in dot) == (name == "two words")
+    assert hashlib.sha256(dot).hexdigest() == DOT_SHA256[name]
 
 
 def test_gen_round_trip(tmp_path):
@@ -641,7 +663,7 @@ def test_gen_refuses_an_instance_over_a_cap_before_it_builds_one(monkeypatch, ca
     def built(*args, **kwargs):  # a late check fails here, before any large work
         raise AssertionError("gen started to build an instance over a cap")
 
-    for name in ("VertexId", "EdgeRecord"):
+    for name in ("Multigraph", "WhiteheadGraph"):
         monkeypatch.setattr(generators, name, built)
     monkeypatch.setattr(random.Random, "shuffle", built)
     assert run_cli("gen", *argv) == 1

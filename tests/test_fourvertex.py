@@ -34,6 +34,7 @@ from conftest import (
     make_plain,
     oracle_inductive,
     oracle_pair_count,
+    other_end,
     vid,
     words_graph,
 )
@@ -314,7 +315,7 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
     pairs = [(vid(1, 1), vid(1, -1))] * 2 + [(vid(2, 1), vid(2, -1))] * 2
     plain = make_plain(2, pairs)
     sigma = {i: {eid: eid for eid in plain.delta(v)} for i, v in enumerate(plain.vertices())}
-    graph = WhiteheadGraph(2, list(plain.edges.values()), sigma)
+    graph = WhiteheadGraph(2, list(plain.edges.items()), sigma)
     aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
     assert all(c.kind == "cycle" and len(c.nodes) == 2 for c in aux.components)
 
@@ -348,7 +349,7 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     pairs = [(vid(1, 1), vid(1, -1))] * 3 + [(vid(2, 1), vid(2, -1))] * 2
     plain = make_plain(2, pairs)
     swap, flip = {0: 0, 1: 2, 2: 1}, {3: 3, 4: 4}
-    graph = WhiteheadGraph(2, list(plain.edges.values()), {0: swap, 1: swap, 2: flip, 3: flip})
+    graph = WhiteheadGraph(2, list(plain.edges.items()), {0: swap, 1: swap, 2: flip, 3: flip})
     aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
     parts = decompose_good(aux)
     assert [p.type_tag for p in parts] == [8]
@@ -371,16 +372,16 @@ def test_uniform_permutation_is_good_and_uniform(seed):
     assert sorted(comp.sigma_after_pi) == graph.delta(w)
     assert sorted(comp.sigma_after_pi.values()) == graph.delta(w.mu())
     for x, img in comp.sigma_after_pi.items():  # img is sigma_w(pi(x))
-        if w.mu() in graph.edges[x].ends:
+        if w.mu().index in graph.edges[x]:
             assert img == x  # an edge between the w pair is fixed
         elif img != x:
-            assert not set(graph.edges[x].ends) & set(graph.edges[img].ends)
+            assert not set(graph.edges[x]) & set(graph.edges[img])
     coverage = Counter()
     for pair, count in comp.orbit_pairs.items():
         for eid in pair:
             coverage[eid] += count
         x, y = (graph.edges[eid] for eid in pair)
-        assert not set(x.ends) & set(y.ends) - {w, w.mu()}
+        assert not set(x) & set(y) - {w.index, w.mu().index}
     assert coverage == dict.fromkeys(graph.delta(w), comp.c)
 
 
@@ -609,7 +610,7 @@ def test_the_closed_form_coloring_agrees_with_the_lp(graph):
     assert (closed.coloring.k, closed.coloring.ell, len(entries)) == (k, k, k)
     assert all(n == 1 for _, n in entries)
     for m, _ in entries:
-        assert sorted(i for eid in m for i in base.end_index[eid]) == [0, 1, 2, 3]
+        assert sorted(i for eid in m for i in base.edges[eid]) == [0, 1, 2, 3]
     assert Counter(eid for m, _ in entries for eid in m) == dict.fromkeys(base.edges, 1)
     # the linear program on the same graph is the oracle
     lp = regular.regular_witness(base)
@@ -652,11 +653,11 @@ def _peel_checking_every_level(graph):
     w = _min_degree_vertex(graph)
     u, _ = fourvertex._other_pair(graph, w)
     fourvertex._check_level_preconditions(graph, w, u)
-    uu = [eid for eid in graph.delta(u) if graph.edges[eid].other(u) == u.mu()]
+    uu = [eid for eid in graph.delta(u) if other_end(graph, eid, u) == u.mu()]
     assert len(uu) >= graph.degree(u) - graph.degree(w)  # an edge for every level
     g = graph
     while g.degree(u) != g.degree(w):
-        uu_here = [eid for eid in g.delta(u) if g.edges[eid].other(u) == u.mu()]
+        uu_here = [eid for eid in g.delta(u) if other_end(g, eid, u) == u.mu()]
         assert uu_here == uu[len(graph.edges) - len(g.edges) :]
         g = g.remove_edges(uu_here[:1])
         fourvertex._check_level_preconditions(g, w, u)

@@ -138,7 +138,7 @@ def test_symmetric_difference_degree_property():
         diff = a ^ b
         deg = {}
         for eid in diff:
-            for v in graph.edges[eid].ends:
+            for v in graph.edges[eid]:
                 deg[v] = deg.get(v, 0) + 1
         assert all(d == 2 for d in deg.values())
 
@@ -162,7 +162,7 @@ def test_count_constants_random(seed):
     # adjacent non-parallel edges force a long cycle through them (m2 > 0)
     if graph.is_connected() and 2 * pairs >= 4:
         has_nonparallel_pair = any(
-            frozenset(graph.edges[e].ends) != frozenset(graph.edges[f].ends)
+            frozenset(graph.edges[e]) != frozenset(graph.edges[f])
             for v in graph.active_vertices()
             for e, f in itertools.combinations(graph.delta(v), 2)
         )
@@ -188,7 +188,7 @@ def random_regular_multigraph(seed: int, k: int, pairs: int) -> WhiteheadGraph:
         mates = list(zip(stubs[0::2], stubs[1::2]))
         if all(a != b for a, b in mates):
             plain = make_plain(pairs, mates)
-            return WhiteheadGraph(pairs, list(plain.edges.values()), random_sigma(plain, rng))
+            return WhiteheadGraph(pairs, list(plain.edges.items()), random_sigma(plain, rng))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 4))

@@ -12,7 +12,7 @@ from polygonality.errors import PreconditionError, TrivialWordError, WordParseEr
 from polygonality.regular import KGraphVerdict
 from polygonality.simplex import ZERO, LPResult
 from polygonality.surface import Side
-from polygonality.whitehead import EdgeRecord, VertexId
+from polygonality.whitehead import VertexId
 from polygonality.witness import Cycle, make_cycle
 from polygonality.words import Letter, Word, WordList
 
@@ -32,8 +32,6 @@ def values():
         (Letter(2, -1), (2, -1)),
         (Word((A, B_INV), index=3), ((A, B_INV),)),
         (WordList(2, (Word((A, B_INV)),)), (2, (Word((A, B_INV)),))),
-        (EdgeRecord(0, (VertexId(1, 1), VertexId(2, -1)), (0, 1)),
-         (0, (VertexId(1, 1), VertexId(2, -1)), (0, 1))),
         (commutator_cycle(), (frozenset({0, 1, 2, 3}), (0, 1, 2, 3))),
     ]
 
@@ -122,17 +120,6 @@ def test_word_list():
         WordList(2, (Word((A, A.inverse())),))
     with pytest.raises(WordParseError, match="word 0 uses generator 2 beyond rank 1"):
         WordList(1, (Word((B_INV,)),))
-
-
-def test_edge_record():
-    ends = (VertexId(1, 1), VertexId(2, -1))
-    e = EdgeRecord(0, ends)
-    assert e.provenance is None and e == EdgeRecord(eid=0, ends=ends, provenance=None)
-    assert e != EdgeRecord(0, ends, (0, 0)) and e != EdgeRecord(1, ends)
-    assert repr(e) == (
-        "EdgeRecord(eid=0, ends=(VertexId(gen=1, sign=1), VertexId(gen=2, sign=-1)), "
-        "provenance=None)"
-    )
 
 
 def test_cycle():

@@ -12,7 +12,6 @@ import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance, random_sigma
 from polygonality.whitehead import (
-    EdgeRecord,
     Multigraph,
     WhiteheadGraph,
     export_dot,
@@ -22,11 +21,11 @@ from polygonality.whitehead import (
     vertex_from_name,
 )
 
-from conftest import make_plain, oracle_graph_to_json, oracle_min_cut, vid, words_graph
+from conftest import edge_ends, make_plain, oracle_graph_to_json, oracle_min_cut, vid, words_graph
 
 
 def edge_multiset(graph):
-    return Counter(tuple(sorted(v.name for v in e.ends)) for e in graph.edges.values())
+    return Counter(tuple(sorted(v.name for v in edge_ends(graph, e))) for e in graph.edges)
 
 
 def test_commutator_graph_is_four_cycle(commutator):
@@ -53,25 +52,43 @@ def test_nonminimal_graph_multiplicities(nonminimal_graph):
 def test_loops_rejected():
     # the subword aa would need a loop only if reduction were skipped; force one
     with pytest.raises(GraphError):
-        pg.Multigraph(1, [pg.EdgeRecord(0, (vid(1, 1), vid(1, 1)))])
+        pg.Multigraph(1, [(0, (0, 0))])
+
+
+# rank 2 has the vertex indices 0..3; graph JSON reports sigma faults first,
+# so only the library reaches these
+INDEX_PAIR_FAULTS = {
+    "repeated id": ([(0, (0, 2)), (0, (1, 3))], "duplicate edge id 0"),
+    "loop": ([(0, (0, 2)), (1, (3, 3))], "edge 1 is a loop at a2-"),
+    "end index 2 rank": (
+        [(0, (0, 4))], "edge 0 end index 4 is outside range(4), the vertex indices of rank 2"
+    ),
+    "negative end index": (
+        [(0, (-1, 0))], "edge 0 end index -1 is outside range(4), the vertex indices of rank 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("edges, message", INDEX_PAIR_FAULTS.values(), ids=INDEX_PAIR_FAULTS)
+def test_constructor_rejects_a_faulty_index_pair(edges, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        Multigraph(2, edges)
 
 
 def test_connecting_map_position_rule(commutator):
     # the edge at position 0 (a,b^-1) maps at b^-1 to the position-1 edge at b
-    e0, e1 = commutator.edges[0], commutator.edges[1]
-    img = commutator.sigma[vid(2, -1).index][e0.eid]
-    assert img == e1.eid and vid(2, 1) in e1.ends
+    img = commutator.sigma[vid(2, -1).index][0]
+    assert img == 1 and vid(2, 1) in edge_ends(commutator, 1)
 
 
 def test_connecting_map_figure_pattern():
     # b^-1 a b a^2: the map at a^-1 sends the corner edge of `ba` to that of `a a`
     graph = words_graph("rank 2\nBaba^2\n")
-    # position 1 edge is (a, b^-1) from subword a b; at a^-1? use word positions:
+    # edge i is the subword at position i of the one word:
     # letters: B a b a a -> edges: (B,A) (a,B) (b,A) (a,A) (a,b)
-    by_prov = {e.provenance: e for e in graph.edges.values()}
-    e = by_prov[(0, 3)]  # subword a a joining a and a^-1
-    img = graph.sigma[vid(1, -1).index][e.eid]
-    assert img == by_prov[(0, 4)].eid and vid(1, 1) in graph.edges[img].ends
+    assert edge_ends(graph, 3) == (vid(1, 1), vid(1, -1))  # subword a a
+    img = graph.sigma[vid(1, -1).index][3]
+    assert img == 4 and vid(1, 1) in edge_ends(graph, img)
 
 
 def assert_inverse_pair_law(graph):
@@ -79,9 +96,9 @@ def assert_inverse_pair_law(graph):
     paired vertex, and is inverse to the paired vertex's table."""
     for v in graph.vertices():
         table = graph.sigma[v.index]
-        assert sorted(table) == sorted(eid for eid, e in graph.edges.items() if v in e.ends)
+        assert sorted(table) == sorted(eid for eid in graph.edges if v in edge_ends(graph, eid))
         for eid, img in table.items():
-            assert v.mu() in graph.edges[img].ends
+            assert v.mu() in edge_ends(graph, img)
             assert graph.sigma[v.mu().index][img] == eid
 
 
@@ -163,22 +180,26 @@ def test_analyze_absent_generator_disconnected():
     assert report.minimal and not report.connected and not report.diskbusting
 
 
-@pytest.mark.parametrize("text", ["abAB", "aBa^2b", "a(aB)^3B^2", "abab^2ab^3"])
+@pytest.mark.parametrize("text", ["abAB", "aBa^2b", "a(aB)^3B^2", "abab^2ab^3", "abAB\naBa^2b"])
 def test_connecting_maps_chain_around_every_cyclic_walk(text):
     # from the edge ending at x_1^-1, the map at x^-1 for each letter x of a
     # rotation steps to the next position and closes on the start edge
     wl = pg.parse_word_list(f"rank 2\n{text}\n")
     graph = pg.build_whitehead_graph(wl)
-    by_prov = {e.provenance: e for e in graph.edges.values()}
+    # edges are numbered by subword in list order: a word's position i is
+    # edge i after the edges of the words before it
+    first = 0
     for w in wl.words:
         n = len(w)
         for rot in range(n):
-            start = eid = by_prov[(w.index, (rot - 1) % n)].eid
+            start = eid = first + (rot - 1) % n
             for t in range(n):
                 x = w.letters[(rot + t) % n]
                 eid = graph.sigma[vid(x.gen, -x.sign).index][eid]
-                assert graph.edges[eid].provenance == (w.index, (rot + t) % n)
+                assert eid == first + (rot + t) % n
             assert eid == start
+        first += n
+    assert sorted(graph.edges) == list(range(first))
 
 
 @given(st.integers(0, 40))
@@ -354,10 +375,10 @@ SIGMA_FAULTS = [
 def test_constructor_rejects_a_faulty_connecting_map(commutator, corrupt, message):
     sigma = {i: dict(table) for i, table in enumerate(commutator.sigma)}
     assert sorted(sigma[0]) == [0, 1] and sorted(sigma[1]) == [2, 3]
-    WhiteheadGraph(2, commutator.edges.values(), sigma)
+    WhiteheadGraph(2, commutator.edges.items(), sigma)
     corrupt(sigma)
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-        WhiteheadGraph(2, commutator.edges.values(), sigma)
+        WhiteheadGraph(2, commutator.edges.items(), sigma)
 
 
 @st.composite
@@ -368,9 +389,9 @@ def whitehead_graphs(draw):
     rank = draw(st.integers(1, 4))
     verts = [vid(g, s) for g in range(1, rank + 1) for s in (1, -1)]
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(verts, 2))), max_size=8))
-    ends = [e for x, y in pairs for e in ((x, y), (x.mu(), y.mu()))]
+    ends = [e for x, y in pairs for e in ((x.index, y.index), (x.mu().index, y.mu().index))]
     eids = draw(st.lists(st.integers(0, 120), min_size=len(ends), max_size=len(ends), unique=True))
-    edges = [EdgeRecord(eid, pair) for eid, pair in zip(eids, ends)]
+    edges = list(zip(eids, ends))
     return WhiteheadGraph(rank, edges, random_sigma(Multigraph(rank, edges), draw(st.randoms())))
 
 
@@ -385,7 +406,7 @@ def test_json_round_trip_on_random_graphs(graph):
 
 def negative_ids(graph):
     """The same graph and connecting map with every edge id ``e`` made ``-1 - e``."""
-    edges = [EdgeRecord(-1 - e.eid, e.ends) for e in graph.edges.values()]
+    edges = [(-1 - eid, ends) for eid, ends in graph.edges.items()]
     sigma = {i: {-1 - e: -1 - img for e, img in t.items()} for i, t in enumerate(graph.sigma)}
     return WhiteheadGraph(graph.rank, edges, sigma)
 
@@ -441,7 +462,7 @@ def test_json_rejects_a_non_canonical_dart_name(commutator, where, name, message
 
 
 def test_dot_export_labels(refutation_graph):
-    dot = export_dot(refutation_graph)
+    dot = export_dot(refutation_graph, pg.parse_word_list("rank 2\na(aB)^3B^2\n"))
     assert '"a1" -- "a1-" [label="w0:p0"]' in dot
     assert dot.count(" -- ") == 9
 
@@ -454,7 +475,7 @@ def test_vertex_names_round_trip():
 def test_remove_edges_keeps_ids(refutation_graph):
     sub = refutation_graph.remove_edges([0, 5])
     assert sorted(sub.edges) == [1, 2, 3, 4, 6, 7, 8]
-    assert sub.edges[3].ends == refutation_graph.edges[3].ends
+    assert sub.edges[3] == refutation_graph.edges[3]
 
 
 def test_regular_instance_generator_properties():
@@ -484,11 +505,9 @@ def test_index_tables_match_the_vertex_ids(seed, kind):
         assert list(verts) == sorted(verts)
         assert all(verts[i].index == i for i in range(len(verts)))
         assert len(verts) == 2 * graph.rank
-        assert graph.end_index.keys() == graph.edges.keys()
-        for eid, e in graph.edges.items():
-            assert graph.end_index[eid] == (e.ends[0].index, e.ends[1].index)
-            assert tuple(verts[i] for i in graph.end_index[eid]) == e.ends
+        for eid in graph.edges:
+            assert tuple(verts[i] for i in graph.edges[eid]) == edge_ends(graph, eid)
         for v in verts:
-            assert graph.delta(v) == sorted(eid for eid, e in graph.edges.items() if v in e.ends)
+            assert graph.delta(v) == sorted(eid for eid in graph.edges if v in edge_ends(graph, eid))
             if isinstance(graph, pg.WhiteheadGraph):  # each table in edge-id order
                 assert list(graph.sigma[v.index]) == graph.delta(v)

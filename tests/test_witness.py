@@ -19,6 +19,7 @@ from polygonality.witness import (
 
 from conftest import (
     make_plain,
+    other_end,
     oracle_all_cycles,
     oracle_bounded_witness_search,
     oracle_cycle_key,
@@ -128,7 +129,7 @@ def test_verify_bigon_fails_on_refutation_graph(refutation_graph):
     parallel = [
         eid
         for eid in refutation_graph.delta(vid(2, 1))
-        if refutation_graph.edges[eid].other(vid(2, 1)) == vid(2, -1)
+        if other_end(refutation_graph, eid, vid(2, 1)) == vid(2, -1)
     ]
     bigon = make_cycle(refutation_graph, parallel)
     verdict = pg.verify_witness(refutation_graph, {bigon.edges: 1})
@@ -141,7 +142,7 @@ def test_verify_ignores_forged_turns(refutation_graph):
     parallel = [
         eid
         for eid in refutation_graph.delta(vid(2, 1))
-        if refutation_graph.edges[eid].other(vid(2, 1)) == vid(2, -1)
+        if other_end(refutation_graph, eid, vid(2, 1)) == vid(2, -1)
     ]
     walked = make_cycle(refutation_graph, parallel)
     forged = Cycle(walked.edges, walked.key, walked.edge_seq, ())
@@ -287,7 +288,7 @@ def test_search_lp_agrees_with_bounded_search_small_graphs():
     # bigon with identity-style map
     bigon = make_plain(1, [(vid(1, 1), vid(1, -1))] * 2)
     flip = {eid: eid for eid in bigon.edges}
-    cases.append(pg.WhiteheadGraph(1, list(bigon.edges.values()), {0: flip, 1: flip}))
+    cases.append(pg.WhiteheadGraph(1, list(bigon.edges.items()), {0: flip, 1: flip}))
     cases.append(words_graph("rank 2\nabAB\n"))
     cases.append(words_graph("rank 2\naBa^2b\n"))
     cases.append(words_graph("rank 2\na^2b^2\n"))
