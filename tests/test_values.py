@@ -32,6 +32,7 @@ def values():
         (Letter(2, -1), (2, -1)),
         (Word((A, B_INV), index=3), ((A, B_INV),)),
         (WordList(2, (Word((A, B_INV)),)), (2, (Word((A, B_INV)),))),
+        (Word((B_INV, A)), ((B_INV, A),)),
         (commutator_cycle(), (frozenset({0, 1, 2, 3}), (0, 1, 2, 3))),
     ]
 
