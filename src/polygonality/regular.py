@@ -27,7 +27,6 @@ weighting, to name a violating set.
 from __future__ import annotations
 
 import itertools
-from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError
@@ -144,12 +143,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> Fractio
     res = maximize_homogeneous(rows, [1] * len(matchings))
     if not res.objective:
         raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
-    denom_lcm = lcm(*(int(val.denominator) for val in res.x))
-    entries = []
-    for m, val in zip(matchings, res.x):
-        mult = int(val * denom_lcm)
-        if mult:
-            entries.append((m, mult))
+    entries = [(m, mult) for m, mult in zip(matchings, res.integer_x()) if mult]
     ell = sum(n for _, n in entries)
     return FractionalColoring(k, ell, tuple(entries))
 

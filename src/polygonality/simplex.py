@@ -30,6 +30,7 @@ refutation certificate.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from math import lcm
 from operator import index
 from typing import NamedTuple
 
@@ -44,6 +45,11 @@ class LPResult(NamedTuple):
     x: list
     objective: object  # positive at the first positive basis, else the optimum 0
     duals: list  # empty when the objective is positive
+
+    def integer_x(self) -> list[int]:
+        """``x`` scaled by the lcm of its denominators, as ints."""
+        scale = lcm(*(val.denominator for val in self.x))
+        return [val.numerator * (scale // val.denominator) for val in self.x]
 
 
 def _eliminate(rows: list[list[int]], dens: list[int], r: int, col: int, d: int) -> int:

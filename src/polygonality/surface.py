@@ -162,7 +162,7 @@ def _build_polygon(
     """
     # every side shares the graph's one VertexId object of its vertex
     verts, sigma = graph.vertices(), graph.sigma
-    eids = cycle.edge_seq
+    eids = cycle.edges
     n = len(eids)
     sides, labels = [], []
     for t, (i, e, f) in enumerate(cycle.turns):
@@ -201,7 +201,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         )
         raise PreconditionError(f"witness fails verification: {failed}")
     cycles = verdict.cycles
-    sides = sum(len(cycle.turns) * n for cycle, n in cycles.items())
+    sides = sum(len(cycle.edges) * n for cycle, n in cycles.items())
     if sides > MAX_WORD_LENGTH:
         raise PreconditionError(
             f"witness glues {sides} polygon sides, over the cap of {MAX_WORD_LENGTH}"

@@ -8,10 +8,12 @@ checks this directly; the searcher decides existence (optionally demanding a
 cycle of length at least three) by an exact rational LP over all simple
 cycles and, on failure, returns a rational refutation certificate.
 
+A :class:`Cycle` is stored as its walk, the cyclic sequence of its vertices
+and edges from a canonical start; its key and turns are read off that walk.
 Every construction (regular, four-vertex, LP) hands over its witness as
 :func:`witness_from_json` reads one: the multiplicity of each cycle's edge-id
 set.  :func:`verify_witness` is the one place where those sets are walked
-into :class:`Cycle` objects.
+into cycles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
-from .frozen import Frozen
 from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_object
 
@@ -31,49 +32,42 @@ from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_ob
 Turn = tuple[int, int, int]
 
 
-class Cycle(Frozen):
-    """A simple cycle: its edge-id set, canonical key and stored walk.
+class Cycle(NamedTuple):
+    """A simple cycle, stored as its walk.
 
-    The walk visits vertices ``v_0, ..., v_{n-1}``; ``turns[t]`` is the
-    :data:`Turn` ``(v_t.index, e, f)``, the index of the vertex (see
-    :attr:`VertexId.index`) with the two cycle edges there,
-    ``{e, f} = {edge_seq[t - 1], edge_seq[t]}`` and ``e < f``, and edge
-    ``edge_seq[t]`` joins ``v_t`` to ``v_{t+1}`` (indices mod ``n``).  The
-    walk starts at the cycle's least vertex along the smaller of its two
-    edges there.  Only ``edges`` and ``key`` take part in equality and
-    hashing; every cycle is built from its walk by one private constructor,
-    which :func:`make_cycle` (from a validated edge set) and
-    :func:`enumerate_cycles` (from its search path) both end in.  Cycles sort
-    by length, then key, as :func:`cycle_order` keys them.
+    The walk visits the vertex indices ``verts[0], ..., verts[n-1]``, and edge
+    ``edges[t]`` joins ``verts[t]`` to ``verts[t + 1]`` (indices mod ``n``).
+    It starts at the cycle's least vertex along the smaller of its two edges
+    there, so an edge set has exactly one walk, and tuple equality and hashing
+    are cycle equality.  The canonical key and the turns are read off the
+    walk.  Sort cycles by :func:`cycle_order`: the tuple's own order compares
+    walks.
     """
 
-    __slots__ = ("edges", "key", "edge_seq", "turns")
+    verts: tuple[int, ...]
+    edges: tuple[int, ...]
 
-    def __init__(
-        self,
-        edges: frozenset[int],
-        key: tuple[int, ...],
-        edge_seq: tuple[int, ...],
-        turns: tuple[Turn, ...],
-    ):
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "edge_seq", edge_seq)
-        object.__setattr__(self, "turns", turns)
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The least rotation of the walk's edge ids, in either direction.
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.edges == other.edges and self.key == other.key
-        return NotImplemented
+        The ids are distinct, so the least rotation starts at the least id;
+        the key is the smaller of the forward and the reversed rotation from
+        there.
+        """
+        seq = self.edges
+        i = seq.index(min(seq))
+        forward = seq[i:] + seq[:i]
+        return min(forward, forward[:1] + forward[:0:-1])
 
-    def __hash__(self):
-        return hash((self.edges, self.key))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __lt__(self, other: "Cycle") -> bool:
-        return cycle_order(self) < cycle_order(other)
+    @property
+    def turns(self) -> tuple[Turn, ...]:
+        """The :data:`Turn` at each vertex: at ``verts[t]`` the walk turns
+        from ``edges[t - 1]`` to ``edges[t]``."""
+        seq = self.edges
+        return tuple(
+            [(v, e, f) if e < f else (v, f, e) for v, e, f in zip(self.verts, seq[-1:] + seq, seq)]
+        )
 
     @property
     def is_long(self) -> bool:
@@ -84,46 +78,24 @@ CycleList = dict[Cycle, int]
 
 
 def cycle_order(cycle: Cycle) -> tuple[int, tuple[int, ...]]:
-    """The sort key of a cycle: its length, then its canonical key.
-
-    Sorting by this key compares plain tuples, where sorting cycles
-    themselves calls :meth:`Cycle.__lt__` once per comparison.
-    """
+    """The sort key of a cycle: its length, then its canonical key."""
     return len(cycle.edges), cycle.key
 
 
-def _cycle_from_walk(verts: list[int], seq: list[int]) -> Cycle:
-    """The cycle walked along ``seq`` through the vertex indices ``verts``, canonically keyed.
-
-    The walk must be a simple cycle that starts at its least vertex along the
-    smaller of its two edges there.  Its edge ids are distinct, so the least
-    rotation in either direction starts at the least id; the key is the
-    smaller of the forward and the reversed rotation from there.
-    """
-    i = seq.index(min(seq))
-    forward = tuple(seq[i:] + seq[:i])
-    backward = forward[:1] + forward[:0:-1]
-    # at verts[t] the walk turns from seq[t - 1] to seq[t]
-    turns = tuple(
-        [(v, e, f) if e < f else (v, f, e) for v, e, f in zip(verts, [seq[-1], *seq], seq)]
-    )
-    return Cycle(frozenset(seq), min(forward, backward), tuple(seq), turns)
-
-
 def make_cycle(graph: Multigraph, eids) -> Cycle:
-    """Validate an edge subset as a simple cycle, walk it and canonicalize it.
+    """Validate an edge subset as a simple cycle and walk it.
 
     The subset must induce a connected subgraph in which every touched vertex
     has degree exactly two.  The walk starts at the least vertex along its
-    least edge.  The canonical key is the lexicographically least rotation of
-    the cyclic edge-id sequence, in either direction.  On the commutator's
-    four-cycle the walk leaves ``a1`` along edge 0 and comes back along edge
-    1, while the key starts at the least id and goes the smaller way round:
+    least edge.  On the commutator's four-cycle the walk leaves ``a1`` along
+    edge 0 and comes back along edge 1, while the key, the least rotation of
+    the walk in either direction, starts at the least id and goes the
+    smaller way round:
 
     >>> from polygonality import build_whitehead_graph, parse_word_list
     >>> graph = build_whitehead_graph(parse_word_list("rank 2\\nabAB"))
     >>> cyc = make_cycle(graph, {3, 1, 0, 2})
-    >>> cyc.edge_seq, cyc.key
+    >>> cyc.edges, cyc.key
     ((0, 3, 2, 1), (0, 1, 2, 3))
 
     Each turn names its vertex by index, then its two edges in id order;
@@ -162,7 +134,7 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
         eid = b if a == eid else a
     if len(seq) != len(eids):
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
-    return _cycle_from_walk(verts, seq)
+    return Cycle(tuple(verts), tuple(seq))
 
 
 def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
@@ -189,7 +161,7 @@ def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
             if j == start:
                 # strict: on a one-edge path, eid may be that edge itself
                 if path_e and path_e[0] < eid:
-                    found.append(_cycle_from_walk(path_v, path_e + [eid]))
+                    found.append(Cycle(tuple(path_v), (*path_e, eid)))
             elif j > start and not on_path[j]:
                 on_path[j] = True
                 path_v.append(j)
@@ -340,13 +312,7 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     objective = [1 if (c.is_long or not require_long) else 0 for c in cycles]
     res = maximize_homogeneous(rows, objective)
     if res.objective > 0:
-        denom_lcm = lcm(*(int(val.denominator) for val in res.x))
-        witness: dict[frozenset[int], int] = {}
-        for c, val in zip(cycles, res.x):
-            m = int(val * denom_lcm)
-            if m:
-                witness[c.edges] = m
-        return witness
+        return {frozenset(c.edges): m for c, m in zip(cycles, res.integer_x()) if m}
     # optimum is zero: validate the dual certificate before reporting; with
     # y.A >= c on every cycle and a zero normalization multiplier, any x >= 0
     # with A x = 0 has c.x <= y.A x = 0, while a positive one only bounds c.x

@@ -124,6 +124,15 @@ def oracle_cycle_key(seq) -> tuple[int, ...]:
     return min(tuple(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(seq)))
 
 
+def oracle_turns(cycle) -> tuple[tuple[int, int, int], ...]:
+    """The turns of a walked cycle, built in one pass over the walk: at
+    ``verts[t]`` the walk turns from ``edges[t - 1]`` to ``edges[t]``."""
+    seq = list(cycle.edges)
+    return tuple(
+        [(v, e, f) if e < f else (v, f, e) for v, e, f in zip(cycle.verts, [seq[-1], *seq], seq)]
+    )
+
+
 def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
     """Fewest edges leaving a vertex set that contains ``x`` and not ``y``,
     over all ``2^(2 rank - 2)`` such sets."""

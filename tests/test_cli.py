@@ -247,6 +247,34 @@ def test_witness_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# a minimal, diskbusting rank-2 word of length 128 whose witness lists 2,687 cycles
+LONG_FOUR_VERTEX_WORD = (
+    "BAABBaababAAAbAAbbabAbaaBAbaabABaaBabABAAbaBAAbbAbABaBaBBABBBBB"
+    "abbbbABBaBAbbaBaaaaabAAbbabABABaBabaBABabAbbabaaBaBaBABBABaBBaBaa"
+)
+LONG_FOUR_VERTEX_SHA256 = {
+    "witness": "b376d67f9d6762b7e7eb030522627393946678fe5d8ac5cf22f4ee74e15f65c1",
+    "verify": "b743bafc0e4c271d7f5167b906c193e73cd4db45ff6bfb346b652be4032ba671",
+    "surface": "616a771d7d7ca8a005b065226bb360c1cb3dc36fd931798ce37f316567ca0cf1",
+}
+
+
+def test_long_four_vertex_word_bytes(tmp_path):
+    word = tmp_path / "word.txt"
+    word.write_text(f"rank 2\n{LONG_FOUR_VERTEX_WORD}\n", encoding="utf-8")
+    wit = tmp_path / "witness.json"
+    commands = {
+        "witness": ("witness", str(word), "--require-long"),
+        "verify": ("verify", str(word), str(wit)),
+        "surface": ("surface", str(word)),
+    }
+    for name, argv in commands.items():
+        out = wit if name == "witness" else tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LONG_FOUR_VERTEX_SHA256[name], name
+    assert len(read_json(wit)["cycles"]) == 2687
+
+
 def test_unknown_input_is_an_error(capsys):
     assert run_cli("analyze", "no-such-instance") == 1
     assert "built-ins" in capsys.readouterr().err
@@ -566,9 +594,9 @@ def test_each_read_cycle_is_walked_once(tmp_path, monkeypatch, argv):
     assert run_cli("witness", argv[1], "--out", str(wit)) == 0
     distinct = {frozenset(c["edges"]) for c in read_json(wit)["cycles"]}
     walks = Counter()
-    count_calls(monkeypatch, witness, "_cycle_from_walk", walks)
+    count_calls(monkeypatch, witness, "make_cycle", walks)
     assert run_cli(*argv, str(wit), "--out", str(tmp_path / "out.json")) == 0
-    assert walks["_cycle_from_walk"] == len(distinct) > 1
+    assert walks["make_cycle"] == len(distinct) > 1
 
 
 @pytest.mark.parametrize("command", [("verify",), ("surface", "--witness")], ids=lambda c: c[0])

@@ -231,7 +231,8 @@ def test_existence_implies_lp_feasibility(seed):
 
 def _assert_regular_cycles_match_the_slot_pair_loop(graph):
     rw = regular_witness(graph)
-    assert rw.cycles == {c.edges: n for c, n in oracle_regular_cycles(graph, rw.coloring).items()}
+    expected = oracle_regular_cycles(graph, rw.coloring)
+    assert rw.cycles == {frozenset(c.edges): n for c, n in expected.items()}
     return rw
 
 

@@ -12,7 +12,7 @@ from conftest import oracle_link_letters, oracle_vertex_classes, other_end, vid,
 
 
 def commutator_complex(commutator):
-    wit = {make_cycle(commutator, {0, 1, 2, 3}).edges: 1}
+    wit = {frozenset(make_cycle(commutator, {0, 1, 2, 3}).edges): 1}
     return pg.build_surface(commutator, wit)
 
 
@@ -56,7 +56,7 @@ def test_build_requires_verified_witness(refutation_graph):
     ]
     bigon = make_cycle(refutation_graph, parallel)
     with pytest.raises(PreconditionError):
-        pg.build_surface(refutation_graph, {bigon.edges: 1})
+        pg.build_surface(refutation_graph, {frozenset(bigon.edges): 1})
 
 
 def test_build_rejects_empty(commutator):
@@ -93,7 +93,7 @@ def test_bigon_only_witness_has_no_certificate():
     graph = WhiteheadGraph(1, list(plain.edges.items()), {0: flip, 1: flip})
     wl = pg.parse_word_list("rank 1\na^2\n")
     bigon = make_cycle(graph, {0, 1})
-    cx = pg.build_surface(graph, {bigon.edges: 1})
+    cx = pg.build_surface(graph, {frozenset(bigon.edges): 1})
     assert cx.chi_minus_m() == 0
     with pytest.raises(VerificationError):
         pg.surface_report(cx, wl)
@@ -118,7 +118,7 @@ def reglue(cx, pairing):
 
 def test_broken_pairing_detected(commutator):
     wl = pg.parse_word_list("rank 2\nabAB\n")
-    doubled = {make_cycle(commutator, {0, 1, 2, 3}).edges: 2}
+    doubled = {frozenset(make_cycle(commutator, {0, 1, 2, 3}).edges): 2}
     cx2 = pg.build_surface(commutator, doubled)
     # the links are read while gluing, so the swapped pairing goes in at construction;
     # either the walk itself breaks, or a link stops reading a word power
@@ -127,7 +127,7 @@ def test_broken_pairing_detected(commutator):
 
 
 def test_non_involutive_pairing_rejected(commutator):
-    cx = pg.build_surface(commutator, {make_cycle(commutator, {0, 1, 2, 3}).edges: 2})
+    cx = pg.build_surface(commutator, {frozenset(make_cycle(commutator, {0, 1, 2, 3}).edges): 2})
     pairing = dict(cx.pairing)
     key = next(iter(pairing))
     pairing[key] = next(k for k in pairing if k not in (key, pairing[key]))
@@ -208,12 +208,11 @@ def test_cycle_walk_structure():
     for text in ("rank 2\naBa^2b\n", "rank 2\na(aB)^3B^2\n", "rank 3\nabcabCAB\n"):
         graph = words_graph(text)
         for cyc in pg.enumerate_cycles(graph):
-            verts = [i for i, _, _ in cyc.turns]  # vertex indices
-            eids = cyc.edge_seq
-            assert len(verts) == len(set(verts)) == len(eids) == len(cyc)
-            assert set(eids) == cyc.edges
+            verts, eids = cyc
+            assert [i for i, _, _ in cyc.turns] == list(verts)
+            assert len(verts) == len(set(verts)) == len(eids) == len(set(eids))
             assert verts[0] == min(verts)
-            assert eids[0] == min(set(graph.delta(graph.vertices()[verts[0]])) & cyc.edges)
+            assert eids[0] == min(set(graph.delta(graph.vertices()[verts[0]])) & set(eids))
             for t, eid in enumerate(eids):
                 assert set(graph.edges[eid]) == {verts[t], verts[(t + 1) % len(verts)]}
                 assert cyc.turns[t][1:] == tuple(sorted((eids[t - 1], eid)))

@@ -33,7 +33,6 @@ def values():
         (Word((A, B_INV), index=3), ((A, B_INV),)),
         (WordList(2, (Word((A, B_INV)),)), (2, (Word((A, B_INV)),))),
         (Word((B_INV, A)), ((B_INV, A),)),
-        (commutator_cycle(), (frozenset({0, 1, 2, 3}), (0, 1, 2, 3))),
     ]
 
 
@@ -124,21 +123,12 @@ def test_word_list():
 
 
 def test_cycle():
+    # the walk is the whole cycle: equality and hashing are the tuple's
     c = commutator_cycle()
-    assert repr(c) == (
-        "Cycle(edges=frozenset({0, 1, 2, 3}), key=(0, 1, 2, 3), edge_seq=(0, 3, 2, 1), "
-        "turns=((0, 0, 1), (3, 0, 3), (1, 2, 3), (2, 1, 2)))"
-    )
-    # the walk takes no part in equality or hashing
-    bare = Cycle(c.edges, c.key, (), ())
-    assert bare == c and hash(bare) == hash(c) and len(bare) == 4 and bare.is_long
-    assert Cycle(edges=frozenset({5, 6}), key=(5, 6), edge_seq=(5, 6), turns=()) != c
-    # by length, then key; only __lt__ is defined
-    bigon = Cycle(frozenset({5, 6}), (5, 6), (), ())
-    other = Cycle(frozenset({0, 1, 2, 4}), (0, 1, 2, 4), (), ())
-    assert sorted([other, c, bigon]) == [bigon, c, other]
-    with pytest.raises(TypeError):
-        c <= c
+    assert c == Cycle(verts=(0, 3, 1, 2), edges=(0, 3, 2, 1)) and hash(c) == hash(tuple(c))
+    assert c.key == (0, 1, 2, 3) and c.is_long
+    assert c.turns == ((0, 0, 1), (3, 0, 3), (1, 2, 3), (2, 1, 2))
+    assert not Cycle((0, 1), (5, 6)).is_long
 
 
 def test_records():
@@ -154,6 +144,7 @@ def test_records():
         "Side(vertex=VertexId(gen=1, sign=1), pair=frozenset({1, 2}), incoming=True, "
         "tail_corner=0, head_corner=1)"
     )
+    assert repr(commutator_cycle()) == "Cycle(verts=(0, 3, 1, 2), edges=(0, 3, 2, 1))"
 
 
 def test_lp_result_is_a_plain_record():

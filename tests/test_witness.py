@@ -12,6 +12,7 @@ from polygonality.generators import random_fourvertex_instance, random_regular_i
 from polygonality.witness import (
     Cycle,
     Infeasible,
+    cycle_order,
     make_cycle,
     witness_from_json,
     witness_to_json,
@@ -24,6 +25,7 @@ from conftest import (
     oracle_bounded_witness_search,
     oracle_cycle_key,
     oracle_pair_count,
+    oracle_turns,
     vid,
     words_graph,
 )
@@ -36,32 +38,33 @@ def to_json(graph, cycles):
 
 def test_enumerate_four_cycle(commutator):
     cycles = pg.enumerate_cycles(commutator)
-    assert len(cycles) == 1 and cycles[0].edges == frozenset({0, 1, 2, 3})
+    assert len(cycles) == 1 and frozenset(cycles[0].edges) == frozenset({0, 1, 2, 3})
 
 
 def test_enumerate_bigon():
     graph = make_plain(1, [(vid(1, 1), vid(1, -1)), (vid(1, 1), vid(1, -1))])
     cycles = pg.enumerate_cycles(graph)
-    assert len(cycles) == 1 and len(cycles[0]) == 2
+    assert len(cycles) == 1 and len(cycles[0].edges) == 2
 
 
 def test_enumerate_against_subset_oracle(refutation_graph):
-    ours = {c.edges for c in pg.enumerate_cycles(refutation_graph)}
+    ours = {frozenset(c.edges) for c in pg.enumerate_cycles(refutation_graph)}
     assert ours == oracle_all_cycles(refutation_graph)
 
 
-def rank3_word_graph(seed: int, length: int = 12) -> pg.WhiteheadGraph:
-    """A random cyclically reduced rank-3 word's graph, the shape the LP route decides."""
+def random_word_graph(seed: int, rank: int = 3, length: int = 12) -> pg.WhiteheadGraph:
+    """A random cyclically reduced word's graph; at rank 3, the shape the LP route decides."""
     rng = random.Random(seed)
+    letters = "abcd"[:rank] + "ABCD"[:rank]
     while True:
-        word = [rng.choice("abcABC") for _ in range(length)]
+        word = [rng.choice(letters) for _ in range(length)]
         if all(x != y.swapcase() for x, y in zip(word, word[1:] + word[:1])):
-            return words_graph("rank 3\n" + "".join(word) + "\n")
+            return words_graph(f"rank {rank}\n" + "".join(word) + "\n")
 
 
 RANDOM_GRAPHS = {
     "fourvertex": lambda seed: random_fourvertex_instance(seed, max_degree=5),
-    "rank3-word": rank3_word_graph,
+    "rank3-word": random_word_graph,
     "regular": lambda seed: random_regular_instance(seed, 3 + seed % 2, 3),
 }
 
@@ -71,33 +74,43 @@ RANDOM_GRAPHS = {
 def test_enumerate_against_oracle_random(seed, kind):
     graph = RANDOM_GRAPHS[kind](seed)
     cycles = pg.enumerate_cycles(graph)
-    assert {c.edges for c in cycles} == oracle_all_cycles(graph)
-    assert all(a < b for a, b in zip(cycles, cycles[1:]))  # strictly sorted
-    for c in cycles:
-        # edge_seq and turns take no part in equality, so compare them too
-        built = make_cycle(graph, c.edges)
-        assert (c, c.key, c.edge_seq, c.turns) == (built, built.key, built.edge_seq, built.turns)
+    assert {frozenset(c.edges) for c in cycles} == oracle_all_cycles(graph)
+    orders = [cycle_order(c) for c in cycles]
+    assert all(a < b for a, b in zip(orders, orders[1:]))  # strictly sorted
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 14))
+@settings(max_examples=40, deadline=None)
+def test_cycle_views_are_read_off_the_walk(seed, rank, length):
+    # a cycle is its two-field walk: rewalking its edges gives the same tuple,
+    # and the key and turns agree with their oracles
+    assert Cycle._fields == ("verts", "edges")
+    graph = random_word_graph(seed, rank, length)
+    for c in pg.enumerate_cycles(graph):
+        assert make_cycle(graph, c.edges) == c
+        assert c.key == oracle_cycle_key(c.edges)
+        assert c.turns == oracle_turns(c)
 
 
 @given(st.lists(st.integers(0, 60), min_size=2, max_size=14, unique=True))
 def test_cycle_key_is_the_least_rotation(seq):
-    cyc = witness._cycle_from_walk(list(range(len(seq))), seq)
+    cyc = Cycle(tuple(range(len(seq))), tuple(seq))
     assert cyc.key == oracle_cycle_key(seq)
 
 
-@pytest.mark.parametrize("graph", [words_graph("rank 2\naBa^2b\n"), rank3_word_graph(0)])
+@pytest.mark.parametrize("graph", [words_graph("rank 2\naBa^2b\n"), random_word_graph(0)])
 def test_enumeration_builds_each_cycle_once(graph, monkeypatch):
     calls = []
-    build = witness._cycle_from_walk
+    build = witness.Cycle
 
-    def counted(verts, seq):
-        calls.append(tuple(seq))
-        return build(verts, seq)
+    def counted(verts, edges):
+        calls.append(edges)
+        return build(verts, edges)
 
     def forbidden(*args):
         raise AssertionError("enumeration must not rebuild a cycle from its edge set")
 
-    monkeypatch.setattr(witness, "_cycle_from_walk", counted)
+    monkeypatch.setattr(witness, "Cycle", counted)
     monkeypatch.setattr(witness, "make_cycle", forbidden)
     cycles = pg.enumerate_cycles(graph)
     assert len(calls) == len(cycles) > 1
@@ -114,7 +127,7 @@ def test_make_cycle_rejects_non_cycles(commutator):
 
 def test_verify_commutator_witness(commutator):
     cyc = make_cycle(commutator, {0, 1, 2, 3})
-    verdict = pg.verify_witness(commutator, {cyc.edges: 1}, require_long=True)
+    verdict = pg.verify_witness(commutator, {frozenset(cyc.edges): 1}, require_long=True)
     assert verdict.ok and verdict.has_long_cycle
     assert verdict.per_edge_usage == {0: 1, 1: 1, 2: 1, 3: 1}
 
@@ -132,22 +145,8 @@ def test_verify_bigon_fails_on_refutation_graph(refutation_graph):
         if other_end(refutation_graph, eid, vid(2, 1)) == vid(2, -1)
     ]
     bigon = make_cycle(refutation_graph, parallel)
-    verdict = pg.verify_witness(refutation_graph, {bigon.edges: 1})
+    verdict = pg.verify_witness(refutation_graph, {frozenset(bigon.edges): 1})
     assert not verdict.ok and verdict.failures
-
-
-def test_verify_ignores_forged_turns(refutation_graph):
-    # pair_counts trusts a cycle's turns: without them the bigon would count as
-    # balanced, which is why the verifier takes edge sets and walks them itself
-    parallel = [
-        eid
-        for eid in refutation_graph.delta(vid(2, 1))
-        if other_end(refutation_graph, eid, vid(2, 1)) == vid(2, -1)
-    ]
-    walked = make_cycle(refutation_graph, parallel)
-    forged = Cycle(walked.edges, walked.key, walked.edge_seq, ())
-    counts, _ = pg.pair_counts(refutation_graph, {forged: 1})
-    assert counts == {}
 
 
 def test_verify_scaling_invariance(polygonal_graph):
@@ -166,7 +165,7 @@ def assert_single_edge_balance(graph, verdict):
 
 def test_strict_pair_mode(commutator):
     cyc = make_cycle(commutator, {0, 1, 2, 3})
-    verdict = pg.verify_witness(commutator, {cyc.edges: 1})
+    verdict = pg.verify_witness(commutator, {frozenset(cyc.edges): 1})
     assert verdict.ok
     assert_single_edge_balance(commutator, verdict)
 
