@@ -4,23 +4,25 @@ Directly constructs a balanced cycle list (with a cycle of length at least
 three and constant per-edge usage) for a connected 4-vertex graph whose local
 edge connectivity between paired vertices meets the degree everywhere.
 
-Pipeline: pick a minimum-degree vertex ``w``; form the auxiliary digraph,
-whose nodes are named by the edges at ``w``: ``('e', x)`` is the dart of x at
-``w`` and ``('f', x)`` its connecting-map image at the pair of ``w``.
-Partition the digraph into the eight good shapes and complete each part into
-a permutation digraph whose induced permutation pi of the edges at ``w`` is
-"good" (images under the connecting map stay disjoint) and "uniform" (a list
-of orbits of the induced pair permutation covers every edge at ``w`` the
-same number of times).  The completion hands over sigma_w after pi, edge to
-edge, and the orbit pairs weighted by how often the list holds them.  One
-function then peels edges between the opposite vertex pair down to a regular
-graph and writes the cycle list of every level in closed form: the bigons,
-triangles and quadrilaterals patched in from the orbit pairs, and the cycles
-of the regular graph at the bottom.  That graph is edge-colored in closed
-form: each perfect matching of K4 on the four vertices has equally many
-edges on its two sides, and pairing them gives k perfect matchings, so this
-route solves no linear program.  Cycles are edge-id sets throughout; the
-verifier walks them.
+Pipeline: pick a minimum-degree vertex ``w`` and form the auxiliary digraph:
+its nodes are the dart of each edge x at ``w`` and that dart's connecting-map
+image, its arcs run from the image of x to the dart of x and from the dart of
+x to the image of y when x is sigma_w(y).  So each component alternates the
+image and dart of one edge, then of the next, and is stored as that chain of
+edges.  Partition the chains into the eight good shapes and complete each
+part into a permutation pi of its edges, whose cycles join the part's chains
+end to end, so that pi is "good" (images under the connecting map stay
+disjoint) and "uniform" (a list of orbits of the induced pair permutation
+covers every edge at ``w`` the same number of times).  The completion hands
+over sigma_w after pi and the orbit pairs weighted by how often the list
+holds them.  One function then peels edges between the opposite vertex pair
+down to a regular graph and writes the cycle list of every level in closed
+form: the bigons, triangles and quadrilaterals patched in from the orbit
+pairs, and the cycles of the regular graph at the bottom.  That graph is
+edge-colored in closed form: each perfect matching of K4 on the four
+vertices has equally many edges on its two sides, and pairing them gives k
+perfect matchings, so this route solves no linear program.  Cycles are
+edge-id sets throughout; the verifier walks them.
 """
 
 from __future__ import annotations
@@ -34,99 +36,56 @@ from .errors import GraphError, PreconditionError, VerificationError
 from .regular import FractionalColoring, RegularWitness, coloring_witness
 from .whitehead import Multigraph, VertexId, WhiteheadGraph
 
-Node = tuple[str, int]  # ('e', x) or ('f', x), for an edge x at w
 
+class Chain(NamedTuple):
+    """One component of the auxiliary digraph, as its chain of edges at ``w``.
 
-class Component(NamedTuple):
-    """One weakly connected piece of the auxiliary digraph.
-
-    ``nodes`` follow the arcs: a path runs source to sink, a cycle is rotated
-    to start at its least node.
+    ``edges`` is ``(x1, x2, ...)`` with sigma_w(x_{i+1}) = x_i: the component
+    runs image of x1, dart of x1, image of x2, ...  ``ends`` colors a path's
+    source and sink (``'RR'``, ``'RB'``, ``'BR'`` or ``'BB'``) and is None
+    for a cycle, which starts at its least edge.
     """
 
-    kind: str  # 'path' | 'cycle'
-    nodes: tuple[Node, ...]
+    edges: tuple[int, ...]
+    ends: str | None
 
     @property
     def short(self) -> bool:
-        return len(self.nodes) == 2
-
-    @property
-    def long(self) -> bool:
-        return len(self.nodes) >= 4
-
-    def e_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n[0] == "e")
+        return len(self.edges) == 1
 
 
 class AuxDigraph:
-    """Digraph on the darts at ``w`` (e-nodes) and their images at its pair (f-nodes).
+    """The auxiliary digraph at ``w`` as its chains: paths by first edge, then cycles.
 
-    The node ``('e', x)`` is the dart of edge x at ``w``, and ``('f', x)`` its
-    connecting-map image, a dart of edge ``sigma_w[x]``.  There is an arc from
-    each f-node to the e-node of the same edge, and an arc from ``('e', x)`` to
-    ``('f', y)`` when x is ``sigma_w[y]``: the two darts lie on one edge.
-    Sources and sinks are colored by which vertex of the opposite pair their
-    edge touches.  ``succ`` maps each node to its successor, or None at a
-    sink.  Instances may also be built abstractly (no backing graph) for
-    exhaustive decomposition tests.
+    It has two nodes per edge, and only path ends carry a color.  Instances
+    may also be built abstractly (no backing graph) for exhaustive
+    decomposition tests.
     """
 
     def __init__(
         self,
-        succ: dict[Node, Node | None],
-        colors: dict[Node, str | None],
+        components: tuple[Chain, ...],
         graph: Multigraph | None = None,
         u: VertexId | None = None,
         sigma_w: dict[int, int] | None = None,
     ):
-        self.succ = succ
-        self.colors = colors
+        self.components = components
         self.graph = graph
         self.u = u
         self.sigma_w = sigma_w or {}
-        self.components = _components_from_succ(succ)
-        self._validate_structure()
-
-    @property
-    def nodes(self) -> list[Node]:
-        return sorted(self.succ)
-
-    def color_count(self, color: str) -> int:
-        return sum(1 for n in self.succ if self.colors.get(n) == color)
-
-    def _validate_structure(self):
-        for comp in self.components:
-            ns = comp.nodes
-            if comp.kind == "path":
-                if len(ns) % 2 != 0 or ns[0][0] != "f" or ns[-1][0] != "e":
-                    raise GraphError(f"bad path component {ns}")
-                ends_colored = all(self.colors.get(n) in ("R", "B") for n in (ns[0], ns[-1]))
-                interior_plain = all(self.colors.get(n) is None for n in ns[1:-1])
-                if not (ends_colored and interior_plain):
-                    raise GraphError(f"bad coloring on path {ns}")
-            elif comp.kind == "cycle":
-                if len(ns) % 2 != 0:
-                    raise GraphError(f"odd cycle component {ns}")
-                if any(self.colors.get(n) is not None for n in ns):
-                    raise GraphError(f"colored cycle node in {ns}")
-            else:
-                raise GraphError(f"unknown component kind {comp.kind}")
-            kinds = [n[0] for n in ns]
-            if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
-                raise GraphError(f"component {ns} does not alternate dart sides")
-        sources = [c.nodes[0] for c in self.components if c.kind == "path"]
-        sinks = [c.nodes[-1] for c in self.components if c.kind == "path"]
-        red_src = sum(1 for n in sources if self.colors.get(n) == "R")
-        red_sink = sum(1 for n in sinks if self.colors.get(n) == "R")
-        if red_src != red_sink:
+        self.num_edges = sum(len(c.edges) for c in components)
+        ends = Counter(c.ends for c in components)
+        if ends["RB"] != ends["BR"]:
             raise GraphError(
-                f"red sources ({red_src}) and red sinks ({red_sink}) differ"
+                f"{ends['RB']} R-B against {ends['BR']} B-R paths: red sources and sinks differ"
             )
 
+    def color_count(self, color: str) -> int:
+        return sum(c.ends.count(color) for c in self.components if c.ends)
+
     def is_good(self) -> bool:
-        total = len(self.succ)
-        return 2 * self.color_count("R") <= total and 2 * self.color_count("B") <= total
+        # no color on more than half of the nodes, which number twice the edges
+        return max(self.color_count("R"), self.color_count("B")) <= self.num_edges
 
 
 def _other_end(graph: Multigraph, eid: int, i: int) -> int:
@@ -147,30 +106,53 @@ def build_auxiliary_digraph(
     w: VertexId,
     u: VertexId | None = None,
 ) -> AuxDigraph:
-    """Auxiliary digraph of ``graph`` at ``w``; see the module docstring.
+    """Auxiliary digraph of ``graph`` at ``w``, as its chains; see the module docstring.
 
-    Validates the odd-path/even-cycle shape, the source/sink color balance,
-    and that neither color exceeds half of the nodes.
+    A path starts at each edge y, in id order, whose image sigma_w(y) leaves
+    the ``w`` pair, and steps from x to the y with sigma_w(y) = x while x
+    joins ``w`` and its pair.  Its source is R when sigma_w(y) ends at u', B
+    at u; its sink is R when its last edge ends at u, B at u'.  The cycles
+    follow, each from its least edge on no chain yet.
+
+    sigma_w is a bijection onto the edges at the pair of ``w``, so no node has
+    in- or out-degree above one, and each component alternates the two nodes
+    of one edge, so it has even length: chains cannot break these.  On four
+    vertices without loops, interior and cycle nodes, whose edges join ``w``
+    and its pair, have no color, and path ends, whose edges leave it, have
+    one.  Left to check: the source/sink color balance and goodness.
     """
-    if u is None:
-        u, _ = _other_pair(graph, w)
-    if u in (w, w.mu()):
+    pair = _other_pair(graph, w)
+    u = pair[0] if u is None else u
+    if u not in pair:
         raise PreconditionError("u must avoid w and its pair")
     sigma_w = graph.sigma[w.index]
     if len(sigma_w) < 2:
         raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
+    # keyed by the edges at the pair of w: an edge at w is a key exactly when
+    # it joins w and its pair
     preimage = {s: x for x, s in sigma_w.items()}
-    wi, ui = w.index, u.index  # mu flips the last bit of an index
-    succ: dict[Node, Node | None] = {}
-    colors: dict[Node, str | None] = {}
-    for x, s in sigma_w.items():
-        succ[("f", x)] = ("e", x)
-        succ[("e", x)] = ("f", preimage[x]) if x in preimage else None
-        other = _other_end(graph, x, wi)
-        colors[("e", x)] = "R" if other == ui else ("B" if other == ui ^ 1 else None)
-        other_f = _other_end(graph, s, wi ^ 1)
-        colors[("f", x)] = "B" if other_f == ui else ("R" if other_f == ui ^ 1 else None)
-    aux = AuxDigraph(succ, colors, graph, u, sigma_w)
+    ui = u.index  # mu flips the last bit of an index
+
+    def chain(x: int) -> tuple[int, ...]:
+        edges = [x]
+        while edges[-1] in preimage and preimage[edges[-1]] != x:
+            edges.append(preimage[edges[-1]])
+        return tuple(edges)
+
+    comps, seen = [], set()
+    for y in sorted(sigma_w):
+        if sigma_w[y] not in sigma_w:
+            edges = chain(y)
+            source = "R" if (ui ^ 1) in graph.edges[sigma_w[y]] else "B"
+            sink = "R" if ui in graph.edges[edges[-1]] else "B"
+            comps.append(Chain(edges, source + sink))
+            seen.update(edges)
+    for x in sorted(sigma_w):
+        if x not in seen:
+            edges = chain(x)
+            comps.append(Chain(edges, None))
+            seen.update(edges)
+    aux = AuxDigraph(tuple(comps), graph, u, sigma_w)
     if not aux.is_good():
         raise GraphError(
             "auxiliary digraph is not good; the edge-connectivity precondition fails"
@@ -178,55 +160,12 @@ def build_auxiliary_digraph(
     return aux
 
 
-def _components_from_succ(succ: dict[Node, Node | None]) -> tuple[Component, ...]:
-    pred: dict[Node, Node] = {}
-    for n, s in succ.items():
-        if s is not None:
-            if s in pred:
-                raise GraphError(f"node {s} has in-degree above one")
-            pred[s] = n
-    comps = []
-    seen: set[Node] = set()
-    for n in sorted(succ):
-        if n in seen or n in pred:
-            continue
-        chain = [n]
-        seen.add(n)
-        while succ[chain[-1]] is not None:
-            chain.append(succ[chain[-1]])
-            seen.add(chain[-1])
-        comps.append(Component("path", tuple(chain)))
-    for n in sorted(succ):
-        if n in seen:
-            continue
-        start = n
-        chain = [n]
-        seen.add(n)
-        while succ[chain[-1]] != start:
-            nxt = succ[chain[-1]]
-            if nxt is None or nxt in seen:
-                raise GraphError("malformed successor structure")
-            chain.append(nxt)
-            seen.add(nxt)
-        comps.append(Component("cycle", tuple(chain)))
-    return tuple(comps)
-
-
 # -- decomposition into the eight good shapes --------------------------------
 
 
 class GoodPart(NamedTuple):
     type_tag: int
-    components: tuple[Component, ...]
-
-    def nodes(self) -> list[Node]:
-        return [n for c in self.components for n in c.nodes]
-
-
-def _path_class(D: AuxDigraph, comp: Component) -> str | None:
-    if comp.kind != "path":
-        return None
-    return (D.colors[comp.nodes[0]] or "?") + (D.colors[comp.nodes[-1]] or "?")
+    components: tuple[Chain, ...]
 
 
 def _first(comps, pred):
@@ -241,19 +180,16 @@ def decompose_good(D: AuxDigraph) -> list[GoodPart]:
     the long-path, mixed-pair, and cycle shapes, distributing leftover short
     monochromatic paths without breaking goodness.
     """
-    if len(D.nodes) < 4:
+    if D.num_edges < 2:
         raise PreconditionError("decomposition needs at least four nodes")
     if not D.is_good():
         raise PreconditionError("digraph is not good (a color exceeds half the nodes)")
     comps = list(D.components)
     parts: list[GoodPart] = []
 
-    def cls(c):
-        return _path_class(D, c)
-
     while True:
-        rr = _first(comps, lambda c: c.short and cls(c) == "RR")
-        bb = _first(comps, lambda c: c.short and cls(c) == "BB")
+        rr = _first(comps, lambda c: c.short and c.ends == "RR")
+        bb = _first(comps, lambda c: c.short and c.ends == "BB")
         if rr is None or bb is None:
             break
         rest = [c for c in comps if c is not rr and c is not bb]
@@ -261,9 +197,9 @@ def decompose_good(D: AuxDigraph) -> list[GoodPart]:
             parts.append(GoodPart(1, (rr, bb)))
             comps = []
             break
-        if sum(len(c.nodes) for c in rest) == 2:
+        if sum(len(c.edges) for c in rest) == 1:
             only = rest[0]
-            if only.kind != "cycle":
+            if only.ends is not None:
                 raise VerificationError("two leftover nodes should form a short cycle")
             parts.append(GoodPart(1, (rr, bb, only)))
             comps = []
@@ -271,77 +207,71 @@ def decompose_good(D: AuxDigraph) -> list[GoodPart]:
         parts.append(GoodPart(1, (rr, bb)))
         comps = rest
 
-    has_rr = _first(comps, lambda c: c.short and cls(c) == "RR") is not None
+    has_rr = _first(comps, lambda c: c.short and c.ends == "RR") is not None
     yy_class = "RR" if has_rr else "BB"
 
     while comps:
-        sc = _first(comps, lambda c: c.kind == "cycle" and c.short)
-        yy = _first(comps, lambda c: c.short and cls(c) == yy_class)
+        sc = _first(comps, lambda c: c.ends is None and c.short)
+        yy = _first(comps, lambda c: c.short and c.ends == yy_class)
         if sc is None or yy is None:
             break
         others = [c for c in comps if c is not sc and c is not yy]
-        if len(others) <= 1 and all(c.kind == "cycle" and c.short for c in others):
+        if len(others) <= 1 and all(c.ends is None and c.short for c in others):
             parts.append(GoodPart(2, (yy, sc) + tuple(others)))
             comps = []
             break
         parts.append(GoodPart(2, (yy, sc)))
         comps = others
 
-    short_cycles = [c for c in comps if c.kind == "cycle" and c.short]
+    short_cycles = [c for c in comps if c.ends is None and c.short]
     if short_cycles:
-        if _first(comps, lambda c: c.short and cls(c) in ("RR", "BB")) is not None:
+        if _first(comps, lambda c: c.short and c.ends in ("RR", "BB")) is not None:
             raise VerificationError("short monochromatic path escaped the pairing phases")
         rest = [c for c in comps if c not in short_cycles]
         if len(short_cycles) >= 2:
             parts.append(GoodPart(4, tuple(short_cycles)))
-            parts.extend(_pack_long_shapes(D, rest, []))
+            parts.extend(_pack_long_shapes(rest, []))
         else:
             sc = short_cycles[0]
-            mono = _first(rest, lambda c: c.kind == "path" and cls(c) in ("RR", "BB"))
+            mono = _first(rest, lambda c: c.ends in ("RR", "BB"))
             if mono is not None:
                 parts.append(GoodPart(2, (mono, sc)))
                 rest = [c for c in rest if c is not mono]
             else:
-                lc = _first(rest, lambda c: c.kind == "cycle")
+                lc = _first(rest, lambda c: c.ends is None)
                 if lc is not None:
                     parts.append(GoodPart(8, (lc, sc)))
                     rest = [c for c in rest if c is not lc]
                 else:
-                    br = _first(rest, lambda c: cls(c) == "BR")
-                    rb = _first(rest, lambda c: cls(c) == "RB")
+                    br = _first(rest, lambda c: c.ends == "BR")
+                    rb = _first(rest, lambda c: c.ends == "RB")
                     if br is None or rb is None:
                         raise VerificationError("no companion components for a short cycle")
                     parts.append(GoodPart(3, (sc, br, rb)))
                     rest = [c for c in rest if c is not br and c is not rb]
-            parts.extend(_pack_long_shapes(D, rest, []))
+            parts.extend(_pack_long_shapes(rest, []))
     elif comps:
-        shorts = [
-            c for c in comps if c.kind == "path" and c.short and cls(c) in ("RR", "BB")
-        ]
+        shorts = [c for c in comps if c.short and c.ends in ("RR", "BB")]
         rest = [c for c in comps if c not in shorts]
-        parts.extend(_pack_long_shapes(D, rest, shorts))
+        parts.extend(_pack_long_shapes(rest, shorts))
 
     return parts
 
 
-def _pack_long_shapes(D: AuxDigraph, comps, shorts) -> list[GoodPart]:
+def _pack_long_shapes(comps, shorts) -> list[GoodPart]:
     """Settle long paths/cycles and mixed pairs, absorbing short mono paths."""
-
-    def cls(c):
-        return _path_class(D, c)
-
-    skeletons: list[tuple[int, list[Component]]] = []
-    brs = [c for c in comps if cls(c) == "BR"]
-    rbs = [c for c in comps if cls(c) == "RB"]
+    skeletons: list[tuple[int, list[Chain]]] = []
+    brs = [c for c in comps if c.ends == "BR"]
+    rbs = [c for c in comps if c.ends == "RB"]
     if len(brs) != len(rbs):
         raise VerificationError("mixed paths are unbalanced")
     for c in comps:
-        if c.kind == "cycle":
+        if c.ends is None:
             if c.short:
                 raise VerificationError("short cycle reached the long-shape packer")
             skeletons.append((7, [c]))
-        elif cls(c) in ("RR", "BB"):
-            if not c.long:
+        elif c.ends in ("RR", "BB"):
+            if c.short:
                 raise VerificationError("short mono path reached the long-shape packer")
             skeletons.append((5, [c]))
     for br, rb in zip(brs, rbs):
@@ -351,14 +281,12 @@ def _pack_long_shapes(D: AuxDigraph, comps, shorts) -> list[GoodPart]:
     pending = list(shorts)
     packed: list[GoodPart] = []
     for tag, members in skeletons:
-        nodes = [n for c in members for n in c.nodes]
-        half = len(nodes) // 2
-        y_color = cls(pending[0])[0] if pending else None
-        y_count = sum(1 for n in nodes if D.colors.get(n) == y_color) if pending else 0
-        capacity = half - y_count
-        while pending and capacity > 0:
-            members.append(pending.pop(0))
-            capacity -= 1
+        if pending:  # half the skeleton's nodes, less those of the short paths' color
+            y = pending[0].ends[0]
+            capacity = sum(len(c.edges) - (c.ends or "").count(y) for c in members)
+            while pending and capacity > 0:
+                members.append(pending.pop(0))
+                capacity -= 1
         packed.append(GoodPart(tag, tuple(members)))
     if pending:
         raise PreconditionError("short paths cannot be absorbed; digraph was not good")
@@ -382,11 +310,7 @@ class Completion(NamedTuple):
     c: int
 
 
-def _close_paths(part: GoodPart) -> list[tuple[Node, Node]]:
-    return [(c.nodes[-1], c.nodes[0]) for c in part.components if c.kind == "path"]
-
-
-def _orbit_offset(xs: list[Node], off: int) -> tuple[frozenset[Node], ...]:
+def _orbit_offset(xs: tuple[int, ...], off: int) -> tuple[frozenset[int], ...]:
     m = len(xs)
     out = []
     for i in range(m):
@@ -396,35 +320,33 @@ def _orbit_offset(xs: list[Node], off: int) -> tuple[frozenset[Node], ...]:
     return tuple(out)
 
 
-def _orbit_star(xs: list[Node], y: Node) -> tuple[frozenset[Node], ...]:
+def _orbit_star(xs: tuple[int, ...], y: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset((x, y)) for x in xs)
 
 
-def part_completion(D: AuxDigraph, part: GoodPart):
-    """Completion arcs, orbit list, and coverage constant for one good part.
+def part_completion(part: GoodPart):
+    """Cycles of pi, orbit list, and coverage constant for one good part.
 
-    The orbit list is a list of orbits of the induced pair permutation; each
-    orbit is a tuple of 2-sets of e-nodes.  Every e-node of the part appears
-    in exactly ``c`` pairs counted over the whole list.
+    pi permutes the part's edges.  Each of its cycles, an edge tuple, is the
+    part's chains joined end to end, each path's sink to a path's source of
+    the same color, and pi sends each edge to the next one in its cycle.  The
+    orbit list is a list of orbits of the induced pair permutation; each
+    orbit is a tuple of 2-sets of edges.  Every edge of the part appears in
+    exactly ``c`` pairs counted over the whole list.
     """
     tag = part.type_tag
-    colors = D.colors
+    cycles = [c.edges for c in part.components]  # each path closed on itself
     if tag in (1, 4):
-        arcs = _close_paths(part)
-        es = sorted(n for c in part.components for n in c.e_nodes())
-        k = len(part.components)
+        es = sorted(x for c in part.components for x in c.edges)
         orbits = [(frozenset((a, b)),) for a, b in itertools.combinations(es, 2)]
-        c = k - 1
+        c = len(part.components) - 1
     elif tag == 2:
-        path = next(c for c in part.components if c.kind == "path")
-        cycles = [c for c in part.components if c.kind == "cycle"]
-        arcs = _close_paths(part)
-        xs = list(path.e_nodes())
-        ys = [c.e_nodes()[0] for c in cycles]
+        xs = next(c.edges for c in part.components if c.ends is not None)
+        ys = [c.edges[0] for c in part.components if c.ends is None]
         m = len(xs)
         op = _orbit_offset(xs, 1)
         stars = [_orbit_star(xs, y) for y in ys]
-        if len(cycles) == 2:
+        if len(ys) == 2:
             # decompose_good only pairs two short cycles with a one-edge path
             if m != 1:
                 raise VerificationError(
@@ -439,22 +361,23 @@ def part_completion(D: AuxDigraph, part: GoodPart):
         else:
             orbits, c = [stars[0]] * 2 + [op] * (m - 1), 2 * m
     elif tag == 3:
-        br = next(c for c in part.components if _path_class(D, c) == "BR")
-        rb = next(c for c in part.components if _path_class(D, c) == "RB")
-        y = next(c for c in part.components if c.kind == "cycle").e_nodes()[0]
-        arcs = [(br.nodes[-1], rb.nodes[0]), (rb.nodes[-1], br.nodes[0])]
-        xs = list(br.e_nodes()) + list(rb.e_nodes())
+        br = next(c for c in part.components if c.ends == "BR")
+        rb = next(c for c in part.components if c.ends == "RB")
+        sc = next(c for c in part.components if c.ends is None)
+        xs = br.edges + rb.edges
+        cycles = [xs, sc.edges]
         m = len(xs)
-        op, oc = _orbit_offset(xs, 1), _orbit_star(xs, y)
+        op, oc = _orbit_offset(xs, 1), _orbit_star(xs, sc.edges[0])
         if m == 2:
             orbits, c = [oc, op], 2
         else:
             orbits, c = [oc] * 2 + [op] * (m - 1), 2 * m
-    elif tag in (7, 8) or (tag == 5 and {"R", "B"} <= {colors.get(n) for n in part.nodes()}):
-        arcs = _close_paths(part)
-        long_comp = next(c for c in part.components if c.long)
-        xs = list(long_comp.e_nodes())
-        ys = [c.e_nodes()[0] for c in part.components if c is not long_comp]
+    elif tag in (7, 8) or (
+        tag == 5 and {"R", "B"} <= set("".join(c.ends or "" for c in part.components))
+    ):
+        long_comp = next(c for c in part.components if not c.short)
+        xs = long_comp.edges
+        ys = [c.edges[0] for c in part.components if c is not long_comp]
         M, k = len(xs), len(ys)
         if k > M:
             raise VerificationError("more short components than long-cycle edges")
@@ -466,51 +389,48 @@ def part_completion(D: AuxDigraph, part: GoodPart):
             orbits = [o for y in ys for o in (_orbit_star(xs, y),) * 2] + [op] * p
             c = 2 * M
     else:  # tag 6, or tag 5 with a single color: one chained cycle
-        paths = [c for c in part.components if c.kind == "path"]
+        paths = part.components
         if tag == 6:
-            br = next(c for c in paths if _path_class(D, c) == "BR")
-            rb = next(c for c in paths if _path_class(D, c) == "RB")
+            br = next(c for c in paths if c.ends == "BR")
+            rb = next(c for c in paths if c.ends == "RB")
             shorts = [c for c in paths if c is not br and c is not rb]
-            if shorts and _path_class(D, shorts[0])[0] == "R":
+            if shorts and shorts[0].ends[0] == "R":
                 order = [br] + shorts + [rb]
             else:
                 order = [br, rb] + shorts
         else:
-            long_comp = next(c for c in paths if c.long)
+            long_comp = next(c for c in paths if not c.short)
             order = [long_comp] + [c for c in paths if c is not long_comp]
-        arcs = [
-            (order[i].nodes[-1], order[(i + 1) % len(order)].nodes[0])
-            for i in range(len(order))
-        ]
-        xs = [n for c in order for n in c.e_nodes()]
+        xs = tuple(x for c in order for x in c.edges)
+        cycles = [xs]
         M = len(xs)
         orbits, c = [_orbit_offset(xs, M // 2)], (2 if M % 2 else 1)
-    return arcs, orbits, c
+    return cycles, orbits, c
 
 
 def uniform_permutation(D: AuxDigraph) -> Completion:
     """Complete the digraph so the induced permutation at ``w`` is good and uniform.
 
     Per-part completions are rescaled to a common coverage constant by least
-    common multiple: a part's orbits count ``c // c_part`` times.  The
-    successor of ``('e', x)`` in the completed digraph is ``('f', pi(x))``,
-    a dart of edge sigma_w(pi(x)).
+    common multiple: a part's orbits count ``c // c_part`` times.  sigma_w
+    after pi is read off the cycles of pi, edge to next edge.
     """
     if D.graph is None:
         raise PreconditionError("uniform completion needs a graph-backed digraph")
-    succ = dict(D.succ)
+    sigma_after_pi: dict[int, int] = {}
     per_part = []
     for part in decompose_good(D):
-        arcs, orbits, c_part = part_completion(D, part)
-        succ.update(arcs)
+        cycles, orbits, c_part = part_completion(part)
+        for cyc in cycles:
+            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                sigma_after_pi[x] = D.sigma_w[y]
         per_part.append((orbits, c_part))
     c = lcm(*(c_part for _, c_part in per_part))
     orbit_pairs: Counter[frozenset[int]] = Counter()
     for orbits, c_part in per_part:
         for orbit in orbits:
             for pair in orbit:
-                orbit_pairs[frozenset(x for _, x in pair)] += c // c_part
-    sigma_after_pi = {x: D.sigma_w[succ[("e", x)][1]] for x in D.sigma_w}
+                orbit_pairs[pair] += c // c_part
     return Completion(D, sigma_after_pi, orbit_pairs, c)
 
 

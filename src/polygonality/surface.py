@@ -45,7 +45,6 @@ class Side(NamedTuple):
     """One side of a polygon, found under the key ``(polygon, position)``."""
 
     vertex: VertexId
-    pair: frozenset[int]
     incoming: bool
     tail_corner: int
     head_corner: int
@@ -173,7 +172,7 @@ def _build_polygon(
             tail, head = corner_prev, corner_next
         # even indices are the positive generators
         v, incoming = verts[i], i % 2 == 0
-        sides.append(Side(v, frozenset((e, f)), incoming, tail, head))
+        sides.append(Side(v, incoming, tail, head))
         if incoming:
             e, f = sigma[i][e], sigma[i][f]
         labels.append((v.gen, e, f) if e < f else (v.gen, f, e))
@@ -222,7 +221,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         raise PairingError("incoming and outgoing side label classes differ")
     pairing: dict[tuple[int, int], tuple[int, int]] = {}
     for key in sorted(incoming):
-        ins, outs = sorted(incoming[key]), sorted(outgoing[key])
+        ins, outs = incoming[key], outgoing[key]  # each in (polygon, side) order
         if len(ins) != len(outs):
             raise PairingError(
                 f"label class {key} has {len(ins)} incoming but {len(outs)} outgoing sides"

@@ -137,10 +137,11 @@ def test_criterion_6_decomposition_oracle():
     corpus = all_good_digraphs(8)
     for D in corpus:
         parts = decompose_good(D)
-        assert sorted(n for p in parts for n in p.nodes()) == D.nodes
+        edges = sorted(x for c in D.components for x in c.edges)
+        assert sorted(x for p in parts for c in p.components for x in c.edges) == edges
         for part in parts:
-            assert oracle_part_ok(D, list(part.components))
-            part_completion(D, part)  # orbit recipes cover every emitted part
+            assert oracle_part_ok(list(part.components))
+            part_completion(part)  # orbit recipes cover every emitted part
         assert oracle_partition_exists(D)
     _report(6, f"all {len(corpus)} good digraphs on <= 8 nodes decomposed and "
                f"validated against the brute-force oracle")

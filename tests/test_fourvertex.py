@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import itertools
 import json
@@ -16,9 +17,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import polygonality as pg
 from polygonality import cli, fourvertex, regular, simplex, witness
 from polygonality.cli import _figure7_graph
-from polygonality.errors import PreconditionError, VerificationError
+from polygonality.errors import GraphError, PreconditionError, VerificationError
 from polygonality.fourvertex import (
     AuxDigraph,
+    Chain,
     GoodPart,
     build_auxiliary_digraph,
     decompose_good,
@@ -44,36 +46,16 @@ from conftest import (
 
 
 def build_abstract(shapes):
-    """shapes: list of ('path', n_nodes, start_color, end_color) or ('cycle', n_nodes)."""
-    succ = {}
-    colors = {}
-    e_next = f_next = 0
+    """shapes: list of ('path', n_nodes, start_color, end_color) or ('cycle', n_nodes).
+
+    A component of n nodes is the chain of the next n / 2 edges.
+    """
+    chains, first = [], 0
     for shape in shapes:
-        if shape[0] == "path":
-            _, n, start, end = shape
-            nodes = []
-            for i in range(n // 2):
-                nodes.append(("f", f_next))
-                nodes.append(("e", e_next))
-                f_next += 1
-                e_next += 1
-            for node in nodes[1:-1]:
-                colors[node] = None
-            colors[nodes[0]] = start
-            colors[nodes[-1]] = end
-            succ.update(zip(nodes, nodes[1:] + [None]))
-        else:
-            _, n = shape
-            nodes = []
-            for i in range(n // 2):
-                nodes.append(("e", e_next))
-                nodes.append(("f", f_next))
-                e_next += 1
-                f_next += 1
-            for node in nodes:
-                colors[node] = None
-            succ.update(zip(nodes, nodes[1:] + nodes[:1]))
-    return AuxDigraph(succ, colors)
+        edges = tuple(range(first, first + shape[1] // 2))
+        first += len(edges)
+        chains.append(Chain(edges, shape[2] + shape[3] if shape[0] == "path" else None))
+    return AuxDigraph(tuple(chains))
 
 
 PATH_SHAPES = [
@@ -107,33 +89,28 @@ def all_good_digraphs(max_nodes=8):
 # -- independent shape predicates (test-side oracle) ---------------------------
 
 
-def _cls(D, comp):
-    return (D.colors[comp.nodes[0]] or "?") + (D.colors[comp.nodes[-1]] or "?")
-
-
-def oracle_part_ok(D, comps):
+def oracle_part_ok(comps):
     """Does this component set match ANY of the eight shapes, and is it good?"""
-    nodes = [n for c in comps for n in c.nodes]
-    red = sum(1 for n in nodes if D.colors.get(n) == "R")
-    blue = sum(1 for n in nodes if D.colors.get(n) == "B")
-    if 2 * red > len(nodes) or 2 * blue > len(nodes):
+    nodes = 2 * sum(len(c.edges) for c in comps)
+    ends = "".join(c.ends for c in comps if c.ends)  # only path ends are colored
+    if 2 * ends.count("R") > nodes or 2 * ends.count("B") > nodes:
         return False
-    paths = [c for c in comps if c.kind == "path"]
-    cycles = [c for c in comps if c.kind == "cycle"]
-    short_p = [c for c in paths if len(c.nodes) == 2]
-    long_p = [c for c in paths if len(c.nodes) >= 4]
-    short_c = [c for c in cycles if len(c.nodes) == 2]
-    long_c = [c for c in cycles if len(c.nodes) >= 4]
-    classes = sorted(_cls(D, c) for c in paths)
-    mono = [c for c in paths if _cls(D, c) in ("RR", "BB")]
-    mono_short = [c for c in short_p if _cls(D, c) in ("RR", "BB")]
+    paths = [c for c in comps if c.ends is not None]
+    cycles = [c for c in comps if c.ends is None]
+    short_p = [c for c in paths if len(c.edges) == 1]
+    long_p = [c for c in paths if len(c.edges) >= 2]
+    short_c = [c for c in cycles if len(c.edges) == 1]
+    long_c = [c for c in cycles if len(c.edges) >= 2]
+    classes = sorted(c.ends for c in paths)
+    mono = [c for c in paths if c.ends in ("RR", "BB")]
+    mono_short = [c for c in short_p if c.ends in ("RR", "BB")]
 
     def shorts_monochromatic(subset):
-        return len({_cls(D, c) for c in subset}) <= 1
+        return len({c.ends for c in subset}) <= 1
 
     # (1) short R-R + short B-B + optional short cycle
     if (
-        sorted(_cls(D, c) for c in short_p) == ["BB", "RR"]
+        sorted(c.ends for c in short_p) == ["BB", "RR"]
         and len(paths) == 2
         and not long_c
         and len(short_c) <= 1
@@ -158,11 +135,11 @@ def oracle_part_ok(D, comps):
     ):
         return True
     # (6) B-R + R-B + mono short paths
-    mixed = [c for c in paths if _cls(D, c) in ("BR", "RB")]
+    mixed = [c for c in paths if c.ends in ("BR", "RB")]
     rest = [c for c in paths if c not in mixed]
     if (
         not cycles
-        and sorted(_cls(D, c) for c in mixed) == ["BR", "RB"]
+        and sorted(c.ends for c in mixed) == ["BR", "RB"]
         and all(c in mono_short for c in rest)
         and shorts_monochromatic(rest)
     ):
@@ -191,7 +168,7 @@ def oracle_partition_exists(D):
         for r in range(len(rest) + 1):
             for extra in itertools.combinations(range(len(rest)), r):
                 block = [first] + [rest[i] for i in extra]
-                if oracle_part_ok(D, block):
+                if oracle_part_ok(block):
                     left = [rest[i] for i in range(len(rest)) if i not in extra]
                     if rec(left):
                         return True
@@ -208,43 +185,53 @@ def test_decompose_good_exhaustive_small():
     assert len(corpus) == 85  # the complete catalog at this size
     for D in corpus:
         parts = decompose_good(D)
-        covered = sorted(n for p in parts for n in p.nodes())
-        assert covered == D.nodes
+        covered = sorted(x for p in parts for c in p.components for x in c.edges)
+        assert covered == sorted(x for c in D.components for x in c.edges)
         for part in parts:
-            assert oracle_part_ok(D, list(part.components)), (
+            assert oracle_part_ok(list(part.components)), (
                 part.type_tag,
                 part.components,
             )
         assert oracle_partition_exists(D)
 
 
+def _pi(cycles):
+    """The permutation whose cycles are the given edge tuples."""
+    return {x: y for cyc in cycles for x, y in zip(cyc, cyc[1:] + cyc[:1])}
+
+
 def test_part_completions_uniform_on_exhaustive_corpus():
     for D in all_good_digraphs(8):
         for part in decompose_good(D):
-            arcs, orbits, c = part_completion(D, part)
+            cycles, orbits, c = part_completion(part)
             assert c > 0 and orbits
-            # every source/sink used exactly once by the added arcs
-            sinks = [cc.nodes[-1] for cc in part.components if cc.kind == "path"]
-            assert sorted(a for a, _ in arcs) == sorted(sinks)
-            # arcs join a sink to a source of the same color
-            assert all(D.colors[src] == D.colors[dst] for src, dst in arcs)
-            # the arcs close every walk: D + arcs induces a permutation of e-nodes
-            succ = {n: D.succ[n] for n in part.nodes()}
-            succ.update(arcs)
-            pi = {n: succ[succ[n]] for n in succ if n[0] == "e"}
-            assert sorted(pi.values()) == sorted(pi)
-            # each listed orbit is closed under pi, and covers e-nodes c times
+            # the cycles induce a permutation of the part's edges
+            pi = _pi(cycles)
+            edges = sorted(x for cc in part.components for x in cc.edges)
+            assert sorted(pi) == sorted(pi.values()) == edges
+            # it keeps the digraph's arcs: each non-last chain edge goes to its
+            # successor, and a cycle's last edge to its first
+            for cc in part.components:
+                tail = cc.edges[1:] + (cc.edges[:1] if cc.ends is None else ())
+                assert all(pi[x] == y for x, y in zip(cc.edges, tail))
+            # and joins each path's sink to a path's source of the same color
+            sources = {cc.edges[0]: cc.ends[0] for cc in part.components if cc.ends}
+            for cc in part.components:
+                if cc.ends:
+                    assert sources.get(pi[cc.edges[-1]]) == cc.ends[1]
+            # each listed orbit is closed under pi, and covers the edges c times
             coverage = Counter()
             for orbit in orbits:
                 for pair in orbit:
-                    assert frozenset(pi[n] for n in pair) in orbit
+                    assert frozenset(pi[x] for x in pair) in orbit
                     coverage.update(pair)
             assert coverage == dict.fromkeys(pi, c)
-            # the one-orbit offset recipe never pairs a color with itself
-            single_color = not {"R", "B"} <= {D.colors[n] for n in part.nodes()}
+            # the one-orbit offset recipe never pairs two sinks of one color
+            sink = {cc.edges[-1]: cc.ends[1] for cc in part.components if cc.ends}
+            single_color = not {"R", "B"} <= set("".join(sink.values()))
             if part.type_tag == 6 or (part.type_tag == 5 and single_color):
                 assert all(
-                    {D.colors[n] for n in pair} not in ({"R"}, {"B"}) for pair in orbits[0]
+                    {sink.get(x) for x in pair} not in ({"R"}, {"B"}) for pair in orbits[0]
                 )
 
 
@@ -255,25 +242,27 @@ def test_decompose_rejects_bad_inputs():
     big = build_abstract([("path", 2, "R", "R"), ("path", 2, "R", "R")])
     with pytest.raises(PreconditionError):
         decompose_good(big)  # four nodes but all red: not good
+    with pytest.raises(GraphError, match="red sources and sinks differ"):
+        build_abstract([("path", 2, "R", "B"), ("path", 2, "B", "B")])  # no B-R path
 
 
 def test_completion_constants_for_small_shapes():
     # a pair of short cycles: unique completion, one orbit for each pair
     D = build_abstract([("cycle", 2), ("cycle", 2)])
     part = GoodPart(4, tuple(D.components))
-    arcs, orbits, c = part_completion(D, part)
-    assert arcs == [] and c == 1 and len(orbits) == 1
+    cycles, orbits, c = part_completion(part)
+    assert cycles == [(0,), (1,)] and c == 1 and len(orbits) == 1
     # one-edge monochromatic path plus one short cycle: single star orbit
     D2 = build_abstract([("path", 2, "R", "R"), ("cycle", 2)])
     part2 = GoodPart(2, tuple(D2.components))
-    arcs2, orbits2, c2 = part_completion(D2, part2)
-    assert len(arcs2) == 1 and c2 == 1 and len(orbits2) == 1
+    cycles2, orbits2, c2 = part_completion(part2)
+    assert cycles2 == [(0,), (1,)] and c2 == 1 and len(orbits2) == 1
     # three short paths closed into 2-cycles with a mono pair: c = k - 1
     D3 = build_abstract(
         [("path", 2, "R", "R"), ("path", 2, "B", "B"), ("cycle", 2)]
     )
     part3 = GoodPart(1, tuple(D3.components))
-    _, orbits3, c3 = part_completion(D3, part3)
+    _, orbits3, c3 = part_completion(part3)
     assert c3 == 2 and len(orbits3) == 3  # all pairs of the three fixed points
 
 
@@ -286,7 +275,7 @@ def test_part_completion_rejects_the_gap_shape():
         )
         part = GoodPart(2, tuple(D.components))
         with pytest.raises(VerificationError, match="one-edge path"):
-            part_completion(D, part)
+            part_completion(part)
 
 
 def test_decompose_never_emits_the_gap_shape():
@@ -295,19 +284,26 @@ def test_decompose_never_emits_the_gap_shape():
     for D in all_good_digraphs(8):
         for part in decompose_good(D):
             if part.type_tag == 2:
-                path = next(c for c in part.components if c.kind == "path")
-                cycles = [c for c in part.components if c.kind == "cycle"]
-                assert len(cycles) == 1 or len(path.nodes) == 2
+                path = next(c for c in part.components if c.ends is not None)
+                cycles = [c for c in part.components if c.ends is None]
+                assert len(cycles) == 1 or len(path.edges) == 1
 
 
 # -- graph-backed auxiliary digraphs -------------------------------------------
 
 
+def _shapes(aux):
+    """Each component as its kind, its node count and its end colors."""
+    return sorted(
+        ("path", 2 * len(c.edges), c.ends) if c.ends else ("cycle", 2 * len(c.edges), "")
+        for c in aux.components
+    )
+
+
 def test_aux_digraph_commutator(commutator):
     aux = build_auxiliary_digraph(commutator, vid(1, 1))
     assert sorted(aux.sigma_w) == commutator.delta(vid(1, 1)) and len(aux.sigma_w) == 2
-    kinds = sorted((c.kind, len(c.nodes)) for c in aux.components)
-    assert kinds == [("path", 2), ("path", 2)]
+    assert [s[:2] for s in _shapes(aux)] == [("path", 2), ("path", 2)]
     assert aux.color_count("R") == 2 and aux.color_count("B") == 2
 
 
@@ -317,18 +313,14 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
     sigma = {i: {eid: eid for eid in plain.delta(v)} for i, v in enumerate(plain.vertices())}
     graph = WhiteheadGraph(2, list(plain.edges.items()), sigma)
     aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
-    assert all(c.kind == "cycle" and len(c.nodes) == 2 for c in aux.components)
+    assert all(c.ends is None and len(c.edges) == 1 for c in aux.components)
 
 
 def test_aux_digraph_figure_seven():
     graph = _figure7_graph()
     aux = build_auxiliary_digraph(graph, vid(1, 1))
     assert len(aux.sigma_w) == 7
-    shapes = sorted(
-        (c.kind, len(c.nodes), _cls(aux, c) if c.kind == "path" else "")
-        for c in aux.components
-    )
-    assert shapes == [
+    assert _shapes(aux) == [
         ("path", 2, "BB"),
         ("path", 2, "BR"),
         ("path", 2, "RR"),
@@ -389,24 +381,51 @@ def test_uniform_permutation_is_good_and_uniform(seed):
 @example(_figure7_graph())
 @settings(max_examples=40, deadline=None)
 def test_completion_hands_over_what_the_node_level_completion_induces(graph):
-    # the parent's way: complete the successor map with every part's arcs,
-    # take pi = succ o succ on the e-nodes, and list each part's orbits
+    # pi is read off every part's cycles, and each part's orbits are listed
     # c // c_part times
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
     comp = uniform_permutation(aux)
-    succ = dict(aux.succ)
-    per_part = [part_completion(aux, part) for part in decompose_good(aux)]
-    for arcs, _, _ in per_part:
-        succ.update(arcs)
-    pi = {x: succ[succ[("e", x)]][1] for x in graph.delta(w)}
-    assert sorted(pi.values()) == sorted(pi)
-    assert comp.sigma_after_pi == {x: graph.sigma[w.index][pi[x]] for x in graph.delta(w)}
+    per_part = [part_completion(part) for part in decompose_good(aux)]
+    pi = _pi([cyc for cycles, _, _ in per_part for cyc in cycles])
+    assert sorted(pi) == sorted(pi.values()) == graph.delta(w)
+    # on the nodes: pi(x) is y when the dart of x has an arc to the image of
+    # y, sigma_w(y) = x; otherwise x is a sink, and the completion joins it
+    # to a source, whose image leaves the w pair
+    sigma_w = graph.sigma[w.index]
+    arc = {x: y for y, x in sigma_w.items() if x in sigma_w}
+    for x, y in pi.items():
+        assert arc[x] == y if x in arc else sigma_w[y] not in sigma_w
+    assert comp.sigma_after_pi == {x: sigma_w[pi[x]] for x in graph.delta(w)}
     c = math.lcm(*(c_part for _, _, c_part in per_part))
     orbit_list = [o for _, orbits, c_part in per_part for o in orbits * (c // c_part)]
-    expected = Counter(frozenset(x for _, x in pair) for orbit in orbit_list for pair in orbit)
+    expected = Counter(pair for orbit in orbit_list for pair in orbit)
     assert comp.c == c
     assert list(comp.orbit_pairs.items()) == list(expected.items())
+
+
+def test_completion_and_good_list_are_pinned():
+    # sigma_w after pi, the orbit pairs in order, c and the good list, on
+    # figure 7 and on 600 random graphs; at max degree 16 a chain has up to
+    # seven edges
+    graphs = [_figure7_graph()] + [
+        random_fourvertex_instance(seed, d) for d in (6, 10, 16) for seed in range(200)
+    ]
+    digest = hashlib.sha256()
+    for graph in graphs:
+        comp = uniform_permutation(build_auxiliary_digraph(graph, _min_degree_vertex(graph)))
+        good = pg.four_vertex_witness(graph)
+        record = [
+            sorted(comp.sigma_after_pi.items()),
+            [[sorted(pair), n] for pair, n in comp.orbit_pairs.items()],
+            comp.c,
+            [[sorted(c), n] for c, n in good.cycles.items()],
+            [good.c1, good.c2, list(good.constants_per_level)],
+        ]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == (
+        "b18ac27ad2c23148f62d6f85c78f115482756b8446cfff6ffe8b1b1cad7331d6"
+    )
 
 
 # -- the inductive construction ------------------------------------------------

@@ -17,7 +17,7 @@ from polygonality.witness import Cycle, make_cycle
 from polygonality.words import Letter, Word, WordList
 
 A, B_INV = Letter(1, 1), Letter(2, -1)
-SIDE = Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
+SIDE = Side(VertexId(1, 1), True, 0, 1)
 
 
 def commutator_cycle() -> Cycle:
@@ -138,10 +138,10 @@ def test_records():
     )
     with pytest.raises(AttributeError):
         KGraphVerdict(True, 3, None).ok = False
-    assert SIDE == Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1)
-    assert hash(SIDE) == hash(Side(VertexId(1, 1), frozenset({1, 2}), True, 0, 1))
+    assert SIDE == Side(VertexId(1, 1), True, 0, 1)
+    assert hash(SIDE) == hash(Side(VertexId(1, 1), True, 0, 1))
     assert repr(SIDE) == (
-        "Side(vertex=VertexId(gen=1, sign=1), pair=frozenset({1, 2}), incoming=True, "
+        "Side(vertex=VertexId(gen=1, sign=1), incoming=True, "
         "tail_corner=0, head_corner=1)"
     )
     assert repr(commutator_cycle()) == "Cycle(verts=(0, 3, 1, 2), edges=(0, 3, 2, 1))"
