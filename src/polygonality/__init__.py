@@ -50,7 +50,6 @@ from .witness import (
     WitnessVerdict,
     enumerate_cycles,
     make_cycle,
-    pair_counts,
     search_witness_lp,
     verify_witness,
 )

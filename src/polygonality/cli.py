@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import fourvertex, generators, regular, surface, whitehead, witness, words
 from .errors import GraphError, PolygonalityError, PreconditionError, VerificationError
@@ -121,8 +122,35 @@ def write_output(payload: str, out: str | None) -> None:
         raise
 
 
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``pad`` deep: the
+    standard library encodes in pure Python once ``indent`` is set, while this
+    joins each list or object once, writing the ints in it in place."""
+    kind = type(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            body = sep.join([
+                f"{_quote(k)}: {int.__repr__(x) if type(x) is int else _json(x, inner)}"
+                for k, x in sorted(value.items())
+            ])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        body = sep.join([int.__repr__(x) if type(x) is int else _json(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"{kind.__name__} is not written as JSON here")
+
+
 def _dump(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _json(data, "") + "\n"
 
 
 def _fourvertex(graph: WhiteheadGraph, require_long: bool):

@@ -104,35 +104,51 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     >>> cyc.turns[0]
     (0, 0, 1)
     """
+    return _walk(graph, eids, 1, dict.fromkeys(graph.edges, 0), {})
+
+
+def _walk(graph: Multigraph, eids, mult: int, usage: dict, counts: dict[Turn, int]) -> Cycle:
+    """:func:`make_cycle`, adding ``mult`` to ``usage`` for each edge and to
+    ``counts`` for each turn as it goes.  The walk is the check: it stops at a
+    vertex of degree other than two, and covers the set only when the set is
+    one cycle; the faults are then named in the order they are checked."""
     eids = frozenset(eids)
     if len(eids) < 2:
         raise GraphError(f"cycle needs at least two edges, got {sorted(eids)}")
     ends = graph.edges
     incidence: dict[int, list[int]] = {}
-    for eid in eids:
-        if eid not in ends:
-            raise GraphError(f"cycle references unknown edge {eid}")
-        for i in ends[eid]:
-            incidence.setdefault(i, []).append(eid)
-    for i, es in incidence.items():
-        if len(es) != 2:
-            raise GraphError(
-                f"edge set {sorted(eids)} has degree {len(es)} at {graph.vertices()[i]}"
-            )
-    # the walk also proves connectivity
-    start = min(incidence)
+    try:
+        for eid in eids:
+            s, t = ends[eid]
+            incidence.setdefault(s, []).append(eid)
+            incidence.setdefault(t, []).append(eid)
+            usage[eid] += mult
+    except KeyError:
+        raise GraphError(f"cycle references unknown edge {eid}") from None
+    i = start = min(incidence)
     verts, seq = [], []
-    i, eid = start, min(incidence[start])
-    while True:
-        verts.append(i)
-        seq.append(eid)
-        s, t = ends[eid]
-        i = t if s == i else s
-        if i == start:
-            break
+    try:  # unpacking the edges at a vertex of another degree stops the walk
         a, b = incidence[i]
-        eid = b if a == eid else a
+        eid = min(a, b)
+        while True:
+            turn = (i, a, b) if a < b else (i, b, a)
+            counts[turn] = counts.get(turn, 0) + mult
+            verts.append(i)
+            seq.append(eid)
+            s, t = ends[eid]
+            i = t if s == i else s
+            if i == start:
+                break
+            a, b = incidence[i]
+            eid = b if a == eid else a
+    except ValueError:
+        pass
     if len(seq) != len(eids):
+        for i, es in incidence.items():
+            if len(es) != 2:
+                raise GraphError(
+                    f"edge set {sorted(eids)} has degree {len(es)} at {graph.vertices()[i]}"
+                )
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
     return Cycle(tuple(verts), tuple(seq))
 
@@ -186,26 +202,6 @@ class WitnessVerdict(NamedTuple):
     cycles: CycleList  # the verifier's own walk of every checked cycle
 
 
-def pair_counts(
-    graph: Multigraph, cycles: CycleList
-) -> tuple[dict[Turn, int], dict[int, int]]:
-    """Turn counts and per-edge usage of a cycle list, with multiplicity.
-
-    ``counts[(v.index, e, f)]``, with ``e < f``, is the number of cycles
-    turning at ``v`` between ``e`` and ``f``, which is the number containing
-    both edges of a pair at ``v``; ``usage[e]`` is the number containing
-    ``e``, for every edge.
-    """
-    counts: dict[Turn, int] = {}
-    usage = dict.fromkeys(graph.edges, 0)
-    for cyc, mult in cycles.items():
-        for eid in cyc.edges:
-            usage[eid] += mult
-        for turn in cyc.turns:
-            counts[turn] = counts.get(turn, 0) + mult
-    return counts, usage
-
-
 def _balance_pairs(graph: WhiteheadGraph):
     """Every pair ``{e, f}`` of distinct edges at an active vertex ``v``, with its image.
 
@@ -231,25 +227,35 @@ def verify_witness(
 
     The keys are edge-id sets, as every construction returns them and as
     :func:`witness_from_json` reads them.  This is the only place they are
-    walked: each set, once, by :func:`make_cycle`, which rejects one that is
-    not a cycle of this graph.  The verdict carries the walked list.
+    walked: each set, once, by the walk of :func:`make_cycle`, which rejects
+    one that is not a cycle of this graph and counts its edges and turns.
+    The verdict carries the walked list.  Only counted turns and their images
+    are compared: the connecting maps of a pair are inverse, so an unbalanced
+    pair or its image is counted.  Failures come in vertex, then edge-id order.
     """
     if not cycles:
         raise PreconditionError("a witness must be a nonempty cycle list")
+    usage = dict.fromkeys(graph.edges, 0)
+    counts: dict[Turn, int] = {}
     walked: CycleList = {}
     for eids, mult in cycles.items():
         if mult <= 0:
             raise PreconditionError(f"multiplicity of {sorted(eids)} must be positive")
-        walked[make_cycle(graph, eids)] = mult  # distinct edge sets walk to distinct cycles
-    counts, usage = pair_counts(graph, walked)
-    failures = []
-    for v, pair, turn, image in _balance_pairs(graph):
-        here, there = counts.get(turn, 0), counts.get(image, 0)
+        walked[_walk(graph, eids, mult, usage, counts)] = mult  # distinct sets, distinct walks
+    sigma = graph.sigma
+    failing: dict[Turn, tuple[int, int]] = {}
+    for turn, here in counts.items():
+        i, e, f = turn
+        g, h = sigma[i][e], sigma[i][f]
+        image = (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
+        there = counts.get(image, 0)
         if here != there:
-            failures.append((v, pair, here, there))
+            failing[turn], failing[image] = (here, there), (there, here)
+    verts = graph.vertices()
+    failures = tuple((verts[i], (e, f), *failing[i, e, f]) for i, e, f in sorted(failing))
     has_long = any(c.is_long for c in walked)
     ok = not failures and (has_long or not require_long)
-    return WitnessVerdict(ok, tuple(failures), has_long, usage, walked)
+    return WitnessVerdict(ok, failures, has_long, usage, walked)
 
 
 class Infeasible(NamedTuple):
@@ -343,8 +349,8 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
 
 
 def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]) -> dict:
-    """Serialize a cycle list with its per-edge usage, as :func:`pair_counts`
-    or a :class:`WitnessVerdict` gives it; nothing is counted or verified here."""
+    """Serialize a cycle list with its per-edge usage, as a
+    :class:`WitnessVerdict` gives it; nothing is counted or verified here."""
     return {
         "graph_hash": graph_hash(graph),
         "cycles": [
@@ -361,27 +367,27 @@ def witness_from_json(graph: WhiteheadGraph, data: dict) -> dict[frozenset[int],
     none repeated) and ``multiplicity`` (a positive int), and the graph's hash.
 
     Returns the multiplicity of each listed edge set, entries with one edge
-    set merged.  Nothing is walked here: :func:`verify_witness` walks each
-    edge set, once, and rejects one that is not a cycle of the graph.
+    set merged, in one pass over the entries.  Nothing is walked here:
+    :func:`verify_witness` walks each edge set, once, and rejects one that is
+    not a cycle of the graph.
     """
+    out: dict[frozenset[int], int] = {}
     try:
-        cycles = [json_object(c, {"edges", "multiplicity"}, "a cycle") for c in data["cycles"]]
-        entries = [(list(c["edges"]), c["multiplicity"]) for c in cycles]
+        for c in data["cycles"]:
+            listed = json_object(c, {"edges", "multiplicity"}, "a cycle")["edges"]
+            for eid in listed:
+                json_int(eid, "edge id")
+            eids = frozenset(listed)
+            if len(eids) != len(listed):
+                raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
+            mult = c["multiplicity"]
+            if type(mult) is not int or mult <= 0:
+                raise GraphError(f"multiplicity {mult!r} is not a positive integer")
+            out[eids] = out.get(eids, 0) + mult
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness JSON: {exc}") from exc
-    for listed, mult in entries:
-        for eid in listed:
-            json_int(eid, "edge id")
-        if len(set(listed)) != len(listed):
-            raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
-        if type(mult) is not int or mult <= 0:
-            raise GraphError(f"multiplicity {mult!r} is not a positive integer")
     if "graph_hash" not in data:
         raise GraphError("malformed witness JSON: no graph_hash")
     if data["graph_hash"] != graph_hash(graph):
         raise VerificationError("witness was produced for a different graph")
-    out: dict[frozenset[int], int] = {}
-    for listed, mult in entries:
-        eids = frozenset(listed)
-        out[eids] = out.get(eids, 0) + mult
     return out

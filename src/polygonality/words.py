@@ -344,15 +344,22 @@ def parse_word_list(text: str) -> WordList:
 def match_power(letters: tuple[Letter, ...], base: Word) -> int | None:
     """Exponent ``c`` with ``letters`` a cyclic conjugate of ``base**c``, else None.
 
-    Negative ``c`` means the letters read a power of the inverse word.
+    Negative ``c`` means the letters read a power of the inverse word.  Each
+    letter is compared as one character, so generators stay below 557,056, far
+    above the rank cap of a graph and so of any surface link.
     """
     n, l = len(base.letters), len(letters)
     if n == 0 or l == 0 or l % n != 0:
         return None
     c = l // n
-    # base**c is fixed by a rotation through n letters, so n rotations meet every conjugate
+    # one character per letter; the conjugates of a word of length l are the
+    # length-l substrings of the word read twice, found by one string search
+    doubled = _chars(letters) * 2
     for exponent, word in ((c, base.letters), (-c, base.inverse_letters())):
-        power = word * c
-        if any(letters[r:] + letters[:r] == power for r in range(n)):
+        if _chars(word) * c in doubled:
             return exponent
     return None
+
+
+def _chars(letters) -> str:
+    return "".join([chr(2 * x.gen + (x.sign < 0)) for x in letters])

@@ -144,7 +144,7 @@ def test_verify_flags_unbalanced_witness(tmp_path):
     import polygonality as pg
     from polygonality.cli import load_input
     from polygonality.whitehead import build_whitehead_graph
-    from polygonality.witness import make_cycle, pair_counts, witness_to_json
+    from polygonality.witness import verify_witness, witness_to_json
 
     _, wl = load_input("example-6.1")
     graph = build_whitehead_graph(wl)
@@ -153,9 +153,9 @@ def test_verify_flags_unbalanced_witness(tmp_path):
         for eid in graph.delta(pg.VertexId(2, 1))
         if pg.VertexId(2, -1).index in graph.edges[eid]
     ]
-    bad = {make_cycle(graph, parallel): 1}
+    verdict = verify_witness(graph, {frozenset(parallel): 1})
     wit = tmp_path / "bad.json"
-    payload = witness_to_json(graph, bad, pair_counts(graph, bad)[1])
+    payload = witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)
     wit.write_text(json.dumps(payload), encoding="utf-8")
     code = run_cli("verify", "example-6.1", str(wit), "--out", str(tmp_path / "v.json"))
     assert code == 2
@@ -550,31 +550,40 @@ def test_witness_runs_the_verifier_once(tmp_path, monkeypatch, argv, method, ver
 
     counts = Counter()
     modules = (polygonality, cli, witness, fourvertex, regular, surface)
-    for name in ("verify_witness", "pair_counts"):
-        for owner in modules:  # every module that binds the name
-            if hasattr(owner, name):
-                count_calls(monkeypatch, owner, name, counts)
+    for owner in modules:  # every module that binds the name
+        if hasattr(owner, "verify_witness"):
+            count_calls(monkeypatch, owner, "verify_witness", counts)
+    count_calls(monkeypatch, witness, "_walk", counts)
     out = tmp_path / "w.json"
     code = run_cli("witness", *argv, "--out", str(out))
     assert code == (0 if method else 2)
-    assert read_json(out).get("method") == method
+    data = read_json(out)
+    assert data.get("method") == method
     assert counts["verify_witness"] == verified
-    # turns are counted once, by the verifier; the JSON's usage table is its count
-    assert counts["pair_counts"] == verified
+    # turns are counted once, by the verifier's one walk of each emitted cycle;
+    # the JSON's usage table is its count
+    assert counts["_walk"] == verified * len(data.get("cycles", ()))
 
 
 def test_surface_runs_the_verifier_once(tmp_path, monkeypatch):
     # the constructed list is checked by build_surface's verifier, not also by the CLI
     from polygonality import fourvertex, surface, witness
 
-    counts = Counter()
+    counts, glued = Counter(), []
     for owner in (witness, fourvertex, regular, surface):
-        for name in ("verify_witness", "pair_counts"):
-            if hasattr(owner, name):
-                count_calls(monkeypatch, owner, name, counts)
+        if hasattr(owner, "verify_witness"):
+            count_calls(monkeypatch, owner, "verify_witness", counts)
+    count_calls(monkeypatch, witness, "_walk", counts)
+    build = surface.SurfaceComplex
+
+    def recorded(graph, cycles, *rest):
+        glued.append(cycles)
+        return build(graph, cycles, *rest)
+
+    monkeypatch.setattr(surface, "SurfaceComplex", recorded)
     assert run_cli("surface", "remark-2.4b", "--out", str(tmp_path / "s.json")) == 0
-    # the witness hash serializes the verifier's usage table: one pair count
-    assert counts["verify_witness"] == 1 and counts["pair_counts"] == 1
+    # the witness hash serializes the verifier's usage table: one walk of each cycle
+    assert counts["verify_witness"] == 1 and counts["_walk"] == len(glued[0]) > 1
 
 
 @pytest.mark.parametrize(
@@ -594,9 +603,30 @@ def test_each_read_cycle_is_walked_once(tmp_path, monkeypatch, argv):
     assert run_cli("witness", argv[1], "--out", str(wit)) == 0
     distinct = {frozenset(c["edges"]) for c in read_json(wit)["cycles"]}
     walks = Counter()
-    count_calls(monkeypatch, witness, "make_cycle", walks)
+    count_calls(monkeypatch, witness, "_walk", walks)
     assert run_cli(*argv, str(wit), "--out", str(tmp_path / "out.json")) == 0
-    assert walks["make_cycle"] == len(distinct) > 1
+    assert walks["_walk"] == len(distinct) > 1
+
+
+def test_surface_reads_each_cycles_turns_once(tmp_path, monkeypatch):
+    # the verifier counts turns during its walk, so only the polygon builder reads them
+    from polygonality import witness
+
+    wit = tmp_path / "w.json"
+    assert run_cli("witness", "remark-2.4b", "--require-long", "--out", str(wit)) == 0
+    distinct = {frozenset(c["edges"]) for c in read_json(wit)["cycles"]}
+    reads = Counter()
+    turns = witness.Cycle.turns.fget
+
+    def counted(cycle):
+        reads[cycle] += 1
+        return turns(cycle)
+
+    monkeypatch.setattr(witness.Cycle, "turns", property(counted))
+    out = tmp_path / "s.json"
+    assert run_cli("surface", "remark-2.4b", "--witness", str(wit), "--out", str(out)) == 0
+    assert {frozenset(c.edges) for c in reads} == distinct
+    assert set(reads.values()) == {1}
 
 
 @pytest.mark.parametrize("command", [("verify",), ("surface", "--witness")], ids=lambda c: c[0])
@@ -978,3 +1008,161 @@ def test_import_builds_no_dataclass():
         for value in vars(importlib.import_module(name)).values():
             if isinstance(value, type) and value.__module__ == name:
                 assert not hasattr(value, "__dataclass_fields__"), value
+
+
+# -- the JSON writer ----------------------------------------------------------
+# every payload of a real schema is written as json.dumps writes it with
+# indent=2 and sorted keys; the strings include ones that need escaping
+
+
+def stdlib_dump(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+ints = st.integers() | st.integers(-(10**40), 10**40)
+texts = st.text()
+count_tables = st.dictionaries(st.integers(0, 10**6).map(str) | texts, ints)
+edge_entries = st.lists(
+    st.fixed_dictionaries({"edges": st.lists(ints), "multiplicity": ints}), max_size=6
+)
+pair = st.lists(ints, min_size=2, max_size=2)
+sigma_tables = st.dictionaries(texts, st.dictionaries(texts, texts))
+PAYLOADS = {
+    "witness": st.fixed_dictionaries(
+        {
+            "graph_hash": texts,
+            "cycles": edge_entries,
+            "long_cycle_present": st.booleans(),
+            "per_edge_usage": count_tables,
+        },
+        optional={
+            "method": texts,
+            "c1": ints,
+            "c2": ints,
+            "constants_per_level": st.lists(ints),
+            "m1": ints,
+            "m2": ints,
+            "coloring": st.fixed_dictionaries({"k": ints, "ell": ints, "matchings": edge_entries}),
+        },
+    ),
+    "refutation": st.fixed_dictionaries(
+        {
+            "infeasible": st.just(True),
+            "require_long": st.booleans(),
+            "farkas": st.lists(
+                st.fixed_dictionaries({"vertex": texts, "pair": pair, "value": texts}), max_size=5
+            ),
+            "normalization_dual": texts,
+            "graph_hash": texts,
+            "method": texts,
+        }
+    ),
+    "verify": st.fixed_dictionaries(
+        {
+            "ok": st.booleans(),
+            "long_cycle_present": st.booleans(),
+            "failures": st.lists(
+                st.fixed_dictionaries(
+                    {"vertex": texts, "pair": pair, "count": ints, "image_count": ints}
+                ),
+                max_size=5,
+            ),
+            "per_edge_usage": count_tables,
+        }
+    ),
+    "analyze": st.fixed_dictionaries(
+        {
+            "vertices": st.lists(
+                st.fixed_dictionaries({"vertex": texts, "lambda": ints, "degree": ints}), max_size=6
+            ),
+            "minimal": st.booleans(),
+            "connected": st.booleans(),
+            "diskbusting": st.booleans(),
+            "regular_k": st.none() | ints,
+        }
+    ),
+    "surface": st.fixed_dictionaries(
+        {
+            "witness_hash": texts,
+            "m": ints,
+            "chi_S_minus_m": ints,
+            "chi_S_doubleprime": ints,
+            "orientable": st.booleans(),
+            "boundary_words": st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "vertex": ints,
+                        "word": texts,
+                        "base_word_index": st.none() | ints,
+                        "exponent": st.none() | ints,
+                    }
+                ),
+                max_size=5,
+            ),
+            "positive_degrees": count_tables,
+        }
+    ),
+    "graph": st.fixed_dictionaries(
+        {
+            "rank": ints,
+            "edges": st.lists(
+                st.fixed_dictionaries({"id": ints, "u": texts, "v": texts}), max_size=6
+            ),
+            "sigma": sigma_tables,
+        }
+    ),
+    "sigma table": sigma_tables,
+}
+
+
+@pytest.mark.parametrize("schema", sorted(PAYLOADS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_dump_writes_the_bytes_of_json_dumps(schema, data):
+    payload = data.draw(PAYLOADS[schema])
+    assert cli._dump(payload) == stdlib_dump(payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], [[]], [{}], {"a": {}, "b": []}, [True, False, None], -7, 10**60, "\"\\\n\x00é😀"],
+    ids=repr,
+)
+def test_dump_writes_empty_containers_and_scalars_as_json_dumps(value):
+    assert cli._dump(value) == stdlib_dump(value)
+
+
+def test_dump_writes_every_builtin_and_golden_output_as_json_dumps(tmp_path, monkeypatch):
+    from polygonality import witness
+    from test_golden import GEN_FILES, GOLDEN, WORD_FILES
+
+    payloads = []
+    dump = cli._dump
+    monkeypatch.setattr(cli, "_dump", lambda data: payloads.append(data) or dump(data))
+    for name, text in WORD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, args in GEN_FILES.items():
+        assert cli.main(["gen", *args, "--out", str(tmp_path / name)]) == 0
+    out, wit = str(tmp_path / "out.json"), str(tmp_path / "w.json")
+    for command, spec, *flags in (argv for argv, _, _ in GOLDEN):
+        path = tmp_path / spec
+        cli.main([command, str(path) if path.exists() else spec, *flags, "--out", out])
+    for name in [*cli._BUILTIN_WORDS, *cli._BUILTIN_GRAPHS]:
+        run_cli("analyze", name, "--out", out)
+        run_cli("export-dot", name, "--out", str(tmp_path / "g.dot"))
+        run_cli("surface", name, "--out", out)
+        for flags in ((), ("--require-long",), ("--method", "lp")):
+            if run_cli("witness", name, *flags, "--out", wit) == 0:
+                run_cli("verify", name, wit, "--require-long", "--out", out)
+    # an unbalanced list: one bigon of example-6.1's graph
+    graph = cli._resolve_graph("example-6.1")[0]
+    verdict = witness.verify_witness(graph, {frozenset({6, 7}): 1})
+    with open(wit, "w", encoding="utf-8") as fh:
+        json.dump(witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage), fh)
+    assert run_cli("verify", "example-6.1", wit, "--out", out) == 2
+    assert {"failures", "farkas", "boundary_words", "vertices", "cycles", "rank"} <= {
+        key for data in payloads for key in data
+    }
+    assert any(data["failures"] for data in payloads if "failures" in data)
+    for data in payloads:
+        assert dump(data) == stdlib_dump(data)

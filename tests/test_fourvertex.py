@@ -757,17 +757,17 @@ def test_four_vertex_witness_walks_no_cycle(graph, repeats, monkeypatch):
     # the construction hands over edge sets, and only the verifier walks them;
     # uniform_permutation weights an orbit pair above one on figure 7 only
     walks = Counter()
-    walk = witness.make_cycle
+    walk = witness._walk
 
     def counted(*args):
-        walks["make_cycle"] += 1
+        walks["_walk"] += 1
         return walk(*args)
 
-    monkeypatch.setattr(witness, "make_cycle", counted)
+    monkeypatch.setattr(witness, "_walk", counted)
     with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
         good = pg.four_vertex_witness(graph)
     assert not walks
     (_, _, completion), _ = spy.call_args
     assert (max(completion.orbit_pairs.values()) > 1) == repeats
     assert pg.verify_witness(graph, good.cycles).ok
-    assert walks["make_cycle"] == len(good.cycles)
+    assert walks["_walk"] == len(good.cycles)

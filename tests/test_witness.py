@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from conftest import (
     make_plain,
     other_end,
     oracle_all_cycles,
+    oracle_balanced,
     oracle_bounded_witness_search,
     oracle_cycle_key,
+    oracle_is_cycle,
     oracle_pair_count,
     oracle_turns,
     vid,
@@ -33,7 +36,8 @@ from conftest import (
 
 def to_json(graph, cycles):
     """``witness_to_json`` with the per-edge usage counted here."""
-    return witness_to_json(graph, cycles, witness.pair_counts(graph, cycles)[1])
+    usage = {e: sum(m for c, m in cycles.items() if e in c.edges) for e in graph.edges}
+    return witness_to_json(graph, cycles, usage)
 
 
 def test_enumerate_four_cycle(commutator):
@@ -123,6 +127,37 @@ def test_make_cycle_rejects_non_cycles(commutator):
         make_cycle(commutator, {0})
     with pytest.raises(GraphError):
         make_cycle(commutator, {0, 99})
+    two_bigons = make_plain(2, [(vid(1, 1), vid(1, -1))] * 2 + [(vid(2, 1), vid(2, -1))] * 2)
+    with pytest.raises(GraphError, match=r"^edge set \[0, 1, 2, 3\] is not a single cycle$"):
+        make_cycle(two_bigons, {0, 1, 2, 3})
+
+
+@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_make_cycle_names_the_first_fault(seed, rank, data):
+    # the walk checks an edge set by walking it; the faults of a set it cannot
+    # close are named in order: size, unknown ids, degrees, then components
+    graph = random_word_graph(seed, rank, 8)
+    ids = graph.edge_ids()
+    eids = frozenset(data.draw(st.lists(st.sampled_from([*ids, len(ids)]), max_size=6)))
+    degree = Counter(i for e in eids if e in graph.edges for i in graph.edges[e])
+    if len(eids) >= 2 and eids <= set(ids) and oracle_is_cycle(graph, eids):
+        assert frozenset(make_cycle(graph, eids).edges) == eids
+        return
+    with pytest.raises(GraphError) as info:
+        make_cycle(graph, eids)
+    message = str(info.value)
+    if len(eids) < 2:
+        assert message.startswith("cycle needs at least two edges")
+    elif not eids <= set(ids):
+        assert message == f"cycle references unknown edge {len(ids)}"
+    elif set(degree.values()) != {2}:
+        name = message.rsplit(" at ", 1)[1]
+        (i,) = [i for i, v in enumerate(graph.vertices()) if v.name == name]
+        assert degree[i] != 2
+        assert message == f"edge set {sorted(eids)} has degree {degree[i]} at {name}"
+    else:
+        assert message == f"edge set {sorted(eids)} is not a single cycle"
 
 
 def test_verify_commutator_witness(commutator):
@@ -396,32 +431,83 @@ def test_pair_count_table_matches_direct_recount(polygonal_graph):
             assert verdict.ok and direct == image_count
 
 
-# pair_counts counts walked cycles, so the constructions' edge sets go through
-# the verifier's walk first
+# the constructions' edge sets, as the verifier reads them: regular lists at
+# ranks 2 and 3, four-vertex lists at rank 2
 
 
 def _regular_case(seed):
     graph = random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2)
-    return graph, pg.verify_witness(graph, pg.regular_witness(graph).cycles).cycles
+    return graph, pg.regular_witness(graph).cycles
 
 
 def _fourvertex_case(seed):
     graph = random_fourvertex_instance(seed, max_degree=5)
-    return graph, pg.verify_witness(graph, pg.four_vertex_witness(graph).cycles).cycles
+    return graph, pg.four_vertex_witness(graph).cycles
+
+
+def oracle_failures(graph, cycles) -> list:
+    """The unbalanced pairs in vertex order, then edge-id order, each with its
+    count and its image's, recounted over every pair at every vertex."""
+    out = []
+    for v in graph.active_vertices():
+        sigma = graph.sigma[v.index]
+        for e, f in itertools.combinations(graph.delta(v), 2):
+            here = oracle_pair_count(graph, cycles, v, e, f)
+            there = oracle_pair_count(graph, cycles, v.mu(), sigma[e], sigma[f])
+            if here != there:
+                out.append((v, (e, f), here, there))
+    return out
+
+
+def assert_verdict_recounts(graph, edge_sets, require_long=False):
+    verdict = pg.verify_witness(graph, edge_sets, require_long=require_long)
+    cycles = verdict.cycles
+    assert {frozenset(c.edges): m for c, m in cycles.items()} == dict(edge_sets)
+    assert list(verdict.failures) == oracle_failures(graph, cycles)
+    assert (not verdict.failures) == oracle_balanced(graph, cycles)
+    long_present = any(len(eids) >= 3 for eids in edge_sets)
+    assert verdict.has_long_cycle == long_present
+    assert verdict.ok == (oracle_balanced(graph, cycles) and (long_present or not require_long))
+    assert verdict.per_edge_usage == {
+        eid: sum(m for eids, m in edge_sets.items() if eid in eids) for eid in graph.edges
+    }
+    return verdict
 
 
 @given(st.integers(0, 300), st.sampled_from([_regular_case, _fourvertex_case]))
 @settings(max_examples=30, deadline=None)
-def test_pair_counts_match_brute_force_recount(seed, case):
-    graph, cycles = case(seed)
-    counts, usage = pg.pair_counts(graph, cycles)
-    for v in graph.active_vertices():
-        for e, f in itertools.combinations(graph.delta(v), 2):
-            assert counts.get((v.index, e, f), 0) == oracle_pair_count(
-                graph, cycles, v, e, f
-            )
-    verts = graph.vertices()
-    assert all(e < f and {e, f} <= set(graph.delta(verts[i])) for i, e, f in counts)
-    assert usage == {
-        eid: sum(m for c, m in cycles.items() if eid in c.edges) for eid in graph.edges
-    }
+def test_verdict_matches_brute_force_recount(seed, case):
+    graph, found = case(seed)
+    assert assert_verdict_recounts(graph, found, require_long=True).ok
+
+
+def _bigons(graph) -> list[frozenset[int]]:
+    by_ends: dict[frozenset[int], list[int]] = {}
+    for eid in graph.edge_ids():
+        by_ends.setdefault(frozenset(graph.edges[eid]), []).append(eid)
+    return [frozenset(p) for es in by_ends.values() for p in itertools.combinations(es, 2)]
+
+
+@given(
+    st.integers(0, 300),
+    st.sampled_from([_regular_case, _fourvertex_case]),
+    st.sampled_from(["bump", "drop", "bigon"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_verifier_agrees_with_the_oracles_on_mutated_lists(seed, case, mutation, data):
+    # the verifier compares only the turns it counted, with their images; the
+    # oracles recount every pair at every vertex
+    graph, found = case(seed)
+    edge_sets = dict(found)
+    listed = sorted(edge_sets, key=sorted)
+    if mutation == "bump":
+        eids = data.draw(st.sampled_from(listed))
+        edge_sets[eids] += data.draw(st.integers(1, 3))
+    elif mutation == "drop" and len(listed) > 1:
+        del edge_sets[data.draw(st.sampled_from(listed))]
+    elif mutation == "bigon" and _bigons(graph):
+        eids = data.draw(st.sampled_from(_bigons(graph)))
+        edge_sets[eids] = edge_sets.get(eids, 0) + data.draw(st.integers(1, 3))
+    for require_long in (False, True):
+        assert_verdict_recounts(graph, edge_sets, require_long)

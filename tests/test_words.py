@@ -217,6 +217,23 @@ def test_match_power_tries_enough_rotations(base, c, r, invert, other):
     assert abs(match_power(rotated, base)) == c
 
 
+@given(
+    st.lists(letter_st, min_size=8, max_size=20).map(tuple).map(Word),
+    st.integers(5, 12),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_match_power_with_large_exponents_of_long_bases(base, c, r, invert):
+    # the search runs over the link once, not once per rotation
+    power = (base.inverse_letters() if invert else base.letters) * c
+    rotated = power[r % len(power) :] + power[: r % len(power)]
+    flipped = (*rotated[:-1], rotated[-1].inverse())
+    for candidate in (rotated, flipped):
+        assert match_power(candidate, base) == oracle_match_power(candidate, base)
+    assert abs(match_power(rotated, base)) == c
+
+
 @pytest.mark.parametrize(
     "text, length",
     [
