@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
-from .regular import FractionalColoring, RegularWitness, coloring_witness
+from .regular import FractionalColoring, RegularWitness, coloring_witness, pair_table
 from .whitehead import Multigraph, VertexId, WhiteheadGraph
 
 
@@ -489,15 +489,13 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
     k = g.degree(w)
     if k <= 1:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
-    side_edges: dict[frozenset[int], list[int]] = {}
-    for eid in g.edge_ids():
-        side_edges.setdefault(frozenset(g.edges[eid]), []).append(eid)
+    side_edges = pair_table(g)
     wp, up = w.mu(), u.mu()
     matchings = []
     # the three perfect matchings of K4, each as its two sides
     for side, opposite in (((w, wp), (u, up)), ((w, u), (wp, up)), ((w, up), (wp, u))):
-        xs = side_edges.get(frozenset(v.index for v in side), [])
-        ys = side_edges.get(frozenset(v.index for v in opposite), [])
+        xs = side_edges.get(tuple(sorted(v.index for v in side)), [])
+        ys = side_edges.get(tuple(sorted(v.index for v in opposite)), [])
         if len(xs) != len(ys):
             raise PreconditionError(
                 f"{len(xs)} edges {side[0]}-{side[1]} against {len(ys)} edges"

@@ -11,22 +11,25 @@ matchings are collected once, as edge sets, and counted with the product of
 the two multiplicities; copies of one matching contribute nothing.  The
 four-vertex construction feeds it a coloring read off its base graph.
 
-Here the coloring is found by the package's one linear program, over the
-enumerated matchings: a nonzero, nonnegative weighting of them in the kernel
-of the balance rows ``cover_e - cover_e0``, one for each edge ``e`` other
-than the first edge ``e0``, where ``cover_e`` marks the matchings that
-contain ``e``.  Every edge is then covered by the same weight C, and since a
-perfect matching holds |V|/2 of the k|V|/2 edges, integer weights of total
-ell cover each edge ell/k times.  By Edmonds' description of the perfect
-matching polytope such a weighting exists exactly when the odd-cut bound
-holds, so a coloring is itself the proof of the hypothesis.  The exhaustive
-odd-set check ``is_k_graph`` runs only after the linear program finds no
-weighting, to name a violating set.
+Here the coloring is found by the package's one linear program, posed on
+the simple graph of vertex pairs, where pair ``p`` stands for its ``m_p``
+parallel edges: a nonzero, nonnegative weighting of the pair graph's perfect
+matchings in the kernel of the rows ``m_p0 * cover_p - m_p * cover_p0``, one
+for each pair after the first, where ``cover_p`` marks the matchings that
+hold ``p``.  Every pair is then covered C * m_p times; scaled so that C is
+an integer t, each matching of multiplicity n becomes n matchings of edge
+ids that take each pair's edges round-robin, so every edge is covered t
+times and ell = k * t.  By Edmonds' description of the perfect matching
+polytope such a weighting exists exactly when the odd-cut bound holds, so a
+coloring is itself the proof of the hypothesis.  The exhaustive odd-set
+check ``is_k_graph``, which counts cuts over the same pair table, runs only
+after the linear program finds no weighting, to name a violating set.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError
@@ -47,62 +50,67 @@ def _regularity(graph: Multigraph) -> int:
     return degrees.pop()
 
 
+def pair_table(graph: Multigraph) -> dict[tuple[int, int], list[int]]:
+    """Edge ids grouped by their unordered pair of end indices, each group in
+    id order, the pairs in the order of their least edge ids."""
+    ends = graph.edges
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for eid in sorted(ends):
+        s, t = ends[eid]
+        pairs.setdefault((s, t) if s < t else (t, s), []).append(eid)
+    return pairs
+
+
 def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     """Exhaustive odd-cut check over the non-isolated vertices.
 
-    ``k`` is the degree, when the caller already has it.  Returns the first
-    violating odd set in canonical order (by size, then by vertex order) when
-    the graph fails.
+    ``k`` is the degree, when the caller already has it.  A cut counts the
+    edges of each vertex pair that crosses it.  Returns the first violating
+    odd set in canonical order (by size, then by vertex order) when the graph
+    fails.
     """
     if k is None:
         k = _regularity(graph)
+    pairs = [(s, t, len(eids)) for (s, t), eids in pair_table(graph).items()]
     verts = sorted(graph.active_vertices())
     for size in range(1, len(verts) + 1, 2):
         for subset in itertools.combinations(verts, size):
             inside = {v.index for v in subset}
-            cut = sum(1 for s, t in graph.edges.values() if (s in inside) != (t in inside))
+            cut = sum(m for s, t, m in pairs if (s in inside) != (t in inside))
             if cut < k:
                 return KGraphVerdict(False, k, subset)
     return KGraphVerdict(True, k, None)
 
 
 def enumerate_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
-    """All perfect matchings on the non-isolated vertices, parallel edges distinct.
+    """All perfect matchings of the graph of vertex pairs, on the non-isolated vertices.
 
-    A matching is its set of edge ids.  Each matching covers the least
-    uncovered vertex first, by each of its edges in id order.
+    The parallel edges of a vertex pair count once, by the least of their
+    ids, and a matching is its set of those ids.  Each matching covers the
+    least uncovered vertex first, by each of its pairs in id order.
     """
-    ends = graph.edges
-    verts = graph.active_vertices()
-    active = [v.index for v in verts]
-    delta = [graph.delta(v) for v in verts]
-    covered = [True] * len(graph.vertices())
-    for i in active:
-        covered[i] = False
+    delta: list[list[tuple[int, int]]] = [[] for _ in graph.vertices()]  # (edge, other end)
+    for (s, t), eids in pair_table(graph).items():
+        delta[s].append((eids[0], t))
+        delta[t].append((eids[0], s))
     out: list[frozenset[int]] = []
     chosen: list[int] = []
 
-    def extend(pos: int):
-        while pos < len(active) and covered[active[pos]]:
-            pos += 1
-        if pos == len(active):
+    def extend(free: int):  # the uncovered vertices, one bit each
+        if not free:
             out.append(frozenset(chosen))
             return
-        i = active[pos]
-        covered[i] = True
-        for eid in delta[pos]:
-            s, t = ends[eid]
-            j = t if s == i else s
-            if not covered[j]:
-                covered[j] = True
+        i = (free & -free).bit_length() - 1
+        free ^= 1 << i
+        for eid, j in delta[i]:
+            if free >> j & 1:
                 chosen.append(eid)
-                extend(pos + 1)
+                extend(free ^ 1 << j)
                 chosen.pop()
-                covered[j] = False
-        covered[i] = False
 
-    if len(active) % 2 == 0:
-        extend(0)
+    active = sum(1 << i for i, d in enumerate(delta) if d)
+    if active.bit_count() % 2 == 0:
+        extend(active)
     return out
 
 
@@ -112,40 +120,49 @@ class FractionalColoring(NamedTuple):
     entries: tuple[tuple[frozenset[int], int], ...]  # (matching, multiplicity)
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "matchings": [
-                {"edges": sorted(m), "multiplicity": n} for m, n in self.entries
-            ],
-        }
+        matchings = [{"edges": sorted(m), "multiplicity": n} for m, n in self.entries]
+        return {"k": self.k, "ell": self.ell, "matchings": matchings}
 
 
 def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> FractionalColoring:
     """Perfect matchings with integer multiplicities covering each edge ell/k times.
 
-    For a k-regular graph, finds nonzero rational weights on the enumerated
-    perfect matchings that cover every edge equally, then clears
-    denominators.  ``k`` is the degree, when the caller already has it.
-    Raises GraphError when no such weights exist, which happens exactly when
-    some odd vertex set is left by fewer than k edges.
+    For a k-regular graph, finds nonzero rational weights on the perfect
+    matchings of the graph of vertex pairs that cover every pair in
+    proportion to its edge count, then clears denominators and hands out
+    each pair's edges round-robin.  ``k`` is the degree, when the caller
+    already has it.  Raises GraphError when no such weights exist, which
+    happens exactly when some odd vertex set is left by fewer than k edges.
     """
     if k is None:
         k = _regularity(graph)
     matchings = enumerate_perfect_matchings(graph)
-    # cover[e][M] = 1 when M contains e; one balance row per edge after the first
-    cover = {eid: [0] * len(matchings) for eid in graph.edge_ids()}
-    for col, m in enumerate(matchings):
-        for eid in m:
-            cover[eid][col] = 1
-    first, *rest = cover.values()
-    rows = [[a - b for a, b in zip(row, first)] for row in rest]
+    groups = {eids[0]: eids for eids in pair_table(graph).values()}  # by least edge id
+    (e0, m0), *rest = ((e, len(eids)) for e, eids in groups.items())
+    # one balance row m_p0 * cover_p - m_p * cover_p0 per pair p after the first
+    rows = [[m0 * (e in m) - mp * (e0 in m) for m in matchings] for e, mp in rest]
     res = maximize_homogeneous(rows, [1] * len(matchings))
     if not res.objective:
         raise GraphError(f"no fractional edge coloring: an odd set is left by fewer than {k} edges")
-    entries = [(m, mult) for m, mult in zip(matchings, res.integer_x()) if mult]
-    ell = sum(n for _, n in entries)
-    return FractionalColoring(k, ell, tuple(entries))
+    x = res.integer_x()
+    # pair p is covered C * m_p times; scale so that C is an integer t
+    c0 = sum(n for n, m in zip(x, matchings) if e0 in m)
+    scale, t = m0 // gcd(c0, m0), c0 // gcd(c0, m0)
+    # n copies of a pair matching take each of its pairs' next n edges
+    # round-robin, so every edge is covered t times; the copies repeat with the
+    # lcm of the pair sizes, and equal copies are merged
+    turn = dict.fromkeys(groups, 0)
+    entries: dict[frozenset[int], int] = {}
+    for m, n in zip(matchings, x):
+        if n:
+            n *= scale
+            period = lcm(*(len(groups[e]) for e in m))
+            for r in range(min(n, period)):
+                copy = frozenset(groups[e][(turn[e] + r) % len(groups[e])] for e in m)
+                entries[copy] = entries.get(copy, 0) + (n - r - 1) // period + 1
+            for e in m:
+                turn[e] += n
+    return FractionalColoring(k, k * t, tuple(entries.items()))
 
 
 class RegularWitness(NamedTuple):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import VertexId, WhiteheadGraph
-from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_to_json
+from .witness import Cycle, CycleList, cycle_order, ordered_witness_json, verify_witness
 from .words import MAX_WORD_LENGTH, Letter, Word, WordList, match_power, shared_letter
 
 
@@ -57,7 +57,7 @@ class SurfaceComplex:
         self, graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int], polygons, pairing
     ):
         self.graph = graph
-        self.witness = witness
+        self.witness = witness  # the cycles in cycle_order, as build_surface lists them
         self.usage = usage  # per-edge usage of the witness, from its verdict
         # each polygon is its tuple of sides; a cycle's copies share one tuple
         self.polygons: tuple[tuple[Side, ...], ...] = polygons
@@ -199,7 +199,8 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
             f"{v.name} {list(pair)}: {a} against {b}" for v, pair, a, b in verdict.failures[:3]
         )
         raise PreconditionError(f"witness fails verification: {failed}")
-    cycles = verdict.cycles
+    # sorted once: the polygons are built and the witness hashed in this order
+    cycles = {c: verdict.cycles[c] for c in sorted(verdict.cycles, key=cycle_order)}
     sides = sum(len(cycle.edges) * n for cycle, n in cycles.items())
     if sides > MAX_WORD_LENGTH:
         raise PreconditionError(
@@ -209,7 +210,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     polygons: list[tuple[Side, ...]] = []
     incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     outgoing: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for cycle in sorted(cycles, key=cycle_order):
+    for cycle in cycles:
         sides, labels = _build_polygon(graph, rank, cycle)
         for _ in range(cycles[cycle]):
             for t, (side, label) in enumerate(zip(sides, labels)):
@@ -293,8 +294,9 @@ class SurfaceReport(NamedTuple):
 
 
 def witness_hash(graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int]) -> str:
-    blob = json.dumps(witness_to_json(graph, witness, usage), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """The witness JSON's hash; ``witness`` lists its cycles in :func:`cycle_order`."""
+    blob = json.dumps(ordered_witness_json(graph, list(witness), witness, usage), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def surface_report(complex_: SurfaceComplex, word_list: WordList) -> SurfaceReport:

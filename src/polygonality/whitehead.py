@@ -371,49 +371,54 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     table, a dart listed under a vertex it is not at and an image not at the
     paired vertex are errors.  Names are canonical and the keys of one table
     distinct, so a dart listed twice is always also listed under a vertex it
-    is not at.  Each name is looked up in a table of the edge list's own
-    canonical names, and each distinct vertex name is parsed once; an edge
-    keeps the indices of its two ends.
+    is not at.  Each distinct vertex name is parsed once into its index, and
+    each dart name is looked up in a table of the edge list's own names; the
+    slow validators run only to say why an entry is refused.
     """
     json_object(data, {"rank", "edges", "sigma"}, "a graph")
     rank = json_int(data["rank"], "rank")
     if not isinstance(data["edges"], list) or not isinstance(data["sigma"], dict):
         raise GraphError("malformed graph JSON: edges must be a list and sigma an object")
-    vertices: dict[str, VertexId] = {}
-
-    def vertex(name) -> VertexId:
-        v = vertices.get(name) if isinstance(name, str) else None
-        if v is None:
-            v = vertices[name] = vertex_from_name(name)
-        return v
-
+    index: dict[str, int] = {}  # each distinct vertex name, parsed once
     edges: list[tuple[int, tuple[int, int]]] = []
     darts: dict[str, tuple[int, int]] = {}
+    keys = {"id", "u", "v"}
     for e in data["edges"]:
-        json_object(e, {"id", "u", "v"}, "an edge")
-        eid, ends = json_int(e["id"], "edge id"), (vertex(e["u"]), vertex(e["v"]))
-        edges.append((eid, (ends[0].index, ends[1].index)))
+        if type(e) is not dict or e.keys() != keys:
+            json_object(e, keys, "an edge")
+        eid, u, v = e["id"], e["u"], e["v"]
+        if type(eid) is not int:
+            json_int(eid, "edge id")
+        try:
+            ends = index[u], index[v]
+        except (KeyError, TypeError):  # a name met for the first time is parsed
+            for name in (u, v):
+                if type(name) is not str or name not in index:
+                    index[name] = vertex_from_name(name).index
+            ends = index[u], index[v]
+        edges.append((eid, ends))
         # a canonical name has no sign, so a negative id's darts are left out
         # and their names fall through to ``bad dart name``
         if eid >= 0:
-            for v in ends:
-                darts[f"{eid}@{v.name}"] = (v.index, eid)
+            darts[f"{eid}@{u}"] = (ends[0], eid)
+            darts[f"{eid}@{v}"] = (ends[1], eid)
     sigma: dict[int, dict[int, int]] = {}
     for name, table in sorted(data["sigma"].items()):
-        v = vertex(name)
+        at = index[name] if name in index else vertex_from_name(name).index
         if not isinstance(table, dict):
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         if not table:
             raise GraphError(f"malformed graph JSON: sigma table of {name} is empty")
-        images = sigma[v.index] = {}
+        images = sigma[at] = {}
         for src, dst in table.items():
-            i, e = _dart_from_name(darts, edges, src)
-            if i != v.index:
+            i, e = darts.get(src) or _dart_from_name(darts, edges, src)
+            if i != at:
                 raise GraphError(f"dart {src!r} is listed under {name}, not under its own vertex")
-            j, images[e] = _dart_from_name(darts, edges, dst)
-            if j != v.index ^ 1:
+            j, images[e] = (type(dst) is str and darts.get(dst)) or _dart_from_name(darts, edges, dst)
+            if j != at ^ 1:
                 raise GraphError(
-                    f"sigma({src!r}) = {dst!r} does not land at the paired vertex {v.mu()}"
+                    f"sigma({src!r}) = {dst!r} does not land at the paired vertex "
+                    f"{vertex_from_name(name).mu()}"
                 )
     return WhiteheadGraph(rank, edges, sigma)
 

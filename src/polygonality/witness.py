@@ -350,13 +350,19 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
 
 def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]) -> dict:
     """Serialize a cycle list with its per-edge usage, as a
-    :class:`WitnessVerdict` gives it; nothing is counted or verified here."""
+    :class:`WitnessVerdict` gives it, its cycles in :func:`cycle_order`;
+    nothing is counted or verified here."""
+    return ordered_witness_json(graph, sorted(cycles, key=cycle_order), cycles, usage)
+
+
+def ordered_witness_json(
+    graph: WhiteheadGraph, order: list[Cycle], cycles: CycleList, usage: dict[int, int]
+) -> dict:
+    """:func:`witness_to_json` for the cycles of ``cycles`` already sorted
+    by :func:`cycle_order` into ``order``."""
     return {
         "graph_hash": graph_hash(graph),
-        "cycles": [
-            {"edges": sorted(c.edges), "multiplicity": cycles[c]}
-            for c in sorted(cycles, key=cycle_order)
-        ],
+        "cycles": [{"edges": sorted(c.edges), "multiplicity": cycles[c]} for c in order],
         "long_cycle_present": any(c.is_long for c in cycles),
         "per_edge_usage": {str(eid): n for eid, n in sorted(usage.items())},
     }

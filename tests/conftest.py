@@ -5,15 +5,17 @@ found by filtering edge subsets, canonical cycle keys by listing every
 rotation, pair counts by direct recounting, witness existence by bounded
 enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
 regular cycle lists by the slot-pair loop over the coloring, perfect
-matchings by a walk over vertex objects and sets, linear programs by a
-Bland-rule simplex on a Fraction tableau, the four-vertex build-up by
-rescaling the whole lower list at every level, and the glued vertices of a
-surface by a union-find over polygon corners.
+matchings by a walk over vertex objects and sets, the fractional coloring by
+the linear program over every perfect matching with parallel edges distinct,
+linear programs by a Bland-rule simplex on a Fraction tableau, the
+four-vertex build-up by rescaling the whole lower list at every level, and
+the glued vertices of a surface by a union-find over polygon corners.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -226,6 +228,40 @@ def oracle_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
     if len(verts) % 2 == 0:
         extend(tuple(verts), ())
     return out
+
+
+def oracle_least_pair_edges(graph: Multigraph) -> set[int]:
+    """The edges with no parallel edge of a smaller id."""
+    least: dict[frozenset[int], int] = {}
+    for eid, ends in graph.edges.items():
+        key = frozenset(ends)
+        least[key] = min(eid, least.get(key, eid))
+    return set(least.values())
+
+
+def oracle_pair_matchings(graph: Multigraph) -> list[frozenset[int]]:
+    """The perfect matchings that use only least edges of their vertex pairs,
+    in the order of :func:`oracle_perfect_matchings`."""
+    least = oracle_least_pair_edges(graph)
+    return [m for m in oracle_perfect_matchings(graph) if m <= least]
+
+
+def oracle_edge_coloring(graph: Multigraph):
+    """The fractional coloring over every perfect matching, parallel edges
+    distinct: one balance row ``cover_e - cover_e0`` per edge after the
+    first, all-ones costs, the integer weights taken as multiplicities.
+    ``None`` when the optimum is zero."""
+    (k,) = {graph.degree(v) for v in graph.active_vertices()}
+    matchings = oracle_perfect_matchings(graph)
+    cover = {eid: [int(eid in m) for m in matchings] for eid in sorted(graph.edges)}
+    first, *rest = cover.values()
+    rows = [[a - b for a, b in zip(row, first)] for row in rest]
+    x, objective, _ = oracle_maximize_homogeneous(rows, [1] * len(matchings))
+    if not objective:
+        return None
+    scale = math.lcm(*(v.denominator for v in x))
+    entries = [(m, int(v * scale)) for m, v in zip(matchings, x) if v]
+    return pg.FractionalColoring(k, sum(n for _, n in entries), tuple(entries))
 
 
 def oracle_pair_count(graph, cycles: dict, v, e, f) -> int:

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polygonality import cli, regular
+from polygonality import cli, regular, witness
 from polygonality.errors import PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_hash, graph_to_json
@@ -813,7 +813,7 @@ def test_witness_round_trip_on_random_graphs(seed, method):
     _assert_witness_writes_what_was_built(graph, None, method)
 
 
-def test_auto_moves_on_when_a_precondition_fails(tmp_path):
+def test_auto_moves_on_when_a_precondition_fails(tmp_path, capsys):
     # aBcAbC: a 2-regular rank-3 graph of two disjoint triangles, so the odd
     # set {a, b, c} is left by no edge; the two triangles still balance
     text = "rank 3\naBcAbC\n"
@@ -822,6 +822,9 @@ def test_auto_moves_on_when_a_precondition_fails(tmp_path):
     graph = build_whitehead_graph(parse_word_list(text))
     with pytest.raises(PreconditionError, match="odd set"):
         regular.regular_witness(graph)
+    capsys.readouterr()
+    assert run_cli("witness", str(words), "--method", "regular") == 1
+    assert capsys.readouterr().out == ""
     out = tmp_path / "w.json"
     assert run_cli("witness", str(words), "--method", "regular", "--out", str(out)) == 1
     assert run_cli("witness", str(words), "--out", str(out)) == 0
@@ -849,7 +852,8 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "pivot", counted)
     regular_graph = tmp_path / "regular-9.json"
     run_cli("gen", "--kind", "regular", "--seed", "9", "--k", "3", "--pairs", "2", "--out", str(regular_graph))
-    triangles = tmp_path / "triangles.txt"  # rank 3 and 4-regular: an 11 x 12 coloring LP
+    # rank 3 and 4-regular, 12 edges on 9 vertex pairs: an 8 x 4 coloring LP
+    triangles = tmp_path / "triangles.txt"
     triangles.write_text("rank 3\naBcAbC\nabcACB\n", encoding="utf-8")
     seen = {}
     for name, spec in [
@@ -865,7 +869,7 @@ def test_simplex_work_is_pinned(tmp_path, monkeypatch):
         "example-6.1": (1, 416),
         "remark-2.4a": (0, 0),
         "regular-9": (0, 0),
-        "triangles": (2, 182),
+        "triangles": (1, 20),
     }
     assert sum(cells for name, (_, cells) in seen.items() if name != "triangles") == 416
 
@@ -951,6 +955,31 @@ def test_a_usage_error_exits_2_and_the_next_call_succeeds(argv, capsys):
     assert capsys.readouterr().err == fresh_cli(*argv)[2]
     assert run_cli("analyze", "commutator", "--format", "text") == 0
     assert "minimal      = True" in capsys.readouterr().out
+
+
+# -- one sort per surface command ------------------------------------------------
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["constructed", "--witness"])
+def test_surface_orders_each_cycle_once(tmp_path, monkeypatch, from_file):
+    # the polygons are built and the witness hashed in one cycle_order sort
+    from polygonality import surface
+
+    wit, out = str(tmp_path / "w.json"), str(tmp_path / "s.json")
+    assert run_cli("witness", "remark-2.4b", "--require-long", "--out", wit) == 0
+    ordered = Counter()
+    order = witness.cycle_order
+
+    def counted(cycle):
+        ordered[cycle] += 1
+        return order(cycle)
+
+    monkeypatch.setattr(witness, "cycle_order", counted)
+    monkeypatch.setattr(surface, "cycle_order", counted)
+    flags = ("--witness", wit) if from_file else ()
+    assert run_cli("surface", "remark-2.4b", *flags, "--out", out) == 0
+    assert len(read_json(wit)["cycles"]) == len(ordered) > 1
+    assert set(ordered.values()) == {1}
 
 
 # -- numbers are ASCII digits ---------------------------------------------------

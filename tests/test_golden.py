@@ -48,9 +48,9 @@ GOLDEN = [
     (("witness", "regular-9.json"), 0,
      "2314180c38254ee9001b23d43d6541b214d6dd729945918769dabb2be6b4b917"),
     (("witness", "regular-9.json", "--method", "regular"), 0,
-     "e4b5d6ccf3739996382f7113b857adb718ce8e858a9ae7537af2831ad662842f"),
+     "d3ef799c4cae1f80a23c187472cfbc52e8afba06a05fb1c07742d5e11579b2b1"),
     (("witness", "regular-9-k4.json"), 0,
-     "b8a891ac2d934feb1994408389770abe99b765539882c66f9bb3386c55967be6"),
+     "91aa4c1e2199e88e0e4187f5cb5762d58203c9ffe0e847e0efeeb9c7e48bc79e"),
     # the odd-cut bound fails, so the regular construction exits 1 and writes nothing
     (("witness", "triangles.txt", "--method", "regular"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

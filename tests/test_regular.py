@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,8 @@ from polygonality.whitehead import WhiteheadGraph
 from conftest import (
     fourvertex_base_case,
     make_plain,
-    oracle_perfect_matchings,
+    oracle_edge_coloring,
+    oracle_pair_matchings,
     oracle_regular_cycles,
     vid,
 )
@@ -111,7 +113,8 @@ def test_regular_witness_bigon():
 
 
 def _assert_matchings_match_the_oracle(graph):
-    assert [m for m in enumerate_perfect_matchings(graph)] == oracle_perfect_matchings(graph)
+    # the pair graph's matchings: the edge-level list filtered, in its order
+    assert enumerate_perfect_matchings(graph) == oracle_pair_matchings(graph)
 
 
 def test_matchings_match_the_oracle_on_small_graphs(commutator):
@@ -216,6 +219,74 @@ def test_random_regular_multigraphs_fail_the_odd_cut_bound_sometimes():
         for pairs in (2, 3)
     ]
     assert any(verdicts) and not all(verdicts)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_expanded_coloring_covers_every_edge_equally(seed, k, pairs):
+    # parallel edges included: each pair matching is handed out round-robin
+    # over its pairs' edges, so every edge ends up in t = ell / k matchings
+    graph = random_regular_multigraph(seed, k, pairs)
+    try:
+        col = fractional_edge_coloring(graph)
+    except GraphError:
+        assert not is_k_graph(graph).ok
+        return
+    active = sorted(v.index for v in graph.active_vertices())
+    usage = Counter()
+    for m, n in col.entries:
+        assert sorted(i for eid in m for i in graph.edges[eid]) == active
+        for eid in m:
+            usage[eid] += n
+    t, rest = divmod(col.ell, k)
+    assert col.k == k and rest == 0 and t > 0
+    assert usage == {eid: t for eid in graph.edges}
+    assert len({m for m, _ in col.entries}) == len(col.entries)  # equal copies merged
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_pair_lp_verdict_matches_the_edge_lp(seed, k, pairs):
+    graph = random_regular_multigraph(seed, k, pairs)
+    expected = oracle_edge_coloring(graph)
+    if expected is None:
+        with pytest.raises(GraphError):
+            fractional_edge_coloring(graph)
+    else:
+        assert fractional_edge_coloring(graph).ell > 0
+
+
+def random_simple_regular_graph(seed: int, k: int, pairs: int):
+    """A k-regular graph on 2 * pairs vertices with no parallel edges."""
+    rng = random.Random(seed)
+    verts = [vid(g, s) for g in range(1, pairs + 1) for s in (1, -1)]
+    while True:
+        stubs = [v for v in verts for _ in range(k)]
+        rng.shuffle(stubs)
+        mates = list(zip(stubs[0::2], stubs[1::2]))
+        if all(a != b for a, b in mates) and len({frozenset(m) for m in mates}) == len(mates):
+            return make_plain(pairs, mates)
+
+
+def _assert_coloring_matches_the_edge_lp(graph):
+    expected = oracle_edge_coloring(graph)
+    if expected is None:
+        with pytest.raises(GraphError):
+            fractional_edge_coloring(graph)
+    else:
+        assert fractional_edge_coloring(graph) == expected
+
+
+def test_coloring_matches_the_edge_lp_on_small_simple_graphs(commutator):
+    for graph in (commutator, k4(), triangle()):
+        _assert_coloring_matches_the_edge_lp(graph)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_coloring_matches_the_edge_lp_on_simple_graphs(seed, k, pairs):
+    # with no parallel edges every pair is one edge: the same rows, pivots and coloring
+    _assert_coloring_matches_the_edge_lp(random_simple_regular_graph(seed, min(k, 2 * pairs - 1), pairs))
 
 
 @given(st.integers(0, 60))

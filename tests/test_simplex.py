@@ -232,9 +232,10 @@ def _coloring_lp(graph):
     ids=["k4p3", "k4p6", "fourvertex-base"],
 )
 def test_coloring_lp_matches_fraction_reference(graph):
-    # one balance row per edge after the first, over all-ones costs
+    # one balance row per vertex pair after the first, over all-ones costs
     A, c = _coloring_lp(graph)
-    assert len(A) == len(graph.edges) - 1 and c == [1] * len(c)
+    pairs = {frozenset(ends) for ends in graph.edges.values()}
+    assert len(A) == len(pairs) - 1 and c == [1] * len(c)
     with recorded_pivots(simplex._Tableau, FractionTableau) as logs:
         res = maximize_homogeneous(A, c)
         expected = oracle_maximize_homogeneous(A, c)
