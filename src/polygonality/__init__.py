@@ -54,13 +54,12 @@ from .witness import (
     verify_witness,
 )
 from .words import (
-    Letter,
-    Word,
     WordList,
     cyclic_reduce,
-    length2_cyclic_subwords,
+    make_word_list,
     parse_word,
     parse_word_list,
+    word_text,
 )
 
 __version__ = "0.1.0"

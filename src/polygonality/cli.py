@@ -81,8 +81,8 @@ def _parse_json(text: str):
 def load_input(spec: str):
     """Resolve a built-in name or a file path to ('words', WordList) or ('graph', graph)."""
     if spec in _BUILTIN_WORDS:
-        wl = words.WordList(2, (words.cyclic_reduce(words.parse_word(_BUILTIN_WORDS[spec], 2)),))
-        return "words", wl
+        word = words.cyclic_reduce(words.parse_word(_BUILTIN_WORDS[spec], 2))
+        return "words", words.make_word_list(2, (word,))
     if spec in _BUILTIN_GRAPHS:
         return "graph", _BUILTIN_GRAPHS[spec]()
     if spec == "remark-2.4":
@@ -115,6 +115,11 @@ def write_output(payload: str, out: str | None) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
+        # mkstemp makes the file 0600 whatever the umask: give it the mode
+        # that open(out, "w") gives a new file, 0666 less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):

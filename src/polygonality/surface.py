@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import VertexId, WhiteheadGraph
 from .witness import Cycle, CycleList, cycle_order, ordered_witness_json, verify_witness
-from .words import MAX_WORD_LENGTH, Letter, Word, WordList, match_power, shared_letter
+from .words import MAX_WORD_LENGTH, WordList, match_power, word_text
 
 
 def build_linear_orders(graph: WhiteheadGraph) -> list[dict[int, int]]:
@@ -81,14 +81,15 @@ class SurfaceComplex:
         Crossing a side leaves a corner and enters the partner's corner that
         meets the same end (head to head, tail to tail), then goes on through
         that corner's other flank.  A glued vertex is one orbit of this walk,
-        started from its least corner; it reads the crossed sides' letters.
+        started from its least corner; it reads the crossed sides' letters,
+        the code ``2 * (g - 1)`` of generator ``g`` when the partner side is
+        incoming and its inverse's code otherwise.
         """
         polygons, pairing = self.polygons, self.pairing
         total = len(pairing)
         seen: set[tuple[int, int]] = set()
-        shared: dict[tuple[int, int], Letter] = {}  # shared_letter's, without a call a crossing
         self.vertex_classes: list[list[tuple[int, int]]] = []
-        self.links: list[tuple[Letter, ...]] = []
+        self.links: list[tuple[int, ...]] = []
         for p, poly in enumerate(polygons):
             for t in range(len(poly)):
                 if (p, t) in seen:
@@ -101,8 +102,7 @@ class SurfaceComplex:
                     side = polygons[q][s]
                     q, s = pairing[(q, s)]
                     pside = polygons[q][s]
-                    key = (side.vertex.gen, 1 if pside.incoming else -1)
-                    letters.append(shared.get(key) or shared.setdefault(key, shared_letter(*key)))
+                    letters.append(2 * (side.vertex.gen - 1) + (not pside.incoming))
                     if side.head_corner == u:
                         u = pside.head_corner
                     elif side.tail_corner == u:
@@ -235,7 +235,7 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
 
 class BoundaryReading(NamedTuple):
     vertex_class: int
-    word: Word
+    word: tuple[int, ...]
     base_word_index: int | None
     exponent: int | None
 
@@ -253,14 +253,13 @@ def boundary_words(complex_: SurfaceComplex, word_list: WordList) -> list[Bounda
     """
     out = []
     for idx, letters in enumerate(complex_.links):
-        word = Word(letters)
         base, exponent = None, None
-        for w in word_list.words:
+        for j, w in enumerate(word_list.words):
             c = match_power(letters, w)
             if c is not None:
-                base, exponent = w.index, c
+                base, exponent = j, c
                 break
-        out.append(BoundaryReading(idx, word, base, exponent))
+        out.append(BoundaryReading(idx, letters, base, exponent))
     return out
 
 
@@ -283,7 +282,7 @@ class SurfaceReport(NamedTuple):
             "boundary_words": [
                 {
                     "vertex": r.vertex_class,
-                    "word": str(r.word),
+                    "word": word_text(r.word),
                     "base_word_index": r.base_word_index,
                     "exponent": r.exponent,
                 }
@@ -310,7 +309,8 @@ def surface_report(complex_: SurfaceComplex, word_list: WordList) -> SurfaceRepo
     for r in boundary:
         if not r.ok:
             raise VerificationError(
-                f"link of vertex {r.vertex_class} reads {r.word}, not a power of any input word"
+                f"link of vertex {r.vertex_class} reads {word_text(r.word)}, "
+                "not a power of any input word"
             )
     chi = complex_.chi_minus_m()
     if chi >= 0:

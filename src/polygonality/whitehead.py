@@ -24,21 +24,34 @@ from collections import deque
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphError, PreconditionError
-from .frozen import Frozen
-from .words import WordList, length2_cyclic_subwords
+from .words import WordList
 
 
-class VertexId(Frozen):
+class VertexId:
     """A vertex ``a_g`` (sign +1) or ``a_g^-1`` (sign -1), ordered a1 < a1- < a2 < ...
 
-    A positive ``sign`` is stored as +1 and any other as -1.
+    A positive ``sign`` is stored as +1 and any other as -1.  Immutable: each
+    field is set once, and assigning or deleting one raises ``AttributeError``.
     """
 
     __slots__ = ("gen", "sign")
+    __match_args__ = __slots__
 
     def __init__(self, gen: int, sign: int):
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "sign", 1 if sign > 0 else -1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"VertexId(gen={self.gen!r}, sign={self.sign!r})"
+
+    def __reduce__(self):
+        return VertexId, (self.gen, self.sign)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -243,22 +256,23 @@ class WhiteheadGraph(Multigraph):
 def build_whitehead_graph(word_list: WordList) -> WhiteheadGraph:
     """Construct the graph of a word list, one edge per subword, numbered in list order.
 
-    The edge of subword ``x_i x_{i+1}`` joins ``x_i`` and ``x_{i+1}^-1``; at
-    ``x_{i+1}^-1`` it is sent to the successor edge at position ``i+1``,
-    which starts at ``x_{i+1}``.  Word ``j``'s edge at position ``i`` has id
-    ``i`` plus the length of the words before it.
+    A letter's code is its vertex index, so the edge of subword ``x_i
+    x_{i+1}`` joins ``x_i`` and ``x_{i+1} ^ 1``; at that vertex it is sent to
+    the successor edge at position ``i+1``, which starts at ``x_{i+1}``.  The
+    edge of word ``j`` at position ``i`` has id ``i`` plus the length of the
+    words before it.  The graph constructor refuses a word that is not cyclically
+    reduced (its edge is a loop) and a generator beyond the rank.
     """
     ends: list[tuple[int, int]] = []
     sigma: dict[int, dict[int, int]] = {}
     for w in word_list.words:
         first, l = len(ends), len(w)
-        for x, y, _ in length2_cyclic_subwords(w):
-            ends.append((VertexId(x.gen, x.sign).index, VertexId(y.gen, -y.sign).index))
-        for i in range(l):
+        after = w[1:] + w[:1]
+        ends += [(x, y ^ 1) for x, y in zip(w, after)]
+        for i, y in enumerate(after):
             right, left = first + i, first + (i + 1) % l
-            at = ends[right][1]  # x_{i+1}^-1; the left edge starts at its pair
-            sigma.setdefault(at, {})[right] = left
-            sigma.setdefault(at ^ 1, {})[left] = right
+            sigma.setdefault(y ^ 1, {})[right] = left
+            sigma.setdefault(y, {})[left] = right
     return WhiteheadGraph(word_list.rank, enumerate(ends), sigma)
 
 
@@ -435,7 +449,9 @@ def export_dot(graph: Multigraph, word_list: WordList | None) -> str:
     if word_list is None:
         labels = {eid: f"e{eid}" for eid in graph.edges}
     else:
-        labels = dict(enumerate(f"w{w.index}:p{i}" for w in word_list.words for i in range(len(w))))
+        labels = dict(
+            enumerate(f"w{j}:p{i}" for j, w in enumerate(word_list.words) for i in range(len(w)))
+        )
     names = [v.name for v in graph.vertices()]
     lines = ["graph whitehead {"]
     lines += [f'  "{name}";' for name in names]

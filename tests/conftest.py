@@ -511,9 +511,11 @@ def oracle_vertex_classes(cx) -> list[list[tuple[int, int]]]:
 
 
 def oracle_link_letters(cx, corners) -> tuple:
-    """The letters read around one glued vertex, given its corners: from the
-    least corner through its next side, across each side to the partner's
-    matching corner, until the walk is back where it began."""
+    """The letter codes read around one glued vertex, given its corners: from
+    the least corner through its next side, across each side to the partner's
+    matching corner, until the walk is back where it began.  A crossed side
+    reads its generator, inverted unless the partner side is incoming, and a
+    letter's code is the index of its vertex."""
     p, t = corners[0]
     side_idx = (t + 1) % len(cx.polygons[p])
     first, letters = (p, t, side_idx), []
@@ -521,7 +523,7 @@ def oracle_link_letters(cx, corners) -> tuple:
         side = cx.polygons[p][side_idx]
         partner = cx.pairing[(p, side_idx)]
         pside = cx.side(partner)
-        letters.append(pg.Letter(side.vertex.gen, 1 if pside.incoming else -1))
+        letters.append(VertexId(side.vertex.gen, 1 if pside.incoming else -1).index)
         t = pside.head_corner if side.head_corner == t else pside.tail_corner
         p = partner[0]
         assert (p, t) in corners and partner[1] in (t, (t + 1) % len(cx.polygons[p]))
@@ -532,12 +534,26 @@ def oracle_link_letters(cx, corners) -> tuple:
 
 
 def oracle_match_power(letters, base) -> int | None:
-    """``words.match_power`` by trying every rotation of the letters against
-    every power of the word and of its inverse."""
-    inverse = tuple(pg.Letter(x.gen, -x.sign) for x in reversed(base.letters))
+    """``words.match_power`` by trying every rotation of the letter codes
+    against every power of the word and of its inverse."""
+    inverse = tuple(x ^ 1 for x in reversed(base))
     for c in range(1, len(letters) + 1):
-        for exponent, word in ((c, base.letters), (-c, inverse)):
+        for exponent, word in ((c, base), (-c, inverse)):
             power = word * c
             if any(letters[r:] + letters[:r] == power for r in range(len(letters))):
                 return exponent
     return None
+
+
+def oracle_word_text(pairs) -> str:
+    """The text of a word given as ``(generator, sign)`` pairs: generators
+    1-26 are the letters ``a``-``z``, upper case when inverted, and a later
+    generator ``g`` is the token ``a<g>``, followed by ``^-1`` when inverted."""
+    out = []
+    for gen, sign in pairs:
+        if gen <= 26:
+            letter = "abcdefghijklmnopqrstuvwxyz"[gen - 1]
+            out.append(letter if sign > 0 else letter.upper())
+        else:
+            out.append(f"a{gen}" if sign > 0 else f"a{gen}^-1")
+    return "".join(out)

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -53,6 +54,25 @@ def test_analyze_refutation_example(tmp_path, capsys):
     assert code == 0
     assert "lambda(a1,a1-) = 3   deg(a1) = 4" in out
     assert "minimal      = False" in out
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_outputs_get_the_mode_open_gives_a_new_file(tmp_path, umask, mode):
+    # written to a temporary file first, an output once kept its 0600
+    old = os.umask(umask)
+    try:
+        assert run_cli("witness", "commutator", "--out", str(tmp_path / "w.json")) == 0
+        verify = ("verify", "commutator", str(tmp_path / "w.json"))
+        assert run_cli(*verify, "--out", str(tmp_path / "v.json")) == 0
+        assert run_cli("export-dot", "commutator", "--out", str(tmp_path / "c.dot")) == 0
+    finally:
+        os.umask(old)
+    names = ["c.dot", "c.dot.sigma.json", "v.json", "w.json"]
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
 
 def test_analyze_json_output(tmp_path):

@@ -12,11 +12,10 @@ from polygonality.errors import PreconditionError, TrivialWordError, WordParseEr
 from polygonality.regular import KGraphVerdict
 from polygonality.simplex import ZERO, LPResult
 from polygonality.surface import Side
-from polygonality.whitehead import VertexId
+from polygonality.whitehead import MAX_RANK, VertexId
 from polygonality.witness import Cycle, make_cycle
-from polygonality.words import Letter, Word, WordList
+from polygonality.words import WordList, make_word_list, parse_word, word_text
 
-A, B_INV = Letter(1, 1), Letter(2, -1)
 SIDE = Side(VertexId(1, 1), True, 0, 1)
 
 
@@ -26,13 +25,14 @@ def commutator_cycle() -> Cycle:
 
 
 def values():
-    """One instance of every value type, each with its compared fields."""
+    """One instance of every value type, each with its compared fields: a
+    vertex, whose index is also its letter's code, for each kind of letter."""
     return [
         (VertexId(1, -1), (1, -1)),
-        (Letter(2, -1), (2, -1)),
-        (Word((A, B_INV), index=3), ((A, B_INV),)),
-        (WordList(2, (Word((A, B_INV)),)), (2, (Word((A, B_INV)),))),
-        (Word((B_INV, A)), ((B_INV, A),)),
+        (VertexId(2, 1), (2, 1)),
+        (VertexId(26, -1), (26, -1)),  # Z, the last letter written alone
+        (VertexId(27, 1), (27, 1)),  # a27, the first letter written as a token
+        (VertexId(MAX_RANK, -1), (MAX_RANK, -1)),
     ]
 
 
@@ -78,48 +78,41 @@ def test_vertex_id():
 
 
 def test_letter():
-    assert Letter(1, 1) == Letter(1, 1) and Letter(1, 1) != Letter(1, -1)
-    assert Letter(1, 1) != (1, 1)
-    assert repr(Letter(2, -1)) == "Letter(gen=2, sign=-1)"
-    # (gen, sign) order: the inverse comes first, unlike VertexId
-    assert sorted([Letter(2, -1), Letter(1, 1), Letter(1, -1)]) == [
-        Letter(1, -1), Letter(1, 1), Letter(2, -1)
-    ]
-    assert Letter(1, 1) <= Letter(1, 1) and Letter(1, 1) >= Letter(1, -1)
-    assert Letter(2, 1) > Letter(1, 1) and not Letter(1, 1) < Letter(1, 1)
-    with pytest.raises(TypeError):
-        Letter(1, 1) < (1, 1)
-    with pytest.raises(WordParseError, match="generator index must be >= 1, got 0"):
-        Letter(0, 1)
-    with pytest.raises(WordParseError, match=r"letter sign must be \+1 or -1, got 2"):
-        Letter(1, 2)
+    # a letter is the code 2(g - 1) + (s < 0), its vertex's index; c ^ 1 inverts it
+    for g in (1, 2, 26, 27, MAX_RANK):
+        for s in (1, -1):
+            code = VertexId(g, s).index
+            assert parse_word(f"a{g}" if s > 0 else f"a{g}^-1", MAX_RANK) == (code,)
+            assert code ^ 1 == VertexId(g, -s).index
+    assert parse_word("aAbBzZ", 26) == (0, 1, 2, 3, 50, 51)
+    # codes order a before a^-1, as vertices do
+    assert sorted(parse_word("BbAa", 2)) == [0, 1, 2, 3]
+    with pytest.raises(WordParseError, match="generator a0 out of rank 2"):
+        parse_word("a0", 2)
 
 
 def test_word():
-    w = Word((A, B_INV))
-    assert w.index is None and len(w) == 2 and w
-    assert not Word(())
-    assert Word((A, B_INV), index=4) == w and hash(Word((A, B_INV), 4)) == hash(w)
-    assert Word(letters=(A,), index=1) != w
-    assert repr(Word((A,), index=3)) == "Word(letters=(Letter(gen=1, sign=1),), index=3)"
-    assert repr(Word((A,))) == "Word(letters=(Letter(gen=1, sign=1),), index=None)"
+    # a word is a plain tuple of codes: equality and hashing are the tuple's
+    w = parse_word("aB", 2)
+    assert w == (0, 3) and type(w) is tuple and hash(w) == hash((0, 3))
+    assert word_text(w) == "aB" and word_text(()) == ""
 
 
 def test_word_list():
-    wl = WordList(2, (Word((A, B_INV), index=7), Word((A,))))
-    assert [w.index for w in wl.words] == [0, 1]
-    assert wl == WordList(rank=2, words=(Word((A, B_INV)), Word((A,))))
-    assert repr(WordList(1, (Word((A,)),))) == (
-        "WordList(rank=1, words=(Word(letters=(Letter(gen=1, sign=1),), index=0),))"
-    )
+    wl = make_word_list(2, [(0, 3), (0,)])
+    assert wl == WordList(rank=2, words=((0, 3), (0,))) and type(wl.words) is tuple
+    assert repr(WordList(1, ((0,),))) == "WordList(rank=1, words=((0,),))"
     with pytest.raises(WordParseError, match="rank must be >= 1, got 0"):
-        WordList(0, ())
+        make_word_list(0, ())
     with pytest.raises(TrivialWordError, match="word 0 is empty"):
-        WordList(2, (Word(()),))
+        make_word_list(2, ((),))
     with pytest.raises(PreconditionError, match=r"word 0 \(aA\) is not cyclically reduced"):
-        WordList(2, (Word((A, A.inverse())),))
+        make_word_list(2, ((0, 1),))
+    # the last letter is followed by the first
+    with pytest.raises(PreconditionError, match=r"word 1 \(abA\) is not cyclically reduced"):
+        make_word_list(2, ((0,), (0, 2, 1)))
     with pytest.raises(WordParseError, match="word 0 uses generator 2 beyond rank 1"):
-        WordList(1, (Word((B_INV,)),))
+        make_word_list(1, ((3,),))
 
 
 def test_cycle():

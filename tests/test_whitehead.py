@@ -194,8 +194,8 @@ def test_connecting_maps_chain_around_every_cyclic_walk(text):
         for rot in range(n):
             start = eid = first + (rot - 1) % n
             for t in range(n):
-                x = w.letters[(rot + t) % n]
-                eid = graph.sigma[vid(x.gen, -x.sign).index][eid]
+                x = w[(rot + t) % n]
+                eid = graph.sigma[x ^ 1][eid]  # the code of x^-1 is its vertex index
                 assert eid == first + (rot + t) % n
             assert eid == start
         first += n

@@ -7,22 +7,23 @@ from hypothesis import example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality import words
-from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
-from polygonality.words import Letter, Word, match_power
+from polygonality.errors import GraphError, TrivialWordError, WordParseError
+from polygonality.words import match_power, word_text
 
-from conftest import oracle_match_power
+from conftest import oracle_match_power, oracle_word_text
 
 
-def letters(text, rank=2):
-    return pg.parse_word(text, rank).letters
+def inverse(word):
+    return tuple(x ^ 1 for x in reversed(word))
 
 
 def test_parse_compact():
-    assert [str(x) for x in letters("abAB")] == ["a", "b", "A", "B"]
+    assert pg.parse_word("abAB", 2) == (0, 2, 1, 3)
+    assert [word_text((x,)) for x in pg.parse_word("abAB", 2)] == ["a", "b", "A", "B"]
 
 
 def test_parse_single_letter_rank_one():
-    assert letters("a", rank=1) == (Letter(1, 1),)
+    assert pg.parse_word("a", 1) == (0,)
 
 
 def test_parse_out_of_rank():
@@ -31,18 +32,17 @@ def test_parse_out_of_rank():
 
 
 def test_parse_no_reduction():
-    assert str(pg.parse_word("aA", 2)) == "aA"
+    assert word_text(pg.parse_word("aA", 2)) == "aA"
 
 
 def test_parse_powers_and_groups():
-    assert str(pg.parse_word("a(aB)^3B^2", 2)) == "aaBaBaBBB"
-    assert str(pg.parse_word("(ab)^-2", 2)) == "BABA"
-    assert str(pg.parse_word("b^-2", 2)) == "BB"
+    assert word_text(pg.parse_word("a(aB)^3B^2", 2)) == "aaBaBaBBB"
+    assert word_text(pg.parse_word("(ab)^-2", 2)) == "BABA"
+    assert word_text(pg.parse_word("b^-2", 2)) == "BB"
 
 
 def test_parse_explicit_tokens():
-    w = pg.parse_word("a3 a1^-1 A3", 3)
-    assert w.letters == (Letter(3, 1), Letter(1, -1), Letter(3, -1))
+    assert pg.parse_word("a3 a1^-1 A3", 3) == (4, 1, 5)
 
 
 def test_parse_explicit_rejects_non_a_digits():
@@ -58,12 +58,12 @@ def test_parse_empty():
 
 
 def test_cyclic_reduce_conjugation_collapse():
-    assert str(pg.cyclic_reduce(pg.parse_word("baB", 2))) == "a"
+    assert word_text(pg.cyclic_reduce(pg.parse_word("baB", 2))) == "a"
 
 
 def test_cyclic_reduce_fixed_point():
     w = pg.parse_word("abab^2ab^3", 2)
-    assert pg.cyclic_reduce(w).letters == w.letters
+    assert pg.cyclic_reduce(w) == w
 
 
 def test_cyclic_reduce_trivial():
@@ -71,10 +71,17 @@ def test_cyclic_reduce_trivial():
         pg.cyclic_reduce(pg.parse_word("aA", 2))
 
 
+def subwords(rank, *words):
+    """The length-2 cyclic subwords read back from the graph's edges, with
+    their edge ids: the edge of ``xy`` joins the vertices of ``x`` and
+    ``y^-1``, and a letter's code is its vertex's index."""
+    graph = pg.build_whitehead_graph(pg.WordList(rank, words))
+    return [(word_text((x,)), word_text((y ^ 1,)), eid) for eid, (x, y) in graph.edges.items()]
+
+
 def test_length2_subwords_hand_enumeration():
     w = pg.parse_word("aB a a b".replace(" ", ""), 2)  # ab^-1 a^2 b
-    pairs = [(str(x), str(y), i) for x, y, i in pg.length2_cyclic_subwords(w)]
-    assert pairs == [
+    assert subwords(2, w) == [
         ("a", "B", 0),
         ("B", "a", 1),
         ("a", "a", 2),
@@ -84,19 +91,21 @@ def test_length2_subwords_hand_enumeration():
 
 
 def test_length2_subwords_wraparound():
-    w = pg.parse_word("a^2", 1)
-    assert len(pg.length2_cyclic_subwords(w)) == 2
+    assert len(subwords(1, pg.parse_word("a^2", 1))) == 2
 
 
 def test_length2_subwords_commutator():
-    w = pg.parse_word("abAB", 2)
-    pairs = [(str(x), str(y)) for x, y, _ in pg.length2_cyclic_subwords(w)]
+    pairs = [(x, y) for x, y, _ in subwords(2, pg.parse_word("abAB", 2))]
     assert pairs == [("a", "b"), ("b", "A"), ("A", "B"), ("B", "a")]
 
 
 def test_length2_requires_cyclically_reduced():
-    with pytest.raises(PreconditionError):
-        pg.length2_cyclic_subwords(pg.parse_word("abA", 2))
+    # a hand-made list is not checked: the graph refuses the loop of the
+    # subword Aa, and a generator beyond the rank
+    with pytest.raises(GraphError, match="edge 2 is a loop at a1"):
+        subwords(2, pg.parse_word("abA", 2))
+    with pytest.raises(GraphError, match=r"edge 0 end index 3 is outside range\(2\)"):
+        subwords(1, pg.parse_word("ab", 2))
 
 
 def _occurrences(wl):
@@ -124,13 +133,13 @@ def test_regularity_profile_absent_generator():
 
 def test_word_list_format_comments_and_errors():
     wl = pg.parse_word_list("# header\nrank 2\nabAB  # the commutator\n\naB\n")
-    assert len(wl.words) == 2 and wl.words[1].index == 1
+    assert wl.words == ((0, 2, 1, 3), (0, 3))
     with pytest.raises(WordParseError):
         pg.parse_word_list("abAB\n")
 
 
-letter_st = st.builds(Letter, st.integers(1, 3), st.sampled_from((1, -1)))
-word_st = st.lists(letter_st, min_size=1, max_size=12).map(tuple).map(Word)
+letter_st = st.integers(0, 5)  # the letter codes of rank 3
+word_st = st.lists(letter_st, min_size=1, max_size=12).map(tuple)
 
 
 @given(word_st)
@@ -139,7 +148,7 @@ def test_cyclic_reduce_idempotent(w):
         once = pg.cyclic_reduce(w)
     except TrivialWordError:
         return
-    assert pg.cyclic_reduce(once).letters == once.letters
+    assert pg.cyclic_reduce(once) == once
 
 
 @given(word_st)
@@ -148,7 +157,7 @@ def test_subword_count_equals_length(w):
         red = pg.cyclic_reduce(w)
     except TrivialWordError:
         return
-    assert len(pg.length2_cyclic_subwords(red)) == len(red)
+    assert len(subwords(3, red)) == len(red)
 
 
 @given(st.lists(word_st, min_size=1, max_size=4))
@@ -162,7 +171,7 @@ def test_profile_total_is_letter_count(ws):
             pass
     if not reduced:
         return
-    wl = pg.WordList(3, tuple(reduced))
+    wl = pg.make_word_list(3, reduced)
     assert sum(_occurrences(wl)[0].values()) == sum(len(w) for w in wl.words)
 
 
@@ -181,8 +190,8 @@ def test_regular_k_is_common_occurrence_count(extra_rank, ws):
             pass
     if not reduced:
         return
-    wl = pg.WordList(max(w.max_generator() for w in reduced) + extra_rank, tuple(reduced))
-    counts = Counter(x.gen for w in wl.words for x in w.letters)
+    wl = pg.make_word_list(max(max(w) // 2 + 1 for w in reduced) + extra_rank, reduced)
+    counts = Counter(x // 2 + 1 for w in wl.words for x in w)
     occurrences = {counts[g] for g in range(1, wl.rank + 1)}
     expected = occurrences.pop() if len(occurrences) == 1 else None
     assert pg.analyze(pg.build_whitehead_graph(wl)).regular_k == expected
@@ -190,12 +199,12 @@ def test_regular_k_is_common_occurrence_count(extra_rank, ws):
 
 def test_match_power():
     base = pg.cyclic_reduce(pg.parse_word("abAB", 2))
-    twice = pg.parse_word("abABabAB", 2).letters
+    twice = pg.parse_word("abABabAB", 2)
     rotated = twice[3:] + twice[:3]
     assert match_power(rotated, base) == 2
-    inv = pg.parse_word("(abAB)^-1", 2).letters
+    inv = pg.parse_word("(abAB)^-1", 2)
     assert match_power(inv, base) == -1
-    assert match_power(pg.parse_word("aab", 2).letters, base) is None
+    assert match_power(pg.parse_word("aab", 2), base) is None
 
 
 @given(
@@ -206,19 +215,19 @@ def test_match_power():
     st.lists(letter_st, min_size=1, max_size=16).map(tuple),
 )
 @settings(max_examples=300, deadline=None)
-@example(Word(letters("ab")), 3, 4, False, letters("abab"))
+@example(pg.parse_word("ab", 2), 3, 4, False, pg.parse_word("abab", 2))
 def test_match_power_tries_enough_rotations(base, c, r, invert, other):
-    power = (base.inverse_letters() if invert else base.letters) * c
+    power = (inverse(base) if invert else base) * c
     rotated = power[r % len(power) :] + power[: r % len(power)]
     # a power, a rotation of it, the same with one letter flipped, and arbitrary letters
-    flipped = (rotated[0].inverse(), *rotated[1:])
+    flipped = (rotated[0] ^ 1, *rotated[1:])
     for candidate in (power, rotated, flipped, other):
         assert match_power(candidate, base) == oracle_match_power(candidate, base)
     assert abs(match_power(rotated, base)) == c
 
 
 @given(
-    st.lists(letter_st, min_size=8, max_size=20).map(tuple).map(Word),
+    st.lists(letter_st, min_size=8, max_size=20).map(tuple),
     st.integers(5, 12),
     st.integers(0, 10**6),
     st.booleans(),
@@ -226,12 +235,61 @@ def test_match_power_tries_enough_rotations(base, c, r, invert, other):
 @settings(max_examples=20, deadline=None)
 def test_match_power_with_large_exponents_of_long_bases(base, c, r, invert):
     # the search runs over the link once, not once per rotation
-    power = (base.inverse_letters() if invert else base.letters) * c
+    power = (inverse(base) if invert else base) * c
     rotated = power[r % len(power) :] + power[: r % len(power)]
-    flipped = (*rotated[:-1], rotated[-1].inverse())
+    flipped = (*rotated[:-1], rotated[-1] ^ 1)
     for candidate in (rotated, flipped):
         assert match_power(candidate, base) == oracle_match_power(candidate, base)
     assert abs(match_power(rotated, base)) == c
+
+
+def free_reduce(pairs):
+    """Cyclic reduction by brute force on ``(generator, sign)`` pairs: cancel
+    an adjacent inverse pair while there is one, else the last letter against
+    the first, and start over."""
+    out = list(pairs)
+
+    def inverse_pair(x, y):
+        return x[0] == y[0] and x[1] == -y[1]
+
+    while True:
+        i = next((i for i in range(len(out) - 1) if inverse_pair(out[i], out[i + 1])), None)
+        if i is not None:
+            del out[i : i + 2]
+        elif len(out) > 1 and inverse_pair(out[-1], out[0]):
+            del out[-1], out[0]
+        else:
+            return out
+
+
+@st.composite
+def ranked_words(draw):
+    """A rank from 1 to 30, so that generators past 26 are drawn, and a word
+    of that rank as ``(generator, sign)`` pairs."""
+    rank = draw(st.integers(1, 30))
+    letter = st.tuples(st.integers(1, rank), st.sampled_from((1, -1)))
+    return rank, draw(st.lists(letter, min_size=1, max_size=16))
+
+
+@given(ranked_words(), st.integers(1, 3), st.integers(0, 50))
+@settings(max_examples=300, deadline=None)
+@example((28, [(27, 1), (28, 1), (27, -1), (28, -1)]), 2, 3)
+def test_word_text_parse_and_reduction_agree_with_the_oracles(case, c, r):
+    rank, pairs = case
+    w = tuple(pg.VertexId(g, s).index for g, s in pairs)
+    assert word_text(w) == oracle_word_text(pairs)
+    assert pg.parse_word(word_text(w), rank) == w
+    reduced = free_reduce(pairs)
+    if not reduced:
+        with pytest.raises(TrivialWordError):
+            pg.cyclic_reduce(w)
+        return
+    base = pg.cyclic_reduce(w)
+    assert base == tuple(pg.VertexId(g, s).index for g, s in reduced)
+    power = base * c
+    rotated = power[r % len(power) :] + power[: r % len(power)]
+    for candidate in (w, rotated, inverse(rotated)):
+        assert match_power(candidate, base) == oracle_match_power(candidate, base)
 
 
 @pytest.mark.parametrize(
@@ -286,23 +344,6 @@ def test_a_word_list_up_to_the_cap_is_read(monkeypatch):
     assert [len(w) for w in pg.parse_word_list("rank 2\nba^2B\na^8\n").words] == [2, 8]
 
 
-def test_reduction_builds_no_letter(monkeypatch):
-    # letters are compared by their fields: inverting each one built thousands
-    conjugate, reduced = pg.parse_word("a^3000bA^3000", 2), pg.parse_word("a^3000b^3000", 2)
-    built = Counter()
-    init = Letter.__init__
-
-    def counted(self, *args):
-        built["Letter"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(Letter, "__init__", counted)
-    assert str(pg.cyclic_reduce(conjugate)) == "b"
-    graph = pg.build_whitehead_graph(pg.WordList(2, (reduced,)))
-    assert len(graph.edges) == 6000
-    assert built["Letter"] == 0
-
-
 @pytest.mark.parametrize("text", ["a^" + "9" * 5000, "a" + "9" * 5000])
 def test_number_past_the_int_digit_limit_is_a_parse_error(text):
     with pytest.raises(WordParseError, match="too many digits"):
@@ -313,7 +354,7 @@ def test_cyclic_reduce_strips_a_long_conjugate():
     # each stripped pair once cost a copy of the whole rest: minutes for this word
     word = pg.parse_word("a^300000bA^300000", 2)
     start = time.perf_counter()
-    assert str(pg.cyclic_reduce(word)) == "b"
+    assert word_text(pg.cyclic_reduce(word)) == "b"
     assert time.perf_counter() - start < 30
 
 
@@ -328,11 +369,11 @@ def expressions(draw, depth=0):
         else:
             atom = [draw(letter_st)]
             x = atom[0]
-            inner = draw(st.sampled_from([str(x), f"{'a' if x.sign > 0 else 'A'}{x.gen}"]))
+            inner = draw(st.sampled_from([word_text(atom), f"{'A' if x & 1 else 'a'}{x // 2 + 1}"]))
         if draw(st.booleans()):
             exp = draw(st.integers(-3, 3))
             inner += draw(st.sampled_from(["", " "])) + f"^{exp}"
-            atom = atom * exp if exp >= 0 else [x.inverse() for x in reversed(atom)] * -exp
+            atom = atom * exp if exp >= 0 else list(inverse(atom)) * -exp
         text += draw(st.sampled_from(["", " "])) + inner
         letters += atom
     return text, letters
@@ -343,7 +384,7 @@ def expressions(draw, depth=0):
 def test_power_expressions_expand_to_their_letters(case):
     text, letters = case
     if letters:
-        assert pg.parse_word(text, 3).letters == tuple(letters)
+        assert pg.parse_word(text, 3) == tuple(letters)
     else:
         with pytest.raises(WordParseError, match="empty word expression"):
             pg.parse_word(text, 3)
@@ -366,5 +407,5 @@ def test_a_long_literal_word_is_read_in_place():
     # would copy about n^2 / 2 characters here
     text = CopyCountingText("ab" * 20000 + "^2 a(Ba)^-1")
     word = pg.parse_word(text, 2)
-    assert len(word) == 40000 + 1 + 1 + 2 and str(word).endswith("abbaAb")
+    assert len(word) == 40000 + 1 + 1 + 2 and word_text(word).endswith("abbaAb")
     assert text.copied <= len(text)
