@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
-from .regular import FractionalColoring, RegularWitness, coloring_witness, pair_table
+from .regular import FractionalColoring, RegularWitness, coloring_witness
 from .whitehead import Multigraph, VertexId, WhiteheadGraph
 
 
@@ -86,12 +86,6 @@ class AuxDigraph:
     def is_good(self) -> bool:
         # no color on more than half of the nodes, which number twice the edges
         return max(self.color_count("R"), self.color_count("B")) <= self.num_edges
-
-
-def _other_end(graph: Multigraph, eid: int, i: int) -> int:
-    """The end index of edge ``eid`` other than ``i``, one of its two ends."""
-    s, t = graph.edges[eid]
-    return t if s == i else s
 
 
 def _other_pair(graph: Multigraph, w: VertexId) -> tuple[VertexId, VertexId]:
@@ -489,13 +483,12 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
     k = g.degree(w)
     if k <= 1:
         raise PreconditionError(f"regular construction needs degree > 1, got {k}")
-    side_edges = pair_table(g)
     wp, up = w.mu(), u.mu()
     matchings = []
     # the three perfect matchings of K4, each as its two sides
     for side, opposite in (((w, wp), (u, up)), ((w, u), (wp, up)), ((w, up), (wp, u))):
-        xs = side_edges.get(tuple(sorted(v.index for v in side)), [])
-        ys = side_edges.get(tuple(sorted(v.index for v in opposite)), [])
+        xs = g.pairs.get(tuple(sorted(v.index for v in side)), ())
+        ys = g.pairs.get(tuple(sorted(v.index for v in opposite)), ())
         if len(xs) != len(ys):
             raise PreconditionError(
                 f"{len(xs)} edges {side[0]}-{side[1]} against {len(ys)} edges"
@@ -523,7 +516,7 @@ def inductive_witness(
     # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
     # the bigons of each level are read off the input graph, and only the
     # bottom, regular graph is built.
-    uu = [eid for eid in graph.delta(u) if _other_end(graph, eid, u.index) == u.index ^ 1]
+    uu = graph.pairs.get((u.index & ~1, u.index | 1), ())
     a = graph.degree(u) - len(uu)
     top = graph.degree(u) - graph.degree(w)
     rw = base_witness(graph.remove_edges(uu[:top]), w, u)
@@ -533,8 +526,9 @@ def inductive_witness(
     for pair, count in completion.orbit_pairs.items():
         x, y = sorted(pair)
         sx, sy = completion.sigma_after_pi[x], completion.sigma_after_pi[y]
-        x_at_pair = _other_end(graph, x, w.index) == w.index ^ 1
-        y_at_pair = _other_end(graph, y, w.index) == w.index ^ 1
+        # an edge at w joins w and its pair when its ends differ in the last bit
+        (s, t), (p, q) = graph.edges[x], graph.edges[y]
+        x_at_pair, y_at_pair = s ^ t == 1, p ^ q == 1
         if x_at_pair and y_at_pair:
             if (sx, sy) != (x, y):
                 raise VerificationError("edges between the w pair must be fixed")

@@ -22,7 +22,7 @@ ids that take each pair's edges round-robin, so every edge is covered t
 times and ell = k * t.  By Edmonds' description of the perfect matching
 polytope such a weighting exists exactly when the odd-cut bound holds, so a
 coloring is itself the proof of the hypothesis.  The exhaustive odd-set
-check ``is_k_graph``, which counts cuts over the same pair table, runs only
+check ``is_k_graph``, which counts cuts over the graph's pair table, runs only
 after the linear program finds no weighting, to name a violating set.
 """
 
@@ -50,17 +50,6 @@ def _regularity(graph: Multigraph) -> int:
     return degrees.pop()
 
 
-def pair_table(graph: Multigraph) -> dict[tuple[int, int], list[int]]:
-    """Edge ids grouped by their unordered pair of end indices, each group in
-    id order, the pairs in the order of their least edge ids."""
-    ends = graph.edges
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for eid in sorted(ends):
-        s, t = ends[eid]
-        pairs.setdefault((s, t) if s < t else (t, s), []).append(eid)
-    return pairs
-
-
 def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     """Exhaustive odd-cut check over the non-isolated vertices.
 
@@ -71,7 +60,7 @@ def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
     """
     if k is None:
         k = _regularity(graph)
-    pairs = [(s, t, len(eids)) for (s, t), eids in pair_table(graph).items()]
+    pairs = [(s, t, len(eids)) for (s, t), eids in graph.pairs.items()]
     verts = sorted(graph.active_vertices())
     for size in range(1, len(verts) + 1, 2):
         for subset in itertools.combinations(verts, size):
@@ -90,7 +79,7 @@ def enumerate_perfect_matchings(graph: Multigraph) -> list[frozenset[int]]:
     least uncovered vertex first, by each of its pairs in id order.
     """
     delta: list[list[tuple[int, int]]] = [[] for _ in graph.vertices()]  # (edge, other end)
-    for (s, t), eids in pair_table(graph).items():
+    for (s, t), eids in graph.pairs.items():
         delta[s].append((eids[0], t))
         delta[t].append((eids[0], s))
     out: list[frozenset[int]] = []
@@ -137,7 +126,7 @@ def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> Fractio
     if k is None:
         k = _regularity(graph)
     matchings = enumerate_perfect_matchings(graph)
-    groups = {eids[0]: eids for eids in pair_table(graph).values()}  # by least edge id
+    groups = {eids[0]: eids for eids in graph.pairs.values()}  # by least edge id
     (e0, m0), *rest = ((e, len(eids)) for e, eids in groups.items())
     # one balance row m_p0 * cover_p - m_p * cover_p0 per pair p after the first
     rows = [[m0 * (e in m) - mp * (e0 in m) for m in matchings] for e, mp in rest]

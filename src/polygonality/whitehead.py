@@ -2,14 +2,15 @@
 
 The graph of a word list has one vertex per generator and per inverse
 generator, and one edge per length-2 cyclic subword ``xy``, joining ``x`` to
-``y^-1``.  Vertices have indices ``0 .. 2 * rank - 1``, and an edge is stored
-as the pair of its end indices, nothing more.  The graph is loopless, so a
+``y^-1``.  Vertices have indices ``0 .. 2 * rank - 1``, an edge is stored as
+the pair of its end indices, and the edges of each vertex pair are grouped
+once, for the max-flows, cuts and matchings.  The graph is loopless, so a
 vertex and an edge at it name one edge-end.  The connecting map at a vertex
 ``v`` sends the edges at ``v`` to the edges at ``mu(v)``, where ``mu`` swaps
 a generator with its inverse; it is stored as one edge table per vertex, and
-the tables of ``v`` and ``mu(v)`` are inverse to each other.  Position succession in the source
-words defines the maps: at ``x_{i+1}^-1`` the edge for positions
-``(i, i+1)`` is sent to the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
+the tables of ``v`` and ``mu(v)`` are inverse to each other.  Position
+succession in the source words defines the maps: at ``x_{i+1}^-1`` the edge
+for positions ``(i, i+1)`` is sent to the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
 
 Graphs may also be built standalone (no words) from explicit edge and
 connecting-map data; the constructor validates the tables.
@@ -105,9 +106,11 @@ class Multigraph:
 
     ``edges[eid]`` is the pair of end indices of edge ``eid``, positions in
     :meth:`vertices`; the constructor takes ``(edge id, (end index, end
-    index))`` pairs, such as ``enumerate(ends)``.  Immutable after
-    construction.  Edge ids are arbitrary distinct integers; removal keeps
-    the surviving ids stable.  The rank is at most :data:`MAX_RANK`.
+    index))`` pairs, such as ``enumerate(ends)``.  ``pairs[(s, t)]``, for
+    end indices ``s < t``, is the tuple of the ids of the edges joining them,
+    in id order; the pairs are ordered by their least edge ids.  Immutable
+    after construction.  Edge ids are arbitrary distinct integers; removal
+    keeps the surviving ids stable.  The rank is at most :data:`MAX_RANK`.
     """
 
     def __init__(self, rank: int, edges: Iterable[tuple[int, tuple[int, int]]]):
@@ -132,9 +135,13 @@ class Multigraph:
                 raise GraphError(f"edge {eid} is a loop at {self._vertices[s]}")
             self.edges[eid] = (s, t)
         self._delta: list[list[int]] = [[] for _ in self._vertices]
+        pairs: dict[tuple[int, int], list[int]] = {}
         for eid in sorted(self.edges):
-            for i in self.edges[eid]:
-                self._delta[i].append(eid)
+            s, t = self.edges[eid]
+            self._delta[s].append(eid)
+            self._delta[t].append(eid)
+            pairs.setdefault((s, t) if s < t else (t, s), []).append(eid)
+        self.pairs = {p: tuple(eids) for p, eids in pairs.items()}
 
     def vertices(self) -> tuple[VertexId, ...]:
         """The vertices ordered by index, the same objects on every call."""
@@ -157,14 +164,15 @@ class Multigraph:
         verts = self.active_vertices() if ignore_isolated else self.vertices()
         if not verts:
             return True
-        seen = [False] * len(self._vertices)
+        near: list[list[int]] = [[] for _ in self._vertices]
+        for s, t in self.pairs:
+            near[s].append(t)
+            near[t].append(s)
+        seen = [False] * len(near)
         stack = [verts[0].index]
         seen[stack[0]] = True
         while stack:
-            i = stack.pop()
-            for eid in self._delta[i]:
-                s, t = self.edges[eid]
-                j = t if s == i else s
+            for j in near[stack.pop()]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
@@ -179,39 +187,41 @@ class Multigraph:
         """Maximum number of pairwise edge-disjoint x-y paths (= min cut size)."""
         if x == y:
             raise PreconditionError("local edge connectivity needs distinct endpoints")
-        # unit-capacity arcs over vertex indices: arc 2k runs along the k-th
-        # edge from ends[0] to ends[1] and arc 2k + 1 back, so arc a reverses a ^ 1
+        # shortest augmenting paths (Edmonds-Karp) on the vertex pairs: arc 2k
+        # runs along the k-th pair from s to t and arc 2k + 1 back, so arc a
+        # reverses a ^ 1, and each starts with the pair's edge count as capacity
         head: list[int] = []
+        cap: list[int] = []
         out: list[list[int]] = [[] for _ in self._vertices]
-        for k, (s, t) in enumerate(self.edges.values()):
+        for k, ((s, t), eids) in enumerate(self.pairs.items()):
             head += (t, s)
+            cap += (len(eids), len(eids))
             out[s].append(2 * k)
             out[t].append(2 * k + 1)
-        cap = [1] * len(head)
         source, sink = x.index, y.index
         flow = 0
         while True:  # augment along one shortest path at a time
             parent = [-1] * len(out)
-            seen = [False] * len(out)
-            seen[source] = True
+            room = [0] * len(out)  # the bottleneck of the path found to each vertex
+            room[source] = len(self.edges)  # no path pushes more than the max-flow
             queue = deque([source])
-            while queue and not seen[sink]:
+            while queue and not room[sink]:
                 v = queue.popleft()
                 for a in out[v]:
                     w = head[a]
-                    if cap[a] and not seen[w]:
-                        seen[w] = True
+                    if cap[a] and not room[w]:
+                        room[w] = min(room[v], cap[a])
                         parent[w] = a
                         queue.append(w)
-            if not seen[sink]:
+            if not room[sink]:
                 return flow
-            v = sink
+            push, v = room[sink], sink
             while v != source:
                 a = parent[v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
+                cap[a] -= push
+                cap[a ^ 1] += push
                 v = head[a ^ 1]
-            flow += 1
+            flow += push
 
 
 class WhiteheadGraph(Multigraph):

@@ -202,22 +202,6 @@ class WitnessVerdict(NamedTuple):
     cycles: CycleList  # the verifier's own walk of every checked cycle
 
 
-def _balance_pairs(graph: WhiteheadGraph):
-    """Every pair ``{e, f}`` of distinct edges at an active vertex ``v``, with its image.
-
-    Yields ``(v, (e, f), turn, image)`` in vertex order, then edge-id order,
-    with ``e < f``: ``turn`` is ``(v.index, e, f)`` and ``image`` is the turn
-    of the two connecting-map images at the paired vertex ``mu(v)``.
-    """
-    for v in graph.active_vertices():  # in index order, which is vertex order
-        i = v.index  # the paired vertex mu(v) has index i ^ 1
-        delta, sigma = graph.delta(v), graph.sigma[i]
-        for a, e in enumerate(delta):
-            for f in delta[a + 1 :]:
-                g, h = sigma[e], sigma[f]
-                yield v, (e, f), (i, e, f), (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
-
-
 def verify_witness(
     graph: WhiteheadGraph,
     cycles: Mapping[frozenset[int], int],
@@ -279,24 +263,33 @@ class Infeasible(NamedTuple):
 
 
 def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
-    """Deduplicated balance rows: +1 on cycles covering (v,{e,f}), -1 on the image."""
+    """Deduplicated balance rows: +1 on cycles covering (v,{e,f}), -1 on the image.
+
+    A row is nonzero only when a cycle counts its turn or the image; each row
+    is kept at the lesser of the two, in turn order, unless it cancels to zero.
+    """
     covering: dict[Turn, list[int]] = {}
     for j, c in enumerate(cycles):
         for turn in c.turns:
             covering.setdefault(turn, []).append(j)
-    rows = []
-    keys = []
-    for v, pair, turn, image in _balance_pairs(graph):
-        if image < turn:
-            continue  # the partner emits this row (negated)
+    sigma = graph.sigma
+    images: dict[Turn, Turn] = {}  # the lesser turn of each pair to the greater
+    for turn in covering:
+        i, e, f = turn
+        g, h = sigma[i][e], sigma[i][f]
+        image = (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
+        images[min(turn, image)] = max(turn, image)
+    verts = graph.vertices()
+    rows, keys = [], []
+    for turn in sorted(images):
         row = [0] * len(cycles)
         for j in covering.get(turn, ()):
             row[j] += 1
-        for j in covering.get(image, ()):
+        for j in covering.get(images[turn], ()):
             row[j] -= 1
         if any(row):
             rows.append(row)
-            keys.append((v, pair))
+            keys.append((verts[turn[0]], turn[1:]))
     return rows, keys
 
 

@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's own algorithms: cycles are
 found by filtering edge subsets, canonical cycle keys by listing every
 rotation, pair counts by direct recounting, witness existence by bounded
 enumeration of multiplicity vectors, minimum cuts by listing vertex sets,
+the edges of each vertex pair by a pass over the sorted edge ids,
 regular cycle lists by the slot-pair loop over the coloring, perfect
 matchings by a walk over vertex objects and sets, the fractional coloring by
 the linear program over every perfect matching with parallel edges distinct,
@@ -137,15 +138,28 @@ def oracle_turns(cycle) -> tuple[tuple[int, int, int], ...]:
 
 def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
     """Fewest edges leaving a vertex set that contains ``x`` and not ``y``,
-    over all ``2^(2 rank - 2)`` such sets."""
+    over all ``2^(2 rank - 2)`` such sets; the edges with the same two ends
+    are counted together."""
     rest = [v for v in graph.vertices() if v not in (x, y)]
+    ends = Counter(frozenset(edge_ends(graph, e)) for e in graph.edges)
     best = len(graph.edges)
     for r in range(len(rest) + 1):
         for sub in itertools.combinations(rest, r):
             inside = {x, *sub}
-            cut = sum(1 for e in graph.edges if len(inside.intersection(edge_ends(graph, e))) == 1)
+            cut = sum(m for pair, m in ends.items() if len(inside & pair) == 1)
             best = min(best, cut)
     return best
+
+
+def oracle_pair_table(graph: Multigraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Edge ids grouped by their unordered pair of end indices, each group in
+    id order, the pairs in the order of their least edge ids."""
+    ends = graph.edges
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for eid in sorted(ends):
+        s, t = ends[eid]
+        pairs.setdefault((s, t) if s < t else (t, s), []).append(eid)
+    return {p: tuple(eids) for p, eids in pairs.items()}
 
 
 def oracle_graph_to_json(graph: pg.WhiteheadGraph) -> dict:

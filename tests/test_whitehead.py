@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality.errors import GraphError, PreconditionError
@@ -20,8 +20,17 @@ from polygonality.whitehead import (
     graph_to_json,
     vertex_from_name,
 )
+from polygonality.words import make_word_list
 
-from conftest import edge_ends, make_plain, oracle_graph_to_json, oracle_min_cut, vid, words_graph
+from conftest import (
+    edge_ends,
+    make_plain,
+    oracle_graph_to_json,
+    oracle_min_cut,
+    oracle_pair_table,
+    vid,
+    words_graph,
+)
 
 
 def edge_multiset(graph):
@@ -124,11 +133,18 @@ def test_local_connectivity_values(commutator, refutation_graph, nonminimal_grap
 
 @st.composite
 def loopless_multigraphs(draw):
-    """Up to rank 3, with parallel edges, isolated vertices and gaps in the ids."""
-    rank = draw(st.integers(1, 3))
+    """Up to rank 5, with up to 30 parallel edges to a vertex pair in shuffled
+    ids, isolated vertices and gaps in the ids."""
+    rank = draw(st.integers(1, 5))
     verts = [vid(g, s) for g in range(1, rank + 1) for s in (1, -1)]
-    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(verts, 2))), max_size=12))
-    return make_plain(rank, pairs).remove_edges(draw(st.sets(st.integers(0, 11))))
+    bond = st.tuples(st.sampled_from(list(itertools.combinations(verts, 2))), st.integers(1, 30))
+    bonds = draw(st.lists(bond, max_size=12))
+    pairs = draw(st.permutations([p for p, m in bonds for _ in range(m)]))
+    return make_plain(rank, pairs).remove_edges(draw(st.sets(st.integers(0, len(pairs)))))
+
+
+def assert_pair_table(graph):
+    assert list(graph.pairs.items()) == list(oracle_pair_table(graph).items())
 
 
 # between a2- and a1 the search cancels its first path on one edge and later
@@ -151,6 +167,34 @@ EDGE_REUSED_AFTER_CANCELLING = make_plain(
 def test_local_connectivity_is_the_min_cut(graph):
     for x, y in itertools.permutations(graph.vertices(), 2):
         assert graph.local_edge_connectivity(x, y) == oracle_min_cut(graph, x, y)
+    assert_pair_table(graph)
+    assert_pair_table(graph.remove_edges(sorted(graph.edges)[::2]))
+
+
+@st.composite
+def repeated_word_lists(draw):
+    """A list of rank 2 to 4 in which at least one word is repeated."""
+    rank = draw(st.integers(2, 4))
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = [draw(st.integers(0, 2 * rank - 1))]
+        for _ in range(draw(st.integers(0, 11))):
+            word.append(draw(st.sampled_from([c for c in range(2 * rank) if c != word[-1] ^ 1])))
+        assume(len(word) == 1 or word[0] != word[-1] ^ 1)
+        words.append(tuple(word))
+    words += draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+    return make_word_list(rank, draw(st.permutations(words)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_word_lists(), st.data())
+def test_analyze_on_repeated_words_is_the_min_cut(word_list, data):
+    graph = pg.build_whitehead_graph(word_list)
+    for v, lam, _ in pg.analyze(graph).per_vertex:
+        assert lam == oracle_min_cut(graph, v, v.mu())
+    assert_pair_table(graph)
+    assert_pair_table(graph.remove_edges(data.draw(st.sets(st.sampled_from(sorted(graph.edges))))))
+    assert_pair_table(graph_from_json(graph_to_json(graph)))
 
 
 def test_local_connectivity_requires_distinct(commutator):
