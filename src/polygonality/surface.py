@@ -1,16 +1,17 @@
 """Glue a verified cycle list into a closed surface and certify it.
 
-Every cycle copy becomes a polygon dual to the cycle: polygon sides
-correspond to cycle vertices, polygon corners to cycle edges.  A side at
-vertex ``v`` carries the label ``(generator(v), {cycle edges at v})``, a
-transverse orientation (into the polygon exactly when ``v`` is a positive
-generator), and an internal orientation induced by connecting-map-compatible
-linear orders on the edges at each vertex, read from the graph's per-vertex
-connecting-map tables.  Sides are glued in matching label classes; the
-balanced-pair condition guarantees the classes pair up perfectly.  The glued
-vertices are the orbits of one link walk around the corners, which also reads
-each vertex's boundary word; those words must be powers of the input words,
-and the face and edge counts decide the certificate inequality.
+Every cycle copy becomes a polygon dual to the cycle, and the polygon is the
+verifier's :class:`~polygonality.witness.Cycle` itself: side ``t`` is the
+turn at ``verts[t]``, between corners ``t - 1`` and ``t``, and corner ``t``
+is the edge ``edges[t]``.  A side at a positive vertex is incoming, one at a
+negative vertex outgoing, and an incoming side glues to an outgoing side whose
+turn is its turn's image under the connecting map; the balanced-pair
+condition guarantees these classes pair up perfectly.  The gluing is the
+connecting map too: crossing side ``t`` from the corner on edge ``x`` enters
+the partner's corner on ``sigma[verts[t]][x]``, so no edge order is chosen.
+The glued vertices are the orbits of one link walk around the corners, which
+also reads each vertex's boundary word; those words must be powers of the
+input words, and the face and edge counts decide the certificate inequality.
 """
 
 from __future__ import annotations
@@ -21,33 +22,9 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
-from .whitehead import VertexId, WhiteheadGraph
+from .whitehead import WhiteheadGraph
 from .witness import Cycle, CycleList, cycle_order, ordered_witness_json, verify_witness
 from .words import MAX_WORD_LENGTH, WordList, match_power, word_text
-
-
-def build_linear_orders(graph: WhiteheadGraph) -> list[dict[int, int]]:
-    """Rank the edges at every vertex, compatibly with the connecting maps.
-
-    ``rank[i][e]`` is the rank of edge ``e`` at the vertex of index ``i``; it
-    equals the rank of the edge's connecting-map image, which is exactly the
-    compatibility the side orientations need.  The free choice is made
-    canonically, in edge-id order, at the positive vertex of each pair.
-    """
-    rank: list[dict[int, int]] = []
-    for table in graph.sigma[0::2]:  # even indices are the positive generators
-        rank.append({e: r for r, e in enumerate(table)})
-        rank.append({img: r for r, img in enumerate(table.values())})
-    return rank
-
-
-class Side(NamedTuple):
-    """One side of a polygon, found under the key ``(polygon, position)``."""
-
-    vertex: VertexId
-    incoming: bool
-    tail_corner: int
-    head_corner: int
 
 
 class SurfaceComplex:
@@ -59,60 +36,56 @@ class SurfaceComplex:
         self.graph = graph
         self.witness = witness  # the cycles in cycle_order, as build_surface lists them
         self.usage = usage  # per-edge usage of the witness, from its verdict
-        # each polygon is its tuple of sides; a cycle's copies share one tuple
-        self.polygons: tuple[tuple[Side, ...], ...] = polygons
+        # each polygon is its cycle; a cycle's copies share the one object
+        self.polygons: tuple[Cycle, ...] = polygons
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
-        sides = {(p, t) for p, poly in enumerate(polygons) for t in range(len(poly))}
+        sides = {(p, t) for p, poly in enumerate(polygons) for t in range(len(poly.edges))}
         if pairing.keys() != sides:
             raise PairingError("side pairing does not cover every side exactly once")
-        if any(partner == key or pairing.get(partner) != key for key, partner in pairing.items()):
-            raise PairingError("side pairing is not an involution without fixed sides")
+        for key, partner in pairing.items():
+            if partner == key or pairing.get(partner) != key:
+                raise PairingError("side pairing is not an involution without fixed sides")
+            if polygons[key[0]].verts[key[1]] ^ 1 != polygons[partner[0]].verts[partner[1]]:
+                raise PairingError(f"sides {key} and {partner} do not lie at paired vertices")
         self.num_faces = len(polygons)
         self.num_edges = len(sides) // 2
         self._walk_links()
         self.num_vertices = len(self.vertex_classes)
 
-    def side(self, key: tuple[int, int]) -> Side:
-        return self.polygons[key[0]][key[1]]
-
     def _walk_links(self):
         """Find the glued vertices and read their links, in one walk each.
 
-        Crossing a side leaves a corner and enters the partner's corner that
-        meets the same end (head to head, tail to tail), then goes on through
-        that corner's other flank.  A glued vertex is one orbit of this walk,
-        started from its least corner; it reads the crossed sides' letters,
-        the code ``2 * (g - 1)`` of generator ``g`` when the partner side is
-        incoming and its inverse's code otherwise.
+        Crossing side ``s`` from the corner on edge ``x`` enters the partner's
+        corner on ``sigma[verts[s]][x]``, then goes on through that corner's
+        other flank.  A glued vertex is one orbit of this walk, started from
+        its least corner; it reads the crossed sides' letters, each the
+        partner side's vertex index.
         """
-        polygons, pairing = self.polygons, self.pairing
+        polygons, pairing, sigma = self.polygons, self.pairing, self.graph.sigma
         total = len(pairing)
         seen: set[tuple[int, int]] = set()
         self.vertex_classes: list[list[tuple[int, int]]] = []
         self.links: list[tuple[int, ...]] = []
         for p, poly in enumerate(polygons):
-            for t in range(len(poly)):
+            for t in range(len(poly.edges)):
                 if (p, t) in seen:
                     continue
-                first = (p, t, (t + 1) % len(poly))
+                first = (p, t, (t + 1) % len(poly.edges))
                 q, u, s = first
                 corners, letters = [], []
                 while True:
                     corners.append((q, u))
-                    side = polygons[q][s]
+                    verts, edges = polygons[q]
+                    x = sigma[verts[s]][edges[u]]
                     q, s = pairing[(q, s)]
-                    pside = polygons[q][s]
-                    letters.append(2 * (side.vertex.gen - 1) + (not pside.incoming))
-                    if side.head_corner == u:
-                        u = pside.head_corner
-                    elif side.tail_corner == u:
-                        u = pside.tail_corner
+                    verts, edges = polygons[q]
+                    letters.append(verts[s])
+                    if edges[s] == x:  # the partner's corner s, left by side s + 1
+                        u, s = s, (s + 1) % len(edges)
+                    elif edges[s - 1] == x:  # its corner s - 1, left by side s - 1
+                        u = s = (s - 1) % len(edges)
                     else:
-                        raise VerificationError("crossed a side not flanking the current corner")
-                    flanks = (u, (u + 1) % len(polygons[q]))
-                    if s not in flanks:
                         raise VerificationError("pairing sent the link outside the corner's flanks")
-                    s = flanks[1] if s == flanks[0] else flanks[0]
                     if (q, u, s) == first:
                         break
                     if len(corners) >= total:
@@ -128,20 +101,24 @@ class SurfaceComplex:
         return -self.num_edges + self.num_faces
 
     def is_orientable(self) -> bool:
-        """2-color polygons so glued sides are traversed in opposite directions."""
+        """2-color polygons so glued sides are traversed in opposite directions.
+
+        Glued sides ``(p, t)`` and ``(q, s)`` run the same way exactly when
+        crossing from corner ``t`` enters corner ``s``.
+        """
+        polygons, sigma = self.polygons, self.graph.sigma
         flip: dict[int, bool] = {}
-        for start in range(len(self.polygons)):
+        for start in range(len(polygons)):
             if start in flip:
                 continue
             flip[start] = False
             stack = [start]
             while stack:
                 p = stack.pop()
-                for t in range(len(self.polygons[p])):
+                verts, edges = polygons[p]
+                for t in range(len(edges)):
                     q, s = self.pairing[(p, t)]
-                    fwd_here = self.polygons[p][t].head_corner == t
-                    fwd_there = self.polygons[q][s].head_corner == s
-                    need = flip[p] ^ (fwd_here == fwd_there)
+                    need = flip[p] ^ (polygons[q].edges[s] == sigma[verts[t]][edges[t]])
                     if q not in flip:
                         flip[q] = need
                         stack.append(q)
@@ -150,33 +127,20 @@ class SurfaceComplex:
         return True
 
 
-def _build_polygon(
-    graph, rank, cycle: Cycle
-) -> tuple[tuple[Side, ...], list[tuple[int, int, int]]]:
-    """The sides of a cycle's polygon, and the label key of each side.
+def _side_keys(graph: WhiteheadGraph, cycle: Cycle) -> list[tuple[int, int, int]]:
+    """The gluing key of each side of a cycle's polygon.
 
-    The key is ``(generator, e, f)`` with ``e < f``: the side's pair for an
-    outgoing side and the connecting-map image of the pair for an incoming
-    one, so glued sides share a key.
+    The key is ``(negative vertex index, e, f)`` with ``e < f``: the side's
+    turn for an outgoing side and the connecting-map image of its turn for an
+    incoming one, so glued sides share a key.
     """
-    # every side shares the graph's one VertexId object of its vertex
-    verts, sigma = graph.vertices(), graph.sigma
-    eids = cycle.edges
-    n = len(eids)
-    sides, labels = [], []
-    for t, (i, e, f) in enumerate(cycle.turns):
-        corner_prev, corner_next = (t - 1) % n, t
-        if rank[i][eids[t - 1]] < rank[i][eids[t]]:
-            tail, head = corner_next, corner_prev
-        else:
-            tail, head = corner_prev, corner_next
-        # even indices are the positive generators
-        v, incoming = verts[i], i % 2 == 0
-        sides.append(Side(v, incoming, tail, head))
-        if incoming:
+    sigma = graph.sigma
+    keys = []
+    for i, e, f in cycle.turns:
+        if i % 2 == 0:  # even indices are the positive generators: incoming sides
             e, f = sigma[i][e], sigma[i][f]
-        labels.append((v.gen, e, f) if e < f else (v.gen, f, e))
-    return tuple(sides), labels
+        keys.append((i | 1, e, f) if e < f else (i | 1, f, e))
+    return keys
 
 
 def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) -> SurfaceComplex:
@@ -184,10 +148,9 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
 
     ``witness`` maps edge-id sets to multiplicities, as :func:`verify_witness`
     reads it.  The polygons are the verifier's own walks of its cycles, so
-    each cycle is walked once.  Builds each cycle's sides once, shared by
-    its copies, orients sides by the canonical compatible edge orders, pairs
-    incoming with outgoing sides whose label pairs correspond under the
-    connecting maps.  A pairing mismatch is a hard error: the verified
+    each cycle is walked once and its copies share it.  Keys each cycle's
+    sides once and pairs incoming with outgoing sides whose turns correspond
+    under the connecting maps.  A pairing mismatch is a hard error: the verified
     balance condition rules it out.  Every side is read once as a letter of a
     boundary word, so a list with more sides in all than
     :data:`~polygonality.words.MAX_WORD_LENGTH` is refused before any polygon
@@ -206,18 +169,19 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         raise PreconditionError(
             f"witness glues {sides} polygon sides, over the cap of {MAX_WORD_LENGTH}"
         )
-    rank = build_linear_orders(graph)
-    polygons: list[tuple[Side, ...]] = []
+    polygons: list[Cycle] = []
     incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     outgoing: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for cycle in cycles:
-        sides, labels = _build_polygon(graph, rank, cycle)
-        for _ in range(cycles[cycle]):
-            for t, (side, label) in enumerate(zip(sides, labels)):
-                (incoming if side.incoming else outgoing).setdefault(label, []).append(
-                    (len(polygons), t)
-                )
-            polygons.append(sides)
+    for cycle, copies in cycles.items():
+        classes = [
+            (outgoing if i % 2 else incoming).setdefault(key, [])
+            for i, key in zip(cycle.verts, _side_keys(graph, cycle))
+        ]
+        for _ in range(copies):
+            p = len(polygons)
+            for t, members in enumerate(classes):
+                members.append((p, t))
+            polygons.append(cycle)
     if set(incoming) != set(outgoing):
         raise PairingError("incoming and outgoing side label classes differ")
     pairing: dict[tuple[int, int], tuple[int, int]] = {}

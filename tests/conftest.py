@@ -10,7 +10,9 @@ matchings by a walk over vertex objects and sets, the fractional coloring by
 the linear program over every perfect matching with parallel edges distinct,
 linear programs by a Bland-rule simplex on a Fraction tableau, the
 four-vertex build-up by rescaling the whole lower list at every level, and
-the glued vertices of a surface by a union-find over polygon corners.
+the glued vertices, links and orientability of a surface by a union-find
+and a two-coloring over polygon corners, with each side's head and tail
+read from connecting-map-compatible edge ranks.
 """
 
 from __future__ import annotations
@@ -501,11 +503,36 @@ def oracle_inductive(g, w, u, orbit_pairs, sigma_after_pi, c, levels):
     return cycles, c1, c2
 
 
+def oracle_linear_orders(graph: pg.WhiteheadGraph) -> list[dict[int, int]]:
+    """Ranks of the edges at every vertex, compatible with the connecting
+    maps: ``rank[i][e] == rank[i ^ 1][sigma[i][e]]``.  The free choice is edge-id
+    order at each positive vertex (even index), carried to its pair."""
+    rank: list[dict[int, int]] = []
+    for table in graph.sigma[0::2]:
+        rank.append({e: r for r, e in enumerate(table)})
+        rank.append({img: r for r, img in enumerate(table.values())})
+    return rank
+
+
+def oracle_tail_head(cx, rank, key) -> tuple[int, int]:
+    """The tail and head corners of the side ``key = (polygon, t)``: of its two
+    corners, ``t - 1`` and ``t``, the head is the one whose edge ranks lower at
+    the side's vertex."""
+    p, t = key
+    verts, edges = cx.polygons[p]
+    prev, nxt = (t - 1) % len(edges), t
+    if rank[verts[t]][edges[prev]] < rank[verts[t]][edges[nxt]]:
+        return nxt, prev
+    return prev, nxt
+
+
 def oracle_vertex_classes(cx) -> list[list[tuple[int, int]]]:
     """The glued vertices of a surface complex as union-find classes of its
     ``(polygon, corner)`` pairs: each glued side pair joins head with head and
-    tail with tail.  Classes are sorted, and listed by their least corner."""
-    parent = {(p, t): (p, t) for p, poly in enumerate(cx.polygons) for t in range(len(poly))}
+    tail with tail, heads and tails read from :func:`oracle_linear_orders`.
+    Classes are sorted, and listed by their least corner."""
+    rank = oracle_linear_orders(cx.graph)
+    parent = {(p, t): (p, t) for p, poly in enumerate(cx.polygons) for t in range(len(poly.edges))}
 
     def find(x):
         while parent[x] != x:
@@ -514,8 +541,8 @@ def oracle_vertex_classes(cx) -> list[list[tuple[int, int]]]:
         return x
 
     for key, partner in cx.pairing.items():
-        s1, s2 = cx.side(key), cx.side(partner)
-        for c1, c2 in ((s1.head_corner, s2.head_corner), (s1.tail_corner, s2.tail_corner)):
+        ends = zip(oracle_tail_head(cx, rank, key), oracle_tail_head(cx, rank, partner))
+        for c1, c2 in ends:
             rx, ry = find((key[0], c1)), find((partner[0], c2))
             parent[max(rx, ry)] = min(rx, ry)
     classes: dict = {}
@@ -527,24 +554,55 @@ def oracle_vertex_classes(cx) -> list[list[tuple[int, int]]]:
 def oracle_link_letters(cx, corners) -> tuple:
     """The letter codes read around one glued vertex, given its corners: from
     the least corner through its next side, across each side to the partner's
-    matching corner, until the walk is back where it began.  A crossed side
-    reads its generator, inverted unless the partner side is incoming, and a
-    letter's code is the index of its vertex."""
+    matching corner (head to head, tail to tail), until the walk is back where
+    it began.  A crossed side reads its generator, inverted unless the partner
+    side is incoming (at a positive vertex), and a letter's code is the index
+    of its vertex."""
+    rank = oracle_linear_orders(cx.graph)
     p, t = corners[0]
-    side_idx = (t + 1) % len(cx.polygons[p])
+    side_idx = (t + 1) % len(cx.polygons[p].edges)
     first, letters = (p, t, side_idx), []
     while True:
-        side = cx.polygons[p][side_idx]
         partner = cx.pairing[(p, side_idx)]
-        pside = cx.side(partner)
-        letters.append(VertexId(side.vertex.gen, 1 if pside.incoming else -1).index)
-        t = pside.head_corner if side.head_corner == t else pside.tail_corner
+        gen = cx.polygons[p].verts[side_idx] // 2 + 1
+        incoming = cx.polygons[partner[0]].verts[partner[1]] % 2 == 0
+        letters.append(VertexId(gen, 1 if incoming else -1).index)
+        tail, head = oracle_tail_head(cx, rank, (p, side_idx))
+        ptail, phead = oracle_tail_head(cx, rank, partner)
+        t = phead if head == t else ptail
         p = partner[0]
-        assert (p, t) in corners and partner[1] in (t, (t + 1) % len(cx.polygons[p]))
-        side_idx = (t + 1) % len(cx.polygons[p]) if partner[1] == t else t
+        n = len(cx.polygons[p].edges)
+        assert (p, t) in corners and partner[1] in (t, (t + 1) % n)
+        side_idx = (t + 1) % n if partner[1] == t else t
         if (p, t, side_idx) == first:
             return tuple(letters)
         assert len(letters) <= len(corners)
+
+
+def oracle_is_orientable(cx) -> bool:
+    """Two-color the polygons so that glued sides run in opposite directions,
+    a side running forward when its head is its corner ``t``, heads read from
+    :func:`oracle_linear_orders`."""
+    rank = oracle_linear_orders(cx.graph)
+    flip: dict[int, bool] = {}
+    for start in range(len(cx.polygons)):
+        if start in flip:
+            continue
+        flip[start] = False
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for t in range(len(cx.polygons[p].edges)):
+                q, s = cx.pairing[(p, t)]
+                fwd_here = oracle_tail_head(cx, rank, (p, t))[1] == t
+                fwd_there = oracle_tail_head(cx, rank, (q, s))[1] == s
+                need = flip[p] ^ (fwd_here == fwd_there)
+                if q not in flip:
+                    flip[q] = need
+                    stack.append(q)
+                elif flip[q] != need:
+                    return False
+    return True
 
 
 def oracle_match_power(letters, base) -> int | None:

@@ -185,7 +185,7 @@ def test_criterion_8_invariant_suites():
         cx = pg.build_surface(graph, pg.four_vertex_witness(graph).cycles)
         if cx.chi_minus_m() != -cx.num_edges + cx.num_faces:
             failures += 1
-        if 2 * cx.num_edges != sum(len(p) for p in cx.polygons):
+        if 2 * cx.num_edges != sum(len(p.edges) for p in cx.polygons):
             failures += 1
     # (iv) LP output -> verifier round trip
     for seed in range(12):

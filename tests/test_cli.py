@@ -785,7 +785,7 @@ def test_surface_refuses_a_witness_over_the_side_cap_before_it_builds_a_polygon(
     from polygonality import surface
 
     calls = Counter()
-    count_calls(monkeypatch, surface, "_build_polygon", calls)
+    count_calls(monkeypatch, surface, "_side_keys", calls)
     # the commutator's list is one 4-cycle: 4 * 250,001 sides
     assert _surface_of_commutator_times(tmp_path, 250_001) == 1
     assert capsys.readouterr().err == (

@@ -5,10 +5,17 @@ import polygonality as pg
 from polygonality import surface
 from polygonality.errors import PairingError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance
-from polygonality.surface import build_linear_orders
 from polygonality.witness import make_cycle
 
-from conftest import oracle_link_letters, oracle_vertex_classes, other_end, vid, words_graph
+from conftest import (
+    oracle_is_orientable,
+    oracle_linear_orders,
+    oracle_link_letters,
+    oracle_vertex_classes,
+    other_end,
+    vid,
+    words_graph,
+)
 
 
 def commutator_complex(commutator):
@@ -17,7 +24,7 @@ def commutator_complex(commutator):
 
 
 def test_linear_orders_are_compatible(polygonal_graph):
-    rank = build_linear_orders(polygonal_graph)
+    rank = oracle_linear_orders(polygonal_graph)
     for i, table in enumerate(polygonal_graph.sigma):
         for e, img in table.items():
             assert rank[i][e] == rank[i ^ 1][img]
@@ -168,10 +175,39 @@ def test_link_walk_finds_the_union_find_classes():
         assert cx.links == [oracle_link_letters(cx, corners) for corners in classes]
 
 
+def test_orientability_matches_the_rank_oracle(commutator):
+    klein = words_graph("rank 2\na^2b^2\n")
+    klein_cx = pg.build_surface(klein, pg.four_vertex_witness(klein).cycles)
+    torus_cx = commutator_complex(commutator)
+    assert not klein_cx.is_orientable() and torus_cx.is_orientable()
+    for cx in [*link_cases(), klein_cx, torus_cx]:
+        assert cx.is_orientable() == oracle_is_orientable(cx)
+
+
+def test_pairing_at_unpaired_vertices_rejected():
+    # a^2b^2 glues one square; gluing each side to one at a vertex it is not
+    # paired with once passed, and its link read the boundary word aabb
+    graph = words_graph("rank 2\na^2b^2\n")
+    cx = pg.build_surface(graph, pg.four_vertex_witness(graph).cycles)
+    pairing = {(0, 0): (0, 3), (0, 3): (0, 0), (0, 1): (0, 2), (0, 2): (0, 1)}
+    with pytest.raises(PairingError, match=r"sides \(0, 0\) and \(0, 3\)"):
+        reglue(cx, pairing)
+
+
+def test_mismatched_gluing_refused_at_construction(polygonal_graph):
+    # two glued pairs of aBa^2b crossed over: every side still meets one at
+    # the paired vertex, but the turns no longer correspond under sigma
+    cx = pg.build_surface(polygonal_graph, pg.four_vertex_witness(polygonal_graph).cycles)
+    assert cx.pairing[(0, 0)] == (2, 2) and cx.pairing[(1, 0)] == (1, 1)
+    pairing = {**cx.pairing, (0, 0): (1, 1), (1, 1): (0, 0), (1, 0): (2, 2), (2, 2): (1, 0)}
+    with pytest.raises(VerificationError, match="outside the corner's flanks"):
+        reglue(cx, pairing)
+
+
 def test_euler_bookkeeping_and_side_counts(polygonal_graph):
     good = pg.four_vertex_witness(polygonal_graph)
     cx = pg.build_surface(polygonal_graph, good.cycles)
-    total_sides = sum(len(p) for p in cx.polygons)
+    total_sides = sum(len(p.edges) for p in cx.polygons)
     assert total_sides == 2 * cx.num_edges
     assert cx.num_faces - cx.num_edges == cx.chi_minus_m()
     # strict face bound: some polygon has more than two sides
@@ -184,24 +220,25 @@ def test_every_side_paired_once(polygonal_graph):
     seen = set()
     for key, partner in cx.pairing.items():
         assert cx.pairing[partner] == key
-        assert cx.side(key).incoming != cx.side(partner).incoming
+        assert cx.polygons[key[0]].verts[key[1]] ^ 1 == cx.polygons[partner[0]].verts[partner[1]]
         seen.add(key)
         seen.add(partner)
-    assert len(seen) == sum(len(p) for p in cx.polygons)
+    assert len(seen) == sum(len(p.edges) for p in cx.polygons)
 
 
 def test_copies_of_a_cycle_share_one_side_tuple(monkeypatch):
     # the golden orbits.txt word: 22 distinct cycles glued as 256 polygons,
-    # whose sides were once built copy by copy
+    # each polygon the cycle itself, keyed once per cycle
     graph = words_graph("rank 2\nBabaaaabaB\n")
     good = pg.four_vertex_witness(graph)
-    builds = []
-    build = surface._build_polygon
-    monkeypatch.setattr(surface, "_build_polygon", lambda *args: builds.append(args) or build(*args))
+    keyed = []
+    side_keys = surface._side_keys
+    monkeypatch.setattr(surface, "_side_keys", lambda *args: keyed.append(args) or side_keys(*args))
     cx = pg.build_surface(graph, good.cycles)
-    assert len(builds) == len(good.cycles) == 22
+    assert len(keyed) == len(good.cycles) == 22
     assert len(cx.polygons) == sum(good.cycles.values()) == 256
     assert len({id(p) for p in cx.polygons}) == 22
+    assert {id(p) for p in cx.polygons} == {id(c) for c in cx.witness}
 
 
 def test_cycle_walk_structure():
@@ -254,7 +291,7 @@ def test_link_lengths_sum_to_side_count(polygonal_graph):
     good = pg.four_vertex_witness(polygonal_graph)
     cx = pg.build_surface(polygonal_graph, good.cycles)
     readings = pg.boundary_words(cx, wl)
-    assert sum(len(r.word) for r in readings) == sum(len(p) for p in cx.polygons)
+    assert sum(len(r.word) for r in readings) == sum(len(p.edges) for p in cx.polygons)
 
 
 def test_positive_degrees_constant_for_uniform_witness(polygonal_graph):

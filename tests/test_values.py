@@ -11,12 +11,9 @@ import polygonality as pg
 from polygonality.errors import PreconditionError, TrivialWordError, WordParseError
 from polygonality.regular import KGraphVerdict
 from polygonality.simplex import ZERO, LPResult
-from polygonality.surface import Side
 from polygonality.whitehead import MAX_RANK, VertexId
 from polygonality.witness import Cycle, make_cycle
 from polygonality.words import WordList, make_word_list, parse_word, word_text
-
-SIDE = Side(VertexId(1, 1), True, 0, 1)
 
 
 def commutator_cycle() -> Cycle:
@@ -131,12 +128,6 @@ def test_records():
     )
     with pytest.raises(AttributeError):
         KGraphVerdict(True, 3, None).ok = False
-    assert SIDE == Side(VertexId(1, 1), True, 0, 1)
-    assert hash(SIDE) == hash(Side(VertexId(1, 1), True, 0, 1))
-    assert repr(SIDE) == (
-        "Side(vertex=VertexId(gen=1, sign=1), incoming=True, "
-        "tail_corner=0, head_corner=1)"
-    )
     assert repr(commutator_cycle()) == "Cycle(verts=(0, 3, 1, 2), edges=(0, 3, 2, 1))"
 
 
