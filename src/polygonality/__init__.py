@@ -46,8 +46,10 @@ from .whitehead import (
 from .witness import (
     Cycle,
     CycleList,
+    Decision,
     Infeasible,
     WitnessVerdict,
+    decide,
     enumerate_cycles,
     make_cycle,
     search_witness_lp,

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import fourvertex, generators, regular, surface, whitehead, witness, words
-from .errors import GraphError, PolygonalityError, PreconditionError, VerificationError
+from . import generators, surface, whitehead, witness, words
+from .errors import GraphError, PolygonalityError, VerificationError
 from .whitehead import WhiteheadGraph
 
 
@@ -158,81 +157,6 @@ def _dump(data: dict) -> str:
     return _json(data, "") + "\n"
 
 
-def _fourvertex(graph: WhiteheadGraph, require_long: bool):
-    good = fourvertex.four_vertex_witness(graph)
-    return good.cycles, {
-        "method": "fourvertex",
-        "c1": good.c1,
-        "c2": good.c2,
-        "constants_per_level": list(good.constants_per_level),
-    }
-
-
-def _regular(graph: WhiteheadGraph, require_long: bool):
-    rw = regular.regular_witness(graph)
-    return rw.cycles, {
-        "method": "regular",
-        "m1": rw.m1,
-        "m2": rw.m2,
-        "coloring": rw.coloring.to_json(),
-    }
-
-
-def _lp(graph: WhiteheadGraph, require_long: bool):
-    return witness.search_witness_lp(graph, require_long=require_long), {"method": "lp"}
-
-
-_METHODS = {"fourvertex": _fourvertex, "regular": _regular, "lp": _lp}
-
-
-def _run_method(graph: WhiteheadGraph, method: str, require_long: bool):
-    if method != "auto":
-        return _METHODS[method](graph, require_long)
-    for construct in (_fourvertex, _regular):
-        try:
-            return construct(graph, require_long)
-        except PreconditionError:
-            pass
-    return _lp(graph, require_long)
-
-
-# the extras that count cycles through an edge or a pair: they scale with the list
-_PER_LIST_COUNTS = ("c1", "c2", "m1", "m2")
-
-
-def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
-    """The method's witness as edge sets, or its refutation, with its JSON extras.
-
-    A constructed list is divided by the gcd of its multiplicities: the
-    quotient is still balanced, keeps its long cycles and certifies the same
-    surface from fewer polygons.  The edge and pair counts among the extras
-    are divided with it, so they describe the list returned.
-    """
-    found, extras = _run_method(graph, method, require_long)
-    if isinstance(found, witness.Infeasible):
-        return found, extras
-    g = math.gcd(*found.values())
-    if g > 1:
-        found = {eids: m // g for eids, m in found.items()}
-        for key in _PER_LIST_COUNTS:
-            if key in extras:
-                extras[key] //= g
-    return found, extras
-
-
-def _construct_witness(graph: WhiteheadGraph, method: str, require_long: bool):
-    """Returns (edge sets or Infeasible, extras dict for the JSON payload, verdict).
-
-    ``auto`` tries the four-vertex construction, then the regular one, then
-    the LP search, and moves on only when a construction's precondition fails.
-    Every constructed list is verified here, once; a refutation has no verdict.
-    """
-    found, extras = _construct(graph, method, require_long)
-    if isinstance(found, witness.Infeasible):
-        return found, extras, None
-    return found, extras, witness.verify_witness(graph, found, require_long=require_long)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph, _ = _resolve_graph(args.input)
     report = whitehead.analyze(graph)
@@ -252,18 +176,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     graph, _ = _resolve_graph(args.input)
-    found, extras, verdict = _construct_witness(graph, args.method, args.require_long)
-    if verdict is None:
-        write_output(_dump(found.to_json(graph)), args.out)
+    decision = witness.decide(graph, args.method, args.require_long)
+    if isinstance(decision.found, witness.Infeasible):
+        write_output(_dump(decision.found.to_json(graph)), args.out)
         return 2
+    verdict = witness.verify_witness(graph, decision.found, require_long=args.require_long)
     # the verifier's walked cycles; sorting the constructed edge sets themselves
     # would order them by inclusion, not as the JSON lists its cycles
     payload = witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)
-    payload.update(extras)
+    payload.update(decision.extras)
     write_output(_dump(payload), args.out)
-    if not verdict.ok:
-        return 2
-    return 0
+    return 0 if verdict.ok else 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -292,7 +215,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         found = witness.witness_from_json(graph, _parse_json(_read_text(args.witness_path)))
     else:
         # build_surface verifies the balance and surface_report the long cycle
-        found, _ = _construct(graph, args.method, require_long=True)
+        found = witness.decide(graph, args.method).found
         if isinstance(found, witness.Infeasible):
             write_output(_dump(found.to_json(graph)), args.out)
             return 2
@@ -341,11 +264,19 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         if not holds:
             raise VerificationError(message)
 
+    def verified(graph, method: str, what: str):
+        found = witness.decide(graph, method).found
+        require(
+            not isinstance(found, witness.Infeasible)
+            and witness.verify_witness(graph, found, require_long=True).ok,
+            f"the {what} does not verify",
+        )
+        return found
+
     def commutator_certificate():
         _, wl = load_input("commutator")
         graph = whitehead.build_whitehead_graph(wl)
-        found, _, verdict = _construct_witness(graph, "auto", True)
-        require(verdict is not None and verdict.ok, "the commutator's witness does not verify")
+        found = verified(graph, "auto", "commutator's witness")
         complex_ = surface.build_surface(graph, found)
         report = surface.surface_report(complex_, wl)
         require(
@@ -362,8 +293,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         graph, wl = _resolve_graph("remark-2.4b")
         report = whitehead.analyze(graph)
         require(report.minimal and report.diskbusting, "remark-2.4b is not minimal and diskbusting")
-        found, _, verdict = _construct_witness(graph, "fourvertex", True)
-        require(verdict.ok, "the four-vertex witness of remark-2.4b does not verify")
+        found = verified(graph, "fourvertex", "four-vertex witness of remark-2.4b")
         complex_ = surface.build_surface(graph, found)
         chi = surface.surface_report(complex_, wl).chi_s_minus_m
         require(chi < 0, f"chi(S) - m = {chi} is not negative")
@@ -371,13 +301,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     def refutation_instance():
         graph, _ = _resolve_graph("example-6.1")
         require(not whitehead.analyze(graph).minimal, "example-6.1 is reported minimal")
-        found = witness.search_witness_lp(graph, require_long=True)
+        found = witness.decide(graph, "lp").found
         require(isinstance(found, witness.Infeasible), "the LP search did not refute example-6.1")
 
     def pictured_graph():
-        graph = _figure7_graph()
-        _, _, verdict = _construct_witness(graph, "fourvertex", True)
-        require(verdict.ok, "the four-vertex witness of figure 7 does not verify")
+        verified(_figure7_graph(), "fourvertex", "four-vertex witness of figure 7")
 
     check("commutator certificate", commutator_certificate)
     check("remark-2.4a non-minimal", nonminimal_detected)
@@ -401,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="built-in name, word-list file, or graph JSON")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    methods = ("auto", *_METHODS)
+    methods = ("auto", *witness.METHODS)
     p = sub.add_parser("analyze", help="minimality / diskbusting report")
     add_common(p)
     p.add_argument("--format", choices=("json", "text"), default="json")

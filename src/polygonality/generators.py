@@ -1,9 +1,9 @@
 """Seeded random instances for stress tests and the CLI ``gen`` command.
 
-Instances are rejection-sampled until the degree pairing and the
-edge-connectivity condition (local connectivity between paired vertices
-equals the degree) hold, then equipped with uniformly random connecting maps
-satisfying the inverse-pair law.  Everything is reproducible from the seed.
+Instances are rejection-sampled until they are connected and the degree
+pairing and the edge-connectivity condition (local connectivity between paired
+vertices equals the degree) hold, then equipped with uniformly random connecting
+maps satisfying the inverse-pair law.  Everything is reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def random_sigma(graph: Multigraph, rng: random.Random) -> dict[int, dict[int, i
 def random_regular_instance(
     seed: int, k: int, pairs: int, max_attempts: int = 2000
 ) -> WhiteheadGraph:
-    """Random k-regular graph on ``2 * pairs`` vertices meeting the connectivity bar."""
+    """Random connected k-regular graph on ``2 * pairs`` vertices meeting the connectivity bar."""
     if k < 2 or pairs < 1:
         raise PreconditionError("need k >= 2 and at least one vertex pair")
     if pairs > MAX_RANK:
@@ -54,7 +54,7 @@ def random_regular_instance(
             continue
         edges = list(enumerate(mates))
         plain = Multigraph(pairs, edges)
-        if not analyze(plain).minimal:
+        if not plain.is_connected(ignore_isolated=True) or not analyze(plain).minimal:
             continue
         return WhiteheadGraph(pairs, edges, random_sigma(plain, rng))
     raise PreconditionError(

@@ -39,16 +39,21 @@ class SurfaceComplex:
         # each polygon is its cycle; a cycle's copies share the one object
         self.polygons: tuple[Cycle, ...] = polygons
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
-        sides = {(p, t) for p, poly in enumerate(polygons) for t in range(len(poly.edges))}
-        if pairing.keys() != sides:
+        # as many keys as sides, each key a side: then each side is a key once
+        sizes = [len(poly.edges) for poly in polygons]
+        if len(pairing) != sum(sizes):
             raise PairingError("side pairing does not cover every side exactly once")
+        n = len(sizes)
         for key, partner in pairing.items():
+            (p, t), (q, s) = key, partner
+            if not (0 <= p < n and 0 <= t < sizes[p] and 0 <= q < n and 0 <= s < sizes[q]):
+                raise PairingError("side pairing does not cover every side exactly once")
             if partner == key or pairing.get(partner) != key:
                 raise PairingError("side pairing is not an involution without fixed sides")
-            if polygons[key[0]].verts[key[1]] ^ 1 != polygons[partner[0]].verts[partner[1]]:
+            if polygons[p].verts[t] ^ 1 != polygons[q].verts[s]:
                 raise PairingError(f"sides {key} and {partner} do not lie at paired vertices")
         self.num_faces = len(polygons)
-        self.num_edges = len(sides) // 2
+        self.num_edges = len(pairing) // 2
         self._walk_links()
         self.num_vertices = len(self.vertex_classes)
 

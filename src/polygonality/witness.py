@@ -1,4 +1,4 @@
-"""Cycle-list witnesses: enumeration, verification, LP search.
+"""Cycle-list witnesses: enumeration, verification, LP search, the decider.
 
 A witness for a graph with connecting maps is a nonempty multiset of simple
 cycles such that for every vertex ``v`` and every unordered pair of distinct
@@ -13,16 +13,19 @@ and edges from a canonical start; its key and turns are read off that walk.
 Every construction (regular, four-vertex, LP) hands over its witness as
 :func:`witness_from_json` reads one: the multiplicity of each cycle's edge-id
 set.  :func:`verify_witness` is the one place where those sets are walked
-into cycles.
+into cycles.  :func:`decide` is the one route to a witness or a refutation:
+it picks the construction, and its answer goes to that verifier.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import GraphError, PreconditionError, VerificationError
+from .fourvertex import four_vertex_witness
+from .regular import regular_witness
 from .simplex import maximize_homogeneous
 from .whitehead import Multigraph, WhiteheadGraph, graph_hash, json_int, json_object
 
@@ -336,6 +339,66 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
         (v, pair, str(duals[i])) for i, (v, pair) in enumerate(keys) if duals[i] != 0
     )
     return Infeasible(require_long, certificate, str(norm_dual))
+
+
+#: the constructions, in the order ``auto`` tries them
+METHODS = ("fourvertex", "regular", "lp")
+
+
+class Decision(NamedTuple):
+    """What :func:`decide` answered, and by which construction."""
+
+    method: str
+    passed_over: tuple[tuple[str, str], ...]  # (method, message) of each one ``auto`` skipped
+    found: dict[frozenset[int], int] | Infeasible  # edge sets with multiplicities, or a refutation
+    extras: dict  # the witness JSON's extra fields, ``method`` among them
+
+
+def _construct(graph: WhiteheadGraph, method: str, require_long: bool):
+    """One construction's edge sets or refutation, with its JSON extras."""
+    if method == "fourvertex":
+        good = four_vertex_witness(graph)
+        levels = list(good.constants_per_level)
+        return good.cycles, {"c1": good.c1, "c2": good.c2, "constants_per_level": levels}
+    if method == "regular":
+        rw = regular_witness(graph)
+        return rw.cycles, {"m1": rw.m1, "m2": rw.m2, "coloring": rw.coloring.to_json()}
+    return search_witness_lp(graph, require_long=require_long), {}
+
+
+def decide(graph: WhiteheadGraph, method: str = "auto", require_long: bool = True) -> Decision:
+    """A witness or a refutation for the graph, from the named construction.
+
+    ``auto`` tries the constructions in :data:`METHODS` order and moves on
+    only when one raises :class:`PreconditionError`, keeping its message; a
+    named method, or the last one, re-raises it.  A constructed list is
+    divided by the gcd of its multiplicities: the quotient is still balanced,
+    keeps its long cycles and certifies the same surface from fewer polygons.
+    The edge and pair counts among the extras are divided with it, so they
+    describe the list returned.  Nothing is verified here: the caller hands
+    the list to :func:`verify_witness`.
+    """
+    if method != "auto" and method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected auto or one of {METHODS}")
+    tried = METHODS if method == "auto" else (method,)
+    passed_over = []
+    for name in tried:
+        try:
+            found, extras = _construct(graph, name, require_long)
+            break
+        except PreconditionError as exc:
+            if name == tried[-1]:
+                raise
+            passed_over.append((name, str(exc)))
+    extras["method"] = name
+    if not isinstance(found, Infeasible):
+        g = gcd(*found.values())
+        if g > 1:
+            found = {eids: m // g for eids, m in found.items()}
+            for key in ("c1", "c2", "m1", "m2"):  # they count cycles through an edge or a pair
+                if key in extras:
+                    extras[key] //= g
+    return Decision(name, tuple(passed_over), found, extras)
 
 
 # -- witness (de)serialization ----------------------------------------------

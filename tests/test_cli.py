@@ -17,7 +17,7 @@ from polygonality import cli, regular, witness
 from polygonality.errors import PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_hash, graph_to_json
-from polygonality.witness import witness_from_json
+from polygonality.witness import decide, witness_from_json
 from polygonality.words import parse_word_list
 
 
@@ -805,7 +805,7 @@ def test_surface_side_cap_is_inclusive(tmp_path, capsys, monkeypatch):
 
 def _assert_witness_writes_what_was_built(graph, spec, method):
     # the JSON of the witness command reads back to the construction's edge sets
-    found, _ = cli._construct(graph, method, False)
+    found = decide(graph, method, False).found
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "w.json")
         if spec is None:

@@ -156,6 +156,19 @@ def test_pairing_missing_a_side_rejected(commutator):
         reglue(cx, {**cx.pairing, (len(cx.polygons), 0): key})
 
 
+def test_pairing_with_a_side_out_of_range_rejected(commutator):
+    # one side renamed, as key and as partner: the right size, but not every side
+    cx = commutator_complex(commutator)
+    key = min(cx.pairing)
+    for bad in ((0, -1), (0, len(cx.polygons[0].edges))):
+        renamed = {
+            bad if k == key else k: bad if v == key else v for k, v in cx.pairing.items()
+        }
+        assert len(renamed) == len(cx.pairing)
+        with pytest.raises(PairingError, match="does not cover every side exactly once"):
+            reglue(cx, renamed)
+
+
 def link_cases():
     """Complexes whose glued vertices the walk must find: random four-vertex
     instances, the golden orbits.txt word, and each of them doubled."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygonality as pg
-from polygonality import witness
+from polygonality import cli, witness
 from polygonality.errors import GraphError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.witness import (
@@ -440,6 +440,13 @@ def _regular_case(seed):
     return graph, pg.regular_witness(graph).cycles
 
 
+def test_regular_case_graphs_are_connected():
+    # a disconnected graph can be minimal; its regular witness is then bigons only
+    for seed in range(301):
+        graph = random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2)
+        assert graph.is_connected(ignore_isolated=True), seed
+
+
 def _fourvertex_case(seed):
     graph = random_fourvertex_instance(seed, max_degree=5)
     return graph, pg.four_vertex_witness(graph).cycles
@@ -511,3 +518,60 @@ def test_verifier_agrees_with_the_oracles_on_mutated_lists(seed, case, mutation,
         edge_sets[eids] = edge_sets.get(eids, 0) + data.draw(st.integers(1, 3))
     for require_long in (False, True):
         assert_verdict_recounts(graph, edge_sets, require_long)
+
+
+# -- the decider's route --------------------------------------------------
+
+ROUTE = ("fourvertex", "regular", "lp")
+
+
+def assert_auto_takes_the_first_method_that_answers(graph, require_long=True):
+    # each forced call either raises its PreconditionError or answers; auto
+    # passes over exactly the ones that raise before the first that answers
+    passed_over = []
+    for method in ROUTE:
+        try:
+            forced = pg.decide(graph, method, require_long)
+            break
+        except PreconditionError as exc:
+            passed_over.append((method, str(exc)))
+    assert forced.method == method and forced.passed_over == ()
+    auto = pg.decide(graph, "auto", require_long)
+    assert auto == pg.Decision(method, tuple(passed_over), forced.found, forced.extras)
+    assert auto.extras["method"] == method
+    return auto
+
+
+@pytest.mark.parametrize(
+    "name, method",
+    [
+        ("commutator", "fourvertex"),
+        ("remark-2.4a", "lp"),
+        ("remark-2.4b", "fourvertex"),
+        ("example-6.1", "lp"),
+        ("figure-7", "fourvertex"),
+    ],
+)
+def test_auto_route_on_built_ins(name, method):
+    kind, data = cli.load_input(name)
+    graph = pg.build_whitehead_graph(data) if kind == "words" else data
+    assert assert_auto_takes_the_first_method_that_answers(graph).method == method
+
+
+ROUTE_GRAPHS = {
+    "fourvertex": lambda seed: random_fourvertex_instance(seed, max_degree=5),
+    "regular": lambda seed: random_regular_instance(seed, 3 + seed % 2, 2 + seed % 2),
+    "rank2-word": lambda seed: random_word_graph(seed, 2, 6 + seed % 5),
+    "rank3-word": lambda seed: random_word_graph(seed, 3, 6 + seed % 5),
+}
+
+
+@given(st.integers(0, 300), st.sampled_from(sorted(ROUTE_GRAPHS)), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_auto_route_on_random_graphs(seed, kind, require_long):
+    assert_auto_takes_the_first_method_that_answers(ROUTE_GRAPHS[kind](seed), require_long)
+
+
+def test_decide_refuses_an_unknown_method(refutation_graph):
+    with pytest.raises(ValueError, match="unknown method 'simplex'"):
+        pg.decide(refutation_graph, "simplex")
