@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import generators, surface, whitehead, witness, words
@@ -105,20 +104,31 @@ def _resolve_graph(spec: str):
     return data, None
 
 
+#: how many random names ``write_output`` tries for its temporary file
+_NAME_TRIES = 16
+
+
 def write_output(payload: str, out: str | None) -> None:
+    """Write ``payload`` to standard output, or to ``out`` at once: its UTF-8
+    bytes go to a new file beside ``out``, which is then renamed over it, so
+    ``out`` holds the old bytes or the new ones, never a part.  The file is
+    made as ``open(out, "w")`` makes one, mode 0666 less the umask."""
     if out is None:
         sys.stdout.write(payload)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    for _ in range(_NAME_TRIES):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # a stale file of an interrupted write, say
+            continue
+    else:
+        raise FileExistsError(f"no free temporary name beside {out} in {_NAME_TRIES} tries")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        # mkstemp makes the file 0600 whatever the umask: give it the mode
-        # that open(out, "w") gives a new file, 0666 less the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        with open(fd, "wb") as fh:
+            fh.write(payload.encode())
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,6 +167,37 @@ def _dump(data: dict) -> str:
     return _json(data, "") + "\n"
 
 
+_IDS = ",\n        "  # between the edge ids of a cycle entry, as ``_dump`` indents them
+
+
+def _witness_text(graph: WhiteheadGraph, verdict: witness.WitnessVerdict, extras: dict) -> str:
+    """``_dump`` of ``witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)``
+    updated by ``extras``.  The cycle list, nearly all of the text, is written
+    from one template per cycle, its sorted edge ids joined once; every other
+    field goes through ``_json``, and the fields come in key order."""
+    walked = verdict.cycles
+    entries = [
+        f'    {{\n      "edges": [\n        {_IDS.join(map(str, sorted(c.edges)))}\n'
+        f'      ],\n      "multiplicity": {walked[c]}\n    }}'
+        for c in sorted(walked, key=witness.cycle_order)
+    ]
+    usage = {str(eid): n for eid, n in verdict.per_edge_usage.items()}
+    fields = {
+        "graph_hash": _quote(whitehead.graph_hash(graph)),
+        "long_cycle_present": _json(verdict.has_long_cycle, "  "),
+        "per_edge_usage": _json(usage, "  "),
+        **{key: _json(value, "  ") for key, value in extras.items()},
+    }
+    keys = sorted(fields)
+    before = "".join([f"{_quote(k)}: {fields[k]},\n  " for k in keys if k < "cycles"])
+    after = "".join([f",\n  {_quote(k)}: {fields[k]}" for k in keys if k > "cycles"])
+    # the first entry carries the text before it and the last the text after
+    # it, so the one join below is the only copy of the whole text
+    entries[0] = f'{{\n  {before}"cycles": [\n{entries[0]}'
+    entries[-1] = f"{entries[-1]}\n  ]{after}\n}}\n"
+    return ",\n".join(entries)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph, _ = _resolve_graph(args.input)
     report = whitehead.analyze(graph)
@@ -181,11 +222,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         write_output(_dump(decision.found.to_json(graph)), args.out)
         return 2
     verdict = witness.verify_witness(graph, decision.found, require_long=args.require_long)
-    # the verifier's walked cycles; sorting the constructed edge sets themselves
-    # would order them by inclusion, not as the JSON lists its cycles
-    payload = witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)
-    payload.update(decision.extras)
-    write_output(_dump(payload), args.out)
+    write_output(_witness_text(graph, verdict, decision.extras), args.out)
     return 0 if verdict.ok else 2
 
 

@@ -19,7 +19,6 @@ connecting-map data; the constructor validates the tables.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections import deque
 from typing import Iterable, Mapping, NamedTuple
@@ -109,11 +108,14 @@ class Multigraph:
     index))`` pairs, such as ``enumerate(ends)``.  ``pairs[(s, t)]``, for
     end indices ``s < t``, is the tuple of the ids of the edges joining them,
     in id order; the pairs are ordered by their least edge ids.  Immutable
-    after construction.  Edge ids are arbitrary distinct integers; removal
-    keeps the surviving ids stable.  The rank is at most :data:`MAX_RANK`.
+    after construction.  Edge ids are arbitrary distinct integers of type
+    ``int``, never coerced; removal keeps the surviving ids stable.  The rank
+    is an ``int`` too, at most :data:`MAX_RANK`.
     """
 
     def __init__(self, rank: int, edges: Iterable[tuple[int, tuple[int, int]]]):
+        if type(rank) is not int:
+            json_int(rank, "rank")
         if rank < 1:
             raise GraphError(f"rank must be >= 1, got {rank}")
         if rank > MAX_RANK:
@@ -123,6 +125,8 @@ class Multigraph:
         n = len(self._vertices)
         self.edges: dict[int, tuple[int, int]] = {}
         for eid, (s, t) in edges:
+            if type(eid) is not int:  # True or 1.0 would pass as the id 1
+                json_int(eid, "edge id")
             if eid in self.edges:
                 raise GraphError(f"duplicate edge id {eid}")
             for i in (s, t):
@@ -254,6 +258,8 @@ class WhiteheadGraph(Multigraph):
         for i, table in enumerate(self.sigma):
             paired = self.sigma[i ^ 1]  # the paired vertex mu(v) of index i has index i ^ 1
             for e, img in table.items():
+                if type(img) is not int:
+                    json_int(img, f"sigma('{e}@{verts[i]}') = edge")
                 if img not in paired:
                     raise GraphError(
                         f"sigma('{e}@{verts[i]}') = edge {img}, which is not at the paired "
@@ -448,8 +454,29 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
 
 
 def graph_hash(graph: WhiteheadGraph) -> str:
-    blob = json.dumps(graph_to_json(graph), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of ``json.dumps(graph_to_json(graph),
+    sort_keys=True)``, the text written here in one string.
+
+    Edges come in id order, vertex tables in name order as strings (``a10``
+    before ``a2``), and each table's entries in dart-name order as strings
+    (``"10@a1"`` before ``"1@a1"``): the names of one table share their
+    ``@`` suffix, so no name is a prefix of another and the quoted entries
+    sort as their names do.  The ids and the rank are of type ``int``, and
+    no name needs escaping.
+    """
+    names = [v.name for v in graph.vertices()]
+    edges = ", ".join([
+        f'{{"id": {eid}, "u": "{names[s]}", "v": "{names[t]}"}}'
+        for eid, (s, t) in sorted(graph.edges.items())
+    ])
+    tables = []
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        if graph.sigma[i]:
+            at, paired = names[i], names[i ^ 1]
+            entries = sorted([f'"{e}@{at}": "{img}@{paired}"' for e, img in graph.sigma[i].items()])
+            tables.append(f'"{at}": {{{", ".join(entries)}}}')
+    text = f'{{"edges": [{edges}], "rank": {graph.rank}, "sigma": {{{", ".join(tables)}}}}}'
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def export_dot(graph: Multigraph, word_list: WordList | None) -> str:

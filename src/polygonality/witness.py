@@ -407,7 +407,8 @@ def decide(graph: WhiteheadGraph, method: str = "auto", require_long: bool = Tru
 def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]) -> dict:
     """Serialize a cycle list with its per-edge usage, as a
     :class:`WitnessVerdict` gives it, its cycles in :func:`cycle_order`;
-    nothing is counted or verified here."""
+    nothing is counted or verified here.  The ``witness`` command writes the
+    JSON of this dict straight from the verdict, without building it."""
     return ordered_witness_json(graph, sorted(cycles, key=cycle_order), cycles, usage)
 
 

@@ -67,7 +67,9 @@ def word_text(codes: Iterable[int]) -> str:
     ])
 
 
-# both are matched in place at a position, never against a copy of the rest
+# all are matched in place at a position, never against a copy of the rest;
+# a run of plain letters leaves out a last letter that takes a suffix or a power
+_RUN = re.compile(r"\s*([a-zA-Z]+)(?![0-9]|\s*\^)")
 _TOKEN = re.compile(r"\s*(?:([a-zA-Z])([0-9]*)|(\()|(\)))")
 _POWER = re.compile(r"\s*\^(-?[0-9]+)")
 
@@ -86,6 +88,21 @@ def _parse_expr(
     """
     out: list[int] = []
     while pos < len(text):
+        m = _RUN.match(text, pos)
+        if m is not None:
+            run = m.group(1)
+            codes = [_CODE[ch] for ch in run]
+            fits = room - len(out)
+            if len(codes) > fits or max(codes) >= 2 * rank:
+                # the first fault, as reading the letters one at a time finds
+                # it; the letter past the room is the one past the cap
+                for k, ch in enumerate(run):
+                    _letter_from_token(ch, "", rank)
+                    if k == fits:
+                        raise _over_cap(MAX_WORD_LENGTH + 1)
+            out += codes
+            pos = m.end()
+            continue
         m = _TOKEN.match(text, pos)
         if m is None:
             if not text[pos:].strip():
@@ -103,14 +120,17 @@ def _parse_expr(
             atom = [_letter_from_token(letter, digits, rank)]
         exp, pos = _maybe_power(text, pos)
         if len(out) + len(atom) * abs(exp) > room:
-            length = MAX_WORD_LENGTH - room + len(out) + len(atom) * abs(exp)
-            raise WordParseError(
-                f"word expands to at least {length} letters, over the cap of {MAX_WORD_LENGTH}"
-            )
+            raise _over_cap(MAX_WORD_LENGTH - room + len(out) + len(atom) * abs(exp))
         out.extend(_apply_power(atom, exp))
     if depth != 0:
         raise WordParseError("unbalanced '('")
     return out, pos
+
+
+def _over_cap(length: int) -> WordParseError:
+    return WordParseError(
+        f"word expands to at least {length} letters, over the cap of {MAX_WORD_LENGTH}"
+    )
 
 
 def _maybe_power(text: str, pos: int) -> tuple[int, int]:

@@ -9,16 +9,18 @@ regular cycle lists by the slot-pair loop over the coloring, perfect
 matchings by a walk over vertex objects and sets, the fractional coloring by
 the linear program over every perfect matching with parallel edges distinct,
 linear programs by a Bland-rule simplex on a Fraction tableau, the
-four-vertex build-up by rescaling the whole lower list at every level, and
+four-vertex build-up by rescaling the whole lower list at every level,
 the glued vertices, links and orientability of a surface by a union-find
 and a two-coloring over polygon corners, with each side's head and tail
-read from connecting-map-compatible edge ranks.
+read from connecting-map-compatible edge ranks, and a word expression by
+reading one letter or parenthesis at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +28,8 @@ from unittest import mock
 import pytest
 
 import polygonality as pg
-from polygonality import fourvertex
+from polygonality import fourvertex, words
+from polygonality.errors import WordParseError
 from polygonality.whitehead import Multigraph, VertexId
 from polygonality.witness import make_cycle
 
@@ -629,3 +632,38 @@ def oracle_word_text(pairs) -> str:
         else:
             out.append(f"a{gen}" if sign > 0 else f"a{gen}^-1")
     return "".join(out)
+
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:([a-zA-Z])([0-9]*)|(\()|(\)))")
+
+
+def oracle_parse_expr(text: str, pos: int, rank: int, depth: int, room: int):
+    """``words._parse_expr`` reading one token at a time: every letter, plain
+    or not, is its own atom, checked against the rank and then the cap."""
+    out: list[int] = []
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            if not text[pos:].strip():
+                break
+            raise WordParseError(f"unexpected symbol at column {pos}: {text[pos:][:10]!r}")
+        pos = m.end()
+        letter, digits, lparen, rparen = m.groups()
+        if rparen:
+            if depth == 0:
+                raise WordParseError("unbalanced ')'")
+            return out, pos
+        if lparen:
+            atom, pos = oracle_parse_expr(text, pos, rank, depth + 1, room - len(out))
+        else:
+            atom = [words._letter_from_token(letter, digits, rank)]
+        exp, pos = words._maybe_power(text, pos)
+        if len(out) + len(atom) * abs(exp) > room:
+            length = words.MAX_WORD_LENGTH - room + len(out) + len(atom) * abs(exp)
+            raise WordParseError(
+                f"word expands to at least {length} letters, over the cap of {words.MAX_WORD_LENGTH}"
+            )
+        out.extend(words._apply_power(atom, exp))
+    if depth != 0:
+        raise WordParseError("unbalanced '('")
+    return out, pos

@@ -11,14 +11,14 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polygonality import cli, regular, witness
 from polygonality.errors import PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance
 from polygonality.whitehead import Multigraph, build_whitehead_graph, graph_hash, graph_to_json
 from polygonality.witness import decide, witness_from_json
-from polygonality.words import parse_word_list
+from polygonality.words import make_word_list, parse_word_list
 
 
 def run_cli(*argv):
@@ -73,6 +73,54 @@ def test_outputs_get_the_mode_open_gives_a_new_file(tmp_path, umask, mode):
     assert sorted(os.listdir(tmp_path)) == names
     for name in names:
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+
+
+def test_a_failed_write_keeps_the_old_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "w.json"
+    out.write_text("old", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run_cli("witness", "commutator", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot rename ")
+    assert out.read_text(encoding="utf-8") == "old"
+    assert os.listdir(tmp_path) == ["w.json"]  # no temporary file is left
+
+
+def test_a_taken_temporary_name_is_passed_over(tmp_path, monkeypatch):
+    lengths = []
+
+    def token(n):  # zeros on the first call, ones on the next
+        lengths.append(n)
+        return bytes([len(lengths) > 1]) * n
+
+    monkeypatch.setattr(os, "urandom", token)
+    stray = tmp_path / f".tmp-{'00' * 8}.part"
+    stray.write_text("stray", encoding="utf-8")
+    assert run_cli("witness", "commutator", "--out", str(tmp_path / "w.json")) == 0
+    assert lengths == [8, 8]
+    assert stray.read_text(encoding="utf-8") == "stray"
+    assert sorted(os.listdir(tmp_path)) == [stray.name, "w.json"]
+    assert read_json(tmp_path / "w.json")["method"] == "fourvertex"
+
+
+def test_a_write_with_every_temporary_name_taken_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    (tmp_path / f".tmp-{'00' * 8}.part").write_text("stray", encoding="utf-8")
+    out = tmp_path / "w.json"
+    assert run_cli("witness", "commutator", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: no free temporary name beside {out} in {cli._NAME_TRIES} tries\n"
+    )
+    assert not out.exists()
+
+
+def test_an_output_in_a_missing_directory_is_an_error(tmp_path, capsys):
+    assert run_cli("witness", "commutator", "--out", str(tmp_path / "no" / "w.json")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_analyze_json_output(tmp_path):
@@ -1049,8 +1097,7 @@ def test_import_builds_no_dataclass():
     }
     imported = {
         "__future__", "argparse", "collections", "collections.abc", "fractions", "functools",
-        "hashlib", "itertools", "json", "math", "operator", "os", "random", "re", "sys",
-        "tempfile", "typing",
+        "hashlib", "itertools", "json", "math", "operator", "os", "random", "re", "sys", "typing",
     }
     assert ours | imported | {"polygonality"} <= loaded  # every module, and none deferred
     for name in ours:
@@ -1181,6 +1228,33 @@ def test_dump_writes_empty_containers_and_scalars_as_json_dumps(value):
     assert cli._dump(value) == stdlib_dump(value)
 
 
+def _witness_graph(method: str, seed: int):
+    """A graph that ``method`` can be run on, most often of 11 or more edges."""
+    rng = random.Random(seed)
+    if method == "fourvertex":
+        return random_fourvertex_instance(seed, max_degree=rng.randint(12, 20))
+    if method == "regular":
+        return random_regular_instance(seed, rng.randint(4, 6), rng.randint(3, 4))
+    # a rank-3 word of 11 to 13 letters, cyclically reduced
+    word = [rng.randrange(6)]
+    while len(word) < rng.randint(11, 13) or word[-1] == word[0] ^ 1:
+        word.append(rng.choice([x for x in range(6) if x != word[-1] ^ 1]))
+    return build_whitehead_graph(make_word_list(3, [tuple(word)]))
+
+
+@given(st.sampled_from(["fourvertex", "regular", "lp"]), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_witness_text_is_json_dumps_of_the_dict_form(method, seed):
+    graph = _witness_graph(method, seed)
+    assume(max(graph.edges) >= 10)  # ids that sort otherwise as strings
+    decision = decide(graph, method, False)
+    assume(not isinstance(decision.found, witness.Infeasible))
+    verdict = witness.verify_witness(graph, decision.found)
+    data = witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage)
+    expected = stdlib_dump({**data, **decision.extras})
+    assert cli._witness_text(graph, verdict, decision.extras) == expected
+
+
 def test_dump_writes_every_builtin_and_golden_output_as_json_dumps(tmp_path, monkeypatch):
     from polygonality import witness
     from test_golden import GEN_FILES, GOLDEN, WORD_FILES
@@ -1188,6 +1262,18 @@ def test_dump_writes_every_builtin_and_golden_output_as_json_dumps(tmp_path, mon
     payloads = []
     dump = cli._dump
     monkeypatch.setattr(cli, "_dump", lambda data: payloads.append(data) or dump(data))
+    # a witness is written from its verdict, not from a payload: keep its
+    # dict form, with the text written, to compare below
+    witness_text, witnesses = cli._witness_text, []
+
+    def collect_witness(graph, verdict, extras):
+        text = witness_text(graph, verdict, extras)
+        data = {**witness.witness_to_json(graph, verdict.cycles, verdict.per_edge_usage), **extras}
+        payloads.append(data)
+        witnesses.append((data, text))
+        return text
+
+    monkeypatch.setattr(cli, "_witness_text", collect_witness)
     for name, text in WORD_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     for name, args in GEN_FILES.items():
@@ -1215,3 +1301,6 @@ def test_dump_writes_every_builtin_and_golden_output_as_json_dumps(tmp_path, mon
     assert any(data["failures"] for data in payloads if "failures" in data)
     for data in payloads:
         assert dump(data) == stdlib_dump(data)
+    assert witnesses
+    for data, text in witnesses:
+        assert text == stdlib_dump(data)

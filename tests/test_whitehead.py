@@ -84,6 +84,34 @@ def test_constructor_rejects_a_faulty_index_pair(edges, message):
         Multigraph(2, edges)
 
 
+# True and 1.0 compare equal to 1, so a check by value alone takes each for the id 1
+NOT_INT_FAULTS = {
+    "bool edge id": (
+        1, [(True, (0, 1)), (2, (0, 1))], {0: {True: True, 2: 2}, 1: {True: True, 2: 2}},
+        "edge id True is not an integer",
+    ),
+    "float edge id": (
+        1, [(1.0, (0, 1)), (2, (0, 1))], {0: {1: 1, 2: 2}, 1: {1: 1, 2: 2}},
+        "edge id 1.0 is not an integer",
+    ),
+    "bool image": (
+        1, [(1, (0, 1)), (2, (0, 1))], {0: {1: True, 2: 2}, 1: {1: 1, 2: 2}},
+        "sigma('1@a1') = edge True is not an integer",
+    ),
+    "float image": (
+        1, [(1, (0, 1)), (2, (0, 1))], {0: {1: 1, 2: 2}, 1: {1: 1, 2: 2.0}},
+        "sigma('2@a1-') = edge 2.0 is not an integer",
+    ),
+    "bool rank": (True, [], {}, "rank True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("rank, edges, sigma, message", NOT_INT_FAULTS.values(), ids=NOT_INT_FAULTS)
+def test_constructor_refuses_an_id_or_rank_that_is_not_an_int(rank, edges, sigma, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        WhiteheadGraph(rank, edges, sigma)
+
+
 def test_connecting_map_position_rule(commutator):
     # the edge at position 0 (a,b^-1) maps at b^-1 to the position-1 edge at b
     img = commutator.sigma[vid(2, -1).index][0]
@@ -474,11 +502,21 @@ def test_graph_json_matches_the_vertex_walk(graph, negate):
 
 
 @pytest.mark.parametrize(
-    "text", ["rank 2\nabAB", "rank 2\naBa^2b\nab", "rank 3\nabcABCacbACB", "rank 4\nabcd\nDCdd"]
+    "text",
+    [
+        "rank 2\nabAB",
+        "rank 2\naBa^2b\nab",
+        "rank 3\nabcABCacbACB",
+        "rank 4\nabcd\nDCdd",
+        "rank 12\nabcdefghijkl\nLaKbJc",  # a10 sorts before a2 as a name
+    ],
 )
 def test_graph_json_of_word_lists_matches_the_vertex_walk(text):
     graph = words_graph(text)
-    assert json.dumps(graph_to_json(graph)) == json.dumps(oracle_graph_to_json(graph))
+    expected = oracle_graph_to_json(graph)
+    assert json.dumps(graph_to_json(graph)) == json.dumps(expected)
+    blob = json.dumps(expected, sort_keys=True).encode()
+    assert graph_hash(graph) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 # one dart name of the commutator's graph JSON made non-canonical: edge 0 joins a1 and a2-

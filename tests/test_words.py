@@ -10,7 +10,7 @@ from polygonality import words
 from polygonality.errors import GraphError, TrivialWordError, WordParseError
 from polygonality.words import match_power, word_text
 
-from conftest import oracle_match_power, oracle_word_text
+from conftest import oracle_match_power, oracle_parse_expr, oracle_word_text
 
 
 def inverse(word):
@@ -409,3 +409,25 @@ def test_a_long_literal_word_is_read_in_place():
     word = pg.parse_word(text, 2)
     assert len(word) == 40000 + 1 + 1 + 2 and word_text(word).endswith("abbaAb")
     assert text.copied <= len(text)
+
+
+# pieces of word expressions: runs of plain letters, suffixed tokens, powers,
+# groups, whitespace and symbols the grammar refuses
+EXPRESSION_PIECES = st.text("abczABCZ", min_size=1, max_size=6) | st.sampled_from([
+    "a27", "A3", "a1", "a0", "b5", "z12",
+    "^2", "^-3", "^0", " ^1", "^12", "^", "^x", "^-",
+    "(", ")", " ", "\t", "\u00a0", "\n",
+    "#", "*", "1", "\u0663", "a\u0663", "é",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(EXPRESSION_PIECES, max_size=12).map("".join), st.integers(1, 30), st.integers(0, 40))
+def test_runs_of_plain_letters_parse_as_one_token_at_a_time(text, rank, room):
+    def outcome(parse):
+        try:
+            return parse(text, 0, rank, 0, room)
+        except WordParseError as exc:
+            return str(exc)
+
+    assert outcome(words._parse_expr) == outcome(oracle_parse_expr)
