@@ -9,7 +9,9 @@ among them a witness file made for another graph, on which no check runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -284,71 +286,52 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
+#: each check of ``selftest``: its name and its steps, each a command line,
+#: the exit status it must give and a test of its JSON output, or ``None``
+_SELFTEST = (
+    ("commutator certificate", (
+        ("witness commutator --require-long", 0, None),
+        ("surface commutator", 0, lambda r: (r["chi_S_minus_m"], r["chi_S_doubleprime"]) == (-1, -2)),
+    )),
+    ("remark-2.4a non-minimal", (
+        ("analyze remark-2.4a", 0, lambda r: not r["minimal"]),
+    )),
+    ("remark-2.4b polygonal", (
+        ("analyze remark-2.4b", 0, lambda r: r["minimal"] and r["diskbusting"]),
+        ("witness remark-2.4b --method fourvertex --require-long", 0, None),
+        ("surface remark-2.4b --method fourvertex", 0, lambda r: r["chi_S_minus_m"] < 0),
+    )),
+    ("example-6.1 refuted", (
+        ("analyze example-6.1", 0, lambda r: not r["minimal"]),
+        ("witness example-6.1 --method lp --require-long", 2, lambda r: r.get("infeasible") is True),
+    )),
+    ("figure-7 witness", (
+        ("witness figure-7 --method fourvertex --require-long", 0, None),
+    )),
+)
 
-    def check(name: str, fn):
-        nonlocal failures
+
+def cmd_selftest(args: argparse.Namespace) -> int:
+    """Run each check's commands through :func:`main`, their output captured.
+    The checks are explicit, so that ``python -O`` cannot strip them, and an
+    exception in a step fails its check."""
+    failures = 0
+    for name, steps in _SELFTEST:
         try:
-            fn()
+            for command, status, test in steps:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(command.split())
+                if code != status:
+                    reason = f"{command} exited {code}, expected {status}"
+                    detail = err.getvalue().strip()
+                    raise VerificationError(f"{reason}: {detail}" if detail else reason)
+                if test is not None and not test(json.loads(out.getvalue())):
+                    raise VerificationError(f"{command} wrote a result that fails the check")
             print(f"ok   {name}")
         except Exception as exc:  # noqa: BLE001 - report and count every failure
             failures += 1
             print(f"FAIL {name}: {exc}")
-
-    def require(holds: bool, message: str) -> None:
-        # an explicit check, so that `python -O` cannot strip it
-        if not holds:
-            raise VerificationError(message)
-
-    def verified(graph, method: str, what: str):
-        found = witness.decide(graph, method).found
-        require(
-            not isinstance(found, witness.Infeasible)
-            and witness.verify_witness(graph, found, require_long=True).ok,
-            f"the {what} does not verify",
-        )
-        return found
-
-    def commutator_certificate():
-        _, wl = load_input("commutator")
-        graph = whitehead.build_whitehead_graph(wl)
-        found = verified(graph, "auto", "commutator's witness")
-        complex_ = surface.build_surface(graph, found)
-        report = surface.surface_report(complex_, wl)
-        require(
-            report.chi_s_minus_m == -1 and report.chi_double == -2,
-            f"chi(S) - m = {report.chi_s_minus_m} and chi(S'') = {report.chi_double}, "
-            "expected -1 and -2",
-        )
-
-    def nonminimal_detected():
-        graph, _ = _resolve_graph("remark-2.4a")
-        require(not whitehead.analyze(graph).minimal, "remark-2.4a is reported minimal")
-
-    def polygonal_word():
-        graph, wl = _resolve_graph("remark-2.4b")
-        report = whitehead.analyze(graph)
-        require(report.minimal and report.diskbusting, "remark-2.4b is not minimal and diskbusting")
-        found = verified(graph, "fourvertex", "four-vertex witness of remark-2.4b")
-        complex_ = surface.build_surface(graph, found)
-        chi = surface.surface_report(complex_, wl).chi_s_minus_m
-        require(chi < 0, f"chi(S) - m = {chi} is not negative")
-
-    def refutation_instance():
-        graph, _ = _resolve_graph("example-6.1")
-        require(not whitehead.analyze(graph).minimal, "example-6.1 is reported minimal")
-        found = witness.decide(graph, "lp").found
-        require(isinstance(found, witness.Infeasible), "the LP search did not refute example-6.1")
-
-    def pictured_graph():
-        verified(_figure7_graph(), "fourvertex", "four-vertex witness of figure 7")
-
-    check("commutator certificate", commutator_certificate)
-    check("remark-2.4a non-minimal", nonminimal_detected)
-    check("remark-2.4b polygonal", polygonal_word)
-    check("example-6.1 refuted", refutation_instance)
-    check("figure-7 witness", pictured_graph)
     return 1 if failures else 0
 
 

@@ -95,18 +95,15 @@ def _other_pair(graph: Multigraph, w: VertexId) -> tuple[VertexId, VertexId]:
     return rest[0], rest[1]
 
 
-def build_auxiliary_digraph(
-    graph: WhiteheadGraph,
-    w: VertexId,
-    u: VertexId | None = None,
-) -> AuxDigraph:
+def build_auxiliary_digraph(graph: WhiteheadGraph, w: VertexId) -> AuxDigraph:
     """Auxiliary digraph of ``graph`` at ``w``, as its chains; see the module docstring.
 
     A path starts at each edge y, in id order, whose image sigma_w(y) leaves
     the ``w`` pair, and steps from x to the y with sigma_w(y) = x while x
-    joins ``w`` and its pair.  Its source is R when sigma_w(y) ends at u', B
-    at u; its sink is R when its last edge ends at u, B at u'.  The cycles
-    follow, each from its least edge on no chain yet.
+    joins ``w`` and its pair.  With u the positive vertex of the other pair,
+    its source is R when sigma_w(y) ends at u', B at u; its sink is R when
+    its last edge ends at u, B at u'.  The cycles follow, each from its least
+    edge on no chain yet.
 
     sigma_w is a bijection onto the edges at the pair of ``w``, so no node has
     in- or out-degree above one, and each component alternates the two nodes
@@ -115,10 +112,7 @@ def build_auxiliary_digraph(
     and its pair, have no color, and path ends, whose edges leave it, have
     one.  Left to check: the source/sink color balance and goodness.
     """
-    pair = _other_pair(graph, w)
-    u = pair[0] if u is None else u
-    if u not in pair:
-        raise PreconditionError("u must avoid w and its pair")
+    u, _ = _other_pair(graph, w)
     sigma_w = graph.sigma[w.index]
     if len(sigma_w) < 2:
         raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
@@ -581,7 +575,7 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     w = min(active, key=lambda v: (graph.degree(v), (v.gen, v.sign < 0)))
     u, _ = _other_pair(graph, w)
     _check_level_preconditions(graph, w, u)
-    aux = build_auxiliary_digraph(graph, w, u=u)
+    aux = build_auxiliary_digraph(graph, w)
     completion = uniform_permutation(aux)
     good = inductive_witness(graph, w, completion)
     # the base graph is connected, so two of its K4 classes are non-empty and

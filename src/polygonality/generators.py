@@ -14,6 +14,9 @@ from .errors import PreconditionError
 from .whitehead import MAX_RANK, Multigraph, WhiteheadGraph, analyze
 from .words import MAX_WORD_LENGTH
 
+#: how many candidates each generator samples before it gives up
+MAX_ATTEMPTS = 2000
+
 
 def _check_edges(edges: int) -> None:
     """Refuse, before anything is built, more edges than the graph of a word
@@ -36,9 +39,7 @@ def random_sigma(graph: Multigraph, rng: random.Random) -> dict[int, dict[int, i
     return sigma
 
 
-def random_regular_instance(
-    seed: int, k: int, pairs: int, max_attempts: int = 2000
-) -> WhiteheadGraph:
+def random_regular_instance(seed: int, k: int, pairs: int) -> WhiteheadGraph:
     """Random connected k-regular graph on ``2 * pairs`` vertices meeting the connectivity bar."""
     if k < 2 or pairs < 1:
         raise PreconditionError("need k >= 2 and at least one vertex pair")
@@ -46,7 +47,7 @@ def random_regular_instance(
         raise PreconditionError(f"rank {pairs} is over the cap of {MAX_RANK}")
     _check_edges(k * pairs)
     rng = random.Random(("regular", seed, k, pairs).__repr__())
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         stubs = [i for i in range(2 * pairs) for _ in range(k)]  # vertex indices
         rng.shuffle(stubs)
         mates = list(zip(stubs[0::2], stubs[1::2]))
@@ -58,13 +59,11 @@ def random_regular_instance(
             continue
         return WhiteheadGraph(pairs, edges, random_sigma(plain, rng))
     raise PreconditionError(
-        f"no valid {k}-regular instance on {2 * pairs} vertices after {max_attempts} tries"
+        f"no valid {k}-regular instance on {2 * pairs} vertices after {MAX_ATTEMPTS} tries"
     )
 
 
-def random_fourvertex_instance(
-    seed: int, max_degree: int = 6, max_attempts: int = 2000
-) -> WhiteheadGraph:
+def random_fourvertex_instance(seed: int, max_degree: int = 6) -> WhiteheadGraph:
     """Random connected 4-vertex instance with degrees at most ``max_degree``.
 
     Degree pairing forces the multiplicity between the positive pair to equal
@@ -77,7 +76,7 @@ def random_fourvertex_instance(
     rng = random.Random(("fourvertex", seed, max_degree).__repr__())
     a, a_inv, b, b_inv = 0, 1, 2, 3  # vertex indices of a1, a1-, a2, a2-
     cap = max(1, max_degree // 2)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         same = rng.randint(0, cap)  # a-b and a'-b' multiplicity
         cross = rng.randint(0, cap)  # a-b' and a'-b multiplicity
         loops_a = rng.randint(0, cap)  # a-a' multiplicity
@@ -102,5 +101,5 @@ def random_fourvertex_instance(
             continue
         return WhiteheadGraph(2, edges, random_sigma(plain, rng))
     raise PreconditionError(
-        f"no valid 4-vertex instance with degrees <= {max_degree} after {max_attempts} tries"
+        f"no valid 4-vertex instance with degrees <= {max_degree} after {MAX_ATTEMPTS} tries"
     )

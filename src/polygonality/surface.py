@@ -16,28 +16,24 @@ input words, and the face and edge counts decide the certificate inequality.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Mapping
 from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import WhiteheadGraph
-from .witness import Cycle, CycleList, cycle_order, ordered_witness_json, verify_witness
+from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_hash
 from .words import MAX_WORD_LENGTH, WordList, match_power, word_text
 
 
 class SurfaceComplex:
     """The glued closed surface with its counts and side pairing."""
 
-    def __init__(
-        self, graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int], polygons, pairing
-    ):
+    def __init__(self, graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int], pairing):
         self.graph = graph
         self.witness = witness  # the cycles in cycle_order, as build_surface lists them
         self.usage = usage  # per-edge usage of the witness, from its verdict
-        # each polygon is its cycle; a cycle's copies share the one object
-        self.polygons: tuple[Cycle, ...] = polygons
+        # each polygon is its cycle, once per copy; a cycle's copies share the one object
+        polygons = self.polygons = tuple(c for c, n in witness.items() for _ in range(n))
         self.pairing: dict[tuple[int, int], tuple[int, int]] = pairing
         # as many keys as sides, each key a side: then each side is a key once
         sizes = [len(poly.edges) for poly in polygons]
@@ -155,9 +151,11 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
     reads it.  The polygons are the verifier's own walks of its cycles, so
     each cycle is walked once and its copies share it.  Keys each cycle's
     sides once and pairs incoming with outgoing sides whose turns correspond
-    under the connecting maps.  A pairing mismatch is a hard error: the verified
-    balance condition rules it out.  Every side is read once as a letter of a
-    boundary word, so a list with more sides in all than
+    under the connecting maps.  The verified balance condition gives each key
+    class as many incoming as outgoing sides, since the tables of a vertex
+    pair are inverse; :class:`SurfaceComplex` refuses a side left unpaired.
+    Every side is read once as a letter of a boundary word, so a list with
+    more sides in all than
     :data:`~polygonality.words.MAX_WORD_LENGTH` is refused before any polygon
     is built.
     """
@@ -174,32 +172,24 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         raise PreconditionError(
             f"witness glues {sides} polygon sides, over the cap of {MAX_WORD_LENGTH}"
         )
-    polygons: list[Cycle] = []
     incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     outgoing: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    p = 0  # the polygons are the cycles' copies in this order, as SurfaceComplex lists them
     for cycle, copies in cycles.items():
         classes = [
             (outgoing if i % 2 else incoming).setdefault(key, [])
             for i, key in zip(cycle.verts, _side_keys(graph, cycle))
         ]
         for _ in range(copies):
-            p = len(polygons)
             for t, members in enumerate(classes):
                 members.append((p, t))
-            polygons.append(cycle)
-    if set(incoming) != set(outgoing):
-        raise PairingError("incoming and outgoing side label classes differ")
+            p += 1
     pairing: dict[tuple[int, int], tuple[int, int]] = {}
-    for key in sorted(incoming):
-        ins, outs = incoming[key], outgoing[key]  # each in (polygon, side) order
-        if len(ins) != len(outs):
-            raise PairingError(
-                f"label class {key} has {len(ins)} incoming but {len(outs)} outgoing sides"
-            )
-        for a, b in zip(ins, outs):
+    for key, ins in incoming.items():
+        for a, b in zip(ins, outgoing.get(key, ())):  # each class in (polygon, side) order
             pairing[a] = b
             pairing[b] = a
-    return SurfaceComplex(graph, cycles, verdict.per_edge_usage, tuple(polygons), pairing)
+    return SurfaceComplex(graph, cycles, verdict.per_edge_usage, pairing)
 
 
 class BoundaryReading(NamedTuple):
@@ -259,12 +249,6 @@ class SurfaceReport(NamedTuple):
             ],
             "positive_degrees": {str(j): d for j, d in sorted(self.positive_degrees.items())},
         }
-
-
-def witness_hash(graph: WhiteheadGraph, witness: CycleList, usage: dict[int, int]) -> str:
-    """The witness JSON's hash; ``witness`` lists its cycles in :func:`cycle_order`."""
-    blob = json.dumps(ordered_witness_json(graph, list(witness), witness, usage), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def surface_report(complex_: SurfaceComplex, word_list: WordList) -> SurfaceReport:

@@ -19,6 +19,7 @@ it picks the construction, and its answer goes to that verifier.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Mapping
 from math import gcd, lcm
 from typing import NamedTuple
@@ -409,20 +410,37 @@ def witness_to_json(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, i
     :class:`WitnessVerdict` gives it, its cycles in :func:`cycle_order`;
     nothing is counted or verified here.  The ``witness`` command writes the
     JSON of this dict straight from the verdict, without building it."""
-    return ordered_witness_json(graph, sorted(cycles, key=cycle_order), cycles, usage)
-
-
-def ordered_witness_json(
-    graph: WhiteheadGraph, order: list[Cycle], cycles: CycleList, usage: dict[int, int]
-) -> dict:
-    """:func:`witness_to_json` for the cycles of ``cycles`` already sorted
-    by :func:`cycle_order` into ``order``."""
     return {
         "graph_hash": graph_hash(graph),
-        "cycles": [{"edges": sorted(c.edges), "multiplicity": cycles[c]} for c in order],
+        "cycles": [
+            {"edges": sorted(c.edges), "multiplicity": cycles[c]}
+            for c in sorted(cycles, key=cycle_order)
+        ],
         "long_cycle_present": any(c.is_long for c in cycles),
         "per_edge_usage": {str(eid): n for eid, n in sorted(usage.items())},
     }
+
+
+def witness_hash(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]) -> str:
+    """The first 16 hex digits of the SHA-256 of ``json.dumps(witness_to_json(graph,
+    cycles, usage), sort_keys=True)``, the text written here in one string, for
+    ``cycles`` already listed in :func:`cycle_order`.
+
+    The usage entries are sorted as the strings ``'"<id>": <n>'``, which sorts
+    them by their keys as strings (``"10"`` before ``"2"``, ``"-1"`` before
+    ``"0"``): the closing quote sorts below every digit and below ``-``.
+    """
+    entries = ", ".join([
+        f'{{"edges": [{", ".join(map(str, sorted(c.edges)))}], "multiplicity": {n}}}'
+        for c, n in cycles.items()
+    ])
+    counts = ", ".join(sorted([f'"{eid}": {n}' for eid, n in usage.items()]))
+    long = "true" if any(c.is_long for c in cycles) else "false"
+    text = (
+        f'{{"cycles": [{entries}], "graph_hash": "{graph_hash(graph)}", '
+        f'"long_cycle_present": {long}, "per_edge_usage": {{{counts}}}}}'
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def witness_from_json(graph: WhiteheadGraph, data: dict) -> dict[frozenset[int], int]:

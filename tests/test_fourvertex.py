@@ -312,7 +312,7 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
     plain = make_plain(2, pairs)
     sigma = {i: {eid: eid for eid in plain.delta(v)} for i, v in enumerate(plain.vertices())}
     graph = WhiteheadGraph(2, list(plain.edges.items()), sigma)
-    aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
+    aux = build_auxiliary_digraph(graph, vid(1, 1))
     assert all(c.ends is None and len(c.edges) == 1 for c in aux.components)
 
 
@@ -331,9 +331,9 @@ def test_aux_digraph_figure_seven():
 
 
 def test_aux_digraph_rejects_low_degree():
-    graph = words_graph("rank 2\nabAB\n")
-    with pytest.raises(PreconditionError):
-        build_auxiliary_digraph(graph, vid(1, 1), u=vid(1, 1))
+    graph = words_graph("rank 2\nabb\n")  # a1 has one edge
+    with pytest.raises(PreconditionError, match="minimum degree 1 < 2"):
+        build_auxiliary_digraph(graph, vid(1, 1))
 
 
 def test_long_cycle_with_short_cycle_part_from_graph():
@@ -342,7 +342,7 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     plain = make_plain(2, pairs)
     swap, flip = {0: 0, 1: 2, 2: 1}, {3: 3, 4: 4}
     graph = WhiteheadGraph(2, list(plain.edges.items()), {0: swap, 1: swap, 2: flip, 3: flip})
-    aux = build_auxiliary_digraph(graph, vid(1, 1), u=vid(2, 1))
+    aux = build_auxiliary_digraph(graph, vid(1, 1))
     parts = decompose_good(aux)
     assert [p.type_tag for p in parts] == [8]
     comp = uniform_permutation(aux)

@@ -5,7 +5,7 @@ import polygonality as pg
 from polygonality import surface
 from polygonality.errors import PairingError, PreconditionError, VerificationError
 from polygonality.generators import random_fourvertex_instance
-from polygonality.witness import make_cycle
+from polygonality.witness import cycle_order, make_cycle
 
 from conftest import (
     oracle_is_orientable,
@@ -120,7 +120,7 @@ def swapped_pairing(cx):
 
 
 def reglue(cx, pairing):
-    return surface.SurfaceComplex(cx.graph, cx.witness, cx.usage, cx.polygons, pairing)
+    return surface.SurfaceComplex(cx.graph, cx.witness, cx.usage, pairing)
 
 
 def test_broken_pairing_detected(commutator):
@@ -252,6 +252,15 @@ def test_copies_of_a_cycle_share_one_side_tuple(monkeypatch):
     assert len(cx.polygons) == sum(good.cycles.values()) == 256
     assert len({id(p) for p in cx.polygons}) == 22
     assert {id(p) for p in cx.polygons} == {id(c) for c in cx.witness}
+
+
+@given(st.integers(0, 200))
+@settings(max_examples=20, deadline=None)
+def test_polygons_are_the_ordered_expansion_of_the_witness(seed):
+    graph = random_fourvertex_instance(seed)
+    cx = pg.build_surface(graph, pg.four_vertex_witness(graph).cycles)
+    assert list(cx.witness) == sorted(cx.witness, key=cycle_order)
+    assert list(cx.polygons) == [c for c, n in cx.witness.items() for _ in range(n)]
 
 
 def test_cycle_walk_structure():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +18,7 @@ from polygonality.witness import (
     cycle_order,
     make_cycle,
     witness_from_json,
+    witness_hash,
     witness_to_json,
 )
 
@@ -486,6 +489,30 @@ def assert_verdict_recounts(graph, edge_sets, require_long=False):
 def test_verdict_matches_brute_force_recount(seed, case):
     graph, found = case(seed)
     assert assert_verdict_recounts(graph, found, require_long=True).ok
+
+
+def assert_hash_is_of_the_json_text(graph, edge_sets):
+    verdict = pg.verify_witness(graph, edge_sets)
+    cycles, usage = verdict.cycles, verdict.per_edge_usage
+    blob = json.dumps(witness_to_json(graph, cycles, usage), sort_keys=True)
+    ordered = {c: cycles[c] for c in sorted(cycles, key=cycle_order)}
+    assert witness_hash(graph, ordered, usage) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@given(st.integers(0, 300), st.sampled_from([_regular_case, _fourvertex_case]))
+@settings(max_examples=30, deadline=None)
+def test_witness_hash_is_the_hash_of_the_json_text(seed, case):
+    assert_hash_is_of_the_json_text(*case(seed))
+
+
+def test_witness_hash_sorts_usage_keys_as_strings():
+    # "10" sorts before "2", and "-1" before "0", as json.dumps sorts the keys
+    ids = [-12, -2, -1, 0, 2, 10, 11]
+    turned = dict(zip(ids, ids[3:] + ids[:3]))
+    sigma = {0: turned, 1: {img: e for e, img in turned.items()}}
+    graph = pg.WhiteheadGraph(1, [(eid, (0, 1)) for eid in ids], sigma)
+    bigons = {frozenset(pair): 1 + j % 3 for j, pair in enumerate(itertools.combinations(ids, 2))}
+    assert_hash_is_of_the_json_text(graph, bigons)
 
 
 def _bigons(graph) -> list[frozenset[int]]:
