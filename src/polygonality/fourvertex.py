@@ -9,13 +9,16 @@ its nodes are the dart of each edge x at ``w`` and that dart's connecting-map
 image, its arcs run from the image of x to the dart of x and from the dart of
 x to the image of y when x is sigma_w(y).  So each component alternates the
 image and dart of one edge, then of the next, and is stored as that chain of
-edges.  Partition the chains into the eight good shapes and complete each
-part into a permutation pi of its edges, whose cycles join the part's chains
-end to end, so that pi is "good" (images under the connecting map stay
-disjoint) and "uniform" (a list of orbits of the induced pair permutation
-covers every edge at ``w`` the same number of times).  The completion hands
-over sigma_w after pi and the orbit pairs weighted by how often the list
-holds them.  One function then peels edges between the opposite vertex pair
+edges, and the digraph is those chains and nothing else.  Partition the
+chains into the eight good shapes, pairing the short ones off in one pass per
+phase, and complete each part into a permutation pi of its edges, whose
+cycles join the part's chains end to end, so that pi is "good" (images under
+the connecting map stay disjoint) and "uniform" (a list of orbits of the
+induced pair permutation, each listed once with its count, covers every edge
+at ``w`` the same number of times).  Given sigma_w, the completion hands over
+plain values: sigma_w after pi, the orbit pairs weighted by how often the
+list holds them, and the coverage constant.  Given the positive vertex u of
+the other pair, one function then peels edges between the opposite vertex pair
 down to a regular graph and writes the cycle list of every level in closed
 form: the bigons, triangles and quadrilaterals patched in from the orbit
 pairs, and the cycles of the regular graph at the bottom.  That graph is
@@ -57,22 +60,11 @@ class Chain(NamedTuple):
 class AuxDigraph:
     """The auxiliary digraph at ``w`` as its chains: paths by first edge, then cycles.
 
-    It has two nodes per edge, and only path ends carry a color.  Instances
-    may also be built abstractly (no backing graph) for exhaustive
-    decomposition tests.
+    It has two nodes per edge, and only path ends carry a color.
     """
 
-    def __init__(
-        self,
-        components: tuple[Chain, ...],
-        graph: Multigraph | None = None,
-        u: VertexId | None = None,
-        sigma_w: dict[int, int] | None = None,
-    ):
+    def __init__(self, components: tuple[Chain, ...]):
         self.components = components
-        self.graph = graph
-        self.u = u
-        self.sigma_w = sigma_w or {}
         self.num_edges = sum(len(c.edges) for c in components)
         ends = Counter(c.ends for c in components)
         if ends["RB"] != ends["BR"]:
@@ -140,7 +132,7 @@ def build_auxiliary_digraph(graph: WhiteheadGraph, w: VertexId) -> AuxDigraph:
             edges = chain(x)
             comps.append(Chain(edges, None))
             seen.update(edges)
-    aux = AuxDigraph(tuple(comps), graph, u, sigma_w)
+    aux = AuxDigraph(tuple(comps))
     if not aux.is_good():
         raise GraphError(
             "auxiliary digraph is not good; the edge-connectivity precondition fails"
@@ -160,6 +152,18 @@ def _first(comps, pred):
     return next((c for c in comps if pred(c)), None)
 
 
+def _pair_off(comps, tag, xs, ys):
+    """Parts of shape ``tag`` pairing the i-th of ``xs`` with the i-th of ``ys``,
+    and the components left, in order; a lone short cycle left joins the last part."""
+    parts = [GoodPart(tag, pair) for pair in zip(xs, ys)]
+    paired = {c for part in parts for c in part.components}
+    rest = [c for c in comps if c not in paired]
+    if parts and len(rest) == 1 and rest[0].short and rest[0].ends is None:
+        parts[-1] = GoodPart(tag, parts[-1].components + (rest[0],))
+        rest = []
+    return parts, rest
+
+
 def decompose_good(D: AuxDigraph) -> list[GoodPart]:
     """Partition a good auxiliary digraph into parts of the eight known shapes.
 
@@ -173,43 +177,13 @@ def decompose_good(D: AuxDigraph) -> list[GoodPart]:
     if not D.is_good():
         raise PreconditionError("digraph is not good (a color exceeds half the nodes)")
     comps = list(D.components)
-    parts: list[GoodPart] = []
-
-    while True:
-        rr = _first(comps, lambda c: c.short and c.ends == "RR")
-        bb = _first(comps, lambda c: c.short and c.ends == "BB")
-        if rr is None or bb is None:
-            break
-        rest = [c for c in comps if c is not rr and c is not bb]
-        if not rest:
-            parts.append(GoodPart(1, (rr, bb)))
-            comps = []
-            break
-        if sum(len(c.edges) for c in rest) == 1:
-            only = rest[0]
-            if only.ends is not None:
-                raise VerificationError("two leftover nodes should form a short cycle")
-            parts.append(GoodPart(1, (rr, bb, only)))
-            comps = []
-            break
-        parts.append(GoodPart(1, (rr, bb)))
-        comps = rest
-
-    has_rr = _first(comps, lambda c: c.short and c.ends == "RR") is not None
-    yy_class = "RR" if has_rr else "BB"
-
-    while comps:
-        sc = _first(comps, lambda c: c.ends is None and c.short)
-        yy = _first(comps, lambda c: c.short and c.ends == yy_class)
-        if sc is None or yy is None:
-            break
-        others = [c for c in comps if c is not sc and c is not yy]
-        if len(others) <= 1 and all(c.ends is None and c.short for c in others):
-            parts.append(GoodPart(2, (yy, sc) + tuple(others)))
-            comps = []
-            break
-        parts.append(GoodPart(2, (yy, sc)))
-        comps = others
+    rr = [c for c in comps if c.short and c.ends == "RR"]
+    bb = [c for c in comps if c.short and c.ends == "BB"]
+    parts, comps = _pair_off(comps, 1, rr, bb)
+    # short paths of one color at most are left, to pair with the short cycles
+    yy = rr[len(parts) :] or bb[len(parts) :]
+    more, comps = _pair_off(comps, 2, yy, [c for c in comps if c.short and c.ends is None])
+    parts += more
 
     short_cycles = [c for c in comps if c.ends is None and c.short]
     if short_cycles:
@@ -264,19 +238,17 @@ def _pack_long_shapes(comps, shorts) -> list[GoodPart]:
             skeletons.append((5, [c]))
     for br, rb in zip(brs, rbs):
         skeletons.append((6, [br, rb]))
-    if shorts and not skeletons:
-        raise PreconditionError("short paths cannot be absorbed; digraph was not good")
-    pending = list(shorts)
     packed: list[GoodPart] = []
+    taken = 0
     for tag, members in skeletons:
-        if pending:  # half the skeleton's nodes, less those of the short paths' color
-            y = pending[0].ends[0]
+        if taken < len(shorts):  # half the skeleton's nodes, less those of the short paths' color
+            y = shorts[taken].ends[0]
             capacity = sum(len(c.edges) - (c.ends or "").count(y) for c in members)
-            while pending and capacity > 0:
-                members.append(pending.pop(0))
-                capacity -= 1
+            absorbed = shorts[taken : taken + capacity]
+            members += absorbed
+            taken += len(absorbed)
         packed.append(GoodPart(tag, tuple(members)))
-    if pending:
+    if taken < len(shorts):
         raise PreconditionError("short paths cannot be absorbed; digraph was not good")
     return packed
 
@@ -292,20 +264,14 @@ class Completion(NamedTuple):
     times the rescaled orbit list holds it, in first-listed order.
     """
 
-    aux: AuxDigraph
     sigma_after_pi: dict[int, int]
     orbit_pairs: Counter[frozenset[int]]
     c: int
 
 
 def _orbit_offset(xs: tuple[int, ...], off: int) -> tuple[frozenset[int], ...]:
-    m = len(xs)
-    out = []
-    for i in range(m):
-        pair = frozenset((xs[i], xs[(i + off) % m]))
-        if pair not in out and len(pair) == 2:
-            out.append(pair)
-    return tuple(out)
+    pairs = (frozenset((x, xs[(i + off) % len(xs)])) for i, x in enumerate(xs))
+    return tuple(dict.fromkeys(pair for pair in pairs if len(pair) == 2))
 
 
 def _orbit_star(xs: tuple[int, ...], y: int) -> tuple[frozenset[int], ...]:
@@ -318,15 +284,16 @@ def part_completion(part: GoodPart):
     pi permutes the part's edges.  Each of its cycles, an edge tuple, is the
     part's chains joined end to end, each path's sink to a path's source of
     the same color, and pi sends each edge to the next one in its cycle.  The
-    orbit list is a list of orbits of the induced pair permutation; each
-    orbit is a tuple of 2-sets of edges.  Every edge of the part appears in
-    exactly ``c`` pairs counted over the whole list.
+    orbit list holds orbits of the induced pair permutation, each once as
+    ``(orbit, n)``: the orbit, a tuple of 2-sets of edges, counts n > 0
+    times.  Every edge of the part appears in exactly ``c`` pairs counted
+    over the whole list.
     """
     tag = part.type_tag
     cycles = [c.edges for c in part.components]  # each path closed on itself
     if tag in (1, 4):
         es = sorted(x for c in part.components for x in c.edges)
-        orbits = [(frozenset((a, b)),) for a, b in itertools.combinations(es, 2)]
+        orbits = [((frozenset((a, b)),), 1) for a, b in itertools.combinations(es, 2)]
         c = len(part.components) - 1
     elif tag == 2:
         xs = next(c.edges for c in part.components if c.ends is not None)
@@ -341,13 +308,13 @@ def part_completion(part: GoodPart):
                     "shape (2) with two short cycles needs a one-edge path,"
                     f" got {m} edges at w"
                 )
-            orbits, c = [stars[0], stars[1], (frozenset((ys[0], ys[1])),)], 2
+            orbits, c = [(stars[0], 1), (stars[1], 1), ((frozenset(ys),), 1)], 2
         elif m == 1:
-            orbits, c = [stars[0]], 1
+            orbits, c = [(stars[0], 1)], 1
         elif m == 2:
-            orbits, c = [stars[0], op], 2
+            orbits, c = [(stars[0], 1), (op, 1)], 2
         else:
-            orbits, c = [stars[0]] * 2 + [op] * (m - 1), 2 * m
+            orbits, c = [(stars[0], 2), (op, m - 1)], 2 * m
     elif tag == 3:
         br = next(c for c in part.components if c.ends == "BR")
         rb = next(c for c in part.components if c.ends == "RB")
@@ -357,9 +324,9 @@ def part_completion(part: GoodPart):
         m = len(xs)
         op, oc = _orbit_offset(xs, 1), _orbit_star(xs, sc.edges[0])
         if m == 2:
-            orbits, c = [oc, op], 2
+            orbits, c = [(oc, 1), (op, 1)], 2
         else:
-            orbits, c = [oc] * 2 + [op] * (m - 1), 2 * m
+            orbits, c = [(oc, 2), (op, m - 1)], 2 * m
     elif tag in (7, 8) or (
         tag == 5 and {"R", "B"} <= set("".join(c.ends or "" for c in part.components))
     ):
@@ -371,10 +338,10 @@ def part_completion(part: GoodPart):
             raise VerificationError("more short components than long-cycle edges")
         op = _orbit_offset(xs, 1)
         if k == 0:
-            orbits, c = [op], (2 if M > 2 else 1)
+            orbits, c = [(op, 1)], (2 if M > 2 else 1)
         else:
             p = (M - k) if M > 2 else (4 - 2 * k)
-            orbits = [o for y in ys for o in (_orbit_star(xs, y),) * 2] + [op] * p
+            orbits = [(_orbit_star(xs, y), 2) for y in ys] + ([(op, p)] if p else [])
             c = 2 * M
     else:  # tag 6, or tag 5 with a single color: one chained cycle
         paths = part.components
@@ -392,34 +359,33 @@ def part_completion(part: GoodPart):
         xs = tuple(x for c in order for x in c.edges)
         cycles = [xs]
         M = len(xs)
-        orbits, c = [_orbit_offset(xs, M // 2)], (2 if M % 2 else 1)
+        orbits, c = [(_orbit_offset(xs, M // 2), 1)], (2 if M % 2 else 1)
     return cycles, orbits, c
 
 
-def uniform_permutation(D: AuxDigraph) -> Completion:
+def uniform_permutation(D: AuxDigraph, sigma_w: dict[int, int]) -> Completion:
     """Complete the digraph so the induced permutation at ``w`` is good and uniform.
 
-    Per-part completions are rescaled to a common coverage constant by least
-    common multiple: a part's orbits count ``c // c_part`` times.  sigma_w
-    after pi is read off the cycles of pi, edge to next edge.
+    ``sigma_w`` is the connecting map at ``w``.  Per-part completions are
+    rescaled to a common coverage constant by least common multiple: a
+    part's orbits count ``c // c_part`` times as often.  sigma_w after pi is
+    read off the cycles of pi, edge to next edge.
     """
-    if D.graph is None:
-        raise PreconditionError("uniform completion needs a graph-backed digraph")
     sigma_after_pi: dict[int, int] = {}
     per_part = []
     for part in decompose_good(D):
         cycles, orbits, c_part = part_completion(part)
         for cyc in cycles:
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-                sigma_after_pi[x] = D.sigma_w[y]
+                sigma_after_pi[x] = sigma_w[y]
         per_part.append((orbits, c_part))
     c = lcm(*(c_part for _, c_part in per_part))
     orbit_pairs: Counter[frozenset[int]] = Counter()
     for orbits, c_part in per_part:
-        for orbit in orbits:
+        for orbit, n in orbits:
             for pair in orbit:
-                orbit_pairs[pair] += c // c_part
-    return Completion(D, sigma_after_pi, orbit_pairs, c)
+                orbit_pairs[pair] += n * (c // c_part)
+    return Completion(sigma_after_pi, orbit_pairs, c)
 
 
 # -- the inductive witness ----------------------------------------------------
@@ -493,19 +459,17 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
 
 
 def inductive_witness(
-    graph: WhiteheadGraph, w: VertexId, completion: Completion
+    graph: WhiteheadGraph, w: VertexId, u: VertexId, completion: Completion
 ) -> GoodList:
-    """Run the edge peeling under a fixed uniform completion, in one pass.
+    """Run the edge peeling under a fixed uniform completion at ``w``, in one pass.
 
-    Every level's cycles and constants are written in closed form, and
-    ``constants_per_level`` lists the levels top-down.  The graph itself must meet the level preconditions, as checked by
-    :func:`four_vertex_witness`; the peeled graphs then meet them too (see
-    :func:`_check_level_preconditions`).
+    ``u`` is the positive vertex of the other pair.  Every level's cycles and
+    constants are written in closed form, and ``constants_per_level`` lists
+    the levels top-down.  The graph itself must meet the level preconditions,
+    as checked by :func:`four_vertex_witness`; the peeled graphs then meet
+    them too (see :func:`_check_level_preconditions`).
     """
-    D, c = completion.aux, completion.c
-    if D.graph is not graph:
-        raise PreconditionError("completion was built for a different graph")
-    u = D.u
+    c = completion.c
     # level j (0 at the top) peels uu[j], until deg(u) = deg(w).  Only u-u'
     # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
     # the bigons of each level are read off the input graph, and only the
@@ -576,8 +540,8 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     u, _ = _other_pair(graph, w)
     _check_level_preconditions(graph, w, u)
     aux = build_auxiliary_digraph(graph, w)
-    completion = uniform_permutation(aux)
-    good = inductive_witness(graph, w, completion)
+    completion = uniform_permutation(aux, graph.sigma[w.index])
+    good = inductive_witness(graph, w, u, completion)
     # the base graph is connected, so two of its K4 classes are non-empty and
     # two of its matchings differ in a four-cycle; this guards that argument
     if not any(len(c) >= 3 for c in good.cycles):

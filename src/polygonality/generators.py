@@ -16,6 +16,9 @@ from .words import MAX_WORD_LENGTH
 
 #: how many candidates each generator samples before it gives up
 MAX_ATTEMPTS = 2000
+#: how many stubs the regular generator shuffles over all its attempts, at
+#: least one attempt's worth; it bounds the shuffles, not each attempt's check
+MAX_STUBS = 4_000_000
 
 
 def _check_edges(edges: int) -> None:
@@ -47,7 +50,8 @@ def random_regular_instance(seed: int, k: int, pairs: int) -> WhiteheadGraph:
         raise PreconditionError(f"rank {pairs} is over the cap of {MAX_RANK}")
     _check_edges(k * pairs)
     rng = random.Random(("regular", seed, k, pairs).__repr__())
-    for _ in range(MAX_ATTEMPTS):
+    attempts = min(MAX_ATTEMPTS, max(1, MAX_STUBS // (2 * k * pairs)))
+    for _ in range(attempts):
         stubs = [i for i in range(2 * pairs) for _ in range(k)]  # vertex indices
         rng.shuffle(stubs)
         mates = list(zip(stubs[0::2], stubs[1::2]))
@@ -59,7 +63,7 @@ def random_regular_instance(seed: int, k: int, pairs: int) -> WhiteheadGraph:
             continue
         return WhiteheadGraph(pairs, edges, random_sigma(plain, rng))
     raise PreconditionError(
-        f"no valid {k}-regular instance on {2 * pairs} vertices after {MAX_ATTEMPTS} tries"
+        f"no valid {k}-regular instance on {2 * pairs} vertices after {attempts} tries"
     )
 
 

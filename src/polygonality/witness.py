@@ -309,10 +309,10 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     passes to :func:`verify_witness`, or an :class:`Infeasible`.
     """
     cycles = enumerate_cycles(graph)
-    rows, keys = _constraint_rows(graph, cycles)
-    if not cycles:
-        return Infeasible(require_long, (), "0")
     objective = [1 if (c.is_long or not require_long) else 0 for c in cycles]
+    if not any(objective):  # nothing to weigh: zero multipliers refute, with no row built
+        return Infeasible(require_long, (), "0")
+    rows, keys = _constraint_rows(graph, cycles)
     res = maximize_homogeneous(rows, objective)
     if res.objective > 0:
         return {frozenset(c.edges): m for c, m in zip(cycles, res.integer_x()) if m}
@@ -372,12 +372,16 @@ def decide(graph: WhiteheadGraph, method: str = "auto", require_long: bool = Tru
 
     ``auto`` tries the constructions in :data:`METHODS` order and moves on
     only when one raises :class:`PreconditionError`, keeping its message; a
-    named method, or the last one, re-raises it.  A constructed list is
-    divided by the gcd of its multiplicities: the quotient is still balanced,
-    keeps its long cycles and certifies the same surface from fewer polygons.
-    The edge and pair counts among the extras are divided with it, so they
-    describe the list returned.  Nothing is verified here: the caller hands
-    the list to :func:`verify_witness`.
+    named method, or the last one, re-raises it.  Under ``require_long``, a
+    list other than the last one's with no cycle of length at least three is
+    passed over the same way: such a list uses every turn, so every active
+    vertex has a single neighbour, no list has a long cycle, and the LP
+    refutes it at once.  A constructed list is divided by the gcd of its
+    multiplicities: the quotient is still balanced, keeps its long cycles and
+    certifies the same surface from fewer polygons.  The edge and pair counts
+    among the extras are divided with it, so they describe the list returned.
+    Nothing is verified here: the caller hands the list to
+    :func:`verify_witness`.
     """
     if method != "auto" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected auto or one of {METHODS}")
@@ -386,6 +390,8 @@ def decide(graph: WhiteheadGraph, method: str = "auto", require_long: bool = Tru
     for name in tried:
         try:
             found, extras = _construct(graph, name, require_long)
+            if require_long and name != tried[-1] and not any(len(c) >= 3 for c in found):
+                raise PreconditionError(f"the {name} list has no cycle of length at least three")
             break
         except PreconditionError as exc:
             if name == tried[-1]:

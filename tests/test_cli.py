@@ -140,6 +140,39 @@ def test_witness_lp_refuted_exit_code(tmp_path):
     assert data["infeasible"] is True and data["farkas"]
 
 
+@pytest.mark.parametrize("text", ["rank 2\nab\nAB\n", "rank 1\naa\n"], ids=["ab-AB", "aa"])
+def test_a_bigon_only_list_gives_way_to_the_refutation(tmp_path, text):
+    # every active vertex has a single neighbour, so no list has a long cycle:
+    # both commands write the LP's refutation, while a forced regular route
+    # still writes its bigons
+    spec, out = tmp_path / "in.txt", tmp_path / "out.json"
+    spec.write_text(text, encoding="utf-8")
+    for argv in (("witness", str(spec), "--require-long"), ("surface", str(spec))):
+        assert run_cli(*argv, "--out", str(out)) == 2
+        data = read_json(out)
+        assert data["infeasible"] is True and data["require_long"] is True
+    argv = ("witness", str(spec), "--method", "regular", "--require-long", "--out", str(out))
+    assert run_cli(*argv) == 2
+    data = read_json(out)
+    assert data["method"] == "regular" and data["long_cycle_present"] is False
+    assert run_cli("surface", str(spec), "--method", "regular", "--out", str(out)) == 1
+
+
+def test_a_long_bigon_only_word_is_refuted_without_the_simplex(tmp_path, monkeypatch):
+    # rank 1 / a^200 has C(200, 2) bigons and no long cycle: zero multipliers
+    # refute it, so no balance row is built and no simplex runs
+    def fail(*args):
+        raise AssertionError("the LP was solved")
+
+    monkeypatch.setattr(witness, "_constraint_rows", fail)
+    monkeypatch.setattr(witness, "maximize_homogeneous", fail)
+    spec, out = tmp_path / "in.txt", tmp_path / "out.json"
+    spec.write_text("rank 1\n" + "a" * 200 + "\n", encoding="utf-8")
+    assert run_cli("surface", str(spec), "--out", str(out)) == 2
+    data = read_json(out)
+    assert data["infeasible"] is True and data["farkas"] == []
+
+
 def test_witness_methods_agree(tmp_path):
     for method in ("fourvertex", "lp", "auto"):
         out = tmp_path / f"w-{method}.json"

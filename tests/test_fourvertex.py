@@ -221,17 +221,17 @@ def test_part_completions_uniform_on_exhaustive_corpus():
                     assert sources.get(pi[cc.edges[-1]]) == cc.ends[1]
             # each listed orbit is closed under pi, and covers the edges c times
             coverage = Counter()
-            for orbit in orbits:
+            for orbit, n in orbits:
                 for pair in orbit:
                     assert frozenset(pi[x] for x in pair) in orbit
-                    coverage.update(pair)
+                    coverage.update(dict.fromkeys(pair, n))
             assert coverage == dict.fromkeys(pi, c)
             # the one-orbit offset recipe never pairs two sinks of one color
             sink = {cc.edges[-1]: cc.ends[1] for cc in part.components if cc.ends}
             single_color = not {"R", "B"} <= set("".join(sink.values()))
             if part.type_tag == 6 or (part.type_tag == 5 and single_color):
                 assert all(
-                    {sink.get(x) for x in pair} not in ({"R"}, {"B"}) for pair in orbits[0]
+                    {sink.get(x) for x in pair} not in ({"R"}, {"B"}) for pair in orbits[0][0]
                 )
 
 
@@ -264,6 +264,21 @@ def test_completion_constants_for_small_shapes():
     part3 = GoodPart(1, tuple(D3.components))
     _, orbits3, c3 = part_completion(part3)
     assert c3 == 2 and len(orbits3) == 3  # all pairs of the three fixed points
+
+
+def test_a_long_cycle_with_one_short_path_per_edge_lists_no_empty_orbit():
+    # three short paths fill a three-edge cycle: the offset orbit would count
+    # M - k = 0 times, so only the three stars are listed, each twice
+    D = build_abstract([("cycle", 6)] + [("path", 2, "R", "R")] * 3)
+    parts = decompose_good(D)
+    assert [(p.type_tag, len(p.components)) for p in parts] == [(7, 4)]
+    _, orbits, c = part_completion(parts[0])
+    assert c == 6 and [n for _, n in orbits] == [2, 2, 2]
+    coverage = Counter()
+    for orbit, n in orbits:
+        for pair in orbit:
+            coverage.update(dict.fromkeys(pair, n))
+    assert coverage == dict.fromkeys(range(6), c)
 
 
 def test_part_completion_rejects_the_gap_shape():
@@ -302,7 +317,6 @@ def _shapes(aux):
 
 def test_aux_digraph_commutator(commutator):
     aux = build_auxiliary_digraph(commutator, vid(1, 1))
-    assert sorted(aux.sigma_w) == commutator.delta(vid(1, 1)) and len(aux.sigma_w) == 2
     assert [s[:2] for s in _shapes(aux)] == [("path", 2), ("path", 2)]
     assert aux.color_count("R") == 2 and aux.color_count("B") == 2
 
@@ -319,7 +333,6 @@ def test_aux_digraph_all_pair_edges_gives_two_cycles():
 def test_aux_digraph_figure_seven():
     graph = _figure7_graph()
     aux = build_auxiliary_digraph(graph, vid(1, 1))
-    assert len(aux.sigma_w) == 7
     assert _shapes(aux) == [
         ("path", 2, "BB"),
         ("path", 2, "BR"),
@@ -345,7 +358,7 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     aux = build_auxiliary_digraph(graph, vid(1, 1))
     parts = decompose_good(aux)
     assert [p.type_tag for p in parts] == [8]
-    comp = uniform_permutation(aux)
+    comp = uniform_permutation(aux, graph.sigma[vid(1, 1).index])
     assert comp.c == 4  # two copies of the star orbit, two of the offset orbit
 
 
@@ -360,7 +373,7 @@ def test_uniform_permutation_is_good_and_uniform(seed):
     graph = random_fourvertex_instance(seed)
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
-    comp = uniform_permutation(aux)
+    comp = uniform_permutation(aux, graph.sigma[w.index])
     assert sorted(comp.sigma_after_pi) == graph.delta(w)
     assert sorted(comp.sigma_after_pi.values()) == graph.delta(w.mu())
     for x, img in comp.sigma_after_pi.items():  # img is sigma_w(pi(x))
@@ -381,11 +394,11 @@ def test_uniform_permutation_is_good_and_uniform(seed):
 @example(_figure7_graph())
 @settings(max_examples=40, deadline=None)
 def test_completion_hands_over_what_the_node_level_completion_induces(graph):
-    # pi is read off every part's cycles, and each part's orbits are listed
-    # c // c_part times
+    # pi is read off every part's cycles, and each part's orbit counts are
+    # scaled by c // c_part
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
-    comp = uniform_permutation(aux)
+    comp = uniform_permutation(aux, graph.sigma[w.index])
     per_part = [part_completion(part) for part in decompose_good(aux)]
     pi = _pi([cyc for cycles, _, _ in per_part for cyc in cycles])
     assert sorted(pi) == sorted(pi.values()) == graph.delta(w)
@@ -398,8 +411,8 @@ def test_completion_hands_over_what_the_node_level_completion_induces(graph):
         assert arc[x] == y if x in arc else sigma_w[y] not in sigma_w
     assert comp.sigma_after_pi == {x: sigma_w[pi[x]] for x in graph.delta(w)}
     c = math.lcm(*(c_part for _, _, c_part in per_part))
-    orbit_list = [o for _, orbits, c_part in per_part for o in orbits * (c // c_part)]
-    expected = Counter(pair for orbit in orbit_list for pair in orbit)
+    orbit_list = [(o, n * (c // c_part)) for _, orbits, c_part in per_part for o, n in orbits]
+    expected = Counter(pair for orbit, n in orbit_list for _ in range(n) for pair in orbit)
     assert comp.c == c
     assert list(comp.orbit_pairs.items()) == list(expected.items())
 
@@ -413,7 +426,8 @@ def test_completion_and_good_list_are_pinned():
     ]
     digest = hashlib.sha256()
     for graph in graphs:
-        comp = uniform_permutation(build_auxiliary_digraph(graph, _min_degree_vertex(graph)))
+        w = _min_degree_vertex(graph)
+        comp = uniform_permutation(build_auxiliary_digraph(graph, w), graph.sigma[w.index])
         good = pg.four_vertex_witness(graph)
         record = [
             sorted(comp.sigma_after_pi.items()),
@@ -498,11 +512,10 @@ def test_peeling_does_not_deepen_the_stack():
 def _assert_inductive_matches_the_level_by_level_loop(graph):
     with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
         good = pg.four_vertex_witness(graph)
-    (g, w, completion), _ = spy.call_args
+    (g, w, u, completion), _ = spy.call_args
     levels = []
     cycles, c1, c2 = oracle_inductive(
-        g, w, completion.aux.u, completion.orbit_pairs, completion.sigma_after_pi, completion.c,
-        levels,
+        g, w, u, completion.orbit_pairs, completion.sigma_after_pi, completion.c, levels
     )
     assert list(good.cycles.items()) == list(cycles.items())  # insertion order too
     assert (good.c1, good.c2, good.constants_per_level) == (c1, c2, tuple(reversed(levels)))
@@ -767,7 +780,7 @@ def test_four_vertex_witness_walks_no_cycle(graph, repeats, monkeypatch):
     with mock.patch.object(fourvertex, "inductive_witness", wraps=fourvertex.inductive_witness) as spy:
         good = pg.four_vertex_witness(graph)
     assert not walks
-    (_, _, completion), _ = spy.call_args
+    (_, _, _, completion), _ = spy.call_args
     assert (max(completion.orbit_pairs.values()) > 1) == repeats
     assert pg.verify_witness(graph, good.cycles).ok
     assert walks["_walk"] == len(good.cycles)

@@ -4,11 +4,13 @@ import json
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import polygonality as pg
+from polygonality import generators
 from polygonality.errors import GraphError, PreconditionError
 from polygonality.generators import random_fourvertex_instance, random_regular_instance, random_sigma
 from polygonality.whitehead import (
@@ -573,6 +575,19 @@ def test_regular_instance_generator_properties():
     assert all(
         g.local_edge_connectivity(v, v.mu()) == 3 for v in g.vertices() if v.sign > 0
     )
+
+
+def test_the_regular_generator_shuffles_at_most_max_stubs(monkeypatch):
+    # each attempt shuffles 2 k pairs stubs: a large k * pairs gets fewer
+    # attempts, at least one, and the message names the attempts made
+    monkeypatch.setattr(generators, "analyze", lambda graph: pg.analyze(graph)._replace(minimal=False))
+    shuffle = random.Random.shuffle
+    for stubs, attempts in ((40, 5), (3, 1), (10**9, generators.MAX_ATTEMPTS)):
+        monkeypatch.setattr(generators, "MAX_STUBS", stubs)
+        with mock.patch.object(random.Random, "shuffle", autospec=True, side_effect=shuffle) as spy:
+            with pytest.raises(PreconditionError, match=f"after {attempts} tries$"):
+                random_regular_instance(1, 2, 2)
+        assert spy.call_count == attempts
 
 
 def _index_table_graphs(seed: int, kind: str):

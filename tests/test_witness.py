@@ -554,17 +554,29 @@ ROUTE = ("fourvertex", "regular", "lp")
 
 def assert_auto_takes_the_first_method_that_answers(graph, require_long=True):
     # each forced call either raises its PreconditionError or answers; auto
-    # passes over exactly the ones that raise before the first that answers
-    passed_over = []
+    # passes over exactly the ones that raise before the first that answers,
+    # and, under require_long, an answer before the last that the forced LP
+    # refutes, which is exactly an answer of bigons only
+    passed_over, lp = [], None
     for method in ROUTE:
         try:
             forced = pg.decide(graph, method, require_long)
-            break
         except PreconditionError as exc:
             passed_over.append((method, str(exc)))
+            continue
+        if require_long and method != ROUTE[-1]:
+            lp = lp or pg.decide(graph, "lp")
+            refuted = isinstance(lp.found, Infeasible)
+            assert refuted == all(len(c) == 2 for c in forced.found)
+            if refuted:
+                passed_over.append((method, None))  # the reason is auto's own
+                continue
+        break
     assert forced.method == method and forced.passed_over == ()
     auto = pg.decide(graph, "auto", require_long)
-    assert auto == pg.Decision(method, tuple(passed_over), forced.found, forced.extras)
+    assert [m for m, _ in auto.passed_over] == [m for m, _ in passed_over]
+    assert all(want in (None, got) for (_, want), (_, got) in zip(passed_over, auto.passed_over))
+    assert auto._replace(passed_over=()) == forced
     assert auto.extras["method"] == method
     return auto
 
@@ -597,6 +609,19 @@ ROUTE_GRAPHS = {
 @settings(max_examples=40, deadline=None)
 def test_auto_route_on_random_graphs(seed, kind, require_long):
     assert_auto_takes_the_first_method_that_answers(ROUTE_GRAPHS[kind](seed), require_long)
+
+
+@pytest.mark.parametrize("text", ["rank 2\nab\nAB\n", "rank 1\naa\n", "rank 2\nAAAAAA\n"])
+def test_auto_passes_over_a_bigon_only_list_under_require_long(text):
+    graph = words_graph(text)
+    auto = assert_auto_takes_the_first_method_that_answers(graph)
+    assert auto.method == "lp" and isinstance(auto.found, Infeasible)
+    assert auto.passed_over[-1] == (
+        "regular", "the regular list has no cycle of length at least three"
+    )
+    # a forced regular route, or auto without require_long, keeps the bigons
+    for decision in (pg.decide(graph, "regular"), pg.decide(graph, "auto", require_long=False)):
+        assert decision.method == "regular" and all(len(c) == 2 for c in decision.found)
 
 
 def test_decide_refuses_an_unknown_method(refutation_graph):
