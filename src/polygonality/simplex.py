@@ -1,36 +1,37 @@
 """Exact simplex for small dense linear programs with integer data.
 
-Linear programs with integer data are solved with Bland's anti-cycling rule
-by integer-preserving pivoting (Edmonds 1967, Bareiss 1968).  The tableau
-rows, their right-hand sides and the objective row are Python ints, each row
-over its own positive denominator ``dens[i]``; ``d`` is the absolute determinant
-of the current basis.  A pivot on ``p = T[r][col]`` first brings row ``r``
-up to ``d`` (``v * d // dens[r]``, exact) and negates it when ``p < 0``.  It
-then replaces only the rows ``i`` with ``f = T[i][col] != 0`` by
-``(p*T[i] - f*T[r]) // dens[i]``, a division that is always exact, and gives
-them and row ``r`` the denominator ``p``, which becomes the new ``d``; a row
-with a zero in the pivot column is not touched.  A row's positive scale
-cancels out of every sign and every ratio, so the pivots are the ones
-rational arithmetic would make, and no gcd is ever taken.  Rationals
-(``QQ``, which is fractions.Fraction) are built only for the returned
-values.  Problem sizes here are tiny (dozens of rows, a few hundred
+Linear programs with integer data are solved with Bland's anti-cycling rule on
+primitive integer rows.  Every tableau row, right-hand side last, is a list of
+Python ints with no common factor; a row's scale is its entry in its basic
+column, which stays positive, and the objective row is kept at some positive
+scale.  A pivot on ``p = T[r][col]`` negates row ``r`` when ``p < 0``.  Each
+other row with ``f = T[i][col] != 0`` becomes ``(a*T[i] - b*T[r]) / g``, with
+``a/b = p/f`` in lowest terms and ``g`` the gcd of the result; when ``a`` is
+1, as for a unit pivot, only the pivot row's support is touched.  A row with a
+zero in the pivot column is not touched.  A row's positive scale cancels out
+of every sign and every ratio, so the pivots are the ones rational arithmetic
+would make: a basic value is a row's right-hand side over its basic entry.
+Rationals (``QQ``, which is fractions.Fraction) are built only for the
+returned values.  Problem sizes here are tiny (dozens of rows, a few hundred
 columns), so a dense tableau is adequate.
 
 One entry point, :func:`maximize_homogeneous`, asks the package's one
 question: is there a nonzero, nonnegative ``x`` in the kernel of an integer
 matrix ``A`` with ``c.x > 0``?  It solves ``max c.x`` over ``A x = 0``,
 ``sum(x) <= 1``, ``x >= 0``.  The zero vector is feasible, so a crash basis
-from Gauss-Jordan elimination replaces phase one.  Pivoting stops at the
-first basis whose objective is positive: its ``x`` answers the question, and
-any positive point serves the callers, who scale it to integers.  A run that
-ends with no improving column has optimum zero, and its optimal duals are a
-refutation certificate.
+from Gauss-Jordan elimination, which reduces the objective row with the
+others, replaces phase one.  Pivoting stops at the first basis whose
+objective is positive: its ``x`` answers the question, and any positive
+point serves the callers, who scale it to integers.  A run that ends with no
+improving column has optimum zero, and its optimal duals are a refutation
+certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from operator import index
 from typing import NamedTuple
 
@@ -52,63 +53,75 @@ class LPResult(NamedTuple):
         return [val.numerator * (scale // val.denominator) for val in self.x]
 
 
-def _eliminate(rows: list[list[int]], dens: list[int], r: int, col: int, d: int) -> int:
-    """Integer-preserving pivot on ``rows[r][col]``; ``d`` is the basis determinant.
+def _eliminate(rows: list[list[int]], heads: list[int], r: int, col: int) -> None:
+    """Pivot on ``rows[r][col]`` over primitive integer rows, in place.
 
-    Row ``i`` is over its own denominator ``dens[i]``.  Row ``r`` is brought up
-    to ``d``, each row with a nonzero entry in ``col`` is updated over its own
-    denominator, and the other rows are left as they are.  Updates ``rows``
-    and ``dens`` in place and returns the new determinant.
+    Row ``r`` is negated when its entry is negative.  Each other row with a
+    nonzero ``f`` in ``col`` becomes ``(a*row - b*prow) / g``, where ``a/b``
+    is ``p/f`` in lowest terms and ``g`` is the gcd of the result; when ``a``
+    is 1 only the pivot row's support is touched.  A row with a zero in
+    ``col`` is left as it is, the same object.  ``heads[i]`` is the basic
+    column of row ``i``, or -1 (its right-hand side) for a row without one,
+    and ``col`` becomes the head of row ``r``.  The gcd is taken only where
+    it pays: a row that holds 1 at its head is primitive already, and a row
+    without a head, whose entries a unit update cannot scale up, is made
+    primitive when it becomes the pivot row.
     """
     prow = rows[r]
-    if dens[r] != d:
-        prow = [v * d // dens[r] for v in prow]
+    if heads[r] < 0:
+        g = gcd(*prow)
+        if g > 1:
+            prow = rows[r] = [v // g for v in prow]
     p = prow[col]
     if p < 0:
         p = -p
-        prow = [-v for v in prow]
-    rows[r], dens[r] = prow, p
-    support = [j for j, v in enumerate(prow) if v]
+        prow = rows[r] = [-v for v in prow]
+    support = list(compress(range(len(prow)), prow))
     for i, row in enumerate(rows):
         f = row[col]
         if not f or i == r:
             continue
-        den = dens[i]
-        if p == den:  # (p*a - f*b) // p, and f*b is then a multiple of p
+        if f % p == 0:
+            b = f // p
             for j in support:
-                row[j] -= f * prow[j] // den
+                row[j] -= b * prow[j]
+            if heads[i] < 0:
+                continue
         else:
-            rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
-            dens[i] = p
-    return p
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = rows[i] = [a * u - b * v for u, v in zip(row, prow)]
+        if row[heads[i]] != 1:
+            g = gcd(*row)
+            if g > 1:
+                rows[i] = [v // g for v in row]
+    heads[r] = col
 
 
 class _Tableau:
-    """Integer tableau, row ``i`` over its own positive denominator ``dens[i]``.
+    """Integer tableau of primitive rows.
 
     ``rows[i]`` holds the ``n`` column entries of row ``i`` followed by its
-    right-hand side; ``obj`` holds the reduced costs followed by minus the
-    objective value, over ``obj_den`` (``d`` at the start).  ``d`` is the
-    absolute determinant of the current basis.
+    right-hand side, divided by their gcd; its entry in the column
+    ``basis[i]`` is positive, and the other rows are zero there.  ``obj``
+    holds the reduced costs followed by minus the objective value, at some
+    positive scale.  A row's scale cancels out of every sign and every ratio
+    the pivoting rule reads.
     """
 
-    def __init__(self, rows, dens, basis, obj, d):
+    def __init__(self, rows, basis, obj):
         self.rows = rows
-        self.dens = dens
         self.basis = basis
         self.n = len(obj) - 1
-        self.d = d
         self.obj = obj
-        self.obj_den = d
 
     def pivot(self, r, col):
-        # the objective row takes part in every pivot
+        # the objective row, which has no basic column, takes part in every pivot
         self.rows.append(self.obj)
-        self.dens.append(self.obj_den)
-        self.d = _eliminate(self.rows, self.dens, r, col, self.d)
+        self.basis.append(-1)
+        _eliminate(self.rows, self.basis, r, col)
         self.obj = self.rows.pop()
-        self.obj_den = self.dens.pop()
-        self.basis[r] = col
+        self.basis.pop()
 
     def run(self):
         """Bland-rule pivoting until the objective is positive or every
@@ -133,42 +146,37 @@ class _Tableau:
                 raise SimplexError("unbounded linear program")
             self.pivot(best_r, col)
 
-    def objective(self):
-        return QQ(-self.obj[-1], self.obj_den)
+    def objective(self, cost):
+        """``sum(cost[b] * x[b])`` over the basis, as one fraction."""
+        terms = [(cost[bi], row[-1], row[bi]) for row, bi in zip(self.rows, self.basis) if cost[bi]]
+        den = lcm(*(a for _, _, a in terms))
+        return QQ(sum(f * rhs * (den // a) for f, rhs, a in terms), den)
 
     def solution(self, n):
         """Values of the first ``n`` columns at the current basis."""
         x = [ZERO] * n
-        for i, bi in enumerate(self.basis):
-            if bi < n:
-                x[bi] = QQ(self.rows[i][-1], self.dens[i])
+        for row, bi in zip(self.rows, self.basis):
+            if bi < n and row[-1]:
+                x[bi] = QQ(row[-1], row[bi])
         return x
 
 
-def _solve_duals(columns, cost, basis, nrows):
-    """Solve y.B = c_B exactly for the dual vector over the original rows."""
-    # transpose system B^T y = c_B, right-hand side as the last entry
-    mat = [[columns[bi][i] for i in range(nrows)] + [cost[bi]] for bi in basis]
-    dens = [1] * len(mat)
-    d = 1
-    y = [ZERO] * nrows
-    # Gauss-Jordan elimination with first-nonzero pivoting
-    rows = list(range(len(mat)))
-    piv_cols = []
-    for col in range(nrows):
-        pr = next((r for r in rows if mat[r][col] != 0), None)
-        if pr is None:
-            continue
-        rows.remove(pr)
-        piv_cols.append((pr, col))
-        d = _eliminate(mat, dens, pr, col, d)
-    for pr, col in piv_cols:
-        y[col] = QQ(mat[pr][-1], dens[pr])
+def _solve_duals(mat):
+    """The solution of the nonsingular system whose equations are the rows
+    of ``mat``, right-hand side last, by Gauss-Jordan elimination with
+    first-nonzero pivoting."""
+    heads = [-1] * len(mat)
+    pending = list(range(len(mat)))
+    for col in range(len(mat)):
+        pr = next((r for r in pending if mat[r][col]), None)
+        if pr is not None:
+            pending.remove(pr)
+            _eliminate(mat, heads, pr, col)
+    y = [ZERO] * len(mat)
+    for row, col in zip(mat, heads):
+        if col >= 0:
+            y[col] = QQ(row[-1], row[col])
     return y
-
-
-def _integers(values) -> list[int]:
-    return [index(v) for v in values]
 
 
 def maximize_homogeneous(A, c):
@@ -183,49 +191,35 @@ def maximize_homogeneous(A, c):
     """
     m, n = len(A), len(c)
     # extra slack column, then the right-hand side; the last row is sum(x) + s = 1
-    rows = [_integers(row) + [0, 0] for row in A]
+    rows = [list(map(index, row)) + [0, 0] for row in A]
     rows.append([1] * (n + 2))
-    cost = _integers(c) + [0]
-    # Gauss-Jordan crash basis on the homogeneous rows: the basic solution is
-    # x = 0, s = 1, which is feasible outright.
-    dens = [1] * (m + 1)
-    d = 1
-    basis_cols: list[int] = []
+    cost = list(map(index, c)) + [0]
+    # Gauss-Jordan crash basis on the homogeneous rows, the objective row
+    # reduced with them: the basic solution is x = 0, s = 1, feasible outright.
+    rows.append(cost + [0])
+    heads = [-1] * m + [n, -1]
     kept: list[int] = []
     for i in range(m):
         row = rows[i]
-        col = next((j for j in range(n) if row[j] != 0 and j not in basis_cols), None)
+        col = next(compress(range(n), row), None)
         if col is None:
             continue  # redundant row
-        d = _eliminate(rows, dens, i, col, d)
-        basis_cols.append(col)
+        _eliminate(rows, heads, i, col)
         kept.append(i)
-    tab_rows = [rows[i] for i in kept] + [rows[m]]
-    tab_dens = [dens[i] for i in kept] + [dens[m]]
-    tab_basis = basis_cols + [n]  # slack basic in the normalization row
-    # d * (c - c_B B^-1 A), exact once every basic row with a cost is over d
-    obj = [d * v for v in cost] + [0]
-    for i, bi in enumerate(tab_basis):
-        f = cost[bi]
-        if f:
-            if tab_dens[i] != d:
-                tab_rows[i] = [v * d // tab_dens[i] for v in tab_rows[i]]
-                tab_dens[i] = d
-            obj = [a - f * b for a, b in zip(obj, tab_rows[i])]
-    tab = _Tableau(tab_rows, tab_dens, tab_basis, obj, d)
+    obj = rows.pop()
+    kept.append(m)  # the normalization row, its slack basic
+    tab = _Tableau([rows[i] for i in kept], [heads[i] for i in kept], obj)
     tab.run()
-    objective = tab.objective()
+    objective = tab.objective(cost)
     if objective > 0:
         return LPResult(tab.solution(n), objective, [])
-    columns = {}
-    for bi in tab.basis:
-        col = [(A[kept[i]][bi] if bi < n else 0) for i in range(len(kept))]
-        col.append(1)
-        columns[bi] = col
-    y = _solve_duals(columns, cost, tab.basis, len(kept) + 1)
+    # y.B = c_B: B's columns are the basic columns of the kept rows of A and
+    # of the normalization row, where every column, the slack's too, has a 1
+    mat = [
+        [(index(A[i][bi]) if bi < n else 0) if i < m else 1 for i in kept] + [cost[bi]]
+        for bi in tab.basis
+    ]
     duals = [ZERO] * (m + 1)
-    for i, orig in enumerate(kept):
-        duals[orig] = y[i]
-    duals[m] = y[len(kept)]
+    for i, y in zip(kept, _solve_duals(mat)):
+        duals[i] = y
     return LPResult(tab.solution(n), objective, duals)
-

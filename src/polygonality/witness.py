@@ -20,6 +20,7 @@ it picks the construction, and its answer goes to that verifier.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from collections.abc import Mapping
 from math import gcd, lcm
 from typing import NamedTuple
@@ -271,29 +272,37 @@ def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
 
     A row is nonzero only when a cycle counts its turn or the image; each row
     is kept at the lesser of the two, in turn order, unless it cancels to zero.
+    A simple cycle passes a turn at most once, so a row cancels exactly when
+    the turn and its image are covered by the same cycles.
     """
-    covering: dict[Turn, list[int]] = {}
+    covering: defaultdict[Turn, list[int]] = defaultdict(list)
     for j, c in enumerate(cycles):
-        for turn in c.turns:
-            covering.setdefault(turn, []).append(j)
+        edges = c.edges
+        for i, e, f in zip(c.verts, edges[-1:] + edges, edges):
+            covering[(i, e, f) if e < f else (i, f, e)].append(j)
     sigma = graph.sigma
     images: dict[Turn, Turn] = {}  # the lesser turn of each pair to the greater
     for turn in covering:
         i, e, f = turn
         g, h = sigma[i][e], sigma[i][f]
         image = (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
-        images[min(turn, image)] = max(turn, image)
+        if turn < image:
+            images[turn] = image
+        else:
+            images[image] = turn
     verts = graph.vertices()
     rows, keys = [], []
     for turn in sorted(images):
+        plus, minus = covering.get(turn, []), covering.get(images[turn], [])
+        if plus == minus:
+            continue
         row = [0] * len(cycles)
-        for j in covering.get(turn, ()):
-            row[j] += 1
-        for j in covering.get(images[turn], ()):
+        for j in plus:
+            row[j] = 1
+        for j in minus:
             row[j] -= 1
-        if any(row):
-            rows.append(row)
-            keys.append((verts[turn[0]], turn[1:]))
+        rows.append(row)
+        keys.append((verts[turn[0]], turn[1:]))
     return rows, keys
 
 
@@ -450,29 +459,41 @@ def witness_hash(graph: WhiteheadGraph, cycles: CycleList, usage: dict[int, int]
 
 
 def witness_from_json(graph: WhiteheadGraph, data: dict) -> dict[frozenset[int], int]:
-    """Parse witness JSON strictly: cycle entries of exactly ``edges`` (int ids,
-    none repeated) and ``multiplicity`` (a positive int), and the graph's hash.
+    """Parse witness JSON strictly: an object whose ``cycles`` list holds
+    entries of exactly ``edges`` (a list of int ids, none repeated) and
+    ``multiplicity`` (a positive int), and the graph's hash.  A refutation
+    (``"infeasible": true``) is refused by name.
 
     Returns the multiplicity of each listed edge set, entries with one edge
     set merged, in one pass over the entries.  Nothing is walked here:
     :func:`verify_witness` walks each edge set, once, and rejects one that is
     not a cycle of the graph.
     """
+    if type(data) is not dict:
+        raise GraphError(f"malformed witness JSON: expected an object, got {type(data).__name__}")
+    if data.get("infeasible") is True:
+        raise GraphError('the JSON is a refutation ("infeasible": true), not a cycle-list witness')
+    entries = data.get("cycles")
+    if entries is None:
+        raise GraphError("malformed witness JSON: no cycles list")
+    if type(entries) is not list:
+        found = type(entries).__name__
+        raise GraphError(f"malformed witness JSON: cycles must be a list, got {found}")
     out: dict[frozenset[int], int] = {}
-    try:
-        for c in data["cycles"]:
-            listed = json_object(c, {"edges", "multiplicity"}, "a cycle")["edges"]
-            for eid in listed:
-                json_int(eid, "edge id")
-            eids = frozenset(listed)
-            if len(eids) != len(listed):
-                raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
-            mult = c["multiplicity"]
-            if type(mult) is not int or mult <= 0:
-                raise GraphError(f"multiplicity {mult!r} is not a positive integer")
-            out[eids] = out.get(eids, 0) + mult
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed witness JSON: {exc}") from exc
+    for c in entries:
+        listed = json_object(c, {"edges", "multiplicity"}, "a cycle")["edges"]
+        if type(listed) is not list:
+            found = type(listed).__name__
+            raise GraphError(f"malformed witness JSON: cycle edges must be a list, got {found}")
+        for eid in listed:
+            json_int(eid, "edge id")
+        eids = frozenset(listed)
+        if len(eids) != len(listed):
+            raise GraphError(f"cycle on edges {sorted(listed)} repeats an edge id")
+        mult = c["multiplicity"]
+        if type(mult) is not int or mult <= 0:
+            raise GraphError(f"multiplicity {mult!r} is not a positive integer")
+        out[eids] = out.get(eids, 0) + mult
     if "graph_hash" not in data:
         raise GraphError("malformed witness JSON: no graph_hash")
     if data["graph_hash"] != graph_hash(graph):

@@ -141,6 +141,33 @@ def oracle_turns(cycle) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+def oracle_constraint_rows(graph, cycles) -> tuple[list[list[int]], list]:
+    """Balance rows and their keys as ``Cycle.turns`` lists them: a dense row
+    per lesser turn of each turn-image pair, +1 on the cycles through the turn
+    and -1 on those through the image, kept in turn order unless it is zero."""
+    covering: dict = {}
+    for j, c in enumerate(cycles):
+        for turn in c.turns:
+            covering.setdefault(turn, []).append(j)
+    images = {}
+    for turn in covering:
+        i, e, f = turn
+        g, h = graph.sigma[i][e], graph.sigma[i][f]
+        image = (i ^ 1, min(g, h), max(g, h))
+        images[min(turn, image)] = max(turn, image)
+    rows, keys = [], []
+    for turn in sorted(images):
+        row = [0] * len(cycles)
+        for j in covering.get(turn, ()):
+            row[j] += 1
+        for j in covering.get(images[turn], ()):
+            row[j] -= 1
+        if any(row):
+            rows.append(row)
+            keys.append((graph.vertices()[turn[0]], turn[1:]))
+    return rows, keys
+
+
 def oracle_min_cut(graph: Multigraph, x: VertexId, y: VertexId) -> int:
     """Fewest edges leaving a vertex set that contains ``x`` and not ``y``,
     over all ``2^(2 rank - 2)`` such sets; the edges with the same two ends
@@ -326,20 +353,6 @@ def _compositions(total: int, parts: int, bound: int):
     for head in range(min(total, bound) + 1):
         for rest in _compositions(total - head, parts - 1, bound):
             yield (head,) + rest
-
-
-def oracle_common_denominator_pivot(rows: list[list[int]], r: int, col: int, d: int) -> int:
-    """Integer-preserving pivot with every row over the one denominator ``d``
-    (Bareiss): every row but ``r`` is rescaled, whether or not it meets the
-    pivot column.  Updates ``rows`` in place and returns the new denominator."""
-    if rows[r][col] < 0:
-        rows[r] = [-v for v in rows[r]]
-    prow, p = rows[r], rows[r][col]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[col]
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-    return p
 
 
 # -- reference simplex: Bland's rule on a Fraction tableau ---------------------

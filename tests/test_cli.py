@@ -442,6 +442,46 @@ def test_witness_json_with_a_repeated_key_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: malformed JSON: key 'cycles' is repeated")
 
 
+@pytest.fixture(scope="module")
+def refutation_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("refutation") / "e.json"
+    assert run_cli("witness", "example-6.1", "--method", "lp", "--require-long", "--out", str(path)) == 2
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, 'the JSON is a refutation ("infeasible": true), not a cycle-list witness'),
+        ("[1, 2]", "malformed witness JSON: expected an object, got list"),
+        ('"cycles"', "malformed witness JSON: expected an object, got str"),
+        ("{}", "malformed witness JSON: no cycles list"),
+        ('{"cycles": null}', "malformed witness JSON: no cycles list"),
+        ('{"cycles": {"edges": [0, 1]}}', "malformed witness JSON: cycles must be a list, got dict"),
+        ('{"cycles": 3}', "malformed witness JSON: cycles must be a list, got int"),
+        (
+            '{"cycles": [{"edges": 3, "multiplicity": 1}]}',
+            "malformed witness JSON: cycle edges must be a list, got int",
+        ),
+    ],
+    ids=["refutation", "array", "string", "no-cycles", "null-cycles", "object-cycles",
+         "number-cycles", "number-edges"],
+)
+@pytest.mark.parametrize("command", ["verify", "surface"])
+def test_a_witness_file_of_the_wrong_shape_is_named(
+    tmp_path, capsys, refutation_text, text, message, command
+):
+    # each shape gets its own message and exit 1, with no Python exception
+    # text (a KeyError's key, a TypeError's wording) standing in for it
+    wit = tmp_path / "w.json"
+    wit.write_text(refutation_text if text is None else text, encoding="utf-8")
+    argv = ["verify", "example-6.1", str(wit)] if command == "verify" else \
+        ["surface", "example-6.1", "--witness", str(wit)]
+    assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 DEEP_ARRAY = "[" * 5000 + "]" * 5000
 DEEP_JSON = "error: malformed JSON: nested too deeply\n"
 

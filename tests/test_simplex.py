@@ -1,5 +1,6 @@
 import contextlib
 import os
+from math import gcd
 import subprocess
 import sys
 from unittest import mock
@@ -8,7 +9,6 @@ import pytest
 from conftest import (
     FractionTableau,
     fourvertex_base_case,
-    oracle_common_denominator_pivot,
     oracle_maximize_homogeneous,
 )
 from hypothesis import example, given, settings, strategies as st
@@ -251,39 +251,65 @@ def test_pivot_leaves_rows_without_the_pivot_column_untouched():
         [1, 1, 1, 0, 0, 1, 5],
     ]
     # objective row: reduced costs (1, 1, 0, 0, 0, 0) at the slack basis, value 0
-    tab = simplex._Tableau(rows, [1, 1, 1], [3, 4, 5], [1, 1, 0, 0, 0, 0, 0], 1)
+    tab = simplex._Tableau(rows, [3, 4, 5], [1, 1, 0, 0, 0, 0, 0])
     untouched = tab.rows[1]
     tab.pivot(0, 0)
     assert tab.rows[1] is untouched and untouched == [0, 3, 1, 0, 1, 0, 6]
-    assert tab.dens == [2, 1, 2] and tab.d == 2
-    assert tab.rows[2] == [0, 1, 2, -1, 0, 2, 6]  # (2*row2 - 1*row0) // 1
-    # the stale row is brought up to d before it becomes the pivot row
+    assert tab.basis == [0, 4, 5]
+    assert tab.rows[2] == [0, 1, 2, -1, 0, 2, 6]  # 2*row2 - row0
+    assert tab.obj == [0, 1, 0, -1, 0, 0, -4]  # 2*obj - row0
+    # a pivot of 3 scales the rows it meets, each kept over its own basic entry
     tab.pivot(1, 1)
-    assert tab.rows[1] == [0, 6, 2, 0, 2, 0, 12] and tab.dens[1] == tab.d == 6
-    assert [QQ(v, tab.dens[0]) for v in tab.rows[0]] == [1, 0, QQ(-1, 6), QQ(1, 2), QQ(-1, 6), 0, 1]
+    assert tab.rows[1] is untouched and tab.basis == [0, 1, 5]
+    assert tab.rows[0] == [6, 0, -1, 3, -1, 0, 6]  # 3*row0 - row1
+    over_basic_entry = [QQ(v, tab.rows[0][0]) for v in tab.rows[0]]
+    assert over_basic_entry == [1, 0, QQ(-1, 6), QQ(1, 2), QQ(-1, 6), 0, 1]
+    # a unit pivot updates the objective row in place, and a row that comes
+    # out with a common factor is divided by it
+    rows = [[1, 2, 0, 1, 3], [1, 0, 2, 1, 1]]
+    tab = simplex._Tableau(rows, [1, 2], [1, 0, 0, 0, 0])
+    prow, obj = tab.rows[0], tab.obj
+    tab.pivot(0, 0)
+    assert tab.rows[0] is prow and tab.basis == [0, 2]
+    assert tab.rows[1] == [0, -1, 1, 0, -1]  # (row1 - row0) / 2
+    assert tab.obj is obj and obj == [0, -2, 0, -1, -3]  # obj - row0
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_systems())
-def test_rows_over_d_match_the_common_denominator_kernel(system):
-    # lifted to d, every row equals the row of the kernel that rescales all of
-    # them at every pivot, and the lift is exact
+def test_rows_are_primitive_and_over_their_basic_entry_match_the_fraction_tableau(system):
+    # after every pivot each row has no common factor and a positive entry in
+    # its basic column, and divided by that entry it is the Fraction
+    # tableau's row after the same pivots; the objective row is a positive
+    # multiple of the reference's
     A, n, rng = system
     c = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
-    pivot = simplex._Tableau.pivot
-    reference = {}
+    states = {simplex._Tableau: [], FractionTableau: []}
 
-    def lifted(tab):
-        rows = tab.rows + [tab.obj]
-        dens = tab.dens + [tab.obj_den]
-        assert all(v * tab.d % den == 0 for row, den in zip(rows, dens) for v in row)
-        return [[v * tab.d // den for v in row] for row, den in zip(rows, dens)]
+    def recording(cls, snapshot):
+        pivot = cls.pivot
 
-    def checked(tab, r, col):
-        ref = reference.setdefault(tab, [lifted(tab), tab.d])
-        pivot(tab, r, col)
-        ref[1] = oracle_common_denominator_pivot(ref[0], r, col, ref[1])
-        assert (lifted(tab), tab.d) == tuple(ref)
+        def recorded(tab, r, col):
+            pivot(tab, r, col)
+            states[cls].append(snapshot(tab))
 
-    with mock.patch.object(simplex._Tableau, "pivot", checked):
+        return mock.patch.object(cls, "pivot", recorded)
+
+    def integer_state(tab):
+        return [row[:] for row in tab.rows], tab.basis[:], tab.obj[:]
+
+    def fraction_state(tab):
+        return [[*row, v] for row, v in zip(tab.rows, tab.rhs)], [*tab.obj_row, -tab.obj_val]
+
+    with recording(simplex._Tableau, integer_state), recording(FractionTableau, fraction_state):
         maximize_homogeneous(A, c)
+        oracle_maximize_homogeneous(A, c)
+    assert len(states[simplex._Tableau]) == len(states[FractionTableau])
+    for (rows, basis, obj), (ref_rows, ref_obj) in zip(*states.values()):
+        assert len(rows) == len(basis) == len(ref_rows)
+        for row, b, ref in zip(rows, basis, ref_rows):
+            assert gcd(*row) == 1 and row[b] > 0
+            assert [QQ(v, row[b]) for v in row] == ref
+        scale = next((v / w for v, w in zip(obj, ref_obj) if w), 0)
+        assert obj == [w * scale for w in ref_obj]
+        assert not any(obj) or scale > 0

@@ -28,6 +28,7 @@ from conftest import (
     oracle_all_cycles,
     oracle_balanced,
     oracle_bounded_witness_search,
+    oracle_constraint_rows,
     oracle_cycle_key,
     oracle_is_cycle,
     oracle_pair_count,
@@ -84,6 +85,16 @@ def test_enumerate_against_oracle_random(seed, kind):
     assert {frozenset(c.edges) for c in cycles} == oracle_all_cycles(graph)
     orders = [cycle_order(c) for c in cycles]
     assert all(a < b for a, b in zip(orders, orders[1:]))  # strictly sorted
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 14))
+@settings(max_examples=60, deadline=None)
+def test_constraint_rows_match_the_turns_oracle(seed, rank, length):
+    # rows and keys read straight off the walks, zero rows skipped before they
+    # are built, equal those listed from ``Cycle.turns``, in the same order
+    graph = random_word_graph(seed, rank, length)
+    cycles = pg.enumerate_cycles(graph)
+    assert witness._constraint_rows(graph, cycles) == oracle_constraint_rows(graph, cycles)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 14))
