@@ -3,12 +3,11 @@
 Every cycle copy becomes a polygon dual to the cycle, and the polygon is the
 verifier's :class:`~polygonality.witness.Cycle` itself: side ``t`` is the
 turn at ``verts[t]``, between corners ``t - 1`` and ``t``, and corner ``t``
-is the edge ``edges[t]``.  A side at a positive vertex is incoming, one at a
-negative vertex outgoing, and an incoming side glues to an outgoing side whose
-turn is its turn's image under the connecting map; the balanced-pair
-condition guarantees these classes pair up perfectly.  The gluing is the
-connecting map too: crossing side ``t`` from the corner on edge ``x`` enters
-the partner's corner on ``sigma[verts[t]][x]``, so no edge order is chosen.
+is the edge ``edges[t]``.  Entry ``t`` of the cycle's LP column
+(:func:`~polygonality.witness.balance_column`) gives the side's class; side 0
+of a class glues to side 1, and the balanced-pair condition pairs them up.
+The gluing is the connecting map too: crossing side ``t`` from the corner on
+edge ``x`` enters the partner's corner on ``sigma[verts[t]][x]``.
 The glued vertices are the orbits of one link walk around the corners, which
 also reads each vertex's boundary word; those words must be powers of the
 input words, and the face and edge counts decide the certificate inequality.
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import PairingError, PreconditionError, VerificationError
 from .whitehead import WhiteheadGraph
-from .witness import Cycle, CycleList, cycle_order, verify_witness, witness_hash
+from .witness import CycleList, Turn, balance_column, cycle_order, verify_witness, witness_hash
 from .words import MAX_WORD_LENGTH, WordList, match_power, word_text
 
 
@@ -128,32 +127,16 @@ class SurfaceComplex:
         return True
 
 
-def _side_keys(graph: WhiteheadGraph, cycle: Cycle) -> list[tuple[int, int, int]]:
-    """The gluing key of each side of a cycle's polygon.
-
-    The key is ``(negative vertex index, e, f)`` with ``e < f``: the side's
-    turn for an outgoing side and the connecting-map image of its turn for an
-    incoming one, so glued sides share a key.
-    """
-    sigma = graph.sigma
-    keys = []
-    for i, e, f in cycle.turns:
-        if i % 2 == 0:  # even indices are the positive generators: incoming sides
-            e, f = sigma[i][e], sigma[i][f]
-        keys.append((i | 1, e, f) if e < f else (i | 1, f, e))
-    return keys
-
-
 def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) -> SurfaceComplex:
     """Construct the closed surface of a verified witness.
 
     ``witness`` maps edge-id sets to multiplicities, as :func:`verify_witness`
     reads it.  The polygons are the verifier's own walks of its cycles, so
-    each cycle is walked once and its copies share it.  Keys each cycle's
-    sides once and pairs incoming with outgoing sides whose turns correspond
-    under the connecting maps.  The verified balance condition gives each key
-    class as many incoming as outgoing sides, since the tables of a vertex
-    pair are inverse; :class:`SurfaceComplex` refuses a side left unpaired.
+    each cycle is walked once and its copies share it.  Each cycle's
+    :func:`~polygonality.witness.balance_column` is read once, and side 0 of
+    each class is paired with its side 1 in (polygon, side) order; the
+    verified balance gives them equal numbers, since the tables of a vertex
+    pair are inverse, and :class:`SurfaceComplex` refuses a side left unpaired.
     Every side is read once as a letter of a boundary word, so a list with
     more sides in all than
     :data:`~polygonality.words.MAX_WORD_LENGTH` is refused before any polygon
@@ -172,21 +155,22 @@ def build_surface(graph: WhiteheadGraph, witness: Mapping[frozenset[int], int]) 
         raise PreconditionError(
             f"witness glues {sides} polygon sides, over the cap of {MAX_WORD_LENGTH}"
         )
-    incoming: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    outgoing: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    classes: dict[Turn, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
     p = 0  # the polygons are the cycles' copies in this order, as SurfaceComplex lists them
     for cycle, copies in cycles.items():
-        classes = [
-            (outgoing if i % 2 else incoming).setdefault(key, [])
-            for i, key in zip(cycle.verts, _side_keys(graph, cycle))
-        ]
+        members = []  # for each side t, the list it joins: its class's side 0 or side 1
+        for cls, side in balance_column(graph.sigma, cycle):
+            by_side = classes.get(cls)
+            if by_side is None:
+                by_side = classes[cls] = ([], [])
+            members.append(by_side[side])
         for _ in range(copies):
-            for t, members in enumerate(classes):
-                members.append((p, t))
+            for t, listed in enumerate(members):
+                listed.append((p, t))
             p += 1
     pairing: dict[tuple[int, int], tuple[int, int]] = {}
-    for key, ins in incoming.items():
-        for a, b in zip(ins, outgoing.get(key, ())):  # each class in (polygon, side) order
+    for ins, outs in classes.values():
+        for a, b in zip(ins, outs):
             pairing[a] = b
             pairing[b] = a
     return SurfaceComplex(graph, cycles, verdict.per_edge_usage, pairing)

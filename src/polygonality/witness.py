@@ -9,7 +9,8 @@ cycle of length at least three) by an exact rational LP over all simple
 cycles and, on failure, returns a rational refutation certificate.
 
 A :class:`Cycle` is stored as its walk, the cyclic sequence of its vertices
-and edges from a canonical start; its key and turns are read off that walk.
+and edges from a canonical start; its key and its :func:`balance_column`, the
+classes of its turns that the LP and the surface read, come off that walk.
 Every construction (regular, four-vertex, LP) hands over its witness as
 :func:`witness_from_json` reads one: the multiplicity of each cycle's edge-id
 set.  :func:`verify_witness` is the one place where those sets are walked
@@ -20,7 +21,6 @@ it picks the construction, and its answer goes to that verifier.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from collections.abc import Mapping
 from math import gcd, lcm
 from typing import NamedTuple
@@ -44,9 +44,8 @@ class Cycle(NamedTuple):
     ``edges[t]`` joins ``verts[t]`` to ``verts[t + 1]`` (indices mod ``n``).
     It starts at the cycle's least vertex along the smaller of its two edges
     there, so an edge set has exactly one walk, and tuple equality and hashing
-    are cycle equality.  The canonical key and the turns are read off the
-    walk.  Sort cycles by :func:`cycle_order`: the tuple's own order compares
-    walks.
+    are cycle equality.  The canonical key is read off the walk.  Sort cycles
+    by :func:`cycle_order`: the tuple's own order compares walks.
     """
 
     verts: tuple[int, ...]
@@ -64,15 +63,6 @@ class Cycle(NamedTuple):
         i = seq.index(min(seq))
         forward = seq[i:] + seq[:i]
         return min(forward, forward[:1] + forward[:0:-1])
-
-    @property
-    def turns(self) -> tuple[Turn, ...]:
-        """The :data:`Turn` at each vertex: at ``verts[t]`` the walk turns
-        from ``edges[t - 1]`` to ``edges[t]``."""
-        seq = self.edges
-        return tuple(
-            [(v, e, f) if e < f else (v, f, e) for v, e, f in zip(self.verts, seq[-1:] + seq, seq)]
-        )
 
     @property
     def is_long(self) -> bool:
@@ -103,11 +93,11 @@ def make_cycle(graph: Multigraph, eids) -> Cycle:
     >>> cyc.edges, cyc.key
     ((0, 3, 2, 1), (0, 1, 2, 3))
 
-    Each turn names its vertex by index, then its two edges in id order;
-    ``a1`` has index 0:
+    At ``a1``, of index 0, the walk turns between edges 1 and 0: side 0 of
+    the class named by that turn (see :func:`balance_column`):
 
-    >>> cyc.turns[0]
-    (0, 0, 1)
+    >>> balance_column(graph.sigma, cyc)[0]
+    ((0, 0, 1), 0)
     """
     return _walk(graph, eids, 1, dict.fromkeys(graph.edges, 0), {})
 
@@ -156,6 +146,23 @@ def _walk(graph: Multigraph, eids, mult: int, usage: dict, counts: dict[Turn, in
                 )
         raise GraphError(f"edge set {sorted(eids)} is not a single cycle")
     return Cycle(tuple(verts), tuple(seq))
+
+
+def balance_column(sigma: list[dict[int, int]], cycle: Cycle) -> list[tuple[Turn, int]]:
+    """A cycle's column of the balance equations: each turn, the one at
+    ``verts[t]`` from ``edges[t - 1]`` to ``edges[t]``, as ``(class, side)``.
+
+    A class is a turn and its connecting-map image, named by the one at the
+    generator's vertex (even index, side 0); the other is side 1.
+    """
+    seq = cycle.edges
+    column = []
+    for i, e, f in zip(cycle.verts, seq[-1:] + seq, seq):
+        side = i & 1
+        if side:
+            i, e, f = i ^ 1, sigma[i][e], sigma[i][f]
+        column.append(((i, e, f) if e < f else (i, f, e), side))
+    return column
 
 
 def enumerate_cycles(graph: Multigraph) -> list[Cycle]:
@@ -267,43 +274,33 @@ class Infeasible(NamedTuple):
         }
 
 
-def _constraint_rows(graph: WhiteheadGraph, cycles: list[Cycle]):
-    """Deduplicated balance rows: +1 on cycles covering (v,{e,f}), -1 on the image.
+def _constraint_rows(columns: list[list[tuple[Turn, int]]]):
+    """The balance rows of the cycles' :func:`balance_column` lists, with their
+    classes in class order: +1 on the cycles through side 0, -1 on side 1.
 
-    A row is nonzero only when a cycle counts its turn or the image; each row
-    is kept at the lesser of the two, in turn order, unless it cancels to zero.
-    A simple cycle passes a turn at most once, so a row cancels exactly when
-    the turn and its image are covered by the same cycles.
+    A simple cycle passes a vertex at most once, so a row cancels to zero, and
+    is skipped, exactly when the same cycles pass both sides.
     """
-    covering: defaultdict[Turn, list[int]] = defaultdict(list)
-    for j, c in enumerate(cycles):
-        edges = c.edges
-        for i, e, f in zip(c.verts, edges[-1:] + edges, edges):
-            covering[(i, e, f) if e < f else (i, f, e)].append(j)
-    sigma = graph.sigma
-    images: dict[Turn, Turn] = {}  # the lesser turn of each pair to the greater
-    for turn in covering:
-        i, e, f = turn
-        g, h = sigma[i][e], sigma[i][f]
-        image = (i ^ 1, g, h) if g < h else (i ^ 1, h, g)
-        if turn < image:
-            images[turn] = image
-        else:
-            images[image] = turn
-    verts = graph.vertices()
-    rows, keys = [], []
-    for turn in sorted(images):
-        plus, minus = covering.get(turn, []), covering.get(images[turn], [])
+    covering: dict[Turn, tuple[list[int], list[int]]] = {}  # class -> cycles on each side
+    for j, column in enumerate(columns):
+        for cls, side in column:
+            by_side = covering.get(cls)
+            if by_side is None:
+                by_side = covering[cls] = ([], [])
+            by_side[side].append(j)
+    rows, classes = [], []
+    for cls in sorted(covering):
+        plus, minus = covering[cls]
         if plus == minus:
             continue
-        row = [0] * len(cycles)
+        row = [0] * len(columns)
         for j in plus:
             row[j] = 1
         for j in minus:
             row[j] -= 1
         rows.append(row)
-        keys.append((verts[turn[0]], turn[1:]))
-    return rows, keys
+        classes.append(cls)
+    return rows, classes
 
 
 def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
@@ -321,7 +318,8 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
     objective = [1 if (c.is_long or not require_long) else 0 for c in cycles]
     if not any(objective):  # nothing to weigh: zero multipliers refute, with no row built
         return Infeasible(require_long, (), "0")
-    rows, keys = _constraint_rows(graph, cycles)
+    columns = [balance_column(graph.sigma, c) for c in cycles]
+    rows, classes = _constraint_rows(columns)
     res = maximize_homogeneous(rows, objective)
     if res.objective > 0:
         return {frozenset(c.edges): m for c, m in zip(cycles, res.integer_x()) if m}
@@ -335,19 +333,14 @@ def search_witness_lp(graph: WhiteheadGraph, require_long: bool = True):
             f"refutation certificate has normalization multiplier {norm_dual}, not 0"
         )
     # y.A_j >= c_j in integers: scale y by the lcm of its denominators and sum
-    # only the rows with a nonzero multiplier (certificates are sparse)
-    scale = lcm(*(int(y.denominator) for y in duals))
-    lhs = [0] * len(cycles)
-    for y, row in zip(duals, rows):
-        if y:
-            k = int(y.numerator) * (scale // int(y.denominator))
-            lhs = [acc + k * a for acc, a in zip(lhs, row)]
-    for c, total, cj in zip(cycles, lhs, objective):
-        if total < cj * scale:
+    # each cycle's column, +y at side 0 and -y at side 1, over the nonzero y
+    scale = lcm(*(y.denominator for y in duals))
+    scaled = {cls: y.numerator * scale // y.denominator for cls, y in zip(classes, duals) if y}
+    for c, column, cj in zip(cycles, columns, objective):
+        if sum(scaled.get(cls, 0) * (1 - 2 * side) for cls, side in column) < cj * scale:
             raise VerificationError(f"refutation certificate fails on cycle {sorted(c.edges)}")
-    certificate = tuple(
-        (v, pair, str(duals[i])) for i, (v, pair) in enumerate(keys) if duals[i] != 0
-    )
+    verts = graph.vertices()
+    certificate = tuple((verts[i], (e, f), str(y)) for (i, e, f), y in zip(classes, duals) if y)
     return Infeasible(require_long, certificate, str(norm_dual))
 
 

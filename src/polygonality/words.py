@@ -234,7 +234,10 @@ def parse_word_list(text: str) -> WordList:
             except ValueError:  # past sys.get_int_max_str_digits(), as in _parse_word
                 raise WordParseError(f"line {lineno}: the rank has too many digits") from None
             continue
-        words.append(cyclic_reduce(_parse_word(line, rank, MAX_WORD_LENGTH - held)))
+        try:
+            words.append(cyclic_reduce(_parse_word(line, rank, MAX_WORD_LENGTH - held)))
+        except (WordParseError, TrivialWordError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         held += len(words[-1])
     if rank is None:
         raise WordParseError("missing 'rank <n>' header line")

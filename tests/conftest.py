@@ -142,12 +142,13 @@ def oracle_turns(cycle) -> tuple[tuple[int, int, int], ...]:
 
 
 def oracle_constraint_rows(graph, cycles) -> tuple[list[list[int]], list]:
-    """Balance rows and their keys as ``Cycle.turns`` lists them: a dense row
-    per lesser turn of each turn-image pair, +1 on the cycles through the turn
-    and -1 on those through the image, kept in turn order unless it is zero."""
+    """Balance rows and their keys as :func:`oracle_turns` lists the turns: a
+    dense row per lesser turn of each turn-image pair, +1 on the cycles through
+    the turn and -1 on those through the image, kept in turn order unless it is
+    zero."""
     covering: dict = {}
     for j, c in enumerate(cycles):
-        for turn in c.turns:
+        for turn in oracle_turns(c):
             covering.setdefault(turn, []).append(j)
     images = {}
     for turn in covering:

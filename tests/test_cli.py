@@ -495,7 +495,7 @@ DEEP_JSON = "error: malformed JSON: nested too deeply\n"
             ("analyze",),
             "words.txt",
             "rank 2\n" + "(" * 3000 + "a" + ")" * 3000 + "\n",
-            "error: parentheses nested too deeply\n",
+            "error: line 2: parentheses nested too deeply\n",
         ),
     ],
     ids=["graph json", "witness json", "word file"],
@@ -750,20 +750,21 @@ def test_each_read_cycle_is_walked_once(tmp_path, monkeypatch, argv):
 
 
 def test_surface_reads_each_cycles_turns_once(tmp_path, monkeypatch):
-    # the verifier counts turns during its walk, so only the polygon builder reads them
-    from polygonality import witness
+    # the verifier counts turns during its walk, so only the polygon builder
+    # reads them, as each distinct cycle's balance column
+    from polygonality import surface
 
     wit = tmp_path / "w.json"
     assert run_cli("witness", "remark-2.4b", "--require-long", "--out", str(wit)) == 0
     distinct = {frozenset(c["edges"]) for c in read_json(wit)["cycles"]}
     reads = Counter()
-    turns = witness.Cycle.turns.fget
+    column = surface.balance_column
 
-    def counted(cycle):
+    def counted(sigma, cycle):
         reads[cycle] += 1
-        return turns(cycle)
+        return column(sigma, cycle)
 
-    monkeypatch.setattr(witness.Cycle, "turns", property(counted))
+    monkeypatch.setattr(surface, "balance_column", counted)
     out = tmp_path / "s.json"
     assert run_cli("surface", "remark-2.4b", "--witness", str(wit), "--out", str(out)) == 0
     assert {frozenset(c.edges) for c in reads} == distinct
@@ -821,7 +822,7 @@ def test_oversized_power_is_an_error_before_it_is_expanded(tmp_path, capsys, mon
     path.write_text(f"rank 2\n{word}\n", encoding="utf-8")
     assert run_cli("analyze", str(path)) == 1
     assert capsys.readouterr().err == (
-        f"error: word expands to at least {length} letters, over the cap of 1000000\n"
+        f"error: line 2: word expands to at least {length} letters, over the cap of 1000000\n"
     )
 
 
@@ -906,7 +907,7 @@ def test_surface_refuses_a_witness_over_the_side_cap_before_it_builds_a_polygon(
     from polygonality import surface
 
     calls = Counter()
-    count_calls(monkeypatch, surface, "_side_keys", calls)
+    count_calls(monkeypatch, surface, "balance_column", calls)
     # the commutator's list is one 4-cycle: 4 * 250,001 sides
     assert _surface_of_commutator_times(tmp_path, 250_001) == 1
     assert capsys.readouterr().err == (
@@ -1140,8 +1141,8 @@ def _graph_json_with_name(old, new):
         ("g.json", _graph_json_with_name("a1", "a1\u0661"), "bad vertex name 'a1\u0661'"),
         ("g.json", _graph_json_with_name("10@a2", "1\u0660@a2"), "bad dart name '1\u0660@a2'"),
         ("words.txt", "rank \u0663\nabc^\u0662\n", "line 1: expected 'rank <n>', got 'rank \u0663'"),
-        ("words.txt", "rank 3\nabc^\u0662\n", "unexpected symbol at column 3: '^\u0662'"),
-        ("words.txt", "rank 3\na\u0661bc\n", "unexpected symbol at column 1: '\u0661bc'"),
+        ("words.txt", "rank 3\nabc^\u0662\n", "line 2: unexpected symbol at column 3: '^\u0662'"),
+        ("words.txt", "rank 3\na\u0661bc\n", "line 2: unexpected symbol at column 1: '\u0661bc'"),
     ],
     ids=["vertex name", "dart name", "rank", "power", "generator suffix"],
 )

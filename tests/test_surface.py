@@ -11,6 +11,7 @@ from conftest import (
     oracle_is_orientable,
     oracle_linear_orders,
     oracle_link_letters,
+    oracle_turns,
     oracle_vertex_classes,
     other_end,
     vid,
@@ -241,12 +242,12 @@ def test_every_side_paired_once(polygonal_graph):
 
 def test_copies_of_a_cycle_share_one_side_tuple(monkeypatch):
     # the golden orbits.txt word: 22 distinct cycles glued as 256 polygons,
-    # each polygon the cycle itself, keyed once per cycle
+    # each polygon the cycle itself, its balance column read once per cycle
     graph = words_graph("rank 2\nBabaaaabaB\n")
     good = pg.four_vertex_witness(graph)
     keyed = []
-    side_keys = surface._side_keys
-    monkeypatch.setattr(surface, "_side_keys", lambda *args: keyed.append(args) or side_keys(*args))
+    column = surface.balance_column
+    monkeypatch.setattr(surface, "balance_column", lambda *args: keyed.append(args) or column(*args))
     cx = pg.build_surface(graph, good.cycles)
     assert len(keyed) == len(good.cycles) == 22
     assert len(cx.polygons) == sum(good.cycles.values()) == 256
@@ -268,13 +269,14 @@ def test_cycle_walk_structure():
         graph = words_graph(text)
         for cyc in pg.enumerate_cycles(graph):
             verts, eids = cyc
-            assert [i for i, _, _ in cyc.turns] == list(verts)
+            turns = oracle_turns(cyc)
+            assert [i for i, _, _ in turns] == list(verts)
             assert len(verts) == len(set(verts)) == len(eids) == len(set(eids))
             assert verts[0] == min(verts)
             assert eids[0] == min(set(graph.delta(graph.vertices()[verts[0]])) & set(eids))
             for t, eid in enumerate(eids):
                 assert set(graph.edges[eid]) == {verts[t], verts[(t + 1) % len(verts)]}
-                assert cyc.turns[t][1:] == tuple(sorted((eids[t - 1], eid)))
+                assert turns[t][1:] == tuple(sorted((eids[t - 1], eid)))
 
 
 @given(st.integers(0, 300))

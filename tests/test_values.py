@@ -12,7 +12,7 @@ from polygonality.errors import PreconditionError, TrivialWordError, WordParseEr
 from polygonality.regular import KGraphVerdict
 from polygonality.simplex import ZERO, LPResult
 from polygonality.whitehead import MAX_RANK, VertexId
-from polygonality.witness import Cycle, make_cycle
+from polygonality.witness import Cycle, balance_column, make_cycle
 from polygonality.words import WordList, make_word_list, parse_word, word_text
 
 
@@ -117,7 +117,11 @@ def test_cycle():
     c = commutator_cycle()
     assert c == Cycle(verts=(0, 3, 1, 2), edges=(0, 3, 2, 1)) and hash(c) == hash(tuple(c))
     assert c.key == (0, 1, 2, 3) and c.is_long
-    assert c.turns == ((0, 0, 1), (3, 0, 3), (1, 2, 3), (2, 1, 2))
+    # it passes both sides of both of its classes, so its column cancels
+    sigma = pg.build_whitehead_graph(pg.parse_word_list("rank 2\nabAB")).sigma
+    assert balance_column(sigma, c) == [
+        ((0, 0, 1), 0), ((2, 1, 2), 1), ((0, 0, 1), 1), ((2, 1, 2), 0)
+    ]
     assert not Cycle((0, 1), (5, 6)).is_long
 
 

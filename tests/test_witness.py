@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polygonality as pg
 from polygonality import cli, witness
@@ -90,24 +90,76 @@ def test_enumerate_against_oracle_random(seed, kind):
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 14))
 @settings(max_examples=60, deadline=None)
 def test_constraint_rows_match_the_turns_oracle(seed, rank, length):
-    # rows and keys read straight off the walks, zero rows skipped before they
-    # are built, equal those listed from ``Cycle.turns``, in the same order
+    # rows and keys grouped from the balance columns, zero rows skipped before
+    # they are built, equal those listed from the oracle's turns, in the same order
     graph = random_word_graph(seed, rank, length)
     cycles = pg.enumerate_cycles(graph)
-    assert witness._constraint_rows(graph, cycles) == oracle_constraint_rows(graph, cycles)
+    columns = [witness.balance_column(graph.sigma, c) for c in cycles]
+    rows, classes = witness._constraint_rows(columns)
+    keys = [(graph.vertices()[i], (e, f)) for i, e, f in classes]
+    assert (rows, keys) == oracle_constraint_rows(graph, cycles)
+
+
+def _class_counts(graph, cycles) -> dict:
+    """The copies of a cycle list through each side of each class, summed
+    over the cycles' balance columns."""
+    counts: dict = {}
+    for c, n in cycles.items():
+        for cls, side in witness.balance_column(graph.sigma, c):
+            counts.setdefault(cls, [0, 0])[side] += n
+    return counts
+
+
+@given(st.integers(0, 200), st.sampled_from(sorted(RANDOM_GRAPHS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_balance_columns_agree_with_the_verifier(seed, kind, data):
+    # the LP's columns and the verifier's own walk count the same classes: a
+    # list sums to zero in every class exactly when the verifier passes it,
+    # and with one cycle's multiplicity raised by 1, each unbalanced class is
+    # the verifier's two failures, its turn and its image, the counts swapped
+    graph = RANDOM_GRAPHS[kind](seed)
+    found = witness.decide(graph, "auto", False).found
+    assume(not isinstance(found, Infeasible))
+    verdict = pg.verify_witness(graph, found)
+    counts = _class_counts(graph, verdict.cycles)
+    assert not verdict.failures and all(a == b for a, b in counts.values())
+    raised = data.draw(st.sampled_from(sorted(verdict.cycles, key=cycle_order)))
+    verdict = pg.verify_witness(
+        graph, {frozenset(c.edges): n + (c == raised) for c, n in verdict.cycles.items()}
+    )
+    counts = _class_counts(graph, verdict.cycles)
+    assert (not verdict.failures) == all(a == b for a, b in counts.values())
+    sigma, verts = graph.sigma, graph.vertices()
+    expected = []
+    for (i, e, f), (a, b) in counts.items():
+        if a != b:
+            g, h = sorted((sigma[i][e], sigma[i][f]))
+            expected += [(i, e, f, a, b), (i ^ 1, g, h, b, a)]
+    assert verdict.failures == tuple(
+        (verts[i], (e, f), here, there) for i, e, f, here, there in sorted(expected)
+    )
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 14))
 @settings(max_examples=40, deadline=None)
 def test_cycle_views_are_read_off_the_walk(seed, rank, length):
     # a cycle is its two-field walk: rewalking its edges gives the same tuple,
-    # and the key and turns agree with their oracles
+    # and the key and the balance column agree with the oracle's key and turns:
+    # a turn at an even index is side 0 of its own class, one at an odd index
+    # side 1 of its image's
     assert Cycle._fields == ("verts", "edges")
     graph = random_word_graph(seed, rank, length)
     for c in pg.enumerate_cycles(graph):
         assert make_cycle(graph, c.edges) == c
         assert c.key == oracle_cycle_key(c.edges)
-        assert c.turns == oracle_turns(c)
+        column = []
+        for v, e, f in oracle_turns(c):
+            if v % 2:
+                g, h = graph.sigma[v][e], graph.sigma[v][f]
+                column.append(((v - 1, min(g, h), max(g, h)), 1))
+            else:
+                column.append(((v, e, f), 0))
+        assert witness.balance_column(graph.sigma, c) == column
 
 
 @given(st.lists(st.integers(0, 60), min_size=2, max_size=14, unique=True))

@@ -138,6 +138,23 @@ def test_word_list_format_comments_and_errors():
         pg.parse_word_list("abAB\n")
 
 
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("ab(", WordParseError, "unbalanced '('"),
+        ("abc", WordParseError, "generator c out of rank 2"),
+        ("aBbA", TrivialWordError, "word aBbA is trivial up to conjugacy"),
+    ],
+    ids=["parse", "rank", "trivial"],
+)
+def test_an_error_in_a_word_line_names_the_line(line, error, message):
+    # the header's errors already named their line; a word line's keep their type
+    with pytest.raises(error) as exc:
+        pg.parse_word_list(f"rank 2\nab\n{line}\n")
+    assert type(exc.value) is error
+    assert str(exc.value) == f"line 3: {message}"
+
+
 letter_st = st.integers(0, 5)  # the letter codes of rank 3
 word_st = st.lists(letter_st, min_size=1, max_size=12).map(tuple)
 
