@@ -105,13 +105,12 @@ def build_auxiliary_digraph(graph: WhiteheadGraph, w: VertexId) -> AuxDigraph:
     one.  Left to check: the source/sink color balance and goodness.
     """
     u, _ = _other_pair(graph, w)
-    sigma_w = graph.sigma[w.index]
+    sigma_w = graph.sigma[w]
     if len(sigma_w) < 2:
         raise PreconditionError(f"minimum degree {len(sigma_w)} < 2; no usable construction")
     # keyed by the edges at the pair of w: an edge at w is a key exactly when
     # it joins w and its pair
     preimage = {s: x for x, s in sigma_w.items()}
-    ui = u.index  # mu flips the last bit of an index
 
     def chain(x: int) -> tuple[int, ...]:
         edges = [x]
@@ -123,8 +122,8 @@ def build_auxiliary_digraph(graph: WhiteheadGraph, w: VertexId) -> AuxDigraph:
     for y in sorted(sigma_w):
         if sigma_w[y] not in sigma_w:
             edges = chain(y)
-            source = "R" if (ui ^ 1) in graph.edges[sigma_w[y]] else "B"
-            sink = "R" if ui in graph.edges[edges[-1]] else "B"
+            source = "R" if (u ^ 1) in graph.edges[sigma_w[y]] else "B"
+            sink = "R" if u in graph.edges[edges[-1]] else "B"
             comps.append(Chain(edges, source + sink))
             seen.update(edges)
     for x in sorted(sigma_w):
@@ -447,8 +446,8 @@ def base_witness(g: Multigraph, w: VertexId, u: VertexId) -> RegularWitness:
     matchings = []
     # the three perfect matchings of K4, each as its two sides
     for side, opposite in (((w, wp), (u, up)), ((w, u), (wp, up)), ((w, up), (wp, u))):
-        xs = g.pairs.get(tuple(sorted(v.index for v in side)), ())
-        ys = g.pairs.get(tuple(sorted(v.index for v in opposite)), ())
+        xs = g.pairs.get(tuple(sorted(side)), ())
+        ys = g.pairs.get(tuple(sorted(opposite)), ())
         if len(xs) != len(ys):
             raise PreconditionError(
                 f"{len(xs)} edges {side[0]}-{side[1]} against {len(ys)} edges"
@@ -474,7 +473,7 @@ def inductive_witness(
     # edges go, so no edge at w changes: the patch shapes, a = deg(u) - #uu and
     # the bigons of each level are read off the input graph, and only the
     # bottom, regular graph is built.
-    uu = graph.pairs.get((u.index & ~1, u.index | 1), ())
+    uu = graph.pairs.get((u & ~1, u | 1), ())
     a = graph.degree(u) - len(uu)
     top = graph.degree(u) - graph.degree(w)
     rw = base_witness(graph.remove_edges(uu[:top]), w, u)
@@ -536,11 +535,11 @@ def four_vertex_witness(graph: WhiteheadGraph) -> GoodList:
     active = graph.active_vertices()
     if len(active) != 4 or any(v.mu() not in active for v in active):
         raise PreconditionError("construction needs exactly four paired non-isolated vertices")
-    w = min(active, key=lambda v: (graph.degree(v), (v.gen, v.sign < 0)))
+    w = min(active, key=lambda v: (graph.degree(v), v))
     u, _ = _other_pair(graph, w)
     _check_level_preconditions(graph, w, u)
     aux = build_auxiliary_digraph(graph, w)
-    completion = uniform_permutation(aux, graph.sigma[w.index])
+    completion = uniform_permutation(aux, graph.sigma[w])
     good = inductive_witness(graph, w, u, completion)
     # the base graph is connected, so two of its K4 classes are non-empty and
     # two of its matchings differ in a four-cycle; this guards that argument

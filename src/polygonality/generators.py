@@ -32,13 +32,11 @@ def random_sigma(graph: Multigraph, rng: random.Random) -> dict[int, dict[int, i
     """Connecting-map tables by vertex index: each positive vertex's edges,
     in id order, go to a shuffle of its pair's edges, and back."""
     sigma: dict[int, dict[int, int]] = {}
-    for v in graph.vertices():
-        if v.sign < 0:
-            continue
+    for v in graph.vertices()[::2]:
         sources, targets = graph.delta(v), graph.delta(v.mu())
         rng.shuffle(targets)
-        sigma[v.index] = dict(zip(sources, targets))
-        sigma[v.index ^ 1] = dict(zip(targets, sources))
+        sigma[v] = dict(zip(sources, targets))
+        sigma[v ^ 1] = dict(zip(targets, sources))
     return sigma
 
 

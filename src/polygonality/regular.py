@@ -50,21 +50,19 @@ def _regularity(graph: Multigraph) -> int:
     return degrees.pop()
 
 
-def is_k_graph(graph: Multigraph, k: int | None = None) -> KGraphVerdict:
+def is_k_graph(graph: Multigraph) -> KGraphVerdict:
     """Exhaustive odd-cut check over the non-isolated vertices.
 
-    ``k`` is the degree, when the caller already has it.  A cut counts the
-    edges of each vertex pair that crosses it.  Returns the first violating
-    odd set in canonical order (by size, then by vertex order) when the graph
-    fails.
+    A cut counts the edges of each vertex pair that crosses it.  Returns the
+    first violating odd set in canonical order (by size, then by vertex
+    order) when the graph fails.
     """
-    if k is None:
-        k = _regularity(graph)
+    k = _regularity(graph)
     pairs = [(s, t, len(eids)) for (s, t), eids in graph.pairs.items()]
-    verts = sorted(graph.active_vertices())
+    verts = graph.active_vertices()
     for size in range(1, len(verts) + 1, 2):
         for subset in itertools.combinations(verts, size):
-            inside = {v.index for v in subset}
+            inside = set(subset)
             cut = sum(m for s, t, m in pairs if (s in inside) != (t in inside))
             if cut < k:
                 return KGraphVerdict(False, k, subset)
@@ -113,18 +111,17 @@ class FractionalColoring(NamedTuple):
         return {"k": self.k, "ell": self.ell, "matchings": matchings}
 
 
-def fractional_edge_coloring(graph: Multigraph, k: int | None = None) -> FractionalColoring:
+def fractional_edge_coloring(graph: Multigraph) -> FractionalColoring:
     """Perfect matchings with integer multiplicities covering each edge ell/k times.
 
     For a k-regular graph, finds nonzero rational weights on the perfect
     matchings of the graph of vertex pairs that cover every pair in
     proportion to its edge count, then clears denominators and hands out
-    each pair's edges round-robin.  ``k`` is the degree, when the caller
-    already has it.  Raises GraphError when no such weights exist, which
-    happens exactly when some odd vertex set is left by fewer than k edges.
+    each pair's edges round-robin.  Raises GraphError when no such weights
+    exist, which happens exactly when some odd vertex set is left by fewer
+    than k edges.
     """
-    if k is None:
-        k = _regularity(graph)
+    k = _regularity(graph)
     matchings = enumerate_perfect_matchings(graph)
     groups = {eids[0]: eids for eids in graph.pairs.values()}  # by least edge id
     (e0, m0), *rest = ((e, len(eids)) for e, eids in groups.items())
@@ -218,22 +215,23 @@ def coloring_witness(graph: Multigraph, coloring: FractionalColoring) -> Regular
 def regular_witness(graph: Multigraph) -> RegularWitness:
     """Cycle list of the coloring solved as a linear program.
 
-    The coloring is solved first.  When it exists, every odd vertex set is
-    left by at least k edges: every perfect matching crosses every odd cut,
-    and each edge carries weight 1/k.  Only a coloring LP with optimum zero
-    runs ``is_k_graph``, whose first violating odd set the
-    ``PreconditionError`` names.
+    The coloring is solved first, and its ``k`` is the degree.  When it
+    exists, every odd vertex set is left by at least k edges: every perfect
+    matching crosses every odd cut, and each edge carries weight 1/k.  Only a
+    coloring LP with optimum zero runs ``is_k_graph``, whose first violating
+    odd set the ``PreconditionError`` names.  A 1-regular graph is a perfect
+    matching, so its coloring always exists, and its degree is refused after.
     """
-    k = _regularity(graph)
-    if k <= 1:
-        raise PreconditionError(f"regular construction needs degree > 1, got {k}")
     try:
-        coloring = fractional_edge_coloring(graph, k)
+        coloring = fractional_edge_coloring(graph)
     except GraphError:
-        verdict = is_k_graph(graph, k)
+        verdict = is_k_graph(graph)
         if verdict.ok:
             raise
         raise PreconditionError(
-            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than {k} edges"
+            f"odd set {[v.name for v in verdict.violating_set]} is left by fewer than"
+            f" {verdict.k} edges"
         ) from None
+    if coloring.k <= 1:
+        raise PreconditionError(f"regular construction needs degree > 1, got {coloring.k}")
     return coloring_witness(graph, coloring)

@@ -2,13 +2,15 @@
 
 The graph of a word list has one vertex per generator and per inverse
 generator, and one edge per length-2 cyclic subword ``xy``, joining ``x`` to
-``y^-1``.  Vertices have indices ``0 .. 2 * rank - 1``, an edge is stored as
-the pair of its end indices, and the edges of each vertex pair are grouped
-once, for the max-flows, cuts and matchings.  The graph is loopless, so a
-vertex and an edge at it name one edge-end.  The connecting map at a vertex
-``v`` sends the edges at ``v`` to the edges at ``mu(v)``, where ``mu`` swaps
-a generator with its inverse; it is stored as one edge table per vertex, and
-the tables of ``v`` and ``mu(v)`` are inverse to each other.  Position
+``y^-1``.  A vertex is its index ``0 .. 2 * rank - 1``: a :class:`VertexId`
+is an ``int`` that also knows its name, so every table is indexed by the
+vertex itself.  An edge is stored as the pair of its end indices, and the
+edges of each vertex pair are grouped once, for the max-flows, cuts and
+matchings.  The graph is loopless, so a vertex and an edge at it name one
+edge-end.  The connecting map at a vertex ``v`` sends the edges at ``v`` to
+the edges at ``mu(v) = v ^ 1``, which swaps a generator with its inverse; it
+is stored as one edge table per vertex, and the tables of ``v`` and
+``mu(v)`` are inverse to each other.  Position
 succession in the source words defines the maps: at ``x_{i+1}^-1`` the edge
 for positions ``(i, i+1)`` is sent to the edge for ``(i+1, i+2)`` at ``x_{i+1}``.
 
@@ -27,25 +29,19 @@ from .errors import GraphError, PreconditionError
 from .words import WordList
 
 
-class VertexId:
-    """A vertex ``a_g`` (sign +1) or ``a_g^-1`` (sign -1), ordered a1 < a1- < a2 < ...
+class VertexId(int):
+    """The vertex ``a_g`` (sign +1) or ``a_g^-1`` (sign -1) as the int it names,
+    its index ``2(g - 1) + (sign < 0)``, so a1 < a1- < a2 < ...
 
-    A positive ``sign`` is stored as +1 and any other as -1.  Immutable: each
-    field is set once, and assigning or deleting one raises ``AttributeError``.
+    Equality, hashing and order are the int's, and ``mu()`` is ``v ^ 1`` kept a
+    vertex.  A positive ``sign`` is read as +1 and any other as -1.
     """
 
-    __slots__ = ("gen", "sign")
-    __match_args__ = __slots__
+    __slots__ = ()
+    __match_args__ = ("gen", "sign")
 
-    def __init__(self, gen: int, sign: int):
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "sign", 1 if sign > 0 else -1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __new__(cls, gen: int, sign: int):
+        return super().__new__(cls, 2 * (gen - 1) + (sign <= 0))
 
     def __repr__(self) -> str:
         return f"VertexId(gen={self.gen!r}, sign={self.sign!r})"
@@ -53,28 +49,20 @@ class VertexId:
     def __reduce__(self):
         return VertexId, (self.gen, self.sign)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gen == other.gen and self.sign == other.sign
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gen, self.sign))
-
     def mu(self) -> "VertexId":
-        return VertexId(self.gen, -self.sign)
+        return int.__new__(VertexId, self ^ 1)
 
     @property
-    def index(self) -> int:
-        """Position in :meth:`Multigraph.vertices`, which lists vertices in order."""
-        return 2 * (self.gen - 1) + (self.sign < 0)
+    def gen(self) -> int:
+        return (self >> 1) + 1
+
+    @property
+    def sign(self) -> int:
+        return -1 if self & 1 else 1
 
     @property
     def name(self) -> str:
         return f"a{self.gen}" if self.sign > 0 else f"a{self.gen}-"
-
-    def __lt__(self, other: "VertexId") -> bool:
-        return (self.gen, self.sign < 0) < (other.gen, other.sign < 0)
 
     def __str__(self) -> str:
         return self.name
@@ -132,7 +120,7 @@ class Multigraph:
             for i in (s, t):
                 if not 0 <= i < n:
                     raise GraphError(
-                        f"edge {eid} end index {i} is outside range({n}),"
+                        f"edge {eid} end index {i:d} is outside range({n}),"
                         f" the vertex indices of rank {rank}"
                     )
             if s == t:
@@ -156,13 +144,13 @@ class Multigraph:
 
     def delta(self, v: VertexId) -> list[int]:
         """Edge ids incident with ``v``, in increasing id order."""
-        return list(self._delta[v.index])
+        return list(self._delta[v])
 
     def degree(self, v: VertexId) -> int:
-        return len(self._delta[v.index])
+        return len(self._delta[v])
 
     def active_vertices(self) -> list[VertexId]:
-        return [v for v in self._vertices if self._delta[v.index]]
+        return [v for v in self._vertices if self._delta[v]]
 
     def is_connected(self, ignore_isolated: bool = False) -> bool:
         verts = self.active_vertices() if ignore_isolated else self.vertices()
@@ -173,14 +161,14 @@ class Multigraph:
             near[s].append(t)
             near[t].append(s)
         seen = [False] * len(near)
-        stack = [verts[0].index]
+        stack = [verts[0]]
         seen[stack[0]] = True
         while stack:
             for j in near[stack.pop()]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        return all(seen[v.index] for v in verts)
+        return all(seen[v] for v in verts)
 
     def remove_edges(self, eids: Iterable[int]) -> "Multigraph":
         gone = set(eids)
@@ -202,14 +190,13 @@ class Multigraph:
             cap += (len(eids), len(eids))
             out[s].append(2 * k)
             out[t].append(2 * k + 1)
-        source, sink = x.index, y.index
         flow = 0
         while True:  # augment along one shortest path at a time
             parent = [-1] * len(out)
             room = [0] * len(out)  # the bottleneck of the path found to each vertex
-            room[source] = len(self.edges)  # no path pushes more than the max-flow
-            queue = deque([source])
-            while queue and not room[sink]:
+            room[x] = len(self.edges)  # no path pushes more than the max-flow
+            queue = deque([x])
+            while queue and not room[y]:
                 v = queue.popleft()
                 for a in out[v]:
                     w = head[a]
@@ -217,10 +204,10 @@ class Multigraph:
                         room[w] = min(room[v], cap[a])
                         parent[w] = a
                         queue.append(w)
-            if not room[sink]:
+            if not room[y]:
                 return flow
-            push, v = room[sink], sink
-            while v != source:
+            push, v = room[y], y
+            while v != x:
                 a = parent[v]
                 cap[a] -= push
                 cap[a ^ 1] += push
@@ -320,13 +307,10 @@ def analyze(graph: Multigraph) -> AnalysisReport:
     diskbusting iff the graph is connected.
     """
     rows = []
-    for v in graph.vertices():
-        if v.sign < 0:
-            continue
+    for v in graph.vertices()[::2]:  # the positive vertices, each before its pair
         lam = graph.local_edge_connectivity(v, v.mu())
-        rows.append((v, lam, graph.degree(v)))
-        rows.append((v.mu(), lam, graph.degree(v.mu())))
-    per_vertex = tuple(sorted(rows))
+        rows += [(v, lam, graph.degree(v)), (v.mu(), lam, graph.degree(v.mu()))]
+    per_vertex = tuple(rows)
     minimal = all(lam == deg for _, lam, deg in per_vertex)
     connected = graph.is_connected()
     degrees = {graph.degree(v) for v in graph.vertices()}
@@ -401,7 +385,7 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     table, a dart listed under a vertex it is not at and an image not at the
     paired vertex are errors.  Names are canonical and the keys of one table
     distinct, so a dart listed twice is always also listed under a vertex it
-    is not at.  Each distinct vertex name is parsed once into its index, and
+    is not at.  Each distinct vertex name is parsed once into its vertex, and
     each dart name is looked up in a table of the edge list's own names; the
     slow validators run only to say why an entry is refused.
     """
@@ -409,9 +393,9 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
     rank = json_int(data["rank"], "rank")
     if not isinstance(data["edges"], list) or not isinstance(data["sigma"], dict):
         raise GraphError("malformed graph JSON: edges must be a list and sigma an object")
-    index: dict[str, int] = {}  # each distinct vertex name, parsed once
-    edges: list[tuple[int, tuple[int, int]]] = []
-    darts: dict[str, tuple[int, int]] = {}
+    index: dict[str, VertexId] = {}  # each distinct vertex name, parsed once
+    edges: list[tuple[int, tuple[VertexId, VertexId]]] = []
+    darts: dict[str, tuple[VertexId, int]] = {}
     keys = {"id", "u", "v"}
     for e in data["edges"]:
         if type(e) is not dict or e.keys() != keys:
@@ -424,7 +408,7 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
         except (KeyError, TypeError):  # a name met for the first time is parsed
             for name in (u, v):
                 if type(name) is not str or name not in index:
-                    index[name] = vertex_from_name(name).index
+                    index[name] = vertex_from_name(name)
             ends = index[u], index[v]
         edges.append((eid, ends))
         # a canonical name has no sign, so a negative id's darts are left out
@@ -434,7 +418,7 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
             darts[f"{eid}@{v}"] = (ends[1], eid)
     sigma: dict[int, dict[int, int]] = {}
     for name, table in sorted(data["sigma"].items()):
-        at = index[name] if name in index else vertex_from_name(name).index
+        at = index[name] if name in index else vertex_from_name(name)
         if not isinstance(table, dict):
             raise GraphError(f"malformed graph JSON: sigma table of {name} is not an object")
         if not table:
@@ -448,7 +432,7 @@ def graph_from_json(data: dict) -> WhiteheadGraph:
             if j != at ^ 1:
                 raise GraphError(
                     f"sigma({src!r}) = {dst!r} does not land at the paired vertex "
-                    f"{vertex_from_name(name).mu()}"
+                    f"{at.mu()}"
                 )
     return WhiteheadGraph(rank, edges, sigma)
 

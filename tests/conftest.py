@@ -61,7 +61,7 @@ def polygonal_graph():
 
 def make_plain(rank: int, pairs) -> Multigraph:
     """The graph whose edge ``i`` joins the two ``VertexId``s of ``pairs[i]``."""
-    return Multigraph(rank, [(i, (x.index, y.index)) for i, (x, y) in enumerate(pairs)])
+    return Multigraph(rank, [(i, (x, y)) for i, (x, y) in enumerate(pairs)])
 
 
 def vid(gen: int, sign: int) -> VertexId:
@@ -202,7 +202,7 @@ def oracle_graph_to_json(graph: pg.WhiteheadGraph) -> dict:
     sigma: dict[str, dict[str, str]] = {}
     for v in graph.vertices():
         m = {
-            f"{eid}@{v.name}": f"{graph.sigma[v.index][eid]}@{v.mu().name}"
+            f"{eid}@{v.name}": f"{graph.sigma[v][eid]}@{v.mu().name}"
             for eid in sorted(graph.edges)
             if v in edge_ends(graph, eid)
         }
@@ -320,8 +320,8 @@ def oracle_balanced(graph: pg.WhiteheadGraph, cycles: dict) -> bool:
     for v in graph.active_vertices():
         delta = graph.delta(v)
         for e, f in itertools.combinations(delta, 2):
-            img_e = graph.sigma[v.index][e]
-            img_f = graph.sigma[v.index][f]
+            img_e = graph.sigma[v][e]
+            img_f = graph.sigma[v][f]
             if oracle_pair_count(graph, cycles, v, e, f) != oracle_pair_count(
                 graph, cycles, v.mu(), img_e, img_f
             ):
@@ -583,7 +583,7 @@ def oracle_link_letters(cx, corners) -> tuple:
         partner = cx.pairing[(p, side_idx)]
         gen = cx.polygons[p].verts[side_idx] // 2 + 1
         incoming = cx.polygons[partner[0]].verts[partner[1]] % 2 == 0
-        letters.append(VertexId(gen, 1 if incoming else -1).index)
+        letters.append(VertexId(gen, 1 if incoming else -1))
         tail, head = oracle_tail_head(cx, rank, (p, side_idx))
         ptail, phead = oracle_tail_head(cx, rank, partner)
         t = phead if head == t else ptail

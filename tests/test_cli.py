@@ -252,7 +252,7 @@ def test_verify_flags_unbalanced_witness(tmp_path):
     parallel = [
         eid
         for eid in graph.delta(pg.VertexId(2, 1))
-        if pg.VertexId(2, -1).index in graph.edges[eid]
+        if pg.VertexId(2, -1) in graph.edges[eid]
     ]
     verdict = verify_witness(graph, {frozenset(parallel): 1})
     wit = tmp_path / "bad.json"
@@ -322,6 +322,16 @@ def test_export_dot_bytes(tmp_path, name):
     # the second word's labels start after the first word's 4 edges
     assert (b'"a1" -- "a2" [label="w1:p0"];' in dot) == (name == "two words")
     assert hashlib.sha256(dot).hexdigest() == DOT_SHA256[name]
+
+
+def test_export_dot_to_stdout_writes_both_files(tmp_path, capsys):
+    # without --out the DOT text is followed by its sigma table on stdout
+    out = tmp_path / "c.dot"
+    assert run_cli("export-dot", "commutator", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("export-dot", "commutator") == 0
+    expected = out.read_bytes() + (tmp_path / "c.dot.sigma.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 def test_gen_round_trip(tmp_path):

@@ -358,7 +358,7 @@ def test_long_cycle_with_short_cycle_part_from_graph():
     aux = build_auxiliary_digraph(graph, vid(1, 1))
     parts = decompose_good(aux)
     assert [p.type_tag for p in parts] == [8]
-    comp = uniform_permutation(aux, graph.sigma[vid(1, 1).index])
+    comp = uniform_permutation(aux, graph.sigma[vid(1, 1)])
     assert comp.c == 4  # two copies of the star orbit, two of the offset orbit
 
 
@@ -373,11 +373,11 @@ def test_uniform_permutation_is_good_and_uniform(seed):
     graph = random_fourvertex_instance(seed)
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
-    comp = uniform_permutation(aux, graph.sigma[w.index])
+    comp = uniform_permutation(aux, graph.sigma[w])
     assert sorted(comp.sigma_after_pi) == graph.delta(w)
     assert sorted(comp.sigma_after_pi.values()) == graph.delta(w.mu())
     for x, img in comp.sigma_after_pi.items():  # img is sigma_w(pi(x))
-        if w.mu().index in graph.edges[x]:
+        if w.mu() in graph.edges[x]:
             assert img == x  # an edge between the w pair is fixed
         elif img != x:
             assert not set(graph.edges[x]) & set(graph.edges[img])
@@ -386,7 +386,7 @@ def test_uniform_permutation_is_good_and_uniform(seed):
         for eid in pair:
             coverage[eid] += count
         x, y = (graph.edges[eid] for eid in pair)
-        assert not set(x) & set(y) - {w.index, w.mu().index}
+        assert not set(x) & set(y) - {w, w.mu()}
     assert coverage == dict.fromkeys(graph.delta(w), comp.c)
 
 
@@ -398,14 +398,14 @@ def test_completion_hands_over_what_the_node_level_completion_induces(graph):
     # scaled by c // c_part
     w = _min_degree_vertex(graph)
     aux = build_auxiliary_digraph(graph, w)
-    comp = uniform_permutation(aux, graph.sigma[w.index])
+    comp = uniform_permutation(aux, graph.sigma[w])
     per_part = [part_completion(part) for part in decompose_good(aux)]
     pi = _pi([cyc for cycles, _, _ in per_part for cyc in cycles])
     assert sorted(pi) == sorted(pi.values()) == graph.delta(w)
     # on the nodes: pi(x) is y when the dart of x has an arc to the image of
     # y, sigma_w(y) = x; otherwise x is a sink, and the completion joins it
     # to a source, whose image leaves the w pair
-    sigma_w = graph.sigma[w.index]
+    sigma_w = graph.sigma[w]
     arc = {x: y for y, x in sigma_w.items() if x in sigma_w}
     for x, y in pi.items():
         assert arc[x] == y if x in arc else sigma_w[y] not in sigma_w
@@ -427,7 +427,7 @@ def test_completion_and_good_list_are_pinned():
     digest = hashlib.sha256()
     for graph in graphs:
         w = _min_degree_vertex(graph)
-        comp = uniform_permutation(build_auxiliary_digraph(graph, w), graph.sigma[w.index])
+        comp = uniform_permutation(build_auxiliary_digraph(graph, w), graph.sigma[w])
         good = pg.four_vertex_witness(graph)
         record = [
             sorted(comp.sigma_after_pi.items()),

@@ -30,7 +30,7 @@ def test_linear_orders_are_compatible(polygonal_graph):
         for e, img in table.items():
             assert rank[i][e] == rank[i ^ 1][img]
     for v in polygonal_graph.active_vertices():
-        ranks = sorted(rank[v.index][e] for e in polygonal_graph.delta(v))
+        ranks = sorted(rank[v][e] for e in polygonal_graph.delta(v))
         assert ranks == list(range(polygonal_graph.degree(v)))
 
 

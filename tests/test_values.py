@@ -22,22 +22,26 @@ def commutator_cycle() -> Cycle:
 
 
 def values():
-    """One instance of every value type, each with its compared fields: a
-    vertex, whose index is also its letter's code, for each kind of letter."""
-    return [
-        (VertexId(1, -1), (1, -1)),
-        (VertexId(2, 1), (2, 1)),
-        (VertexId(26, -1), (26, -1)),  # Z, the last letter written alone
-        (VertexId(27, 1), (27, 1)),  # a27, the first letter written as a token
-        (VertexId(MAX_RANK, -1), (MAX_RANK, -1)),
+    """One instance of every value type, each with what it compares as: a
+    vertex, which is the int of its index 2(g - 1) + (s < 0) and its letter's
+    code, for each kind of letter.  A row is named by its position, not by
+    its values, which pytest would print as ints."""
+    rows = [
+        (VertexId(1, -1), 1),
+        (VertexId(2, 1), 2),
+        (VertexId(26, -1), 51),  # Z, the last letter written alone
+        (VertexId(27, 1), 52),  # a27, the first letter written as a token
+        (VertexId(MAX_RANK, -1), 2 * MAX_RANK - 1),
     ]
+    return [pytest.param(*row, id=f"value{i}-compared{i}") for i, row in enumerate(rows)]
 
 
 @pytest.mark.parametrize("value, compared", values())
 def test_hash_is_that_of_the_compared_fields(value, compared):
-    # set and dict order, and so output order, follow these hashes
-    assert hash(value) == hash(compared)
-    assert value != compared and compared != value
+    # a vertex hashes, compares and orders as the int of its index, so a set
+    # of vertices iterates as one of ints would
+    assert hash(value) == hash(compared) and value == compared and compared == value
+    assert value != (value.gen, value.sign) and type(value) is VertexId
 
 
 @pytest.mark.parametrize("value, compared", values())
@@ -66,21 +70,21 @@ def test_vertex_id():
     assert sorted([VertexId(2, 1), VertexId(1, -1), VertexId(1, 1)]) == [
         VertexId(1, 1), VertexId(1, -1), VertexId(2, 1)
     ]
-    assert VertexId(1, -1) > VertexId(1, 1)  # reflected __lt__
-    with pytest.raises(TypeError):
-        VertexId(1, 1) <= VertexId(1, 1)  # only __lt__ is defined
+    assert VertexId(1, -1) > VertexId(1, 1) and VertexId(1, 1) <= VertexId(1, 1)  # the int order
+    assert VertexId(1, 1) == 0 and VertexId(2, -1) == 3 and str(VertexId(2, -1)) == "a2-"
+    assert VertexId(2, -1).mu() == VertexId(2, -1) ^ 1 and type(VertexId(2, -1).mu()) is VertexId
     match v:
         case VertexId(gen, sign):
             assert (gen, sign) == (1, 1)
 
 
 def test_letter():
-    # a letter is the code 2(g - 1) + (s < 0), its vertex's index; c ^ 1 inverts it
+    # a letter is the code 2(g - 1) + (s < 0), its vertex; c ^ 1 inverts it
     for g in (1, 2, 26, 27, MAX_RANK):
         for s in (1, -1):
-            code = VertexId(g, s).index
-            assert parse_word(f"a{g}" if s > 0 else f"a{g}^-1", MAX_RANK) == (code,)
-            assert code ^ 1 == VertexId(g, -s).index
+            v = VertexId(g, s)
+            assert parse_word(f"a{g}" if s > 0 else f"a{g}^-1", MAX_RANK) == (v,)
+            assert v ^ 1 == v.mu() == VertexId(g, -s)
     assert parse_word("aAbBzZ", 26) == (0, 1, 2, 3, 50, 51)
     # codes order a before a^-1, as vertices do
     assert sorted(parse_word("BbAa", 2)) == [0, 1, 2, 3]

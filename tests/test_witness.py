@@ -261,7 +261,7 @@ def test_verify_scaling_invariance(polygonal_graph):
 def assert_single_edge_balance(graph, verdict):
     for v in graph.active_vertices():
         for e in graph.delta(v):
-            assert verdict.per_edge_usage[e] == verdict.per_edge_usage[graph.sigma[v.index][e]]
+            assert verdict.per_edge_usage[e] == verdict.per_edge_usage[graph.sigma[v][e]]
 
 
 def test_strict_pair_mode(commutator):
@@ -490,7 +490,7 @@ def test_pair_count_table_matches_direct_recount(polygonal_graph):
             direct = sum(
                 m for c, m in found.items() if e in c and f in c
             )
-            img = frozenset((polygonal_graph.sigma[v.index][e], polygonal_graph.sigma[v.index][f]))
+            img = frozenset((polygonal_graph.sigma[v][e], polygonal_graph.sigma[v][f]))
             image_count = sum(
                 m for c, m in found.items() if img <= c
             )
@@ -523,7 +523,7 @@ def oracle_failures(graph, cycles) -> list:
     count and its image's, recounted over every pair at every vertex."""
     out = []
     for v in graph.active_vertices():
-        sigma = graph.sigma[v.index]
+        sigma = graph.sigma[v]
         for e, f in itertools.combinations(graph.delta(v), 2):
             here = oracle_pair_count(graph, cycles, v, e, f)
             there = oracle_pair_count(graph, cycles, v.mu(), sigma[e], sigma[f])

@@ -136,16 +136,24 @@ def test_word_list_format_comments_and_errors():
     assert wl.words == ((0, 2, 1, 3), (0, 3))
     with pytest.raises(WordParseError):
         pg.parse_word_list("abAB\n")
+    for text, message in (
+        ("rank 2\n", "word list is empty"),
+        ("# only a comment\n", "missing 'rank <n>' header line"),
+    ):
+        with pytest.raises(WordParseError) as exc:
+            pg.parse_word_list(text)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
     "line, error, message",
     [
         ("ab(", WordParseError, "unbalanced '('"),
+        ("a)b", WordParseError, "unbalanced ')'"),
         ("abc", WordParseError, "generator c out of rank 2"),
         ("aBbA", TrivialWordError, "word aBbA is trivial up to conjugacy"),
     ],
-    ids=["parse", "rank", "trivial"],
+    ids=["parse", "close", "rank", "trivial"],
 )
 def test_an_error_in_a_word_line_names_the_line(line, error, message):
     # the header's errors already named their line; a word line's keep their type
@@ -293,7 +301,7 @@ def ranked_words(draw):
 @example((28, [(27, 1), (28, 1), (27, -1), (28, -1)]), 2, 3)
 def test_word_text_parse_and_reduction_agree_with_the_oracles(case, c, r):
     rank, pairs = case
-    w = tuple(pg.VertexId(g, s).index for g, s in pairs)
+    w = tuple(pg.VertexId(g, s) for g, s in pairs)
     assert word_text(w) == oracle_word_text(pairs)
     assert pg.parse_word(word_text(w), rank) == w
     reduced = free_reduce(pairs)
@@ -302,7 +310,7 @@ def test_word_text_parse_and_reduction_agree_with_the_oracles(case, c, r):
             pg.cyclic_reduce(w)
         return
     base = pg.cyclic_reduce(w)
-    assert base == tuple(pg.VertexId(g, s).index for g, s in reduced)
+    assert base == tuple(pg.VertexId(g, s) for g, s in reduced)
     power = base * c
     rotated = power[r % len(power) :] + power[: r % len(power)]
     for candidate in (w, rotated, inverse(rotated)):
